@@ -81,7 +81,7 @@ from .modulus import (
     q_modulus,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "GenellipError", "DomainError", "ParameterError", "PoleError",

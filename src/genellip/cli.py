@@ -122,10 +122,10 @@ def _parse_grid(spec: str) -> GridDim:
         raise DomainError(f"bad --grid {spec!r}: {exc}") from None
 
 
-def _need(args, fn: str, *names: str) -> None:
+def _need(args, what: str, *names: str) -> None:
     missing = [f"--{n}" for n in names if getattr(args, n, None) is None]
     if missing:
-        raise DomainError(f"eval {fn} requires {' '.join(missing)}")
+        raise DomainError(f"{what} requires {' '.join(missing)}")
 
 
 def _point_modulus(args) -> tuple[Modulus, float]:
@@ -137,13 +137,14 @@ def _point_modulus(args) -> tuple[Modulus, float]:
     raise DomainError("need --r or --z")
 
 
+def _solved(s: Modulus) -> EvalResult:
+    """A modular-function solution as an EvalResult; the solver meets a
+    ~1e-13 logit residual, which maps to dr = r r'^2 * tol / 2."""
+    return EvalResult(s.r, 0.5 * s.r * s.z_comp * 1e-12 + 4e-16 * s.r, Method.SOLVER)
+
+
 def _phi_eval(a: float, c: float, K: float, r: float) -> EvalResult:
-    """phi_K as an EvalResult; the solver meets a ~1e-13 logit residual,
-    which maps to dr = r r'^2 * tol / 2."""
-    p = modulus_params_ac(a, c)
-    s = phi_k_m(p, DegreeK(K), Modulus.from_r(r))
-    err = 0.5 * s.r * s.z_comp * 1e-12 + 4e-16 * s.r
-    return EvalResult(s.r, err, Method.SOLVER)
+    return _solved(phi_k_m(modulus_params_ac(a, c), DegreeK(K), Modulus.from_r(r)))
 
 
 def _eval_point(fn: str, args, x=None):
@@ -152,8 +153,9 @@ def _eval_point(fn: str, args, x=None):
     Returns (point, EvalResult, params-echo dict).
     """
     a, b, c = args.a, args.b, args.c
+    what = f"eval {fn}"
     if fn in ("K", "E", "Kp", "Ep"):
-        _need(args, fn, "a", "b", "c")
+        _need(args, what, "a", "b", "c")
         p = EllipticParams(a, b, c)
         if x is None:
             m, pt = _point_modulus(args)
@@ -162,26 +164,26 @@ def _eval_point(fn: str, args, x=None):
         op = {"K": ell_k, "E": ell_e, "Kp": ell_k_comp, "Ep": ell_e_comp}[fn]
         return pt, op(p, m), {"a": a, "b": b, "c": c}
     if fn == "hyp2f1":
-        _need(args, fn, "a", "b", "c")
+        _need(args, what, "a", "b", "c")
         pt = args.z if x is None else x
         if pt is None:
             raise DomainError("eval hyp2f1 requires --z")
         return pt, hyp2f1(HypParams(a, b, c), pt), {"a": a, "b": b, "c": c}
     if fn == "M":
-        _need(args, fn, "a", "b", "c")
+        _need(args, what, "a", "b", "c")
         pt = args.z if x is None else x
         if pt is None:
             raise DomainError("eval M requires --z")
         return pt, m_value(MPoint(a, b, c, pt)), {"a": a, "b": b, "c": c}
     if fn == "mu":
-        _need(args, fn, "a", "c")
+        _need(args, what, "a", "c")
         pt = args.r if x is None else x
         if pt is None:
             raise DomainError("eval mu requires --r")
         p = modulus_params_ac(a, c)
         return pt, mu(p, pt), {"a": p.a, "b": p.b, "c": p.c}
     if fn == "phi":
-        _need(args, fn, "a", "c", "K")
+        _need(args, what, "a", "c", "K")
         pt = args.r if x is None else x
         if pt is None:
             raise DomainError("phi requires --r")
@@ -190,15 +192,15 @@ def _eval_point(fn: str, args, x=None):
             {"a": p.a, "b": p.b, "c": p.c, "K": args.K}
     if fn == "R":
         if x is not None:
-            _need(args, fn, "b")
+            _need(args, what, "b")
             return x, ramanujan_r(x, b), {"b": b}
-        _need(args, fn, "a", "b")
+        _need(args, what, "a", "b")
         return a, ramanujan_r(a, b), {"a": a, "b": b}
     if fn == "beta":
         if x is not None:
-            _need(args, fn, "b")
+            _need(args, what, "b")
             return x, beta(x, b), {"b": b}
-        _need(args, fn, "a", "b")
+        _need(args, what, "a", "b")
         return a, beta(a, b), {"a": a, "b": b}
     if fn in ("gamma", "digamma"):
         pt = args.z if x is None else x
@@ -207,27 +209,6 @@ def _eval_point(fn: str, args, x=None):
         op = gamma if fn == "gamma" else digamma
         return pt, op(pt), {}
     raise DomainError(f"unknown function selector {fn!r}")
-
-
-def _result_text(res: EvalResult, extra: dict | None = None) -> str:
-    lines = [_f12(res.value)]
-    lines.append("abs_err_est = " + _f12(res.abs_err_est))
-    lines.append("method = " + res.method.value)
-    for k, v in (extra or {}).items():
-        lines.append(f"{k} = " + (_f12(v) if isinstance(v, float) else str(v)))
-    return "\n".join(lines) + "\n"
-
-
-def _result_json(fn: str, params: dict, pt_name: str, pt, res: EvalResult,
-                 extra: dict | None = None) -> dict:
-    out = {"fn": fn}
-    out.update(params)
-    out[pt_name] = pt
-    out["value"] = res.value
-    out["abs_err_est"] = res.abs_err_est
-    out["method"] = res.method.value
-    out.update(extra or {})
-    return out
 
 
 def _csv_header(fn: str, params: dict) -> str:
@@ -239,6 +220,28 @@ def _csv_header(fn: str, params: dict) -> str:
     return head
 
 
+def _emit_point(args, fn: str, params: dict, pt_name: str, pt, res: EvalResult,
+                extra: dict | None = None) -> int:
+    """Write one evaluated point as text, CSV or JSON; `extra` fields go to
+    text and JSON only."""
+    extra = extra or {}
+    if args.format == "json":
+        out = {"fn": fn, **params, pt_name: pt, "value": res.value,
+               "abs_err_est": res.abs_err_est, "method": res.method.value, **extra}
+        text = _json_text(out)
+    elif args.format == "csv":
+        text = _csv_header(fn, params) + ",".join(
+            (_f17(pt), _f17(res.value), _f17(res.abs_err_est))) + "\n"
+    else:
+        lines = [_f12(res.value), "abs_err_est = " + _f12(res.abs_err_est),
+                 "method = " + res.method.value]
+        lines += [f"{k} = " + (_f12(v) if isinstance(v, float) else str(v))
+                  for k, v in extra.items()]
+        text = "\n".join(lines) + "\n"
+    _write_out(text, args.out)
+    return 0
+
+
 # --------------------------------------------------------------------------
 # verbs
 
@@ -246,16 +249,7 @@ def _cmd_eval(args) -> int:
     pt, res, params = _eval_point(args.fn, args)
     pt_name = "z" if args.fn in ("hyp2f1", "M", "gamma", "digamma") else \
         ("a" if args.fn in ("R", "beta") else "r")
-    if args.format == "json":
-        _write_out(_json_text(_result_json(args.fn, params, pt_name, pt, res)),
-                   args.out)
-    elif args.format == "csv":
-        text = _csv_header(args.fn, params)
-        text += ",".join((_f17(pt), _f17(res.value), _f17(res.abs_err_est)))
-        _write_out(text + "\n", args.out)
-    else:
-        _write_out(_result_text(res), args.out)
-    return 0
+    return _emit_point(args, args.fn, params, pt_name, pt, res)
 
 
 def _cmd_tabulate(args) -> int:
@@ -283,75 +277,37 @@ def _cmd_tabulate(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    _need_all(args, "invert", "a", "c", "p")
+    _need(args, "invert", "a", "c", "p")
     p = modulus_params_ac(args.a, args.c)
     r = mu_inv(p, args.p)
     residual = abs(mu(p, r).value - args.p) if 0.0 < r < 1.0 else 0.0
     slope = abs(mu_deriv(p, r).value) if 0.0 < r < 1.0 else math.inf
     res = EvalResult(r, residual / slope + 1e-16, Method.SOLVER)
-    extra = {"mu_residual": residual}
-    if args.format == "json":
-        _write_out(_json_text(_result_json("mu_inv", {"a": p.a, "b": p.b,
-                                                      "c": p.c},
-                                           "mu", args.p, res, extra)),
-                   args.out)
-    elif args.format == "csv":
-        text = _csv_header("mu_inv", {"a": p.a, "b": p.b, "c": p.c})
-        text += ",".join((_f17(args.p), _f17(r), _f17(res.abs_err_est))) + "\n"
-        _write_out(text, args.out)
-    else:
-        _write_out(_result_text(res, extra), args.out)
-    return 0
+    return _emit_point(args, "mu_inv", {"a": p.a, "b": p.b, "c": p.c}, "mu", args.p,
+                       res, {"mu_residual": residual})
 
 
 def _cmd_phi(args) -> int:
-    _need_all(args, "phi", "a", "c", "K", "r")
+    _need(args, "phi", "a", "c", "K", "r")
     p = modulus_params_ac(args.a, args.c)
     res = _phi_eval(args.a, args.c, args.K, args.r)
     params = {"a": p.a, "b": p.b, "c": p.c, "K": args.K}
-    if args.format == "json":
-        _write_out(_json_text(_result_json("phi", params, "r", args.r, res)),
-                   args.out)
-    elif args.format == "csv":
-        text = _csv_header("phi", params)
-        text += ",".join((_f17(args.r), _f17(res.value),
-                          _f17(res.abs_err_est))) + "\n"
-        _write_out(text, args.out)
-    else:
-        _write_out(_result_text(res), args.out)
-    return 0
+    return _emit_point(args, "phi", params, "r", args.r, res)
 
 
 def _cmd_solve(args) -> int:
     """Solve mu(s) = p * mu(r): the degree-p modular equation."""
-    _need_all(args, "solve", "a", "c", "p", "r")
+    _need(args, "solve", "a", "c", "p", "r")
     pm = modulus_params_ac(args.a, args.c)
     m = Modulus.from_r(args.r)
     s = phi_k_m(pm, DegreeK(1.0 / args.p), m)
     mu_r = mu_m(pm, m)
     mu_s = mu_m(pm, s)
     residual = abs(mu_s.value - args.p * mu_r.value)
-    err = 0.5 * s.r * s.z_comp * 1e-12 + 4e-16 * s.r
-    res = EvalResult(s.r, err, Method.SOLVER)
     extra = {"mu_r": mu_r.value, "mu_s": mu_s.value, "residual": residual,
              "s_comp": s.r_comp}
     params = {"a": pm.a, "b": pm.b, "c": pm.c, "degree": args.p}
-    if args.format == "json":
-        _write_out(_json_text(_result_json("solve", params, "r", args.r, res,
-                                           extra)), args.out)
-    elif args.format == "csv":
-        text = _csv_header("solve", params)
-        text += ",".join((_f17(args.r), _f17(s.r), _f17(err))) + "\n"
-        _write_out(text, args.out)
-    else:
-        _write_out(_result_text(res, extra), args.out)
-    return 0
-
-
-def _need_all(args, verb: str, *names: str) -> None:
-    missing = [f"--{n}" for n in names if getattr(args, n, None) is None]
-    if missing:
-        raise DomainError(f"{verb} requires {' '.join(missing)}")
+    return _emit_point(args, "solve", params, "r", args.r, _solved(s), extra)
 
 
 def _cmd_verify(args) -> int:

@@ -6,9 +6,15 @@ their complements K' = K(r'), E' = E(r'), the endpoint values, and the
 closed-form r-derivatives of K, E, K-E, and E-r'^2 K.  For (a,b,c) =
 (1/2,1/2,1) everything reduces to the classical complete integrals.
 
-The combinations K-E and E-r'^2 K are also provided as dedicated positive
-Maclaurin series, which matter near r=0 where forming the differences from
-K and E would cancel to noise.
+The combinations K-E and E-r'^2 K are each a single Gauss function,
+
+    K - E = (B/2)(b/c) r^2 F(a,b+1;c+1;r^2),
+    E - r'^2 K = (B/2)((c-b)/c) r^2 F(a,b;c+1;r^2),
+
+by the contiguous relation F(a,b;c;z) - F(a-1,b;c;z) = (bz/c) F(a,b+1;c+1;z)
+(DLMF 15.5(ii)).  Both are positive series, so they keep full relative
+accuracy near r=0, where forming the differences from K and E would cancel
+to noise, and they go through the same 2F1 regimes as K and E near r=1.
 """
 
 from __future__ import annotations
@@ -16,14 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_params
 from .hypergeom import _eval_pair
 from .result import EvalResult, Method
 from .scalar_special import beta
-
-_EPS = 1e-15
 
 
 @dataclass(frozen=True)
@@ -36,10 +38,8 @@ class EllipticParams:
 
     def __post_init__(self):
         a, b, c = self.a, self.b, self.c
-        for name, v in (("a", a), ("b", b), ("c", c)):
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ParameterError(f"{name} must be a finite positive real, got {v!r}")
-            object.__setattr__(self, name, float(v))
+        for name, v in zip("abc", check_params(a=a, b=b, c=c)):
+            object.__setattr__(self, name, v)
         if not self.a < min(self.c, 1.0):
             raise ParameterError(f"need a < min(c, 1), got a={a!r}, c={c!r}")
         if not self.b < self.c:
@@ -55,10 +55,10 @@ class EllipticParams:
 
 def reduced_params(a: float, c: float) -> EllipticParams:
     """The b = c-a sub-family K_{a,c}, E_{a,c}; requires 0 < a < c <= 1."""
-    if not (isinstance(a, (int, float)) and isinstance(c, (int, float))
-            and math.isfinite(a) and math.isfinite(c) and 0.0 < a < c <= 1.0):
+    a, c = check_params(a=a, c=c)
+    if not a < c <= 1.0:
         raise ParameterError(f"need 0 < a < c <= 1, got a={a!r}, c={c!r}")
-    return EllipticParams(float(a), float(c) - float(a), float(c))
+    return EllipticParams(a, c - a, c)
 
 
 @dataclass(frozen=True)
@@ -155,82 +155,32 @@ def ell_e_comp(p: EllipticParams, m: Modulus) -> EvalResult:
     return ell_e(p, m.complement)
 
 
-def _positive_series(first: float, ratio_shifts: tuple[float, float, float],
-                     z: float, max_terms: int = 400_000) -> tuple[float, float]:
-    """Sum t_1 + t_2 + ... with t_{n+1}/t_n = (p+n)(q+n)/((s+n) n) * z.
-
-    first = t_1; ratio_shifts = (p, q, s).  All terms share the sign of
-    `first`, so the partial sums never cancel.
-    """
-    if z == 0.0 or first == 0.0:
-        return 0.0, 0.0
-    pp, qq, ss = ratio_shifts
-    total = first
-    term = first
-    n = 1
-    min_n = max(64, int(max(abs(pp), abs(qq), abs(ss))) + 2)
-    chunk = 64
-    while n < max_terms:
-        mlen = min(chunk, max_terms - n)
-        ks = np.arange(n, n + mlen, dtype=np.float64)
-        ratios = (pp + ks) * (qq + ks) / ((ss + ks) * ks) * z
-        terms = term * np.cumprod(ratios)
-        total += float(np.sum(terms))
-        term = float(terms[-1])
-        n += mlen
-        if not math.isfinite(total):
-            raise ConvergenceError(f"series overflow at z={z!r}")
-        bound = _EPS * abs(total)
-        if mlen >= 3 and n >= min_n and all(abs(t_) <= bound for t_ in terms[-3:]):
-            q = max(abs(float(ratios[-1])), z)
-            if q < 1.0:
-                tail = abs(term) * q / (1.0 - q)
-                if tail <= bound:
-                    return total, 4e-16 * abs(total) + tail
-        chunk = min(2 * chunk, 8192)
-    raise ConvergenceError(f"series needed more than {max_terms} terms at z={z!r}")
-
-
 def ell_k_minus_e(p: EllipticParams, m: Modulus) -> EvalResult:
-    """K - E by its positive Maclaurin series; exact relative accuracy near 0.
+    """K - E = (B/2)(b/c) r^2 F(a,b+1;c+1;r^2), a positive Maclaurin series.
 
-    Past z = 0.9 the series needs O(1/(1-z)) terms while the plain
-    subtraction loses at most a couple of digits (the gap is a bounded
-    fraction of K there), so the routes swap.
+    From the contiguous relation F(a,b;c;z) - F(a-1,b;c;z) =
+    (bz/c) F(a,b+1;c+1;z) (DLMF 15.5(ii)); the single 2F1 keeps full
+    relative accuracy near r = 0, where K - E would cancel to noise.
     """
     if m.z_comp == 0.0:
         return EvalResult(math.inf, 0.0, Method.CLOSED_FORM)
-    z = m.z
-    if z > 0.9:
-        kv = ell_k(p, m)
-        ev = ell_e(p, m)
-        return EvalResult(kv.value - ev.value,
-                          kv.abs_err_est + ev.abs_err_est, kv.method)
-    first = p.half_beta * (p.b / p.c) * z
-    value, err = _positive_series(first, (p.a - 1.0, p.b, p.c), z)
-    return EvalResult(value, err + 2e-15 * abs(value), Method.SERIES)
+    scale = p.half_beta * (p.b / p.c) * m.z
+    f = _eval_pair(p.a, p.b + 1.0, p.c + 1.0, m.z, m.z_comp)
+    value = scale * f.value
+    return EvalResult(value, scale * f.abs_err_est + 2e-15 * abs(value), f.method)
 
 
 def ell_e_minus_rc2k(p: EllipticParams, m: Modulus) -> EvalResult:
-    """E - r'^2 K by its positive Maclaurin series (coefficient (c-b) > 0).
+    """E - r'^2 K = (B/2)((c-b)/c) r^2 F(a,b;c+1;r^2), positive since c > b.
 
-    Same route swap as K - E: past z = 0.9 the r'^2 K term is a small
-    correction to E and the direct combination is accurate.
+    The same contiguous relation applied to F(a-1,b;c;z) - (1-z)F(a,b;c;z).
     """
-    z = m.z
     if m.z_comp == 0.0:
         return ell_e(p, m)
-    if z > 0.9:
-        ev = ell_e(p, m)
-        kv = ell_k(p, m)
-        zc = m.z_comp
-        value = ev.value - zc * kv.value
-        err = ev.abs_err_est + zc * kv.abs_err_est \
-            + 2e-16 * (abs(ev.value) + zc * abs(kv.value))
-        return EvalResult(value, err, ev.method)
-    first = p.half_beta * (p.c - p.b) * z / p.c
-    value, err = _positive_series(first, (p.a - 1.0, p.b - 1.0, p.c), z)
-    return EvalResult(value, err + 2e-15 * abs(value), Method.SERIES)
+    scale = p.half_beta * ((p.c - p.b) / p.c) * m.z
+    f = _eval_pair(p.a, p.b, p.c + 1.0, m.z, m.z_comp)
+    value = scale * f.value
+    return EvalResult(value, scale * f.abs_err_est + 2e-15 * abs(value), f.method)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
-"""Exception hierarchy shared by all evaluation modules.
+"""Exception hierarchy shared by all evaluation modules, and the one
+validator for the parameters (a, b, c) that every parameter type uses.
 
 The CLI maps these onto process exit codes: domain-type errors (bad inputs,
 poles, wrong regime, out-of-range degree) exit with 2, convergence failures
 with 3.
 """
+
+import math
 
 
 class GenellipError(Exception):
@@ -38,3 +41,19 @@ class SaturationError(DomainError):
 
 class ConvergenceError(GenellipError):
     """An iteration budget was exhausted before reaching tolerance."""
+
+
+def check_params(cap: float | None = None, **params) -> tuple[float, ...]:
+    """The named parameters as floats, in the order given.
+
+    Each must be an int or float (not a bool), finite, positive, and at
+    most `cap` when one is given; otherwise ParameterError names it.
+    """
+    out = []
+    for name, v in params.items():
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or not 0.0 < v < math.inf or (cap is not None and v > cap)):
+            where = "(0, inf)" if cap is None else f"(0, {cap:g}]"
+            raise ParameterError(f"{name} must be a finite real in {where}, got {v!r}")
+        out.append(float(v))
+    return tuple(out)

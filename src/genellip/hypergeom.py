@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParameterError, RegimeError
+from .errors import (ConvergenceError, DomainError, ParameterError, RegimeError,
+                     check_params)
 from .result import EvalResult, Method
 from .scalar_special import (
     EULER_GAMMA,
@@ -45,13 +46,8 @@ class HypParams:
     c: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ParameterError(f"{name} must be a finite real, got {v!r}")
-            if not 0.0 < v <= _PARAM_CAP:
-                raise ParameterError(f"{name} must lie in (0, {_PARAM_CAP}], got {v!r}")
-            object.__setattr__(self, name, float(v))
+        for name, v in zip("abc", check_params(_PARAM_CAP, a=self.a, b=self.b, c=self.c)):
+            object.__setattr__(self, name, v)
 
 
 def _gamma_ratio(nums, dens) -> float:

@@ -24,7 +24,8 @@ import os
 from dataclasses import dataclass
 
 from .elliptic import Modulus
-from .errors import ConvergenceError, DomainError, ParameterError, SaturationError
+from .errors import (ConvergenceError, DomainError, ParameterError, SaturationError,
+                     check_params)
 from .hypergeom import _eval_pair
 from .legendre_m import MPoint, m_value
 from .result import EvalResult, Method
@@ -44,11 +45,8 @@ class ModulusParams:
     c: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and 0.0 < v <= 50.0):
-                raise ParameterError(f"{name} must lie in (0, 50], got {v!r}")
-            object.__setattr__(self, name, float(v))
+        for name, v in zip("abc", check_params(50.0, a=self.a, b=self.b, c=self.c)):
+            object.__setattr__(self, name, v)
         if self.a + self.b < self.c:
             raise ParameterError(
                 f"mu needs a+b >= c, got a+b={self.a + self.b!r}, c={self.c!r}")
@@ -66,10 +64,10 @@ class ModulusParams:
 
 def modulus_params_ac(a: float, c: float) -> ModulusParams:
     """The two-parameter family mu_{a,c} = mu_{a,c-a,c}; needs 0 < a < c."""
-    if not (isinstance(a, (int, float)) and isinstance(c, (int, float))
-            and math.isfinite(a) and math.isfinite(c) and 0.0 < a < c):
+    a, c = check_params(a=a, c=c)
+    if not a < c:
         raise ParameterError(f"need 0 < a < c, got a={a!r}, c={c!r}")
-    return ModulusParams(float(a), float(c) - float(a), float(c))
+    return ModulusParams(a, c - a, c)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from ..modulus import DegreeK, ModulusParams, modulus_params_ac, mu, mu_deriv, \
     mu_deriv_closed, mu_inv_m, mu_m, p_logit, phi_deriv_closed, phi_k, phi_k_m, \
     phi_logodds, q_modulus
 from ..result import EvalResult
-from ..scalar_special import beta_ln, digamma, gamma_ln
+from ..scalar_special import beta, beta_ln, digamma, gamma_ln, ramanujan_r
 from .engine import CheckSpec, GridDim, GridSpec, pab
 
 INF = math.inf
@@ -57,16 +57,6 @@ def _q(num: EvalResult, den: EvalResult, scale: float = 1.0):
     """scale * num/den with first-order relative error propagation."""
     v = scale * num.value / den.value
     return v, abs(v) * (_rel(num) + _rel(den) + 1e-15)
-
-
-def _bfun(a: float, b: float) -> float:
-    return math.exp(beta_ln(a, b))
-
-
-def _ram(a: float, b: float) -> float:
-    # R(a,b) = -psi(a) - psi(b) - 2*gamma
-    g = 0.5772156649015328606
-    return -digamma(a).value - digamma(b).value - 2.0 * g
 
 
 def _ep(d) -> EllipticParams:
@@ -223,7 +213,7 @@ def _ekmonot():
               "B(a,b)B(c,c+1-a-b)/(2 B(c+1-a,c-b))).",
         param_grid=_pg_shifted(0.0, 0.05, 0.1), param_map=_map_shifted,
         arg_grid=R33, tolerance=1e-9, fn=emk_over_z,
-        lo_limit=lambda d: _bfun(d["a"], d["b"]) * (d["c"] - d["b"]) / (2.0 * d["c"]),
+        lo_limit=lambda d: beta(d["a"], d["b"]).value * (d["c"] - d["b"]) / (2.0 * d["c"]),
         hi_limit=emk_hi,
         lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-9,
         lo_attain=1e-3, hi_attain=2e-3))
@@ -239,7 +229,7 @@ def _ekmonot():
               "on [0,1) onto [B(a,b)/2, infinity).",
         param_grid=_pg_shifted(0.0, 0.05, 0.1), param_map=_map_shifted,
         arg_grid=R33, tolerance=1e-9, fn=e_over_zc,
-        lo_limit=lambda d: 0.5 * _bfun(d["a"], d["b"]), hi_limit=lambda d: INF,
+        lo_limit=lambda d: 0.5 * beta(d["a"], d["b"]).value, hi_limit=lambda d: INF,
         lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-9,
         lo_attain=1e-3))
 
@@ -254,7 +244,7 @@ def _ekmonot():
               "on [0,1) onto (0, B(a,b)/2].",
         param_grid=_pg_shifted(0.0, 0.05, 0.1), param_map=_map_shifted,
         arg_grid=R33, tolerance=1e-9, fn=zc_k,
-        lo_limit=lambda d: 0.5 * _bfun(d["a"], d["b"]), hi_limit=lambda d: 0.0,
+        lo_limit=lambda d: 0.5 * beta(d["a"], d["b"]).value, hi_limit=lambda d: 0.0,
         lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-9,
         lo_attain=1e-3, hi_attain=1e-3))
 
@@ -319,7 +309,7 @@ def _ekmonot():
               "with gap decay.",
         param_grid=PG_AC, param_map=_map_reduced,
         arg_grid=R33, tolerance=1e-9, fn=zk_over_log,
-        lo_limit=lambda d: _bfun(d["a"], d["b"]), hi_limit=lambda d: 1.0,
+        lo_limit=lambda d: beta(d["a"], d["b"]).value, hi_limit=lambda d: 1.0,
         lo_probe=lambda d: 1e-4, hi_probe=lambda d: 1.0 - 1e-13,
         lo_attain=0.1, hi_attain=0.1))
 
@@ -336,7 +326,7 @@ def _ekmonot():
         param_map=lambda d: (lambda out: out if out is not None and
                              2.0 * out["a"] * out["b"] < out["c"] else None)(_map_shifted(d)),
         arg_grid=R33, tolerance=1e-9, fn=rc_k,
-        lo_limit=lambda d: 0.5 * _bfun(d["a"], d["b"]), hi_limit=lambda d: 0.0,
+        lo_limit=lambda d: 0.5 * beta(d["a"], d["b"]).value, hi_limit=lambda d: 0.0,
         lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-9,
         lo_attain=1e-3, hi_attain=1e-3))
     return checks
@@ -358,7 +348,7 @@ def _hyper():
               "1/log-slow; attainment relaxed to 0.06 with gap decay.",
         param_grid=PG_AC, param_map=_map_reduced,
         arg_grid=R33, tolerance=1e-9, fn=rk_over_arth,
-        lo_limit=lambda d: 0.5 * _bfun(d["a"], d["b"]), hi_limit=lambda d: 1.0,
+        lo_limit=lambda d: 0.5 * beta(d["a"], d["b"]).value, hi_limit=lambda d: 1.0,
         lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-13,
         lo_attain=1e-3, hi_attain=0.06))
 
@@ -366,7 +356,7 @@ def _hyper():
         p, m = _ep(d), Modulus.from_r(r)
         k = ell_k(p, m)
         den = ell_e_minus_rc2k(p, m)
-        hb = 0.5 * _bfun(d["a"], d["b"])
+        hb = 0.5 * beta(d["a"], d["b"]).value
         num = hb * hb - m.z_comp * k.value * k.value
         num_err = 2.0 * m.z_comp * abs(k.value) * k.abs_err_est + 2e-15 * hb * hb
         v = num / den.value
@@ -375,7 +365,7 @@ def _hyper():
 
     def quad_lo(d):
         a, b, c = d["a"], d["b"], d["c"]
-        return _bfun(a, b) * (c - 2.0 * a * c + 2.0 * a * a) / (2.0 * a)
+        return beta(a, b).value * (c - 2.0 * a * c + 2.0 * a * a) / (2.0 * a)
 
     checks.append(CheckSpec(
         id="hyper-2", kind="monotone", direction=1,
@@ -385,7 +375,7 @@ def _hyper():
         param_grid=PG_AC, param_map=_map_reduced,
         arg_grid=R33, tolerance=1e-9, fn=quad_ratio,
         lo_limit=quad_lo,
-        hi_limit=lambda d: _bfun(d["a"], d["b"]) ** 2 * (d["c"] - d["a"]) / 2.0,
+        hi_limit=lambda d: beta(d["a"], d["b"]).value ** 2 * (d["c"] - d["a"]) / 2.0,
         lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-9,
         lo_attain=1e-3, hi_attain=2e-3))
 
@@ -433,7 +423,7 @@ def _sqrtk():
               "Checked at the threshold exponent.",
         param_grid=pg, param_map=map_case,
         arg_grid=R33, tolerance=1e-9, fn=pow_k(p_star),
-        lo_limit=lambda d: 0.5 * _bfun(d["a"], d["b"]), hi_limit=lambda d: 0.0,
+        lo_limit=lambda d: 0.5 * beta(d["a"], d["b"]).value, hi_limit=lambda d: 0.0,
         lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-12,
         lo_attain=1e-3, hi_attain=1e-3, decay_factor=0.55))
 
@@ -468,7 +458,7 @@ def _sqrtk():
               "against E -> E(1) > 0.",
         param_grid=PG_AC, param_map=_map_reduced,
         arg_grid=R33, tolerance=1e-9, fn=pow_e(q_star),
-        lo_limit=lambda d: 0.5 * _bfun(d["a"], d["b"]), hi_limit=lambda d: INF,
+        lo_limit=lambda d: 0.5 * beta(d["a"], d["b"]).value, hi_limit=lambda d: INF,
         lo_probe=lambda d: 1e-6, hi_probe=None,
         lo_attain=1e-3))
 
@@ -507,8 +497,8 @@ def _logconvexke():
               "is r'^(2(a+b-c)), relaxed attainment 0.1 with gap decay.",
         param_grid=_pg_shifted(0.1, 0.2, 0.3), param_map=map_lck,
         arg_grid=R33, tolerance=1e-9, fn=log_pow_k,
-        lo_limit=lambda d: math.log(0.5 * _bfun(d["a"], d["b"])),
-        hi_limit=lambda d: math.log(0.5 * _bfun(d["c"], d["a"] + d["b"] - d["c"])),
+        lo_limit=lambda d: math.log(0.5 * beta(d["a"], d["b"]).value),
+        hi_limit=lambda d: math.log(0.5 * beta(d["c"], d["a"] + d["b"] - d["c"]).value),
         lo_probe=lambda d: 1e-5, hi_probe=lambda d: 1.0 - 1e-13,
         lo_attain=1e-3, hi_attain=0.1))
 
@@ -526,7 +516,7 @@ def _logconvexke():
               "with range endpoints on the log scale.",
         param_grid=_pg_shifted(0.1, 0.2, 0.3), param_map=map_lck,
         arg_grid=R33, tolerance=1e-9, fn=log_pow_e,
-        lo_limit=lambda d: math.log(0.5 * _bfun(d["a"], d["b"])),
+        lo_limit=lambda d: math.log(0.5 * beta(d["a"], d["b"]).value),
         hi_limit=lambda d: INF,
         lo_probe=lambda d: 1e-5, hi_probe=lambda d: 1.0 - 1e-9,
         lo_attain=1e-3))
@@ -554,7 +544,7 @@ def _mutheorem():
               "onto [0, R(a,c-a)/2).",
         param_grid=PG_AC, param_map=_map_reduced,
         arg_grid=R33, tolerance=1e-9, fn=mu_plus_logr,
-        lo_limit=lambda d: 0.5 * _ram(d["a"], d["c"] - d["a"]),
+        lo_limit=lambda d: 0.5 * ramanujan_r(d["a"], d["c"] - d["a"]).value,
         hi_limit=lambda d: 0.0,
         lo_probe=lambda d: 1e-7, hi_probe=lambda d: 1.0 - 1e-13,
         lo_attain=1e-3, hi_attain=0.2, decay_factor=0.75))
@@ -576,7 +566,7 @@ def _mutheorem():
               "are 1/log-slow; attainment 0.15 with decay factor 0.75.",
         param_grid=PG_AC, param_map=_map_reduced,
         arg_grid=R33, tolerance=1e-9, fn=weighted_loglog,
-        lo_limit=lambda d: 0.5, hi_limit=lambda d: 0.5 * _bfun(d["a"], d["c"] - d["a"]) ** 2,
+        lo_limit=lambda d: 0.5, hi_limit=lambda d: 0.5 * beta(d["a"], d["c"] - d["a"]).value ** 2,
         lo_probe=lambda d: 1e-13, hi_probe=lambda d: 1.0 - 1e-13,
         lo_attain=0.15, hi_attain=0.15, decay_factor=0.75))
 
@@ -594,7 +584,7 @@ def _mutheorem():
         param_grid=PG_AC, param_map=_map_reduced,
         arg_grid=R33, tolerance=1e-9, fn=weighted_arth,
         lo_limit=lambda d: 1.0,
-        hi_limit=lambda d: (0.5 * _bfun(d["a"], d["c"] - d["a"])) ** 2,
+        hi_limit=lambda d: (0.5 * beta(d["a"], d["c"] - d["a"]).value) ** 2,
         lo_probe=lambda d: 1e-13, hi_probe=lambda d: 1.0 - 1e-13,
         lo_attain=0.15, hi_attain=0.15, decay_factor=0.75))
 
@@ -630,7 +620,7 @@ def _mutheorem():
         param_grid=PG_AC, param_map=_map_reduced,
         arg_grid=R33, tolerance=1e-9, fn=mu_times_arth,
         lo_limit=lambda d: 0.0,
-        hi_limit=lambda d: (0.5 * _bfun(d["a"], d["c"] - d["a"])) ** 2,
+        hi_limit=lambda d: (0.5 * beta(d["a"], d["c"] - d["a"]).value) ** 2,
         lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-13,
         lo_attain=1e-3, hi_attain=0.15, decay_factor=0.75))
 
@@ -649,7 +639,7 @@ def _mutheorem():
         arg_grid=GridSpec((GridDim("r", 0.7071067811865476, 0.999, 17, "linear"),)),
         tolerance=1e-9, fn=mu_log_ratio,
         lo_limit=lambda d: 0.0,
-        hi_limit=lambda d: (0.5 * _bfun(d["a"], d["c"] - d["a"])) ** 2,
+        hi_limit=lambda d: (0.5 * beta(d["a"], d["c"] - d["a"]).value) ** 2,
         lo_probe=lambda d: 0.7071067811865476, hi_probe=lambda d: 1.0 - 1e-13,
         lo_attain=1e-9, hi_attain=0.15, decay_factor=0.75))
     return checks
@@ -988,7 +978,7 @@ def _mfunctions():
         param_grid=PG_AC, param_map=_map_reduced,
         arg_grid=R33, tolerance=1e-9, fn=f_inv,
         lo_limit=lambda d: 0.0,
-        hi_limit=lambda d: _bfun(d["a"], d["b"]) - d["a"] * (d["c"] - d["a"]),
+        hi_limit=lambda d: beta(d["a"], d["b"]).value - d["a"] * (d["c"] - d["a"]),
         lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-7,
         lo_attain=1e-3, hi_attain=0.05))
     return checks
@@ -1232,7 +1222,8 @@ def _phiperr():
               "the r->0 limit is probed at x=-200 (corrections O(r^(2/K))).",
         param_grid=pgrid, param_map=mapper,
         arg_grid=X17, tolerance=1e-9, fn=f_over_power,
-        lo_limit=lambda d: math.exp((1.0 - 1.0 / d["K"]) * 0.5 * _ram(d["a"], d["c"] - d["a"])),
+        lo_limit=lambda d: math.exp((1.0 - 1.0 / d["K"]) * 0.5
+                                    * ramanujan_r(d["a"], d["c"] - d["a"]).value),
         hi_limit=lambda d: 1.0,
         lo_probe=lambda d: -200.0, hi_probe=lambda d: 58.0,
         lo_attain=0.05, hi_attain=1e-3))
@@ -1251,7 +1242,8 @@ def _phiperr():
               "are O(exp(-29 K)).",
         param_grid=pgrid, param_map=mapper,
         arg_grid=X17, tolerance=1e-9, fn=g_over_power,
-        lo_limit=lambda d: math.exp((1.0 - d["K"]) * 0.5 * _ram(d["a"], d["c"] - d["a"])),
+        lo_limit=lambda d: math.exp((1.0 - d["K"]) * 0.5
+                                    * ramanujan_r(d["a"], d["c"] - d["a"]).value),
         hi_limit=lambda d: 1.0,
         lo_probe=lambda d: -58.0, hi_probe=lambda d: 200.0,
         lo_attain=0.05, hi_attain=1e-3))
@@ -1664,7 +1656,7 @@ def _conjectures():
               "increasing on (0,1) onto (0, B(a,b)).",
         param_grid=pg_ac, param_map=map_red,
         arg_grid=R33, tolerance=1e-9, fn=sqrt_r_over_m,
-        lo_limit=lambda d: 0.0, hi_limit=lambda d: _bfun(d["a"], d["b"]),
+        lo_limit=lambda d: 0.0, hi_limit=lambda d: beta(d["a"], d["b"]).value,
         lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-7,
         lo_attain=1e-3, hi_attain=5e-3))
 
@@ -1680,7 +1672,7 @@ def _conjectures():
               "decreasing on (0,1) onto (0, B(a,b)).",
         param_grid=pg_ac, param_map=map_red,
         arg_grid=R33, tolerance=1e-9, fn=sqrt_rc_over_m,
-        lo_limit=lambda d: _bfun(d["a"], d["b"]), hi_limit=lambda d: 0.0,
+        lo_limit=lambda d: beta(d["a"], d["b"]).value, hi_limit=lambda d: 0.0,
         lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-7,
         lo_attain=5e-3, hi_attain=1e-3))
 

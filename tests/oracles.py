@@ -208,6 +208,34 @@ def m_wronskian(a, b, c, z) -> mp.mpf:
 
 
 # --------------------------------------------------------------------------
+# K - E and E - r'^2 K as differences of two raw series at 60 digits
+
+DIFF_TRIPLES = ((0.3, 0.5, 0.7), (0.5, 0.5, 1.0), (0.25, 0.6, 0.8))
+# both sides of z = 0.75 (r = 0.866) and of z = 0.9 (r = 0.949)
+DIFF_RADII = (1e-3, 0.3, 0.86, 0.87, 0.947, 0.95, 0.99, 0.9995)
+
+
+def difference_forms(a, b, c, r) -> tuple[mp.mpf, mp.mpf]:
+    """(B/2)(F(a,b;c;z) - F(a-1,b;c;z)) and (B/2)(F(a-1,b;c;z) - (1-z)F(a,b;c;z)).
+
+    r is taken as its exact binary value, so the package sees the same point.
+    """
+    a, b, c, r = (mp.mpf(v) for v in (a, b, c, r))
+    z = r * r
+    k, _ = hyp2f1(a, b, c, z)
+    e, _ = hyp2f1(a - 1, b, c, z)
+    hb = beta(a, b) / 2
+    return hb * (k - e), hb * (e - (1 - z) * k)
+
+
+def _print_difference_forms() -> None:
+    for a, b, c in DIFF_TRIPLES:
+        for r in DIFF_RADII:
+            kme, emk = difference_forms(a, b, c, r)
+            print(f"    (({a}, {b}, {c}), {r}, {mp.nstr(kme, 20)!r}, {mp.nstr(emk, 20)!r}),")
+
+
+# --------------------------------------------------------------------------
 
 def _print(label: str, value) -> None:
     print(f"{label:34s} {mp.nstr(value, 25)}")
@@ -254,6 +282,8 @@ def main() -> None:
     _print("A(0.3,0.8,t=2)", A)
     _print("mu_general(0.5,1,0.3)", mu_general("0.5", "1", "0.3"))
     _print("mu_classical(0.3)", mu_classical("0.3"))
+    print("((a, b, c), r, K-E, E-r'^2K):")
+    _print_difference_forms()
 
 
 if __name__ == "__main__":

@@ -171,6 +171,45 @@ def test_e_minus_rc2k_matches_subtraction():
             direct, rel=1e-9)
 
 
+# (a,b,c), r, K-E, E-r'^2 K; frozen from tests/oracles.py (difference_forms),
+# which takes each as a difference of two 60-digit raw 2F1 series.  The radii
+# straddle z = 0.75 (the 2F1 regime switch) and z = 0.9; (0.5,0.5,1) is
+# zero-balanced.
+DIFFERENCE_FORMS = [
+    ((0.3, 0.5, 0.7), 0.001, '1.6265872476967051715e-6', '6.5063478426070602618e-7'),
+    ((0.3, 0.5, 0.7), 0.3, '0.15008259616148828674', '0.059037996882347658435'),
+    ((0.3, 0.5, 0.7), 0.86, '1.6907298076276992193', '0.52735425133054080022'),
+    ((0.3, 0.5, 0.7), 0.87, '1.7590364179068885984', '0.5415066837727262037'),
+    ((0.3, 0.5, 0.7), 0.947, '2.5400381099269864981', '0.66333070305005332139'),
+    ((0.3, 0.5, 0.7), 0.95, '2.5885591959089647318', '0.66868113110576955893'),
+    ((0.3, 0.5, 0.7), 0.99, '3.9070216868955355012', '0.74854176819218247313'),
+    ((0.3, 0.5, 0.7), 0.9995, '6.6997201737806072788', '0.77353364067160993652'),
+    ((0.5, 0.5, 1.0), 0.001, '7.8539845792194369419e-7', '7.8539826157225558255e-7'),
+    ((0.5, 0.5, 1.0), 0.3, '0.073215155007263754004', '0.071509220786482387136'),
+    ((0.5, 0.5, 1.0), 0.86, '0.92071345163709215407', '0.66076098213899285016'),
+    ((0.5, 0.5, 1.0), 0.87, '0.96237650008599546969', '0.67938863415745373541'),
+    ((0.5, 0.5, 1.0), 0.947, '1.4559457436968327538', '0.84286402292617587927'),
+    ((0.5, 0.5, 1.0), 0.95, '1.4872895826203371443', '0.85019555324389961957'),
+    ((0.5, 0.5, 1.0), 0.99, '2.3281247143323879206', '0.96167945861391624319'),
+    ((0.5, 0.5, 1.0), 0.9995, '3.8390870566962630194', '0.99733026342326529244'),
+    ((0.25, 0.6, 0.8), 0.001, '1.8199922366447432062e-6', '6.0666399462263998782e-7'),
+    ((0.25, 0.6, 0.8), 0.3, '0.16725813221338230149', '0.055023058969081045827'),
+    ((0.25, 0.6, 0.8), 0.86, '1.7905955066305030117', '0.48908683432636931003'),
+    ((0.25, 0.6, 0.8), 0.87, '1.8579228631997059357', '0.50210427879794290017'),
+    ((0.25, 0.6, 0.8), 0.947, '2.5962879666084656915', '0.61366107814592804828'),
+    ((0.25, 0.6, 0.8), 0.95, '2.6402733492245662926', '0.61853227145582131746'),
+    ((0.25, 0.6, 0.8), 0.99, '3.7619771140777444486', '0.69062556614925343083'),
+    ((0.25, 0.6, 0.8), 0.9995, '5.8171749915405047051', '0.71251124551125980727'),
+]
+
+
+@pytest.mark.parametrize("abc, r, kme, emk", DIFFERENCE_FORMS)
+def test_difference_forms_against_oracle(abc, r, kme, emk):
+    p, m = EllipticParams(*abc), Modulus.from_r(r)
+    assert ell_k_minus_e(p, m).value == pytest.approx(float(kme), rel=1e-10)
+    assert ell_e_minus_rc2k(p, m).value == pytest.approx(float(emk), rel=1e-10)
+
+
 def test_difference_forms_at_pole():
     m = Modulus.from_r(1.0)
     assert ell_k_minus_e(CLASSICAL, m).value == math.inf
