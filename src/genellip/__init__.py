@@ -35,7 +35,6 @@ from .hypergeom import (
     hyp2f1,
     hyp2f1_deriv,
     hyp2f1_pair,
-    hyp2f1_zero_balanced_near_one,
 )
 from .elliptic import (
     EllDerivatives,
@@ -90,7 +89,7 @@ __all__ = [
     "gamma", "gamma_ln", "digamma", "digamma_deriv", "beta", "beta_ln",
     "appell", "appell_ext", "ramanujan_r",
     "HypParams", "hyp2f1", "hyp2f1_pair", "hyp2f1_deriv",
-    "hyp2f1_zero_balanced_near_one", "euler_transform", "contiguous_shift",
+    "euler_transform", "contiguous_shift",
     "EllipticParams", "Modulus", "reduced_params", "arth",
     "ell_k", "ell_e", "ell_k_comp", "ell_e_comp",
     "ell_k_minus_e", "ell_e_minus_rc2k", "ell_derivatives", "EllDerivatives",

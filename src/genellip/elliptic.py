@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ParameterError, check_params
-from .hypergeom import _eval_pair
+from .hypergeom import _eval_pair, _Triple
 from .result import EvalResult, Method
 from .scalar_special import beta
 
@@ -127,7 +127,7 @@ def ell_k(p: EllipticParams, m: Modulus) -> EvalResult:
     if m.z_comp == 0.0:
         return EvalResult(math.inf, 0.0, Method.CLOSED_FORM)
     hb = p.half_beta
-    f = _eval_pair(p.a, p.b, p.c, m.z, m.z_comp)
+    f = _eval_pair(_Triple(p.a, p.b, p.c), m.z, m.z_comp)
     value = hb * f.value
     return EvalResult(value, hb * f.abs_err_est + 2e-15 * abs(value), f.method)
 
@@ -140,7 +140,7 @@ def ell_e(p: EllipticParams, m: Modulus) -> EvalResult:
         value = 0.5 * num / den
         return EvalResult(value, 1e-13 * abs(value), Method.CLOSED_FORM)
     hb = p.half_beta
-    f = _eval_pair(p.a - 1.0, p.b, p.c, m.z, m.z_comp)
+    f = _eval_pair(_Triple(p.a - 1.0, p.b, p.c), m.z, m.z_comp)
     value = hb * f.value
     return EvalResult(value, hb * f.abs_err_est + 2e-15 * abs(value), f.method)
 
@@ -165,7 +165,7 @@ def ell_k_minus_e(p: EllipticParams, m: Modulus) -> EvalResult:
     if m.z_comp == 0.0:
         return EvalResult(math.inf, 0.0, Method.CLOSED_FORM)
     scale = p.half_beta * (p.b / p.c) * m.z
-    f = _eval_pair(p.a, p.b + 1.0, p.c + 1.0, m.z, m.z_comp)
+    f = _eval_pair(_Triple(p.a, p.b + 1.0, p.c + 1.0), m.z, m.z_comp)
     value = scale * f.value
     return EvalResult(value, scale * f.abs_err_est + 2e-15 * abs(value), f.method)
 
@@ -178,7 +178,7 @@ def ell_e_minus_rc2k(p: EllipticParams, m: Modulus) -> EvalResult:
     if m.z_comp == 0.0:
         return ell_e(p, m)
     scale = p.half_beta * ((p.c - p.b) / p.c) * m.z
-    f = _eval_pair(p.a, p.b, p.c + 1.0, m.z, m.z_comp)
+    f = _eval_pair(_Triple(p.a, p.b, p.c + 1.0), m.z, m.z_comp)
     value = scale * f.value
     return EvalResult(value, scale * f.abs_err_est + 2e-15 * abs(value), f.method)
 

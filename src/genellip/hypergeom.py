@@ -8,6 +8,13 @@ expansion for c = a+b (A&S 15.3.10), and series fallbacks where the
 connection coefficients degenerate (c-a-b near an integer).  Callers that
 track the complement 1-z exactly can pass it through the pair entry point
 to keep full relative accuracy as z -> 1.
+
+The engine _eval_pair is LRU-cached and keyed on a _Triple (a, b, c) that
+carries the Gamma and psi constants of the z -> 1 regimes, computed once
+per triple.  Each caller builds one triple per public call (the modulus
+solver one per solve) and the cache entries hold it, so the constants live
+exactly as long as the _eval_pair cache entries made with their triple:
+_eval_pair.cache_clear() frees them all.
 """
 
 from __future__ import annotations
@@ -18,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceError, DomainError, ParameterError, RegimeError,
-                     check_params)
+from .errors import ConvergenceError, DomainError, ParameterError, check_params
 from .result import EvalResult, Method
 from .scalar_special import (
     EULER_GAMMA,
@@ -96,12 +102,13 @@ def _direct_series(a: float, b: float, c: float, z: float,
         m = min(chunk, max_terms - k)
         ks = np.arange(k, k + m, dtype=np.float64)
         ratios = (a + ks) * (b + ks) / ((c + ks) * (1.0 + ks)) * z
-        terms = term * np.cumprod(ratios)
-        y = float(np.sum(terms)) - comp
+        terms = term * ratios.cumprod()
+        abs_terms = np.abs(terms)
+        y = float(terms.sum()) - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        abs_total += float(np.sum(np.abs(terms)))
+        abs_total += float(abs_terms.sum())
         term = float(terms[-1])
         k += m
         if not math.isfinite(total):
@@ -109,7 +116,7 @@ def _direct_series(a: float, b: float, c: float, z: float,
                 f"hypergeometric series overflowed at z={z!r} "
                 f"with (a,b,c)=({a!r},{b!r},{c!r})")
         bound = _EPS * abs(total)
-        if m >= 3 and k >= min_k and all(abs(t_) <= bound for t_ in terms[-3:]):
+        if m >= 3 and k >= min_k and (abs_terms[-3:] <= bound).all():
             q = max(abs(float(ratios[-1])), z)
             if q < 1.0:
                 tail = abs(term) * q / (1.0 - q)
@@ -122,10 +129,56 @@ def _direct_series(a: float, b: float, c: float, z: float,
         f"with (a,b,c)=({a!r},{b!r},{c!r})")
 
 
-def _zero_balanced(a: float, b: float, u: float) -> tuple[float, float]:
+class _Triple(tuple):
+    """The parameters (a, b, c) as the key of _eval_pair.
+
+    It hashes and compares as the plain tuple (a, b, c), so a freshly built
+    triple hits the cache entries made with an equal one.  It carries the
+    constants of the z -> 1 regimes, each computed on first use and reused
+    by every later cache miss made with the same triple.
+    """
+
+    def __new__(cls, a: float, b: float, c: float):
+        return tuple.__new__(cls, (a, b, c))
+
+    @functools.cached_property
+    def zero_balanced(self) -> tuple[float, float]:
+        """R(a,b) = -psi(a) - psi(b) - 2 gamma and Gamma(a+b)/(Gamma(a)Gamma(b))."""
+        a, b, _ = self
+        return (-_digamma_any(a) - _digamma_any(b) - 2.0 * EULER_GAMMA,
+                _gamma_ratio((a + b,), (a, b)))
+
+    @functools.cached_property
+    def connection(self) -> tuple[float, float]:
+        """The coefficients of the two series of A&S 15.3.6, d = c-a-b."""
+        a, b, c = self
+        d = c - a - b
+        return _gamma_ratio((c, d), (c - a, c - b)), _gamma_ratio((c, -d), (a, b))
+
+    @functools.cached_property
+    def integer_d(self) -> tuple[float, float, tuple[float, float, float, float]]:
+        """The log-part and finite-part prefactors of _integer_d for the
+        integer m nearest c-a-b, and the four psi values of its log series."""
+        a, b, c = self
+        m = round(c - a - b)
+        k = abs(m)
+        if m > 0:
+            sa, sb = a + k, b + k
+            log_pref = _gamma_ratio((c,), (a, b))
+        else:
+            sa, sb = a, b
+            log_pref = _gamma_ratio((c,), (a - k, b - k))
+        fin_pref = _gamma_ratio((float(k), c), (sa, sb))
+        psi = (digamma(1.0).value, digamma(float(k + 1)).value,
+               _digamma_any(sa), _digamma_any(sb))
+        return log_pref, fin_pref, psi
+
+
+def _zero_balanced(key: _Triple, u: float) -> tuple[float, float]:
     """Logarithmic expansion of F(a,b;a+b;1-u) for small u (A&S 15.3.10)."""
+    a, b, _ = key
+    h, pref = key.zero_balanced
     lnu = math.log(u)
-    h = -_digamma_any(a) - _digamma_any(b) - 2.0 * EULER_GAMMA
     g = 1.0
     total = 0.0
     abs_total = 0.0
@@ -146,29 +199,26 @@ def _zero_balanced(a: float, b: float, u: float) -> tuple[float, float]:
             quiet = 0
     else:
         raise ConvergenceError(f"zero-balanced expansion stalled at u={u!r}")
-    pref = _gamma_ratio((a + b,), (a, b))
     value = pref * total
     err = abs(pref) * (4e-16 * abs_total) + 3e-15 * abs(value)
     return value, err
 
 
-def _integer_d(a: float, b: float, c: float, u: float, m: int) -> tuple[float, float]:
+def _integer_d(key: _Triple, u: float, m: int) -> tuple[float, float]:
     """Logarithmic expansion for c-a-b an exact nonzero integer m
     (Abramowitz & Stegun 15.3.11 for m > 0, 15.3.12 for m < 0)."""
+    a, b, _ = key
+    log_pref, fin_pref, (psi_1, psi_k1, psi_sa, psi_sb) = key.integer_d
     lnu = math.log(u)
     k = abs(m)
     if m > 0:
         sa, sb = a + k, b + k  # shifted parameters entering the log series
-        log_pref = _gamma_ratio((c,), (a, b))
         u_log_power = u ** k
-        fin_pref = _gamma_ratio((float(k), c), (a + k, b + k))
         fa, fb = a, b
         fin_power = 1.0
     else:
         sa, sb = a, b
-        log_pref = _gamma_ratio((c,), (a - k, b - k))
         u_log_power = 1.0
-        fin_pref = _gamma_ratio((float(k), c), (a, b))
         fa, fb = a - k, b - k
         if k * lnu < -700.0:
             raise ConvergenceError(
@@ -185,8 +235,7 @@ def _integer_d(a: float, b: float, c: float, u: float, m: int) -> tuple[float, f
     # logarithmic part: sum_{n>=0} g_n [ln u - psi(n+1) - psi(n+k+1)
     #                                   + psi(sa+n) + psi(sb+n)] u^n
     g = 1.0 / math.factorial(k)
-    L = lnu - digamma(1.0).value - digamma(float(k + 1)).value \
-        + _digamma_any(sa) + _digamma_any(sb)
+    L = lnu - psi_1 - psi_k1 + psi_sa + psi_sb
     total = 0.0
     abs_total = 0.0
     upow = 1.0
@@ -214,10 +263,10 @@ def _integer_d(a: float, b: float, c: float, u: float, m: int) -> tuple[float, f
     return value, err
 
 
-def _connection(a: float, b: float, c: float, u: float, d: float) -> tuple[float, float]:
+def _connection(key: _Triple, u: float, d: float) -> tuple[float, float]:
     """A&S 15.3.6: two series in u = 1-z, valid for non-integer d = c-a-b."""
-    c1 = _gamma_ratio((c, d), (c - a, c - b))
-    c2 = _gamma_ratio((c, -d), (a, b))
+    a, b, c = key
+    c1, c2 = key.connection
     t1 = e1 = 0.0
     if c1 != 0.0:
         s1, se1, _ = _direct_series(a, b, 1.0 - d, u, max_terms=20_000)
@@ -235,11 +284,13 @@ def _connection(a: float, b: float, c: float, u: float, d: float) -> tuple[float
 
 
 @functools.lru_cache(maxsize=1 << 18)
-def _eval_pair(a: float, b: float, c: float, z: float, zc: float) -> EvalResult:
-    """Unvalidated engine: a, b any real; c > 0; zc = 1-z supplied exactly.
+def _eval_pair(key: _Triple, z: float, zc: float) -> EvalResult:
+    """Unvalidated engine: key = _Triple(a, b, c) with a, b any real and
+    c > 0; zc = 1-z supplied exactly.
 
     Trusted internal callers only; the public entry points validate.
     """
+    a, b, c = key
     if z == 0.0:
         return EvalResult(1.0, 0.0, Method.SERIES)
     if a == c or b == c:
@@ -256,7 +307,7 @@ def _eval_pair(a: float, b: float, c: float, z: float, zc: float) -> EvalResult:
     d = c - a - b
     m = round(d)
     if abs(d) <= _ZERO_BALANCED_TOL:
-        value, err = _zero_balanced(a, b, zc)
+        value, err = _zero_balanced(key, zc)
         err += abs(d) * (abs(math.log(zc)) + 5.0) * abs(value)
         return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
     if m == 0 and abs(d) < _EULER_BAND:
@@ -271,14 +322,14 @@ def _eval_pair(a: float, b: float, c: float, z: float, zc: float) -> EvalResult:
             value = ud * s
             err = ud * serr + 2e-15 * abs(value)
             return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
-        value, err = _zero_balanced(a, b, zc)
+        value, err = _zero_balanced(key, zc)
         err += abs(d) * (abs(math.log(zc)) + 5.0) * abs(value)
         return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
     if m != 0 and abs(d - m) <= _INTEGER_SNAP:
-        value, err = _integer_d(a, b, c, zc, m)
+        value, err = _integer_d(key, zc, m)
         err += abs(d - m) * (abs(math.log(zc)) + 5.0) * abs(value)
         return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
-    value, err = _connection(a, b, c, zc, d)
+    value, err = _connection(key, zc, d)
     return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
 
 
@@ -291,7 +342,7 @@ def _check_z(z: float) -> float:
 def hyp2f1(p: HypParams, z: float) -> EvalResult:
     """F(a,b;c;z) for z in [0, 1)."""
     z = _check_z(z)
-    return _eval_pair(p.a, p.b, p.c, z, 1.0 - z)
+    return _eval_pair(_Triple(p.a, p.b, p.c), z, 1.0 - z)
 
 
 def hyp2f1_pair(p: HypParams, z: float, z_comp: float) -> EvalResult:
@@ -303,19 +354,7 @@ def hyp2f1_pair(p: HypParams, z: float, z_comp: float) -> EvalResult:
     z = _check_z(z)
     if not 0.0 < z_comp <= 1.0 or abs((1.0 - z) - z_comp) > 1e-12:
         raise DomainError(f"z_comp={z_comp!r} is not a complement of z={z!r}")
-    return _eval_pair(p.a, p.b, p.c, z, float(z_comp))
-
-
-def hyp2f1_zero_balanced_near_one(p: HypParams, z: float) -> EvalResult:
-    """Logarithmic expansion of F(a,b;a+b;z) for z >= z_switch."""
-    z = _check_z(z)
-    if abs(p.a + p.b - p.c) > _ZERO_BALANCED_TOL:
-        raise RegimeError(f"c must equal a+b within {_ZERO_BALANCED_TOL}, "
-                          f"got a+b-c={p.a + p.b - p.c!r}")
-    if z < Z_SWITCH:
-        raise RegimeError(f"z must be >= {Z_SWITCH} for the near-one expansion, got {z!r}")
-    value, err = _zero_balanced(p.a, p.b, 1.0 - z)
-    return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
+    return _eval_pair(_Triple(p.a, p.b, p.c), z, float(z_comp))
 
 
 def euler_transform(p: HypParams, z: float) -> EvalResult:
@@ -326,7 +365,7 @@ def euler_transform(p: HypParams, z: float) -> EvalResult:
             f"euler transform needs c-a > 0 and c-b > 0, got c-a={p.c - p.a!r}, "
             f"c-b={p.c - p.b!r}")
     zc = 1.0 - z
-    inner = _eval_pair(p.c - p.a, p.c - p.b, p.c, z, zc)
+    inner = _eval_pair(_Triple(p.c - p.a, p.c - p.b, p.c), z, zc)
     d = p.c - p.a - p.b
     factor = zc ** d
     value = factor * inner.value
@@ -351,13 +390,13 @@ def contiguous_shift(p: HypParams, which: str, z: float) -> EvalResult:
     a, b, c = p.a + da, p.b + db, p.c + dc
     if c <= 0.0:
         raise ParameterError(f"shifted c={c!r} is not positive")
-    return _eval_pair(a, b, c, z, 1.0 - z)
+    return _eval_pair(_Triple(a, b, c), z, 1.0 - z)
 
 
 def hyp2f1_deriv(p: HypParams, z: float) -> EvalResult:
     """dF/dz = (ab/c) F(a+1,b+1;c+1;z), by the term-shift identity."""
     z = _check_z(z)
-    inner = _eval_pair(p.a + 1.0, p.b + 1.0, p.c + 1.0, z, 1.0 - z)
+    inner = _eval_pair(_Triple(p.a + 1.0, p.b + 1.0, p.c + 1.0), z, 1.0 - z)
     scale = p.a * p.b / p.c
     return EvalResult(scale * inner.value, scale * inner.abs_err_est + 1e-16 * scale,
                       inner.method)

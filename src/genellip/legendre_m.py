@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .elliptic import EllipticParams, Modulus, ell_e, ell_e_comp, ell_k, ell_k_comp
 from .errors import DomainError, ParameterError, check_params
-from .hypergeom import _eval_pair
+from .hypergeom import _eval_pair, _Triple
 from .result import EvalResult, Method
 from .scalar_special import _lngamma_signed, beta
 
@@ -47,10 +47,11 @@ class MPoint:
 
 def _four_f(a: float, b: float, c: float, z: float, zc: float):
     """u, v at z and at its complement; the complement is passed exactly."""
-    v = _eval_pair(a, b, c, z, zc)
-    u = _eval_pair(a - 1.0, b, c, z, zc)
-    v1 = _eval_pair(a, b, c, zc, z)
-    u1 = _eval_pair(a - 1.0, b, c, zc, z)
+    kv, ku = _Triple(a, b, c), _Triple(a - 1.0, b, c)
+    v = _eval_pair(kv, z, zc)
+    u = _eval_pair(ku, z, zc)
+    v1 = _eval_pair(kv, zc, z)
+    u1 = _eval_pair(ku, zc, z)
     return u, v, u1, v1
 
 
@@ -121,10 +122,10 @@ def _m_scaled_pair(a: float, b: float, c: float, z: float, zc: float) -> EvalRes
     """
     if zc < z:
         z, zc = zc, z
-    v = _eval_pair(a, b, c, z, zc)
-    u = _eval_pair(a - 1.0, b, c, z, zc)
-    V = _eval_pair(c - a, c - b, c, zc, z)
-    U = _eval_pair(c - a + 1.0, c - b, c, zc, z)
+    v = _eval_pair(_Triple(a, b, c), z, zc)
+    u = _eval_pair(_Triple(a - 1.0, b, c), z, zc)
+    V = _eval_pair(_Triple(c - a, c - b, c), zc, z)
+    U = _eval_pair(_Triple(c - a + 1.0, c - b, c), zc, z)
     t1 = u.value * V.value
     t2 = z * v.value * U.value
     t3 = v.value * V.value

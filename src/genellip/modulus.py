@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .elliptic import Modulus
 from .errors import (ConvergenceError, DomainError, ParameterError, SaturationError,
                      check_params)
-from .hypergeom import _eval_pair
+from .hypergeom import _eval_pair, _Triple
 from .legendre_m import MPoint, m_value
 from .result import EvalResult, Method
 from .scalar_special import _lngamma_signed, beta_ln
@@ -107,12 +107,6 @@ def _modulus_from_t(t: float) -> Modulus:
     return Modulus(r, rc)
 
 
-def _log_mu_pair(p: ModulusParams, z: float, zc: float) -> float:
-    num = _eval_pair(p.a, p.b, p.c, zc, z)
-    den = _eval_pair(p.a, p.b, p.c, z, zc)
-    return math.log(p.half_beta) + math.log(num.value) - math.log(den.value)
-
-
 def _iter_budget() -> int:
     raw = os.environ.get("GENELLIP_MAX_ITERS", "")
     try:
@@ -127,12 +121,17 @@ def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
     """Return t = log(s^2/s'^2) with log mu(s) = log_target.
 
     g(t) = log mu - log_target is strictly decreasing; bracket by geometric
-    expansion from the origin, then a secant/bisection hybrid.
+    expansion from the origin, then a secant/bisection hybrid.  The
+    triple and log(B/2) are built once, so every evaluation shares them.
     """
-    p = ModulusParams(a, b, c)
+    key = _Triple(a, b, c)
+    log_half_beta = math.log(ModulusParams(a, b, c).half_beta)
 
     def g(t: float) -> float:
-        return _log_mu_pair(p, _sigmoid(t), _sigmoid(-t)) - log_target
+        z, zc = _sigmoid(t), _sigmoid(-t)
+        num = _eval_pair(key, zc, z)
+        den = _eval_pair(key, z, zc)
+        return log_half_beta + math.log(num.value) - math.log(den.value) - log_target
 
     budget = _iter_budget()
     evals = 0
@@ -195,8 +194,9 @@ def mu_m(p: ModulusParams, m: Modulus) -> EvalResult:
     if m.r <= 0.0 or m.r_comp <= 0.0:
         raise DomainError(f"mu needs 0 < r < 1, got r={m.r!r}")
     hb = p.half_beta
-    num = _eval_pair(p.a, p.b, p.c, m.z_comp, m.z)
-    den = _eval_pair(p.a, p.b, p.c, m.z, m.z_comp)
+    key = _Triple(p.a, p.b, p.c)
+    num = _eval_pair(key, m.z_comp, m.z)
+    den = _eval_pair(key, m.z, m.z_comp)
     value = hb * num.value / den.value
     rel = (num.abs_err_est / abs(num.value) + den.abs_err_est / abs(den.value) + 4e-15)
     return EvalResult(value, abs(value) * rel, num.method)
@@ -210,7 +210,15 @@ def mu(p: ModulusParams, r: float) -> EvalResult:
 
 
 def mu_inv_m(p: ModulusParams, y: float) -> Modulus:
-    """Inverse modulus as an exact pair; mu(result) = y to ~1e-13 relative."""
+    """Inverse modulus as an exact pair.
+
+    The solver stops at the first of: |log mu(result) - log y| <=
+    1e-13 (1 + |log y|); a bracket in t = log(r^2/r'^2) a few ulps wide;
+    or, once the evaluation budget is spent, a residual in log mu of at
+    most 1e-12 (else ConvergenceError).  The relative error of mu(result)
+    can therefore exceed 1e-13 when |log y| is large or the bracket closes
+    first.
+    """
     if not (isinstance(y, (int, float)) and math.isfinite(y) and y > 0.0):
         raise DomainError(f"mu_inv needs y > 0, got {y!r}")
     t = _solve_log_mu(p.a, p.b, p.c, math.log(y))
@@ -255,7 +263,7 @@ def mu_deriv(p: ModulusParams, r: float) -> EvalResult:
     if not (isinstance(r, (int, float)) and 0.0 < r < 1.0):
         raise DomainError(f"mu_deriv needs 0 < r < 1, got r={r!r}")
     m = Modulus.from_r(float(r))
-    v = _eval_pair(p.a, p.b, p.c, m.z, m.z_comp)
+    v = _eval_pair(_Triple(p.a, p.b, p.c), m.z, m.z_comp)
     M = m_value(MPoint(p.a, p.b, p.c, m.z))
     B = 2.0 * p.half_beta
     value = -B * M.value / (m.r * m.z_comp * v.value * v.value)
@@ -275,8 +283,9 @@ def phi_deriv(p: ModulusParams, K, r: float) -> EvalResult:
     s = phi_k_m(p, k, m)
     if not 0.0 < s.z < 1.0:
         raise DomainError(f"phi_K(r) saturated to {s.r!r}; derivative not representable")
-    vr = _eval_pair(p.a, p.b, p.c, m.z, m.z_comp)
-    vs = _eval_pair(p.a, p.b, p.c, s.z, s.z_comp)
+    key = _Triple(p.a, p.b, p.c)
+    vr = _eval_pair(key, m.z, m.z_comp)
+    vs = _eval_pair(key, s.z, s.z_comp)
     Mr = m_value(MPoint(p.a, p.b, p.c, m.z))
     Ms = m_value(MPoint(p.a, p.b, p.c, s.z))
     value = (Mr.value / Ms.value) * (s.r * s.z_comp * vs.value * vs.value) \
@@ -305,7 +314,7 @@ def mu_deriv_closed(p: ModulusParams, r: float) -> EvalResult:
     lc, _ = _lngamma_signed(p.c)
     lab, _ = _lngamma_signed(p.a + p.b)
     D = math.exp(2.0 * (la + lb + lc) - 3.0 * lab) / 4.0
-    Kr = p.half_beta * _eval_pair(p.a, p.b, p.c, m.z, m.z_comp).value
+    Kr = p.half_beta * _eval_pair(_Triple(p.a, p.b, p.c), m.z, m.z_comp).value
     value = -D / (m.r ** (2.0 * p.c - 1.0) * m.z_comp ** p.c * Kr * Kr)
     return EvalResult(value, abs(value) * 1e-12, Method.CLOSED_FORM)
 
@@ -320,8 +329,9 @@ def phi_deriv_closed(p: ModulusParams, K, r: float) -> EvalResult:
     s = phi_k_m(p, k, m)
     if not 0.0 < s.z < 1.0:
         raise DomainError(f"phi_K(r) saturated to {s.r!r}; derivative not representable")
-    Fr = _eval_pair(p.a, p.b, p.c, m.z, m.z_comp).value
-    Fs = _eval_pair(p.a, p.b, p.c, s.z, s.z_comp).value
+    key = _Triple(p.a, p.b, p.c)
+    Fr = _eval_pair(key, m.z, m.z_comp).value
+    Fs = _eval_pair(key, s.z, s.z_comp).value
     value = (s.r / m.r) ** (2.0 * p.c - 1.0) * (s.z_comp / m.z_comp) ** p.c \
         * (Fs / Fr) ** 2 / k
     return EvalResult(value, abs(value) * 1e-12, Method.CLOSED_FORM)

@@ -10,8 +10,10 @@ exercised separately.
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -285,10 +287,14 @@ def test_list_checks_json(capsys):
 
 
 def test_module_entry_point():
+    # the child finds the package from this checkout's src/, as pytest does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     r = subprocess.run(
         [sys.executable, "-m", "genellip.cli", "eval", "R",
          "--a", "0.5", "--b", "0.5"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert r.returncode == 0
     assert float(r.stdout.splitlines()[0]) == pytest.approx(
         math.log(16.0), rel=1e-12)

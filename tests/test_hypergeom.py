@@ -16,7 +16,6 @@ from genellip import (
     hyp2f1,
     hyp2f1_deriv,
     hyp2f1_pair,
-    hyp2f1_zero_balanced_near_one,
     beta,
     gamma_ln,
 )
@@ -83,13 +82,7 @@ def test_internal_route_crosscheck_z09():
 
 
 # --------------------------------------------------------------------------
-# near-one helper and Euler transform
-
-def test_zero_balanced_near_one_helper():
-    p = HypParams(0.5, 0.5, 1.0)
-    r = hyp2f1_zero_balanced_near_one(p, 1.0 - 1e-8)
-    assert r.value == pytest.approx(hyp2f1(p, 1.0 - 1e-8).value, rel=1e-9)
-
+# Euler transform
 
 def test_euler_identity_instance():
     p = HypParams(0.5, 0.5, 1.0)

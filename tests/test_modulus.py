@@ -293,3 +293,59 @@ def test_phi_round_trip_property(r, K):
     s = phi_k_m(p, DegreeK(K), Modulus.from_r(r))
     assert r ** (1.0 / K) < s.r <= 1.0  # lower bound of the sandwich
     assert phi_k_m(p, DegreeK(1.0 / K), s).r == pytest.approx(r, abs=1e-9)
+
+
+# --------------------------------------------------------------------------
+# per-triple constants of the 2F1 kernel
+
+def _cold():
+    from genellip import hypergeom, modulus
+    hypergeom._eval_pair.cache_clear()
+    modulus._solve_log_mu.cache_clear()
+
+
+def test_cold_phi_k_computes_the_triple_constants_once_per_key(monkeypatch):
+    # mu_m(r) and the solve each build one key for the zero-balanced triple;
+    # R(a,b) (two psi values), Gamma(a+b)/(Gamma(a)Gamma(b)) and log(B/2) are
+    # computed once per key, not at each of the solve's log-mu evaluations
+    from genellip import hypergeom, modulus
+    calls = {"_gamma_ratio": 0, "digamma": 0, "beta_ln": 0, "_eval_pair": 0}
+
+    def counted(mod, name):
+        f = getattr(mod, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(mod, name, wrapper)
+
+    for mod, name in ((hypergeom, "_gamma_ratio"), (hypergeom, "digamma"),
+                      (modulus, "beta_ln"), (modulus, "_eval_pair")):
+        counted(mod, name)
+    _cold()
+    phi_k(ModulusParams(0.3, 0.7, 1.0), 3.0, 0.6)
+    assert calls["_eval_pair"] >= 12  # mu_m(r), then five or more evaluations
+    assert calls["_gamma_ratio"] <= 2
+    assert calls["digamma"] <= 4
+    assert calls["beta_ln"] <= 2
+
+
+def test_triple_keys_hit_across_callers_and_die_with_the_cache():
+    import gc
+
+    from genellip import hypergeom
+    from genellip.hypergeom import _Triple
+    P = ModulusParams(0.3, 0.6, 0.7)
+    m = Modulus.from_r(0.6)
+    _cold()
+    phi_k_m(P, 3.0, m)
+    # a freshly built triple equals the one mu_m(r) cached its pair under
+    before = hypergeom._eval_pair.cache_info()
+    hypergeom._eval_pair(_Triple(P.a, P.b, P.c), m.z, m.z_comp)
+    after = hypergeom._eval_pair.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    phi_deriv(P, 3.0, 0.6)
+    assert hypergeom._eval_pair.cache_info().hits > after.hits
+    hypergeom._eval_pair.cache_clear()
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, _Triple)]
