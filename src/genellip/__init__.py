@@ -13,7 +13,6 @@ from .errors import (
     GenellipError,
     ParameterError,
     PoleError,
-    RegimeError,
     SaturationError,
 )
 from .result import EvalResult, Method
@@ -84,7 +83,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GenellipError", "DomainError", "ParameterError", "PoleError",
-    "RegimeError", "SaturationError", "ConvergenceError",
+    "SaturationError", "ConvergenceError",
     "EvalResult", "Method",
     "gamma", "gamma_ln", "digamma", "digamma_deriv", "beta", "beta_ln",
     "appell", "appell_ext", "ramanujan_r",

@@ -2,8 +2,7 @@
 validator for the parameters (a, b, c) that every parameter type uses.
 
 The CLI maps these onto process exit codes: domain-type errors (bad inputs,
-poles, wrong regime, out-of-range degree) exit with 2, convergence failures
-with 3.
+poles, out-of-range degree) exit with 2, convergence failures with 3.
 """
 
 import math
@@ -23,10 +22,6 @@ class ParameterError(DomainError):
 
 class PoleError(DomainError):
     """Evaluation requested at a pole (gamma at a nonpositive integer)."""
-
-
-class RegimeError(DomainError):
-    """A specialized routine was called outside its regime of validity."""
 
 
 class SaturationError(DomainError):

@@ -9,18 +9,25 @@ connection coefficients degenerate (c-a-b near an integer).  Callers that
 track the complement 1-z exactly can pass it through the pair entry point
 to keep full relative accuracy as z -> 1.
 
-The engine _eval_pair is LRU-cached and keyed on a _Triple (a, b, c) that
-carries the Gamma and psi constants of the z -> 1 regimes, computed once
-per triple.  Each caller builds one triple per public call (the modulus
-solver one per solve) and the cache entries hold it, so the constants live
-exactly as long as the _eval_pair cache entries made with their triple:
-_eval_pair.cache_clear() frees them all.
+The engine _eval_pair is LRU-cached and keyed on a _Triple (a, b, c).  All
+live triples with equal (a, b, c) share one coefficient table, which holds
+what the kernels need that does not depend on z: the Gamma and psi
+constants of the z -> 1 regimes, the z-free ratio factors of the first
+chunk of each Maclaurin series, the zero-balanced step factors and running
+h_n, and B(a,b)/2 for the modulus.  Each entry is computed on first use;
+the zero-balanced steps are filled in by the evaluations as they reach them.
+The table is the triples' attribute dict; a registry of weak references
+finds it for a newly built triple, and nothing else holds it.  Each caller
+builds one triple per public call (the modulus solver one per solve) and
+the cache entries keep theirs, so a table lives exactly as long as some
+triple with its (a, b, c) does: _eval_pair.cache_clear() frees them all.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +38,7 @@ from .scalar_special import (
     EULER_GAMMA,
     _is_nonpositive_integer,
     _lngamma_signed,
+    beta_ln,
     digamma,
 )
 
@@ -41,6 +49,9 @@ _EULER_BAND = 1e-6
 _INTEGER_SNAP = 1e-8
 _MAX_TERMS = 400_000
 _PARAM_CAP = 50.0
+_TABLED = 64  # terms per series whose z-free factors a coefficient table holds
+_K0 = np.arange(_TABLED, dtype=np.float64)
+_K1 = 1.0 + _K0
 
 
 @dataclass(frozen=True)
@@ -80,10 +91,19 @@ def _digamma_any(x: float) -> float:
     return digamma(1.0 - x).value - math.pi / math.tan(math.pi * f)
 
 
-def _direct_series(a: float, b: float, c: float, z: float,
+def _first_ratios(a: float, b: float, c: float) -> np.ndarray:
+    """q_k = (a+k)(b+k)/((c+k)(1+k)) for k < 64: the first chunk of the
+    Maclaurin term ratios of F(a,b;c;z), before the factor z."""
+    q = (a + _K0) * (b + _K0) / ((c + _K0) * _K1)
+    q.flags.writeable = False
+    return q
+
+
+def _direct_series(a: float, b: float, c: float, z: float, q0: np.ndarray,
                    max_terms: int = _MAX_TERMS) -> tuple[float, float, int]:
     """Sum the Maclaurin series; returns (value, err_bound, terms_used).
 
+    q0 is _first_ratios(a, b, c); max_terms is at least its length.
     Stops once three consecutive terms fall below eps*|sum| and the
     geometric tail bound q*|term|/(1-q) with q = max(|last ratio|, z) is
     below eps*|sum|.  The tail bound is only trusted after the coefficient
@@ -97,18 +117,23 @@ def _direct_series(a: float, b: float, c: float, z: float,
     term = 1.0
     k = 0
     min_k = max(64, int(max(abs(a), abs(b), abs(c))) + 2)
-    chunk = 64
+    chunk = _TABLED
     while k < max_terms:
         m = min(chunk, max_terms - k)
-        ks = np.arange(k, k + m, dtype=np.float64)
-        ratios = (a + ks) * (b + ks) / ((c + ks) * (1.0 + ks)) * z
-        terms = term * ratios.cumprod()
+        if k == 0:
+            ratios = q0 * z
+        else:
+            ks = np.arange(k, k + m, dtype=np.float64)
+            ratios = (a + ks) * (b + ks) / ((c + ks) * (1.0 + ks)) * z
+        terms = np.multiply.accumulate(ratios)
+        if term != 1.0:
+            terms *= term
         abs_terms = np.abs(terms)
-        y = float(terms.sum()) - comp
+        y = float(np.add.reduce(terms)) - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        abs_total += float(abs_terms.sum())
+        abs_total += float(np.add.reduce(abs_terms))
         term = float(terms[-1])
         k += m
         if not math.isfinite(total):
@@ -116,30 +141,68 @@ def _direct_series(a: float, b: float, c: float, z: float,
                 f"hypergeometric series overflowed at z={z!r} "
                 f"with (a,b,c)=({a!r},{b!r},{c!r})")
         bound = _EPS * abs(total)
-        if m >= 3 and k >= min_k and (abs_terms[-3:] <= bound).all():
-            q = max(abs(float(ratios[-1])), z)
-            if q < 1.0:
-                tail = abs(term) * q / (1.0 - q)
-                if tail <= bound:
-                    err = 4e-16 * abs_total + tail + _EPS * abs(total)
-                    return total, err, k + 1
+        if m >= 3 and k >= min_k:
+            t1, t2, t3 = abs_terms[-3:].tolist()
+            if t1 <= bound and t2 <= bound and t3 <= bound:
+                q = max(abs(float(ratios[-1])), z)
+                if q < 1.0:
+                    tail = abs(term) * q / (1.0 - q)
+                    if tail <= bound:
+                        err = 4e-16 * abs_total + tail + _EPS * abs(total)
+                        return total, err, k + 1
         chunk = min(2 * chunk, 8192)
     raise ConvergenceError(
         f"hypergeometric series needed more than {max_terms} terms at z={z!r} "
         f"with (a,b,c)=({a!r},{b!r},{c!r})")
 
 
+class _Table(dict):
+    """A coefficient table: the attribute dict shared by every live
+    _Triple with one (a, b, c).  A dict subclass, so that _TABLES can hold
+    it weakly."""
+
+
+class _Ref(weakref.ref):
+    """A weak reference to a table that knows the (a, b, c) it is filed under."""
+
+    __slots__ = ("abc",)
+
+
+# (a, b, c) as a plain tuple -> a weak reference to its table.  A key that
+# is a _Triple would keep its own table alive.
+_TABLES: dict[tuple, _Ref] = {}
+
+
+def _forget(ref: _Ref) -> None:
+    """Drop the registry entry of a table that died, unless a newer table
+    for the same (a, b, c) has taken its place."""
+    if _TABLES.get(ref.abc) is ref:
+        del _TABLES[ref.abc]
+
+
 class _Triple(tuple):
     """The parameters (a, b, c) as the key of _eval_pair.
 
     It hashes and compares as the plain tuple (a, b, c), so a freshly built
-    triple hits the cache entries made with an equal one.  It carries the
-    constants of the z -> 1 regimes, each computed on first use and reused
-    by every later cache miss made with the same triple.
+    triple hits the cache entries made with an equal one.  Its attribute
+    dict is the coefficient table of (a, b, c), shared with every other
+    live triple equal to it: each cached property below is computed on
+    first use by any of them and then read by all.  _TABLES finds the table
+    for a new triple; only triples hold it, so it dies with the last of
+    them, e.g. when _eval_pair.cache_clear() drops the cache entries.
     """
 
     def __new__(cls, a: float, b: float, c: float):
-        return tuple.__new__(cls, (a, b, c))
+        abc = (a, b, c)
+        self = tuple.__new__(cls, abc)
+        ref = _TABLES.get(abc)
+        table = ref() if ref is not None else None
+        if table is None:
+            table = _Table()
+            ref = _TABLES[abc] = _Ref(table, _forget)
+            ref.abc = abc
+        self.__dict__ = table
+        return self
 
     @functools.cached_property
     def zero_balanced(self) -> tuple[float, float]:
@@ -173,11 +236,45 @@ class _Triple(tuple):
                _digamma_any(sa), _digamma_any(sb))
         return log_pref, fin_pref, psi
 
+    @functools.cached_property
+    def series_q(self) -> np.ndarray:
+        """_first_ratios of the Maclaurin series of F(a,b;c;z)."""
+        return _first_ratios(*self)
+
+    @functools.cached_property
+    def connection_q(self) -> tuple[np.ndarray, np.ndarray]:
+        """_first_ratios of the two series of A&S 15.3.6, d = c-a-b."""
+        a, b, c = self
+        d = c - a - b
+        return _first_ratios(a, b, 1.0 - d), _first_ratios(c - a, c - b, 1.0 + d)
+
+    @functools.cached_property
+    def euler_q(self) -> np.ndarray:
+        """_first_ratios of F(c-a,c-b;c;z), the Euler-transformed series."""
+        a, b, c = self
+        return _first_ratios(c - a, c - b, c)
+
+    @functools.cached_property
+    def zero_balanced_steps(self) -> tuple[list, list]:
+        """Slot n < 64 of the two lists holds the step factor
+        s_n = (a+n)(b+n)/((n+1)(n+1)) of _zero_balanced and its h_{n+1}
+        once an evaluation has reached term n, and None before.  Each slot
+        is written with the same value by every evaluation that fills it,
+        s_n before h_{n+1}, so a reader that finds h_{n+1} finds s_n."""
+        return [None] * _TABLED, [None] * _TABLED
+
+    @functools.cached_property
+    def half_beta(self) -> float:
+        """B(a,b)/2, the factor of mu (ModulusParams.half_beta)."""
+        a, b, _ = self
+        return 0.5 * math.exp(beta_ln(a, b))
+
 
 def _zero_balanced(key: _Triple, u: float) -> tuple[float, float]:
     """Logarithmic expansion of F(a,b;a+b;1-u) for small u (A&S 15.3.10)."""
     a, b, _ = key
     h, pref = key.zero_balanced
+    steps, hs = key.zero_balanced_steps
     lnu = math.log(u)
     g = 1.0
     total = 0.0
@@ -186,13 +283,23 @@ def _zero_balanced(key: _Triple, u: float) -> tuple[float, float]:
     for n in range(1000):
         t = g * (h - lnu)
         total += t
-        abs_total += abs(t)
-        g *= (a + n) * (b + n) / ((n + 1.0) * (n + 1.0)) * u
-        h += 2.0 / (n + 1.0) - 1.0 / (a + n) - 1.0 / (b + n)
-        if abs(t) <= _EPS * abs(total):
+        at = abs(t)
+        abs_total += at
+        h_next = hs[n] if n < _TABLED else None
+        if h_next is None:
+            s = (a + n) * (b + n) / ((n + 1.0) * (n + 1.0))
+            h_next = h + (2.0 / (n + 1.0) - 1.0 / (a + n) - 1.0 / (b + n))
+            if n < _TABLED:
+                steps[n] = s
+                hs[n] = h_next
+        else:
+            s = steps[n]
+        g *= s * u
+        h = h_next
+        if at <= _EPS * abs(total):
             quiet += 1
             if quiet >= 3:
-                tail = 2.0 * abs(t) * u / (1.0 - u)
+                tail = 2.0 * at * u / (1.0 - u)
                 if tail <= _EPS * abs(total):
                     break
         else:
@@ -267,15 +374,16 @@ def _connection(key: _Triple, u: float, d: float) -> tuple[float, float]:
     """A&S 15.3.6: two series in u = 1-z, valid for non-integer d = c-a-b."""
     a, b, c = key
     c1, c2 = key.connection
+    q1, q2 = key.connection_q
     t1 = e1 = 0.0
     if c1 != 0.0:
-        s1, se1, _ = _direct_series(a, b, 1.0 - d, u, max_terms=20_000)
+        s1, se1, _ = _direct_series(a, b, 1.0 - d, u, q1, max_terms=20_000)
         t1 = c1 * s1
         e1 = abs(c1) * se1
     t2 = e2 = 0.0
     if c2 != 0.0:
         ud = math.exp(d * math.log(u))
-        s2, se2, _ = _direct_series(c - a, c - b, 1.0 + d, u, max_terms=20_000)
+        s2, se2, _ = _direct_series(c - a, c - b, 1.0 + d, u, q2, max_terms=20_000)
         t2 = c2 * ud * s2
         e2 = abs(c2) * ud * se2
     value = t1 + t2
@@ -299,10 +407,10 @@ def _eval_pair(key: _Triple, z: float, zc: float) -> EvalResult:
         return EvalResult(value, abs(value) * (abs(expo * math.log(zc)) + 1.0) * 2e-16,
                           Method.CLOSED_FORM)
     if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
-        value, err, _ = _direct_series(a, b, c, z)
+        value, err, _ = _direct_series(a, b, c, z, key.series_q)
         return EvalResult(value, err, Method.SERIES)
     if z < Z_SWITCH:
-        value, err, _ = _direct_series(a, b, c, z)
+        value, err, _ = _direct_series(a, b, c, z, key.series_q)
         return EvalResult(value, err, Method.SERIES)
     d = c - a - b
     m = round(d)
@@ -317,7 +425,7 @@ def _eval_pair(key: _Triple, z: float, zc: float) -> EvalResult:
         # zero-balanced expansion and carry the parameter perturbation
         # in the error estimate.
         if zc > 1e-4:
-            s, serr, _ = _direct_series(c - a, c - b, c, z)
+            s, serr, _ = _direct_series(c - a, c - b, c, z, key.euler_q)
             ud = math.exp(d * math.log(zc))
             value = ud * s
             err = ud * serr + 2e-15 * abs(value)

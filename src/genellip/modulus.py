@@ -125,7 +125,7 @@ def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
     triple and log(B/2) are built once, so every evaluation shares them.
     """
     key = _Triple(a, b, c)
-    log_half_beta = math.log(ModulusParams(a, b, c).half_beta)
+    log_half_beta = math.log(key.half_beta)
 
     def g(t: float) -> float:
         z, zc = _sigmoid(t), _sigmoid(-t)
@@ -193,8 +193,8 @@ def mu_m(p: ModulusParams, m: Modulus) -> EvalResult:
     """mu at a modulus carried as an exact (r, r') pair."""
     if m.r <= 0.0 or m.r_comp <= 0.0:
         raise DomainError(f"mu needs 0 < r < 1, got r={m.r!r}")
-    hb = p.half_beta
     key = _Triple(p.a, p.b, p.c)
+    hb = key.half_beta
     num = _eval_pair(key, m.z_comp, m.z)
     den = _eval_pair(key, m.z, m.z_comp)
     value = hb * num.value / den.value

@@ -5,7 +5,9 @@ Frozen decimals come from the raw-series oracle in tests/oracles.py
 """
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +22,7 @@ from genellip import (
     gamma_ln,
 )
 from genellip.errors import DomainError, ParameterError
+from genellip.hypergeom import _direct_series, _Triple, _zero_balanced
 from genellip.result import Method
 
 
@@ -204,3 +207,96 @@ def test_domain_rejections():
         HypParams(-0.5, 0.5, 1.0)
     with pytest.raises(ParameterError):
         HypParams(0.5, 0.5, 51.0)
+
+
+# --------------------------------------------------------------------------
+# the tabled kernels against frozen copies of the untabled loops
+
+def _untabled_series(a, b, c, z, max_terms=400_000):
+    """The Maclaurin series kernel before it read its first chunk's ratio
+    factors from the coefficient table."""
+    total, comp, abs_total, term, k = 1.0, 0.0, 1.0, 1.0, 0
+    min_k = max(64, int(max(abs(a), abs(b), abs(c))) + 2)
+    chunk = 64
+    while k < max_terms:
+        m = min(chunk, max_terms - k)
+        ks = np.arange(k, k + m, dtype=np.float64)
+        ratios = (a + ks) * (b + ks) / ((c + ks) * (1.0 + ks)) * z
+        terms = term * ratios.cumprod()
+        abs_terms = np.abs(terms)
+        y = float(terms.sum()) - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        abs_total += float(abs_terms.sum())
+        term = float(terms[-1])
+        k += m
+        bound = 1e-15 * abs(total)
+        if m >= 3 and k >= min_k and (abs_terms[-3:] <= bound).all():
+            q = max(abs(float(ratios[-1])), z)
+            if q < 1.0:
+                tail = abs(term) * q / (1.0 - q)
+                if tail <= bound:
+                    return total, 4e-16 * abs_total + tail + 1e-15 * abs(total), k + 1
+        chunk = min(2 * chunk, 8192)
+    raise AssertionError("reference series did not converge")
+
+
+def _untabled_zero_balanced(a, b, u, h, pref):
+    """The zero-balanced loop before it read its step factors and h_n from
+    the coefficient table; also returns the number of terms."""
+    lnu = math.log(u)
+    g, total, abs_total, quiet = 1.0, 0.0, 0.0, 0
+    for n in range(1000):
+        t = g * (h - lnu)
+        total += t
+        abs_total += abs(t)
+        g *= (a + n) * (b + n) / ((n + 1.0) * (n + 1.0)) * u
+        h += 2.0 / (n + 1.0) - 1.0 / (a + n) - 1.0 / (b + n)
+        if abs(t) <= 1e-15 * abs(total):
+            quiet += 1
+            if quiet >= 3 and 2.0 * abs(t) * u / (1.0 - u) <= 1e-15 * abs(total):
+                break
+        else:
+            quiet = 0
+    value = pref * total
+    return (value, abs(pref) * (4e-16 * abs_total) + 3e-15 * abs(value)), n + 1
+
+
+def _seeded_triples(seed, n=12):
+    rng = random.Random(seed)
+    out = [(rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0), rng.uniform(0.1, 6.0))
+           for _ in range(n)]
+    return out + [(-2.5, 0.7, 1.3), (30.0, 25.0, 0.5), (45.0, 40.0, 48.3)]
+
+
+def test_tabled_series_is_bit_identical_to_untabled():
+    terms = []
+    for a, b, c in _seeded_triples(7):
+        key = _Triple(a, b, c)
+        for z in (0.05, 0.4, 0.74):
+            got = _direct_series(a, b, c, z, key.series_q)
+            assert got == _untabled_series(a, b, c, z), (a, b, c, z)
+            terms.append(got[2])
+        d = c - a - b
+        q1, q2 = key.connection_q
+        for u in (1e-4, 0.01, 0.24):
+            for args, q in (((a, b, 1.0 - d), q1), ((c - a, c - b, 1.0 + d), q2)):
+                got = _direct_series(*args, u, q, max_terms=20_000)
+                assert got == _untabled_series(*args, u, max_terms=20_000), (args, u)
+        assert _direct_series(c - a, c - b, c, 0.4, key.euler_q) \
+            == _untabled_series(c - a, c - b, c, 0.4)
+    assert max(terms) > 128  # chunks beyond the tabled first one
+
+
+def test_tabled_zero_balanced_is_bit_identical_to_untabled():
+    terms = []
+    triples = [(a, b) for a, b, _ in _seeded_triples(11)[:12]] + [(-0.4, 1.9), (40.3, 44.7)]
+    for a, b in triples:
+        key = _Triple(a, b, a + b)
+        h, pref = key.zero_balanced
+        for u in (1e-4, 0.01, 0.24, 0.24):  # the last call reads every step from the table
+            want, n = _untabled_zero_balanced(a, b, u, h, pref)
+            assert _zero_balanced(key, u) == want, (a, b, u)
+            terms.append(n)
+    assert max(terms) > 64  # steps beyond the table

@@ -304,30 +304,52 @@ def _cold():
     modulus._solve_log_mu.cache_clear()
 
 
-def test_cold_phi_k_computes_the_triple_constants_once_per_key(monkeypatch):
-    # mu_m(r) and the solve each build one key for the zero-balanced triple;
-    # R(a,b) (two psi values), Gamma(a+b)/(Gamma(a)Gamma(b)) and log(B/2) are
-    # computed once per key, not at each of the solve's log-mu evaluations
-    from genellip import hypergeom, modulus
-    calls = {"_gamma_ratio": 0, "digamma": 0, "beta_ln": 0, "_eval_pair": 0}
-
-    def counted(mod, name):
+def _count_calls(monkeypatch, targets) -> dict:
+    """Count the calls of each (module, name) in targets while the test runs."""
+    calls = {}
+    for mod, name in targets:
         f = getattr(mod, name)
+        calls[name] = 0
 
-        def wrapper(*args):
-            calls[name] += 1
-            return f(*args)
+        def wrapper(*args, _f=f, _name=name):
+            calls[_name] += 1
+            return _f(*args)
         monkeypatch.setattr(mod, name, wrapper)
+    return calls
 
-    for mod, name in ((hypergeom, "_gamma_ratio"), (hypergeom, "digamma"),
-                      (modulus, "beta_ln"), (modulus, "_eval_pair")):
-        counted(mod, name)
+
+def test_cold_phi_k_computes_the_triple_constants_once_per_key(monkeypatch):
+    # mu_m(r) and the solve share the coefficient table of the zero-balanced
+    # triple: R(a,b) (two psi values), Gamma(a+b)/(Gamma(a)Gamma(b)) and
+    # B(a,b)/2 are computed once per triple, not per key or per evaluation
+    from genellip import hypergeom, modulus
+    calls = _count_calls(monkeypatch, (
+        (hypergeom, "_gamma_ratio"), (hypergeom, "digamma"), (hypergeom, "beta_ln"),
+        (modulus, "beta_ln"), (modulus, "_eval_pair")))
     _cold()
     phi_k(ModulusParams(0.3, 0.7, 1.0), 3.0, 0.6)
     assert calls["_eval_pair"] >= 12  # mu_m(r), then five or more evaluations
-    assert calls["_gamma_ratio"] <= 2
-    assert calls["digamma"] <= 4
-    assert calls["beta_ln"] <= 2
+    assert calls["_gamma_ratio"] == 1
+    assert calls["digamma"] == 2
+    assert calls["beta_ln"] == 1  # both modules' names count into one entry
+
+
+def test_equal_triples_share_one_table_until_the_caches_clear(monkeypatch):
+    import gc
+
+    from genellip import hypergeom
+    calls = _count_calls(monkeypatch, ((hypergeom, "_first_ratios"), (hypergeom, "digamma")))
+    _cold()
+    P = ModulusParams(0.3, 0.7, 1.0)
+    mu(P, 0.95)  # r'^2 by the series, r^2 = 0.9025 by the zero-balanced route
+    mu(P, 0.97)
+    assert calls == {"_first_ratios": 1, "digamma": 2}
+    tables = list(hypergeom._TABLES.values())
+    assert tables and all(ref() is not None for ref in tables)
+    _cold()
+    gc.collect()
+    assert not hypergeom._TABLES
+    assert all(ref() is None for ref in tables)
 
 
 def test_triple_keys_hit_across_callers_and_die_with_the_cache():
