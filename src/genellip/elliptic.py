@@ -19,6 +19,7 @@ to noise, and they go through the same 2F1 regimes as K and E near r=1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,7 +48,7 @@ class EllipticParams:
         if not self.c <= self.a + self.b:
             raise ParameterError(f"need c <= a+b, got c={c!r}, a+b={a + b!r}")
 
-    @property
+    @functools.cached_property
     def half_beta(self) -> float:
         """B(a,b)/2, the common value K(0) = E(0)."""
         return 0.5 * beta(self.a, self.b).value

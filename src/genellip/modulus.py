@@ -5,12 +5,17 @@
 a strictly decreasing homeomorphism of (0,1) onto (0,infinity); the modular
 function phi_K(r) = mu^{-1}(mu(r)/K) solves the modular equation
 mu(s) = p mu(r) of degree p = 1/K.  For (a,b,c) = (1/2,1/2,1), mu is the
-classical Groetzsch ring modulus (2/pi) mu would be... the plane ring
-modulus, and phi_K the Hersch-Pfluger distortion function.
+Groetzsch ring modulus (pi/2) K'(r)/K(r), and phi_K is the Hersch-Pfluger
+distortion function.
 
 The inverse is found by a bracketed secant/bisection hybrid driven in the
 variables t = log(r^2/r'^2) (so that both endpoints stretch to infinity)
-and log(mu) (uniform conditioning across decades).  Near the endpoints a
+and log(mu) (uniform conditioning across decades).  The bracket comes from
+a doubling ladder t = +-2, 4, 8, ..., 512, 700.  Instead of walking it from
++-2, the solver first jumps to the pair of rungs that the asymptotes of mu
+at r -> 0 and r -> 1 place the root between, and keeps the jump only if
+its inner rung shows the sign the walk would have seen there; so the
+bracket, the iterates and the result are those of the walk.  Near the
 solution is kept as the exact pair (r^2, r'^2): the float r alone would
 round to 0 or 1 long before mu exhausts its range, so the pair-returning
 variants are the precise API and the float-returning ones are projections.
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from .elliptic import Modulus
 from .errors import (ConvergenceError, DomainError, ParameterError, SaturationError,
                      check_params)
-from .hypergeom import _eval_pair, _Triple
+from .hypergeom import _EULER_BAND, _INTEGER_SNAP, _ZERO_BALANCED_TOL, _eval_pair, _Triple
 from .legendre_m import MPoint, m_value
 from .result import EvalResult, Method
 from .scalar_special import _lngamma_signed, beta_ln
@@ -57,7 +62,7 @@ class ModulusParams:
         return (abs(self.b - (self.c - self.a)) <= 1e-12
                 and 0.0 < self.a < self.c <= 1.0)
 
-    @property
+    @functools.cached_property
     def half_beta(self) -> float:
         return 0.5 * math.exp(beta_ln(self.a, self.b))
 
@@ -116,13 +121,60 @@ def _iter_budget() -> int:
     return n if n > 0 else _DEFAULT_ITERS
 
 
+def _guess_t(key: _Triple, log_half_beta: float, log_target: float) -> float:
+    """Where g(t) = log mu(t) - log_target has its root, by the asymptotes
+    of mu; 0.0 (no guess) where they are not used.
+
+    mu = B/2 at t = 0 and mu(t) mu(-t) = (B/2)^2, so the root is -tau if
+    the target exceeds B/2 and +tau if not, where mu(-tau) = (B/2) e^s,
+    s = |log_target - log(B/2)|.  For tau large, F(r^2) -> 1, so
+    F(a,b;c;1-u) = e^s with u = r^2 ~ e^-tau, and to leading order
+        c = a+b:  F(1-u) ~ (R(a,b) - log u) / B(a,b)   (A&S 15.3.10),
+        c < a+b:  F(1-u) ~ C1 + C2 u^(c-a-b)            (A&S 15.3.6).
+    The constants are those _eval_pair reads on the same route, which g(-2)
+    already needs; where _eval_pair does not take the zero-balanced or the
+    connection route (the Gamma factors have poles near an integer c-a-b),
+    there is no guess.  Every exp is clamped, so the guess never raises.
+    """
+    a, b, c = key
+    d = c - a - b
+    m = round(d)
+    x = log_target - log_half_beta
+    s = abs(x)
+    if a == c or b == c:
+        return 0.0
+    if abs(d) <= _ZERO_BALANCED_TOL:
+        tau = 2.0 * math.exp(min(log_half_beta + s, 700.0)) - key.zero_balanced[0]
+    elif (m == 0 and abs(d) < _EULER_BAND) or (m != 0 and abs(d - m) <= _INTEGER_SNAP):
+        return 0.0
+    else:
+        c1, c2 = key.connection
+        w = c1 * math.exp(-s)
+        if not w < 1.0:
+            return 0.0
+        tau = (s + math.log1p(-w) - math.log(c2)) / -d
+    return -tau if x > 0.0 else tau
+
+
+def _rungs(t: float) -> tuple[float, float] | None:
+    """The rungs (inner, outer) of the doubling ladder +-2, 4, ..., 512, 700
+    that hold t between them, or None if |t| <= 2 (or t is NaN)."""
+    inner, outer = 0.0, 2.0
+    while outer < abs(t) and outer < _T_MAX:
+        inner, outer = outer, min(2.0 * outer, _T_MAX)
+    if inner == 0.0:
+        return None
+    return (-inner, -outer) if t < 0.0 else (inner, outer)
+
+
 @functools.lru_cache(maxsize=1 << 16)
 def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
     """Return t = log(s^2/s'^2) with log mu(s) = log_target.
 
-    g(t) = log mu - log_target is strictly decreasing; bracket by geometric
-    expansion from the origin, then a secant/bisection hybrid.  The
-    triple and log(B/2) are built once, so every evaluation shares them.
+    g(t) = log mu - log_target is strictly decreasing; bracket it on the
+    doubling ladder t = +-2, 4, ..., 512, 700, starting at the rungs
+    _guess_t points to, then a secant/bisection hybrid.  The triple and
+    log(B/2) are built once, so every evaluation shares them.
     """
     key = _Triple(a, b, c)
     log_half_beta = math.log(key.half_beta)
@@ -135,10 +187,33 @@ def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
 
     budget = _iter_budget()
     evals = 0
-    lo, hi = -2.0, 2.0
-    glo = g(lo)
-    ghi = g(hi)
-    evals += 2
+    bracket = None
+    # Doubling from (-2, 2) stops at the first rung where g changes sign.
+    # A jump to the rungs (inner, outer) of the guess is kept only if g at
+    # the inner rung has the sign the walk needs to pass it (g < 0 on the
+    # negative side, g > 0 on the positive side; g == 0 or NaN does not
+    # count).  Computed g is monotone across a factor-2 gap in t, so the
+    # walk would then have passed every rung up to the inner one and
+    # evaluated the outer one next: (lo, glo, hi, ghi) is the state the walk
+    # reaches, and it goes on from there as it would have.  Otherwise the
+    # walk starts from (-2, 2) as without a guess.  So the bracket, the
+    # secant iterates, the returned t and every SaturationError are those
+    # of the plain walk.  The budget counts the evaluations actually made
+    # (fewer after a kept jump, one more after a dropped one), so only a
+    # solve that ends on the budget can end differently.
+    rungs = _rungs(_guess_t(key, log_half_beta, log_target))
+    if rungs is not None:
+        inner, outer = rungs
+        g_in = g(inner)
+        evals += 1
+        if (g_in < 0.0 if inner < 0.0 else g_in > 0.0):
+            g_out = g(outer)
+            evals += 1
+            bracket = (outer, g_out, inner, g_in) if inner < 0.0 else (inner, g_in, outer, g_out)
+    if bracket is None:
+        bracket = (-2.0, g(-2.0), 2.0, g(2.0))
+        evals += 2
+    lo, glo, hi, ghi = bracket
     while glo < 0.0:  # mu(lo) already below target: push lo toward r=0
         if lo <= -_T_MAX:
             raise SaturationError(

@@ -43,6 +43,20 @@ def test_params_validation():
         EllipticParams(1.2, 1.2, 1.0)  # a >= 1
 
 
+def test_half_beta_is_computed_once_per_params(monkeypatch):
+    from genellip import elliptic
+    calls = []
+
+    def counted(a, b, _beta=elliptic.beta):
+        calls.append((a, b))
+        return _beta(a, b)
+    monkeypatch.setattr(elliptic, "beta", counted)
+    p = EllipticParams(0.3, 0.6, 0.7)
+    for r in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+        ell_k(p, Modulus.from_r(r))
+    assert calls == [(0.3, 0.6)]
+
+
 def test_reduced_params():
     p = reduced_params(0.3, 0.8)
     assert (p.a, p.b, p.c) == (0.3, 0.5, 0.8)

@@ -371,3 +371,176 @@ def test_triple_keys_hit_across_callers_and_die_with_the_cache():
     hypergeom._eval_pair.cache_clear()
     gc.collect()
     assert not [o for o in gc.get_objects() if isinstance(o, _Triple)]
+
+
+def test_half_beta_is_computed_once_per_params(monkeypatch):
+    from genellip import modulus
+    calls = _count_calls(monkeypatch, ((modulus, "beta_ln"),))
+    P = ModulusParams(0.3, 0.6, 0.7)
+    for r in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+        mu_deriv(P, r)
+    assert calls == {"beta_ln": 1}
+
+
+# --------------------------------------------------------------------------
+# the solver's rung jump
+
+def _walk_only(a, b, c, log_target):
+    """The solver as it was before the rung jump: the bracket is found by
+    doubling from (-2, 2).  Frozen here to check that the jump changes no
+    bracket, iterate, result or error."""
+    from genellip.errors import ConvergenceError, SaturationError
+    from genellip.hypergeom import _eval_pair, _Triple
+    from genellip.modulus import _T_MAX, _iter_budget, _sigmoid
+
+    key = _Triple(a, b, c)
+    log_half_beta = math.log(key.half_beta)
+
+    def g(t):
+        z, zc = _sigmoid(t), _sigmoid(-t)
+        num = _eval_pair(key, zc, z)
+        den = _eval_pair(key, z, zc)
+        return log_half_beta + math.log(num.value) - math.log(den.value) - log_target
+
+    budget = _iter_budget()
+    evals = 0
+    lo, hi = -2.0, 2.0
+    glo = g(lo)
+    ghi = g(hi)
+    evals += 2
+    while glo < 0.0:
+        if lo <= -_T_MAX:
+            raise SaturationError(
+                f"target mu={math.exp(log_target)!r} exceeds the value "
+                f"attainable at the smallest representable modulus", endpoint=0.0)
+        hi, ghi = lo, glo
+        lo = max(2.0 * lo, -_T_MAX)
+        glo = g(lo)
+        evals += 1
+    while ghi > 0.0:
+        if hi >= _T_MAX:
+            raise SaturationError(
+                f"target mu={math.exp(log_target)!r} is below the value "
+                f"attainable at the largest representable modulus", endpoint=1.0)
+        lo, glo = hi, ghi
+        hi = min(2.0 * hi, _T_MAX)
+        ghi = g(hi)
+        evals += 1
+    if glo == 0.0:
+        return lo
+    if ghi == 0.0:
+        return hi
+    t0, g0 = lo, glo
+    t1, g1 = hi, ghi
+    while evals < budget:
+        if g0 != g1:
+            t2 = t1 - g1 * (t1 - t0) / (g1 - g0)
+        else:
+            t2 = 0.5 * (lo + hi)
+        if not lo < t2 < hi:
+            t2 = 0.5 * (lo + hi)
+        g2 = g(t2)
+        evals += 1
+        if g2 == 0.0:
+            return t2
+        if g2 > 0.0:
+            lo, glo = t2, g2
+        else:
+            hi, ghi = t2, g2
+        t0, g0 = t1, g1
+        t1, g1 = t2, g2
+        if abs(g2) <= 1e-13 * (1.0 + abs(log_target)) or hi - lo <= 4e-16 * max(1.0, abs(t2)):
+            return t2
+    if abs(g1) <= 1e-12:
+        return t1
+    raise ConvergenceError(
+        f"mu inversion did not reach tolerance within {budget} evaluations "
+        f"(residual {g1!r} in log mu)")
+
+
+def _outcome(solve, abc, log_target):
+    """The returned t, or the type, message and endpoint of the error."""
+    from genellip.errors import GenellipError
+    try:
+        return solve(*abc, log_target)
+    except (GenellipError, ArithmeticError) as exc:
+        return type(exc), str(exc), getattr(exc, "endpoint", None)
+
+
+def _log_mu_at(abc, t):
+    """log mu at t = log(r^2/r'^2), computed as the solver computes it."""
+    from genellip.hypergeom import _eval_pair, _Triple
+    from genellip.modulus import _sigmoid
+    key = _Triple(*abc)
+    z, zc = _sigmoid(t), _sigmoid(-t)
+    return (math.log(key.half_beta) + math.log(_eval_pair(key, zc, z).value)
+            - math.log(_eval_pair(key, z, zc).value))
+
+
+# the reduced family, then c < a+b with a+b-c = 1e-13 (zero-balanced route),
+# 1e-9 (Euler band), 0.2 (connection), 1.0 (integer c-a-b) and 0.6 (connection)
+_JUMP_TRIPLES = ((0.5, 0.5, 1.0), (0.3, 0.7, 1.0), (0.05, 0.9, 0.95),
+                 (0.6, 0.7, 1.3 - 1e-13), (0.6, 0.7, 1.3 - 1e-9),
+                 (0.6, 0.7, 1.1), (0.6, 0.7, 0.3), (1.2, 0.9, 1.5))
+_LADDER = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 700.0)
+
+
+def _jump_targets(abc, rng) -> list:
+    """Seeded log-mu targets, targets at every rung and one ulp either
+    side, saturating targets at both ends, and log y = +-708."""
+    from genellip.errors import GenellipError
+    out = [rng.uniform(-40.0, 40.0) for _ in range(6)]
+    for t in _LADDER:
+        for side in (-t, t):
+            try:
+                y = _log_mu_at(abc, side)
+            except (GenellipError, ArithmeticError):  # beyond float range on this route
+                continue
+            out += [y, math.nextafter(y, -math.inf), math.nextafter(y, math.inf)]
+            if t == 700.0:
+                out.append(y + 1.0 if side < 0 else y - 1.0)
+    return out + [708.0, -708.0]
+
+
+def _assert_jump_matches_walk(monkeypatch):
+    import random
+
+    from genellip.modulus import _solve_log_mu
+    monkeypatch.delenv("GENELLIP_MAX_ITERS", raising=False)
+    rng = random.Random("rung-jump")
+    n = 0
+    for abc in _JUMP_TRIPLES:
+        for lt in _jump_targets(abc, rng):
+            got = _outcome(_solve_log_mu.__wrapped__, abc, lt)
+            want = _outcome(_walk_only, abc, lt)
+            assert got == want, (abc, lt)
+            n += 1
+    assert n > 400
+
+
+def test_rung_jump_keeps_the_walk_bracket_result_and_errors(monkeypatch):
+    _assert_jump_matches_walk(monkeypatch)
+
+
+@pytest.mark.parametrize("factor", [0.25, 0.5, 2.0, 4.0])
+def test_rung_jump_falls_back_on_a_wrong_guess(monkeypatch, factor):
+    # a guess one or two rungs too shallow or too deep still gives the walk's
+    # result: too shallow, the walk goes on outward; too deep, the inner
+    # rung has the wrong sign and the walk restarts from (-2, 2)
+    from genellip import modulus
+    guess = modulus._guess_t
+    monkeypatch.setattr(modulus, "_guess_t",
+                        lambda key, lhb, lt: factor * guess(key, lhb, lt))
+    _assert_jump_matches_walk(monkeypatch)
+
+
+def test_rung_jump_cuts_the_evaluations_of_a_solve():
+    from genellip import hypergeom
+    from genellip.errors import SaturationError
+    _cold()
+    mu_inv_m(ModulusParams(1.2, 0.9, 1.5), math.exp(25.0))
+    assert hypergeom._eval_pair.cache_info().misses <= 8  # 16 walking from (-2, 2)
+    _cold()
+    with pytest.raises(SaturationError):
+        mu_inv_m(ModulusParams(0.3, 0.7, 1.0), math.exp(20.0))
+    assert hypergeom._eval_pair.cache_info().misses <= 4  # 20 walking from (-2, 2)
