@@ -23,7 +23,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ParameterError, check_params
+from .errors import DomainError, ParameterError, check_params, is_real
 from .hypergeom import _eval_pair, _Triple
 from .result import EvalResult, Method
 from .scalar_special import beta
@@ -75,7 +75,7 @@ class Modulus:
 
     def __post_init__(self):
         for name, v in (("r", self.r), ("r_comp", self.r_comp)):
-            if not (isinstance(v, (int, float)) and 0.0 <= v <= 1.0):
+            if not (is_real(v) and 0.0 <= v <= 1.0):
                 raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
             object.__setattr__(self, name, float(v))
         if abs(self.r * self.r + self.r_comp * self.r_comp - 1.0) > 1e-15:
@@ -84,13 +84,13 @@ class Modulus:
 
     @classmethod
     def from_r(cls, r: float) -> "Modulus":
-        if not (isinstance(r, (int, float)) and 0.0 <= r <= 1.0):
+        if not (is_real(r) and 0.0 <= r <= 1.0):
             raise DomainError(f"r must lie in [0, 1], got {r!r}")
         return cls(float(r), math.sqrt((1.0 - r) * (1.0 + r)))
 
     @classmethod
     def from_r_comp(cls, r_comp: float) -> "Modulus":
-        if not (isinstance(r_comp, (int, float)) and 0.0 <= r_comp <= 1.0):
+        if not (is_real(r_comp) and 0.0 <= r_comp <= 1.0):
             raise DomainError(f"r_comp must lie in [0, 1], got {r_comp!r}")
         return cls(math.sqrt((1.0 - r_comp) * (1.0 + r_comp)), float(r_comp))
 

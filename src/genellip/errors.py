@@ -25,9 +25,12 @@ class PoleError(DomainError):
 
 
 class SaturationError(DomainError):
-    """The degree K lies outside [1e-3, 1e3]; the modular function would
-    saturate to 0 or 1 in double precision.  The saturated endpoint is
-    carried in ``endpoint`` so callers can decide to use it explicitly."""
+    """A result saturates in double precision: the degree K lies outside
+    [1e-3, 1e3], so the modular function would round to 0 or 1; a target
+    of mu_inv lies beyond the representable moduli; or a 2F1 value exceeds
+    the float range as z -> 1.  The saturated endpoint (0, 1 or an
+    infinity) is carried in ``endpoint`` so callers can decide to use it
+    explicitly."""
 
     def __init__(self, message: str, endpoint: float):
         super().__init__(message)
@@ -38,6 +41,11 @@ class ConvergenceError(GenellipError):
     """An iteration budget was exhausted before reaching tolerance."""
 
 
+def is_real(v) -> bool:
+    """True for an int or a float (or a subclass) that is not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def check_params(cap: float | None = None, **params) -> tuple[float, ...]:
     """The named parameters as floats, in the order given.
 
@@ -46,8 +54,8 @@ def check_params(cap: float | None = None, **params) -> tuple[float, ...]:
     """
     out = []
     for name, v in params.items():
-        if (isinstance(v, bool) or not isinstance(v, (int, float))
-                or not 0.0 < v < math.inf or (cap is not None and v > cap)):
+        if (not is_real(v) or not 0.0 < v < math.inf
+                or (cap is not None and v > cap)):
             where = "(0, inf)" if cap is None else f"(0, {cap:g}]"
             raise ParameterError(f"{name} must be a finite real in {where}, got {v!r}")
         out.append(float(v))

@@ -9,6 +9,19 @@ connection coefficients degenerate (c-a-b near an integer).  Callers that
 track the complement 1-z exactly can pass it through the pair entry point
 to keep full relative accuracy as z -> 1.
 
+The Maclaurin kernel _direct_series has two shortcuts that return the bits
+the plain chunked sum would.  When c > 0, the largest parameter is below 63
+(so the first stopping test falls at term 64) and z max(|a|,1) max(|b|/c,1)
+is at most 2^-56, every term of the first chunk is at most 2^-56 and their
+sum is below 2^-55, under the half-ulp of 1.0 on either side (2^-54 below,
+2^-53 above): the sum and its absolute sum both round to exactly 1.0 and
+the last term underflows, so the kernel returns (1.0, 4e-16 + eps, 65)
+without summing.  This is the common case in the modulus solver, whose
+brackets reach |t| = 700, where r^2 or r'^2 is below e^-500.  And a chunk
+whose ratios are all positive (min(a, b, c) + k > 0 at its first index k)
+has terms of one sign; IEEE rounding is symmetric in sign, so the sum of
+their absolute values is |sum| bit for bit and one reduce serves both.
+
 The engine _eval_pair is LRU-cached and keyed on a _Triple (a, b, c).  All
 live triples with equal (a, b, c) share one coefficient table, which holds
 what the kernels need that does not depend on z: the Gamma and psi
@@ -32,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParameterError, check_params
+from .errors import (ConvergenceError, DomainError, ParameterError, SaturationError,
+                     check_params, is_real)
 from .result import EvalResult, Method
 from .scalar_special import (
     EULER_GAMMA,
@@ -52,6 +66,8 @@ _PARAM_CAP = 50.0
 _TABLED = 64  # terms per series whose z-free factors a coefficient table holds
 _K0 = np.arange(_TABLED, dtype=np.float64)
 _K1 = 1.0 + _K0
+# A first chunk whose ratios are all at most this sums to nothing against 1.0.
+_ROUNDS_TO_ONE = 2.0 ** -56
 
 
 @dataclass(frozen=True)
@@ -108,15 +124,36 @@ def _direct_series(a: float, b: float, c: float, z: float, q0: np.ndarray,
     geometric tail bound q*|term|/(1-q) with q = max(|last ratio|, z) is
     below eps*|sum|.  The tail bound is only trusted after the coefficient
     ratio has become monotone, i.e. past the largest parameter.
+
+    Two shortcuts return exactly what the full loop would:
+      * When z times a bound on the first chunk's ratios is at most 2^-56,
+        the whole first chunk rounds away against the leading 1, and the
+        result (1.0, 4e-16 + eps, 65) is returned without summing it.
+      * A chunk whose ratios are all positive (min(a, b, c) + k > 0 at its
+        first index k) has terms of one sign, so the sum of their absolute
+        values is |sum| exactly and is not reduced a second time.
     """
     if z == 0.0:
         return 1.0, 0.0, 1
+    min_k = max(_TABLED, int(max(abs(a), abs(b), abs(c))) + 2)
+    if (min_k == _TABLED and c > 0.0
+            and z * max(abs(a), 1.0) * max(abs(b) / c, 1.0) <= _ROUNDS_TO_ONE):
+        # For c > 0 every first-chunk ratio obeys |q_k| <= Q = max(|a|,1)
+        # max(|b|/c,1), since |a+k| <= max(|a|,1)(1+k) and |b+k|/(c+k) <=
+        # max(|b|/c,1); so each ratio q_k z is at most 2^-56 up to a few
+        # ulps, and the chunk's sum s and its absolute sum are both below
+        # 2^-55.  1 + s then rounds to 1.0 for either sign of s (below 1.0
+        # the half-ulp is 2^-54, above it 2^-53), as does 1 + sum|T|; the
+        # 64th term underflows to 0, so the tail is 0, and with min_k = 64
+        # every stopping test holds at k = 64: the loop would return
+        # (1.0, 4e-16*1.0 + 0.0 + eps*1.0, 65), which is this.
+        return 1.0, 4e-16 + _EPS, _TABLED + 1
     total = 1.0
     comp = 0.0
     abs_total = 1.0
     term = 1.0
     k = 0
-    min_k = max(64, int(max(abs(a), abs(b), abs(c))) + 2)
+    lowest = min(a, b, c)
     chunk = _TABLED
     while k < max_terms:
         m = min(chunk, max_terms - k)
@@ -128,13 +165,21 @@ def _direct_series(a: float, b: float, c: float, z: float, q0: np.ndarray,
         terms = np.multiply.accumulate(ratios)
         if term != 1.0:
             terms *= term
-        abs_terms = np.abs(terms)
-        y = float(np.add.reduce(terms)) - comp
+        s = float(np.add.reduce(terms))
+        y = s - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        abs_total += float(np.add.reduce(abs_terms))
-        term = float(terms[-1])
+        # Rounding is symmetric in sign, so for terms of one sign the
+        # reduce of |T| is |s| bit for bit.
+        one_sign = m >= 3 and lowest + k > 0.0
+        if one_sign:
+            abs_total += abs(s)
+            t1, t2, term = terms[-3:].tolist()
+        else:
+            abs_terms = np.abs(terms)
+            abs_total += float(np.add.reduce(abs_terms))
+            term = float(terms[-1])
         k += m
         if not math.isfinite(total):
             raise ConvergenceError(
@@ -142,7 +187,10 @@ def _direct_series(a: float, b: float, c: float, z: float, q0: np.ndarray,
                 f"with (a,b,c)=({a!r},{b!r},{c!r})")
         bound = _EPS * abs(total)
         if m >= 3 and k >= min_k:
-            t1, t2, t3 = abs_terms[-3:].tolist()
+            if one_sign:
+                t1, t2, t3 = abs(t1), abs(t2), abs(term)
+            else:
+                t1, t2, t3 = abs_terms[-3:].tolist()
             if t1 <= bound and t2 <= bound and t3 <= bound:
                 q = max(abs(float(ratios[-1])), z)
                 if q < 1.0:
@@ -382,7 +430,13 @@ def _connection(key: _Triple, u: float, d: float) -> tuple[float, float]:
         e1 = abs(c1) * se1
     t2 = e2 = 0.0
     if c2 != 0.0:
-        ud = math.exp(d * math.log(u))
+        try:
+            ud = math.exp(d * math.log(u))
+        except OverflowError:
+            raise SaturationError(
+                f"F(a,b;c;z) exceeds the float range at 1-z={u!r} "
+                f"with (a,b,c)=({a!r},{b!r},{c!r})",
+                endpoint=math.copysign(math.inf, c2)) from None
         s2, se2, _ = _direct_series(c - a, c - b, 1.0 + d, u, q2, max_terms=20_000)
         t2 = c2 * ud * s2
         e2 = abs(c2) * ud * se2
@@ -442,7 +496,7 @@ def _eval_pair(key: _Triple, z: float, zc: float) -> EvalResult:
 
 
 def _check_z(z: float) -> float:
-    if not (isinstance(z, (int, float)) and 0.0 <= z < 1.0):
+    if not (is_real(z) and 0.0 <= z < 1.0):
         raise DomainError(f"z must lie in [0, 1), got {z!r}")
     return float(z)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .elliptic import Modulus
 from .errors import (ConvergenceError, DomainError, ParameterError, SaturationError,
-                     check_params)
+                     check_params, is_real)
 from .hypergeom import _EULER_BAND, _INTEGER_SNAP, _ZERO_BALANCED_TOL, _eval_pair, _Triple
 from .legendre_m import MPoint, m_value
 from .result import EvalResult, Method
@@ -82,7 +82,7 @@ class DegreeK:
     K: float
 
     def __post_init__(self):
-        if not (isinstance(self.K, (int, float)) and math.isfinite(self.K) and self.K > 0):
+        if not (is_real(self.K) and math.isfinite(self.K) and self.K > 0):
             raise ParameterError(f"K must be a finite positive real, got {self.K!r}")
         object.__setattr__(self, "K", float(self.K))
 
@@ -268,6 +268,10 @@ def mu_m(p: ModulusParams, m: Modulus) -> EvalResult:
     """mu at a modulus carried as an exact (r, r') pair."""
     if m.r <= 0.0 or m.r_comp <= 0.0:
         raise DomainError(f"mu needs 0 < r < 1, got r={m.r!r}")
+    if m.z == 0.0 or m.z_comp == 0.0:
+        raise DomainError(
+            f"mu needs r^2 > 0 and r'^2 > 0, but one underflows to 0 at "
+            f"r={m.r!r}, r'={m.r_comp!r}")
     key = _Triple(p.a, p.b, p.c)
     hb = key.half_beta
     num = _eval_pair(key, m.z_comp, m.z)
@@ -279,7 +283,7 @@ def mu_m(p: ModulusParams, m: Modulus) -> EvalResult:
 
 def mu(p: ModulusParams, r: float) -> EvalResult:
     """The generalized modulus; strictly decreasing from (0,1) onto (0,oo)."""
-    if not (isinstance(r, (int, float)) and 0.0 < r < 1.0):
+    if not (is_real(r) and 0.0 < r < 1.0):
         raise DomainError(f"mu needs 0 < r < 1, got r={r!r}")
     return mu_m(p, Modulus.from_r(float(r)))
 
@@ -294,7 +298,7 @@ def mu_inv_m(p: ModulusParams, y: float) -> Modulus:
     can therefore exceed 1e-13 when |log y| is large or the bracket closes
     first.
     """
-    if not (isinstance(y, (int, float)) and math.isfinite(y) and y > 0.0):
+    if not (is_real(y) and math.isfinite(y) and y > 0.0):
         raise DomainError(f"mu_inv needs y > 0, got {y!r}")
     t = _solve_log_mu(p.a, p.b, p.c, math.log(y))
     return _modulus_from_t(t)
@@ -320,14 +324,14 @@ def phi_k_m(p: ModulusParams, K, m: Modulus) -> Modulus:
 
 def phi_k(p: ModulusParams, K, r: float) -> float:
     """phi_K(r) = mu^{-1}(mu(r)/K); K > 1 pushes toward 1, K < 1 toward 0."""
-    if not (isinstance(r, (int, float)) and 0.0 < r < 1.0):
+    if not (is_real(r) and 0.0 < r < 1.0):
         raise DomainError(f"phi_K needs 0 < r < 1, got r={r!r}")
     return phi_k_m(p, K, Modulus.from_r(float(r))).r
 
 
 def modular_solve(p: ModulusParams, degree_p: float, r: float) -> float:
     """Solve mu(s) = degree_p * mu(r) for s; equals phi_K with K = 1/degree_p."""
-    if not (isinstance(degree_p, (int, float)) and math.isfinite(degree_p)
+    if not (is_real(degree_p) and math.isfinite(degree_p)
             and degree_p > 0):
         raise DomainError(f"degree must be a positive real, got {degree_p!r}")
     return phi_k(p, 1.0 / degree_p, r)
@@ -335,7 +339,7 @@ def modular_solve(p: ModulusParams, degree_p: float, r: float) -> float:
 
 def mu_deriv(p: ModulusParams, r: float) -> EvalResult:
     """d mu/dr = -B(a,b) M(r^2) / (r r'^2 F(a,b;c;r^2)^2); negative throughout."""
-    if not (isinstance(r, (int, float)) and 0.0 < r < 1.0):
+    if not (is_real(r) and 0.0 < r < 1.0):
         raise DomainError(f"mu_deriv needs 0 < r < 1, got r={r!r}")
     m = Modulus.from_r(float(r))
     v = _eval_pair(_Triple(p.a, p.b, p.c), m.z, m.z_comp)
@@ -351,7 +355,7 @@ def phi_deriv(p: ModulusParams, K, r: float) -> EvalResult:
 
     ds/dr = (1/K) (M(r^2)/M(s^2)) (s s'^2 F(s^2)^2) / (r r'^2 F(r^2)^2)
     """
-    if not (isinstance(r, (int, float)) and 0.0 < r < 1.0):
+    if not (is_real(r) and 0.0 < r < 1.0):
         raise DomainError(f"phi_deriv needs 0 < r < 1, got r={r!r}")
     k = _as_degree(K)
     m = Modulus.from_r(float(r))
@@ -381,7 +385,7 @@ def mu_deriv_closed(p: ModulusParams, r: float) -> EvalResult:
     """For a+b+1 = 2c:  d mu/dr = -D / (r^(2c-1) r'^(2c) K(r)^2)
     with D = (Gamma(a)Gamma(b)Gamma(c))^2 / (4 Gamma(a+b)^3)."""
     _require_power_case(p)
-    if not (isinstance(r, (int, float)) and 0.0 < r < 1.0):
+    if not (is_real(r) and 0.0 < r < 1.0):
         raise DomainError(f"need 0 < r < 1, got r={r!r}")
     m = Modulus.from_r(float(r))
     la, _ = _lngamma_signed(p.a)
@@ -397,7 +401,7 @@ def mu_deriv_closed(p: ModulusParams, r: float) -> EvalResult:
 def phi_deriv_closed(p: ModulusParams, K, r: float) -> EvalResult:
     """For a+b+1 = 2c:  ds/dr = (1/K)(s/r)^(2c-1)(s'/r')^(2c)(K(s)/K(r))^2."""
     _require_power_case(p)
-    if not (isinstance(r, (int, float)) and 0.0 < r < 1.0):
+    if not (is_real(r) and 0.0 < r < 1.0):
         raise DomainError(f"need 0 < r < 1, got r={r!r}")
     k = _as_degree(K)
     m = Modulus.from_r(float(r))
@@ -414,7 +418,7 @@ def phi_deriv_closed(p: ModulusParams, K, r: float) -> EvalResult:
 
 def q_modulus(x: float) -> Modulus:
     """q(x) = sqrt(e^x/(e^x+1)) as an exact pair; inverse of p_logit."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and abs(x) <= _T_MAX):
+    if not (is_real(x) and math.isfinite(x) and abs(x) <= _T_MAX):
         raise DomainError(f"q needs a finite x with |x| <= {_T_MAX}, got {x!r}")
     return _modulus_from_t(float(x))
 

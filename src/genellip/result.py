@@ -19,7 +19,7 @@ class Method(enum.Enum):
     SOLVER = "solver"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EvalResult:
     """A computed value with a conservative absolute error estimate.
 
@@ -32,9 +32,15 @@ class EvalResult:
     abs_err_est: float
     method: Method
 
-    def __post_init__(self):
-        if self.abs_err_est < 0 or math.isnan(self.abs_err_est):
+    def __init__(self, value: float, abs_err_est: float, method: Method):
+        # Written by hand: the generated frozen __init__ goes through
+        # object.__setattr__ per field, and results are built on every call.
+        if abs_err_est < 0 or math.isnan(abs_err_est):
             raise ValueError("abs_err_est must be nonnegative")
+        d = self.__dict__
+        d["value"] = value
+        d["abs_err_est"] = abs_err_est
+        d["method"] = method
 
     @property
     def is_finite(self) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, is_real
 from .result import EvalResult, Method
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -64,12 +64,12 @@ _PSI_SHIFT = 8.0
 
 
 def _require_positive(x: float, name: str) -> None:
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
+    if not (is_real(x) and math.isfinite(x) and x > 0):
         raise DomainError(f"{name} must be a finite positive real, got {x!r}")
 
 
 def _require_finite(x: float, name: str) -> None:
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
+    if not (is_real(x) and math.isfinite(x)):
         raise DomainError(f"{name} must be finite, got {x!r}")
 
 

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..errors import GenellipError, ParameterError
+from ..errors import GenellipError, ParameterError, is_real
 from ..scalar_special import _lngamma_raw, digamma
 
 KINDS = ("monotone", "convex_concave", "range_endpoints", "inequality",
@@ -179,7 +179,7 @@ def pab(a: float, c: float, t: float) -> PABNotation:
     """Digamma-difference notation for the parameter-dependence results."""
     if not (0.0 < a < c and math.isfinite(c)):
         raise ParameterError(f"need 0 < a < c, got a={a!r}, c={c!r}")
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0.0):
+    if not (is_real(t) and math.isfinite(t) and t >= 0.0):
         raise ParameterError(f"need t >= 0, got {t!r}")
     t = float(t)
     P = digamma(c - a + t).value - digamma(c + t).value

@@ -22,7 +22,7 @@ from genellip import (
     gamma_ln,
 )
 from genellip.errors import DomainError, ParameterError
-from genellip.hypergeom import _direct_series, _Triple, _zero_balanced
+from genellip.hypergeom import _direct_series, _first_ratios, _Triple, _zero_balanced
 from genellip.result import Method
 
 
@@ -287,6 +287,101 @@ def test_tabled_series_is_bit_identical_to_untabled():
         assert _direct_series(c - a, c - b, c, 0.4, key.euler_q) \
             == _untabled_series(c - a, c - b, c, 0.4)
     assert max(terms) > 128  # chunks beyond the tabled first one
+
+
+def _summing_series(a, b, c, z, q0, max_terms=400_000):
+    """The Maclaurin series kernel before its exact exit for chunks that
+    round to 1 and its single reduce for chunks of one sign."""
+    if z == 0.0:
+        return 1.0, 0.0, 1
+    total, comp, abs_total, term, k = 1.0, 0.0, 1.0, 1.0, 0
+    min_k = max(64, int(max(abs(a), abs(b), abs(c))) + 2)
+    chunk = 64
+    while k < max_terms:
+        m = min(chunk, max_terms - k)
+        if k == 0:
+            ratios = q0 * z
+        else:
+            ks = np.arange(k, k + m, dtype=np.float64)
+            ratios = (a + ks) * (b + ks) / ((c + ks) * (1.0 + ks)) * z
+        terms = np.multiply.accumulate(ratios)
+        if term != 1.0:
+            terms *= term
+        abs_terms = np.abs(terms)
+        y = float(np.add.reduce(terms)) - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        abs_total += float(np.add.reduce(abs_terms))
+        term = float(terms[-1])
+        k += m
+        bound = 1e-15 * abs(total)
+        if m >= 3 and k >= min_k:
+            t1, t2, t3 = abs_terms[-3:].tolist()
+            if t1 <= bound and t2 <= bound and t3 <= bound:
+                q = max(abs(float(ratios[-1])), z)
+                if q < 1.0:
+                    tail = abs(term) * q / (1.0 - q)
+                    if tail <= bound:
+                        return total, 4e-16 * abs_total + tail + 1e-15 * abs(total), k + 1
+        chunk = min(2 * chunk, 8192)
+    raise AssertionError("reference series did not converge")
+
+
+def _exit_edges(a, b, c):
+    """z at 2^-j/Q for j = 53..56, and one ulp either side: the exit's bound
+    2^-56/Q, and the z where 1 + sum could first round away from 1."""
+    q = max(abs(a), 1.0) * max(abs(b) / abs(c), 1.0)
+    return [f(2.0 ** -j / q, x) for j in (53, 54, 55, 56)
+            for f, x in ((math.nextafter, 0.0), (lambda z, _: z, None), (math.nextafter, 1.0))]
+
+
+def _series_cases(seed):
+    """(a, b, c, z, max_terms) covering both shortcuts of _direct_series and
+    the paths around them."""
+    rng = random.Random(seed)
+    triples = [(rng.uniform(-1.0, 0.0), rng.uniform(0.05, 4.0), rng.uniform(0.1, 6.0))
+               for _ in range(6)]  # a in (-1, 0): a first chunk of one sign
+    triples += [(rng.uniform(-3.0, -1.0), rng.uniform(0.05, 4.0), rng.uniform(0.1, 2.0))
+                for _ in range(4)]  # a in (-3, -1): a first chunk of mixed signs
+    triples += [(rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0), rng.uniform(0.1, 6.0))
+                for _ in range(6)]
+    for top in (61.0, 61.9, 62.0, 62.5, 63.0, 63.5):  # min_k is 64 below 63
+        triples += [(top, 0.7, 1.3), (0.4, top, 2.0), (0.5, 0.6, top)]
+    for a, b, c in [(0.3, 0.4, 2.5), (2.0, 2.0, 5.05), (0.2, 0.1, 3.7),
+                    (1.2, 0.9, 0.5), (3.0, 3.0, 4.95), (2.0, 1.7, 1.1)]:
+        d = c - a - b  # d > 1 gives 1-d < 0, d < -1 gives 1+d < 0
+        triples += [(a, b, 1.0 - d), (c - a, c - b, 1.0 + d)]
+    cases = []
+    for a, b, c in triples:
+        zs = [rng.uniform(0.0, 0.99) for _ in range(2)] + [0.99, 1e-3, 1e-12, 1e-17, 1e-30]
+        for z in zs + _exit_edges(a, b, c):
+            cases.append((a, b, c, z, 20_000 if z > 0.9 else 400_000))
+    return cases
+
+
+def test_series_shortcuts_are_bit_identical_to_summing():
+    exits = same_sign = 0
+    for a, b, c, z, max_terms in _series_cases(13):
+        q0 = _first_ratios(a, b, c)
+        got = _direct_series(a, b, c, z, q0, max_terms=max_terms)
+        assert got == _summing_series(a, b, c, z, q0, max_terms), (a, b, c, z)
+        exits += got == (1.0, 4e-16 + 1e-15, 65)
+        same_sign += min(a, b, c) > 0.0 and got[2] > 65
+    assert exits > 50 and same_sign > 50
+
+
+def test_series_that_rounds_to_one_sums_nothing(monkeypatch):
+    class NoMultiply:
+        def accumulate(self, *args, **kwargs):
+            raise AssertionError("the chunk was summed")
+
+    a, b, c = 0.5, 0.5, 1.0
+    q0 = _first_ratios(a, b, c)
+    z = 2.0 ** -60
+    want = _summing_series(a, b, c, z, q0)
+    monkeypatch.setattr(np, "multiply", NoMultiply())
+    assert _direct_series(a, b, c, z, q0) == want == (1.0, 4e-16 + 1e-15, 65)
 
 
 def test_tabled_zero_balanced_is_bit_identical_to_untabled():

@@ -36,7 +36,8 @@ from genellip import (
     phi_logodds,
     q_modulus,
 )
-from genellip.errors import DomainError, ParameterError
+from genellip.errors import DomainError, ParameterError, SaturationError
+from genellip.hypergeom import _eval_pair, _Triple
 
 P_CLASSICAL = modulus_params_ac(0.5, 1.0)
 
@@ -260,6 +261,26 @@ def test_mu_domain_errors():
         mu(p, 1.0)
     with pytest.raises(DomainError):
         mu_inv(p, -1.0)
+
+
+@pytest.mark.parametrize("abc", [(0.5, 0.5, 1.0), (1.2, 0.9, 0.5)])
+def test_mu_where_r_squared_underflows_is_a_domain_error(abc):
+    # r = 1e-200 is a valid float, but r^2 rounds to 0; F at 1-z = 0 is
+    # the log or power singularity of the zero-balanced or connection route
+    with pytest.raises(DomainError, match="underflows"):
+        mu(ModulusParams(*abc), 1e-200)
+    with pytest.raises(DomainError, match="underflows"):
+        mu_m(ModulusParams(*abc), Modulus(1.0, 1e-200))
+
+
+def test_connection_overflow_is_a_saturation_error():
+    # c-a-b = -1.6: F(1-u) ~ C2 u^-1.6 exceeds the float range at u ~ 1e-223,
+    # which the bracket of this solve reaches at t = -512
+    with pytest.raises(SaturationError) as err:
+        mu_inv_m(ModulusParams(1.2, 0.9, 0.5), 1e200)
+    assert err.value.endpoint == math.inf
+    with pytest.raises(SaturationError):
+        _eval_pair(_Triple(1.2, 0.9, 0.5), 1.0 - 1e-250, 1e-250)
 
 
 # --------------------------------------------------------------------------

@@ -1,15 +1,19 @@
-"""Package-wide contracts: one parameter validator, one version string."""
+"""Package-wide contracts: one parameter validator, one scalar-argument
+check, one result type, one version string."""
 
+import dataclasses
 import math
 import pathlib
+import pickle
 import re
 
 import pytest
 
 import genellip
-from genellip import (EllipticParams, HypParams, MPoint, ModulusParams,
-                      modulus_params_ac, reduced_params)
-from genellip.errors import ParameterError
+from genellip import (DegreeK, EllipticParams, EvalResult, HypParams, Method, MPoint,
+                      Modulus, ModulusParams, gamma, hyp2f1, modular_solve,
+                      modulus_params_ac, mu, mu_inv, phi_k, q_modulus, reduced_params)
+from genellip.errors import DomainError, ParameterError
 
 # each constructor with a valid argument list; slot i is replaced below
 VALID = [
@@ -39,6 +43,57 @@ def test_parameter_cap_only_where_it_was():
         with pytest.raises(ParameterError, match="50"):
             make(0.5, 0.5, 51.0)
     assert EllipticParams(0.9, 60.0, 60.5).b == 60.0
+
+
+P = ModulusParams(0.5, 0.5, 1.0)
+# each scalar argument: a call taking it, and an int it must accept (None
+# where no int lies in its domain)
+SCALARS = {
+    "DegreeK.K": (lambda v: DegreeK(v).K, 2),
+    "phi_k.K": (lambda v: phi_k(P, v, 0.5), 2),
+    "phi_k.r": (lambda v: phi_k(P, 2.0, v), None),
+    "mu.r": (lambda v: mu(P, v).value, None),
+    "mu_inv.y": (lambda v: mu_inv(P, v), 2),
+    "modular_solve.degree_p": (lambda v: modular_solve(P, v, 0.5), 2),
+    "hyp2f1.z": (lambda v: hyp2f1(HypParams(0.5, 0.5, 1.0), v).value, 0),
+    "Modulus.from_r": (Modulus.from_r, 1),
+    "Modulus.from_r_comp": (Modulus.from_r_comp, 1),
+    "Modulus.r": (lambda v: Modulus(v, 1.0), 0),
+    "MPoint.z": (lambda v: MPoint(0.5, 0.5, 1.0, v), None),
+    "q_modulus.x": (q_modulus, 3),
+    "gamma.x": (lambda v: gamma(v).value, 3),
+}
+
+
+@pytest.mark.parametrize("call, ok_int", SCALARS.values(), ids=SCALARS.keys())
+def test_scalar_arguments_reject_bools_and_accept_ints(call, ok_int):
+    for bad in (True, False):
+        with pytest.raises(DomainError):
+            call(bad)
+    if ok_int is not None:
+        assert call(ok_int) == call(float(ok_int))
+
+
+def test_eval_result_keeps_its_dataclass_contract():
+    r = EvalResult(1.5, 0.25, Method.SERIES)
+    assert r == EvalResult(value=1.5, abs_err_est=0.25, method=Method.SERIES)
+    assert r != EvalResult(1.5, 0.5, Method.SERIES)
+    assert hash(r) == hash((1.5, 0.25, Method.SERIES))
+    assert repr(r) == "EvalResult(value=1.5, abs_err_est=0.25, method=<Method.SERIES: 'series'>)"
+    assert [(f.name, f.type) for f in dataclasses.fields(r)] == [
+        ("value", "float"), ("abs_err_est", "float"), ("method", "Method")]
+    assert dataclasses.astuple(r) == (1.5, 0.25, Method.SERIES)
+    assert dataclasses.replace(r, value=2.0) == EvalResult(2.0, 0.25, Method.SERIES)
+    assert pickle.loads(pickle.dumps(r)) == r
+    assert float(r) == 1.5 and r.is_finite
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.value = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del r.method
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            EvalResult(1.0, bad, Method.SERIES)
+    assert EvalResult(math.inf, 0.0, Method.CLOSED_FORM).is_finite is False
 
 
 def test_version_matches_pyproject():
