@@ -2,6 +2,7 @@
 `genellip verify all`, for checking that a change is bit-identical.
 
     python3 scripts/output_digest.py [--seeds 1 2 3]
+    python3 scripts/output_digest.py --cli
 
 Run from the root of a checkout; the package is imported from its ``src/``
 and the seeded points from ``bench/`` (read only, never changed).  For each
@@ -15,12 +16,24 @@ checkouts and diff the output: equal digests mean equal bits, and the counts
 show the work each side did.  Both LRU caches are cleared before each pass,
 as in the benchmark.  The modular-solve points pass through the benchmark's
 mpmath reachability screen, cached in ``.bench_cache/`` after the first run.
+
+With ``--cli`` it runs ``genellip.cli.main`` in-process over a fixed list
+of command lines instead (every ``eval`` and ``tabulate`` selector,
+``invert``, ``phi``, ``solve``, ``list-checks`` and two ``verify`` checks,
+each in text, CSV and JSON) and prints one digest of every stdout, stderr
+and exit code, with the verify report's ``timestamp`` and ``seconds``
+masked; a second line digests the inputs whose 2F1 value exceeds the float
+range near z = 1.  To compare with an older checkout, copy this script into
+it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import re
 import sys
 from pathlib import Path
 
@@ -30,7 +43,44 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import passes as P  # noqa: E402  (imports genellip from src/)
 import reference  # noqa: E402
 import workloads as wl  # noqa: E402
-from genellip import hypergeom, modulus  # noqa: E402
+from genellip import cli, hypergeom, modulus  # noqa: E402
+
+_ELL = "--a 0.3 --b 0.6 --c 0.7"
+_GRID = "--grid 0.1:0.9:5:linear"
+CLI_LINES = [
+    "eval hyp2f1 --a 0.3 --b 0.5 --c 0.9 --z 0.4",
+    "eval hyp2f1 --a 0.3 --b 0.5 --c 0.9 --z 0.999",
+    "eval hyp2f1 --a 0.3 --b 0.7 --c 1 --z 0.9999",
+    *(f"eval {fn} {_ELL} --r 0.6" for fn in ("K", "E", "Kp", "Ep")),
+    "eval M --a 0.3 --b 0.4 --c 0.6 --z 0.37",
+    "eval mu --a 0.3 --c 0.8 --r 0.6",
+    "eval R --a 0.5 --b 0.5",
+    "eval gamma --z 2.5",
+    "eval digamma --z 0.7",
+    "eval beta --a 0.3 --b 0.9",
+    f"tabulate hyp2f1 --a 0.3 --b 0.5 --c 0.9 {_GRID}",
+    *(f"tabulate {fn} {_ELL} {_GRID}" for fn in ("K", "E", "Kp", "Ep")),
+    f"tabulate M --a 0.3 --b 0.4 --c 0.6 {_GRID}",
+    f"tabulate mu --a 0.3 --c 0.8 {_GRID}",
+    f"tabulate R --b 0.5 {_GRID}",
+    f"tabulate gamma {_GRID}",
+    f"tabulate digamma {_GRID}",
+    f"tabulate beta --b 0.9 {_GRID}",
+    f"tabulate phi --a 0.5 --c 1 --K 2 {_GRID}",
+    "invert --a 0.5 --c 1 --p 1.2",
+    "phi --a 0.5 --c 1 --K 2 --r 0.5",
+    "solve --a 0.25 --c 1 --p 3 --r 0.6",
+    "eval K --a 0.5 --b 0.9 --c 0.7 --r 0.5",
+    "list-checks",
+    "verify mutheorem-1 ktheo-3",
+]
+OVERFLOW_LINES = [
+    "eval hyp2f1 --a 1 --b 50 --c 1 --z 0.9999999999999999",
+    "eval hyp2f1 --a 39.5 --b 39.5 --c 40 --z 0.9999999999999999",
+]
+_MASKS = [(re.compile(r'"timestamp": "[^"]*"'), '"timestamp": *'),
+          (re.compile(r'"seconds": [0-9.e+-]+'), '"seconds": *'),
+          (re.compile(r"samples, [0-9.]+s\)"), "samples, *s)")]
 
 
 def _digest(items) -> str:
@@ -59,10 +109,38 @@ def _outputs(calls) -> list:
     return outs
 
 
+def _cli_outputs(lines) -> list:
+    """(stdout, stderr, exit code) of each command line in each format."""
+    outs = []
+    for line in lines:
+        for fmt in ("text", "csv", "json"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main([*line.split(), "--format", fmt])
+                except SystemExit as exc:
+                    code = exc.code
+                except Exception as exc:  # a crash is an output like any other
+                    code = (type(exc).__name__, str(exc))
+            text = out.getvalue()
+            for pattern, mask in _MASKS:
+                text = pattern.sub(mask, text)
+            outs.append((line, fmt, text, err.getvalue(), code))
+    return outs
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    ap.add_argument("--cli", action="store_true",
+                    help="digest the CLI's output instead of the workloads'")
     args = ap.parse_args(argv)
+    if args.cli:
+        for name, lines in (("cli", CLI_LINES), ("cli-overflow", OVERFLOW_LINES)):
+            outs = _cli_outputs(lines)
+            codes = sorted({repr(o[-1]) for o in outs})
+            print(f"{name} n={len(outs)} {_digest(outs)} exit={','.join(codes)}")
+        return 0
     for seed in args.seeds:
         outs = _outputs(P.eval_calls(wl.eval_sweep_points(seed)))
         print(f"eval-sweep seed={seed} n={len(outs)} {_digest(outs)} {_work()}")

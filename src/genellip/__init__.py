@@ -17,22 +17,16 @@ from .errors import (
 )
 from .result import EvalResult, Method
 from .scalar_special import (
-    appell,
-    appell_ext,
     beta,
     beta_ln,
     digamma,
-    digamma_deriv,
     gamma,
     gamma_ln,
     ramanujan_r,
 )
 from .hypergeom import (
     HypParams,
-    contiguous_shift,
-    euler_transform,
     hyp2f1,
-    hyp2f1_deriv,
     hyp2f1_pair,
 )
 from .elliptic import (
@@ -51,9 +45,7 @@ from .elliptic import (
 )
 from .legendre_m import (
     MPoint,
-    m_closed_form,
     m_deriv,
-    m_limit_zero_balanced,
     m_scaled,
     m_scaled_limit,
     m_value,
@@ -62,7 +54,6 @@ from .legendre_m import (
 from .modulus import (
     DegreeK,
     ModulusParams,
-    modular_solve,
     modulus_params_ac,
     mu,
     mu_deriv,
@@ -85,17 +76,14 @@ __all__ = [
     "GenellipError", "DomainError", "ParameterError", "PoleError",
     "SaturationError", "ConvergenceError",
     "EvalResult", "Method",
-    "gamma", "gamma_ln", "digamma", "digamma_deriv", "beta", "beta_ln",
-    "appell", "appell_ext", "ramanujan_r",
-    "HypParams", "hyp2f1", "hyp2f1_pair", "hyp2f1_deriv",
-    "euler_transform", "contiguous_shift",
+    "gamma", "gamma_ln", "digamma", "beta", "beta_ln", "ramanujan_r",
+    "HypParams", "hyp2f1", "hyp2f1_pair",
     "EllipticParams", "Modulus", "reduced_params", "arth",
     "ell_k", "ell_e", "ell_k_comp", "ell_e_comp",
     "ell_k_minus_e", "ell_e_minus_rc2k", "ell_derivatives", "EllDerivatives",
-    "MPoint", "m_value", "m_value_elliptic", "m_scaled", "m_deriv",
-    "m_closed_form", "m_limit_zero_balanced", "m_scaled_limit",
+    "MPoint", "m_value", "m_value_elliptic", "m_scaled", "m_deriv", "m_scaled_limit",
     "ModulusParams", "modulus_params_ac", "DegreeK",
-    "mu", "mu_m", "mu_inv", "mu_inv_m", "phi_k", "phi_k_m", "modular_solve",
+    "mu", "mu_m", "mu_inv", "mu_inv_m", "phi_k", "phi_k_m",
     "mu_deriv", "phi_deriv", "mu_deriv_closed", "phi_deriv_closed",
     "q_modulus", "p_logit", "phi_logodds",
 ]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .errors import DomainError, ParameterError, check_params, is_real
 from .hypergeom import _eval_pair, _Triple
 from .result import EvalResult, Method
-from .scalar_special import beta
+from .scalar_special import _half_beta, beta
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class EllipticParams:
     @functools.cached_property
     def half_beta(self) -> float:
         """B(a,b)/2, the common value K(0) = E(0)."""
-        return 0.5 * beta(self.a, self.b).value
+        return _half_beta(self.a, self.b)
 
 
 def reduced_params(a: float, c: float) -> EllipticParams:
@@ -119,6 +119,13 @@ def arth(r: float, r_comp: float | None = None) -> float:
     return math.atanh(r)
 
 
+def _scaled(scale: float, key: _Triple, m: Modulus) -> EvalResult:
+    """scale * F(key; r^2), with the rounding of the product in the estimate."""
+    f = _eval_pair(key, m.z, m.z_comp)
+    value = scale * f.value
+    return EvalResult(value, scale * f.abs_err_est + 2e-15 * abs(value), f.method)
+
+
 def ell_k(p: EllipticParams, m: Modulus) -> EvalResult:
     """K(r) = (B(a,b)/2) F(a,b;c;r^2); infinite at r = 1.
 
@@ -127,10 +134,7 @@ def ell_k(p: EllipticParams, m: Modulus) -> EvalResult:
     """
     if m.z_comp == 0.0:
         return EvalResult(math.inf, 0.0, Method.CLOSED_FORM)
-    hb = p.half_beta
-    f = _eval_pair(_Triple(p.a, p.b, p.c), m.z, m.z_comp)
-    value = hb * f.value
-    return EvalResult(value, hb * f.abs_err_est + 2e-15 * abs(value), f.method)
+    return _scaled(p.half_beta, _Triple(p.a, p.b, p.c), m)
 
 
 def ell_e(p: EllipticParams, m: Modulus) -> EvalResult:
@@ -140,10 +144,7 @@ def ell_e(p: EllipticParams, m: Modulus) -> EvalResult:
         den = beta(p.c + 1.0 - p.a, p.c - p.b).value
         value = 0.5 * num / den
         return EvalResult(value, 1e-13 * abs(value), Method.CLOSED_FORM)
-    hb = p.half_beta
-    f = _eval_pair(_Triple(p.a - 1.0, p.b, p.c), m.z, m.z_comp)
-    value = hb * f.value
-    return EvalResult(value, hb * f.abs_err_est + 2e-15 * abs(value), f.method)
+    return _scaled(p.half_beta, _Triple(p.a - 1.0, p.b, p.c), m)
 
 
 def ell_k_comp(p: EllipticParams, m: Modulus) -> EvalResult:
@@ -165,10 +166,7 @@ def ell_k_minus_e(p: EllipticParams, m: Modulus) -> EvalResult:
     """
     if m.z_comp == 0.0:
         return EvalResult(math.inf, 0.0, Method.CLOSED_FORM)
-    scale = p.half_beta * (p.b / p.c) * m.z
-    f = _eval_pair(_Triple(p.a, p.b + 1.0, p.c + 1.0), m.z, m.z_comp)
-    value = scale * f.value
-    return EvalResult(value, scale * f.abs_err_est + 2e-15 * abs(value), f.method)
+    return _scaled(p.half_beta * (p.b / p.c) * m.z, _Triple(p.a, p.b + 1.0, p.c + 1.0), m)
 
 
 def ell_e_minus_rc2k(p: EllipticParams, m: Modulus) -> EvalResult:
@@ -178,10 +176,7 @@ def ell_e_minus_rc2k(p: EllipticParams, m: Modulus) -> EvalResult:
     """
     if m.z_comp == 0.0:
         return ell_e(p, m)
-    scale = p.half_beta * ((p.c - p.b) / p.c) * m.z
-    f = _eval_pair(_Triple(p.a, p.b, p.c + 1.0), m.z, m.z_comp)
-    value = scale * f.value
-    return EvalResult(value, scale * f.abs_err_est + 2e-15 * abs(value), f.method)
+    return _scaled(p.half_beta * ((p.c - p.b) / p.c) * m.z, _Triple(p.a, p.b, p.c + 1.0), m)
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,14 @@ live triples with equal (a, b, c) share one coefficient table, which holds
 what the kernels need that does not depend on z: the Gamma and psi
 constants of the z -> 1 regimes, the z-free ratio factors of the first
 chunk of each Maclaurin series, the zero-balanced step factors and running
-h_n, and B(a,b)/2 for the modulus.  Each entry is computed on first use;
-the zero-balanced steps are filled in by the evaluations as they reach them.
+h_n, B(a,b)/2 for the modulus, and the route: which kernel evaluates
+F at z >= z_switch.  The route depends on (a, b, c) alone ('closed' for
+a = c or b = c, 'series' for a non-positive integer a or b, and otherwise
+'zero_balanced', 'euler', 'integer_d' or 'connection' by c-a-b), so
+_eval_pair dispatches on it and the modulus solver reads it to know which
+asymptote of mu applies.  The route is filled in when the table is made,
+since every evaluation reads it; every other entry is computed on first
+use, and the zero-balanced steps as the evaluations reach them.
 The table is the triples' attribute dict; a registry of weak references
 finds it for a newly built triple, and nothing else holds it.  Each caller
 builds one triple per public call (the modulus solver one per solve) and
@@ -45,14 +51,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceError, DomainError, ParameterError, SaturationError,
-                     check_params, is_real)
+from .errors import ConvergenceError, DomainError, SaturationError, check_params, is_real
 from .result import EvalResult, Method
 from .scalar_special import (
     EULER_GAMMA,
+    _half_beta,
     _is_nonpositive_integer,
     _lngamma_signed,
-    beta_ln,
     digamma,
 )
 
@@ -204,6 +209,21 @@ def _direct_series(a: float, b: float, c: float, z: float, q0: np.ndarray,
         f"with (a,b,c)=({a!r},{b!r},{c!r})")
 
 
+def _route(a: float, b: float, c: float) -> str:
+    """The kernel of _eval_pair at z >= Z_SWITCH (see the module docstring)."""
+    if a == c or b == c:
+        return "closed"
+    if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
+        return "series"
+    d = c - a - b
+    if abs(d) <= _ZERO_BALANCED_TOL:
+        return "zero_balanced"
+    m = round(d)
+    if m == 0:
+        return "euler" if abs(d) < _EULER_BAND else "connection"
+    return "integer_d" if abs(d - m) <= _INTEGER_SNAP else "connection"
+
+
 class _Table(dict):
     """A coefficient table: the attribute dict shared by every live
     _Triple with one (a, b, c).  A dict subclass, so that _TABLES can hold
@@ -235,7 +255,8 @@ class _Triple(tuple):
     triple hits the cache entries made with an equal one.  Its attribute
     dict is the coefficient table of (a, b, c), shared with every other
     live triple equal to it: each cached property below is computed on
-    first use by any of them and then read by all.  _TABLES finds the table
+    first use by any of them and then read by all.  The route, which every
+    evaluation reads, is filled in when the table is made.  _TABLES finds the table
     for a new triple; only triples hold it, so it dies with the last of
     them, e.g. when _eval_pair.cache_clear() drops the cache entries.
     """
@@ -246,7 +267,7 @@ class _Triple(tuple):
         ref = _TABLES.get(abc)
         table = ref() if ref is not None else None
         if table is None:
-            table = _Table()
+            table = _Table(route=_route(a, b, c))
             ref = _TABLES[abc] = _Ref(table, _forget)
             ref.abc = abc
         self.__dict__ = table
@@ -313,9 +334,16 @@ class _Triple(tuple):
 
     @functools.cached_property
     def half_beta(self) -> float:
-        """B(a,b)/2, the factor of mu (ModulusParams.half_beta)."""
-        a, b, _ = self
-        return 0.5 * math.exp(beta_ln(a, b))
+        """B(a,b)/2, the factor of mu."""
+        return _half_beta(self[0], self[1])
+
+
+def _overflow(key: _Triple, u: float, sign: float) -> SaturationError:
+    """The error for an F(a,b;c;1-u) of the given sign beyond the float range."""
+    a, b, c = key
+    return SaturationError(
+        f"F(a,b;c;z) exceeds the float range at 1-z={u!r} "
+        f"with (a,b,c)=({a!r},{b!r},{c!r})", endpoint=math.copysign(math.inf, sign))
 
 
 def _zero_balanced(key: _Triple, u: float) -> tuple[float, float]:
@@ -376,8 +404,7 @@ def _integer_d(key: _Triple, u: float, m: int) -> tuple[float, float]:
         u_log_power = 1.0
         fa, fb = a - k, b - k
         if k * lnu < -700.0:
-            raise ConvergenceError(
-                f"F magnitude exceeds float range at u={u!r} with integer d={m}")
+            raise _overflow(key, u, fin_pref)
         fin_power = u ** (-k)
     # finite part: sum_{n<k} (fa,n)(fb,n)/(n! (1-k,n)) u^n
     fin = 0.0
@@ -433,10 +460,7 @@ def _connection(key: _Triple, u: float, d: float) -> tuple[float, float]:
         try:
             ud = math.exp(d * math.log(u))
         except OverflowError:
-            raise SaturationError(
-                f"F(a,b;c;z) exceeds the float range at 1-z={u!r} "
-                f"with (a,b,c)=({a!r},{b!r},{c!r})",
-                endpoint=math.copysign(math.inf, c2)) from None
+            raise _overflow(key, u, c2) from None
         s2, se2, _ = _direct_series(c - a, c - b, 1.0 + d, u, q2, max_terms=20_000)
         t2 = c2 * ud * s2
         e2 = abs(c2) * ud * se2
@@ -455,43 +479,38 @@ def _eval_pair(key: _Triple, z: float, zc: float) -> EvalResult:
     a, b, c = key
     if z == 0.0:
         return EvalResult(1.0, 0.0, Method.SERIES)
-    if a == c or b == c:
+    route = key.route
+    if route == "closed":
         expo = b if a == c else a
-        value = zc ** (-expo)
+        try:
+            value = zc ** (-expo)
+        except OverflowError:
+            raise _overflow(key, zc, 1.0) from None
         return EvalResult(value, abs(value) * (abs(expo * math.log(zc)) + 1.0) * 2e-16,
                           Method.CLOSED_FORM)
-    if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
-        value, err, _ = _direct_series(a, b, c, z, key.series_q)
-        return EvalResult(value, err, Method.SERIES)
-    if z < Z_SWITCH:
+    if z < Z_SWITCH or route == "series":
         value, err, _ = _direct_series(a, b, c, z, key.series_q)
         return EvalResult(value, err, Method.SERIES)
     d = c - a - b
-    m = round(d)
-    if abs(d) <= _ZERO_BALANCED_TOL:
-        value, err = _zero_balanced(key, zc)
-        err += abs(d) * (abs(math.log(zc)) + 5.0) * abs(value)
-        return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
-    if m == 0 and abs(d) < _EULER_BAND:
-        # Between regimes the connection coefficients blow up like 1/d;
-        # route through the Euler transformation and sum directly.  When
-        # 1-z is too small for that to terminate, fall back to the
-        # zero-balanced expansion and carry the parameter perturbation
-        # in the error estimate.
-        if zc > 1e-4:
-            s, serr, _ = _direct_series(c - a, c - b, c, z, key.euler_q)
-            ud = math.exp(d * math.log(zc))
-            value = ud * s
-            err = ud * serr + 2e-15 * abs(value)
-            return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
-        value, err = _zero_balanced(key, zc)
-        err += abs(d) * (abs(math.log(zc)) + 5.0) * abs(value)
-        return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
-    if m != 0 and abs(d - m) <= _INTEGER_SNAP:
+    if route == "connection":
+        value, err = _connection(key, zc, d)
+    elif route == "integer_d":
+        m = round(d)
         value, err = _integer_d(key, zc, m)
         err += abs(d - m) * (abs(math.log(zc)) + 5.0) * abs(value)
-        return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
-    value, err = _connection(key, zc, d)
+    elif route == "euler" and zc > 1e-4:
+        # Between regimes the connection coefficients blow up like 1/d;
+        # route through the Euler transformation and sum directly.
+        s, serr, _ = _direct_series(c - a, c - b, c, z, key.euler_q)
+        ud = math.exp(d * math.log(zc))
+        value = ud * s
+        err = ud * serr + 2e-15 * abs(value)
+    else:
+        # Zero-balanced, or the Euler band with 1-z too small for its series
+        # to terminate: the expansion at c = a+b, with the parameter
+        # perturbation carried in the error estimate.
+        value, err = _zero_balanced(key, zc)
+        err += abs(d) * (abs(math.log(zc)) + 5.0) * abs(value)
     return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
 
 
@@ -517,48 +536,3 @@ def hyp2f1_pair(p: HypParams, z: float, z_comp: float) -> EvalResult:
     if not 0.0 < z_comp <= 1.0 or abs((1.0 - z) - z_comp) > 1e-12:
         raise DomainError(f"z_comp={z_comp!r} is not a complement of z={z!r}")
     return _eval_pair(_Triple(p.a, p.b, p.c), z, float(z_comp))
-
-
-def euler_transform(p: HypParams, z: float) -> EvalResult:
-    """(1-z)^(c-a-b) F(c-a,c-b;c;z), equal to F(a,b;c;z)."""
-    z = _check_z(z)
-    if p.c - p.a <= 0.0 or p.c - p.b <= 0.0:
-        raise ParameterError(
-            f"euler transform needs c-a > 0 and c-b > 0, got c-a={p.c - p.a!r}, "
-            f"c-b={p.c - p.b!r}")
-    zc = 1.0 - z
-    inner = _eval_pair(_Triple(p.c - p.a, p.c - p.b, p.c), z, zc)
-    d = p.c - p.a - p.b
-    factor = zc ** d
-    value = factor * inner.value
-    err = factor * inner.abs_err_est + 2e-16 * abs(value) * (abs(d * math.log(zc)) + 1.0)
-    return EvalResult(value, err, inner.method)
-
-
-_SHIFTS = {
-    "a_plus": (1.0, 0.0, 0.0),
-    "a_minus": (-1.0, 0.0, 0.0),
-    "b_plus": (0.0, 1.0, 0.0),
-    "c_plus": (0.0, 0.0, 1.0),
-}
-
-
-def contiguous_shift(p: HypParams, which: str, z: float) -> EvalResult:
-    """F at a contiguously shifted parameter: a+1, a-1, b+1, or c+1."""
-    z = _check_z(z)
-    if which not in _SHIFTS:
-        raise ParameterError(f"unknown shift {which!r}; expected one of {sorted(_SHIFTS)}")
-    da, db, dc = _SHIFTS[which]
-    a, b, c = p.a + da, p.b + db, p.c + dc
-    if c <= 0.0:
-        raise ParameterError(f"shifted c={c!r} is not positive")
-    return _eval_pair(_Triple(a, b, c), z, 1.0 - z)
-
-
-def hyp2f1_deriv(p: HypParams, z: float) -> EvalResult:
-    """dF/dz = (ab/c) F(a+1,b+1;c+1;z), by the term-shift identity."""
-    z = _check_z(z)
-    inner = _eval_pair(_Triple(p.a + 1.0, p.b + 1.0, p.c + 1.0), z, 1.0 - z)
-    scale = p.a * p.b / p.c
-    return EvalResult(scale * inner.value, scale * inner.abs_err_est + 1e-16 * scale,
-                      inner.method)

@@ -8,9 +8,9 @@ are evaluated at 1-z.  M generalizes the Legendre relation
     E K' + E' K - K K' = pi/2
 
 (the case (1/2,1/2,1), where M is the constant 1/pi).  Provided here:
-the contiguous-form value, the elliptic-product form, the closed-form
-special cases (a=c, b=c, a+b+1=2c), the derivative in z, and the scaled
-combination (z(1-z))^(a+b-c) M(z) evaluated without endpoint blow-up.
+the contiguous-form value, the elliptic-product form, the derivative in z,
+and the scaled combination (z(1-z))^(a+b-c) M(z) evaluated without
+endpoint blow-up, with its endpoint limit.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .elliptic import EllipticParams, Modulus, ell_e, ell_e_comp, ell_k, ell_k_c
 from .errors import DomainError, ParameterError, check_params, is_real
 from .hypergeom import _eval_pair, _Triple
 from .result import EvalResult, Method
-from .scalar_special import _lngamma_signed, beta
+from .scalar_special import beta
 
 _CLOSED_TOL = 1e-12
 _ENDPOINT_SWITCH = 0.05
@@ -167,35 +167,6 @@ def m_deriv(pt: MPoint) -> EvalResult:
                                                        + abs(u1.value) * v.abs_err_est))
            ) / (z * zc)
     return EvalResult(value, err, Method.SERIES)
-
-
-def m_closed_form(pt: MPoint) -> EvalResult | None:
-    """The closed form when a=c, b=c, or a+b+1=2c (within 1e-12); else None.
-
-    a=c: M = b (z(1-z))^(-b);  b=c: M = a (z(1-z))^(-a);
-    a+b+1=2c: M = d (z(1-z))^(1-c) with d = Gamma(c)^2/(Gamma(a)Gamma(b)).
-    """
-    a, b, c, z = pt.a, pt.b, pt.c, pt.z
-    w = z * (1.0 - z)
-    if abs(a - c) <= _CLOSED_TOL:
-        value = b * w ** (-b)
-        return EvalResult(value, 5e-15 * abs(value), Method.CLOSED_FORM)
-    if abs(b - c) <= _CLOSED_TOL:
-        value = a * w ** (-a)
-        return EvalResult(value, 5e-15 * abs(value), Method.CLOSED_FORM)
-    if abs(a + b + 1.0 - 2.0 * c) <= _CLOSED_TOL:
-        lc, _ = _lngamma_signed(c)
-        la, _ = _lngamma_signed(a)
-        lb, _ = _lngamma_signed(b)
-        d = math.exp(2.0 * lc - la - lb)
-        value = d * w ** (1.0 - c)
-        return EvalResult(value, 1e-14 * abs(value), Method.CLOSED_FORM)
-    return None
-
-
-def m_limit_zero_balanced(a: float, b: float) -> float:
-    """Endpoint value M(0+) = M(1-) = 1/B(a,b) in the a+b=c case."""
-    return 1.0 / beta(a, b).value
 
 
 def m_scaled_limit(a: float, b: float, c: float) -> float:

@@ -25,20 +25,19 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 from .elliptic import Modulus
 from .errors import (ConvergenceError, DomainError, ParameterError, SaturationError,
                      check_params, is_real)
-from .hypergeom import _EULER_BAND, _INTEGER_SNAP, _ZERO_BALANCED_TOL, _eval_pair, _Triple
+from .hypergeom import _eval_pair, _Triple
 from .legendre_m import MPoint, m_value
 from .result import EvalResult, Method
-from .scalar_special import _lngamma_signed, beta_ln
+from .scalar_special import _half_beta, _lngamma_signed
 
 _T_MAX = 700.0
 _K_LO, _K_HI = 1e-3, 1e3
-_DEFAULT_ITERS = 200
+_MAX_EVALS = 200  # log-mu evaluations per solve
 
 
 @dataclass(frozen=True)
@@ -56,15 +55,9 @@ class ModulusParams:
             raise ParameterError(
                 f"mu needs a+b >= c, got a+b={self.a + self.b!r}, c={self.c!r}")
 
-    @property
-    def reduced(self) -> bool:
-        """True for the b = c-a sub-family with 0 < a < c <= 1."""
-        return (abs(self.b - (self.c - self.a)) <= 1e-12
-                and 0.0 < self.a < self.c <= 1.0)
-
     @functools.cached_property
     def half_beta(self) -> float:
-        return 0.5 * math.exp(beta_ln(self.a, self.b))
+        return _half_beta(self.a, self.b)
 
 
 def modulus_params_ac(a: float, c: float) -> ModulusParams:
@@ -85,10 +78,6 @@ class DegreeK:
         if not (is_real(self.K) and math.isfinite(self.K) and self.K > 0):
             raise ParameterError(f"K must be a finite positive real, got {self.K!r}")
         object.__setattr__(self, "K", float(self.K))
-
-    @property
-    def p(self) -> float:
-        return 1.0 / self.K
 
 
 def _as_degree(K) -> float:
@@ -112,15 +101,6 @@ def _modulus_from_t(t: float) -> Modulus:
     return Modulus(r, rc)
 
 
-def _iter_budget() -> int:
-    raw = os.environ.get("GENELLIP_MAX_ITERS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return _DEFAULT_ITERS
-    return n if n > 0 else _DEFAULT_ITERS
-
-
 def _guess_t(key: _Triple, log_half_beta: float, log_target: float) -> float:
     """Where g(t) = log mu(t) - log_target has its root, by the asymptotes
     of mu; 0.0 (no guess) where they are not used.
@@ -132,27 +112,23 @@ def _guess_t(key: _Triple, log_half_beta: float, log_target: float) -> float:
         c = a+b:  F(1-u) ~ (R(a,b) - log u) / B(a,b)   (A&S 15.3.10),
         c < a+b:  F(1-u) ~ C1 + C2 u^(c-a-b)            (A&S 15.3.6).
     The constants are those _eval_pair reads on the same route, which g(-2)
-    already needs; where _eval_pair does not take the zero-balanced or the
+    already needs; where key.route is neither the zero-balanced nor the
     connection route (the Gamma factors have poles near an integer c-a-b),
     there is no guess.  Every exp is clamped, so the guess never raises.
     """
     a, b, c = key
-    d = c - a - b
-    m = round(d)
     x = log_target - log_half_beta
     s = abs(x)
-    if a == c or b == c:
-        return 0.0
-    if abs(d) <= _ZERO_BALANCED_TOL:
+    if key.route == "zero_balanced":
         tau = 2.0 * math.exp(min(log_half_beta + s, 700.0)) - key.zero_balanced[0]
-    elif (m == 0 and abs(d) < _EULER_BAND) or (m != 0 and abs(d - m) <= _INTEGER_SNAP):
-        return 0.0
-    else:
+    elif key.route == "connection":
         c1, c2 = key.connection
         w = c1 * math.exp(-s)
         if not w < 1.0:
             return 0.0
-        tau = (s + math.log1p(-w) - math.log(c2)) / -d
+        tau = (s + math.log1p(-w) - math.log(c2)) / -(c - a - b)
+    else:
+        return 0.0
     return -tau if x > 0.0 else tau
 
 
@@ -185,7 +161,6 @@ def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
         den = _eval_pair(key, z, zc)
         return log_half_beta + math.log(num.value) - math.log(den.value) - log_target
 
-    budget = _iter_budget()
     evals = 0
     bracket = None
     # Doubling from (-2, 2) stops at the first rung where g changes sign.
@@ -238,7 +213,7 @@ def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
         return hi
     t0, g0 = lo, glo
     t1, g1 = hi, ghi
-    while evals < budget:
+    while evals < _MAX_EVALS:
         if g0 != g1:
             t2 = t1 - g1 * (t1 - t0) / (g1 - g0)
         else:
@@ -260,7 +235,7 @@ def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
     if abs(g1) <= 1e-12:
         return t1
     raise ConvergenceError(
-        f"mu inversion did not reach tolerance within {budget} evaluations "
+        f"mu inversion did not reach tolerance within {_MAX_EVALS} evaluations "
         f"(residual {g1!r} in log mu)")
 
 
@@ -327,14 +302,6 @@ def phi_k(p: ModulusParams, K, r: float) -> float:
     if not (is_real(r) and 0.0 < r < 1.0):
         raise DomainError(f"phi_K needs 0 < r < 1, got r={r!r}")
     return phi_k_m(p, K, Modulus.from_r(float(r))).r
-
-
-def modular_solve(p: ModulusParams, degree_p: float, r: float) -> float:
-    """Solve mu(s) = degree_p * mu(r) for s; equals phi_K with K = 1/degree_p."""
-    if not (is_real(degree_p) and math.isfinite(degree_p)
-            and degree_p > 0):
-        raise DomainError(f"degree must be a positive real, got {degree_p!r}")
-    return phi_k(p, 1.0 / degree_p, r)
 
 
 def mu_deriv(p: ModulusParams, r: float) -> EvalResult:

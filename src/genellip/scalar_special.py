@@ -1,5 +1,5 @@
-"""Gamma-family scalar functions: ln Gamma, Gamma, psi, psi', Beta, the
-Appell symbol and its Gamma-ratio extension, and the Ramanujan constant
+"""Gamma-family scalar functions: ln Gamma, Gamma, psi, Beta (and the
+factor B(a,b)/2 of K, E and mu), and the Ramanujan constant
 R(a,b) = -psi(a) - psi(b) - 2*gamma.
 
 Evaluation uses argument-shift recurrences into the asymptotic regime
@@ -43,18 +43,6 @@ _DIGAMMA_COEFFS = (
     1.0 / 12.0,
     -3617.0 / 8160.0,
     43867.0 / 14364.0,
-)
-
-# B_{2k}, k = 1..8: coefficients of x^{-2k-1} in the series for psi'.
-_TRIGAMMA_COEFFS = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
 )
 
 _LN_SQRT_TWO_PI = 0.9189385332046727417803297364056176
@@ -159,31 +147,9 @@ def digamma(x: float) -> EvalResult:
     return EvalResult(val, err, Method.RECURRENCE_SHIFT if shifted else Method.ASYMPTOTIC)
 
 
-def digamma_deriv(x: float) -> EvalResult:
-    """psi'(x) = sum over n >= 0 of 1/(n+x)^2, for x > 0."""
-    _require_positive(x, "x")
-    x = float(x)
-    shifted = x < _PSI_SHIFT
-    acc = 0.0
-    while x < _PSI_SHIFT:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    corr = 0.0
-    power = inv2 / x
-    for bk in _TRIGAMMA_COEFFS:
-        corr += bk * power
-        power *= inv2
-    val = acc + 1.0 / x + 0.5 * inv2 + corr
-    err = abs(val) * 1e-15 + 1e-15
-    return EvalResult(val, err, Method.RECURRENCE_SHIFT if shifted else Method.ASYMPTOTIC)
-
-
 def beta(x: float, y: float) -> EvalResult:
     """B(x,y) = Gamma(x)Gamma(y)/Gamma(x+y) for x, y > 0."""
-    _require_positive(x, "x")
-    _require_positive(y, "y")
-    lnb = _lngamma_raw(float(x)) + _lngamma_raw(float(y)) - _lngamma_raw(float(x) + float(y))
+    lnb = beta_ln(x, y)
     val = math.exp(lnb)
     return EvalResult(val, abs(val) * (abs(lnb) + 1.0) * 1e-15, Method.RECURRENCE_SHIFT)
 
@@ -195,41 +161,9 @@ def beta_ln(x: float, y: float) -> float:
     return _lngamma_raw(float(x)) + _lngamma_raw(float(y)) - _lngamma_raw(float(x) + float(y))
 
 
-def appell(a, n: int):
-    """Appell symbol (a, n) = a (a+1) ... (a+n-1), with (a, 0) = 1.
-
-    Duck-typed on purpose: Fraction inputs stay exact.  For n > 64 the
-    factors are combined pairwise so rounding grows like log(n), not n.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
-    if n == 0:
-        return 1 if isinstance(a, int) else type(a)(1)
-    if n <= 64:
-        result = a
-        for k in range(1, n):
-            result = result * (a + k)
-        return result
-    factors = [a + k for k in range(n)]
-    while len(factors) > 1:
-        paired = [factors[i] * factors[i + 1] for i in range(0, len(factors) - 1, 2)]
-        if len(factors) % 2:
-            paired.append(factors[-1])
-        factors = paired
-    return factors[0]
-
-
-def appell_ext(a: float, t: float) -> EvalResult:
-    """Extended Appell symbol (a, t) = Gamma(a+t)/Gamma(a)."""
-    _require_finite(a, "a")
-    _require_finite(t, "t")
-    if _is_nonpositive_integer(a) or _is_nonpositive_integer(a + t):
-        raise PoleError(f"gamma pole in (a,t) with a={a!r}, t={t!r}")
-    ln_num, sign_num = _lngamma_signed(a + t)
-    ln_den, sign_den = _lngamma_signed(a)
-    val = sign_num * sign_den * math.exp(ln_num - ln_den)
-    method = Method.REFLECTION if (a < 0 or a + t < 0) else Method.RECURRENCE_SHIFT
-    return EvalResult(val, abs(val) * (abs(ln_num - ln_den) + 1.0) * 1e-15, method)
+def _half_beta(a: float, b: float) -> float:
+    """B(a,b)/2, the common value K(0) = E(0) and the factor of mu."""
+    return 0.5 * math.exp(beta_ln(a, b))
 
 
 def ramanujan_r(a: float, b: float) -> EvalResult:

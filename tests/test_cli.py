@@ -97,7 +97,8 @@ def test_eval_missing_flag_exit_2(capsys):
 
 
 def test_eval_convergence_exit_3(capsys, monkeypatch):
-    monkeypatch.setenv("GENELLIP_MAX_ITERS", "3")
+    from genellip import modulus
+    monkeypatch.setattr(modulus, "_MAX_EVALS", 3)
     code, _, err = run_cli(capsys, "invert", "--a", "0.5", "--c", "1",
                            "--p", "1.2")
     assert code == 3

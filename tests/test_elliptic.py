@@ -47,10 +47,10 @@ def test_half_beta_is_computed_once_per_params(monkeypatch):
     from genellip import elliptic
     calls = []
 
-    def counted(a, b, _beta=elliptic.beta):
+    def counted(a, b, _half_beta=elliptic._half_beta):
         calls.append((a, b))
-        return _beta(a, b)
-    monkeypatch.setattr(elliptic, "beta", counted)
+        return _half_beta(a, b)
+    monkeypatch.setattr(elliptic, "_half_beta", counted)
     p = EllipticParams(0.3, 0.6, 0.7)
     for r in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
         ell_k(p, Modulus.from_r(r))

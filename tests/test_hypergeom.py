@@ -13,17 +13,16 @@ from hypothesis import given, settings, strategies as st
 
 from genellip import (
     HypParams,
-    contiguous_shift,
-    euler_transform,
     hyp2f1,
-    hyp2f1_deriv,
     hyp2f1_pair,
     beta,
     gamma_ln,
 )
-from genellip.errors import DomainError, ParameterError
-from genellip.hypergeom import _direct_series, _first_ratios, _Triple, _zero_balanced
-from genellip.result import Method
+from genellip.errors import DomainError, ParameterError, SaturationError
+from genellip.hypergeom import (_connection, _direct_series, _eval_pair, _first_ratios,
+                                _integer_d, _Triple, _zero_balanced)
+from genellip.result import EvalResult, Method
+from genellip.scalar_special import _is_nonpositive_integer
 
 
 def gauss_value(a, b, c):
@@ -85,25 +84,30 @@ def test_internal_route_crosscheck_z09():
 
 
 # --------------------------------------------------------------------------
-# Euler transform
+# Euler transform: F(a,b;c;z) = (1-z)^(c-a-b) F(c-a,c-b;c;z)
+
+def euler_side(p, z):
+    """The right-hand side of the Euler transformation, (value, error)."""
+    d = p.c - p.a - p.b
+    inner = hyp2f1(HypParams(p.c - p.a, p.c - p.b, p.c), z)
+    factor = (1.0 - z) ** d
+    return factor * inner.value, factor * inner.abs_err_est
+
 
 def test_euler_identity_instance():
     p = HypParams(0.5, 0.5, 1.0)
-    assert euler_transform(p, 0.5).value == pytest.approx(
-        hyp2f1(p, 0.5).value, rel=1e-11)
+    assert euler_side(p, 0.5)[0] == pytest.approx(hyp2f1(p, 0.5).value, rel=1e-11)
 
 
 def test_euler_c_exceeds_ab_near_one():
     # a+b < c keeps the transformed value finite all the way up
-    p = HypParams(0.2, 0.3, 1.0)
-    r = euler_transform(p, 0.999)
-    assert math.isfinite(r.value)
-    assert r.value == pytest.approx(1.164827014619428883209214, rel=1e-9)
+    value, _ = euler_side(HypParams(0.2, 0.3, 1.0), 0.999)
+    assert math.isfinite(value)
+    assert value == pytest.approx(1.164827014619428883209214, rel=1e-9)
 
 
 def test_euler_at_zero():
-    assert euler_transform(HypParams(0.4, 1.1, 2.0), 0.0).value == \
-        pytest.approx(1.0, rel=1e-15)
+    assert euler_side(HypParams(0.4, 1.1, 2.0), 0.0)[0] == 1.0
 
 
 @given(st.floats(min_value=0.05, max_value=0.95),
@@ -115,10 +119,10 @@ def test_euler_transform_residual(z, a, b, extra):
     """(1-z)^(c-a-b) F(c-a,c-b;c;z) = F(a,b;c;z) when c > max(a,b)."""
     c = max(a, b) + extra
     p = HypParams(a, b, c)
-    lhs = euler_transform(p, z)
+    lhs, lhs_err = euler_side(p, z)
     rhs = hyp2f1(p, z)
-    tol = 5.0 * (lhs.abs_err_est + rhs.abs_err_est) + 1e-12 * abs(rhs.value)
-    assert abs(lhs.value - rhs.value) <= tol
+    tol = 5.0 * (lhs_err + rhs.abs_err_est) + 1e-12 * abs(rhs.value)
+    assert abs(lhs - rhs.value) <= tol
 
 
 # --------------------------------------------------------------------------
@@ -127,35 +131,30 @@ def test_euler_transform_residual(z, a, b, extra):
 def test_shift_a_minus_is_e_kernel():
     # F(a-1,b;c;r^2) is the E-integrand kernel: scaled E equals (B/2) F(a-)
     from genellip import EllipticParams, Modulus, ell_e
-    p = HypParams(0.5, 0.5, 1.0)
     ep = EllipticParams(0.5, 0.5, 1.0)
     r = 0.6
-    f = contiguous_shift(p, "a_minus", r * r)
+    f = _eval_pair(_Triple(-0.5, 0.5, 1.0), r * r, 1.0 - r * r)
     e = ell_e(ep, Modulus.from_r(r))
     B = beta(0.5, 0.5).value
     assert e.value == pytest.approx(0.5 * B * f.value, rel=1e-12)
 
 
 def test_shift_c_plus_at_zero():
-    assert contiguous_shift(HypParams(1.0, 1.0, 2.0), "c_plus", 0.0).value \
-        == 1.0
+    assert hyp2f1(HypParams(1.0, 1.0, 3.0), 0.0).value == 1.0
 
 
 def test_shift_a_plus_frozen():
-    r = contiguous_shift(HypParams(0.4, 0.6, 1.2), "a_plus", 0.7)
+    r = hyp2f1(HypParams(1.4, 0.6, 1.2), 0.7)
     assert r.value == pytest.approx(2.375800693417542594734975, rel=1e-12)
 
 
-def test_shift_rejects_unknown_selector():
-    with pytest.raises(ParameterError):
-        contiguous_shift(HypParams(0.5, 0.5, 1.0), "d_plus", 0.3)
-
-
 def test_deriv_matches_central_difference():
+    # dF/dz = (ab/c) F(a+1,b+1;c+1;z), by the term-shift identity
     p = HypParams(0.4, 0.8, 1.1)
     z, h = 0.35, 1e-6
     want = (hyp2f1(p, z + h).value - hyp2f1(p, z - h).value) / (2.0 * h)
-    assert hyp2f1_deriv(p, z).value == pytest.approx(want, rel=1e-8)
+    shifted = hyp2f1(HypParams(1.4, 1.8, 2.1), z).value
+    assert p.a * p.b / p.c * shifted == pytest.approx(want, rel=1e-8)
 
 
 # --------------------------------------------------------------------------
@@ -395,3 +394,102 @@ def test_tabled_zero_balanced_is_bit_identical_to_untabled():
             assert _zero_balanced(key, u) == want, (a, b, u)
             terms.append(n)
     assert max(terms) > 64  # steps beyond the table
+
+
+# --------------------------------------------------------------------------
+# the route attribute against a frozen copy of the dispatch it replaced
+
+def _frozen_dispatch(key, z, zc):
+    """_eval_pair as it chose its kernel from (a, b, c) at every call, before
+    the choice became the triple's route; it calls today's kernels."""
+    a, b, c = key
+    if z == 0.0:
+        return EvalResult(1.0, 0.0, Method.SERIES)
+    if a == c or b == c:
+        expo = b if a == c else a
+        value = zc ** (-expo)
+        return EvalResult(value, abs(value) * (abs(expo * math.log(zc)) + 1.0) * 2e-16,
+                          Method.CLOSED_FORM)
+    if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
+        value, err, _ = _direct_series(a, b, c, z, key.series_q)
+        return EvalResult(value, err, Method.SERIES)
+    if z < 0.75:
+        value, err, _ = _direct_series(a, b, c, z, key.series_q)
+        return EvalResult(value, err, Method.SERIES)
+    d = c - a - b
+    m = round(d)
+    if abs(d) <= 1e-12:
+        value, err = _zero_balanced(key, zc)
+        err += abs(d) * (abs(math.log(zc)) + 5.0) * abs(value)
+        return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
+    if m == 0 and abs(d) < 1e-6:
+        if zc > 1e-4:
+            s, serr, _ = _direct_series(c - a, c - b, c, z, key.euler_q)
+            ud = math.exp(d * math.log(zc))
+            value = ud * s
+            err = ud * serr + 2e-15 * abs(value)
+            return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
+        value, err = _zero_balanced(key, zc)
+        err += abs(d) * (abs(math.log(zc)) + 5.0) * abs(value)
+        return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
+    if m != 0 and abs(d - m) <= 1e-8:
+        value, err = _integer_d(key, zc, m)
+        err += abs(d - m) * (abs(math.log(zc)) + 5.0) * abs(value)
+        return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
+    value, err = _connection(key, zc, d)
+    return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
+
+
+def _straddle(a, b, d, inside):
+    """Triples (a, b, c) with c within three ulps of a+b+d, whose c-a-b
+    falls on both sides of the boundary that `inside` tests."""
+    cs = [a + b + d]
+    for _ in range(3):
+        cs = [math.nextafter(cs[0], -math.inf)] + cs + [math.nextafter(cs[-1], math.inf)]
+    assert {inside(c - a - b) for c in cs} == {True, False}, (a, b, d)
+    return [(a, b, c) for c in cs]
+
+
+def _route_triples():
+    out = []
+    for sign in (-1.0, 1.0):
+        out += _straddle(0.5, 0.25, sign * 1e-12, lambda d: abs(d) <= 1e-12)
+        out += _straddle(0.5, 0.25, sign * 1e-6, lambda d: abs(d) < 1e-6)
+        for m in (-2, -1, 1, 2):
+            a, b = (1.5, 1.25) if m < 0 else (0.5, 0.25)
+            out += _straddle(a, b, m + sign * 1e-8, lambda d, m=m: abs(d - m) <= 1e-8)
+    return out + [(0.7, 0.3, 0.7), (0.3, 0.7, 0.7),  # a = c, b = c
+                  (-2.0, 0.5, 1.5), (0.5, -1.0, 0.7), (-3.0, 0.25, 0.25),  # a or b in -N
+                  (0.3, 0.5, 1.3), (1.2, 0.9, 1.5)]  # the connection route
+
+
+def _outcome(f, key, z, zc):
+    try:
+        r = f(key, z, zc)
+    except Exception as exc:  # both sides must fail alike
+        return type(exc), str(exc)
+    return r.value, r.abs_err_est, r.method
+
+
+def test_route_dispatch_is_bit_identical_to_the_frozen_dispatch():
+    zs = [0.0, 0.3, math.nextafter(0.75, 0.0), 0.75, math.nextafter(0.75, 1.0), 0.9]
+    zcs = [math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e-4, 1.0), 1e-7, 1e-12]
+    pairs = [(z, 1.0 - z) for z in zs] + [(1.0 - zc, zc) for zc in zcs]
+    routes = set()
+    for abc in _route_triples():
+        key = _Triple(*abc)
+        routes.add(key.route)
+        for z, zc in pairs:
+            want = _outcome(_frozen_dispatch, key, z, zc)
+            assert _outcome(_eval_pair.__wrapped__, key, z, zc) == want, (abc, z, zc)
+    assert routes == {"closed", "series", "zero_balanced", "euler", "integer_d", "connection"}
+
+
+def test_overflow_near_one_is_a_saturation_error():
+    # the closed form (1-z)^-50 and the integer-d finite part u^-39 exceed
+    # the float range, as the connection formula's u^d does
+    z = 0.9999999999999999
+    for p in (HypParams(1.0, 50.0, 1.0), HypParams(39.5, 39.5, 40.0)):
+        with pytest.raises(SaturationError) as err:
+            hyp2f1(p, z)
+        assert err.value.endpoint == math.inf

@@ -15,9 +15,8 @@ from genellip import (
     EllipticParams,
     Modulus,
     MPoint,
-    m_closed_form,
+    beta,
     m_deriv,
-    m_limit_zero_balanced,
     m_scaled,
     m_scaled_limit,
     m_value,
@@ -113,13 +112,11 @@ def test_deriv_matches_central_difference():
 # closed forms
 
 def test_closed_form_a_equals_c():
-    # a=c: M = b (z(1-z))^(-b)
-    pt = MPoint(0.6, 0.4, 0.6, 0.3)
+    # a=c: M = b (z(1-z))^(-b), and b=c: M = a (z(1-z))^(-a)
     want = 0.4 * (0.3 * 0.7) ** (-0.4)
-    got = m_closed_form(pt)
-    assert got is not None
-    assert got.value == pytest.approx(want, rel=1e-13)
-    assert m_value(pt).value == pytest.approx(want, rel=1e-10)
+    assert m_value(MPoint(0.6, 0.4, 0.6, 0.3)).value == pytest.approx(want, rel=1e-10)
+    want = 0.6 * (0.3 * 0.7) ** (-0.6)
+    assert m_value(MPoint(0.6, 0.4, 0.4, 0.3)).value == pytest.approx(want, rel=1e-10)
 
 
 def test_closed_form_power_case():
@@ -127,20 +124,12 @@ def test_closed_form_power_case():
     pt = MPoint(0.3, 0.5, 0.9, 0.5)
     d = math.gamma(0.9) ** 2 / (math.gamma(0.3) * math.gamma(0.5))
     want = d * 0.25 ** (1.0 - 0.9)
-    got = m_closed_form(pt)
-    assert got is not None
-    assert got.value == pytest.approx(want, rel=1e-12)
     assert m_value(pt).value == pytest.approx(want, rel=1e-9)
 
 
 def test_closed_form_classical_is_constant():
-    got = m_closed_form(MPoint(0.5, 0.5, 1.0, 0.77))
-    assert got is not None
-    assert got.value == pytest.approx(INV_PI, rel=1e-13)
-
-
-def test_closed_form_none_for_generic():
-    assert m_closed_form(MPoint(0.3, 0.4, 0.6, 0.37)) is None
+    # (1/2,1/2,1) is the power case with d = Gamma(1)^2/Gamma(1/2)^2 = 1/pi
+    assert m_value(MPoint(0.5, 0.5, 1.0, 0.77)).value == pytest.approx(INV_PI, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -156,7 +145,7 @@ def test_scaled_consistent_with_m():
 def test_zero_balanced_endpoint():
     # a+b = c: M extends continuously to the endpoints with value 1/B(a,b)
     a, b = 0.3, 0.5
-    lim = m_limit_zero_balanced(a, b)
+    lim = 1.0 / beta(a, b).value
     near = m_value(MPoint(a, b, a + b, 1e-9)).value
     assert near == pytest.approx(lim, rel=1e-6)
 

@@ -20,7 +20,6 @@ from genellip import (
     Modulus,
     ModulusParams,
     beta,
-    modular_solve,
     modulus_params_ac,
     mu,
     mu_deriv,
@@ -157,22 +156,22 @@ def test_phi_monotone_in_r():
 
 
 # --------------------------------------------------------------------------
-# modular_solve
+# the modular equation mu(s) = p mu(r) of degree p, solved as s = phi_{1/p}(r)
 
 def test_solve_degree_one():
     p = modulus_params_ac(0.3, 0.8)
-    assert modular_solve(p, 1.0, 0.44) == pytest.approx(0.44, rel=1e-12)
+    assert phi_k(p, 1.0, 0.44) == pytest.approx(0.44, rel=1e-12)
 
 
 def test_solve_inverse_degrees():
     p = modulus_params_ac(0.4, 0.9)
-    s = modular_solve(p, 2.0, 0.7)
-    assert modular_solve(p, 0.5, s) == pytest.approx(0.7, abs=1e-10)
+    s = phi_k(p, 1.0 / 2.0, 0.7)
+    assert phi_k(p, 1.0 / 0.5, s) == pytest.approx(0.7, abs=1e-10)
 
 
 def test_solve_degree_three_frozen():
     p = modulus_params_ac(0.25, 1.0)
-    s = modular_solve(p, 3.0, 0.6)
+    s = phi_k(p, 1.0 / 3.0, 0.6)
     assert s == pytest.approx(0.005052235666512477599151527, rel=1e-9)
 
 
@@ -345,14 +344,14 @@ def test_cold_phi_k_computes_the_triple_constants_once_per_key(monkeypatch):
     # B(a,b)/2 are computed once per triple, not per key or per evaluation
     from genellip import hypergeom, modulus
     calls = _count_calls(monkeypatch, (
-        (hypergeom, "_gamma_ratio"), (hypergeom, "digamma"), (hypergeom, "beta_ln"),
-        (modulus, "beta_ln"), (modulus, "_eval_pair")))
+        (hypergeom, "_gamma_ratio"), (hypergeom, "digamma"), (hypergeom, "_half_beta"),
+        (modulus, "_half_beta"), (modulus, "_eval_pair")))
     _cold()
     phi_k(ModulusParams(0.3, 0.7, 1.0), 3.0, 0.6)
     assert calls["_eval_pair"] >= 12  # mu_m(r), then five or more evaluations
     assert calls["_gamma_ratio"] == 1
     assert calls["digamma"] == 2
-    assert calls["beta_ln"] == 1  # both modules' names count into one entry
+    assert calls["_half_beta"] == 1  # both modules' names count into one entry
 
 
 def test_equal_triples_share_one_table_until_the_caches_clear(monkeypatch):
@@ -396,11 +395,11 @@ def test_triple_keys_hit_across_callers_and_die_with_the_cache():
 
 def test_half_beta_is_computed_once_per_params(monkeypatch):
     from genellip import modulus
-    calls = _count_calls(monkeypatch, ((modulus, "beta_ln"),))
+    calls = _count_calls(monkeypatch, ((modulus, "_half_beta"),))
     P = ModulusParams(0.3, 0.6, 0.7)
     for r in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
         mu_deriv(P, r)
-    assert calls == {"beta_ln": 1}
+    assert calls == {"_half_beta": 1}
 
 
 # --------------------------------------------------------------------------
@@ -412,7 +411,8 @@ def _walk_only(a, b, c, log_target):
     bracket, iterate, result or error."""
     from genellip.errors import ConvergenceError, SaturationError
     from genellip.hypergeom import _eval_pair, _Triple
-    from genellip.modulus import _T_MAX, _iter_budget, _sigmoid
+    from genellip import modulus
+    from genellip.modulus import _T_MAX, _sigmoid
 
     key = _Triple(a, b, c)
     log_half_beta = math.log(key.half_beta)
@@ -423,7 +423,7 @@ def _walk_only(a, b, c, log_target):
         den = _eval_pair(key, z, zc)
         return log_half_beta + math.log(num.value) - math.log(den.value) - log_target
 
-    budget = _iter_budget()
+    budget = modulus._MAX_EVALS
     evals = 0
     lo, hi = -2.0, 2.0
     glo = g(lo)
@@ -523,11 +523,10 @@ def _jump_targets(abc, rng) -> list:
     return out + [708.0, -708.0]
 
 
-def _assert_jump_matches_walk(monkeypatch):
+def _assert_jump_matches_walk():
     import random
 
     from genellip.modulus import _solve_log_mu
-    monkeypatch.delenv("GENELLIP_MAX_ITERS", raising=False)
     rng = random.Random("rung-jump")
     n = 0
     for abc in _JUMP_TRIPLES:
@@ -539,8 +538,8 @@ def _assert_jump_matches_walk(monkeypatch):
     assert n > 400
 
 
-def test_rung_jump_keeps_the_walk_bracket_result_and_errors(monkeypatch):
-    _assert_jump_matches_walk(monkeypatch)
+def test_rung_jump_keeps_the_walk_bracket_result_and_errors():
+    _assert_jump_matches_walk()
 
 
 @pytest.mark.parametrize("factor", [0.25, 0.5, 2.0, 4.0])
@@ -552,7 +551,7 @@ def test_rung_jump_falls_back_on_a_wrong_guess(monkeypatch, factor):
     guess = modulus._guess_t
     monkeypatch.setattr(modulus, "_guess_t",
                         lambda key, lhb, lt: factor * guess(key, lhb, lt))
-    _assert_jump_matches_walk(monkeypatch)
+    _assert_jump_matches_walk()
 
 
 def test_rung_jump_cuts_the_evaluations_of_a_solve():

@@ -1,6 +1,7 @@
 """Package-wide contracts: one parameter validator, one scalar-argument
 check, one result type, one version string."""
 
+import ast
 import dataclasses
 import math
 import pathlib
@@ -11,8 +12,7 @@ import pytest
 
 import genellip
 from genellip import (DegreeK, EllipticParams, EvalResult, HypParams, Method, MPoint,
-                      Modulus, ModulusParams, gamma, hyp2f1, modular_solve,
-                      modulus_params_ac, mu, mu_inv, phi_k, q_modulus, reduced_params)
+                      Modulus, ModulusParams, gamma, hyp2f1, modulus_params_ac, mu, mu_inv, phi_k, q_modulus, reduced_params)
 from genellip.errors import DomainError, ParameterError
 
 # each constructor with a valid argument list; slot i is replaced below
@@ -54,7 +54,6 @@ SCALARS = {
     "phi_k.r": (lambda v: phi_k(P, 2.0, v), None),
     "mu.r": (lambda v: mu(P, v).value, None),
     "mu_inv.y": (lambda v: mu_inv(P, v), 2),
-    "modular_solve.degree_p": (lambda v: modular_solve(P, v, 0.5), 2),
     "hyp2f1.z": (lambda v: hyp2f1(HypParams(0.5, 0.5, 1.0), v).value, 0),
     "Modulus.from_r": (Modulus.from_r, 1),
     "Modulus.from_r_comp": (Modulus.from_r_comp, 1),
@@ -99,3 +98,36 @@ def test_eval_result_keeps_its_dataclass_contract():
 def test_version_matches_pyproject():
     text = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
     assert genellip.__version__ == re.search(r'^version\s*=\s*"([^"]+)"', text, re.M)[1]
+
+
+def _references(path: pathlib.Path) -> set:
+    """The names a module imports or reads, as a name or an attribute,
+    outside the definition of the same name; comments and strings do not
+    count."""
+    refs = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in defining:
+                refs.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(ast.parse(path.read_text()), frozenset())
+    return refs
+
+
+def test_every_export_has_a_caller_beyond_its_unit_tests():
+    # an export whose only caller is its own unit test is dead code
+    root = pathlib.Path(__file__).parents[1]
+    package = root / "src" / "genellip"
+    paths = [p for p in package.rglob("*.py") if p != package / "__init__.py"]
+    paths += [*(root / "bench").glob("*.py"), *(root / "scripts").glob("*.py"),
+              root / "tests" / "test_acceptance.py"]
+    refs = set().union(*map(_references, paths))
+    assert sorted(set(genellip.__all__) - refs) == []

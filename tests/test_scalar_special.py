@@ -2,7 +2,7 @@
 
 Frozen reference values were produced by the independent oracles in
 tests/oracles.py (recurrence+Stirling log-gamma, defining series with
-Euler-Maclaurin tails for digamma/trigamma); run `python3 tests/oracles.py`
+Euler-Maclaurin tails for digamma); run `python3 tests/oracles.py`
 to regenerate the table.
 """
 
@@ -12,12 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genellip import (
-    appell,
-    appell_ext,
     beta,
     beta_ln,
     digamma,
-    digamma_deriv,
     gamma,
     gamma_ln,
     ramanujan_r,
@@ -104,30 +101,6 @@ def test_digamma_recurrence(x):
 
 
 # --------------------------------------------------------------------------
-# digamma_deriv (trigamma)
-
-def test_trigamma_one_is_basel():
-    assert digamma_deriv(1.0).value == pytest.approx(math.pi ** 2 / 6.0,
-                                                     rel=1e-13)
-
-
-def test_trigamma_two_shift():
-    assert digamma_deriv(2.0).value == pytest.approx(
-        math.pi ** 2 / 6.0 - 1.0, rel=1e-13)
-
-
-def test_trigamma_oracle_quarter():
-    # oracle: 1/(n+x)^2 series with Hurwitz-zeta style tail
-    assert digamma_deriv(0.25).value == pytest.approx(
-        17.19732915450711073927132, rel=1e-13)
-
-
-def test_trigamma_positive():
-    for x in (0.1, 0.9, 3.0, 17.5):
-        assert digamma_deriv(x).value > 0.0
-
-
-# --------------------------------------------------------------------------
 # beta
 
 def test_beta_half_half_is_pi():
@@ -154,51 +127,6 @@ def test_beta_ln_consistent():
 @settings(max_examples=200, deadline=None)
 def test_beta_symmetric(x, y):
     assert beta(x, y).value == pytest.approx(beta(y, x).value, rel=1e-13)
-
-
-# --------------------------------------------------------------------------
-# appell (rising factorial) and its real-shift extension
-
-def test_appell_zero_is_one():
-    # (a, 0) = 1 and the duck typing keeps exact inputs exact
-    assert appell(3.0, 0) == 1.0
-    assert appell(3, 0) == 1
-
-
-def test_appell_factorial():
-    assert appell(1.0, 5) == pytest.approx(120.0, rel=1e-14)
-
-
-def test_appell_half_three():
-    # 0.5 * 1.5 * 2.5
-    assert appell(0.5, 3) == pytest.approx(1.875, rel=1e-14)
-
-
-def test_appell_ext_integer_case():
-    # (2, 3) = Gamma(5)/Gamma(2) = 24
-    assert appell_ext(2.0, 3.0).value == pytest.approx(24.0, rel=1e-13)
-
-
-def test_appell_ext_half_half():
-    # Gamma(1)/Gamma(0.5) = 1/sqrt(pi)
-    assert appell_ext(0.5, 0.5).value == pytest.approx(
-        1.0 / math.sqrt(math.pi), rel=1e-13)
-
-
-def test_appell_ext_negative_shift_oracle():
-    # Gamma(0.9)/Gamma(1.3), frozen from the Gamma oracle
-    assert appell_ext(1.3, -0.4).value == pytest.approx(
-        1.190711525755077775243517, rel=1e-13)
-
-
-@given(st.floats(min_value=0.1, max_value=10.0),
-       st.integers(min_value=0, max_value=12))
-@settings(max_examples=200, deadline=None)
-def test_appell_matches_product(a, n):
-    prod = 1.0
-    for k in range(n):
-        prod *= a + k
-    assert appell(a, n) == pytest.approx(prod, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
