@@ -41,7 +41,6 @@ from .elliptic import (
     ell_k,
     ell_k_comp,
     ell_k_minus_e,
-    reduced_params,
 )
 from .legendre_m import (
     MPoint,
@@ -78,7 +77,7 @@ __all__ = [
     "EvalResult", "Method",
     "gamma", "gamma_ln", "digamma", "beta", "beta_ln", "ramanujan_r",
     "HypParams", "hyp2f1", "hyp2f1_pair",
-    "EllipticParams", "Modulus", "reduced_params", "arth",
+    "EllipticParams", "Modulus", "arth",
     "ell_k", "ell_e", "ell_k_comp", "ell_e_comp",
     "ell_k_minus_e", "ell_e_minus_rc2k", "ell_derivatives", "EllDerivatives",
     "MPoint", "m_value", "m_value_elliptic", "m_scaled", "m_deriv", "m_scaled_limit",

@@ -128,12 +128,12 @@ def _need(args, what: str, *names: str) -> None:
         raise DomainError(f"{what} requires {' '.join(missing)}")
 
 
-def _point_modulus(args) -> tuple[Modulus, float]:
-    """Modulus plus the echoed point for --r / --z flags."""
+def _point_modulus(args) -> tuple[Modulus, str, float]:
+    """The modulus of the --r or --z flag, with the flag's name and value."""
     if args.r is not None:
-        return Modulus.from_r(args.r), args.r
+        return Modulus.from_r(args.r), "r", args.r
     if args.z is not None:
-        return Modulus.from_r(math.sqrt(args.z)), args.z
+        return Modulus.from_r(math.sqrt(args.z)), "z", args.z
     raise DomainError("need --r or --z")
 
 
@@ -150,7 +150,7 @@ def _phi_eval(a: float, c: float, K: float, r: float) -> EvalResult:
 def _eval_point(fn: str, args, x=None):
     """Evaluate selector `fn`; `x` overrides the point flag (tabulate).
 
-    Returns (point, EvalResult, params-echo dict).
+    Returns (name of the point's flag, point, EvalResult, params-echo dict).
     """
     a, b, c = args.a, args.b, args.c
     what = f"eval {fn}"
@@ -158,56 +158,56 @@ def _eval_point(fn: str, args, x=None):
         _need(args, what, "a", "b", "c")
         p = EllipticParams(a, b, c)
         if x is None:
-            m, pt = _point_modulus(args)
+            m, name, pt = _point_modulus(args)
         else:
-            m, pt = Modulus.from_r(x), x
+            m, name, pt = Modulus.from_r(x), "r", x
         op = {"K": ell_k, "E": ell_e, "Kp": ell_k_comp, "Ep": ell_e_comp}[fn]
-        return pt, op(p, m), {"a": a, "b": b, "c": c}
+        return name, pt, op(p, m), {"a": a, "b": b, "c": c}
     if fn == "hyp2f1":
         _need(args, what, "a", "b", "c")
         pt = args.z if x is None else x
         if pt is None:
             raise DomainError("eval hyp2f1 requires --z")
-        return pt, hyp2f1(HypParams(a, b, c), pt), {"a": a, "b": b, "c": c}
+        return "z", pt, hyp2f1(HypParams(a, b, c), pt), {"a": a, "b": b, "c": c}
     if fn == "M":
         _need(args, what, "a", "b", "c")
         pt = args.z if x is None else x
         if pt is None:
             raise DomainError("eval M requires --z")
-        return pt, m_value(MPoint(a, b, c, pt)), {"a": a, "b": b, "c": c}
+        return "z", pt, m_value(MPoint(a, b, c, pt)), {"a": a, "b": b, "c": c}
     if fn == "mu":
         _need(args, what, "a", "c")
         pt = args.r if x is None else x
         if pt is None:
             raise DomainError("eval mu requires --r")
         p = modulus_params_ac(a, c)
-        return pt, mu(p, pt), {"a": p.a, "b": p.b, "c": p.c}
+        return "r", pt, mu(p, pt), {"a": p.a, "b": p.b, "c": p.c}
     if fn == "phi":
         _need(args, what, "a", "c", "K")
         pt = args.r if x is None else x
         if pt is None:
             raise DomainError("phi requires --r")
         p = modulus_params_ac(a, c)
-        return pt, _phi_eval(a, c, args.K, pt), \
+        return "r", pt, _phi_eval(a, c, args.K, pt), \
             {"a": p.a, "b": p.b, "c": p.c, "K": args.K}
     if fn == "R":
         if x is not None:
             _need(args, what, "b")
-            return x, ramanujan_r(x, b), {"b": b}
+            return "a", x, ramanujan_r(x, b), {"b": b}
         _need(args, what, "a", "b")
-        return a, ramanujan_r(a, b), {"a": a, "b": b}
+        return "a", a, ramanujan_r(a, b), {"a": a, "b": b}
     if fn == "beta":
         if x is not None:
             _need(args, what, "b")
-            return x, beta(x, b), {"b": b}
+            return "a", x, beta(x, b), {"b": b}
         _need(args, what, "a", "b")
-        return a, beta(a, b), {"a": a, "b": b}
+        return "a", a, beta(a, b), {"a": a, "b": b}
     if fn in ("gamma", "digamma"):
         pt = args.z if x is None else x
         if pt is None:
             raise DomainError(f"eval {fn} requires --z (the argument)")
         op = gamma if fn == "gamma" else digamma
-        return pt, op(pt), {}
+        return "z", pt, op(pt), {}
     raise DomainError(f"unknown function selector {fn!r}")
 
 
@@ -246,9 +246,7 @@ def _emit_point(args, fn: str, params: dict, pt_name: str, pt, res: EvalResult,
 # verbs
 
 def _cmd_eval(args) -> int:
-    pt, res, params = _eval_point(args.fn, args)
-    pt_name = "z" if args.fn in ("hyp2f1", "M", "gamma", "digamma") else \
-        ("a" if args.fn in ("R", "beta") else "r")
+    pt_name, pt, res, params = _eval_point(args.fn, args)
     return _emit_point(args, args.fn, params, pt_name, pt, res)
 
 
@@ -259,7 +257,7 @@ def _cmd_tabulate(args) -> int:
     rows = []
     params = {}
     for x in dim.points():
-        pt, res, params = _eval_point(args.fn, args, float(x))
+        _, pt, res, params = _eval_point(args.fn, args, float(x))
         rows.append((pt, res))
     if args.format == "json":
         body = {"fn": args.fn}

@@ -54,14 +54,6 @@ class EllipticParams:
         return _half_beta(self.a, self.b)
 
 
-def reduced_params(a: float, c: float) -> EllipticParams:
-    """The b = c-a sub-family K_{a,c}, E_{a,c}; requires 0 < a < c <= 1."""
-    a, c = check_params(a=a, c=c)
-    if not a < c <= 1.0:
-        raise ParameterError(f"need 0 < a < c <= 1, got a={a!r}, c={c!r}")
-    return EllipticParams(a, c - a, c)
-
-
 @dataclass(frozen=True)
 class Modulus:
     """A modulus r in [0,1] carried together with r' = sqrt(1-r^2).

@@ -22,24 +22,23 @@ whose ratios are all positive (min(a, b, c) + k > 0 at its first index k)
 has terms of one sign; IEEE rounding is symmetric in sign, so the sum of
 their absolute values is |sum| bit for bit and one reduce serves both.
 
-The engine _eval_pair is LRU-cached and keyed on a _Triple (a, b, c).  All
-live triples with equal (a, b, c) share one coefficient table, which holds
-what the kernels need that does not depend on z: the Gamma and psi
-constants of the z -> 1 regimes, the z-free ratio factors of the first
-chunk of each Maclaurin series, the zero-balanced step factors and running
-h_n, B(a,b)/2 for the modulus, and the route: which kernel evaluates
-F at z >= z_switch.  The route depends on (a, b, c) alone ('closed' for
-a = c or b = c, 'series' for a non-positive integer a or b, and otherwise
-'zero_balanced', 'euler', 'integer_d' or 'connection' by c-a-b), so
-_eval_pair dispatches on it and the modulus solver reads it to know which
-asymptote of mu applies.  The route is filled in when the table is made,
-since every evaluation reads it; every other entry is computed on first
-use, and the zero-balanced steps as the evaluations reach them.
-The table is the triples' attribute dict; a registry of weak references
-finds it for a newly built triple, and nothing else holds it.  Each caller
-builds one triple per public call (the modulus solver one per solve) and
-the cache entries keep theirs, so a table lives exactly as long as some
-triple with its (a, b, c) does: _eval_pair.cache_clear() frees them all.
+The engine _eval_pair is LRU-cached and keyed on a _Triple: the parameters
+(a, b, c), interned, so that the cache hashes and compares keys by
+identity.  A triple's attribute dict is the coefficient table of its
+(a, b, c), which holds what the kernels need that does not depend on z: the
+Gamma and psi constants of the z -> 1 regimes, the z-free ratio factors of
+the first chunk of each Maclaurin series, the zero-balanced step factors
+and running h_n, B(a,b)/2 for the modulus, and the route: which kernel
+evaluates F at z >= z_switch.  The route depends on (a, b, c) alone
+('closed' for a = c or b = c, 'series' for a non-positive integer a or b,
+and otherwise 'zero_balanced', 'euler', 'integer_d' or 'connection' by
+c-a-b), so _eval_pair dispatches on it and the modulus solver reads it to
+know which asymptote of mu applies.  The route is set when the triple is
+made, since every evaluation reads it; every other entry is computed on
+first use, and the zero-balanced steps as the evaluations reach them.
+Each caller builds one triple per public call (the modulus solver one per
+solve) and the cache entries keep theirs, so _eval_pair.cache_clear()
+frees every triple and its table.
 """
 
 from __future__ import annotations
@@ -224,74 +223,67 @@ def _route(a: float, b: float, c: float) -> str:
     return "integer_d" if abs(d - m) <= _INTEGER_SNAP else "connection"
 
 
-class _Table(dict):
-    """A coefficient table: the attribute dict shared by every live
-    _Triple with one (a, b, c).  A dict subclass, so that _TABLES can hold
-    it weakly."""
-
-
 class _Ref(weakref.ref):
-    """A weak reference to a table that knows the (a, b, c) it is filed under."""
+    """A weak reference to a triple that knows the (a, b, c) it is filed under."""
 
     __slots__ = ("abc",)
 
 
-# (a, b, c) as a plain tuple -> a weak reference to its table.  A key that
-# is a _Triple would keep its own table alive.
-_TABLES: dict[tuple, _Ref] = {}
+# (a, b, c) -> a weak reference to the live _Triple with those parameters.
+_LIVE: dict[tuple, _Ref] = {}
 
 
 def _forget(ref: _Ref) -> None:
-    """Drop the registry entry of a table that died, unless a newer table
+    """Drop the registry entry of a triple that died, unless a newer triple
     for the same (a, b, c) has taken its place."""
-    if _TABLES.get(ref.abc) is ref:
-        del _TABLES[ref.abc]
+    if _LIVE.get(ref.abc) is ref:
+        del _LIVE[ref.abc]
 
 
-class _Triple(tuple):
-    """The parameters (a, b, c) as the key of _eval_pair.
-
-    It hashes and compares as the plain tuple (a, b, c), so a freshly built
-    triple hits the cache entries made with an equal one.  Its attribute
-    dict is the coefficient table of (a, b, c), shared with every other
-    live triple equal to it: each cached property below is computed on
-    first use by any of them and then read by all.  The route, which every
-    evaluation reads, is filled in when the table is made.  _TABLES finds the table
-    for a new triple; only triples hold it, so it dies with the last of
-    them, e.g. when _eval_pair.cache_clear() drops the cache entries.
+class _Triple:
+    """The parameters (a, b, c) as the key of _eval_pair, interned: while a
+    triple lives, _LIVE finds it and _Triple(a, b, c) returns it.  Its
+    attribute dict is the coefficient table of (a, b, c): abc and the route
+    are set when it is made, each cached property below on first use.
     """
 
     def __new__(cls, a: float, b: float, c: float):
         abc = (a, b, c)
-        self = tuple.__new__(cls, abc)
-        ref = _TABLES.get(abc)
-        table = ref() if ref is not None else None
-        if table is None:
-            table = _Table(route=_route(a, b, c))
-            ref = _TABLES[abc] = _Ref(table, _forget)
+        ref = _LIVE.get(abc)
+        self = ref() if ref is not None else None
+        if self is None:
+            self = object.__new__(cls)
+            self.abc = abc
+            self.route = _route(a, b, c)
+            ref = _LIVE[abc] = _Ref(self, _forget)
             ref.abc = abc
-        self.__dict__ = table
         return self
 
     @functools.cached_property
-    def zero_balanced(self) -> tuple[float, float]:
-        """R(a,b) = -psi(a) - psi(b) - 2 gamma and Gamma(a+b)/(Gamma(a)Gamma(b))."""
-        a, b, _ = self
+    def zero_balanced(self) -> tuple[float, float, list, list]:
+        """R(a,b) = -psi(a) - psi(b) - 2 gamma, Gamma(a+b)/(Gamma(a)Gamma(b)),
+        and the steps of _zero_balanced: slot n < 64 of the two lists holds
+        s_n = (a+n)(b+n)/((n+1)(n+1)) and h_{n+1} once an evaluation has
+        reached term n, None before.  Every evaluation that fills a slot
+        writes the same value, s_n before h_{n+1}, so h_{n+1} implies s_n."""
+        a, b, _ = self.abc
         return (-_digamma_any(a) - _digamma_any(b) - 2.0 * EULER_GAMMA,
-                _gamma_ratio((a + b,), (a, b)))
+                _gamma_ratio((a + b,), (a, b)), [None] * _TABLED, [None] * _TABLED)
 
     @functools.cached_property
-    def connection(self) -> tuple[float, float]:
-        """The coefficients of the two series of A&S 15.3.6, d = c-a-b."""
-        a, b, c = self
+    def connection(self) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """The coefficients of the two series of A&S 15.3.6, d = c-a-b, and
+        the _first_ratios of each series."""
+        a, b, c = self.abc
         d = c - a - b
-        return _gamma_ratio((c, d), (c - a, c - b)), _gamma_ratio((c, -d), (a, b))
+        return (_gamma_ratio((c, d), (c - a, c - b)), _gamma_ratio((c, -d), (a, b)),
+                _first_ratios(a, b, 1.0 - d), _first_ratios(c - a, c - b, 1.0 + d))
 
     @functools.cached_property
     def integer_d(self) -> tuple[float, float, tuple[float, float, float, float]]:
         """The log-part and finite-part prefactors of _integer_d for the
         integer m nearest c-a-b, and the four psi values of its log series."""
-        a, b, c = self
+        a, b, c = self.abc
         m = round(c - a - b)
         k = abs(m)
         if m > 0:
@@ -308,39 +300,23 @@ class _Triple(tuple):
     @functools.cached_property
     def series_q(self) -> np.ndarray:
         """_first_ratios of the Maclaurin series of F(a,b;c;z)."""
-        return _first_ratios(*self)
-
-    @functools.cached_property
-    def connection_q(self) -> tuple[np.ndarray, np.ndarray]:
-        """_first_ratios of the two series of A&S 15.3.6, d = c-a-b."""
-        a, b, c = self
-        d = c - a - b
-        return _first_ratios(a, b, 1.0 - d), _first_ratios(c - a, c - b, 1.0 + d)
+        return _first_ratios(*self.abc)
 
     @functools.cached_property
     def euler_q(self) -> np.ndarray:
         """_first_ratios of F(c-a,c-b;c;z), the Euler-transformed series."""
-        a, b, c = self
+        a, b, c = self.abc
         return _first_ratios(c - a, c - b, c)
-
-    @functools.cached_property
-    def zero_balanced_steps(self) -> tuple[list, list]:
-        """Slot n < 64 of the two lists holds the step factor
-        s_n = (a+n)(b+n)/((n+1)(n+1)) of _zero_balanced and its h_{n+1}
-        once an evaluation has reached term n, and None before.  Each slot
-        is written with the same value by every evaluation that fills it,
-        s_n before h_{n+1}, so a reader that finds h_{n+1} finds s_n."""
-        return [None] * _TABLED, [None] * _TABLED
 
     @functools.cached_property
     def half_beta(self) -> float:
         """B(a,b)/2, the factor of mu."""
-        return _half_beta(self[0], self[1])
+        return _half_beta(*self.abc[:2])
 
 
 def _overflow(key: _Triple, u: float, sign: float) -> SaturationError:
     """The error for an F(a,b;c;1-u) of the given sign beyond the float range."""
-    a, b, c = key
+    a, b, c = key.abc
     return SaturationError(
         f"F(a,b;c;z) exceeds the float range at 1-z={u!r} "
         f"with (a,b,c)=({a!r},{b!r},{c!r})", endpoint=math.copysign(math.inf, sign))
@@ -348,9 +324,8 @@ def _overflow(key: _Triple, u: float, sign: float) -> SaturationError:
 
 def _zero_balanced(key: _Triple, u: float) -> tuple[float, float]:
     """Logarithmic expansion of F(a,b;a+b;1-u) for small u (A&S 15.3.10)."""
-    a, b, _ = key
-    h, pref = key.zero_balanced
-    steps, hs = key.zero_balanced_steps
+    a, b, _ = key.abc
+    h, pref, steps, hs = key.zero_balanced
     lnu = math.log(u)
     g = 1.0
     total = 0.0
@@ -390,7 +365,7 @@ def _zero_balanced(key: _Triple, u: float) -> tuple[float, float]:
 def _integer_d(key: _Triple, u: float, m: int) -> tuple[float, float]:
     """Logarithmic expansion for c-a-b an exact nonzero integer m
     (Abramowitz & Stegun 15.3.11 for m > 0, 15.3.12 for m < 0)."""
-    a, b, _ = key
+    a, b, _ = key.abc
     log_pref, fin_pref, (psi_1, psi_k1, psi_sa, psi_sb) = key.integer_d
     lnu = math.log(u)
     k = abs(m)
@@ -447,9 +422,8 @@ def _integer_d(key: _Triple, u: float, m: int) -> tuple[float, float]:
 
 def _connection(key: _Triple, u: float, d: float) -> tuple[float, float]:
     """A&S 15.3.6: two series in u = 1-z, valid for non-integer d = c-a-b."""
-    a, b, c = key
-    c1, c2 = key.connection
-    q1, q2 = key.connection_q
+    a, b, c = key.abc
+    c1, c2, q1, q2 = key.connection
     t1 = e1 = 0.0
     if c1 != 0.0:
         s1, se1, _ = _direct_series(a, b, 1.0 - d, u, q1, max_terms=20_000)
@@ -476,7 +450,7 @@ def _eval_pair(key: _Triple, z: float, zc: float) -> EvalResult:
 
     Trusted internal callers only; the public entry points validate.
     """
-    a, b, c = key
+    a, b, c = key.abc
     if z == 0.0:
         return EvalResult(1.0, 0.0, Method.SERIES)
     route = key.route

@@ -116,13 +116,13 @@ def _guess_t(key: _Triple, log_half_beta: float, log_target: float) -> float:
     connection route (the Gamma factors have poles near an integer c-a-b),
     there is no guess.  Every exp is clamped, so the guess never raises.
     """
-    a, b, c = key
+    a, b, c = key.abc
     x = log_target - log_half_beta
     s = abs(x)
     if key.route == "zero_balanced":
         tau = 2.0 * math.exp(min(log_half_beta + s, 700.0)) - key.zero_balanced[0]
     elif key.route == "connection":
-        c1, c2 = key.connection
+        c1, c2, _, _ = key.connection
         w = c1 * math.exp(-s)
         if not w < 1.0:
             return 0.0

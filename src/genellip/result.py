@@ -42,9 +42,5 @@ class EvalResult:
         d["abs_err_est"] = abs_err_est
         d["method"] = method
 
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
     def __float__(self) -> float:
         return self.value

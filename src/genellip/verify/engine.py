@@ -121,7 +121,6 @@ class CheckSpec:
     arg_grid: GridSpec
     tolerance: float
     gating: bool = True
-    seed: int = 0
     fn: Optional[Callable] = None
     direction: int = 0
     param_map: Optional[Callable] = None

@@ -63,10 +63,6 @@ def _ep(d) -> EllipticParams:
     return EllipticParams(d["a"], d["b"], d["c"])
 
 
-def _epr(d) -> EllipticParams:
-    return EllipticParams(d["a"], d["c"] - d["a"], d["c"])
-
-
 def _dim(name, *vals):
     return GridDim(name, 0.0, 1.0, 3, values=tuple(float(v) for v in vals))
 
@@ -1198,7 +1194,7 @@ def _mufunc():
               "at 200 seeded pairs with |u-t| > 1e-3.",
         param_grid=pg_mid, param_map=_case_map(mid_cases, ("a", "c")),
         arg_grid=GridSpec((GridDim("i", 0.0, 199.0, 200, "linear"),)),
-        tolerance=1e-9, fn=midpoint_margin, seed=7))
+        tolerance=1e-9, fn=midpoint_margin))
     return checks
 
 
@@ -1311,7 +1307,7 @@ def _funcineq():
               "with equality iff u=t; 80 seeded pairs, margins in log scale.",
         param_grid=pgrid, param_map=mapper,
         arg_grid=GridSpec((GridDim("i", 0.0, 79.0, 80, "linear"),)),
-        tolerance=1e-9, fn=f1_products, seed=11))
+        tolerance=1e-9, fn=f1_products))
 
     def f2(d, r):
         m = Modulus.from_r(1.0 - r * r)
@@ -1348,7 +1344,7 @@ def _funcineq():
               "iff u=t; 80 seeded pairs, log-scale margins.",
         param_grid=pgrid, param_map=mapper,
         arg_grid=GridSpec((GridDim("i", 0.0, 79.0, 80, "linear"),)),
-        tolerance=1e-9, fn=f2_product, seed=13))
+        tolerance=1e-9, fn=f2_product))
 
     def f2_printed(d, i):
         u, t = _seeded_pairs(13, 80, 0.05, 0.95, 1e-3)[int(round(i))]
@@ -1370,7 +1366,7 @@ def _funcineq():
               "separately.",
         param_grid=pgrid, param_map=mapper,
         arg_grid=GridSpec((GridDim("i", 0.0, 79.0, 80, "linear"),)),
-        tolerance=1e-9, fn=f2_printed, seed=13))
+        tolerance=1e-9, fn=f2_printed))
 
     x_grid = GridSpec((GridDim("x", 0.01, 20.0, 25, "log"),))
 
@@ -1413,7 +1409,7 @@ def _funcineq():
               "u=t; 80 seeded pairs, log-scale margins.",
         param_grid=pgrid, param_map=mapper,
         arg_grid=GridSpec((GridDim("i", 0.0, 79.0, 80, "linear"),)),
-        tolerance=1e-9, fn=f3_products, seed=17))
+        tolerance=1e-9, fn=f3_products))
     return checks
 
 

@@ -31,7 +31,7 @@ from genellip import (DegreeK, EllipticParams, Modulus, MPoint, ModulusParams,
                       ell_k_minus_e, m_deriv, m_value, m_value_elliptic,
                       modulus_params_ac, mu, mu_deriv, mu_deriv_closed, mu_inv,
                       mu_m, phi_deriv, phi_deriv_closed, phi_k, phi_k_m,
-                      phi_logodds, ramanujan_r, reduced_params)
+                      phi_logodds, ramanujan_r)
 from genellip.verify import GridDim, finite_diff
 
 R33 = [float(r) for r in GridDim("r", 0.001, 0.999, 33, "logit").points()]

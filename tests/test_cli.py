@@ -83,6 +83,19 @@ def test_eval_json_format(capsys):
     assert body["method"]
 
 
+def test_eval_echoes_the_point_under_the_flag_it_read(capsys):
+    # --z is r^2, so --z 0.25 is the modulus r = 0.5, echoed as "z": 0.25
+    ell = ("--a", "0.5", "--b", "0.5", "--c", "1", "--format", "json")
+    for fn in ("K", "E", "Kp", "Ep"):
+        code_z, by_z, _ = run_cli(capsys, "eval", fn, *ell, "--z", "0.25")
+        code_r, by_r, _ = run_cli(capsys, "eval", fn, *ell, "--r", "0.5")
+        assert code_z == code_r == 0
+        z, r = json.loads(by_z), json.loads(by_r)
+        assert z["z"] == 0.25 and "r" not in z, fn
+        assert r["r"] == 0.5 and "z" not in r, fn
+        assert z["value"] == r["value"], fn
+
+
 def test_eval_domain_error_exit_2(capsys):
     code, _, err = run_cli(capsys, "eval", "K", "--a", "0.5", "--b", "0.9",
                            "--c", "0.7", "--r", "0.5")

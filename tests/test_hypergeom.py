@@ -278,7 +278,7 @@ def test_tabled_series_is_bit_identical_to_untabled():
             assert got == _untabled_series(a, b, c, z), (a, b, c, z)
             terms.append(got[2])
         d = c - a - b
-        q1, q2 = key.connection_q
+        _, _, q1, q2 = key.connection
         for u in (1e-4, 0.01, 0.24):
             for args, q in (((a, b, 1.0 - d), q1), ((c - a, c - b, 1.0 + d), q2)):
                 got = _direct_series(*args, u, q, max_terms=20_000)
@@ -388,12 +388,32 @@ def test_tabled_zero_balanced_is_bit_identical_to_untabled():
     triples = [(a, b) for a, b, _ in _seeded_triples(11)[:12]] + [(-0.4, 1.9), (40.3, 44.7)]
     for a, b in triples:
         key = _Triple(a, b, a + b)
-        h, pref = key.zero_balanced
+        h, pref, _, _ = key.zero_balanced
         for u in (1e-4, 0.01, 0.24, 0.24):  # the last call reads every step from the table
             want, n = _untabled_zero_balanced(a, b, u, h, pref)
             assert _zero_balanced(key, u) == want, (a, b, u)
             terms.append(n)
     assert max(terms) > 64  # steps beyond the table
+
+
+def test_equal_triples_are_one_object_until_the_cache_clears():
+    import gc
+
+    from genellip import hypergeom
+    key = _Triple(0.3, 0.7, 1.0)
+    assert _Triple(0.3, 0.7, 1.0) is key and _Triple(0.3, 0.7, 1.1) is not key
+    assert key.abc == (0.3, 0.7, 1.0) and key.route == "zero_balanced"
+    _eval_pair(key, 0.9, 0.1)
+    key_id = id(key)
+    del key
+    # the cache entry keeps the triple, so a new call finds it and hits
+    before = _eval_pair.cache_info()
+    assert id(_Triple(0.3, 0.7, 1.0)) == key_id
+    _eval_pair(_Triple(0.3, 0.7, 1.0), 0.9, 0.1)
+    assert _eval_pair.cache_info().hits == before.hits + 1
+    _eval_pair.cache_clear()
+    gc.collect()
+    assert not hypergeom._LIVE
 
 
 # --------------------------------------------------------------------------
@@ -402,7 +422,7 @@ def test_tabled_zero_balanced_is_bit_identical_to_untabled():
 def _frozen_dispatch(key, z, zc):
     """_eval_pair as it chose its kernel from (a, b, c) at every call, before
     the choice became the triple's route; it calls today's kernels."""
-    a, b, c = key
+    a, b, c = key.abc
     if z == 0.0:
         return EvalResult(1.0, 0.0, Method.SERIES)
     if a == c or b == c:

@@ -364,12 +364,12 @@ def test_equal_triples_share_one_table_until_the_caches_clear(monkeypatch):
     mu(P, 0.95)  # r'^2 by the series, r^2 = 0.9025 by the zero-balanced route
     mu(P, 0.97)
     assert calls == {"_first_ratios": 1, "digamma": 2}
-    tables = list(hypergeom._TABLES.values())
-    assert tables and all(ref() is not None for ref in tables)
+    refs = list(hypergeom._LIVE.values())
+    assert refs and all(ref() is not None for ref in refs)
     _cold()
     gc.collect()
-    assert not hypergeom._TABLES
-    assert all(ref() is None for ref in tables)
+    assert not hypergeom._LIVE
+    assert all(ref() is None for ref in refs)
 
 
 def test_triple_keys_hit_across_callers_and_die_with_the_cache():
