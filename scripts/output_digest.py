@@ -8,8 +8,8 @@ Run from the root of a checkout; the package is imported from its ``src/``
 and the seeded points from ``bench/`` (read only, never changed).  For each
 workload and seed it prints one digest of the ``repr`` of every output, in
 call order (an exception counts by its type and message), and then one
-digest of the `verify all` report: every check's id, verdict, sample count
-and ``worst_margin``.  Beside each digest it prints the work of that pass:
+digest of the `verify all` report: every check's id, verdict, sample count,
+``worst_margin``, witness and claim.  Beside each digest it prints the work of that pass:
 the cache misses of the 2F1 engine ``_eval_pair`` (the kernel evaluations
 made) and the calls of the modulus solver ``_solve_log_mu``.  Run it on two
 checkouts and diff the output: equal digests mean equal bits, and the counts
@@ -19,8 +19,9 @@ mpmath reachability screen, cached in ``.bench_cache/`` after the first run.
 
 With ``--cli`` it runs ``genellip.cli.main`` in-process over a fixed list
 of command lines instead (every ``eval`` and ``tabulate`` selector,
-``invert``, ``phi``, ``solve``, ``list-checks`` and two ``verify`` checks,
-each in text, CSV and JSON) and prints one digest of every stdout, stderr
+``invert``, ``phi``, ``solve``, ``list-checks``, and ``verify`` on two
+checks, with ``--tol`` and ``--grid``, and on an unknown check, each in
+text, CSV and JSON) and prints one digest of every stdout, stderr
 and exit code, with the verify report's ``timestamp`` and ``seconds``
 masked; a second line digests the inputs whose 2F1 value exceeds the float
 range near z = 1.  To compare with an older checkout, copy this script into
@@ -73,6 +74,9 @@ CLI_LINES = [
     "eval K --a 0.5 --b 0.9 --c 0.7 --r 0.5",
     "list-checks",
     "verify mutheorem-1 ktheo-3",
+    "verify hyper-1 --tol 1e-6",
+    "verify hyper-1 --grid 0.01:0.99:9:logit",
+    "verify not-a-check",
 ]
 OVERFLOW_LINES = [
     "eval hyp2f1 --a 1 --b 50 --c 1 --z 0.9999999999999999",
@@ -146,8 +150,10 @@ def main(argv=None) -> int:
         print(f"eval-sweep seed={seed} n={len(outs)} {_digest(outs)} {_work()}")
         outs = _outputs(P.solve_calls(reference.solve_points(ROOT, seed)))
         print(f"modular-solve seed={seed} n={len(outs)} {_digest(outs)} {_work()}")
-    reports = P.verify_pass(P.verify_specs()).outputs
-    rows = [(r.id, r.verdict, r.samples, r.worst_margin) for r in reports]
+    specs = P.verify_specs()
+    reports = P.verify_pass(specs).outputs
+    rows = [(r.id, r.verdict, r.samples, r.worst_margin, r.witness, s.claim)
+            for r, s in zip(reports, specs)]
     print(f"verify-all checks={len(rows)} samples={sum(r[2] for r in rows)} "
           f"{_digest(rows)} {_work()}")
     return 0

@@ -66,7 +66,7 @@ _ZERO_BALANCED_TOL = 1e-12
 _EULER_BAND = 1e-6
 _INTEGER_SNAP = 1e-8
 _MAX_TERMS = 400_000
-_PARAM_CAP = 50.0
+_PARAM_CAP = 50.0  # the bound on a, b and c of HypParams, MPoint and ModulusParams
 _TABLED = 64  # terms per series whose z-free factors a coefficient table holds
 _K0 = np.arange(_TABLED, dtype=np.float64)
 _K1 = 1.0 + _K0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .elliptic import EllipticParams, Modulus, ell_e, ell_e_comp, ell_k, ell_k_comp
 from .errors import DomainError, ParameterError, check_params, is_real
-from .hypergeom import _eval_pair, _Triple
+from .hypergeom import _PARAM_CAP, _eval_pair, _Triple
 from .result import EvalResult, Method
 from .scalar_special import beta
 
@@ -38,7 +38,7 @@ class MPoint:
     z: float
 
     def __post_init__(self):
-        for name, v in zip("abc", check_params(50.0, a=self.a, b=self.b, c=self.c)):
+        for name, v in zip("abc", check_params(_PARAM_CAP, a=self.a, b=self.b, c=self.c)):
             object.__setattr__(self, name, v)
         if not (is_real(self.z) and 0.0 < self.z < 1.0):
             raise DomainError(f"z must lie in (0, 1), got {self.z!r}")

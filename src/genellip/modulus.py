@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .elliptic import Modulus
 from .errors import (ConvergenceError, DomainError, ParameterError, SaturationError,
                      check_params, is_real)
-from .hypergeom import _eval_pair, _Triple
+from .hypergeom import _PARAM_CAP, _eval_pair, _Triple
 from .legendre_m import MPoint, m_value
 from .result import EvalResult, Method
 from .scalar_special import _half_beta, _lngamma_signed
@@ -49,7 +49,7 @@ class ModulusParams:
     c: float
 
     def __post_init__(self):
-        for name, v in zip("abc", check_params(50.0, a=self.a, b=self.b, c=self.c)):
+        for name, v in zip("abc", check_params(_PARAM_CAP, a=self.a, b=self.b, c=self.c)):
             object.__setattr__(self, name, v)
         if self.a + self.b < self.c:
             raise ParameterError(
@@ -156,9 +156,18 @@ def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
     log_half_beta = math.log(key.half_beta)
 
     def g(t: float) -> float:
+        # F(r'^2) or F(r^2) past the float range puts mu at +inf or 0: an
+        # infinite g is still a valid bracket end, and the secant step then
+        # falls back to bisection.
         z, zc = _sigmoid(t), _sigmoid(-t)
-        num = _eval_pair(key, zc, z)
-        den = _eval_pair(key, z, zc)
+        try:
+            num = _eval_pair(key, zc, z)
+        except SaturationError:
+            return math.inf
+        try:
+            den = _eval_pair(key, z, zc)
+        except SaturationError:
+            return -math.inf
         return log_half_beta + math.log(num.value) - math.log(den.value) - log_target
 
     evals = 0

@@ -24,6 +24,14 @@ claim text documents the rate), accepting also a contraction of the gap by
 require the probe to grow 1.5x beyond the edge value.  Attainment that the
 grid cannot resolve downgrades to inconclusive, never to fail; containment
 violations beyond error bounds fail.
+
+The pointwise kinds (inequality, identity, derivative_match, limit) share
+one sampling loop, `_run_points`.  Each gives it a judge that evaluates one
+point and returns (margin, witness fields, fail or an inconclusive note or
+None, strict hit); the loop notes every margin, stops the combo at the first
+point that fails or is inconclusive, and turns an evaluation error into an
+inconclusive "evaluation failed".  Only inequality judges can miss a strict
+hit, which the loop holds to the same >= 99% rule as the shape kinds.
 """
 
 from __future__ import annotations
@@ -37,8 +45,6 @@ import numpy as np
 from ..errors import GenellipError, ParameterError, is_real
 from ..scalar_special import _lngamma_raw, digamma
 
-KINDS = ("monotone", "convex_concave", "range_endpoints", "inequality",
-         "identity", "derivative_match", "limit")
 VERDICTS = ("pass", "fail", "inconclusive")
 
 _STRICT_FRACTION = 0.99
@@ -136,7 +142,7 @@ class CheckSpec:
     fd_h: float = 1e-5
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _RUNNERS:
             raise ParameterError(f"unknown check kind {self.kind!r}")
         if not self.tolerance > 0.0:
             raise ParameterError("tolerance must be positive")
@@ -161,16 +167,14 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class PABNotation:
-    """P = Psi(c-a+t) - Psi(c+t); A = (c-a,t)/(c,t); A_tilde = (a,t)A;
-    B_t = P(a,c,t) - P(a,c,0).  A > 0 for 0 < a < c, t > 0; B_t >= 0 with
-    equality iff t = 0."""
+    """P = Psi(c-a+t) - Psi(c+t); A = (c-a,t)/(c,t); B_t = P(a,c,t) - P(a,c,0).
+    A > 0 for 0 < a < c, t > 0; B_t >= 0 with equality iff t = 0."""
 
     a: float
     c: float
     t: float
     P: float
     A: float
-    A_tilde: float
     B_t: float
 
 
@@ -182,44 +186,29 @@ def pab(a: float, c: float, t: float) -> PABNotation:
         raise ParameterError(f"need t >= 0, got {t!r}")
     t = float(t)
     P = digamma(c - a + t).value - digamma(c + t).value
-    if t == 0.0:
-        A = 1.0
-        A_tilde = 1.0
-    else:
-        lA = (_lngamma_raw(c - a + t) - _lngamma_raw(c + t)
-              + _lngamma_raw(c) - _lngamma_raw(c - a))
-        A = math.exp(lA)
-        lt = _lngamma_raw(a + t) - _lngamma_raw(a) + lA
-        A_tilde = math.exp(lt) if lt < 709.0 else math.inf
+    A = 1.0 if t == 0.0 else math.exp(_lngamma_raw(c - a + t) - _lngamma_raw(c + t)
+                                      + _lngamma_raw(c) - _lngamma_raw(c - a))
     B_t = P - (digamma(c - a).value - digamma(c).value)
-    return PABNotation(a, c, t, P, A, A_tilde, B_t)
+    return PABNotation(a, c, t, P, A, B_t)
 
 
 @dataclass(frozen=True)
 class FiniteDiff:
     first: float
-    second: float
     first_err: float
-    second_err: float
 
 
 def finite_diff(f: Callable[[float], float], x: float, h: float) -> FiniteDiff:
-    """Richardson-refined central differences with error estimates."""
+    """Richardson-refined central difference with an error estimate."""
     if not h > 0.0:
         raise ParameterError("step h must be positive")
     fp, fm = f(x + h), f(x - h)
     fp2, fm2 = f(x + 0.5 * h), f(x - 0.5 * h)
-    f0 = f(x)
-    scale = max(abs(fp), abs(fm), abs(f0), 1e-300)
+    scale = max(abs(fp), abs(fm), abs(f(x)), 1e-300)
     d1a = (fp - fm) / (2.0 * h)
     d1b = (fp2 - fm2) / h
     first = d1b + (d1b - d1a) / 3.0
-    first_err = abs(d1b - d1a) / 3.0 + 4e-16 * scale / h
-    d2a = (fp - 2.0 * f0 + fm) / (h * h)
-    d2b = (fp2 - 2.0 * f0 + fm2) / (0.25 * h * h)
-    second = d2b + (d2b - d2a) / 3.0
-    second_err = abs(d2b - d2a) / 3.0 + 1.6e-15 * scale / (h * h)
-    return FiniteDiff(first, second, first_err, second_err)
+    return FiniteDiff(first, abs(d1b - d1a) / 3.0 + 4e-16 * scale / h)
 
 
 class _Counter:
@@ -375,6 +364,8 @@ def _check_endpoint(spec, params, side, edge_value, counter, out):
 
 
 def _run_shape(spec, params, counter, out, checker):
+    """Sample the whole grid, then judge the shape (if any), the range and
+    the endpoints."""
     xs = spec.arg_grid.dims[0].points()
     ys = np.empty_like(xs)
     errs = np.empty_like(xs)
@@ -389,9 +380,10 @@ def _run_shape(spec, params, counter, out, checker):
             out.inconclusive(_witness(params, arg=float(x), value=float(ys[i]),
                                       note="non-finite sample"))
             return
-    checker(spec, params, xs, ys, errs, out)
-    if out.verdict == "fail":
-        return
+    if checker is not None:
+        checker(spec, params, xs, ys, errs, out)
+        if out.verdict == "fail":
+            return
     _check_containment(spec, params, xs, ys, errs, out)
     if out.verdict == "fail":
         return
@@ -399,108 +391,93 @@ def _run_shape(spec, params, counter, out, checker):
     _check_endpoint(spec, params, "hi", float(ys[-1]), counter, out)
 
 
-def _run_inequality(spec, params, counter, out):
+def _judge_inequality(spec, params, counter):
+    def judge(x):
+        m, err = _eval(spec, params, x, counter)
+        return m, {"margin": m}, "fail" if m < -(err + spec.tolerance) else None, m > err
+    return judge
+
+
+def _judge_identity(spec, params, counter):
+    def judge(x):
+        lhs, el = _eval(spec, params, x, counter)
+        rhs, er = spec.rhs(params, x)
+        counter.n += 1
+        diff = abs(lhs - rhs)
+        bound = spec.tolerance * max(1.0, abs(lhs), abs(rhs))
+        bad = None
+        if diff > bound:
+            bad = "difference inside error bounds" if diff <= el + er else "fail"
+        return bound - diff, {"lhs": lhs, "rhs": rhs}, bad, True
+    return judge
+
+
+def _judge_derivative(spec, params, counter):
+    def judge(x):
+        fd = finite_diff(lambda t: _eval(spec, params, t, counter)[0], x, spec.fd_h)
+        ref, _ = spec.rhs(params, x)
+        counter.n += 1
+        scale = max(abs(ref), 1e-300)
+        rel = abs(fd.first - ref) / scale
+        bad = None
+        if rel > spec.tolerance:
+            bad = ("finite-difference error too large"
+                   if fd.first_err > spec.tolerance * scale else "fail")
+        return spec.tolerance - rel, {"fd": fd.first, "formula": ref}, bad, True
+    return judge
+
+
+def _judge_limit(spec, params, counter):
+    target = spec.rhs(params, 0.0)[0]
+    bound = spec.tolerance * max(1.0, abs(target))
+
+    def judge(x):
+        y, err = _eval(spec, params, x, counter)
+        diff = abs(y - target)
+        bad = "fail" if diff > bound + err else None
+        return bound - diff, {"value": y, "target": target}, bad, True
+    return judge
+
+
+def _run_points(spec, params, counter, out, make_judge):
+    """Judge each grid point on its own and stop at the first bad one."""
+    judge = make_judge(spec, params, counter)
     xs = spec.arg_grid.dims[0].points()
     strict_hits = 0
     for x in xs:
+        x = float(x)
         try:
-            m, err = _eval(spec, params, float(x), counter)
+            margin, fields, bad, strict = judge(x)
         except GenellipError as exc:
-            out.inconclusive(_witness(params, arg=float(x),
-                                      note=f"evaluation failed: {exc}"))
+            out.inconclusive(_witness(params, arg=x, note=f"evaluation failed: {exc}"))
             return
-        out.note(m, _witness(params, arg=float(x), margin=m))
-        if m < -(err + spec.tolerance):
-            out.fail(m, _witness(params, arg=float(x), margin=m))
+        out.note(margin, _witness(params, arg=x, **fields))
+        if bad == "fail":
+            out.fail(margin, _witness(params, arg=x, **fields))
             return
-        if m > err:
-            strict_hits += 1
+        if bad is not None:
+            out.inconclusive(_witness(params, arg=x, **fields, note=bad))
+            return
+        strict_hits += strict
     if spec.strict and strict_hits < _STRICT_FRACTION * len(xs):
         out.inconclusive(_witness(params, note="margins inside error bounds",
                                   strict_pairs=strict_hits, pairs=len(xs)))
 
 
-def _run_identity(spec, params, counter, out):
-    xs = spec.arg_grid.dims[0].points()
-    for x in xs:
-        try:
-            lhs, el = _eval(spec, params, float(x), counter)
-            rhs, er = spec.rhs(params, float(x))
-            counter.n += 1
-        except GenellipError as exc:
-            out.inconclusive(_witness(params, arg=float(x),
-                                      note=f"evaluation failed: {exc}"))
-            return
-        diff = abs(lhs - rhs)
-        bound = spec.tolerance * max(1.0, abs(lhs), abs(rhs))
-        out.note(bound - diff, _witness(params, arg=float(x), lhs=lhs, rhs=rhs))
-        if diff > bound:
-            if diff <= el + er:
-                out.inconclusive(_witness(params, arg=float(x), lhs=lhs, rhs=rhs,
-                                          note="difference inside error bounds"))
-            else:
-                out.fail(bound - diff, _witness(params, arg=float(x), lhs=lhs, rhs=rhs))
-            return
-
-
-def _run_derivative_match(spec, params, counter, out):
-    xs = spec.arg_grid.dims[0].points()
-    for x in xs:
-        x = float(x)
-        try:
-            fd = finite_diff(lambda t: _eval(spec, params, t, counter)[0], x, spec.fd_h)
-            ref, _ = spec.rhs(params, x)
-            counter.n += 1
-        except GenellipError as exc:
-            out.inconclusive(_witness(params, arg=x, note=f"evaluation failed: {exc}"))
-            return
-        scale = max(abs(ref), 1e-300)
-        rel = abs(fd.first - ref) / scale
-        out.note(spec.tolerance - rel, _witness(params, arg=x, fd=fd.first, formula=ref))
-        if rel > spec.tolerance:
-            if fd.first_err > spec.tolerance * scale:
-                out.inconclusive(_witness(params, arg=x, fd=fd.first, formula=ref,
-                                          note="finite-difference error too large"))
-            else:
-                out.fail(spec.tolerance - rel,
-                         _witness(params, arg=x, fd=fd.first, formula=ref))
-            return
-
-
-def _run_limit(spec, params, counter, out):
-    target = spec.rhs(params, 0.0)[0]
-    for x in spec.arg_grid.dims[0].points():
-        x = float(x)
-        try:
-            y, err = _eval(spec, params, x, counter)
-        except GenellipError as exc:
-            out.inconclusive(_witness(params, arg=x, note=f"evaluation failed: {exc}"))
-            return
-        diff = abs(y - target)
-        bound = spec.tolerance * max(1.0, abs(target))
-        out.note(bound - diff, _witness(params, arg=x, value=y, target=target))
-        if diff > bound + err:
-            out.fail(bound - diff, _witness(params, arg=x, value=y, target=target))
-            return
-
-
-def _run_range_only(spec, params, counter, out):
-    xs = spec.arg_grid.dims[0].points()
-    ys = []
-    for x in xs:
-        try:
-            y, _ = _eval(spec, params, float(x), counter)
-        except GenellipError as exc:
-            out.inconclusive(_witness(params, arg=float(x),
-                                      note=f"evaluation failed: {exc}"))
-            return
-        ys.append(y)
-    _check_endpoint(spec, params, "lo", ys[0], counter, out)
-    _check_endpoint(spec, params, "hi", ys[-1], counter, out)
+_RUNNERS = {
+    "monotone": (_run_shape, _check_sequence),
+    "convex_concave": (_run_shape, _check_second_diffs),
+    "range_endpoints": (_run_shape, None),
+    "inequality": (_run_points, _judge_inequality),
+    "identity": (_run_points, _judge_identity),
+    "derivative_match": (_run_points, _judge_derivative),
+    "limit": (_run_points, _judge_limit),
+}
 
 
 def run_check(spec: CheckSpec) -> CheckReport:
     """Evaluate one claim across its grids; deterministic for a fixed spec."""
+    runner, how = _RUNNERS[spec.kind]
     counter = _Counter()
     out = _Outcome()
     ran = 0
@@ -509,20 +486,7 @@ def run_check(spec: CheckSpec) -> CheckReport:
         if params is None:
             continue
         ran += 1
-        if spec.kind == "monotone":
-            _run_shape(spec, params, counter, out, _check_sequence)
-        elif spec.kind == "convex_concave":
-            _run_shape(spec, params, counter, out, _check_second_diffs)
-        elif spec.kind == "range_endpoints":
-            _run_range_only(spec, params, counter, out)
-        elif spec.kind == "inequality":
-            _run_inequality(spec, params, counter, out)
-        elif spec.kind == "identity":
-            _run_identity(spec, params, counter, out)
-        elif spec.kind == "derivative_match":
-            _run_derivative_match(spec, params, counter, out)
-        else:
-            _run_limit(spec, params, counter, out)
+        runner(spec, params, counter, out, how)
         if out.verdict == "fail":
             break
     if ran == 0:

@@ -67,21 +67,17 @@ def _dim(name, *vals):
     return GridDim(name, 0.0, 1.0, 3, values=tuple(float(v) for v in vals))
 
 
-def _cases(name, cases, *extra_dims):
-    """An index dimension over explicit tuples, plus a mapper to dicts."""
-    dim = _dim(name, *range(len(cases)))
-    return GridSpec((dim,) + tuple(extra_dims)), cases
-
-
-def _case_map(cases, keys, validate=None):
-    def mapper(d):
+def _cases(cases, keys, *dims):
+    """The `param_grid` and `param_map` of a CheckSpec over explicit tuples,
+    as a dict to splat into it.  The grid is a "case" index over `cases`
+    followed by `dims`; the map replaces the index by the tuple's entries,
+    named by `keys`, after the values of `dims`."""
+    def param_map(d):
         out = dict(d)
-        tup = cases[int(round(out.pop("case")))]
-        out.update(dict(zip(keys, tup)))
-        if validate is not None and not validate(out):
-            return None
+        out.update(zip(keys, cases[int(round(out.pop("case")))]))
         return out
-    return mapper
+    return {"param_grid": GridSpec((_dim("case", *range(len(cases))),) + dims),
+            "param_map": param_map}
 
 
 @functools.lru_cache(maxsize=64)
@@ -137,6 +133,11 @@ def _map_shifted(d):
 
 def _pg_shifted(*shifts):
     return GridSpec((_FRAC, _CVALS, _dim("s", *shifts)))
+
+
+def _degree(d, inverse: bool):
+    """The degree d["K"], or its inverse 1/K (as a DegreeK) when `inverse`."""
+    return DegreeK(1.0 / d["K"]) if inverse else d["K"]
 
 
 def _log_r(m: Modulus) -> float:
@@ -393,13 +394,8 @@ def _hyper():
 
 def _sqrtk():
     checks = []
-    cases = ((0.25, 0.9), (0.25, 1.0), (0.5, 0.9), (0.5, 1.0), (0.75, 1.0))
-    pg, _ = _cases("case", cases)
-
-    def map_case(d):
-        frac, c = cases[int(round(d["case"]))]
-        a = frac * c
-        return {"a": a, "b": c - a, "c": c}
+    fracs = ((0.25, 0.9), (0.25, 1.0), (0.5, 0.9), (0.5, 1.0), (0.75, 1.0))
+    abc = _cases(tuple((f * c, c - f * c, c) for f, c in fracs), ("a", "b", "c"))
 
     def pow_k(p_exp_fn):
         def fn(d, r):
@@ -417,8 +413,7 @@ def _sqrtk():
         claim="For 0<a<c<=1, b=c-a: r'^p K is decreasing on (0,1) exactly "
               "when p >= p* = 2(a/c)(c-a); at p=p* it maps onto (0, B(a,b)/2). "
               "Checked at the threshold exponent.",
-        param_grid=pg, param_map=map_case,
-        arg_grid=R33, tolerance=1e-9, fn=pow_k(p_star),
+        **abc, arg_grid=R33, tolerance=1e-9, fn=pow_k(p_star),
         lo_limit=lambda d: 0.5 * beta(d["a"], d["b"]).value, hi_limit=lambda d: 0.0,
         lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-12,
         lo_attain=1e-3, hi_attain=1e-3, decay_factor=0.55))
@@ -428,8 +423,7 @@ def _sqrtk():
         claim="Sharpness of the r'^p K threshold: for p = p* - 0.3 the "
               "function r'^p K is strictly increasing near 0 (its log-slope "
               "at 0 equals ab/c - p/2 = +0.15), checked on r in (0.02, 0.3).",
-        param_grid=pg, param_map=map_case,
-        arg_grid=GridSpec((GridDim("r", 0.02, 0.3, 17, "linear"),)),
+        **abc, arg_grid=GridSpec((GridDim("r", 0.02, 0.3, 17, "linear"),)),
         tolerance=1e-9, fn=pow_k(lambda d: p_star(d) - 0.3)))
 
     def q_star(d):
@@ -463,8 +457,7 @@ def _sqrtk():
         claim="Sharpness of the r'^q E threshold: for q = q* + 0.3 the "
               "function r'^q E is strictly decreasing near 0 (log-slope at 0 "
               "is (a-1)b/c - q/2 = -0.15), checked on r in (0.02, 0.3).",
-        param_grid=pg, param_map=map_case,
-        arg_grid=GridSpec((GridDim("r", 0.02, 0.3, 17, "linear"),)),
+        **abc, arg_grid=GridSpec((GridDim("r", 0.02, 0.3, 17, "linear"),)),
         tolerance=1e-9, fn=pow_e(lambda d: q_star(d) + 0.3)))
     return checks
 
@@ -652,7 +645,6 @@ def _hyp_quotients():
         (0.5, 0.5, 1.0, 0.7, 0.8, 0.9),
         (0.3, 0.4, 0.9, 0.3, 0.6, 0.8),
     )
-    pg, _ = _cases("case", dp_cases)
     keys = ("a", "b", "c", "a2", "b2", "c2")
 
     def f_ratio(d, z):
@@ -675,8 +667,7 @@ def _hyp_quotients():
               "on [0,1) from 1 onto [1, L), with L = B(c2,c2-a2-b2) B(c-a,c-b) "
               "/ (B(c,c-a-b) B(c2-a2,c2-b2)) when a2+b2<c2 and L=infinity "
               "otherwise. Four representative parameter bumps are exercised.",
-        param_grid=pg, param_map=_case_map(dp_cases, keys),
-        arg_grid=Z33, tolerance=1e-9, fn=f_ratio,
+        **_cases(dp_cases, keys), arg_grid=Z33, tolerance=1e-9, fn=f_ratio,
         lo_limit=lambda d: 1.0, hi_limit=dp_hi,
         lo_probe=lambda d: 1e-12, hi_probe=lambda d: 1.0 - 1e-12,
         lo_attain=1e-6, hi_attain=2e-3))
@@ -706,25 +697,23 @@ def _hyp_quotients():
         a, b, c = d["a"], d["b"], d["c"]
         return (c - a) * (c - b) / (c * (c - a - b)) if a + b < c else INF
 
-    pg_f, _ = _cases("case", f_cases)
     checks.append(CheckSpec(
         id="diffparamscor-f", kind="monotone", direction=1,
         claim="F(a+1,b;c;z)/F(a,b;c;z) is increasing on [0,1) from 1, with "
               "limit (c-a-1)/(c-a-b-1) at 1 when a+b+1<c and infinity "
               "otherwise.",
-        param_grid=pg_f, param_map=_case_map(f_cases, abc),
+        **_cases(f_cases, abc),
         arg_grid=Z33, tolerance=1e-9, fn=shifted_ratio(1.0, 0.0, 0.0),
         lo_limit=lambda d: 1.0, hi_limit=cor_f_hi,
         lo_probe=lambda d: 1e-12, hi_probe=lambda d: 1.0 - 1e-10,
         lo_attain=1e-6, hi_attain=2e-3))
 
-    pg_g, _ = _cases("case", g_cases)
     checks.append(CheckSpec(
         id="diffparamscor-g", kind="monotone", direction=1,
         claim="F(a,b+1;c;z)/F(a,b;c;z) is increasing on [0,1) from 1, with "
               "limit (c-b-1)/(c-a-b-1) at 1 when a+b+1<c and infinity "
               "otherwise.",
-        param_grid=pg_g, param_map=_case_map(g_cases, abc),
+        **_cases(g_cases, abc),
         arg_grid=Z33, tolerance=1e-9, fn=shifted_ratio(0.0, 1.0, 0.0),
         lo_limit=lambda d: 1.0, hi_limit=cor_g_hi,
         lo_probe=lambda d: 1e-12, hi_probe=lambda d: 1.0 - 1e-10,
@@ -736,14 +725,12 @@ def _hyp_quotients():
         den = hyp2f1_pair(HypParams(d["a"], d["b"], d["c"] + 1.0), z, zc)
         return _q(num, den)
 
-    pg_h, _ = _cases("case", h_cases)
     checks.append(CheckSpec(
         id="diffparamscor-h", kind="monotone", direction=1,
         claim="F(a,b;c;z)/F(a,b;c+1;z) is increasing on [0,1) from 1, with "
               "limit (c-a)(c-b)/(c(c-a-b)) at 1 when a+b<c and infinity "
               "otherwise (log-rate divergence when a+b=c).",
-        param_grid=pg_h, param_map=_case_map(h_cases, abc),
-        arg_grid=Z33, tolerance=1e-9, fn=h_ratio,
+        **_cases(h_cases, abc), arg_grid=Z33, tolerance=1e-9, fn=h_ratio,
         lo_limit=lambda d: 1.0, hi_limit=cor_h_hi,
         lo_probe=lambda d: 1e-12, hi_probe=lambda d: 1.0 - 1e-12,
         lo_attain=1e-6, hi_attain=2e-3))
@@ -757,7 +744,6 @@ def _hyp_quotients():
         return v, e + 1e-15 * abs(v)
 
     q_cases = ((0.3, 0.2, 0.7), (0.6, 0.2, 0.7), (0.3, 0.1, 0.5), (0.6, 0.4, 0.9))
-    pg_q, _ = _cases("case", q_cases)
     checks.append(CheckSpec(
         id="quotfdepc", kind="monotone", direction=-1,
         claim="For a>0 and fixed 0<x<y<1 (here orderings both ways): "
@@ -765,7 +751,7 @@ def _hyp_quotients():
               "decreasing on (a, infinity) onto (0, infinity). The c->inf "
               "decay is c^(-a); the far probe at c=45 (parameter cap) uses "
               "decay factor 0.75; the c->a+ divergence is probed at a+1e-5.",
-        param_grid=pg_q, param_map=_case_map(q_cases, ("a", "x", "y")),
+        **_cases(q_cases, ("a", "x", "y")),
         arg_grid=GridSpec((GridDim("c", 0.7, 10.0, 33, "log"),)),
         tolerance=1e-9, fn=quotf,
         lo_limit=lambda d: INF, hi_limit=lambda d: 0.0,
@@ -785,12 +771,10 @@ def _mprop():
     checks = []
     sym_cases = ((0.5, 0.5, 1.0), (0.4, 0.7, 1.0), (0.3, 0.6, 0.9),
                  (0.8, 1.2, 1.5), (2.0, 3.0, 4.0))
-    pg_sym, _ = _cases("case", sym_cases)
     checks.append(CheckSpec(
         id="mprop-1", kind="identity",
         claim="M(z) = M(1-z) > 0 for all positive a,b,c and z in (0,1).",
-        param_grid=pg_sym, param_map=_case_map(sym_cases, ("a", "b", "c")),
-        arg_grid=Z33, tolerance=1e-11,
+        **_cases(sym_cases, ("a", "b", "c")), arg_grid=Z33, tolerance=1e-11,
         fn=lambda d, z: (lambda e: (e.value, e.abs_err_est))(_m_res(d, z)),
         rhs=lambda d, z: (lambda e: (e.value, e.abs_err_est))(_m_res(d, 1.0 - z))))
 
@@ -804,12 +788,11 @@ def _mprop():
         rhs=lambda d, z: (math.sin(math.pi * d["a"]) / math.pi, 0.0)))
 
     div_cases = ((0.4, 0.7, 1.0), (0.6, 0.6, 1.1), (0.5, 0.9, 1.2))
-    pg_div, _ = _cases("case", div_cases)
     checks.append(CheckSpec(
         id="mprop-3", kind="range_endpoints",
         claim="When a+b>c, M(0+) = M(1-) = infinity; divergence probed at "
               "z=1e-9 and z=1-1e-9 against the grid edges.",
-        param_grid=pg_div, param_map=_case_map(div_cases, ("a", "b", "c")),
+        **_cases(div_cases, ("a", "b", "c")),
         arg_grid=GridSpec((GridDim("z", 0.001, 0.999, 9, "logit"),)),
         tolerance=1e-9,
         fn=lambda d, z: (lambda e: (e.value, e.abs_err_est))(_m_res(d, z)),
@@ -817,29 +800,24 @@ def _mprop():
         lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-9))
 
     cvx_cases = ((0.8, 0.7, 1.0), (1.2, 0.9, 1.3), (0.6, 0.8, 1.1))
-    pg_cvx, _ = _cases("case", cvx_cases)
     checks.append(CheckSpec(
         id="mprop-4", kind="convex_concave", direction=1,
         claim="If (a+b-1)(c-b)>0, a+b>=c>=a and ab/(a+b+1)<c, then M is "
               "strictly convex on (0,1) (hence decreasing then increasing "
               "about 1/2 by symmetry).",
-        param_grid=pg_cvx, param_map=_case_map(cvx_cases, ("a", "b", "c")),
-        arg_grid=Z33, tolerance=1e-9,
+        **_cases(cvx_cases, ("a", "b", "c")), arg_grid=Z33, tolerance=1e-9,
         fn=lambda d, z: (lambda e: (e.value, e.abs_err_est))(_m_res(d, z))))
 
     ccv_cases = ((0.3, 0.5, 0.9), (0.4, 0.5, 1.0), (0.2, 0.6, 0.8))
-    pg_ccv, _ = _cases("case", ccv_cases)
     checks.append(CheckSpec(
         id="mprop-5", kind="convex_concave", direction=-1,
         claim="If (a+b-1)(c-b)<0, a+b<=c and ab/(a+b+1)<c, then M is "
               "strictly concave on (0,1) (increasing then decreasing about "
               "1/2 by symmetry).",
-        param_grid=pg_ccv, param_map=_case_map(ccv_cases, ("a", "b", "c")),
-        arg_grid=Z33, tolerance=1e-9,
+        **_cases(ccv_cases, ("a", "b", "c")), arg_grid=Z33, tolerance=1e-9,
         fn=lambda d, z: (lambda e: (e.value, e.abs_err_est))(_m_res(d, z))))
 
     low_cases = ((0.5, 0.5, 1.0), (0.4, 0.7, 1.0), (0.3, 0.6, 0.9), (0.8, 1.2, 1.5))
-    pg_low, _ = _cases("case", low_cases)
 
     def m_minus_floor(d, z):
         e = _m_res(d, z)
@@ -848,7 +826,7 @@ def _mprop():
     checks.append(CheckSpec(
         id="mprop-6", kind="inequality",
         claim="If a+b>=c then M(z) > ab/c on (0,1).",
-        param_grid=pg_low, param_map=_case_map(low_cases, ("a", "b", "c")),
+        **_cases(low_cases, ("a", "b", "c")),
         arg_grid=Z33, tolerance=1e-9, fn=m_minus_floor))
     return checks
 
@@ -856,7 +834,6 @@ def _mprop():
 def _mextra():
     checks = []
     lim_cases = ((0.6, 0.7, 1.0), (0.9, 0.6, 1.0), (0.8, 1.2, 1.5))
-    pg_lim, _ = _cases("case", lim_cases)
 
     def f_scaled(d, z):
         e = m_scaled(MPoint(d["a"], d["b"], d["c"], z))
@@ -868,13 +845,12 @@ def _mextra():
               "(a+b-c) B(c,a+b-c)/B(a,b) at both ends; probed at "
               "z in {1e-13, 1e-12, 1e-11} where the z^(a+b-c) correction is "
               "below 5e-3.",
-        param_grid=pg_lim, param_map=_case_map(lim_cases, ("a", "b", "c")),
+        **_cases(lim_cases, ("a", "b", "c")),
         arg_grid=GridSpec((_dim("z", 1e-13, 1e-12, 1e-11),)),
         tolerance=5e-3, fn=f_scaled,
         rhs=lambda d, z: (m_scaled_limit(d["a"], d["b"], d["c"]), 0.0)))
 
     eq_cases = ((1.0, 0.4, 1.0), (0.7, 0.3, 0.7), (0.5, 1.0, 1.0), (0.4, 0.9, 0.9))
-    pg_eq, _ = _cases("case", eq_cases)
 
     def scaled_const(d, z):
         if abs(d["a"] - d["c"]) <= 1e-12:
@@ -885,11 +861,10 @@ def _mextra():
         id="mextra-2", kind="identity",
         claim="If a=c then (z(1-z))^b M(z) is identically b; if b=c it is "
               "identically a.",
-        param_grid=pg_eq, param_map=_case_map(eq_cases, ("a", "b", "c")),
+        **_cases(eq_cases, ("a", "b", "c")),
         arg_grid=Z33, tolerance=1e-10, fn=f_scaled, rhs=scaled_const))
 
     pw_cases = ((0.5, 0.5, 1.0), (0.3, 0.9, 1.1), (0.7, 0.9, 1.3), (0.25, 0.75, 1.0))
-    pg_pw, _ = _cases("case", pw_cases)
 
     def power_const(d, z):
         lg = 2.0 * gamma_ln(d["c"]).value - gamma_ln(d["a"]).value - gamma_ln(d["b"]).value
@@ -901,7 +876,7 @@ def _mextra():
               "d = Gamma(c)^2/(Gamma(a)Gamma(b)); equivalently the scaled "
               "function is the constant d. In particular M itself is "
               "constant within this family exactly when c=1.",
-        param_grid=pg_pw, param_map=_case_map(pw_cases, ("a", "b", "c")),
+        **_cases(pw_cases, ("a", "b", "c")),
         arg_grid=Z33, tolerance=1e-8, fn=f_scaled, rhs=power_const))
     return checks
 
@@ -909,7 +884,6 @@ def _mextra():
 def _mcorollary():
     checks = []
     cases = ((0.5, 0.5, 1.0), (0.3, 0.9, 1.1), (0.25, 0.75, 1.0))
-    pg, _ = _cases("case", cases)
     grid_r = GridSpec((GridDim("r", 0.08, 0.92, 9, "linear"),))
 
     def mu_val(d, r):
@@ -922,7 +896,7 @@ def _mcorollary():
               "form d(mu)/dr = -(1/4) D / (r^(2c-1) r'^(2c) K(r)^2) with "
               "D = exp(2(lnG(a)+lnG(b)+lnG(c)) - 3 lnG(a+b)) * ... ; checked "
               "against Richardson central differences at 1e-6 relative.",
-        param_grid=pg, param_map=_case_map(cases, ("a", "b", "c")),
+        **_cases(cases, ("a", "b", "c")),
         arg_grid=grid_r, tolerance=1e-6, fn=mu_val, fd_h=1e-5,
         rhs=lambda d, r: (lambda e: (e.value, e.abs_err_est))(
             mu_deriv_closed(ModulusParams(d["a"], d["b"], d["c"]), r))))
@@ -936,7 +910,7 @@ def _mcorollary():
               "the closed form phi_K'(r) = (s/r)^(2c-1) (s'/r')^(2c) "
               "F(s^2)^2/(K F(r^2)^2); checked for K=2 against Richardson "
               "differences at 1e-6 relative.",
-        param_grid=pg, param_map=_case_map(cases, ("a", "b", "c")),
+        **_cases(cases, ("a", "b", "c")),
         arg_grid=grid_r, tolerance=1e-6, fn=phi_val, fd_h=1e-4,
         rhs=lambda d, r: (lambda e: (e.value, e.abs_err_est))(
             phi_deriv_closed(ModulusParams(d["a"], d["b"], d["c"]), 2.0, r))))
@@ -996,26 +970,12 @@ def _ktheo():
     checks = []
     pgrid = GridSpec((_FRAC_SMALL, _CVALS_SMALL, _KDIM))
 
-    def mapper(d):
-        out = _map_reduced(d)
-        return out
-
-    def make(expr):
+    def make(expr, inverse=False):
         def fn(d, x):
             m = q_modulus(x)
             pm = modulus_params_ac(d["a"], d["c"])
             pe = EllipticParams(d["a"], d["c"] - d["a"], d["c"])
-            s = phi_k_m(pm, d["K"], m)
-            return expr(pe, m, s, d)
-        return fn
-
-    def make_t(expr):
-        def fn(d, x):
-            m = q_modulus(x)
-            pm = modulus_params_ac(d["a"], d["c"])
-            pe = EllipticParams(d["a"], d["c"] - d["a"], d["c"])
-            t = phi_k_m(pm, DegreeK(1.0 / d["K"]), m)
-            return expr(pe, m, t, d)
+            return expr(pe, m, phi_k_m(pm, _degree(d, inverse), m), d)
         return fn
 
     lo55 = lambda d: -55.0
@@ -1029,7 +989,7 @@ def _ktheo():
         id="ktheo-1", kind="monotone", direction=-1,
         claim="For 0<a<c<=1, K>1, s=phi_K(r): s/r is strictly decreasing in "
               "r on (0,1) onto (1, infinity). Argument is x=log(r^2/r'^2).",
-        param_grid=pgrid, param_map=mapper, arg_grid=X17K, tolerance=1e-9,
+        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
         fn=make(ratio_r), lo_limit=lambda d: INF, hi_limit=lambda d: 1.0,
         lo_probe=lo55, hi_probe=hi55, hi_attain=2e-3))
 
@@ -1049,7 +1009,7 @@ def _ktheo():
               "end decays like r'^(K-1) and is judged by gap decay, while "
               "the r->0 deviation ~ e^(R(1-1/K)) r^(2/K) needs the probe at "
               "x=-160.",
-        param_grid=pgrid, param_map=mapper, arg_grid=X17K, tolerance=1e-9,
+        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
         fn=make(ratio_rc), lo_limit=lambda d: 1.0, hi_limit=lambda d: 0.0,
         lo_probe=lo160, hi_probe=hi55, lo_attain=2e-3, hi_attain=1e-3))
 
@@ -1061,7 +1021,7 @@ def _ktheo():
         claim="K(s)/K(r) is strictly increasing on (0,1) onto (1, K); the "
               "K endpoint is 1/log-slow on float grids but exact in the "
               "deep-asymptotic probe at x=55 (attainment 0.02).",
-        param_grid=pgrid, param_map=mapper, arg_grid=X17K, tolerance=1e-9,
+        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
         fn=make(ratio_k), lo_limit=lambda d: 1.0, hi_limit=lambda d: d["K"],
         lo_probe=lo55, hi_probe=hi55, lo_attain=2e-3, hi_attain=0.02))
 
@@ -1071,7 +1031,7 @@ def _ktheo():
     checks.append(CheckSpec(
         id="ktheo-4", kind="monotone", direction=1,
         claim="K'(s)/K'(r) is strictly increasing on (0,1) onto (1/K, 1).",
-        param_grid=pgrid, param_map=mapper, arg_grid=X17K, tolerance=1e-9,
+        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
         fn=make(ratio_kc), lo_limit=lambda d: 1.0 / d["K"], hi_limit=lambda d: 1.0,
         lo_probe=lo55, hi_probe=hi55, lo_attain=0.02, hi_attain=2e-3))
 
@@ -1084,7 +1044,7 @@ def _ktheo():
         id="ktheo-5", kind="monotone", direction=-1,
         claim="s' K(s)^2 / (r' K(r)^2) is strictly decreasing on (0,1) onto "
               "(0,1); r->0 probed at x=-160 (deviation ~ r^(2/K)).",
-        param_grid=pgrid, param_map=mapper, arg_grid=X17K, tolerance=1e-9,
+        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
         fn=make(weighted_k2), lo_limit=lambda d: 1.0, hi_limit=lambda d: 0.0,
         lo_probe=lo160, hi_probe=hi55, lo_attain=2e-3, hi_attain=1e-3))
 
@@ -1097,7 +1057,7 @@ def _ktheo():
         id="ktheo-6", kind="monotone", direction=-1,
         claim="s K'(s)^2 / (r K'(r)^2) is strictly decreasing on (0,1) onto "
               "(1, infinity).",
-        param_grid=pgrid, param_map=mapper, arg_grid=X17K, tolerance=1e-9,
+        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
         fn=make(weighted_kc2), lo_limit=lambda d: INF, hi_limit=lambda d: 1.0,
         lo_probe=lo55, hi_probe=hi55, hi_attain=2e-3))
 
@@ -1106,37 +1066,37 @@ def _ktheo():
         claim="For t=phi_{1/K}(r): t/r is strictly increasing on (0,1) onto "
               "(0,1); the r->0 end decays like r^(K-1), judged by gap decay, "
               "and the r->1 deviation ~ r'^(2/K) needs the probe at x=160.",
-        param_grid=pgrid, param_map=mapper, arg_grid=X17K, tolerance=1e-9,
-        fn=make_t(ratio_r), lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0,
+        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
+        fn=make(ratio_r, inverse=True), lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0,
         lo_probe=lo55, hi_probe=hi160, lo_attain=1e-3, hi_attain=2e-3))
 
     checks.append(CheckSpec(
         id="ktheo-8", kind="monotone", direction=1,
         claim="t'/r' is strictly increasing on (0,1) onto (1, infinity).",
-        param_grid=pgrid, param_map=mapper, arg_grid=X17K, tolerance=1e-9,
-        fn=make_t(ratio_rc), lo_limit=lambda d: 1.0, hi_limit=lambda d: INF,
+        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
+        fn=make(ratio_rc, inverse=True), lo_limit=lambda d: 1.0, hi_limit=lambda d: INF,
         lo_probe=lo55, hi_probe=hi55, lo_attain=2e-3))
 
     checks.append(CheckSpec(
         id="ktheo-9", kind="monotone", direction=-1,
         claim="K(t)/K(r) is strictly decreasing on (0,1) onto (1/K, 1).",
-        param_grid=pgrid, param_map=mapper, arg_grid=X17K, tolerance=1e-9,
-        fn=make_t(ratio_k), lo_limit=lambda d: 1.0, hi_limit=lambda d: 1.0 / d["K"],
+        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
+        fn=make(ratio_k, inverse=True), lo_limit=lambda d: 1.0, hi_limit=lambda d: 1.0 / d["K"],
         lo_probe=lo55, hi_probe=hi55, lo_attain=2e-3, hi_attain=0.02))
 
     checks.append(CheckSpec(
         id="ktheo-10", kind="monotone", direction=-1,
         claim="K'(t)/K'(r) is strictly decreasing on (0,1) onto (1, K).",
-        param_grid=pgrid, param_map=mapper, arg_grid=X17K, tolerance=1e-9,
-        fn=make_t(ratio_kc), lo_limit=lambda d: d["K"], hi_limit=lambda d: 1.0,
+        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
+        fn=make(ratio_kc, inverse=True), lo_limit=lambda d: d["K"], hi_limit=lambda d: 1.0,
         lo_probe=lo55, hi_probe=hi55, lo_attain=0.02, hi_attain=2e-3))
 
     checks.append(CheckSpec(
         id="ktheo-11", kind="monotone", direction=1,
         claim="t' K(t)^2 / (r' K(r)^2) is strictly increasing on (0,1) onto "
               "(1, infinity).",
-        param_grid=pgrid, param_map=mapper, arg_grid=X17K, tolerance=1e-9,
-        fn=make_t(weighted_k2), lo_limit=lambda d: 1.0, hi_limit=lambda d: INF,
+        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
+        fn=make(weighted_k2, inverse=True), lo_limit=lambda d: 1.0, hi_limit=lambda d: INF,
         lo_probe=lo55, hi_probe=hi55, lo_attain=2e-3))
 
     checks.append(CheckSpec(
@@ -1144,8 +1104,8 @@ def _ktheo():
         claim="t K'(t)^2 / (r K'(r)^2) is strictly increasing on (0,1) onto "
               "(0,1); the r->0 end is judged by gap decay, the r->1 end "
               "probed at x=160 (deviation ~ r'^(2/K)).",
-        param_grid=pgrid, param_map=mapper, arg_grid=X17K, tolerance=1e-9,
-        fn=make_t(weighted_kc2), lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0,
+        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
+        fn=make(weighted_kc2, inverse=True), lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0,
         lo_probe=lo55, hi_probe=hi160, lo_attain=1e-3, hi_attain=2e-3))
     return checks
 
@@ -1174,7 +1134,6 @@ def _mufunc():
         arg_grid=R33, tolerance=1e-9, fn=g2))
 
     mid_cases = ((0.3, 0.8), (0.5, 1.0), (0.2, 0.4))
-    pg_mid, _ = _cases("case", mid_cases)
 
     def midpoint_margin(d, i):
         u, t = _seeded_pairs(7, 200, 0.02, 0.98, 1e-3)[int(round(i))]
@@ -1192,7 +1151,7 @@ def _mufunc():
         claim="For 0<a<c<=1 and u,t in (0,1): mu(1-sqrt((1-u)(1-t))) <= "
               "(mu(u)+mu(t))/2 <= mu(sqrt(ut)), strictly unless u=t; checked "
               "at 200 seeded pairs with |u-t| > 1e-3.",
-        param_grid=pg_mid, param_map=_case_map(mid_cases, ("a", "c")),
+        **_cases(mid_cases, ("a", "c")),
         arg_grid=GridSpec((GridDim("i", 0.0, 199.0, 200, "linear"),)),
         tolerance=1e-9, fn=midpoint_margin))
     return checks
@@ -1201,8 +1160,7 @@ def _mufunc():
 def _phiperr():
     checks = []
     ac_cases = ((0.3, 0.8), (0.5, 1.0), (0.7, 0.9))
-    pgrid = GridSpec((_dim("case", *range(len(ac_cases))), _KDIM))
-    mapper = _case_map(ac_cases, ("a", "c"))
+    ac_k = _cases(ac_cases, ("a", "c"), _KDIM)
 
     def f_over_power(d, x):
         m = q_modulus(x)
@@ -1216,8 +1174,7 @@ def _phiperr():
               "(0,1] onto [1, exp((1-1/K) R(a,c-a)/2)); hence r^(1/K) < "
               "phi_K(r) < e^((1-1/K)R/2) r^(1/K). Argument x=log(r^2/r'^2); "
               "the r->0 limit is probed at x=-200 (corrections O(r^(2/K))).",
-        param_grid=pgrid, param_map=mapper,
-        arg_grid=X17, tolerance=1e-9, fn=f_over_power,
+        **ac_k, arg_grid=X17, tolerance=1e-9, fn=f_over_power,
         lo_limit=lambda d: math.exp((1.0 - 1.0 / d["K"]) * 0.5
                                     * ramanujan_r(d["a"], d["c"] - d["a"]).value),
         hi_limit=lambda d: 1.0,
@@ -1236,8 +1193,7 @@ def _phiperr():
               "(0,1] onto (exp((1-K) R(a,c-a)/2), 1]. The r->0 probe sits at "
               "x=-58 (solver saturation bound for K=10); corrections there "
               "are O(exp(-29 K)).",
-        param_grid=pgrid, param_map=mapper,
-        arg_grid=X17, tolerance=1e-9, fn=g_over_power,
+        **ac_k, arg_grid=X17, tolerance=1e-9, fn=g_over_power,
         lo_limit=lambda d: math.exp((1.0 - d["K"]) * 0.5
                                     * ramanujan_r(d["a"], d["c"] - d["a"]).value),
         hi_limit=lambda d: 1.0,
@@ -1249,8 +1205,7 @@ def _phiperr():
 def _funcineq():
     checks = []
     ac_cases = ((0.3, 0.8), (0.5, 1.0), (0.7, 0.9))
-    pgrid = GridSpec((_dim("case", *range(len(ac_cases))), _KDIM3))
-    mapper = _case_map(ac_cases, ("a", "c"))
+    ac_k = _cases(ac_cases, ("a", "c"), _KDIM3)
     r_grid = GridSpec((GridDim("r", 0.05, 0.95, 21, "linear"),))
 
     def log_phi(d, m):
@@ -1272,13 +1227,13 @@ def _funcineq():
     checks.append(CheckSpec(
         id="funcineq1-1-mono", kind="monotone", direction=-1,
         claim="For 0<a<c<=1, K>1: f1(r)=log phi_K(r') is decreasing on (0,1).",
-        param_grid=pgrid, param_map=mapper, arg_grid=r_grid,
+        **ac_k, arg_grid=r_grid,
         tolerance=1e-9, fn=f1))
 
     checks.append(CheckSpec(
         id="funcineq1-1-concave", kind="convex_concave", direction=-1,
         claim="f1(r)=log phi_K(r') is concave on (0,1).",
-        param_grid=pgrid, param_map=mapper, arg_grid=r_grid,
+        **ac_k, arg_grid=r_grid,
         tolerance=1e-9, fn=f1))
 
     def f1_products(d, i):
@@ -1305,8 +1260,7 @@ def _funcineq():
               "phi_K(u')phi_K(t') <= phi_K(sqrt(1-((u+t)/2)^2))^2 and "
               "phi_K(u)phi_K(t) <= phi_K(sqrt(1-sqrt((1-u^2)(1-t^2))))^2, "
               "with equality iff u=t; 80 seeded pairs, margins in log scale.",
-        param_grid=pgrid, param_map=mapper,
-        arg_grid=GridSpec((GridDim("i", 0.0, 79.0, 80, "linear"),)),
+        **ac_k, arg_grid=GridSpec((GridDim("i", 0.0, 79.0, 80, "linear"),)),
         tolerance=1e-9, fn=f1_products))
 
     def f2(d, r):
@@ -1318,13 +1272,13 @@ def _funcineq():
         id="funcineq1-2-mono", kind="monotone", direction=-1,
         claim="f2(r)=log phi_K(r'^2) is decreasing on (0,1) (argument here "
               "is the modulus value 1-r^2 itself, not its square root).",
-        param_grid=pgrid, param_map=mapper, arg_grid=r_grid,
+        **ac_k, arg_grid=r_grid,
         tolerance=1e-9, fn=f2))
 
     checks.append(CheckSpec(
         id="funcineq1-2-concave", kind="convex_concave", direction=-1,
         claim="f2(r)=log phi_K(r'^2) is concave on (0,1).",
-        param_grid=pgrid, param_map=mapper, arg_grid=r_grid,
+        **ac_k, arg_grid=r_grid,
         tolerance=1e-9, fn=f2))
 
     def f2_product(d, i):
@@ -1342,8 +1296,7 @@ def _funcineq():
         claim="Consequence of the concavity of log phi_K(r'^2): "
               "phi_K(u'^2)phi_K(t'^2) <= phi_K(1-((u+t)/2)^2)^2, equality "
               "iff u=t; 80 seeded pairs, log-scale margins.",
-        param_grid=pgrid, param_map=mapper,
-        arg_grid=GridSpec((GridDim("i", 0.0, 79.0, 80, "linear"),)),
+        **ac_k, arg_grid=GridSpec((GridDim("i", 0.0, 79.0, 80, "linear"),)),
         tolerance=1e-9, fn=f2_product))
 
     def f2_printed(d, i):
@@ -1364,8 +1317,7 @@ def _funcineq():
               "case K=2 violates it. The true consequence of the concavity "
               "of log phi_K(r'^2) is the 'product-first' form checked "
               "separately.",
-        param_grid=pgrid, param_map=mapper,
-        arg_grid=GridSpec((GridDim("i", 0.0, 79.0, 80, "linear"),)),
+        **ac_k, arg_grid=GridSpec((GridDim("i", 0.0, 79.0, 80, "linear"),)),
         tolerance=1e-9, fn=f2_printed))
 
     x_grid = GridSpec((GridDim("x", 0.01, 20.0, 25, "log"),))
@@ -1378,13 +1330,13 @@ def _funcineq():
     checks.append(CheckSpec(
         id="funcineq1-3-mono", kind="monotone", direction=1,
         claim="f3(x)=log phi_K(1-e^(-x)) is increasing on (0, infinity).",
-        param_grid=pgrid, param_map=mapper, arg_grid=x_grid,
+        **ac_k, arg_grid=x_grid,
         tolerance=1e-9, fn=f3))
 
     checks.append(CheckSpec(
         id="funcineq1-3-concave", kind="convex_concave", direction=-1,
         claim="f3(x)=log phi_K(1-e^(-x)) is concave on (0, infinity).",
-        param_grid=pgrid, param_map=mapper, arg_grid=x_grid,
+        **ac_k, arg_grid=x_grid,
         tolerance=1e-9, fn=f3))
 
     def f3_products(d, i):
@@ -1407,8 +1359,7 @@ def _funcineq():
               "phi_K(1-u)phi_K(1-t) <= phi_K(1-sqrt(ut))^2 and "
               "phi_K(u)phi_K(t) <= phi_K(1-sqrt((1-u)(1-t)))^2, equality iff "
               "u=t; 80 seeded pairs, log-scale margins.",
-        param_grid=pgrid, param_map=mapper,
-        arg_grid=GridSpec((GridDim("i", 0.0, 79.0, 80, "linear"),)),
+        **ac_k, arg_grid=GridSpec((GridDim("i", 0.0, 79.0, 80, "linear"),)),
         tolerance=1e-9, fn=f3_products))
     return checks
 
@@ -1416,8 +1367,7 @@ def _funcineq():
 def _linconj():
     checks = []
     ac_cases = ((0.3, 0.8), (0.5, 1.0), (0.7, 0.9))
-    pgrid = GridSpec((_dim("case", *range(len(ac_cases))), _KDIM3))
-    mapper = _case_map(ac_cases, ("a", "c"))
+    ac_k = _cases(ac_cases, ("a", "c"), _KDIM3)
     x_grid = GridSpec((GridDim("x", -20.0, 20.0, 41, "linear"),))
 
     def g_margin(d, x):
@@ -1430,7 +1380,7 @@ def _linconj():
         claim="With p(x)=2 log(x/x'), q(x)=sqrt(e^x/(e^x+1)): the map "
               "g(x)=p(phi_K(q(x))) satisfies g(x) >= Kx for x >= 0 and "
               "g(x) >= x/K for x < 0.",
-        param_grid=pgrid, param_map=mapper, arg_grid=x_grid,
+        **ac_k, arg_grid=x_grid,
         tolerance=1e-9, fn=g_margin))
 
     def h_margin(d, x):
@@ -1442,7 +1392,7 @@ def _linconj():
         id="linconj-h", kind="inequality",
         claim="The map h(x)=p(phi_{1/K}(q(x))) satisfies h(x) <= x/K for "
               "x >= 0 and h(x) <= Kx for x < 0.",
-        param_grid=pgrid, param_map=mapper, arg_grid=x_grid,
+        **ac_k, arg_grid=x_grid,
         tolerance=1e-9, fn=h_margin))
     return checks
 
@@ -1453,7 +1403,6 @@ def _linconj():
 def _cdependence():
     checks = []
     ab_cases = ((0.3, 0.8), (0.5, 1.0), (0.2, 0.4), (0.7, 2.5), (1.5, 4.0))
-    pg_ab, _ = _cases("case", ab_cases)
 
     def b_of_t(d, t):
         p = pab(d["a"], d["c"], t)
@@ -1465,7 +1414,7 @@ def _cdependence():
               "P = psi(c-a+t) - psi(c+t) is strictly increasing in t >= 0, "
               "zero exactly at t=0, with limit psi(c)-psi(c-a) as t->inf "
               "(probed at t=1e5).",
-        param_grid=pg_ab, param_map=_case_map(ab_cases, ("a", "c")),
+        **_cases(ab_cases, ("a", "c")),
         arg_grid=GridSpec((GridDim("t", 0.0, 6.0, 25, "linear"),)),
         tolerance=1e-9, fn=b_of_t,
         lo_limit=lambda d: 0.0,
@@ -1474,7 +1423,6 @@ def _cdependence():
         lo_attain=1e-12, hi_attain=1e-3))
 
     at_cases = ((0.3, 0.5), (0.3, 2.0), (0.5, 1.0), (0.5, 10.0), (0.8, 4.0))
-    pg_at, _ = _cases("case", at_cases)
 
     def a_of_c(d, c):
         return pab(d["a"], c, d["t"]).A, 1e-13
@@ -1484,13 +1432,12 @@ def _cdependence():
         claim="For the Pochhammer ratio A(c) = (c-a,t)/(c,t): "
               "dA/dc = A(c) B(t), checked against Richardson differences at "
               "1e-6 relative.",
-        param_grid=pg_at, param_map=_case_map(at_cases, ("a", "t")),
+        **_cases(at_cases, ("a", "t")),
         arg_grid=GridSpec((GridDim("c", 1.0, 5.0, 9, "log"),)),
         tolerance=1e-6, fn=a_of_c, fd_h=1e-5,
         rhs=lambda d, c: (lambda p: (p.A * p.B_t, 0.0))(pab(d["a"], c, d["t"]))))
 
     mu_cases = ((0.3, 0.2), (0.3, 0.5), (0.3, 0.8), (0.6, 0.2), (0.6, 0.5), (0.6, 0.8))
-    pg_mu, _ = _cases("case", mu_cases)
 
     def mu_of_c(d, c):
         e = mu(modulus_params_ac(d["a"], c), d["r"])
@@ -1502,7 +1449,7 @@ def _cdependence():
               "decreasing on (a, infinity) onto (0, infinity). The c->inf "
               "decay is c^(-a) (slow); far probe at the c=45 parameter cap "
               "with decay factor 0.75; c->a+ divergence probed at a+1e-5.",
-        param_grid=pg_mu, param_map=_case_map(mu_cases, ("a", "r")),
+        **_cases(mu_cases, ("a", "r")),
         arg_grid=GridSpec((GridDim("c", 0.7, 10.0, 33, "log"),)),
         tolerance=1e-9, fn=mu_of_c,
         lo_limit=lambda d: INF, hi_limit=lambda d: 0.0,
@@ -1510,7 +1457,6 @@ def _cdependence():
         hi_attain=1e-3, decay_factor=0.75))
 
     inv_cases = ((0.3, 0.5), (0.3, 2.0), (0.6, 0.5), (0.6, 2.0))
-    pg_inv, _ = _cases("case", inv_cases)
 
     def inv_logit(d, c):
         m = mu_inv_m(modulus_params_ac(d["a"], c), d["y"])
@@ -1525,7 +1471,7 @@ def _cdependence():
               "The c->inf end (value -> 0) diverges only like -log(c)/a in "
               "log-odds and cannot be certified below the c<=50 parameter "
               "cap; monotonicity on the grid still covers it.",
-        param_grid=pg_inv, param_map=_case_map(inv_cases, ("a", "y")),
+        **_cases(inv_cases, ("a", "y")),
         arg_grid=GridSpec((GridDim("c", 0.7, 10.0, 33, "log"),)),
         tolerance=1e-9, fn=inv_logit,
         lo_limit=lambda d: INF, lo_probe=lambda d: d["a"] + 0.05))
@@ -1534,13 +1480,13 @@ def _cdependence():
     # K capped at 5 here: the c -> a+ probe needs log(1/phi) ~ K (B/2)^2
     # worth of logit range and K=10 would push the solver past saturation
     # at the probe's b = 0.01.
-    pg_ph = GridSpec((_dim("case", *range(len(ph_cases))), _dim("K", 2.0, 5.0)))
-    ph_map = _case_map(ph_cases, ("a", "r"))
+    ar_k = _cases(ph_cases, ("a", "r"), _dim("K", 2.0, 5.0))
 
-    def phi_logit_c(d, c):
-        m = Modulus.from_r(d["r"])
-        s = phi_k_m(modulus_params_ac(d["a"], c), d["K"], m)
-        return p_logit(s), 1e-9
+    def phi_logit_c(inverse):
+        def fn(d, c):
+            m = Modulus.from_r(d["r"])
+            return p_logit(phi_k_m(modulus_params_ac(d["a"], c), _degree(d, inverse), m)), 1e-9
+        return fn
 
     checks.append(CheckSpec(
         id="phidepc-k", kind="monotone", direction=-1,
@@ -1549,15 +1495,9 @@ def _cdependence():
               "log-odds for K in {2,5}. The c->a+ divergence is probed at "
               "c=a+0.01 (K=10 would saturate the solver there); the closed "
               "end c=1 lies on the grid.",
-        param_grid=pg_ph, param_map=ph_map,
-        arg_grid=GridSpec((GridDim("c", 0.52, 1.0, 17, "linear"),)),
-        tolerance=1e-9, fn=phi_logit_c,
+        **ar_k, arg_grid=GridSpec((GridDim("c", 0.52, 1.0, 17, "linear"),)),
+        tolerance=1e-9, fn=phi_logit_c(False),
         lo_limit=lambda d: INF, lo_probe=lambda d: d["a"] + 0.01))
-
-    def phi_inv_logit_c(d, c):
-        m = Modulus.from_r(d["r"])
-        t = phi_k_m(modulus_params_ac(d["a"], c), DegreeK(1.0 / d["K"]), m)
-        return p_logit(t), 1e-9
 
     checks.append(CheckSpec(
         id="phidepc-invk", kind="monotone", direction=1,
@@ -1565,13 +1505,11 @@ def _cdependence():
               "increasing on (a,1] onto (0, phi_{1/K}^{a,1}(r)]; checked in "
               "log-odds for K in {2,5} with the c->a+ end (value -> 0) "
               "probed at c=a+0.01.",
-        param_grid=pg_ph, param_map=ph_map,
-        arg_grid=GridSpec((GridDim("c", 0.52, 1.0, 17, "linear"),)),
-        tolerance=1e-9, fn=phi_inv_logit_c,
+        **ar_k, arg_grid=GridSpec((GridDim("c", 0.52, 1.0, 17, "linear"),)),
+        tolerance=1e-9, fn=phi_logit_c(True),
         lo_limit=lambda d: -INF, lo_probe=lambda d: d["a"] + 0.01))
 
     keb_cases = ((0.3, 0.4), (0.5, 0.7), (0.7, 0.2))
-    pg_keb, _ = _cases("case", keb_cases)
 
     def k_minus_halfb(d, c):
         a = d["a"]
@@ -1586,7 +1524,7 @@ def _cdependence():
               "strictly decreasing on (a, infinity), with limit log(1/r') "
               "as c->a+ (probed at c=a+1e-4, tolerance 1e-3) and 0 as "
               "c->inf (c^(-a) rate; far probe at c=45 with decay 0.75).",
-        param_grid=pg_keb, param_map=_case_map(keb_cases, ("a", "r")),
+        **_cases(keb_cases, ("a", "r")),
         arg_grid=GridSpec((GridDim("c", 0.75, 10.0, 33, "log"),)),
         tolerance=1e-9, fn=k_minus_halfb,
         lo_limit=lambda d: -math.log(math.sqrt(1.0 - d["r"] * d["r"])),
@@ -1618,7 +1556,7 @@ def _cdependence():
               "(1/2) sum_{n>=1} r^(2n)/(a+n-1) - log(1/r') as c->a+ "
               "(500-term partial sum; truncation < 1e-150 for r <= 0.7) and "
               "0 as c->inf.",
-        param_grid=pg_keb, param_map=_case_map(keb_cases, ("a", "r")),
+        **_cases(keb_cases, ("a", "r")),
         arg_grid=GridSpec((GridDim("c", 0.75, 10.0, 33, "log"),)),
         tolerance=1e-9, fn=halfb_minus_e,
         lo_limit=keb_g_limit, hi_limit=lambda d: 0.0,
@@ -1633,12 +1571,7 @@ def _cdependence():
 def _conjectures():
     checks = []
     ac_cases = ((0.3, 0.8), (0.5, 0.9), (0.7, 0.95))
-    pg_ac, _ = _cases("case", ac_cases)
-
-    def map_red(d):
-        out = _case_map(ac_cases, ("a", "c"))(d)
-        out["b"] = out["c"] - out["a"]
-        return out
+    red = _cases(tuple((a, c, c - a) for a, c in ac_cases), ("a", "c", "b"))
 
     def sqrt_r_over_m(d, r):
         m = Modulus.from_r(r)
@@ -1650,8 +1583,7 @@ def _conjectures():
         id="conj-1a", kind="monotone", direction=1, gating=False,
         claim="Conjecture: for 0<a<c<1, b=c-a, sqrt(r)/M(r^2) is strictly "
               "increasing on (0,1) onto (0, B(a,b)).",
-        param_grid=pg_ac, param_map=map_red,
-        arg_grid=R33, tolerance=1e-9, fn=sqrt_r_over_m,
+        **red, arg_grid=R33, tolerance=1e-9, fn=sqrt_r_over_m,
         lo_limit=lambda d: 0.0, hi_limit=lambda d: beta(d["a"], d["b"]).value,
         lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-7,
         lo_attain=1e-3, hi_attain=5e-3))
@@ -1666,13 +1598,12 @@ def _conjectures():
         id="conj-1b", kind="monotone", direction=-1, gating=False,
         claim="Conjecture: for 0<a<c<1, b=c-a, sqrt(r')/M(r^2) is strictly "
               "decreasing on (0,1) onto (0, B(a,b)).",
-        param_grid=pg_ac, param_map=map_red,
-        arg_grid=R33, tolerance=1e-9, fn=sqrt_rc_over_m,
+        **red, arg_grid=R33, tolerance=1e-9, fn=sqrt_rc_over_m,
         lo_limit=lambda d: beta(d["a"], d["b"]).value, hi_limit=lambda d: 0.0,
         lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-7,
         lo_attain=5e-3, hi_attain=1e-3))
 
-    pg_phi = GridSpec((_dim("case", *range(len(ac_cases))), _KDIM3))
+    ac_k = _cases(ac_cases, ("a", "c"), _KDIM3)
 
     def make_conj(expr, **kw):
         def fn(d, r):
@@ -1693,8 +1624,7 @@ def _conjectures():
         id="conj-2-i", kind="monotone", direction=-1, gating=False,
         claim="Conjecture: s M(r^2)/(r M(s^2)) with s=phi_K(r) is strictly "
               "decreasing on (0,1) onto (1, infinity).",
-        param_grid=pg_phi, param_map=_case_map(ac_cases, ("a", "c")),
-        arg_grid=R33, tolerance=1e-9, fn=make_conj(c2i),
+        **ac_k, arg_grid=R33, tolerance=1e-9, fn=make_conj(c2i),
         lo_limit=lambda d: INF, hi_limit=lambda d: 1.0,
         lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-9,
         hi_attain=5e-3))
@@ -1708,8 +1638,7 @@ def _conjectures():
         claim="Conjecture: s' M(r^2)/(r' M(s^2)) is strictly decreasing on "
               "(0,1) onto (0,1); the r->1 end decays like r'^(K-1), judged "
               "by gap decay.",
-        param_grid=pg_phi, param_map=_case_map(ac_cases, ("a", "c")),
-        arg_grid=R33, tolerance=1e-9, fn=make_conj(c2ii),
+        **ac_k, arg_grid=R33, tolerance=1e-9, fn=make_conj(c2ii),
         lo_limit=lambda d: 1.0, hi_limit=lambda d: 0.0,
         lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-9,
         lo_attain=5e-3, hi_attain=1e-3))
@@ -1724,8 +1653,7 @@ def _conjectures():
         claim="Conjecture: K(r) M(r^2)/(K(s) M(s^2)) is strictly decreasing "
               "on (0,1) onto (1/K, 1); 1/log upper endpoint, attainment "
               "0.05 with decay 0.6.",
-        param_grid=pg_phi, param_map=_case_map(ac_cases, ("a", "c")),
-        arg_grid=R33, tolerance=1e-9, fn=make_conj(c2iii),
+        **ac_k, arg_grid=R33, tolerance=1e-9, fn=make_conj(c2iii),
         lo_limit=lambda d: 1.0, hi_limit=lambda d: 1.0 / d["K"],
         lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-9,
         lo_attain=5e-3, hi_attain=0.05, decay_factor=0.6))
@@ -1740,8 +1668,7 @@ def _conjectures():
         claim="Conjecture: K'(r) M(r^2)/(K'(s) M(s^2)) is strictly "
               "decreasing on (0,1) onto (1, K); 1/log lower endpoint, "
               "attainment 0.12 with decay 0.6.",
-        param_grid=pg_phi, param_map=_case_map(ac_cases, ("a", "c")),
-        arg_grid=R33, tolerance=1e-9, fn=make_conj(c2iv),
+        **ac_k, arg_grid=R33, tolerance=1e-9, fn=make_conj(c2iv),
         lo_limit=lambda d: d["K"], hi_limit=lambda d: 1.0,
         lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-9,
         lo_attain=0.12, hi_attain=5e-3, decay_factor=0.6))
