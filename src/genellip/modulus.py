@@ -239,7 +239,20 @@ def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
             hi, ghi = t2, g2
         t0, g0 = t1, g1
         t1, g1 = t2, g2
-        if abs(g2) <= 1e-13 * (1.0 + abs(log_target)) or hi - lo <= 4e-16 * max(1.0, abs(t2)):
+        if abs(g2) <= 1e-13 * (1.0 + abs(log_target)):
+            return t2
+        if hi - lo <= 4e-16 * max(1.0, abs(t2)):
+            # A bracket that closes on an infinite g closed on the edge of
+            # the float range, not on a root: the target lies past the mu
+            # that F can still be computed for.
+            if glo == math.inf:
+                raise SaturationError(
+                    f"target mu={math.exp(log_target)!r} exceeds the largest "
+                    f"mu computable in floating point", endpoint=0.0)
+            if ghi == -math.inf:
+                raise SaturationError(
+                    f"target mu={math.exp(log_target)!r} is below the smallest "
+                    f"mu computable in floating point", endpoint=1.0)
             return t2
     if abs(g1) <= 1e-12:
         return t1
@@ -280,7 +293,8 @@ def mu_inv_m(p: ModulusParams, y: float) -> Modulus:
     or, once the evaluation budget is spent, a residual in log mu of at
     most 1e-12 (else ConvergenceError).  The relative error of mu(result)
     can therefore exceed 1e-13 when |log y| is large or the bracket closes
-    first.
+    first.  A bracket that closes where F leaves the float range, short of
+    that residual, raises SaturationError: y lies past every computable mu.
     """
     if not (is_real(y) and math.isfinite(y) and y > 0.0):
         raise DomainError(f"mu_inv needs y > 0, got {y!r}")

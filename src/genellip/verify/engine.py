@@ -27,11 +27,12 @@ violations beyond error bounds fail.
 
 The pointwise kinds (inequality, identity, derivative_match, limit) share
 one sampling loop, `_run_points`.  Each gives it a judge that evaluates one
-point and returns (margin, witness fields, fail or an inconclusive note or
-None, strict hit); the loop notes every margin, stops the combo at the first
-point that fails or is inconclusive, and turns an evaluation error into an
-inconclusive "evaluation failed".  Only inequality judges can miss a strict
-hit, which the loop holds to the same >= 99% rule as the shape kinds.
+point and returns (margin, witness fields, verdict, note): the verdict is
+"pass", "fail", "inconclusive" (the note says why) or, for inequality only,
+"weak", a point that holds but not beyond its error.  The loop notes every
+margin, stops the combo at the first point that fails or is inconclusive,
+and turns an evaluation error into an inconclusive "evaluation failed".
+Weak points count against the same >= 99% strict rule as the shape kinds.
 """
 
 from __future__ import annotations
@@ -394,7 +395,8 @@ def _run_shape(spec, params, counter, out, checker):
 def _judge_inequality(spec, params, counter):
     def judge(x):
         m, err = _eval(spec, params, x, counter)
-        return m, {"margin": m}, "fail" if m < -(err + spec.tolerance) else None, m > err
+        verdict = "fail" if m < -(err + spec.tolerance) else "pass" if m > err else "weak"
+        return m, {"margin": m}, verdict, None
     return judge
 
 
@@ -405,10 +407,12 @@ def _judge_identity(spec, params, counter):
         counter.n += 1
         diff = abs(lhs - rhs)
         bound = spec.tolerance * max(1.0, abs(lhs), abs(rhs))
-        bad = None
-        if diff > bound:
-            bad = "difference inside error bounds" if diff <= el + er else "fail"
-        return bound - diff, {"lhs": lhs, "rhs": rhs}, bad, True
+        margin, fields = bound - diff, {"lhs": lhs, "rhs": rhs}
+        if not diff > bound:
+            return margin, fields, "pass", None
+        if diff <= el + er:
+            return margin, fields, "inconclusive", "difference inside error bounds"
+        return margin, fields, "fail", None
     return judge
 
 
@@ -419,11 +423,12 @@ def _judge_derivative(spec, params, counter):
         counter.n += 1
         scale = max(abs(ref), 1e-300)
         rel = abs(fd.first - ref) / scale
-        bad = None
-        if rel > spec.tolerance:
-            bad = ("finite-difference error too large"
-                   if fd.first_err > spec.tolerance * scale else "fail")
-        return spec.tolerance - rel, {"fd": fd.first, "formula": ref}, bad, True
+        margin, fields = spec.tolerance - rel, {"fd": fd.first, "formula": ref}
+        if not rel > spec.tolerance:
+            return margin, fields, "pass", None
+        if fd.first_err > spec.tolerance * scale:
+            return margin, fields, "inconclusive", "finite-difference error too large"
+        return margin, fields, "fail", None
     return judge
 
 
@@ -434,8 +439,8 @@ def _judge_limit(spec, params, counter):
     def judge(x):
         y, err = _eval(spec, params, x, counter)
         diff = abs(y - target)
-        bad = "fail" if diff > bound + err else None
-        return bound - diff, {"value": y, "target": target}, bad, True
+        verdict = "fail" if diff > bound + err else "pass"
+        return bound - diff, {"value": y, "target": target}, verdict, None
     return judge
 
 
@@ -447,18 +452,18 @@ def _run_points(spec, params, counter, out, make_judge):
     for x in xs:
         x = float(x)
         try:
-            margin, fields, bad, strict = judge(x)
+            margin, fields, verdict, note = judge(x)
         except GenellipError as exc:
             out.inconclusive(_witness(params, arg=x, note=f"evaluation failed: {exc}"))
             return
         out.note(margin, _witness(params, arg=x, **fields))
-        if bad == "fail":
+        if verdict == "fail":
             out.fail(margin, _witness(params, arg=x, **fields))
             return
-        if bad is not None:
-            out.inconclusive(_witness(params, arg=x, **fields, note=bad))
+        if verdict == "inconclusive":
+            out.inconclusive(_witness(params, arg=x, **fields, note=note))
             return
-        strict_hits += strict
+        strict_hits += verdict == "pass"
     if spec.strict and strict_hits < _STRICT_FRACTION * len(xs):
         out.inconclusive(_witness(params, note="margins inside error bounds",
                                   strict_pairs=strict_hits, pairs=len(xs)))

@@ -135,9 +135,14 @@ def _pg_shifted(*shifts):
     return GridSpec((_FRAC, _CVALS, _dim("s", *shifts)))
 
 
-def _degree(d, inverse: bool):
-    """The degree d["K"], or its inverse 1/K (as a DegreeK) when `inverse`."""
-    return DegreeK(1.0 / d["K"]) if inverse else d["K"]
+def _k(d):
+    """The degree K of a combo, for phi_K."""
+    return d["K"]
+
+
+def _inv_k(d):
+    """The inverse degree 1/K of a combo, as a DegreeK, for phi_{1/K}."""
+    return DegreeK(1.0 / d["K"])
 
 
 def _log_r(m: Modulus) -> float:
@@ -970,12 +975,12 @@ def _ktheo():
     checks = []
     pgrid = GridSpec((_FRAC_SMALL, _CVALS_SMALL, _KDIM))
 
-    def make(expr, inverse=False):
+    def make(expr, degree=_k):
         def fn(d, x):
             m = q_modulus(x)
             pm = modulus_params_ac(d["a"], d["c"])
             pe = EllipticParams(d["a"], d["c"] - d["a"], d["c"])
-            return expr(pe, m, phi_k_m(pm, _degree(d, inverse), m), d)
+            return expr(pe, m, phi_k_m(pm, degree(d), m), d)
         return fn
 
     lo55 = lambda d: -55.0
@@ -1067,28 +1072,28 @@ def _ktheo():
               "(0,1); the r->0 end decays like r^(K-1), judged by gap decay, "
               "and the r->1 deviation ~ r'^(2/K) needs the probe at x=160.",
         param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
-        fn=make(ratio_r, inverse=True), lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0,
+        fn=make(ratio_r, _inv_k), lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0,
         lo_probe=lo55, hi_probe=hi160, lo_attain=1e-3, hi_attain=2e-3))
 
     checks.append(CheckSpec(
         id="ktheo-8", kind="monotone", direction=1,
         claim="t'/r' is strictly increasing on (0,1) onto (1, infinity).",
         param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
-        fn=make(ratio_rc, inverse=True), lo_limit=lambda d: 1.0, hi_limit=lambda d: INF,
+        fn=make(ratio_rc, _inv_k), lo_limit=lambda d: 1.0, hi_limit=lambda d: INF,
         lo_probe=lo55, hi_probe=hi55, lo_attain=2e-3))
 
     checks.append(CheckSpec(
         id="ktheo-9", kind="monotone", direction=-1,
         claim="K(t)/K(r) is strictly decreasing on (0,1) onto (1/K, 1).",
         param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
-        fn=make(ratio_k, inverse=True), lo_limit=lambda d: 1.0, hi_limit=lambda d: 1.0 / d["K"],
+        fn=make(ratio_k, _inv_k), lo_limit=lambda d: 1.0, hi_limit=lambda d: 1.0 / d["K"],
         lo_probe=lo55, hi_probe=hi55, lo_attain=2e-3, hi_attain=0.02))
 
     checks.append(CheckSpec(
         id="ktheo-10", kind="monotone", direction=-1,
         claim="K'(t)/K'(r) is strictly decreasing on (0,1) onto (1, K).",
         param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
-        fn=make(ratio_kc, inverse=True), lo_limit=lambda d: d["K"], hi_limit=lambda d: 1.0,
+        fn=make(ratio_kc, _inv_k), lo_limit=lambda d: d["K"], hi_limit=lambda d: 1.0,
         lo_probe=lo55, hi_probe=hi55, lo_attain=0.02, hi_attain=2e-3))
 
     checks.append(CheckSpec(
@@ -1096,7 +1101,7 @@ def _ktheo():
         claim="t' K(t)^2 / (r' K(r)^2) is strictly increasing on (0,1) onto "
               "(1, infinity).",
         param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
-        fn=make(weighted_k2, inverse=True), lo_limit=lambda d: 1.0, hi_limit=lambda d: INF,
+        fn=make(weighted_k2, _inv_k), lo_limit=lambda d: 1.0, hi_limit=lambda d: INF,
         lo_probe=lo55, hi_probe=hi55, lo_attain=2e-3))
 
     checks.append(CheckSpec(
@@ -1105,7 +1110,7 @@ def _ktheo():
               "(0,1); the r->0 end is judged by gap decay, the r->1 end "
               "probed at x=160 (deviation ~ r'^(2/K)).",
         param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
-        fn=make(weighted_kc2, inverse=True), lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0,
+        fn=make(weighted_kc2, _inv_k), lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0,
         lo_probe=lo55, hi_probe=hi160, lo_attain=1e-3, hi_attain=2e-3))
     return checks
 
@@ -1183,7 +1188,7 @@ def _phiperr():
 
     def g_over_power(d, x):
         m = q_modulus(x)
-        t = phi_k_m(modulus_params_ac(d["a"], d["c"]), DegreeK(1.0 / d["K"]), m)
+        t = phi_k_m(modulus_params_ac(d["a"], d["c"]), _inv_k(d), m)
         v = math.exp(_log_r(t) - d["K"] * _log_r(m))
         return v, abs(v) * 1e-10
 
@@ -1384,7 +1389,7 @@ def _linconj():
         tolerance=1e-9, fn=g_margin))
 
     def h_margin(d, x):
-        val = phi_logodds(modulus_params_ac(d["a"], d["c"]), DegreeK(1.0 / d["K"]), x)
+        val = phi_logodds(modulus_params_ac(d["a"], d["c"]), _inv_k(d), x)
         bound = x / d["K"] if x >= 0.0 else d["K"] * x
         return bound - val, 1e-9
 
@@ -1482,10 +1487,10 @@ def _cdependence():
     # at the probe's b = 0.01.
     ar_k = _cases(ph_cases, ("a", "r"), _dim("K", 2.0, 5.0))
 
-    def phi_logit_c(inverse):
+    def phi_logit_c(degree):
         def fn(d, c):
             m = Modulus.from_r(d["r"])
-            return p_logit(phi_k_m(modulus_params_ac(d["a"], c), _degree(d, inverse), m)), 1e-9
+            return p_logit(phi_k_m(modulus_params_ac(d["a"], c), degree(d), m)), 1e-9
         return fn
 
     checks.append(CheckSpec(
@@ -1496,7 +1501,7 @@ def _cdependence():
               "c=a+0.01 (K=10 would saturate the solver there); the closed "
               "end c=1 lies on the grid.",
         **ar_k, arg_grid=GridSpec((GridDim("c", 0.52, 1.0, 17, "linear"),)),
-        tolerance=1e-9, fn=phi_logit_c(False),
+        tolerance=1e-9, fn=phi_logit_c(_k),
         lo_limit=lambda d: INF, lo_probe=lambda d: d["a"] + 0.01))
 
     checks.append(CheckSpec(
@@ -1506,7 +1511,7 @@ def _cdependence():
               "log-odds for K in {2,5} with the c->a+ end (value -> 0) "
               "probed at c=a+0.01.",
         **ar_k, arg_grid=GridSpec((GridDim("c", 0.52, 1.0, 17, "linear"),)),
-        tolerance=1e-9, fn=phi_logit_c(True),
+        tolerance=1e-9, fn=phi_logit_c(_inv_k),
         lo_limit=lambda d: -INF, lo_probe=lambda d: d["a"] + 0.01))
 
     keb_cases = ((0.3, 0.4), (0.5, 0.7), (0.7, 0.2))

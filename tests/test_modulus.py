@@ -281,6 +281,15 @@ def test_connection_overflow_is_a_saturation_error():
     m = mu_inv_m(p, y)
     assert math.log(m.z / m.z_comp) == pytest.approx(-288.0, abs=0.5)
     assert abs(math.log(mu_m(p, m).value) - math.log(y)) <= 1e-13 * (1.0 + math.log(y))
+    # Past the largest mu computable (about 8e307 here) the bracket closes
+    # on the overflow edge instead of a root; the mirror case closes on the
+    # edge where F(r^2) overflows.
+    with pytest.raises(SaturationError) as past_top:
+        mu_inv_m(p, 1e308)
+    assert past_top.value.endpoint == 0.0
+    with pytest.raises(SaturationError) as past_bottom:
+        mu_inv_m(p, 5e-324)
+    assert past_bottom.value.endpoint == 1.0
     with pytest.raises(SaturationError):
         _eval_pair(_Triple(1.2, 0.9, 0.5), 1.0 - 1e-250, 1e-250)
 

@@ -276,6 +276,9 @@ _PATH_SPECS = {
                          lo_probe=lambda d: 1e-9, hi_probe=lambda d: 0.999),
     "monotone-nonfinite": _spec("monotone", lambda d, x: (x if x < 0.5 else _INF, 0.0),
                                 direction=1),
+    "range-outside": _spec("range_endpoints", lambda d, x: (x + 0.5, 1e-15),
+                           lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0,
+                           lo_probe=lambda d: 1e-9, hi_probe=lambda d: 0.99),
     "range-raise-grid": _spec("range_endpoints", _raises_above(0.5, lambda d, x: (x, 0.0)),
                               lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0,
                               lo_probe=lambda d: 1e-9, hi_probe=lambda d: 0.2),
@@ -330,6 +333,10 @@ _PATH_REPORTS = {
         {"p": 1.0, "arg": 0.999, "note": "endpoint probe failed: x=0.999 out of range"}),
     "monotone-nonfinite": ("inconclusive", 0.0, 10,
         {"p": 1.0, "arg": 0.5, "value": _INF, "note": "non-finite sample"}),
+    # range_endpoints holds its grid values inside finite limits like the
+    # other "onto" claims, so this grid fails before the endpoint probes run
+    "range-outside": ("fail", -0.10000000000000009, 9,
+        {"p": 1.0, "arg": 0.6, "value": 1.1, "bound": 1.0}),
     "range-raise-grid": ("inconclusive", 0.0, 12,
         {"p": 1.0, "arg": 0.6, "note": "evaluation failed: x=0.6 out of range"}),
     "monotone-onto": ("pass", 0.04999999999999799, 22, None),
