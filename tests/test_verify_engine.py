@@ -279,6 +279,9 @@ _PATH_SPECS = {
     "range-outside": _spec("range_endpoints", lambda d, x: (x + 0.5, 1e-15),
                            lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0,
                            lo_probe=lambda d: 1e-9, hi_probe=lambda d: 0.99),
+    "range-nonfinite": _spec("range_endpoints", lambda d, x: (x if x < 0.5 else _INF, 0.0),
+                             lo_limit=lambda d: 0.0, hi_limit=lambda d: _INF,
+                             lo_probe=lambda d: 1e-9, hi_probe=lambda d: 0.99),
     "range-raise-grid": _spec("range_endpoints", _raises_above(0.5, lambda d, x: (x, 0.0)),
                               lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0,
                               lo_probe=lambda d: 1e-9, hi_probe=lambda d: 0.2),
@@ -333,10 +336,12 @@ _PATH_REPORTS = {
         {"p": 1.0, "arg": 0.999, "note": "endpoint probe failed: x=0.999 out of range"}),
     "monotone-nonfinite": ("inconclusive", 0.0, 10,
         {"p": 1.0, "arg": 0.5, "value": _INF, "note": "non-finite sample"}),
-    # range_endpoints holds its grid values inside finite limits like the
-    # other "onto" claims, so this grid fails before the endpoint probes run
+    # range_endpoints samples its grid as the shape kinds do: a value outside
+    # finite limits fails and an inf downgrades, before the endpoint probes
     "range-outside": ("fail", -0.10000000000000009, 9,
         {"p": 1.0, "arg": 0.6, "value": 1.1, "bound": 1.0}),
+    "range-nonfinite": ("inconclusive", 0.0, 10,
+        {"p": 1.0, "arg": 0.5, "value": _INF, "note": "non-finite sample"}),
     "range-raise-grid": ("inconclusive", 0.0, 12,
         {"p": 1.0, "arg": 0.6, "note": "evaluation failed: x=0.6 out of range"}),
     "monotone-onto": ("pass", 0.04999999999999799, 22, None),
@@ -379,13 +384,3 @@ def test_every_kind_and_path_gives_its_frozen_report(name):
     spec = _PATH_SPECS[name]
     assert run_check(spec) == CheckReport(spec.id, verdict, worst, witness, samples)
 
-
-def test_range_endpoints_check_is_inconclusive_at_a_non_finite_sample():
-    # range_endpoints samples its grid as the shape kinds do, so an inf on the
-    # grid downgrades the check instead of passing to the endpoint probes
-    spec = _spec("range_endpoints", lambda d, x: (x if x < 0.5 else _INF, 0.0),
-                 lo_limit=lambda d: 0.0, hi_limit=lambda d: _INF,
-                 lo_probe=lambda d: 1e-9, hi_probe=lambda d: 0.99)
-    assert run_check(spec) == CheckReport(
-        spec.id, "inconclusive", 0.0,
-        {"p": 1.0, "arg": 0.5, "value": _INF, "note": "non-finite sample"}, 10)
