@@ -20,12 +20,13 @@ mpmath reachability screen, cached in ``.bench_cache/`` after the first run.
 With ``--cli`` it runs ``genellip.cli.main`` in-process over a fixed list
 of command lines instead (every ``eval`` and ``tabulate`` selector,
 ``invert``, ``phi``, ``solve``, ``list-checks``, and ``verify`` on two
-checks, with ``--tol`` and ``--grid``, and on an unknown check, each in
-text, CSV and JSON) and prints one digest of every stdout, stderr
-and exit code, with the verify report's ``timestamp`` and ``seconds``
-masked; a second line digests the inputs whose 2F1 value exceeds the float
-range near z = 1.  To compare with an older checkout, copy this script into
-it.
+checks, with ``--tol`` and ``--grid``, and on an unknown check, and
+``tabulate`` and ``verify`` writing to ``--out``, each in text, CSV and
+JSON) and prints one digest of every stdout, stderr, exit code and
+``--out`` file, with the verify report's ``timestamp`` and ``seconds``
+and the path of the ``--out`` file masked; a second line digests the
+inputs whose 2F1 value exceeds the float range near z = 1.  To compare
+with an older checkout, copy this script into it.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import hashlib
 import io
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,6 +79,8 @@ CLI_LINES = [
     "verify hyper-1 --tol 1e-6",
     "verify hyper-1 --grid 0.01:0.99:9:logit",
     "verify not-a-check",
+    f"tabulate K {_ELL} {_GRID} --out {{out}}",
+    "verify hyper-1 --out {out}",
 ]
 OVERFLOW_LINES = [
     "eval hyp2f1 --a 1 --b 50 --c 1 --z 0.9999999999999999",
@@ -113,23 +117,36 @@ def _outputs(calls) -> list:
     return outs
 
 
+def _mask(text, path: str):
+    """`text` with its run-varying fields and the --out path masked."""
+    if text is None:
+        return None
+    text = text.replace(path, "F")
+    for pattern, mask in _MASKS:
+        text = pattern.sub(mask, text)
+    return text
+
+
 def _cli_outputs(lines) -> list:
-    """(stdout, stderr, exit code) of each command line in each format."""
+    """(stdout, stderr, exit code, --out file) of each command line in each
+    format; ``{out}`` in a line names a file in a temporary directory."""
     outs = []
-    for line in lines:
-        for fmt in ("text", "csv", "json"):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = cli.main([*line.split(), "--format", fmt])
-                except SystemExit as exc:
-                    code = exc.code
-                except Exception as exc:  # a crash is an output like any other
-                    code = (type(exc).__name__, str(exc))
-            text = out.getvalue()
-            for pattern, mask in _MASKS:
-                text = pattern.sub(mask, text)
-            outs.append((line, fmt, text, err.getvalue(), code))
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "out"
+        for line in lines:
+            for fmt in ("text", "csv", "json"):
+                target.unlink(missing_ok=True)
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = cli.main([*line.format(out=target).split(), "--format", fmt])
+                    except SystemExit as exc:
+                        code = exc.code
+                    except Exception as exc:  # a crash is an output like any other
+                        code = (type(exc).__name__, str(exc))
+                texts = [out.getvalue(), err.getvalue(),
+                         target.read_text() if target.exists() else None]
+                outs.append((line, fmt, *(_mask(t, str(target)) for t in texts), code))
     return outs
 
 

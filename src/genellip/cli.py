@@ -2,7 +2,8 @@
 
 Verbs: eval (single point), tabulate (grid to CSV), invert (mu^{-1}),
 phi (modular function), solve (modular equation of arbitrary degree),
-verify (run the check registry), list-checks.
+verify (run the check registry), list-checks.  Each verb takes only the
+flags it reads (the table _VERBS); argparse rejects any other with exit 2.
 
 Exit codes: 0 success, 1 gating verification failure, 2 domain error,
 3 convergence error, 4 unknown check id.
@@ -100,12 +101,16 @@ def _json_text(obj) -> str:
     return "".join(parts)
 
 
-def _write_out(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _emit(args, body, csv: str, text: str) -> int:
+    """Write a verb's output in its --format, to --out or else to stdout:
+    `body` as deterministic JSON, `csv` and `text` as they are."""
+    out = _json_text(body) if args.format == "json" else csv if args.format == "csv" else text
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(out)
+    return 0
 
 
 # --------------------------------------------------------------------------
@@ -123,18 +128,13 @@ def _parse_grid(spec: str) -> GridDim:
 
 
 def _need(args, what: str, *names: str) -> None:
-    missing = [f"--{n}" for n in names if getattr(args, n, None) is None]
+    missing = [f"--{n}" for n in names if getattr(args, n) is None]
     if missing:
         raise DomainError(f"{what} requires {' '.join(missing)}")
 
 
-def _point_modulus(args) -> tuple[Modulus, str, float]:
-    """The modulus of the --r or --z flag, with the flag's name and value."""
-    if args.r is not None:
-        return Modulus.from_r(args.r), "r", args.r
-    if args.z is not None:
-        return Modulus.from_r(math.sqrt(args.z)), "z", args.z
-    raise DomainError("need --r or --z")
+def _abc(p) -> dict:
+    return {"a": p.a, "b": p.b, "c": p.c}
 
 
 def _solved(s: Modulus) -> EvalResult:
@@ -143,72 +143,64 @@ def _solved(s: Modulus) -> EvalResult:
     return EvalResult(s.r, 0.5 * s.r * s.z_comp * 1e-12 + 4e-16 * s.r, Method.SOLVER)
 
 
-def _phi_eval(a: float, c: float, K: float, r: float) -> EvalResult:
-    return _solved(phi_k_m(modulus_params_ac(a, c), DegreeK(K), Modulus.from_r(r)))
+def _ell(op):
+    """An elliptic selector: its point is the modulus r, or z = r^2."""
+    def run(args, flag, x):
+        p = EllipticParams(args.a, args.b, args.c)
+        return op(p, Modulus.from_r(x if flag == "r" else math.sqrt(x))), _abc(args)
+    return run
 
 
-def _eval_point(fn: str, args, x=None):
-    """Evaluate selector `fn`; `x` overrides the point flag (tabulate).
+def _mu(args, _, r):
+    p = modulus_params_ac(args.a, args.c)
+    return mu(p, r), _abc(p)
 
-    Returns (name of the point's flag, point, EvalResult, params-echo dict).
+
+def _phi(args, _, r):
+    p = modulus_params_ac(args.a, args.c)
+    res = _solved(phi_k_m(p, DegreeK(args.K), Modulus.from_r(r)))
+    return res, {**_abc(p), "K": args.K}
+
+
+# selector: (the flags it needs, the flags that may carry its point, of which
+# eval reads the first one given, f(args, point flag, point) -> (EvalResult,
+# params echo))
+_SELECTORS = {
+    "hyp2f1": ("a b c", "z",
+               lambda g, _, z: (hyp2f1(HypParams(g.a, g.b, g.c), z), _abc(g))),
+    "K": ("a b c", "r z", _ell(ell_k)),
+    "E": ("a b c", "r z", _ell(ell_e)),
+    "Kp": ("a b c", "r z", _ell(ell_k_comp)),
+    "Ep": ("a b c", "r z", _ell(ell_e_comp)),
+    "M": ("a b c", "z", lambda g, _, z: (m_value(MPoint(g.a, g.b, g.c, z)), _abc(g))),
+    "mu": ("a c", "r", _mu),
+    "R": ("b", "a", lambda g, _, a: (ramanujan_r(a, g.b), {"a": a, "b": g.b})),
+    "gamma": ("", "z", lambda g, _, z: (gamma(z), {})),
+    "digamma": ("", "z", lambda g, _, z: (digamma(z), {})),
+    "beta": ("b", "a", lambda g, _, a: (beta(a, g.b), {"a": a, "b": g.b})),
+    "phi": ("a c K", "r", _phi),
+}
+TAB_FNS = tuple(_SELECTORS)
+EVAL_FNS = TAB_FNS[:-1]
+
+
+def _point(fn: str, args, x=None):
+    """Evaluate selector `fn` at its point flag (eval), or at the grid point
+    `x` (tabulate), which replaces that flag in the echo.
+
+    Returns (name of the point's flag, point, EvalResult, params echo).
     """
-    a, b, c = args.a, args.b, args.c
-    what = f"eval {fn}"
-    if fn in ("K", "E", "Kp", "Ep"):
-        _need(args, what, "a", "b", "c")
-        p = EllipticParams(a, b, c)
-        if x is None:
-            m, name, pt = _point_modulus(args)
-        else:
-            m, name, pt = Modulus.from_r(x), "r", x
-        op = {"K": ell_k, "E": ell_e, "Kp": ell_k_comp, "Ep": ell_e_comp}[fn]
-        return name, pt, op(p, m), {"a": a, "b": b, "c": c}
-    if fn == "hyp2f1":
-        _need(args, what, "a", "b", "c")
-        pt = args.z if x is None else x
-        if pt is None:
-            raise DomainError("eval hyp2f1 requires --z")
-        return "z", pt, hyp2f1(HypParams(a, b, c), pt), {"a": a, "b": b, "c": c}
-    if fn == "M":
-        _need(args, what, "a", "b", "c")
-        pt = args.z if x is None else x
-        if pt is None:
-            raise DomainError("eval M requires --z")
-        return "z", pt, m_value(MPoint(a, b, c, pt)), {"a": a, "b": b, "c": c}
-    if fn == "mu":
-        _need(args, what, "a", "c")
-        pt = args.r if x is None else x
-        if pt is None:
-            raise DomainError("eval mu requires --r")
-        p = modulus_params_ac(a, c)
-        return "r", pt, mu(p, pt), {"a": p.a, "b": p.b, "c": p.c}
-    if fn == "phi":
-        _need(args, what, "a", "c", "K")
-        pt = args.r if x is None else x
-        if pt is None:
-            raise DomainError("phi requires --r")
-        p = modulus_params_ac(a, c)
-        return "r", pt, _phi_eval(a, c, args.K, pt), \
-            {"a": p.a, "b": p.b, "c": p.c, "K": args.K}
-    if fn == "R":
-        if x is not None:
-            _need(args, what, "b")
-            return "a", x, ramanujan_r(x, b), {"b": b}
-        _need(args, what, "a", "b")
-        return "a", a, ramanujan_r(a, b), {"a": a, "b": b}
-    if fn == "beta":
-        if x is not None:
-            _need(args, what, "b")
-            return "a", x, beta(x, b), {"b": b}
-        _need(args, what, "a", "b")
-        return "a", a, beta(a, b), {"a": a, "b": b}
-    if fn in ("gamma", "digamma"):
-        pt = args.z if x is None else x
-        if pt is None:
-            raise DomainError(f"eval {fn} requires --z (the argument)")
-        op = gamma if fn == "gamma" else digamma
-        return "z", pt, op(pt), {}
-    raise DomainError(f"unknown function selector {fn!r}")
+    needs, points, run = _SELECTORS[fn]
+    needs, points = needs.split(), points.split()
+    if x is None:
+        flag = next((n for n in points if getattr(args, n) is not None), points[0])
+        _need(args, f"eval {fn}", *needs, flag)
+        x = getattr(args, flag)
+        return (flag, x, *run(args, flag, x))
+    _need(args, f"eval {fn}", *needs)
+    res, params = run(args, points[0], x)
+    params.pop(points[0], None)
+    return points[0], x, res, params
 
 
 def _csv_header(fn: str, params: dict) -> str:
@@ -220,58 +212,41 @@ def _csv_header(fn: str, params: dict) -> str:
     return head
 
 
+def _csv_row(pt, res: EvalResult) -> str:
+    return ",".join((_f17(pt), _f17(res.value), _f17(res.abs_err_est))) + "\n"
+
+
 def _emit_point(args, fn: str, params: dict, pt_name: str, pt, res: EvalResult,
                 extra: dict | None = None) -> int:
-    """Write one evaluated point as text, CSV or JSON; `extra` fields go to
-    text and JSON only."""
+    """One evaluated point; `extra` fields go to text and JSON only."""
     extra = extra or {}
-    if args.format == "json":
-        out = {"fn": fn, **params, pt_name: pt, "value": res.value,
-               "abs_err_est": res.abs_err_est, "method": res.method.value, **extra}
-        text = _json_text(out)
-    elif args.format == "csv":
-        text = _csv_header(fn, params) + ",".join(
-            (_f17(pt), _f17(res.value), _f17(res.abs_err_est))) + "\n"
-    else:
-        lines = [_f12(res.value), "abs_err_est = " + _f12(res.abs_err_est),
-                 "method = " + res.method.value]
-        lines += [f"{k} = " + (_f12(v) if isinstance(v, float) else str(v))
-                  for k, v in extra.items()]
-        text = "\n".join(lines) + "\n"
-    _write_out(text, args.out)
-    return 0
+    body = {"fn": fn, **params, pt_name: pt, "value": res.value,
+            "abs_err_est": res.abs_err_est, "method": res.method.value, **extra}
+    lines = [_f12(res.value), "abs_err_est = " + _f12(res.abs_err_est),
+             "method = " + res.method.value, *(f"{k} = {_f12(v)}" for k, v in extra.items())]
+    return _emit(args, body, _csv_header(fn, params) + _csv_row(pt, res),
+                 "".join(line + "\n" for line in lines))
 
 
 # --------------------------------------------------------------------------
 # verbs
 
 def _cmd_eval(args) -> int:
-    pt_name, pt, res, params = _eval_point(args.fn, args)
+    pt_name, pt, res, params = _point(args.fn, args)
     return _emit_point(args, args.fn, params, pt_name, pt, res)
 
 
 def _cmd_tabulate(args) -> int:
     if args.grid is None:
         raise DomainError("tabulate requires --grid lo:hi:count:scale")
-    dim = _parse_grid(args.grid)
     rows = []
-    params = {}
-    for x in dim.points():
-        _, pt, res, params = _eval_point(args.fn, args, float(x))
+    for x in _parse_grid(args.grid).points():
+        _, pt, res, params = _point(args.fn, args, float(x))
         rows.append((pt, res))
-    if args.format == "json":
-        body = {"fn": args.fn}
-        body.update(params)
-        body["rows"] = [
-            {"x": pt, "value": r.value, "abs_err_est": r.abs_err_est}
-            for pt, r in rows]
-        _write_out(_json_text(body), args.out)
-        return 0
-    text = _csv_header(args.fn, params)
-    for pt, r in rows:
-        text += ",".join((_f17(pt), _f17(r.value), _f17(r.abs_err_est))) + "\n"
-    _write_out(text, args.out)
-    return 0
+    body = {"fn": args.fn, **params, "rows": [
+        {"x": pt, "value": r.value, "abs_err_est": r.abs_err_est} for pt, r in rows]}
+    csv = _csv_header(args.fn, params) + "".join(_csv_row(pt, r) for pt, r in rows)
+    return _emit(args, body, csv, csv)
 
 
 def _cmd_invert(args) -> int:
@@ -281,16 +256,7 @@ def _cmd_invert(args) -> int:
     residual = abs(mu(p, r).value - args.p) if 0.0 < r < 1.0 else 0.0
     slope = abs(mu_deriv(p, r).value) if 0.0 < r < 1.0 else math.inf
     res = EvalResult(r, residual / slope + 1e-16, Method.SOLVER)
-    return _emit_point(args, "mu_inv", {"a": p.a, "b": p.b, "c": p.c}, "mu", args.p,
-                       res, {"mu_residual": residual})
-
-
-def _cmd_phi(args) -> int:
-    _need(args, "phi", "a", "c", "K", "r")
-    p = modulus_params_ac(args.a, args.c)
-    res = _phi_eval(args.a, args.c, args.K, args.r)
-    params = {"a": p.a, "b": p.b, "c": p.c, "K": args.K}
-    return _emit_point(args, "phi", params, "r", args.r, res)
+    return _emit_point(args, "mu_inv", _abc(p), "mu", args.p, res, {"mu_residual": residual})
 
 
 def _cmd_solve(args) -> int:
@@ -304,7 +270,7 @@ def _cmd_solve(args) -> int:
     residual = abs(mu_s.value - args.p * mu_r.value)
     extra = {"mu_r": mu_r.value, "mu_s": mu_s.value, "residual": residual,
              "s_comp": s.r_comp}
-    params = {"a": pm.a, "b": pm.b, "c": pm.c, "degree": args.p}
+    params = {**_abc(pm), "degree": args.p}
     return _emit_point(args, "solve", params, "r", args.r, _solved(s), extra)
 
 
@@ -354,74 +320,64 @@ def _cmd_verify(args) -> int:
                       for spec, rep, _ in entries)
     code = 0 if (args.non_gating or not gating_fail) else 1
 
-    if args.format == "json" and not args.out:
-        sys.stdout.write(_json_text(report))
-        return code
-    if args.out:
-        _write_out(_json_text(report), args.out)
-    if args.format == "csv":
-        text = "# verify," + run_id + "\n"
-        for spec, rep, dt in entries:
-            text += ",".join((rep.id, rep.verdict, _f17(rep.worst_margin),
-                              str(rep.samples))) + "\n"
-        sys.stdout.write(text)
-        return code
-    tally = {"pass": 0, "fail": 0, "inconclusive": 0}
+    csv = "# verify," + run_id + "\n" + "".join(
+        ",".join((rep.id, rep.verdict, _f17(rep.worst_margin), str(rep.samples))) + "\n"
+        for _, rep, _ in entries)
+    text = ""
     for spec, rep, dt in entries:
-        tally[rep.verdict] += 1
         tag = "" if spec.gating else " [non-gating]"
-        line = (f"{rep.id}: {rep.verdict}{tag} "
-                f"(worst margin {rep.worst_margin:.3e}, "
-                f"{rep.samples} samples, {dt:.2f}s)\n")
-        sys.stdout.write(line)
+        text += (f"{rep.id}: {rep.verdict}{tag} (worst margin {rep.worst_margin:.3e}, "
+                 f"{rep.samples} samples, {dt:.2f}s)\n")
         if rep.verdict != "pass" and rep.witness:
-            sys.stdout.write(f"    witness: {rep.witness}\n")
-    sys.stdout.write(
-        f"{tally['pass']} passed, {tally['fail']} failed, "
-        f"{tally['inconclusive']} inconclusive; run_id {run_id}\n")
-    if args.out:
-        sys.stdout.write(f"report written to {args.out}\n")
+            text += f"    witness: {rep.witness}\n"
+    verdicts = [rep.verdict for _, rep, _ in entries]
+    text += (f"{verdicts.count('pass')} passed, {verdicts.count('fail')} failed, "
+             f"{verdicts.count('inconclusive')} inconclusive; run_id {run_id}\n")
+    if args.out:  # the report goes to the file; stdout gets the CSV or the text
+        _emit(argparse.Namespace(format="json", out=args.out), report, csv, text)
+        text += f"report written to {args.out}\n"
+        args = argparse.Namespace(format="csv" if args.format == "csv" else "text", out=None)
+    _emit(args, report, csv, text)
     return code
 
 
 def _cmd_list_checks(args) -> int:
-    reg = registry()
-    if args.format == "json":
-        body = [{"id": s.id, "kind": s.kind, "gating": s.gating,
-                 "claim": s.claim} for s in reg.values()]
-        _write_out(_json_text(body), args.out)
-        return 0
-    if args.format == "csv":
-        text = "# list-checks\n"
-        for s in reg.values():
-            text += ",".join((s.id, s.kind,
-                              "gating" if s.gating else "non-gating")) + "\n"
-        _write_out(text, args.out)
-        return 0
-    text = ""
-    for s in reg.values():
-        tag = "gating" if s.gating else "non-gating"
-        text += f"{s.id:24s} {tag:11s} {s.kind:15s} {s.claim}\n"
-    _write_out(text, args.out)
-    return 0
+    specs = registry().values()
+    body = [{"id": s.id, "kind": s.kind, "gating": s.gating, "claim": s.claim}
+            for s in specs]
+    tags = ["gating" if s.gating else "non-gating" for s in specs]
+    csv = "# list-checks\n" + "".join(
+        f"{s.id},{s.kind},{tag}\n" for s, tag in zip(specs, tags))
+    text = "".join(f"{s.id:24s} {tag:11s} {s.kind:15s} {s.claim}\n"
+                   for s, tag in zip(specs, tags))
+    return _emit(args, body, csv, text)
 
 
 # --------------------------------------------------------------------------
 
-def _add_common(sub) -> None:
-    sub.add_argument("--a", type=float)
-    sub.add_argument("--b", type=float)
-    sub.add_argument("--c", type=float)
-    sub.add_argument("--r", type=float)
-    sub.add_argument("--z", type=float)
-    sub.add_argument("--K", type=float)
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--grid", type=str,
-                     help="lo:hi:count:scale (scale: linear|log|logit)")
-    sub.add_argument("--tol", type=float)
-    sub.add_argument("--out", type=str)
-    sub.add_argument("--format", choices=("text", "csv", "json"),
-                     default="text")
+_FLAGS = {
+    **{name: {"type": float} for name in ("a", "b", "c", "r", "z", "K", "p", "tol")},
+    "grid": {"type": str, "help": "lo:hi:count:scale (scale: linear|log|logit)"},
+    "non-gating": {"action": "store_true", "help": "exit 0 regardless of verdicts"},
+    "out": {"type": str},
+    "format": {"choices": ("text", "csv", "json"), "default": "text"},
+}
+
+# verb: (handler, help, its positional argument or None, the flags it reads
+# besides --out and --format, which every verb reads)
+_VERBS = {
+    "eval": (_cmd_eval, "evaluate one function at a point",
+             ("fn", {"choices": EVAL_FNS}), "a b c r z"),
+    "tabulate": (_cmd_tabulate, "evaluate over a grid as CSV",
+                 ("fn", {"choices": TAB_FNS}), "a b c K grid"),
+    "invert": (_cmd_invert, "invert mu: find r with mu(r) = --p", None, "a c p"),
+    "phi": (_cmd_eval, "modular function phi_K(r)", None, "a c K r"),
+    "solve": (_cmd_solve, "solve mu(s) = p mu(r) (degree --p)", None, "a c p r"),
+    "verify": (_cmd_verify, "run verification checks",
+               ("checks", {"nargs": "+", "help": "check ids, or 'all' / 'conjectures'"}),
+               "non-gating grid tol"),
+    "list-checks": (_cmd_list_checks, "list registry checks", None, ""),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,51 +388,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "registry for their monotonicity and inequality "
                     "properties.")
     subs = ap.add_subparsers(dest="verb", required=True)
-
-    p_eval = subs.add_parser("eval", help="evaluate one function at a point")
-    p_eval.add_argument("fn", choices=EVAL_FNS)
-    _add_common(p_eval)
-
-    p_tab = subs.add_parser("tabulate", help="evaluate over a grid as CSV")
-    p_tab.add_argument("fn", choices=TAB_FNS)
-    _add_common(p_tab)
-
-    p_inv = subs.add_parser("invert", help="invert mu: find r with "
-                                           "mu(r) = --p")
-    _add_common(p_inv)
-
-    p_phi = subs.add_parser("phi", help="modular function phi_K(r)")
-    _add_common(p_phi)
-
-    p_solve = subs.add_parser("solve", help="solve mu(s) = p mu(r) "
-                                            "(degree --p)")
-    _add_common(p_solve)
-
-    p_ver = subs.add_parser("verify", help="run verification checks")
-    p_ver.add_argument("checks", nargs="+",
-                       help="check ids, or 'all' / 'conjectures'")
-    p_ver.add_argument("--non-gating", action="store_true",
-                       help="exit 0 regardless of verdicts")
-    _add_common(p_ver)
-
-    p_list = subs.add_parser("list-checks", help="list registry checks")
-    _add_common(p_list)
+    for verb, (handler, help_text, positional, flags) in _VERBS.items():
+        sub = subs.add_parser(verb, help=help_text)
+        if positional:
+            sub.add_argument(positional[0], **positional[1])
+        for flag in (*flags.split(), "out", "format"):
+            sub.add_argument(f"--{flag}", **_FLAGS[flag])
+        # eval and tabulate read fn from their positional argument; phi
+        # runs eval with the selector of its own name
+        sub.set_defaults(handler=handler, fn=verb)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = {
-        "eval": _cmd_eval,
-        "tabulate": _cmd_tabulate,
-        "invert": _cmd_invert,
-        "phi": _cmd_phi,
-        "solve": _cmd_solve,
-        "verify": _cmd_verify,
-        "list-checks": _cmd_list_checks,
-    }[args.verb]
     try:
-        return handler(args)
+        return args.handler(args)
     except ConvergenceError as exc:
         sys.stderr.write(f"convergence error: {exc}\n")
         return 3

@@ -103,10 +103,11 @@ def arth(r: float, r_comp: float | None = None) -> float:
     """arth(r) = (1/2) log((1+r)/(1-r)); pass r_comp to stay exact near 1."""
     if r_comp is not None:
         # 1-r = r_comp^2/(1+r), so arth(r) = log((1+r)/r_comp) stays exact.
-        if r_comp <= 0.0:
-            raise DomainError("arth is infinite at r=1")
+        if not (is_real(r) and is_real(r_comp) and -1.0 < r <= 1.0 and 0.0 < r_comp <= 1.0):
+            raise DomainError(f"arth needs r in (-1, 1] and r_comp in (0, 1], "
+                              f"got r={r!r}, r_comp={r_comp!r}")
         return math.log((1.0 + r) / r_comp)
-    if not -1.0 < r < 1.0:
+    if not (is_real(r) and -1.0 < r < 1.0):
         raise DomainError(f"arth needs |r| < 1, got {r!r}")
     return math.atanh(r)
 

@@ -439,6 +439,8 @@ def _connection(key: _Triple, u: float, d: float) -> tuple[float, float]:
         t2 = c2 * ud * s2
         e2 = abs(c2) * ud * se2
     value = t1 + t2
+    if not math.isfinite(value):  # a finite u^d times C2 can still overflow
+        raise _overflow(key, u, value)
     err = e1 + e2 + 2e-15 * (abs(t1) + abs(t2)) + 1e-15 * abs(value)
     return value, err
 
@@ -507,6 +509,6 @@ def hyp2f1_pair(p: HypParams, z: float, z_comp: float) -> EvalResult:
     1-z in floating point would lose all the information.
     """
     z = _check_z(z)
-    if not 0.0 < z_comp <= 1.0 or abs((1.0 - z) - z_comp) > 1e-12:
+    if not (is_real(z_comp) and 0.0 < z_comp <= 1.0) or abs((1.0 - z) - z_comp) > 1e-12:
         raise DomainError(f"z_comp={z_comp!r} is not a complement of z={z!r}")
     return _eval_pair(_Triple(p.a, p.b, p.c), z, float(z_comp))

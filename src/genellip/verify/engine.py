@@ -181,11 +181,11 @@ class PABNotation:
 
 def pab(a: float, c: float, t: float) -> PABNotation:
     """Digamma-difference notation for the parameter-dependence results."""
-    if not (0.0 < a < c and math.isfinite(c)):
+    if not (is_real(a) and is_real(c) and 0.0 < a < c < math.inf):
         raise ParameterError(f"need 0 < a < c, got a={a!r}, c={c!r}")
     if not (is_real(t) and math.isfinite(t) and t >= 0.0):
         raise ParameterError(f"need t >= 0, got {t!r}")
-    t = float(t)
+    a, c, t = float(a), float(c), float(t)
     P = digamma(c - a + t).value - digamma(c + t).value
     A = 1.0 if t == 0.0 else math.exp(_lngamma_raw(c - a + t) - _lngamma_raw(c + t)
                                       + _lngamma_raw(c) - _lngamma_raw(c - a))
@@ -253,9 +253,10 @@ class _Outcome:
                 self.witness = witness
 
     def fail(self, margin, witness):
+        # Every runner stops at its first fail, so the failing point is the
+        # witness, over any earlier note or downgrade.
         self.verdict = "fail"
-        if margin < self.worst or self.witness is None:
-            self.witness = witness
+        self.witness = witness
         self.worst = min(self.worst, margin)
 
     def inconclusive(self, witness):
@@ -268,8 +269,6 @@ class _Outcome:
     def report(self, check_id, samples):
         worst = self.worst if math.isfinite(self.worst) else 0.0
         witness = self.witness if self.verdict != "pass" else None
-        if self.verdict == "fail" and witness is None:
-            witness = {}
         return CheckReport(check_id, self.verdict, worst, witness, samples)
 
 

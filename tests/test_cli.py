@@ -283,6 +283,48 @@ def test_verify_tol_override_applies(capsys, monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# the flags each verb reads
+
+# verb: (its positional argument, the flags it reads besides --out and --format)
+READS = {
+    "eval": ("K", "a b c r z"),
+    "tabulate": ("K", "a b c K grid"),
+    "invert": (None, "a c p"),
+    "phi": (None, "a c K r"),
+    "solve": (None, "a c p r"),
+    "verify": ("all", "grid tol non-gating"),
+    "list-checks": (None, ""),
+}
+FLAG_VALUES = {"a": "1", "b": "1", "c": "1", "r": "0.5", "z": "0.5", "K": "2",
+               "p": "1", "grid": "0.1:0.9:3:linear", "tol": "1e-6", "out": "f",
+               "format": "json", "non-gating": None}
+
+
+def test_each_verb_takes_only_the_flags_it_reads(capsys):
+    parser = cli.build_parser()
+    accepted = 0
+    for verb, (positional, reads) in READS.items():
+        for flag, value in FLAG_VALUES.items():
+            argv = [verb, *filter(None, (positional, f"--{flag}", value))]
+            try:
+                parser.parse_args(argv)
+                accepted += 1
+                parsed = True
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                parsed = False
+            assert parsed == (flag in reads.split() + ["out", "format"]), argv
+    assert accepted == 38
+    for argv in (["list-checks", "--a", "1"], ["invert", "--a", "0.5", "--c", "1",
+                                                 "--p", "1.2", "--r", "0.5"],
+                 ["verify", "all", "--K", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
 # list-checks and the module entry point
 
 def test_list_checks_matches_registry(capsys):

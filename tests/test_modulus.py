@@ -37,6 +37,7 @@ from genellip import (
 )
 from genellip.errors import DomainError, ParameterError, SaturationError
 from genellip.hypergeom import _eval_pair, _Triple
+from genellip.modulus import _modulus_from_t
 
 P_CLASSICAL = modulus_params_ac(0.5, 1.0)
 
@@ -292,6 +293,12 @@ def test_connection_overflow_is_a_saturation_error():
     assert past_bottom.value.endpoint == 1.0
     with pytest.raises(SaturationError):
         _eval_pair(_Triple(1.2, 0.9, 0.5), 1.0 - 1e-250, 1e-250)
+    # u^d itself is finite here, but C2 u^d overflows; mu then saturates too
+    with pytest.raises(SaturationError) as product:
+        _eval_pair(_Triple(1.2, 0.9, 0.5), 1.0 - 2.956e-193, 2.956e-193)
+    assert product.value.endpoint == math.inf
+    with pytest.raises(SaturationError):
+        mu_m(p, _modulus_from_t(-443.31496366617966))
 
 
 # --------------------------------------------------------------------------

@@ -12,8 +12,10 @@ import pytest
 
 import genellip
 from genellip import (DegreeK, EllipticParams, EvalResult, HypParams, Method, MPoint,
-                      Modulus, ModulusParams, gamma, hyp2f1, modulus_params_ac, mu, mu_inv, phi_k, q_modulus)
+                      Modulus, ModulusParams, arth, gamma, hyp2f1, hyp2f1_pair,
+                      modulus_params_ac, mu, mu_inv, phi_k, q_modulus)
 from genellip.errors import DomainError, ParameterError
+from genellip.verify import pab
 
 # each constructor with a valid argument list; slot i is replaced below
 VALID = [
@@ -59,6 +61,11 @@ SCALARS = {
     "MPoint.z": (lambda v: MPoint(0.5, 0.5, 1.0, v), None),
     "q_modulus.x": (q_modulus, 3),
     "gamma.x": (lambda v: gamma(v).value, 3),
+    "hyp2f1_pair.z_comp": (lambda v: hyp2f1_pair(HypParams(0.5, 0.5, 1.0), 0.0, v).value, 1),
+    "pab.a": (lambda v: pab(v, 2.0, 0.5), 1),
+    "pab.c": (lambda v: pab(0.5, v, 0.5), 2),
+    "arth.r": (arth, 0),
+    "arth.r_comp": (lambda v: arth(0.0, v), 1),
 }
 
 
@@ -69,6 +76,12 @@ def test_scalar_arguments_reject_bools_and_accept_ints(call, ok_int):
             call(bad)
     if ok_int is not None:
         assert call(ok_int) == call(float(ok_int))
+
+
+def test_arth_rejects_nan():
+    for args in ((math.nan,), (math.nan, 0.5), (0.5, math.nan)):
+        with pytest.raises(DomainError):
+            arth(*args)
 
 
 def test_eval_result_keeps_its_dataclass_contract():

@@ -290,6 +290,9 @@ _PATH_SPECS = {
                            lo_probe=lambda d: 1e-7, hi_probe=lambda d: 0.99),
     "inequality-fail": _spec("inequality", lambda d, x: (x - 0.25 * d["p"], 1e-15)),
     "inequality-strict": _spec("inequality", lambda d, x: (1e-13 * x, 1e-12)),
+    # p = 1 is inconclusive and p = 2 fails: the fail's own point is the witness
+    "inequality-fail-after-weak": _spec(
+        "inequality", lambda d, x: (1e-13 * x if d["p"] == 1.0 else x - 0.5, 1e-12)),
     "inequality-nonstrict": _spec("inequality", lambda d, x: (1e-13 * x, 1e-12),
                                   strict=False),
     "inequality-raise": _spec("inequality", _raises_above(0.6, lambda d, x: (x, 0.0))),
@@ -324,7 +327,8 @@ _PATH_REPORTS = {
     "monotone-raise": ("inconclusive", 0.0, 12,
         {"p": 1.0, "arg": 0.6, "note": "evaluation failed: x=0.6 out of range"}),
     "convex-fail": ("fail", -2.0000000000003983, 9,
-        {"p": 1.0, "arg": 0.2, "value": 0.04000000000000001}),
+        {"p": 1.0, "arg": 0.2, "value": 0.04000000000000001,
+         "second_diff": 1.9999999999999982}),
     "convex-flat": ("inconclusive", -4.000000284217097e-07, 18,
         {"p": 1.0, "note": "second differences inside error bounds", "strict_pairs": 0,
          "pairs": 7}),
@@ -349,6 +353,7 @@ _PATH_REPORTS = {
         {"p": 1.0, "arg": 0.1, "margin": -0.15}),
     "inequality-strict": ("inconclusive", 1.0000000000000002e-14, 18,
         {"p": 1.0, "note": "margins inside error bounds", "strict_pairs": 0, "pairs": 9}),
+    "inequality-fail-after-weak": ("fail", -0.4, 10, {"p": 2.0, "arg": 0.1, "margin": -0.4}),
     "inequality-nonstrict": ("pass", 1.0000000000000002e-14, 18, None),
     "inequality-raise": ("inconclusive", 0.1, 14,
         {"p": 1.0, "arg": 0.7000000000000001,
