@@ -7,11 +7,14 @@
 Run from the root of a checkout; the package is imported from its ``src/``
 and the seeded points from ``bench/`` (read only, never changed).  For each
 workload and seed it prints one digest of the ``repr`` of every output, in
-call order (an exception counts by its type and message), and then one
-digest of the `verify all` report: every check's id, verdict, sample count,
-``worst_margin``, witness and claim.  Beside each digest it prints the work of that pass:
-the cache misses of the 2F1 engine ``_eval_pair`` (the kernel evaluations
-made) and the calls of the modulus solver ``_solve_log_mu``.  Run it on two
+call order (an exception counts by its type and message); under each
+eval-sweep digest it prints one digest per bench ``(kind, regime)`` group,
+so a change that moves one regime shows as one changed line.  Then it
+prints one digest of the `verify all` report: every check's id, verdict,
+sample count, ``worst_margin``, witness and claim.  Beside each digest it
+prints the work of that pass: the cache misses of the 2F1 engine
+``_eval_pair`` (the kernel evaluations made) and the calls of the modulus
+solver ``_solve_log_mu``.  Run it on two
 checkouts and diff the output: equal digests mean equal bits, and the counts
 show the work each side did.  Both LRU caches are cleared before each pass,
 as in the benchmark.  The modular-solve points pass through the benchmark's
@@ -163,8 +166,14 @@ def main(argv=None) -> int:
             print(f"{name} n={len(outs)} {_digest(outs)} exit={','.join(codes)}")
         return 0
     for seed in args.seeds:
-        outs = _outputs(P.eval_calls(wl.eval_sweep_points(seed)))
+        pts = wl.eval_sweep_points(seed)
+        outs = _outputs(P.eval_calls(pts))
         print(f"eval-sweep seed={seed} n={len(outs)} {_digest(outs)} {_work()}")
+        groups = {}
+        for p, out in zip(pts, outs):
+            groups.setdefault((p.kind, p.regime), []).append(out)
+        for (kind, regime), group in sorted(groups.items()):
+            print(f"  {kind}/{regime or '-'} n={len(group)} {_digest(group)}")
         outs = _outputs(P.solve_calls(reference.solve_points(ROOT, seed)))
         print(f"modular-solve seed={seed} n={len(outs)} {_digest(outs)} {_work()}")
     specs = P.verify_specs()

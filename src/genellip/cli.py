@@ -147,6 +147,8 @@ def _ell(op):
     """An elliptic selector: its point is the modulus r, or z = r^2."""
     def run(args, flag, x):
         p = EllipticParams(args.a, args.b, args.c)
+        if flag == "z" and not 0.0 <= x <= 1.0:
+            raise DomainError(f"z must lie in [0, 1], got {x!r}")
         return op(p, Modulus.from_r(x if flag == "r" else math.sqrt(x))), _abc(args)
     return run
 
@@ -262,6 +264,8 @@ def _cmd_invert(args) -> int:
 def _cmd_solve(args) -> int:
     """Solve mu(s) = p * mu(r): the degree-p modular equation."""
     _need(args, "solve", "a", "c", "p", "r")
+    if not args.p > 0.0:
+        raise DomainError(f"the degree p must be positive, got {args.p!r}")
     pm = modulus_params_ac(args.a, args.c)
     m = Modulus.from_r(args.r)
     s = phi_k_m(pm, DegreeK(1.0 / args.p), m)

@@ -2,25 +2,21 @@
 
 Below z_switch = 0.75 the Maclaurin series is summed directly (chunked, with
 Kahan accumulation and a geometric tail bound).  Above it the evaluation
-splits into the classical z -> 1 regimes: the connection formula in powers
-of 1-z (Abramowitz & Stegun 15.3.6), the zero-balanced logarithmic
-expansion for c = a+b (A&S 15.3.10), and series fallbacks where the
-connection coefficients degenerate (c-a-b near an integer).  Callers that
-track the complement 1-z exactly can pass it through the pair entry point
-to keep full relative accuracy as z -> 1.
-
-The Maclaurin kernel _direct_series has two shortcuts that return the bits
-the plain chunked sum would.  When c > 0, the largest parameter is below 63
-(so the first stopping test falls at term 64) and z max(|a|,1) max(|b|/c,1)
-is at most 2^-56, every term of the first chunk is at most 2^-56 and their
-sum is below 2^-55, under the half-ulp of 1.0 on either side (2^-54 below,
-2^-53 above): the sum and its absolute sum both round to exactly 1.0 and
-the last term underflows, so the kernel returns (1.0, 4e-16 + eps, 65)
-without summing.  This is the common case in the modulus solver, whose
-brackets reach |t| = 700, where r^2 or r'^2 is below e^-500.  And a chunk
-whose ratios are all positive (min(a, b, c) + k > 0 at its first index k)
-has terms of one sign; IEEE rounding is symmetric in sign, so the sum of
-their absolute values is |sum| bit for bit and one reduce serves both.
+splits into the classical z -> 1 regimes in u = 1-z: the connection formula
+in powers of u (Abramowitz & Stegun 15.3.6), the zero-balanced logarithmic
+expansion for c = a+b (A&S 15.3.10) with g_n = (a)_n (b)_n u^n / n!^2 and
+h_n = 2 psi(n+1) - psi(a+n) - psi(b+n), the integer-d expansions (A&S
+15.3.11-12), and between them, for 0 < |eps| < 1e-6 with eps = c-a-b, the
+near-balanced expansion: A&S 15.3.6 with coefficients uniform in eps, its
+1/sin(pi eps) cancelled analytically (Forrey, J. Comput. Phys. 137, 1997;
+DLMF 15.8.10 is its eps -> 0 limit), F = P sum_n g_n e^(eps Phi_n)
+expm1(eps D_n)/eps with P = Gamma(c)/(Gamma(c-a) Gamma(c-b)) pi eps/sin(pi
+eps).  With Lambda(x,e) = (ln Gamma(x+e) - ln Gamma(x))/e and L(e,y) =
+log1p(e/y)/e, D_0 = Lambda(1,-eps) + Lambda(1,eps) - Lambda(a,eps) -
+Lambda(b,eps) - ln u and Phi_0 = ln u + Lambda(a,eps) + Lambda(b,eps) -
+Lambda(1,eps); each step adds L(-eps,n+1) + L(eps,n+1) - L(eps,a+n) -
+L(eps,b+n) to D and L(eps,a+n) + L(eps,b+n) - L(eps,n+1) to Phi.  As
+eps -> 0, D_n -> h_n - ln u and P tends to the zero-balanced prefactor.
 
 The engine _eval_pair is LRU-cached and keyed on a _Triple: the parameters
 (a, b, c), interned, so that the cache hashes and compares keys by
@@ -28,17 +24,19 @@ identity.  A triple's attribute dict is the coefficient table of its
 (a, b, c), which holds what the kernels need that does not depend on z: the
 Gamma and psi constants of the z -> 1 regimes, the z-free ratio factors of
 the first chunk of each Maclaurin series, the zero-balanced step factors
-and running h_n, B(a,b)/2 for the modulus, and the route: which kernel
-evaluates F at z >= z_switch.  The route depends on (a, b, c) alone
-('closed' for a = c or b = c, 'series' for a non-positive integer a or b,
-and otherwise 'zero_balanced', 'euler', 'integer_d' or 'connection' by
-c-a-b), so _eval_pair dispatches on it and the modulus solver reads it to
-know which asymptote of mu applies.  The route is set when the triple is
-made, since every evaluation reads it; every other entry is computed on
-first use, and the zero-balanced steps as the evaluations reach them.
-Each caller builds one triple per public call (the modulus solver one per
-solve) and the cache entries keep theirs, so _eval_pair.cache_clear()
-frees every triple and its table.
+and running h_n, the near-balanced P, D_0 and Phi_0, B(a,b)/2 for the
+modulus, and the route: which kernel evaluates F at z >= z_switch.  The
+route depends on (a, b, c) alone ('closed' for a = c or b = c, 'series' for
+a non-positive integer a or b, or in the near-balanced band for a pole of
+Gamma between x and x + c-a-b with x = a or b, and otherwise
+'zero_balanced', 'near_balanced', 'integer_d' or 'connection' by c-a-b), so
+_eval_pair dispatches on it and the modulus solver reads it to know which
+asymptote of mu applies.  The route is set when the triple is made, since
+every evaluation reads it; every other entry is computed on first use, and
+the zero-balanced steps as the evaluations reach them.  Each caller builds
+one triple per public call (the modulus solver one per solve) and the cache
+entries keep theirs, so _eval_pair.cache_clear() frees every triple and its
+table.
 """
 
 from __future__ import annotations
@@ -66,6 +64,8 @@ _ZERO_BALANCED_TOL = 1e-12
 _EULER_BAND = 1e-6
 _INTEGER_SNAP = 1e-8
 _MAX_TERMS = 400_000
+_UNIT = 2.0 ** -53  # the unit roundoff of a double
+_ZETA3 = 1.2020569031595942853997381615114500  # zeta(3) = -psi''(1)/2
 _PARAM_CAP = 50.0  # the bound on a, b and c of HypParams, MPoint and ModulusParams
 _TABLED = 64  # terms per series whose z-free factors a coefficient table holds
 _K0 = np.arange(_TABLED, dtype=np.float64)
@@ -109,6 +109,21 @@ def _digamma_any(x: float) -> float:
         return digamma(x).value
     f = x - math.floor(x)
     return digamma(1.0 - x).value - math.pi / math.tan(math.pi * f)
+
+
+def _lgamma_slope(x: float, e: float) -> tuple[float, float]:
+    """(ln Gamma(x+e) - ln Gamma(x))/e for 0 < |e| <= 1e-6 and an error bound:
+    shift x to x+k >= 10, each step subtracting log1p(e/(x+j))/e, then take
+    psi + e psi'/2 + e^2 psi''/6 at x+k (psi' to x^-9, psi'' to x^-3)."""
+    k = max(0, math.ceil(10.0 - x))
+    steps = [math.log1p(e / (x + j)) / e for j in range(k)]
+    psi = digamma(x + k)
+    inv = 1.0 / (x + k)
+    inv2 = inv * inv
+    d1 = inv * (1.0 + inv * (0.5 + inv * (1.0 / 6.0 + inv2 * (
+        -1.0 / 30.0 + inv2 * (1.0 / 42.0 - inv2 / 30.0)))))
+    value = psi.value + e * (0.5 * d1 - e * inv2 * (1.0 + inv) / 6.0) - math.fsum(steps)
+    return value, 5.0 * _UNIT * (math.fsum(map(abs, steps)) + abs(psi.value)) + psi.abs_err_est
 
 
 def _first_ratios(a: float, b: float, c: float) -> np.ndarray:
@@ -218,9 +233,12 @@ def _route(a: float, b: float, c: float) -> str:
     if abs(d) <= _ZERO_BALANCED_TOL:
         return "zero_balanced"
     m = round(d)
-    if m == 0:
-        return "euler" if abs(d) < _EULER_BAND else "connection"
-    return "integer_d" if abs(d - m) <= _INTEGER_SNAP else "connection"
+    if m == 0 and abs(d) < _EULER_BAND:
+        # the near-balanced logs fail across a pole of Gamma from a to a+d or
+        # from b to b+d; the Maclaurin series takes those rare triples
+        pole = any(math.ceil(min(x, x + d)) <= min(0.0, max(x, x + d)) for x in (a, b))
+        return "series" if pole else "near_balanced"
+    return "integer_d" if m != 0 and abs(d - m) <= _INTEGER_SNAP else "connection"
 
 
 class _Ref(weakref.ref):
@@ -303,10 +321,21 @@ class _Triple:
         return _first_ratios(*self.abc)
 
     @functools.cached_property
-    def euler_q(self) -> np.ndarray:
-        """_first_ratios of F(c-a,c-b;c;z), the Euler-transformed series."""
+    def near_balanced(self) -> tuple[float, float, float, float, float, float]:
+        """eps = c-a-b, correctly rounded, and P, D_0 + ln u and Phi_0 - ln u of
+        _near_zero_balanced, with bounds on the error of the first two."""
         a, b, c = self.abc
-        return _first_ratios(c - a, c - b, c)
+        eps = math.fsum((c, -a, -b))
+        pref = math.gamma(c) / (math.gamma(c - a) * math.gamma(c - b)) \
+            * (1.0 + (math.pi * eps) ** 2 / 6.0)
+        (la, ea), (lb, eb) = _lgamma_slope(a, eps), _lgamma_slope(b, eps)
+        # math.gamma is within 10 ulps (CPython's test_math), 20 units each;
+        # psi(c-a) ~ lb and psi(c-b) ~ la scale the rounding of c-a and c-b
+        pref_err = _UNIT * (64.0 + 2.0 * abs((c - a) * lb) + 2.0 * abs((c - b) * la))
+        d0 = -2.0 * EULER_GAMMA - (2.0 / 3.0) * _ZETA3 * eps * eps - la - lb
+        phi0 = la + lb + EULER_GAMMA - eps * (math.pi ** 2 / 12.0 - eps * _ZETA3 / 3.0)
+        d0_err = ea + eb + 3.0 * _UNIT * (abs(la) + abs(lb) + 2.0 * EULER_GAMMA)
+        return eps, pref, pref_err, d0, d0_err, phi0
 
     @functools.cached_property
     def half_beta(self) -> float:
@@ -360,6 +389,40 @@ def _zero_balanced(key: _Triple, u: float) -> tuple[float, float]:
     value = pref * total
     err = abs(pref) * (4e-16 * abs_total) + 3e-15 * abs(value)
     return value, err
+
+
+def _near_zero_balanced(key: _Triple, u: float) -> tuple[float, float]:
+    """F(a,b;c;1-u) for 0 < |c-a-b| < 1e-6 (see the module docstring), with
+    G_n = g_n e^(eps Phi_n) as one product.  It stops as _zero_balanced does;
+    its error bound runs with the sum (G_n e^(eps D_n) = G_n + eps t_n)."""
+    a, b, _ = key.abc
+    eps, pref, pref_err, d0, d0_err, phi0 = key.near_balanced
+    lnu = math.log(u)
+    D = d0 - lnu
+    G = math.exp(eps * (lnu + phi0))
+    d_err = d0_err + _UNIT * (abs(lnu) + abs(D))
+    total = err = 0.0
+    quiet = 0
+    for n in range(1000):
+        t = G * math.expm1(eps * D) / eps
+        total += t
+        at = abs(t)
+        err += min(_UNIT * abs(total), at) + (5.0 + 10.0 * n) * _UNIT * at
+        err += abs(G + eps * t) * d_err
+        quiet = quiet + 1 if at <= _EPS * abs(total) else 0
+        if quiet >= 3 and 2.0 * at * u / (1.0 - u) <= _EPS * abs(total):
+            err += 2.0 * at * u / (1.0 - u)  # the tail
+            break
+        y = n + 1.0
+        la, lb = math.log1p(eps / (a + n)) / eps, math.log1p(eps / (b + n)) / eps
+        # L(-eps,y) + L(eps,y) = 2 artanh(eps/y)/eps = (2/y)(1 + (eps/y)^2/3) + O(eps^4)
+        D += 2.0 / y * (1.0 + (eps / y) ** 2 / 3.0) - la - lb
+        d_err += 5.0 * _UNIT * (abs(la) + abs(lb) + abs(D))
+        G *= (a + n + eps) * (b + n + eps) / (y * (y + eps)) * u
+    else:
+        raise ConvergenceError(f"near-balanced expansion stalled at u={u!r}")
+    value = pref * total
+    return value, abs(pref) * err + (pref_err + _UNIT) * abs(value)
 
 
 def _integer_d(key: _Triple, u: float, m: int) -> tuple[float, float]:
@@ -474,17 +537,10 @@ def _eval_pair(key: _Triple, z: float, zc: float) -> EvalResult:
         m = round(d)
         value, err = _integer_d(key, zc, m)
         err += abs(d - m) * (abs(math.log(zc)) + 5.0) * abs(value)
-    elif route == "euler" and zc > 1e-4:
-        # Between regimes the connection coefficients blow up like 1/d;
-        # route through the Euler transformation and sum directly.
-        s, serr, _ = _direct_series(c - a, c - b, c, z, key.euler_q)
-        ud = math.exp(d * math.log(zc))
-        value = ud * s
-        err = ud * serr + 2e-15 * abs(value)
+    elif route == "near_balanced":
+        value, err = _near_zero_balanced(key, zc)
     else:
-        # Zero-balanced, or the Euler band with 1-z too small for its series
-        # to terminate: the expansion at c = a+b, with the parameter
-        # perturbation carried in the error estimate.
+        # zero-balanced: the expansion at c = a+b, charged |c-a-b| <= 1e-12
         value, err = _zero_balanced(key, zc)
         err += abs(d) * (abs(math.log(zc)) + 5.0) * abs(value)
     return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)

@@ -13,6 +13,9 @@ literals so nothing here executes during a normal pytest run.
 
 from __future__ import annotations
 
+import math
+import random
+
 import mpmath as mp
 
 mp.mp.dps = 60
@@ -236,6 +239,55 @@ def _print_difference_forms() -> None:
 
 
 # --------------------------------------------------------------------------
+# F(a,b;c;1-u) with eps = c-a-b small and nonzero, by the connection formula
+# A&S 15.3.6 at 100 digits: its two terms are each about 1/eps and cancel
+# to about |log10 eps| digits.  The truncation of lngamma's Stirling series
+# (about 1e-39) is amplified by the same 1/eps, so 25 digits are certain.
+
+def hyp2f1_near_balanced(a, b, c, u) -> mp.mpf:
+    with mp.workdps(100):
+        a, b, c, u = (mp.mpf(v) for v in (a, b, c, u))
+        e = c - a - b
+        tol = mp.mpf("1e-95")
+        s1, _ = hyp2f1(a, b, 1 - e, u, tol)
+        s2, _ = hyp2f1(c - a, c - b, 1 + e, u, tol)
+        return gamma(c) * (gamma(e) / (gamma(c - a) * gamma(c - b)) * s1
+                           + u ** e * gamma(-e) / (gamma(a) * gamma(b)) * s2)
+
+
+def near_balanced_points() -> list[tuple[float, float, float, float]]:
+    """(a, b, c, u): 40 seeded points with a, b in [0.05, 3], c-a-b of either
+    sign in [1e-12, 1e-6] and u in [1e-12, 0.25], all log-uniform (the first
+    two at u = 1e-12 and 0.25); then, at (a, b) = (0.5, 0.25), the triples
+    within three ulps of each edge c-a-b = +-1e-12 and +-1e-6."""
+    rng = random.Random(20071)
+
+    def loguni(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    pts = []
+    for i in range(40):
+        a, b = loguni(0.05, 3.0), loguni(0.05, 3.0)
+        c = a + b + rng.choice((-1.0, 1.0)) * loguni(1e-12, 1e-6)
+        pts.append((a, b, c, (1e-12, 0.25)[i] if i < 2 else loguni(1e-12, 0.25)))
+    a, b = 0.5, 0.25
+    for d, u in ((-1e-12, 1e-6), (1e-12, 0.25), (-1e-6, 1e-12), (1e-6, 1e-6)):
+        cs = [a + b + d]
+        for _ in range(3):
+            cs = [math.nextafter(cs[0], -math.inf)] + cs + [math.nextafter(cs[-1], math.inf)]
+        pts += [(a, b, c, u) for c in cs]
+    return pts
+
+
+def _print_near_balanced() -> None:
+    for a, b, c, u in near_balanced_points():
+        f = hyp2f1_near_balanced(a, b, c, u)
+        with mp.workdps(40):  # mpmath's own hyp2f1 agrees to 25 digits
+            assert abs(mp.hyp2f1(a, b, c, 1 - mp.mpf(u)) / f - 1) < mp.mpf("1e-25")
+        print(f"    ({a!r}, {b!r}, {c!r}, {u!r}, {mp.nstr(f, 25)}),")
+
+
+# --------------------------------------------------------------------------
 
 def _print(label: str, value) -> None:
     print(f"{label:34s} {mp.nstr(value, 25)}")
@@ -284,6 +336,8 @@ def main() -> None:
     _print("mu_classical(0.3)", mu_classical("0.3"))
     print("((a, b, c), r, K-E, E-r'^2K):")
     _print_difference_forms()
+    print("(a, b, c, u, F(a,b;c;1-u)) with c-a-b near 0:")
+    _print_near_balanced()
 
 
 if __name__ == "__main__":

@@ -103,6 +103,18 @@ def test_eval_domain_error_exit_2(capsys):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "solve --a 0.5 --c 1 --p 0 --r 0.5",
+    "solve --a 0.5 --c 1 --p -2 --r 0.5",
+    "eval K --a 0.5 --b 0.5 --c 1 --z -1",
+    "eval Ep --a 0.5 --b 0.5 --c 1 --z 1.5",
+])
+def test_point_outside_the_domain_exits_2(capsys, argv):
+    code, _, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert "domain error" in err
+
+
 def test_eval_missing_flag_exit_2(capsys):
     code, _, err = run_cli(capsys, "eval", "mu", "--a", "0.5", "--c", "1")
     assert code == 2

@@ -20,7 +20,7 @@ from genellip import (
 )
 from genellip.errors import DomainError, ParameterError, SaturationError
 from genellip.hypergeom import (_connection, _direct_series, _eval_pair, _first_ratios,
-                                _integer_d, _Triple, _zero_balanced)
+                                _integer_d, _near_zero_balanced, _Triple, _zero_balanced)
 from genellip.result import EvalResult, Method
 from genellip.scalar_special import _is_nonpositive_integer
 
@@ -209,6 +209,107 @@ def test_domain_rejections():
 
 
 # --------------------------------------------------------------------------
+# c-a-b near 0: the near-balanced kernel against a 100-digit oracle
+
+# (a, b, c, u, F(a,b;c;1-u)); frozen from tests/oracles.py
+# (near_balanced_points, hyp2f1_near_balanced): 40 seeded points with
+# 1e-12 < |c-a-b| < 1e-6, then the triples within three ulps of each edge
+# of that band, on both sides.
+NEAR_BALANCED = [
+    (1.3414622802217981, 0.18821325665572863, 1.5296754703593651, 1e-12, 6.547808538847473211044968),
+    (0.09267049631598952, 0.09877260508145515, 0.19144376173787755, 0.25, 1.06656732045037844131978),
+    (0.3040809928314107, 0.10269764846000881, 0.4067786413210319, 5.245623896018327e-11, 2.886255503403665091042739),
+    (1.8476808504712963, 0.5425377849448074, 2.3902183212359147, 5.8297904593332075e-12, 20.8710488856994392505455),
+    (0.08044028038224976, 0.29577722727275896, 0.3762175075891339, 8.570547740516708e-08, 2.058293755302537886634688),
+    (0.06847570925736635, 0.051453646586769555, 0.11992935594572902, 3.7533416824897445e-10, 1.640778329988441636415921),
+    (2.689491327207322, 0.44477290460445773, 3.1342642267394365, 6.640663490506125e-12, 19.4039966146664992807181),
+    (0.08435664620601917, 0.14751975574938586, 0.23187640195782802, 2.1380979673545768e-10, 2.214661997321062589628414),
+    (2.3144270415197647, 1.1382580480972042, 3.452685089459209, 3.0548757473940253e-06, 32.35302169446086555926026),
+    (0.25077688484547955, 0.3132473289098491, 0.5640242145082133, 0.06753053339368201, 1.393312405486375954485657),
+    (0.07113676291642408, 0.19376962918407756, 0.2649063922698177, 0.0003422703889223143, 1.421689736063984653377089),
+    (0.16173888376215836, 2.8551122031321285, 3.0168509813565914, 8.340608425907938e-09, 4.649421562804684101067867),
+    (1.2166839556750955, 0.962466292680731, 2.17915024775501, 3.436648717678423e-06, 14.373356021288681963797),
+    (0.5597863450369871, 2.4280794717917056, 2.9878658161151677, 8.766590694465091e-06, 11.32817956320575282775599),
+    (0.35750141376209327, 0.17709980321371907, 0.5346013335022333, 4.546119813952946e-06, 2.556324909998141006568583),
+    (1.3835899713442776, 0.4979277465046021, 1.881517717913099, 1.5063700357833368e-11, 15.60487972386881189620807),
+    (0.1493591128956062, 0.13639493276480696, 0.2857540534841799, 1.0931200846720216e-11, 2.846980489770280469933932),
+    (1.2466452248573316, 0.7066897789838642, 1.9533350038388495, 5.82703389994e-07, 12.29325257981520301054717),
+    (1.370792169304461, 1.2884918942409884, 2.6592840578970627, 5.179590346170293e-06, 21.12059070614043791502108),
+    (0.252561225216399, 0.7138046630679128, 0.9663658881521272, 2.5276621090063426e-06, 3.810816910085945285393918),
+    (1.6947448090095578, 2.5031654810175223, 4.197910290020197, 0.018444303212024768, 13.88822771092184841650314),
+    (0.9516829239561913, 0.3252747739040431, 1.276957704522938, 0.09342568351357511, 1.649282562666841589384909),
+    (0.0773445242977117, 0.08053302663817385, 0.15787768473209907, 0.0006768905682995624, 1.290043903614662547760245),
+    (0.6999818378852201, 2.644255869289209, 3.3442377071769127, 1.881147646570089e-11, 35.12421200613610598384764),
+    (0.5981934711639015, 2.4413208293172626, 3.039514883660536, 6.007091965469844e-08, 17.78992229021737604426919),
+    (0.12769976351220352, 2.1251837715932793, 2.252883534667822, 8.465677456467293e-10, 3.991039112675763214496777),
+    (0.6443092912204362, 0.06359246305609169, 0.707901754733716, 1.6970624553446777e-07, 1.939968533946086216020309),
+    (0.055207424894154575, 0.1733704255536922, 0.22857796296484403, 1.6117444302917535e-06, 1.565255527670927922074103),
+    (1.0875139682477246, 0.5376873968171484, 1.625201365148116, 0.03545177307618288, 2.550138841374644547814377),
+    (0.21516117206715327, 0.0730757489120727, 0.2882369209568383, 0.21239247701893643, 1.085151182951861634740883),
+    (0.6241460131462564, 0.9246920073328718, 1.5488380135420494, 0.00028743306494867477, 5.404124918684182879385529),
+    (0.6881653952071819, 0.162939474242097, 0.8511051853265237, 5.657264796184923e-07, 3.102215952770965241951101),
+    (0.2584700706807821, 0.30128611762261187, 0.5597561882897235, 0.00481856131737257, 1.792425713586360355639077),
+    (0.40773763806460095, 0.27795473001781995, 0.6856928166652092, 3.359383223648491e-10, 5.051495628016865664872467),
+    (0.4545427118351409, 1.9796384943292358, 2.434181421131115, 1.2273527612459533e-07, 10.88846042244521404637328),
+    (2.20241620912789, 0.30945014812387533, 2.5118663568404727, 6.0443781346178036e-05, 4.785255680928504315695631),
+    (0.2817172077043961, 0.5630574989148385, 0.844774687573666, 3.891425604479742e-10, 5.737327124112941066598733),
+    (1.1695663357345467, 0.17169241193912285, 1.3412587474999786, 4.5332767806989136e-05, 2.734410423785685115072526),
+    (0.4007758254796216, 0.1152051376586098, 0.5159809630908297, 5.5096348987009275e-08, 2.573225430178218728853904),
+    (0.35734879175644363, 1.4148254919264058, 1.7721742836924244, 9.65203557285071e-12, 11.36388843097883339452187),
+    (0.5, 0.25, 0.7499999999989997, 1e-06, 3.594895278577902348582786),
+    (0.5, 0.25, 0.7499999999989998, 1e-06, 3.594895278577900159393231),
+    (0.5, 0.25, 0.7499999999989999, 1e-06, 3.594895278577897970203676),
+    (0.5, 0.25, 0.749999999999, 1e-06, 3.594895278577895781014121),
+    (0.5, 0.25, 0.7499999999990001, 1e-06, 3.594895278577893591824567),
+    (0.5, 0.25, 0.7499999999990002, 1e-06, 3.594895278577891402635012),
+    (0.5, 0.25, 0.7499999999990004, 1e-06, 3.594895278577889213445457),
+    (0.5, 0.25, 0.7500000000009996, 0.25, 1.240806478802365559623649),
+    (0.5, 0.25, 0.7500000000009998, 0.25, 1.24080647880236551143333),
+    (0.5, 0.25, 0.7500000000009999, 0.25, 1.240806478802365463243011),
+    (0.5, 0.25, 0.750000000001, 0.25, 1.240806478802365415052692),
+    (0.5, 0.25, 0.7500000000010001, 0.25, 1.240806478802365366862374),
+    (0.5, 0.25, 0.7500000000010002, 0.25, 1.240806478802365318672055),
+    (0.5, 0.25, 0.7500000000010003, 0.25, 1.240806478802365270481736),
+    (0.5, 0.25, 0.7499989999999996, 1e-12, 6.229449470210657921915858),
+    (0.5, 0.25, 0.7499989999999997, 1e-12, 6.229449470210649522531834),
+    (0.5, 0.25, 0.7499989999999999, 1e-12, 6.22944947021064112314781),
+    (0.5, 0.25, 0.749999, 1e-12, 6.229449470210632723763787),
+    (0.5, 0.25, 0.7499990000000001, 1e-12, 6.229449470210624324379763),
+    (0.5, 0.25, 0.7499990000000002, 1e-12, 6.229449470210615924995739),
+    (0.5, 0.25, 0.7499990000000003, 1e-12, 6.229449470210607525611715),
+    (0.5, 0.25, 0.7500009999999997, 1e-06, 3.594875560190478541061685),
+    (0.5, 0.25, 0.7500009999999998, 1e-06, 3.594875560190476351894073),
+    (0.5, 0.25, 0.7500009999999999, 1e-06, 3.594875560190474162726461),
+    (0.5, 0.25, 0.750001, 1e-06, 3.594875560190471973558849),
+    (0.5, 0.25, 0.7500010000000001, 1e-06, 3.594875560190469784391236),
+    (0.5, 0.25, 0.7500010000000003, 1e-06, 3.594875560190467595223624),
+    (0.5, 0.25, 0.7500010000000004, 1e-06, 3.594875560190465406056012),
+]
+
+
+def test_near_balanced_route_meets_its_error_bound():
+    inside = 0
+    for a, b, c, u, want in NEAR_BALANCED:
+        r = hyp2f1_pair(HypParams(a, b, c), 1.0 - u, u)
+        assert abs(r.value - want) <= r.abs_err_est, (a, b, c, u)
+        # outside the band the zero-balanced route charges |c-a-b| |ln u| and
+        # the connection route its 1/|c-a-b| cancellation, both over 1e-13
+        if _Triple(a, b, c).route == "near_balanced":
+            inside += 1
+            assert r.abs_err_est <= 1e-13 * abs(want), (a, b, c, u)
+    assert inside == 52  # the 40 seeded points and 12 of the 28 at the edges
+
+
+def test_band_across_a_gamma_pole_takes_the_series():
+    # c-b = a + (c-a-b) crosses the pole of Gamma at 0, where the logs of the
+    # near-balanced kernel fail; the value is the raw series of tests/oracles.py
+    a, b, c = 1e-9, 2.0, 2.0 - 9e-9
+    assert _Triple(a, b, c).route == "series"
+    r = hyp2f1(HypParams(a, b, c), 0.9)
+    assert abs(r.value - 1.000000002302585117175118578) <= r.abs_err_est
+
+
+# --------------------------------------------------------------------------
 # the tabled kernels against frozen copies of the untabled loops
 
 def _untabled_series(a, b, c, z, max_terms=400_000):
@@ -283,8 +384,6 @@ def test_tabled_series_is_bit_identical_to_untabled():
             for args, q in (((a, b, 1.0 - d), q1), ((c - a, c - b, 1.0 + d), q2)):
                 got = _direct_series(*args, u, q, max_terms=20_000)
                 assert got == _untabled_series(*args, u, max_terms=20_000), (args, u)
-        assert _direct_series(c - a, c - b, c, 0.4, key.euler_q) \
-            == _untabled_series(c - a, c - b, c, 0.4)
     assert max(terms) > 128  # chunks beyond the tabled first one
 
 
@@ -443,14 +542,7 @@ def _frozen_dispatch(key, z, zc):
         err += abs(d) * (abs(math.log(zc)) + 5.0) * abs(value)
         return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
     if m == 0 and abs(d) < 1e-6:
-        if zc > 1e-4:
-            s, serr, _ = _direct_series(c - a, c - b, c, z, key.euler_q)
-            ud = math.exp(d * math.log(zc))
-            value = ud * s
-            err = ud * serr + 2e-15 * abs(value)
-            return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
-        value, err = _zero_balanced(key, zc)
-        err += abs(d) * (abs(math.log(zc)) + 5.0) * abs(value)
+        value, err = _near_zero_balanced(key, zc)
         return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
     if m != 0 and abs(d - m) <= 1e-8:
         value, err = _integer_d(key, zc, m)
@@ -502,7 +594,7 @@ def test_route_dispatch_is_bit_identical_to_the_frozen_dispatch():
         for z, zc in pairs:
             want = _outcome(_frozen_dispatch, key, z, zc)
             assert _outcome(_eval_pair.__wrapped__, key, z, zc) == want, (abc, z, zc)
-    assert routes == {"closed", "series", "zero_balanced", "euler", "integer_d", "connection"}
+    assert routes == {"closed", "series", "zero_balanced", "near_balanced", "integer_d", "connection"}
 
 
 def test_overflow_near_one_is_a_saturation_error():
