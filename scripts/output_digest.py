@@ -20,16 +20,19 @@ show the work each side did.  Both LRU caches are cleared before each pass,
 as in the benchmark.  The modular-solve points pass through the benchmark's
 mpmath reachability screen, cached in ``.bench_cache/`` after the first run.
 
-With ``--cli`` it runs ``genellip.cli.main`` in-process over a fixed list
-of command lines instead (every ``eval`` and ``tabulate`` selector,
-``invert``, ``phi``, ``solve``, ``list-checks``, and ``verify`` on two
-checks, with ``--tol`` and ``--grid``, and on an unknown check, and
-``tabulate`` and ``verify`` writing to ``--out``, each in text, CSV and
-JSON) and prints one digest of every stdout, stderr, exit code and
+With ``--cli`` it runs ``genellip.cli.main`` in-process over two fixed
+lists of command lines instead, each line in text, CSV and JSON, and
+prints one digest per list of every stdout, stderr, exit code and
 ``--out`` file, with the verify report's ``timestamp`` and ``seconds``
-and the path of the ``--out`` file masked; a second line digests the
-inputs whose 2F1 value exceeds the float range near z = 1.  To compare
-with an older checkout, copy this script into it.
+and the path of the ``--out`` file masked.  The valid lines (every
+``eval`` and ``tabulate`` selector, ``invert``, ``phi``, ``solve``,
+``list-checks``, ``verify`` on two checks, with ``--tol`` and ``--grid``,
+and ``tabulate`` and ``verify`` writing to ``--out``) must print the same
+bits on both sides of a change that keeps values; the error lines (inputs
+outside a domain, an unknown check, 2F1 values past the float range near
+z = 1) may change their messages, so their digest is separate, and each
+error line is printed with its exit codes.  To compare with an older
+checkout, copy this script into it.
 """
 
 from __future__ import annotations
@@ -76,16 +79,22 @@ CLI_LINES = [
     "invert --a 0.5 --c 1 --p 1.2",
     "phi --a 0.5 --c 1 --K 2 --r 0.5",
     "solve --a 0.25 --c 1 --p 3 --r 0.6",
-    "eval K --a 0.5 --b 0.9 --c 0.7 --r 0.5",
     "list-checks",
     "verify mutheorem-1 ktheo-3",
     "verify hyper-1 --tol 1e-6",
     "verify hyper-1 --grid 0.01:0.99:9:logit",
-    "verify not-a-check",
     f"tabulate K {_ELL} {_GRID} --out {{out}}",
     "verify hyper-1 --out {out}",
 ]
-OVERFLOW_LINES = [
+ERROR_LINES = [
+    "eval K --a 0.5 --b 0.9 --c 0.7 --r 0.5",
+    "eval K --a 0.5 --b 999.6 --c 1000 --r 0.9",
+    "eval K --a 0.5 --b 199.6 --c 200 --r 0.9",
+    "eval gamma --z 200",
+    "eval beta --a 1e-320 --b 1e-320",
+    "eval K --a 0.5 --b 0.5 --c 1 --z -1",
+    "solve --a 0.5 --c 1 --p 0 --r 0.5",
+    "verify not-a-check",
     "eval hyp2f1 --a 1 --b 50 --c 1 --z 0.9999999999999999",
     "eval hyp2f1 --a 39.5 --b 39.5 --c 40 --z 0.9999999999999999",
 ]
@@ -160,10 +169,13 @@ def main(argv=None) -> int:
                     help="digest the CLI's output instead of the workloads'")
     args = ap.parse_args(argv)
     if args.cli:
-        for name, lines in (("cli", CLI_LINES), ("cli-overflow", OVERFLOW_LINES)):
+        for name, lines in (("cli-valid", CLI_LINES), ("cli-error", ERROR_LINES)):
             outs = _cli_outputs(lines)
             codes = sorted({repr(o[-1]) for o in outs})
             print(f"{name} n={len(outs)} {_digest(outs)} exit={','.join(codes)}")
+            for line in lines if lines is ERROR_LINES else ():
+                codes = sorted({repr(o[-1]) for o in outs if o[0] == line})
+                print(f"  {line}  exit={','.join(codes)}")
         return 0
     for seed in args.seeds:
         pts = wl.eval_sweep_points(seed)

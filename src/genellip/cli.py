@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 
 from .elliptic import (EllipticParams, Modulus, ell_e, ell_e_comp, ell_k,
                        ell_k_comp)
-from .errors import ConvergenceError, DomainError, GenellipError
+from .errors import ConvergenceError, DomainError, GenellipError, checked
 from .hypergeom import HypParams, hyp2f1
 from .legendre_m import MPoint, m_value
 from .modulus import (DegreeK, modulus_params_ac, mu, mu_deriv, mu_inv,
@@ -147,9 +147,8 @@ def _ell(op):
     """An elliptic selector: its point is the modulus r, or z = r^2."""
     def run(args, flag, x):
         p = EllipticParams(args.a, args.b, args.c)
-        if flag == "z" and not 0.0 <= x <= 1.0:
-            raise DomainError(f"z must lie in [0, 1], got {x!r}")
-        return op(p, Modulus.from_r(x if flag == "r" else math.sqrt(x))), _abc(args)
+        r = x if flag == "r" else math.sqrt(checked("z", x, "[0, 1]"))
+        return op(p, Modulus.from_r(r)), _abc(args)
     return run
 
 
@@ -264,11 +263,9 @@ def _cmd_invert(args) -> int:
 def _cmd_solve(args) -> int:
     """Solve mu(s) = p * mu(r): the degree-p modular equation."""
     _need(args, "solve", "a", "c", "p", "r")
-    if not args.p > 0.0:
-        raise DomainError(f"the degree p must be positive, got {args.p!r}")
     pm = modulus_params_ac(args.a, args.c)
     m = Modulus.from_r(args.r)
-    s = phi_k_m(pm, DegreeK(1.0 / args.p), m)
+    s = phi_k_m(pm, DegreeK(1.0 / checked("p", args.p, "(0, inf)")), m)
     mu_r = mu_m(pm, m)
     mu_s = mu_m(pm, s)
     residual = abs(mu_s.value - args.p * mu_r.value)

@@ -23,30 +23,20 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ParameterError, check_params, is_real
+from .errors import DomainError, ParameterError, _Params, checked
 from .hypergeom import _eval_pair, _Triple
 from .result import EvalResult, Method
 from .scalar_special import _half_beta, beta
 
 
-@dataclass(frozen=True)
-class EllipticParams:
-    """Parameter triple with 0 < a < min(c,1) and 0 < b < c <= a+b."""
+class EllipticParams(_Params):
+    """Parameter triple with 0 < a < min(c,1) and 0 < b < c <= a+b, c <= 50."""
 
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
+    def _relate(self):
         a, b, c = self.a, self.b, self.c
-        for name, v in zip("abc", check_params(a=a, b=b, c=c)):
-            object.__setattr__(self, name, v)
-        if not self.a < min(self.c, 1.0):
-            raise ParameterError(f"need a < min(c, 1), got a={a!r}, c={c!r}")
-        if not self.b < self.c:
-            raise ParameterError(f"need b < c, got b={b!r}, c={c!r}")
-        if not self.c <= self.a + self.b:
-            raise ParameterError(f"need c <= a+b, got c={c!r}, a+b={a + b!r}")
+        if not (a < min(c, 1.0) and b < c <= a + b):
+            raise ParameterError(
+                f"need a < min(c, 1) and b < c <= a+b, got a={a!r}, b={b!r}, c={c!r}")
 
     @functools.cached_property
     def half_beta(self) -> float:
@@ -54,7 +44,7 @@ class EllipticParams:
         return _half_beta(self.a, self.b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Modulus:
     """A modulus r in [0,1] carried together with r' = sqrt(1-r^2).
 
@@ -65,26 +55,30 @@ class Modulus:
     r: float
     r_comp: float
 
-    def __post_init__(self):
-        for name, v in (("r", self.r), ("r_comp", self.r_comp)):
-            if not (is_real(v) and 0.0 <= v <= 1.0):
-                raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
-            object.__setattr__(self, name, float(v))
-        if abs(self.r * self.r + self.r_comp * self.r_comp - 1.0) > 1e-15:
-            raise DomainError(
-                f"r^2 + r_comp^2 = 1 violated: r={self.r!r}, r_comp={self.r_comp!r}")
+    def __init__(self, r: float, r_comp: float):
+        r = checked("r", r, "[0, 1]")
+        r_comp = checked("r_comp", r_comp, "[0, 1]")
+        if abs(r * r + r_comp * r_comp - 1.0) > 1e-15:
+            raise DomainError(f"r^2 + r_comp^2 = 1 violated: r={r!r}, r_comp={r_comp!r}")
+        self.__dict__.update(r=r, r_comp=r_comp)
+
+    @classmethod
+    def _pair(cls, r: float, r_comp: float) -> "Modulus":
+        """The modulus (r, r_comp) of two floats in [0, 1] that already
+        meet r^2 + r_comp^2 = 1 to rounding, without checking them again."""
+        m = object.__new__(cls)
+        m.__dict__.update(r=r, r_comp=r_comp)
+        return m
 
     @classmethod
     def from_r(cls, r: float) -> "Modulus":
-        if not (is_real(r) and 0.0 <= r <= 1.0):
-            raise DomainError(f"r must lie in [0, 1], got {r!r}")
-        return cls(float(r), math.sqrt((1.0 - r) * (1.0 + r)))
+        r = checked("r", r, "[0, 1]")
+        return cls._pair(r, math.sqrt((1.0 - r) * (1.0 + r)))
 
     @classmethod
     def from_r_comp(cls, r_comp: float) -> "Modulus":
-        if not (is_real(r_comp) and 0.0 <= r_comp <= 1.0):
-            raise DomainError(f"r_comp must lie in [0, 1], got {r_comp!r}")
-        return cls(math.sqrt((1.0 - r_comp) * (1.0 + r_comp)), float(r_comp))
+        r_comp = checked("r_comp", r_comp, "[0, 1]")
+        return cls._pair(math.sqrt((1.0 - r_comp) * (1.0 + r_comp)), r_comp)
 
     @property
     def z(self) -> float:
@@ -96,20 +90,16 @@ class Modulus:
 
     @property
     def complement(self) -> "Modulus":
-        return Modulus(self.r_comp, self.r)
+        return Modulus._pair(self.r_comp, self.r)
 
 
 def arth(r: float, r_comp: float | None = None) -> float:
     """arth(r) = (1/2) log((1+r)/(1-r)); pass r_comp to stay exact near 1."""
     if r_comp is not None:
         # 1-r = r_comp^2/(1+r), so arth(r) = log((1+r)/r_comp) stays exact.
-        if not (is_real(r) and is_real(r_comp) and -1.0 < r <= 1.0 and 0.0 < r_comp <= 1.0):
-            raise DomainError(f"arth needs r in (-1, 1] and r_comp in (0, 1], "
-                              f"got r={r!r}, r_comp={r_comp!r}")
-        return math.log((1.0 + r) / r_comp)
-    if not (is_real(r) and -1.0 < r < 1.0):
-        raise DomainError(f"arth needs |r| < 1, got {r!r}")
-    return math.atanh(r)
+        r = checked("r", r, "(-1, 1]")
+        return math.log((1.0 + r) / checked("r_comp", r_comp, "(0, 1]"))
+    return math.atanh(checked("r", r, "(-1, 1)"))
 
 
 def _scaled(scale: float, key: _Triple, m: Modulus) -> EvalResult:
@@ -193,9 +183,7 @@ def ell_derivatives(p: EllipticParams, m: Modulus) -> EllDerivatives:
     The K-E form is the difference of the first two; for (1/2,1/2,1) it
     reduces to the classical r E/r'^2.
     """
-    r, rc2 = m.r, m.z_comp
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"derivatives need 0 < r < 1, got r={r!r}")
+    r, rc2 = checked("r", m.r, "(0, 1)"), m.z_comp
     a, b, c = p.a, p.b, p.c
     K = ell_k(p, m).value
     E = ell_e(p, m).value

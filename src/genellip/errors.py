@@ -1,11 +1,14 @@
-"""Exception hierarchy shared by all evaluation modules, and the one
-validator for the parameters (a, b, c) that every parameter type uses.
+"""Exception hierarchy shared by all evaluation modules, and the one domain
+rule: `checked` for a single argument, and `_Params`, the constructor that
+the four (a, b, c) types share.
 
 The CLI maps these onto process exit codes: domain-type errors (bad inputs,
 poles, out-of-range degree) exit with 2, convergence failures with 3.
 """
 
+import functools
 import math
+from dataclasses import dataclass
 
 
 class GenellipError(Exception):
@@ -27,8 +30,8 @@ class PoleError(DomainError):
 class SaturationError(DomainError):
     """A result saturates in double precision: the degree K lies outside
     [1e-3, 1e3], so the modular function would round to 0 or 1; a target
-    of mu_inv lies beyond the representable moduli; or a 2F1 value exceeds
-    the float range as z -> 1.  The saturated endpoint (0, 1 or an
+    of mu_inv lies beyond the representable moduli; or a value of Gamma,
+    B or 2F1 exceeds the float range.  The saturated endpoint (0, 1 or an
     infinity) is carried in ``endpoint`` so callers can decide to use it
     explicitly."""
 
@@ -41,22 +44,46 @@ class ConvergenceError(GenellipError):
     """An iteration budget was exhausted before reaching tolerance."""
 
 
-def is_real(v) -> bool:
-    """True for an int or a float (or a subclass) that is not a bool."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+@functools.cache
+def _ends(interval: str) -> tuple[float, float]:
+    """The ends of an interval spelled like "(0, 1]", both made open: a
+    closed end moves one ulp outward, which admits the end itself and
+    nothing past it, for ints and floats alike."""
+    lo, hi = (float(s) for s in interval[1:-1].split(","))
+    return (math.nextafter(lo, -math.inf) if interval[0] == "[" else lo,
+            math.nextafter(hi, math.inf) if interval[-1] == "]" else hi)
 
 
-def check_params(cap: float | None = None, **params) -> tuple[float, ...]:
-    """The named parameters as floats, in the order given.
+def checked(name: str, v, interval: str, error: type = DomainError) -> float:
+    """`v` as a float if it is an int or a float (not a bool) in `interval`,
+    such as "[0, 1)" or "(0, inf)"; otherwise `error` names the argument.
 
-    Each must be an int or float (not a bool), finite, positive, and at
-    most `cap` when one is given; otherwise ParameterError names it.
+    An open infinite end excludes the infinity, and NaN lies in no interval.
     """
-    out = []
-    for name, v in params.items():
-        if (not is_real(v) or not 0.0 < v < math.inf
-                or (cap is not None and v > cap)):
-            where = "(0, inf)" if cap is None else f"(0, {cap:g}]"
-            raise ParameterError(f"{name} must be a finite real in {where}, got {v!r}")
-        out.append(float(v))
-    return tuple(out)
+    lo, hi = _ends(interval)
+    if isinstance(v, (int, float)) and v.__class__ is not bool and lo < v < hi:
+        return float(v)
+    raise error(f"{name} must be a real in {interval}, got {v!r}")
+
+
+_CAP = "(0, 50]"  # the domain of each of a, b and c
+
+
+@dataclass(frozen=True, init=False)
+class _Params:
+    """Parameters (a, b, c), each a real in (0, 50]; a subclass adds its
+    own relations between them in `_relate`."""
+
+    a: float
+    b: float
+    c: float
+
+    def __init__(self, a: float, b: float, c: float):
+        d = self.__dict__  # not object.__setattr__, which a frozen __init__ uses
+        d["a"] = checked("a", a, _CAP, ParameterError)
+        d["b"] = checked("b", b, _CAP, ParameterError)
+        d["c"] = checked("c", c, _CAP, ParameterError)
+        self._relate()
+
+    def _relate(self) -> None:
+        pass

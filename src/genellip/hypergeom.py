@@ -44,11 +44,10 @@ from __future__ import annotations
 import functools
 import math
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SaturationError, check_params, is_real
+from .errors import ConvergenceError, DomainError, SaturationError, _Params, checked
 from .result import EvalResult, Method
 from .scalar_special import (
     EULER_GAMMA,
@@ -66,7 +65,6 @@ _INTEGER_SNAP = 1e-8
 _MAX_TERMS = 400_000
 _UNIT = 2.0 ** -53  # the unit roundoff of a double
 _ZETA3 = 1.2020569031595942853997381615114500  # zeta(3) = -psi''(1)/2
-_PARAM_CAP = 50.0  # the bound on a, b and c of HypParams, MPoint and ModulusParams
 _TABLED = 64  # terms per series whose z-free factors a coefficient table holds
 _K0 = np.arange(_TABLED, dtype=np.float64)
 _K1 = 1.0 + _K0
@@ -74,17 +72,8 @@ _K1 = 1.0 + _K0
 _ROUNDS_TO_ONE = 2.0 ** -56
 
 
-@dataclass(frozen=True)
-class HypParams:
+class HypParams(_Params):
     """Positive real parameters (a, b, c), each bounded by 50."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        for name, v in zip("abc", check_params(_PARAM_CAP, a=self.a, b=self.b, c=self.c)):
-            object.__setattr__(self, name, v)
 
 
 def _gamma_ratio(nums, dens) -> float:
@@ -546,15 +535,9 @@ def _eval_pair(key: _Triple, z: float, zc: float) -> EvalResult:
     return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
 
 
-def _check_z(z: float) -> float:
-    if not (is_real(z) and 0.0 <= z < 1.0):
-        raise DomainError(f"z must lie in [0, 1), got {z!r}")
-    return float(z)
-
-
 def hyp2f1(p: HypParams, z: float) -> EvalResult:
     """F(a,b;c;z) for z in [0, 1)."""
-    z = _check_z(z)
+    z = checked("z", z, "[0, 1)")
     return _eval_pair(_Triple(p.a, p.b, p.c), z, 1.0 - z)
 
 
@@ -564,7 +547,8 @@ def hyp2f1_pair(p: HypParams, z: float, z_comp: float) -> EvalResult:
     Use when z was formed as 1 - z_comp with z_comp tiny, where recomputing
     1-z in floating point would lose all the information.
     """
-    z = _check_z(z)
-    if not (is_real(z_comp) and 0.0 < z_comp <= 1.0) or abs((1.0 - z) - z_comp) > 1e-12:
+    z = checked("z", z, "[0, 1)")
+    z_comp = checked("z_comp", z_comp, "(0, 1]")
+    if abs((1.0 - z) - z_comp) > 1e-12:
         raise DomainError(f"z_comp={z_comp!r} is not a complement of z={z!r}")
-    return _eval_pair(_Triple(p.a, p.b, p.c), z, float(z_comp))
+    return _eval_pair(_Triple(p.a, p.b, p.c), z, z_comp)

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 from .elliptic import EllipticParams, Modulus, ell_e, ell_e_comp, ell_k, ell_k_comp
-from .errors import DomainError, ParameterError, check_params, is_real
-from .hypergeom import _PARAM_CAP, _eval_pair, _Triple
+from .errors import ParameterError, _Params, checked
+from .hypergeom import _eval_pair, _Triple
 from .result import EvalResult, Method
 from .scalar_special import beta
 
@@ -28,21 +28,15 @@ _CLOSED_TOL = 1e-12
 _ENDPOINT_SWITCH = 0.05
 
 
-@dataclass(frozen=True)
-class MPoint:
-    """Positive parameters (a,b,c) and an argument z strictly inside (0,1)."""
+@dataclass(frozen=True, init=False)
+class MPoint(_Params):
+    """Parameters (a,b,c) in (0, 50] and an argument z strictly inside (0,1)."""
 
-    a: float
-    b: float
-    c: float
     z: float
 
-    def __post_init__(self):
-        for name, v in zip("abc", check_params(_PARAM_CAP, a=self.a, b=self.b, c=self.c)):
-            object.__setattr__(self, name, v)
-        if not (is_real(self.z) and 0.0 < self.z < 1.0):
-            raise DomainError(f"z must lie in (0, 1), got {self.z!r}")
-        object.__setattr__(self, "z", float(self.z))
+    def __init__(self, a: float, b: float, c: float, z: float):
+        super().__init__(a, b, c)
+        self.__dict__["z"] = checked("z", z, "(0, 1)")
 
 
 def _four_f(a: float, b: float, c: float, z: float, zc: float):
@@ -89,8 +83,7 @@ def m_value_elliptic(p: EllipticParams, m: Modulus) -> EvalResult:
 
     (B/2)^2 M(r^2) = (a+b-c) K K' + (c-a)(K E' + K' E - K K')
     """
-    if not 0.0 < m.r < 1.0:
-        raise DomainError(f"need 0 < r < 1, got r={m.r!r}")
+    checked("r", m.r, "(0, 1)")
     a, b, c = p.a, p.b, p.c
     K = ell_k(p, m)
     Kp = ell_k_comp(p, m)
@@ -174,6 +167,8 @@ def m_scaled_limit(a: float, b: float, c: float) -> float:
 
     (a+b-c) B(c, a+b-c) / B(a, b)
     """
-    if a + b <= c:
-        raise ParameterError(f"limit formula needs a+b > c, got {a + b - c!r}")
-    return (a + b - c) * beta(c, a + b - c).value / beta(a, b).value
+    p = _Params(a, b, c)
+    d = p.a + p.b - p.c
+    if d <= 0.0:
+        raise ParameterError(f"limit formula needs a+b > c, got {d!r}")
+    return d * beta(p.c, d).value / beta(p.a, p.b).value

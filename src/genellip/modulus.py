@@ -29,28 +29,22 @@ from dataclasses import dataclass
 
 from .elliptic import Modulus
 from .errors import (ConvergenceError, DomainError, ParameterError, SaturationError,
-                     check_params, is_real)
-from .hypergeom import _PARAM_CAP, _eval_pair, _Triple
+                     _Params, checked)
+from .hypergeom import _eval_pair, _Triple
 from .legendre_m import MPoint, m_value
 from .result import EvalResult, Method
 from .scalar_special import _half_beta, _lngamma_signed
 
 _T_MAX = 700.0
+_T_RANGE = f"[{-_T_MAX:g}, {_T_MAX:g}]"
 _K_LO, _K_HI = 1e-3, 1e3
 _MAX_EVALS = 200  # log-mu evaluations per solve
 
 
-@dataclass(frozen=True)
-class ModulusParams:
-    """Parameters (a,b,c) with a,b,c > 0 and a+b >= c (the mu domain)."""
+class ModulusParams(_Params):
+    """Parameters (a,b,c) in (0, 50] with a+b >= c (the mu domain)."""
 
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        for name, v in zip("abc", check_params(_PARAM_CAP, a=self.a, b=self.b, c=self.c)):
-            object.__setattr__(self, name, v)
+    def _relate(self):
         if self.a + self.b < self.c:
             raise ParameterError(
                 f"mu needs a+b >= c, got a+b={self.a + self.b!r}, c={self.c!r}")
@@ -62,7 +56,8 @@ class ModulusParams:
 
 def modulus_params_ac(a: float, c: float) -> ModulusParams:
     """The two-parameter family mu_{a,c} = mu_{a,c-a,c}; needs 0 < a < c."""
-    a, c = check_params(a=a, c=c)
+    a = checked("a", a, "(0, inf)", ParameterError)
+    c = checked("c", c, "(0, inf)", ParameterError)
     if not a < c:
         raise ParameterError(f"need 0 < a < c, got a={a!r}, c={c!r}")
     return ModulusParams(a, c - a, c)
@@ -75,15 +70,11 @@ class DegreeK:
     K: float
 
     def __post_init__(self):
-        if not (is_real(self.K) and math.isfinite(self.K) and self.K > 0):
-            raise ParameterError(f"K must be a finite positive real, got {self.K!r}")
-        object.__setattr__(self, "K", float(self.K))
+        object.__setattr__(self, "K", checked("K", self.K, "(0, inf)", ParameterError))
 
 
 def _as_degree(K) -> float:
-    if isinstance(K, DegreeK):
-        return K.K
-    return DegreeK(K).K
+    return K.K if isinstance(K, DegreeK) else DegreeK(K).K
 
 
 def _sigmoid(t: float) -> float:
@@ -261,14 +252,18 @@ def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
         f"(residual {g1!r} in log mu)")
 
 
-def mu_m(p: ModulusParams, m: Modulus) -> EvalResult:
-    """mu at a modulus carried as an exact (r, r') pair."""
-    if m.r <= 0.0 or m.r_comp <= 0.0:
-        raise DomainError(f"mu needs 0 < r < 1, got r={m.r!r}")
+def _interior(m: Modulus, what: str) -> Modulus:
+    """m, if r^2 and r'^2 are both positive (not 0, 1 or an underflow)."""
     if m.z == 0.0 or m.z_comp == 0.0:
         raise DomainError(
-            f"mu needs r^2 > 0 and r'^2 > 0, but one underflows to 0 at "
+            f"{what} needs r^2 > 0 and r'^2 > 0, but one is 0 or underflows to 0 at "
             f"r={m.r!r}, r'={m.r_comp!r}")
+    return m
+
+
+def mu_m(p: ModulusParams, m: Modulus) -> EvalResult:
+    """mu at a modulus carried as an exact (r, r') pair."""
+    _interior(m, "mu")
     key = _Triple(p.a, p.b, p.c)
     hb = key.half_beta
     num = _eval_pair(key, m.z_comp, m.z)
@@ -280,9 +275,7 @@ def mu_m(p: ModulusParams, m: Modulus) -> EvalResult:
 
 def mu(p: ModulusParams, r: float) -> EvalResult:
     """The generalized modulus; strictly decreasing from (0,1) onto (0,oo)."""
-    if not (is_real(r) and 0.0 < r < 1.0):
-        raise DomainError(f"mu needs 0 < r < 1, got r={r!r}")
-    return mu_m(p, Modulus.from_r(float(r)))
+    return mu_m(p, Modulus.from_r(r))
 
 
 def mu_inv_m(p: ModulusParams, y: float) -> Modulus:
@@ -296,9 +289,7 @@ def mu_inv_m(p: ModulusParams, y: float) -> Modulus:
     first.  A bracket that closes where F leaves the float range, short of
     that residual, raises SaturationError: y lies past every computable mu.
     """
-    if not (is_real(y) and math.isfinite(y) and y > 0.0):
-        raise DomainError(f"mu_inv needs y > 0, got {y!r}")
-    t = _solve_log_mu(p.a, p.b, p.c, math.log(y))
+    t = _solve_log_mu(p.a, p.b, p.c, math.log(checked("y", y, "(0, inf)")))
     return _modulus_from_t(t)
 
 
@@ -315,23 +306,19 @@ def phi_k_m(p: ModulusParams, K, m: Modulus) -> Modulus:
             f"K={k!r} outside [{_K_LO}, {_K_HI}]: phi_K saturates numerically",
             endpoint=1.0 if k > 1.0 else 0.0)
     if k == 1.0:
-        return m
+        return _interior(m, "phi_K")
     log_target = math.log(mu_m(p, m).value) - math.log(k)
     return _modulus_from_t(_solve_log_mu(p.a, p.b, p.c, log_target))
 
 
 def phi_k(p: ModulusParams, K, r: float) -> float:
     """phi_K(r) = mu^{-1}(mu(r)/K); K > 1 pushes toward 1, K < 1 toward 0."""
-    if not (is_real(r) and 0.0 < r < 1.0):
-        raise DomainError(f"phi_K needs 0 < r < 1, got r={r!r}")
-    return phi_k_m(p, K, Modulus.from_r(float(r))).r
+    return phi_k_m(p, K, Modulus.from_r(r)).r
 
 
 def mu_deriv(p: ModulusParams, r: float) -> EvalResult:
     """d mu/dr = -B(a,b) M(r^2) / (r r'^2 F(a,b;c;r^2)^2); negative throughout."""
-    if not (is_real(r) and 0.0 < r < 1.0):
-        raise DomainError(f"mu_deriv needs 0 < r < 1, got r={r!r}")
-    m = Modulus.from_r(float(r))
+    m = _interior(Modulus.from_r(r), "mu_deriv")
     v = _eval_pair(_Triple(p.a, p.b, p.c), m.z, m.z_comp)
     M = m_value(MPoint(p.a, p.b, p.c, m.z))
     B = 2.0 * p.half_beta
@@ -345,10 +332,8 @@ def phi_deriv(p: ModulusParams, K, r: float) -> EvalResult:
 
     ds/dr = (1/K) (M(r^2)/M(s^2)) (s s'^2 F(s^2)^2) / (r r'^2 F(r^2)^2)
     """
-    if not (is_real(r) and 0.0 < r < 1.0):
-        raise DomainError(f"phi_deriv needs 0 < r < 1, got r={r!r}")
     k = _as_degree(K)
-    m = Modulus.from_r(float(r))
+    m = Modulus.from_r(r)
     s = phi_k_m(p, k, m)
     if not 0.0 < s.z < 1.0:
         raise DomainError(f"phi_K(r) saturated to {s.r!r}; derivative not representable")
@@ -375,9 +360,7 @@ def mu_deriv_closed(p: ModulusParams, r: float) -> EvalResult:
     """For a+b+1 = 2c:  d mu/dr = -D / (r^(2c-1) r'^(2c) K(r)^2)
     with D = (Gamma(a)Gamma(b)Gamma(c))^2 / (4 Gamma(a+b)^3)."""
     _require_power_case(p)
-    if not (is_real(r) and 0.0 < r < 1.0):
-        raise DomainError(f"need 0 < r < 1, got r={r!r}")
-    m = Modulus.from_r(float(r))
+    m = _interior(Modulus.from_r(r), "mu_deriv_closed")
     la, _ = _lngamma_signed(p.a)
     lb, _ = _lngamma_signed(p.b)
     lc, _ = _lngamma_signed(p.c)
@@ -391,10 +374,8 @@ def mu_deriv_closed(p: ModulusParams, r: float) -> EvalResult:
 def phi_deriv_closed(p: ModulusParams, K, r: float) -> EvalResult:
     """For a+b+1 = 2c:  ds/dr = (1/K)(s/r)^(2c-1)(s'/r')^(2c)(K(s)/K(r))^2."""
     _require_power_case(p)
-    if not (is_real(r) and 0.0 < r < 1.0):
-        raise DomainError(f"need 0 < r < 1, got r={r!r}")
     k = _as_degree(K)
-    m = Modulus.from_r(float(r))
+    m = Modulus.from_r(r)
     s = phi_k_m(p, k, m)
     if not 0.0 < s.z < 1.0:
         raise DomainError(f"phi_K(r) saturated to {s.r!r}; derivative not representable")
@@ -408,15 +389,12 @@ def phi_deriv_closed(p: ModulusParams, K, r: float) -> EvalResult:
 
 def q_modulus(x: float) -> Modulus:
     """q(x) = sqrt(e^x/(e^x+1)) as an exact pair; inverse of p_logit."""
-    if not (is_real(x) and math.isfinite(x) and abs(x) <= _T_MAX):
-        raise DomainError(f"q needs a finite x with |x| <= {_T_MAX}, got {x!r}")
-    return _modulus_from_t(float(x))
+    return _modulus_from_t(checked("x", x, _T_RANGE))
 
 
 def p_logit(m: Modulus) -> float:
     """p(r) = 2 log(r/r') = log(r^2) - log(r'^2), exact on extreme pairs."""
-    if m.r <= 0.0 or m.r_comp <= 0.0:
-        raise DomainError("p is defined on 0 < r < 1 only")
+    _interior(m, "p")
     if m.z_comp < 0.5:
         return math.log1p(-m.z_comp) - math.log(m.z_comp)
     return math.log(m.z) - math.log1p(-m.z)

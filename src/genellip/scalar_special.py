@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, PoleError, is_real
+from .errors import PoleError, SaturationError, checked
 from .result import EvalResult, Method
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -51,14 +51,13 @@ _GAMMA_SHIFT = 10.0
 _PSI_SHIFT = 8.0
 
 
-def _require_positive(x: float, name: str) -> None:
-    if not (is_real(x) and math.isfinite(x) and x > 0):
-        raise DomainError(f"{name} must be a finite positive real, got {x!r}")
-
-
-def _require_finite(x: float, name: str) -> None:
-    if not (is_real(x) and math.isfinite(x)):
-        raise DomainError(f"{name} must be finite, got {x!r}")
+def _exp(x: float, sign: int, fn: str, *args: float) -> float:
+    """sign * e^x, the value of fn(*args); SaturationError past the float range."""
+    try:
+        return sign * math.exp(x)
+    except OverflowError:
+        raise SaturationError(f"{fn}({', '.join(map(repr, args))}) exceeds the float range",
+                              endpoint=sign * math.inf) from None
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -84,7 +83,9 @@ def _sinpi(x: float) -> float:
     """sin(pi*x) with argument reduction exact in the integer part."""
     n = math.floor(x)
     f = x - n
-    if f > 0.5:
+    if f == 1.0:  # x - n rounds up to 1 just below an integer; n+1-x is exact
+        s = math.sin(math.pi * ((n + 1) - x))
+    elif f > 0.5:
         s = math.sin(math.pi * (1.0 - f))
     else:
         s = math.sin(math.pi * f)
@@ -105,8 +106,8 @@ def _lngamma_signed(x: float) -> tuple[float, int]:
 
 def gamma_ln(x: float) -> EvalResult:
     """ln Gamma(x) for x > 0."""
-    _require_positive(x, "x")
-    val = _lngamma_raw(float(x))
+    x = checked("x", x, "(0, inf)")
+    val = _lngamma_raw(x)
     # Rounding across the shifted product dominates; truncation is ~1e-17.
     err = max(abs(val), 1.0) * 5e-16 + 1e-15
     method = Method.ASYMPTOTIC if x >= _GAMMA_SHIFT else Method.RECURRENCE_SHIFT
@@ -115,22 +116,24 @@ def gamma_ln(x: float) -> EvalResult:
 
 def gamma(x: float) -> EvalResult:
     """Gamma(x) for real x off the poles at 0, -1, -2, ..."""
-    _require_finite(x, "x")
+    x = checked("x", x, "(-inf, inf)")
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at {x!r}")
     if x > 0:
-        r = gamma_ln(x)
-        val = math.exp(r.value)
-        return EvalResult(val, abs(val) * 2e-14, r.method)
-    lnval, sign = _lngamma_signed(float(x))
-    val = sign * math.exp(lnval)
+        val = _exp(_lngamma_raw(x), 1, "Gamma", x)
+        method = Method.ASYMPTOTIC if x >= _GAMMA_SHIFT else Method.RECURRENCE_SHIFT
+        return EvalResult(val, abs(val) * 2e-14, method)
+    lnval, sign = _lngamma_signed(x)
+    val = _exp(lnval, sign, "Gamma", x)
     return EvalResult(val, abs(val) * 5e-14, Method.REFLECTION)
 
 
 def digamma(x: float) -> EvalResult:
     """psi(x) = Gamma'(x)/Gamma(x) for x > 0."""
-    _require_positive(x, "x")
-    x = float(x)
+    return _digamma(checked("x", x, "(0, inf)"))
+
+
+def _digamma(x: float) -> EvalResult:
     shifted = x < _PSI_SHIFT
     acc = 0.0
     while x < _PSI_SHIFT:
@@ -150,27 +153,25 @@ def digamma(x: float) -> EvalResult:
 def beta(x: float, y: float) -> EvalResult:
     """B(x,y) = Gamma(x)Gamma(y)/Gamma(x+y) for x, y > 0."""
     lnb = beta_ln(x, y)
-    val = math.exp(lnb)
+    val = _exp(lnb, 1, "B", x, y)
     return EvalResult(val, abs(val) * (abs(lnb) + 1.0) * 1e-15, Method.RECURRENCE_SHIFT)
 
 
 def beta_ln(x: float, y: float) -> float:
     """ln B(x,y); convenience for callers that need the logarithm directly."""
-    _require_positive(x, "x")
-    _require_positive(y, "y")
-    return _lngamma_raw(float(x)) + _lngamma_raw(float(y)) - _lngamma_raw(float(x) + float(y))
+    x = checked("x", x, "(0, inf)")
+    y = checked("y", y, "(0, inf)")
+    return _lngamma_raw(x) + _lngamma_raw(y) - _lngamma_raw(x + y)
 
 
 def _half_beta(a: float, b: float) -> float:
     """B(a,b)/2, the common value K(0) = E(0) and the factor of mu."""
-    return 0.5 * math.exp(beta_ln(a, b))
+    return 0.5 * _exp(beta_ln(a, b), 1, "B", a, b)
 
 
 def ramanujan_r(a: float, b: float) -> EvalResult:
     """R(a,b) = -psi(a) - psi(b) - 2*gamma; R(1/2,1/2) = log 16."""
-    _require_positive(a, "a")
-    _require_positive(b, "b")
-    da = digamma(a)
-    db = digamma(b)
+    da = _digamma(checked("a", a, "(0, inf)"))
+    db = _digamma(checked("b", b, "(0, inf)"))
     val = -da.value - db.value - 2.0 * EULER_GAMMA
     return EvalResult(val, da.abs_err_est + db.abs_err_est + 1e-15, da.method)

@@ -43,7 +43,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..errors import GenellipError, ParameterError, is_real
+from ..errors import GenellipError, ParameterError, checked
 from ..scalar_special import _lngamma_raw, digamma
 
 VERDICTS = ("pass", "fail", "inconclusive")
@@ -181,11 +181,11 @@ class PABNotation:
 
 def pab(a: float, c: float, t: float) -> PABNotation:
     """Digamma-difference notation for the parameter-dependence results."""
-    if not (is_real(a) and is_real(c) and 0.0 < a < c < math.inf):
+    a = checked("a", a, "(0, inf)", ParameterError)
+    c = checked("c", c, "(0, inf)", ParameterError)
+    if not a < c:
         raise ParameterError(f"need 0 < a < c, got a={a!r}, c={c!r}")
-    if not (is_real(t) and math.isfinite(t) and t >= 0.0):
-        raise ParameterError(f"need t >= 0, got {t!r}")
-    a, c, t = float(a), float(c), float(t)
+    t = checked("t", t, "[0, inf)", ParameterError)
     P = digamma(c - a + t).value - digamma(c + t).value
     A = 1.0 if t == 0.0 else math.exp(_lngamma_raw(c - a + t) - _lngamma_raw(c + t)
                                       + _lngamma_raw(c) - _lngamma_raw(c - a))
@@ -225,7 +225,7 @@ def _eval(spec, params, x, counter):
     return float(value), float(err)
 
 
-def _witness(params, **extra):
+def _witness(params, extra):
     w = {}
     for src in (params, extra):
         for k, v in src.items():
@@ -239,32 +239,33 @@ def _witness(params, **extra):
 
 
 class _Outcome:
-    """Aggregates per-combo results into the final verdict."""
+    """Aggregates per-combo results into the final verdict; the witness of
+    a sample (its params and fields) is built only if it is kept."""
 
     def __init__(self):
         self.verdict = "pass"
         self.worst = math.inf
         self.witness = None
 
-    def note(self, margin, witness):
+    def note(self, margin, params, /, **fields):
         if margin < self.worst:
             self.worst = margin
             if self.verdict == "pass":
-                self.witness = witness
+                self.witness = _witness(params, fields)
 
-    def fail(self, margin, witness):
+    def fail(self, margin, params, /, **fields):
         # Every runner stops at its first fail, so the failing point is the
         # witness, over any earlier note or downgrade.
         self.verdict = "fail"
-        self.witness = witness
+        self.witness = _witness(params, fields)
         self.worst = min(self.worst, margin)
 
-    def inconclusive(self, witness):
+    def inconclusive(self, params, /, **fields):
         # The first downgrade records its own witness so the cause stays
         # visible; pass-time worst-margin notes never overwrite it.
         if self.verdict == "pass":
             self.verdict = "inconclusive"
-            self.witness = witness
+            self.witness = _witness(params, fields)
 
     def report(self, check_id, samples):
         worst = self.worst if math.isfinite(self.worst) else 0.0
@@ -279,17 +280,17 @@ def _check_sequence(spec, params, xs, ys, errs, out):
     for i in range(n_pairs):
         delta = spec.direction * (ys[i + 1] - ys[i])
         slack = errs[i] + errs[i + 1] + 1e-300
-        out.note(delta - slack, _witness(params, arg=xs[i], value=ys[i],
-                                         next_arg=xs[i + 1], next_value=ys[i + 1]))
+        out.note(delta - slack, params, arg=xs[i], value=ys[i],
+                 next_arg=xs[i + 1], next_value=ys[i + 1])
         if delta < -slack:
-            out.fail(delta - slack, _witness(params, arg=xs[i], value=ys[i],
-                                             next_arg=xs[i + 1], next_value=ys[i + 1]))
+            out.fail(delta - slack, params, arg=xs[i], value=ys[i],
+                     next_arg=xs[i + 1], next_value=ys[i + 1])
             return
         if delta > slack:
             strict_hits += 1
     if strict_hits < _STRICT_FRACTION * n_pairs:
-        out.inconclusive(_witness(params, note="deltas inside error bounds",
-                                  strict_pairs=strict_hits, pairs=n_pairs))
+        out.inconclusive(params, note="deltas inside error bounds",
+                         strict_pairs=strict_hits, pairs=n_pairs)
 
 
 def _check_second_diffs(spec, params, xs, ys, errs, out):
@@ -307,16 +308,15 @@ def _check_second_diffs(spec, params, xs, ys, errs, out):
         d2 = c0 * ys[i - 1] - c1 * ys[i] + c2 * ys[i + 1]
         slack = c0 * errs[i - 1] + c1 * errs[i] + c2 * errs[i + 1] + 1e-300
         signed = spec.direction * d2
-        out.note(signed - slack, _witness(params, arg=xs[i], value=ys[i]))
+        out.note(signed - slack, params, arg=xs[i], value=ys[i])
         if signed < -slack:
-            out.fail(signed - slack, _witness(params, arg=xs[i], value=ys[i],
-                                              second_diff=d2))
+            out.fail(signed - slack, params, arg=xs[i], value=ys[i], second_diff=d2)
             return
         if signed > slack:
             strict_hits += 1
     if strict_hits < _STRICT_FRACTION * total:
-        out.inconclusive(_witness(params, note="second differences inside error bounds",
-                                  strict_pairs=strict_hits, pairs=total))
+        out.inconclusive(params, note="second differences inside error bounds",
+                         strict_pairs=strict_hits, pairs=total)
 
 
 def _check_containment(spec, params, xs, ys, errs, out):
@@ -327,10 +327,10 @@ def _check_containment(spec, params, xs, ys, errs, out):
     lo_b, hi_b = min(ends), max(ends)
     for x, y, e in zip(xs, ys, errs):
         if math.isfinite(lo_b) and y < lo_b - e - 1e-12 * max(1.0, abs(lo_b)):
-            out.fail(y - lo_b, _witness(params, arg=float(x), value=float(y), bound=lo_b))
+            out.fail(y - lo_b, params, arg=float(x), value=float(y), bound=lo_b)
             return
         if math.isfinite(hi_b) and y > hi_b + e + 1e-12 * max(1.0, abs(hi_b)):
-            out.fail(hi_b - y, _witness(params, arg=float(x), value=float(y), bound=hi_b))
+            out.fail(hi_b - y, params, arg=float(x), value=float(y), bound=hi_b)
             return
 
 
@@ -345,22 +345,22 @@ def _check_endpoint(spec, params, side, edge_value, counter, out):
     try:
         y, err = _eval(spec, params, x, counter)
     except GenellipError as exc:
-        out.inconclusive(_witness(params, arg=x, note=f"endpoint probe failed: {exc}"))
+        out.inconclusive(params, arg=x, note=f"endpoint probe failed: {exc}")
         return
     if math.isinf(target):
         grown = (y >= _GROWTH_FACTOR * abs(edge_value) + 1.0) if target > 0 \
             else (-y >= _GROWTH_FACTOR * abs(edge_value) + 1.0)
         if not grown:
-            out.inconclusive(_witness(params, arg=x, value=y, edge=edge_value,
-                                      note=f"{side} endpoint divergence unresolved"))
+            out.inconclusive(params, arg=x, value=y, edge=edge_value,
+                             note=f"{side} endpoint divergence unresolved")
         return
     gap = abs(y - target)
     bound = attain * max(1.0, abs(target))
     edge_gap = abs(edge_value - target)
     if gap <= bound + err or gap <= spec.decay_factor * edge_gap:
         return
-    out.inconclusive(_witness(params, arg=x, value=y, target=target,
-                              note=f"{side} endpoint approach unresolved"))
+    out.inconclusive(params, arg=x, value=y, target=target,
+                     note=f"{side} endpoint approach unresolved")
 
 
 def _run_shape(spec, params, counter, out, checker):
@@ -373,12 +373,11 @@ def _run_shape(spec, params, counter, out, checker):
         try:
             ys[i], errs[i] = _eval(spec, params, float(x), counter)
         except GenellipError as exc:
-            out.inconclusive(_witness(params, arg=float(x),
-                                      note=f"evaluation failed: {exc}"))
+            out.inconclusive(params, arg=float(x), note=f"evaluation failed: {exc}")
             return
         if not math.isfinite(ys[i]):
-            out.inconclusive(_witness(params, arg=float(x), value=float(ys[i]),
-                                      note="non-finite sample"))
+            out.inconclusive(params, arg=float(x), value=float(ys[i]),
+                             note="non-finite sample")
             return
     if checker is not None:
         checker(spec, params, xs, ys, errs, out)
@@ -453,19 +452,19 @@ def _run_points(spec, params, counter, out, make_judge):
         try:
             margin, fields, verdict, note = judge(x)
         except GenellipError as exc:
-            out.inconclusive(_witness(params, arg=x, note=f"evaluation failed: {exc}"))
+            out.inconclusive(params, arg=x, note=f"evaluation failed: {exc}")
             return
-        out.note(margin, _witness(params, arg=x, **fields))
+        out.note(margin, params, arg=x, **fields)
         if verdict == "fail":
-            out.fail(margin, _witness(params, arg=x, **fields))
+            out.fail(margin, params, arg=x, **fields)
             return
         if verdict == "inconclusive":
-            out.inconclusive(_witness(params, arg=x, **fields, note=note))
+            out.inconclusive(params, arg=x, **fields, note=note)
             return
         strict_hits += verdict == "pass"
     if spec.strict and strict_hits < _STRICT_FRACTION * len(xs):
-        out.inconclusive(_witness(params, note="margins inside error bounds",
-                                  strict_pairs=strict_hits, pairs=len(xs)))
+        out.inconclusive(params, note="margins inside error bounds",
+                         strict_pairs=strict_hits, pairs=len(xs))
 
 
 _RUNNERS = {

@@ -35,8 +35,12 @@ _STIRLING_COEF = [
 def lngamma(x) -> mp.mpf:
     """log Gamma for x > 0: shift to x >= 60, then the Stirling series.
 
-    With the shift the first dropped term is below 1e-100, far past the
-    60-digit working precision.
+    After the shift the first dropped term, B_24 / (24 * 23 * x^23), is
+    below 2e-39 in absolute value, and for real x > 0 the truncation error
+    is below it (DLMF 5.11(ii)).  That is far past double precision but not
+    past the working precision: each ln Gamma is good to about 2e-39
+    absolute, so the 100-digit near-balanced references, where Gamma
+    ratios cancel, agree with mpmath's hyp2f1 only to about 4e-30 relative.
     """
     x = mp.mpf(x)
     assert x > 0

@@ -8,6 +8,8 @@ mu = 1.570796329203778141213892; the idealized digits 1.8540746773 /
 exercised separately.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -16,6 +18,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import genellip.cli as cli
 from genellip.verify import CheckSpec, GridDim, GridSpec, registry
@@ -334,6 +337,50 @@ def test_each_verb_takes_only_the_flags_it_reads(capsys):
             cli.main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# hostile flag values: each flag the drawn verb reads gets one, or is left out
+HOSTILE = ("0", "-0", "-1", "0.5", "1", "1e-300", "1e300", "nan", "inf", "-inf", "1e999",
+           "True")
+
+
+@st.composite
+def _command_lines(draw):
+    """A verb (with a selector for eval and tabulate, a cheap or an unknown
+    check for verify) and a hostile value for each flag it reads, written
+    --flag=value so that argparse takes -inf as a value."""
+    verb = draw(st.sampled_from(sorted(cli._VERBS)))
+    argv = [verb]
+    if verb in ("eval", "tabulate"):
+        argv.append(draw(st.sampled_from(cli.EVAL_FNS if verb == "eval" else cli.TAB_FNS)))
+    elif verb == "verify":
+        argv.append(draw(st.sampled_from(["hyper-1", "not-a-check"])))
+    for flag in cli._VERBS[verb][3].split():
+        if flag == "non-gating":
+            argv += draw(st.sampled_from([[], ["--non-gating"]]))
+            continue
+        value = draw(st.sampled_from((None,) + HOSTILE))
+        if value is not None and flag == "grid":
+            hi = draw(st.sampled_from(HOSTILE))
+            value = f"{value}:{hi}:3:{draw(st.sampled_from(['linear', 'log', 'logit']))}"
+        if value is not None:
+            argv.append(f"--{flag}={value}")
+    return argv + ["--format", draw(st.sampled_from(["text", "csv", "json"]))]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(argv=_command_lines())
+@example(argv=["eval", "gamma", "--z=200"])
+@example(argv=["solve", "--a=0.5", "--c=1", "--p=0", "--r=0.5"])
+def test_hostile_flags_end_in_an_exit_code_not_a_traceback(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    # exit 1 is a gating verdict, which only verify without --non-gating gives
+    gating = argv[0] == "verify" and "--non-gating" not in argv
+    assert code in ({0, 1, 2, 3, 4} if gating else {0, 2, 3, 4}), argv
 
 
 # --------------------------------------------------------------------------

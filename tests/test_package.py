@@ -3,18 +3,20 @@ check, one result type, one version string."""
 
 import ast
 import dataclasses
+import inspect
 import math
 import pathlib
 import pickle
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import genellip
 from genellip import (DegreeK, EllipticParams, EvalResult, HypParams, Method, MPoint,
                       Modulus, ModulusParams, arth, gamma, hyp2f1, hyp2f1_pair,
                       modulus_params_ac, mu, mu_inv, phi_k, q_modulus)
-from genellip.errors import DomainError, ParameterError
+from genellip.errors import DomainError, ParameterError, SaturationError
 from genellip.verify import pab
 
 # each constructor with a valid argument list; slot i is replaced below
@@ -38,11 +40,16 @@ def test_every_parameter_type_rejects_non_reals_alike(make, args, bad):
             make(*args[:i], bad, *args[i + 1:])
 
 
-def test_parameter_cap_only_where_it_was():
-    for make in (HypParams, ModulusParams, lambda a, b, c: MPoint(a, b, c, 0.5)):
+def test_parameter_cap_on_every_parameter_type():
+    # past the cap K was garbage: K(0.5, 999.6, 1000; r = 0.9) came out
+    # 1.5e78 against 0.0643
+    for make in (HypParams, EllipticParams, ModulusParams,
+                 lambda a, b, c: MPoint(a, b, c, 0.5)):
         with pytest.raises(ParameterError, match="50"):
-            make(0.5, 0.5, 51.0)
-    assert EllipticParams(0.9, 60.0, 60.5).b == 60.0
+            make(0.9, 50.5, 51.0)
+        assert make(0.9, 49.5, 50).c == 50.0
+    with pytest.raises(ParameterError, match="50"):
+        EllipticParams(0.5, 999.6, 1000.0)
 
 
 P = ModulusParams(0.5, 0.5, 1.0)
@@ -141,3 +148,84 @@ def test_every_export_has_a_caller_beyond_its_unit_tests():
               root / "tests" / "test_acceptance.py"]
     refs = set().union(*map(_references, paths))
     assert sorted(set(genellip.__all__) - refs) == []
+
+
+# well-typed hostile scalars: every scalar argument of the fuzz below is one
+HOSTILE = (0, -0.0, -1, 0.5, 1, 1e-300, 1e300, math.nan, math.inf, -math.inf, True)
+_SCALAR = st.sampled_from(HOSTILE)
+# a valid triple of each parameter type (the second ModulusParams is a+b+1 = 2c,
+# the case of the closed-form derivatives), or three hostile scalars
+_VALID_ABC = {
+    "HypParams": [(0.5, 0.5, 1.0), (1.2, 0.9, 0.5)],
+    "EllipticParams": [(0.5, 0.5, 0.8), (0.3, 0.6, 0.7)],
+    "ModulusParams": [(0.5, 0.5, 1.0), (0.3, 0.9, 1.1)],
+}
+_RECORDS = {"EvalResult", "Method"}  # result types, not evaluations
+
+
+def _argument(annotation):
+    """A strategy for one argument: a hostile scalar, or (constructor,
+    arguments) for a parameter object or a modulus, built in the test."""
+    if annotation in _VALID_ABC:
+        cls = getattr(genellip, annotation)
+        return st.tuples(st.just(cls), st.one_of(
+            st.sampled_from(_VALID_ABC[annotation]), st.tuples(_SCALAR, _SCALAR, _SCALAR)))
+    if annotation == "MPoint":
+        return st.tuples(st.just(MPoint), st.one_of(
+            st.tuples(st.just(0.5), st.just(0.5), st.just(1.0), _SCALAR),
+            st.tuples(_SCALAR, _SCALAR, _SCALAR, _SCALAR)))
+    if annotation == "Modulus":
+        return st.one_of(st.tuples(st.sampled_from([Modulus.from_r, Modulus.from_r_comp]),
+                                   st.tuples(_SCALAR)),
+                         st.tuples(st.just(Modulus), st.tuples(_SCALAR, _SCALAR)))
+    return _SCALAR
+
+
+_PUBLIC = [getattr(genellip, name) for name in genellip.__all__
+           if name not in _RECORDS and not (
+               isinstance(getattr(genellip, name), type)
+               and issubclass(getattr(genellip, name), Exception))]
+
+
+@st.composite
+def _arguments(draw, fn):
+    args = []
+    for param in inspect.signature(fn).parameters.values():
+        if param.default is not param.empty and draw(st.booleans()):
+            break
+        args.append(draw(_argument(param.annotation)))
+    return tuple(args)
+
+
+def _build(arg):
+    return arg[0](*arg[1]) if isinstance(arg, tuple) else arg
+
+
+def test_calls_that_crashed_raise_package_errors():
+    # each of these ended in a bare OverflowError, ZeroDivisionError or
+    # ValueError before Gamma, B and the modulus got their range checks
+    for x, endpoint in ((172.0, math.inf), (-5e-324, -math.inf)):
+        with pytest.raises(SaturationError) as exc:
+            gamma(x)
+        assert exc.value.endpoint == endpoint
+    with pytest.raises(SaturationError):
+        genellip.beta(1e-320, 1e-320)
+    with pytest.raises(DomainError, match="underflows"):
+        genellip.mu_deriv_closed(ModulusParams(0.3, 0.9, 1.1), 1e-300)
+    with pytest.raises(DomainError, match="underflows"):
+        genellip.p_logit(Modulus(1.0, 1e-300))
+    with pytest.raises(ParameterError):
+        genellip.m_scaled_limit(1e300, 1e300, 0.5)
+    # x - floor(x) rounds to 1.0 here, so sin(pi x) came out 0
+    assert gamma(-1e-17).value == pytest.approx(-1e17, rel=1e-14)
+
+
+@pytest.mark.parametrize("fn", _PUBLIC, ids=lambda fn: fn.__name__)
+@settings(max_examples=7, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_public_callables_raise_only_package_errors_on_hostile_scalars(fn, data):
+    args = data.draw(_arguments(fn))
+    try:
+        fn(*map(_build, args))
+    except genellip.GenellipError:
+        pass
