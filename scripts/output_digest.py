@@ -11,7 +11,13 @@ call order (an exception counts by its type and message); under each
 eval-sweep digest it prints one digest per bench ``(kind, regime)`` group,
 so a change that moves one regime shows as one changed line.  Then it
 prints one digest of the `verify all` report: every check's id, verdict,
-sample count, ``worst_margin``, witness and claim.  Beside each digest it
+sample count, ``worst_margin``, witness and claim.  The pass runs through
+the benchmark's instrumented copies of the checks (``golden.instrument``),
+so under that line it prints one digest per check of every call the engine
+made to the check's callables (``fn``, ``rhs``, ``param_map``, the limits
+and the probes), each as ``(name, args, output)`` in call order: a change
+that moves one sample's value or error estimate in one check shows as one
+changed line.  Beside each workload digest it
 prints the work of that pass: the cache misses of the 2F1 engine
 ``_eval_pair`` (the kernel evaluations made) and the calls of the modulus
 solver ``_solve_log_mu``.  Run it on two
@@ -49,6 +55,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+import golden  # noqa: E402
 import passes as P  # noqa: E402  (imports genellip from src/)
 import reference  # noqa: E402
 import workloads as wl  # noqa: E402
@@ -189,11 +196,14 @@ def main(argv=None) -> int:
         outs = _outputs(P.solve_calls(reference.solve_points(ROOT, seed)))
         print(f"modular-solve seed={seed} n={len(outs)} {_digest(outs)} {_work()}")
     specs = P.verify_specs()
-    reports = P.verify_pass(specs).outputs
+    trackers = [golden.Tracker(record=True) for _ in specs]
+    reports = P.verify_pass(specs, trackers).outputs
     rows = [(r.id, r.verdict, r.samples, r.worst_margin, r.witness, s.claim)
             for r, s in zip(reports, specs)]
     print(f"verify-all checks={len(rows)} samples={sum(r[2] for r in rows)} "
           f"{_digest(rows)} {_work()}")
+    for spec, tracker in zip(specs, trackers):
+        print(f"  {spec.id} calls={len(tracker.calls)} {_digest(tracker.calls)}")
     return 0
 
 

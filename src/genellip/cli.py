@@ -39,10 +39,6 @@ from .verify import GridDim, GridSpec, registry, run_check, select
 _F17 = "%.17g"
 _F12 = "%.12g"
 
-EVAL_FNS = ("hyp2f1", "K", "E", "Kp", "Ep", "M", "mu", "R", "gamma",
-            "digamma", "beta")
-TAB_FNS = EVAL_FNS + ("phi",)
-
 
 def _f17(x: float) -> str:
     return _F17 % float(x)

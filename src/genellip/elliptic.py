@@ -93,6 +93,15 @@ class Modulus:
         return Modulus._pair(self.r_comp, self.r)
 
 
+def _interior(m: Modulus, what: str) -> Modulus:
+    """m, if r^2 and r'^2 are both positive (not 0, 1 or an underflow)."""
+    if m.z == 0.0 or m.z_comp == 0.0:
+        raise DomainError(
+            f"{what} needs r^2 > 0 and r'^2 > 0, but one is 0 or underflows to 0 at "
+            f"r={m.r!r}, r'={m.r_comp!r}")
+    return m
+
+
 def arth(r: float, r_comp: float | None = None) -> float:
     """arth(r) = (1/2) log((1+r)/(1-r)); pass r_comp to stay exact near 1."""
     if r_comp is not None:

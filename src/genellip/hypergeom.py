@@ -90,7 +90,11 @@ def _gamma_ratio(nums, dens) -> float:
         l, s = _lngamma_signed(x)
         ln += l
         sign *= s
-    return sign * math.exp(ln)
+    try:
+        return sign * math.exp(ln)
+    except OverflowError:
+        raise SaturationError(f"the Gamma ratio {nums!r} over {dens!r} exceeds the float range",
+                              endpoint=sign * math.inf) from None
 
 
 def _digamma_any(x: float) -> float:
@@ -467,6 +471,8 @@ def _integer_d(key: _Triple, u: float, m: int) -> tuple[float, float]:
     sign = -1.0 if k % 2 == 0 else 1.0  # -(-1)^k
     logpart = sign * log_pref * u_log_power * total
     value = fin + logpart
+    if not math.isfinite(value):
+        raise _overflow(key, u, value)
     err = (abs(fin) + abs(log_pref) * u_log_power * abs_total) * 5e-15 \
         + 2e-15 * abs(value)
     return value, err

@@ -18,11 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .elliptic import EllipticParams, Modulus, ell_e, ell_e_comp, ell_k, ell_k_comp
-from .errors import ParameterError, _Params, checked
+from .elliptic import EllipticParams, Modulus, _interior, ell_e, ell_e_comp, ell_k, \
+    ell_k_comp
+from .errors import ParameterError, SaturationError, _Params, checked
 from .hypergeom import _eval_pair, _Triple
 from .result import EvalResult, Method
-from .scalar_special import beta
+from .scalar_special import _exp, beta
 
 _CLOSED_TOL = 1e-12
 _ENDPOINT_SWITCH = 0.05
@@ -54,6 +55,9 @@ def _m_from_parts(a, b, c, u, v, u1, v1) -> EvalResult:
     t2 = u1.value * v.value
     t3 = v.value * v1.value
     value = (c - a) * (t1 + t2) + (2.0 * (a - c) + b) * t3
+    if not math.isfinite(value):  # M > 0, so it overflowed upward
+        raise SaturationError(f"M exceeds the float range at (a,b,c)=({a!r},{b!r},{c!r})",
+                              endpoint=math.inf)
     err = (abs(c - a) * (abs(t1) + abs(t2)) + abs(2.0 * (a - c) + b) * abs(t3)) * 3e-15
     err += abs(c - a) * (u.abs_err_est * abs(v1.value) + abs(u.value) * v1.abs_err_est
                          + u1.abs_err_est * abs(v.value) + abs(u1.value) * v.abs_err_est)
@@ -72,7 +76,7 @@ def m_value(pt: MPoint) -> EvalResult:
     d = a + b - c
     if d > _CLOSED_TOL and min(z, zc) < _ENDPOINT_SWITCH:
         scaled = _m_scaled_pair(a, b, c, z, zc)
-        w = math.exp(-d * (math.log(z) + math.log(zc)))
+        w = _exp(-d * (math.log(z) + math.log(zc)), 1, "M", a, b, c, z)
         return EvalResult(w * scaled.value, w * scaled.abs_err_est, scaled.method)
     u, v, u1, v1 = _four_f(a, b, c, z, zc)
     return _m_from_parts(a, b, c, u, v, u1, v1)
@@ -84,6 +88,7 @@ def m_value_elliptic(p: EllipticParams, m: Modulus) -> EvalResult:
     (B/2)^2 M(r^2) = (a+b-c) K K' + (c-a)(K E' + K' E - K K')
     """
     checked("r", m.r, "(0, 1)")
+    _interior(m, "m_value_elliptic")
     a, b, c = p.a, p.b, p.c
     K = ell_k(p, m)
     Kp = ell_k_comp(p, m)

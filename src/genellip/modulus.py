@@ -27,7 +27,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .elliptic import Modulus
+from .elliptic import Modulus, _interior
 from .errors import (ConvergenceError, DomainError, ParameterError, SaturationError,
                      _Params, checked)
 from .hypergeom import _eval_pair, _Triple
@@ -252,15 +252,6 @@ def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
         f"(residual {g1!r} in log mu)")
 
 
-def _interior(m: Modulus, what: str) -> Modulus:
-    """m, if r^2 and r'^2 are both positive (not 0, 1 or an underflow)."""
-    if m.z == 0.0 or m.z_comp == 0.0:
-        raise DomainError(
-            f"{what} needs r^2 > 0 and r'^2 > 0, but one is 0 or underflows to 0 at "
-            f"r={m.r!r}, r'={m.r_comp!r}")
-    return m
-
-
 def mu_m(p: ModulusParams, m: Modulus) -> EvalResult:
     """mu at a modulus carried as an exact (r, r') pair."""
     _interior(m, "mu")
@@ -316,11 +307,21 @@ def phi_k(p: ModulusParams, K, r: float) -> float:
     return phi_k_m(p, K, Modulus.from_r(r)).r
 
 
+def _m_divisor(p: ModulusParams, z: float, what: str) -> EvalResult:
+    """M(a,b,c; z) for the derivative `what`, whose error is relative to it:
+    DomainError if it cancels to 0."""
+    M = m_value(MPoint(p.a, p.b, p.c, z))
+    if M.value == 0.0:
+        raise DomainError(f"{what} is not representable: M cancels to 0 at "
+                          f"(a,b,c)=({p.a!r},{p.b!r},{p.c!r}), z={z!r}")
+    return M
+
+
 def mu_deriv(p: ModulusParams, r: float) -> EvalResult:
     """d mu/dr = -B(a,b) M(r^2) / (r r'^2 F(a,b;c;r^2)^2); negative throughout."""
     m = _interior(Modulus.from_r(r), "mu_deriv")
     v = _eval_pair(_Triple(p.a, p.b, p.c), m.z, m.z_comp)
-    M = m_value(MPoint(p.a, p.b, p.c, m.z))
+    M = _m_divisor(p, m.z, "mu_deriv")
     B = 2.0 * p.half_beta
     value = -B * M.value / (m.r * m.z_comp * v.value * v.value)
     rel = (M.abs_err_est / abs(M.value) + 2.0 * v.abs_err_est / abs(v.value) + 5e-15)
@@ -340,8 +341,8 @@ def phi_deriv(p: ModulusParams, K, r: float) -> EvalResult:
     key = _Triple(p.a, p.b, p.c)
     vr = _eval_pair(key, m.z, m.z_comp)
     vs = _eval_pair(key, s.z, s.z_comp)
-    Mr = m_value(MPoint(p.a, p.b, p.c, m.z))
-    Ms = m_value(MPoint(p.a, p.b, p.c, s.z))
+    Mr = _m_divisor(p, m.z, "phi_deriv")
+    Ms = _m_divisor(p, s.z, "phi_deriv")
     value = (Mr.value / Ms.value) * (s.r * s.z_comp * vs.value * vs.value) \
         / (k * m.r * m.z_comp * vr.value * vr.value)
     rel = (Mr.abs_err_est / abs(Mr.value) + Ms.abs_err_est / abs(Ms.value)
@@ -365,7 +366,11 @@ def mu_deriv_closed(p: ModulusParams, r: float) -> EvalResult:
     lb, _ = _lngamma_signed(p.b)
     lc, _ = _lngamma_signed(p.c)
     lab, _ = _lngamma_signed(p.a + p.b)
-    D = math.exp(2.0 * (la + lb + lc) - 3.0 * lab) / 4.0
+    try:
+        D = math.exp(2.0 * (la + lb + lc) - 3.0 * lab) / 4.0
+    except OverflowError:
+        raise DomainError(f"the closed form is not representable: D exceeds the float "
+                          f"range at (a,b,c)=({p.a!r},{p.b!r},{p.c!r})") from None
     Kr = p.half_beta * _eval_pair(_Triple(p.a, p.b, p.c), m.z, m.z_comp).value
     value = -D / (m.r ** (2.0 * p.c - 1.0) * m.z_comp ** p.c * Kr * Kr)
     return EvalResult(value, abs(value) * 1e-12, Method.CLOSED_FORM)

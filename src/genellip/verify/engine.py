@@ -37,8 +37,9 @@ Weak points count against the same >= 99% strict rule as the shape kinds.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -106,11 +107,9 @@ class GridSpec:
 
     def combos(self):
         """Iterate dicts over the cartesian product of the dims."""
-        axes = [d.points() for d in self.dims]
         names = [d.name for d in self.dims]
-        idx = np.indices([len(ax) for ax in axes]).reshape(len(axes), -1).T
-        for row in idx:
-            yield {names[k]: float(axes[k][row[k]]) for k in range(len(axes))}
+        for row in itertools.product(*(d.points().tolist() for d in self.dims)):
+            yield dict(zip(names, row))
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ class CheckSpec:
     kind: str
     param_grid: GridSpec
     arg_grid: GridSpec
-    tolerance: float
+    tolerance: float = 1e-9
     gating: bool = True
     fn: Optional[Callable] = None
     direction: int = 0
@@ -212,19 +211,6 @@ def finite_diff(f: Callable[[float], float], x: float, h: float) -> FiniteDiff:
     return FiniteDiff(first, abs(d1b - d1a) / 3.0 + 4e-16 * scale / h)
 
 
-class _Counter:
-    __slots__ = ("n",)
-
-    def __init__(self):
-        self.n = 0
-
-
-def _eval(spec, params, x, counter):
-    counter.n += 1
-    value, err = spec.fn(params, x)
-    return float(value), float(err)
-
-
 def _witness(params, extra):
     w = {}
     for src in (params, extra):
@@ -239,13 +225,21 @@ def _witness(params, extra):
 
 
 class _Outcome:
-    """Aggregates per-combo results into the final verdict; the witness of
-    a sample (its params and fields) is built only if it is kept."""
+    """The state of one run: the samples evaluated so far and the verdict
+    they add up to; the witness of a sample (its params and fields) is built
+    only if it is kept."""
 
     def __init__(self):
+        self.samples = 0
         self.verdict = "pass"
         self.worst = math.inf
         self.witness = None
+
+    def eval(self, spec, params, x):
+        """`spec.fn` at (params, x) as floats, counted as one sample."""
+        self.samples += 1
+        value, err = spec.fn(params, x)
+        return float(value), float(err)
 
     def note(self, margin, params, /, **fields):
         if margin < self.worst:
@@ -267,10 +261,10 @@ class _Outcome:
             self.verdict = "inconclusive"
             self.witness = _witness(params, fields)
 
-    def report(self, check_id, samples):
+    def report(self, check_id):
         worst = self.worst if math.isfinite(self.worst) else 0.0
         witness = self.witness if self.verdict != "pass" else None
-        return CheckReport(check_id, self.verdict, worst, witness, samples)
+        return CheckReport(check_id, self.verdict, worst, witness, self.samples)
 
 
 def _check_sequence(spec, params, xs, ys, errs, out):
@@ -334,7 +328,7 @@ def _check_containment(spec, params, xs, ys, errs, out):
             return
 
 
-def _check_endpoint(spec, params, side, edge_value, counter, out):
+def _check_endpoint(spec, params, side, edge_value, out):
     limit_fn = spec.lo_limit if side == "lo" else spec.hi_limit
     probe_fn = spec.lo_probe if side == "lo" else spec.hi_probe
     attain = spec.lo_attain if side == "lo" else spec.hi_attain
@@ -343,7 +337,7 @@ def _check_endpoint(spec, params, side, edge_value, counter, out):
     target = limit_fn(params)
     x = probe_fn(params)
     try:
-        y, err = _eval(spec, params, x, counter)
+        y, err = out.eval(spec, params, x)
     except GenellipError as exc:
         out.inconclusive(params, arg=x, note=f"endpoint probe failed: {exc}")
         return
@@ -363,7 +357,7 @@ def _check_endpoint(spec, params, side, edge_value, counter, out):
                      note=f"{side} endpoint approach unresolved")
 
 
-def _run_shape(spec, params, counter, out, checker):
+def _run_shape(spec, params, out, checker):
     """Sample the whole grid, then judge the shape (if any), the range and
     the endpoints."""
     xs = spec.arg_grid.dims[0].points()
@@ -371,7 +365,7 @@ def _run_shape(spec, params, counter, out, checker):
     errs = np.empty_like(xs)
     for i, x in enumerate(xs):
         try:
-            ys[i], errs[i] = _eval(spec, params, float(x), counter)
+            ys[i], errs[i] = out.eval(spec, params, float(x))
         except GenellipError as exc:
             out.inconclusive(params, arg=float(x), note=f"evaluation failed: {exc}")
             return
@@ -386,23 +380,23 @@ def _run_shape(spec, params, counter, out, checker):
     _check_containment(spec, params, xs, ys, errs, out)
     if out.verdict == "fail":
         return
-    _check_endpoint(spec, params, "lo", float(ys[0]), counter, out)
-    _check_endpoint(spec, params, "hi", float(ys[-1]), counter, out)
+    _check_endpoint(spec, params, "lo", float(ys[0]), out)
+    _check_endpoint(spec, params, "hi", float(ys[-1]), out)
 
 
-def _judge_inequality(spec, params, counter):
+def _judge_inequality(spec, params, out):
     def judge(x):
-        m, err = _eval(spec, params, x, counter)
+        m, err = out.eval(spec, params, x)
         verdict = "fail" if m < -(err + spec.tolerance) else "pass" if m > err else "weak"
         return m, {"margin": m}, verdict, None
     return judge
 
 
-def _judge_identity(spec, params, counter):
+def _judge_identity(spec, params, out):
     def judge(x):
-        lhs, el = _eval(spec, params, x, counter)
+        lhs, el = out.eval(spec, params, x)
         rhs, er = spec.rhs(params, x)
-        counter.n += 1
+        out.samples += 1
         diff = abs(lhs - rhs)
         bound = spec.tolerance * max(1.0, abs(lhs), abs(rhs))
         margin, fields = bound - diff, {"lhs": lhs, "rhs": rhs}
@@ -414,11 +408,11 @@ def _judge_identity(spec, params, counter):
     return judge
 
 
-def _judge_derivative(spec, params, counter):
+def _judge_derivative(spec, params, out):
     def judge(x):
-        fd = finite_diff(lambda t: _eval(spec, params, t, counter)[0], x, spec.fd_h)
+        fd = finite_diff(lambda t: out.eval(spec, params, t)[0], x, spec.fd_h)
         ref, _ = spec.rhs(params, x)
-        counter.n += 1
+        out.samples += 1
         scale = max(abs(ref), 1e-300)
         rel = abs(fd.first - ref) / scale
         margin, fields = spec.tolerance - rel, {"fd": fd.first, "formula": ref}
@@ -430,21 +424,21 @@ def _judge_derivative(spec, params, counter):
     return judge
 
 
-def _judge_limit(spec, params, counter):
+def _judge_limit(spec, params, out):
     target = spec.rhs(params, 0.0)[0]
     bound = spec.tolerance * max(1.0, abs(target))
 
     def judge(x):
-        y, err = _eval(spec, params, x, counter)
+        y, err = out.eval(spec, params, x)
         diff = abs(y - target)
         verdict = "fail" if diff > bound + err else "pass"
         return bound - diff, {"value": y, "target": target}, verdict, None
     return judge
 
 
-def _run_points(spec, params, counter, out, make_judge):
+def _run_points(spec, params, out, make_judge):
     """Judge each grid point on its own and stop at the first bad one."""
-    judge = make_judge(spec, params, counter)
+    judge = make_judge(spec, params, out)
     xs = spec.arg_grid.dims[0].points()
     strict_hits = 0
     for x in xs:
@@ -481,7 +475,6 @@ _RUNNERS = {
 def run_check(spec: CheckSpec) -> CheckReport:
     """Evaluate one claim across its grids; deterministic for a fixed spec."""
     runner, how = _RUNNERS[spec.kind]
-    counter = _Counter()
     out = _Outcome()
     ran = 0
     for raw in spec.param_grid.combos():
@@ -489,9 +482,9 @@ def run_check(spec: CheckSpec) -> CheckReport:
         if params is None:
             continue
         ran += 1
-        runner(spec, params, counter, out, how)
+        runner(spec, params, out, how)
         if out.verdict == "fail":
             break
     if ran == 0:
         raise ParameterError(f"check {spec.id!r}: parameter grid is empty after mapping")
-    return out.report(spec.id, counter.n)
+    return out.report(spec.id)

@@ -23,6 +23,15 @@ Conventions:
   floating-point r saturates.
 * Checks whose id starts with "conj-" (and the printed-form erratum
   record) are non-gating: they are reported but never fail a run.
+
+How a check is declared: each builder below is one family of checks, and
+binds what its checks share once, as a `functools.partial` of CheckSpec:
+the kind, the parameter grid with its parameter map, the argument grid,
+and any probe or limit common to the family.  A check then states only its
+id, its claim, its evaluators and the fields that differ from the CheckSpec
+defaults: tolerance 1e-9, attainment 1e-3 at either end, decay factor 0.5.
+The evaluators call the package's functions through this module's own
+names, so each call can be traced by name.
 """
 
 from __future__ import annotations
@@ -59,8 +68,34 @@ def _q(num: EvalResult, den: EvalResult, scale: float = 1.0):
     return v, abs(v) * (_rel(num) + _rel(den) + 1e-15)
 
 
+def _pair(e: EvalResult):
+    """An EvalResult as the (value, error) pair an evaluator returns."""
+    return e.value, e.abs_err_est
+
+
+def _times(w: float, e: EvalResult):
+    """w * e as (value, error), for a weight w >= 0."""
+    return w * e.value, w * e.abs_err_est
+
+
 def _ep(d) -> EllipticParams:
     return EllipticParams(d["a"], d["b"], d["c"])
+
+
+def _at_r(expr):
+    """The evaluator fn(d, r) = expr(p, m, d), with p the combo's
+    EllipticParams and m the modulus r."""
+    return lambda d, r: expr(_ep(d), Modulus.from_r(r), d)
+
+
+def _at_rc(expr):
+    """As _at_r, but the argument is the complement r' of the modulus."""
+    return lambda d, rc: expr(_ep(d), Modulus.from_r_comp(rc), d)
+
+
+def _half_b(d) -> float:
+    """B(a,b)/2 of a combo."""
+    return 0.5 * beta(d["a"], d["b"]).value
 
 
 def _dim(name, *vals):
@@ -100,6 +135,8 @@ X17 = GridSpec((GridDim("x", -13.8, 13.8, 17, "linear"),))
 # within double precision at the extreme K values, so consecutive deltas
 # there say nothing; the endpoint probes still certify the limits.
 X17K = GridSpec((GridDim("x", -8.0, 8.0, 17, "linear"),))
+# the index of a seeded (u, t) pair
+I80 = GridSpec((GridDim("i", 0.0, 79.0, 80, "linear"),))
 
 _FRAC = _dim("frac", 0.1, 0.25, 0.5, 0.75, 0.9)
 _FRAC_SMALL = _dim("frac", 0.25, 0.5, 0.75)
@@ -109,7 +146,6 @@ _KDIM = _dim("K", 1.25, 2.0, 5.0, 10.0)
 _KDIM3 = _dim("K", 2.0, 5.0, 10.0)
 
 PG_AC = GridSpec((_FRAC, _CVALS))
-PG_AC_SMALL = GridSpec((_FRAC_SMALL, _CVALS_SMALL))
 
 
 def _map_reduced(d):
@@ -133,6 +169,11 @@ def _map_shifted(d):
 
 def _pg_shifted(*shifts):
     return GridSpec((_FRAC, _CVALS, _dim("s", *shifts)))
+
+
+# monotone in r over the reduced triples, the grid most families share
+_REDUCED = functools.partial(CheckSpec, kind="monotone", param_grid=PG_AC,
+                             param_map=_map_reduced, arg_grid=R33)
 
 
 def _k(d):
@@ -165,12 +206,23 @@ def _m_sym(a, b, c, m: Modulus) -> EvalResult:
     return m_value(MPoint(a, b, c, z))
 
 
+def _phi_at(expr, degree=_k, at_r=False):
+    """The evaluator fn(d, x) = expr(pe, m, s, d) over the combo's reduced
+    triple (a, c-a, c): m is the modulus at the log-odds point x (at r = x
+    where `at_r`), s = phi_K(m) at the degree `degree(d)`, and pe the
+    triple's EllipticParams."""
+    def fn(d, x):
+        m = Modulus.from_r(x) if at_r else q_modulus(x)
+        pm = modulus_params_ac(d["a"], d["c"])
+        pe = EllipticParams(d["a"], d["c"] - d["a"], d["c"])
+        return expr(pe, m, phi_k_m(pm, degree(d), m), d)
+    return fn
+
+
 # ---------------------------------------------------------------------------
 # section: generalized elliptic integral monotonicity (reduced and shifted)
 
 def _ekmonot():
-    checks = []
-
     # Three of these families approach their r -> 1 endpoint at a 1/log(1/r')
     # rate, far too slow for any probe expressible as a float r.  They are
     # checked in the complement coordinate instead (argument r', direction
@@ -182,24 +234,25 @@ def _ekmonot():
         # complement of r = 1e-6, exactly representable via the pair
         return math.sqrt(1.0 - 1e-12)
 
-    def kme_over_zk(d, rc):
-        p, m = _ep(d), Modulus.from_r_comp(rc)
-        return _q(ell_k_minus_e(p, m), ell_k(p, m), 1.0 / m.z)
+    shifted = functools.partial(CheckSpec, kind="monotone", arg_grid=R33,
+                                param_grid=_pg_shifted(0.0, 0.05, 0.1),
+                                param_map=_map_shifted)
+    in_r = functools.partial(shifted, lo_probe=lambda d: 1e-6,
+                             hi_probe=lambda d: 1.0 - 1e-9)
+    in_rc = functools.partial(shifted, arg_grid=RC33, lo_probe=lambda d: RC_DEEP,
+                              hi_probe=rc_probe_r_small)
 
-    checks.append(CheckSpec(
-        id="ekmonot-1", kind="monotone", direction=-1,
+    yield in_rc(
+        id="ekmonot-1", direction=-1,
         claim="For 0<a,b<min(c,1) and c<=a+b, (K-E)/(r^2 K) is strictly "
               "increasing on (0,1) onto (b/c, 1); checked in the complement "
               "coordinate (decreasing in r') so the 1/log upper endpoint can "
               "be probed at r'=1e-50.",
-        param_grid=_pg_shifted(0.0, 0.05, 0.1), param_map=_map_shifted,
-        arg_grid=RC33, tolerance=1e-9, fn=kme_over_zk,
-        lo_limit=lambda d: 1.0, hi_limit=lambda d: d["b"] / d["c"],
-        lo_probe=lambda d: RC_DEEP, hi_probe=rc_probe_r_small,
-        lo_attain=0.05, hi_attain=1e-3))
+        fn=_at_rc(lambda p, m, d: _q(ell_k_minus_e(p, m), ell_k(p, m), 1.0 / m.z)),
+        lo_limit=lambda d: 1.0, hi_limit=lambda d: d["b"] / d["c"], lo_attain=0.05)
 
-    def emk_over_z(d, r):
-        p, m = _ep(d), Modulus.from_r(r)
+    @_at_r
+    def emk_over_z(p, m, d):
         e = ell_e_minus_rc2k(p, m)
         return e.value / m.z, e.abs_err_est / m.z + 1e-16 * abs(e.value) / m.z
 
@@ -208,157 +261,111 @@ def _ekmonot():
         return 0.5 * math.exp(beta_ln(a, b) + beta_ln(c, c + 1.0 - a - b)
                               - beta_ln(c + 1.0 - a, c - b))
 
-    checks.append(CheckSpec(
-        id="ekmonot-2", kind="monotone", direction=1,
+    yield in_r(
+        id="ekmonot-2", direction=1,
         claim="For 0<a,b<min(c,1) and c<=a+b, (E-r'^2 K)/r^2 is strictly "
               "increasing on (0,1) onto (B(a,b)(c-b)/(2c), "
               "B(a,b)B(c,c+1-a-b)/(2 B(c+1-a,c-b))).",
-        param_grid=_pg_shifted(0.0, 0.05, 0.1), param_map=_map_shifted,
-        arg_grid=R33, tolerance=1e-9, fn=emk_over_z,
+        fn=emk_over_z,
         lo_limit=lambda d: beta(d["a"], d["b"]).value * (d["c"] - d["b"]) / (2.0 * d["c"]),
-        hi_limit=emk_hi,
-        lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-9,
-        lo_attain=1e-3, hi_attain=2e-3))
+        hi_limit=emk_hi, hi_attain=2e-3)
 
-    def e_over_zc(d, r):
-        p, m = _ep(d), Modulus.from_r(r)
+    @_at_r
+    def e_over_zc(p, m, d):
         e = ell_e(p, m)
         return e.value / m.z_comp, abs(e.value / m.z_comp) * (_rel(e) + 1e-15)
 
-    checks.append(CheckSpec(
-        id="ekmonot-3", kind="monotone", direction=1,
+    yield in_r(
+        id="ekmonot-3", direction=1,
         claim="For 0<a,b<min(c,1) and c<=a+b, E/r'^2 is strictly increasing "
               "on [0,1) onto [B(a,b)/2, infinity).",
-        param_grid=_pg_shifted(0.0, 0.05, 0.1), param_map=_map_shifted,
-        arg_grid=R33, tolerance=1e-9, fn=e_over_zc,
-        lo_limit=lambda d: 0.5 * beta(d["a"], d["b"]).value, hi_limit=lambda d: INF,
-        lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-9,
-        lo_attain=1e-3))
+        fn=e_over_zc, lo_limit=_half_b, hi_limit=lambda d: INF)
 
-    def zc_k(d, r):
-        p, m = _ep(d), Modulus.from_r(r)
-        k = ell_k(p, m)
-        return m.z_comp * k.value, m.z_comp * k.abs_err_est
-
-    checks.append(CheckSpec(
-        id="ekmonot-4", kind="monotone", direction=-1,
+    yield in_r(
+        id="ekmonot-4", direction=-1,
         claim="For 0<a,b<min(c,1) and c<=a+b, r'^2 K is strictly decreasing "
               "on [0,1) onto (0, B(a,b)/2].",
-        param_grid=_pg_shifted(0.0, 0.05, 0.1), param_map=_map_shifted,
-        arg_grid=R33, tolerance=1e-9, fn=zc_k,
-        lo_limit=lambda d: 0.5 * beta(d["a"], d["b"]).value, hi_limit=lambda d: 0.0,
-        lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-9,
-        lo_attain=1e-3, hi_attain=1e-3))
+        fn=_at_r(lambda p, m, d: _times(m.z_comp, ell_k(p, m))),
+        lo_limit=_half_b, hi_limit=lambda d: 0.0)
 
-    def log_k(d, r):
-        p, m = _ep(d), Modulus.from_r(r)
+    @_at_r
+    def log_k(p, m, d):
         k = ell_k(p, m)
         return math.log(k.value), _rel(k) + 1e-16
 
-    checks.append(CheckSpec(
+    yield shifted(
         id="ekmonot-5", kind="convex_concave", direction=1,
         claim="For 0<a,b<min(c,1) and c<=a+b, K has positive Maclaurin "
               "coefficients and is log-convex in r on [0,1); checked as "
               "convexity of log K via second differences (ranges of K are "
               "covered by the companion r'^2 K and E/r'^2 checks).",
-        param_grid=_pg_shifted(0.0, 0.05, 0.1), param_map=_map_shifted,
-        arg_grid=R33, tolerance=1e-9, fn=log_k))
+        fn=log_k)
 
-    def emk_over_zk(d, rc):
-        p, m = _ep(d), Modulus.from_r_comp(rc)
-        return _q(ell_e_minus_rc2k(p, m), ell_k(p, m), 1.0 / m.z)
-
-    checks.append(CheckSpec(
-        id="ekmonot-6", kind="monotone", direction=1,
+    yield in_rc(
+        id="ekmonot-6", direction=1,
         claim="For 0<a,b<min(c,1) and c<=a+b, (E-r'^2 K)/(r^2 K) is strictly "
               "decreasing on (0,1) onto (0, 1-b/c); checked in the "
               "complement coordinate with the 1/log-slow r->1 end (value -> "
               "0) probed at r'=1e-50.",
-        param_grid=_pg_shifted(0.0, 0.05, 0.1), param_map=_map_shifted,
-        arg_grid=RC33, tolerance=1e-9, fn=emk_over_zk,
-        lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0 - d["b"] / d["c"],
-        lo_probe=lambda d: RC_DEEP, hi_probe=rc_probe_r_small,
-        lo_attain=0.05, hi_attain=1e-3))
+        fn=_at_rc(lambda p, m, d: _q(ell_e_minus_rc2k(p, m), ell_k(p, m), 1.0 / m.z)),
+        lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0 - d["b"] / d["c"], lo_attain=0.05)
 
-    def kme_over_emk(d, rc):
-        p, m = _ep(d), Modulus.from_r_comp(rc)
-        return _q(ell_k_minus_e(p, m), ell_e_minus_rc2k(p, m))
-
-    checks.append(CheckSpec(
-        id="ekmonot-7", kind="monotone", direction=-1,
+    yield in_rc(
+        id="ekmonot-7", direction=-1,
         claim="For 0<a,b<min(c,1) and c<=a+b, (K-E)/(E-r'^2 K) is strictly "
               "increasing on (0,1) onto (b/(c-b), infinity); checked in the "
               "complement coordinate so the log-rate divergence shows the "
               "required growth at the r'=1e-50 probe.",
-        param_grid=_pg_shifted(0.0, 0.05, 0.1), param_map=_map_shifted,
-        arg_grid=RC33, tolerance=1e-9, fn=kme_over_emk,
-        lo_limit=lambda d: INF, hi_limit=lambda d: d["b"] / (d["c"] - d["b"]),
-        lo_probe=lambda d: RC_DEEP, hi_probe=rc_probe_r_small,
-        hi_attain=1e-3))
+        fn=_at_rc(lambda p, m, d: _q(ell_k_minus_e(p, m), ell_e_minus_rc2k(p, m))),
+        lo_limit=lambda d: INF, hi_limit=lambda d: d["b"] / (d["c"] - d["b"]))
 
-    def zk_over_log(d, r):
-        p, m = _ep(d), Modulus.from_r(r)
+    @_at_r
+    def zk_over_log(p, m, d):
         k = ell_k(p, m)
-        den = _log_inv_rc(m)
-        v = m.z * k.value / den
+        v = m.z * k.value / _log_inv_rc(m)
         return v, abs(v) * (_rel(k) + 1e-13)
 
-    checks.append(CheckSpec(
-        id="ekmonot2-1", kind="monotone", direction=-1,
+    yield _REDUCED(
+        id="ekmonot2-1", direction=-1,
         claim="For 0<a<c<=1 and b=c-a (so a,b in (0,1)), r^2 K / log(1/r') "
               "is strictly decreasing on (0,1) onto (1, B(a,b)). Both "
               "endpoints approach at 1/log rates; attainment relaxed to 0.1 "
               "with gap decay.",
-        param_grid=PG_AC, param_map=_map_reduced,
-        arg_grid=R33, tolerance=1e-9, fn=zk_over_log,
+        fn=zk_over_log,
         lo_limit=lambda d: beta(d["a"], d["b"]).value, hi_limit=lambda d: 1.0,
         lo_probe=lambda d: 1e-4, hi_probe=lambda d: 1.0 - 1e-13,
-        lo_attain=0.1, hi_attain=0.1))
+        lo_attain=0.1, hi_attain=0.1)
 
-    def rc_k(d, r):
-        p, m = _ep(d), Modulus.from_r(r)
-        k = ell_k(p, m)
-        return m.r_comp * k.value, m.r_comp * k.abs_err_est
-
-    checks.append(CheckSpec(
-        id="ekmonot2-2", kind="monotone", direction=-1,
+    yield in_r(
+        id="ekmonot2-2", direction=-1,
         claim="For 0<a,b<c with 2ab<c<=a+b<c+1/2, r' K is strictly "
               "decreasing on [0,1) onto (0, B(a,b)/2].",
-        param_grid=_pg_shifted(0.0, 0.05, 0.1),
         param_map=lambda d: (lambda out: out if out is not None and
                              2.0 * out["a"] * out["b"] < out["c"] else None)(_map_shifted(d)),
-        arg_grid=R33, tolerance=1e-9, fn=rc_k,
-        lo_limit=lambda d: 0.5 * beta(d["a"], d["b"]).value, hi_limit=lambda d: 0.0,
-        lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-9,
-        lo_attain=1e-3, hi_attain=1e-3))
-    return checks
+        fn=_at_r(lambda p, m, d: _times(m.r_comp, ell_k(p, m))),
+        lo_limit=_half_b, hi_limit=lambda d: 0.0)
 
 
 def _hyper():
-    checks = []
-
-    def rk_over_arth(d, r):
-        p, m = _ep(d), Modulus.from_r(r)
+    @_at_r
+    def rk_over_arth(p, m, d):
         k = ell_k(p, m)
         v = m.r * k.value / arth(m.r, m.r_comp)
         return v, abs(v) * (_rel(k) + 1e-13)
 
-    checks.append(CheckSpec(
-        id="hyper-1", kind="monotone", direction=-1,
+    yield _REDUCED(
+        id="hyper-1", direction=-1,
         claim="For c in (0,1], a in (0,c), b=c-a: r K / arth(r) is strictly "
               "decreasing on (0,1) onto (1, B(a,b)/2). The r->1 endpoint is "
               "1/log-slow; attainment relaxed to 0.06 with gap decay.",
-        param_grid=PG_AC, param_map=_map_reduced,
-        arg_grid=R33, tolerance=1e-9, fn=rk_over_arth,
-        lo_limit=lambda d: 0.5 * beta(d["a"], d["b"]).value, hi_limit=lambda d: 1.0,
-        lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-13,
-        lo_attain=1e-3, hi_attain=0.06))
+        fn=rk_over_arth, lo_limit=_half_b, hi_limit=lambda d: 1.0,
+        lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-13, hi_attain=0.06)
 
-    def quad_ratio(d, r):
-        p, m = _ep(d), Modulus.from_r(r)
+    @_at_r
+    def quad_ratio(p, m, d):
         k = ell_k(p, m)
         den = ell_e_minus_rc2k(p, m)
-        hb = 0.5 * beta(d["a"], d["b"]).value
+        hb = _half_b(d)
         num = hb * hb - m.z_comp * k.value * k.value
         num_err = 2.0 * m.z_comp * abs(k.value) * k.abs_err_est + 2e-15 * hb * hb
         v = num / den.value
@@ -369,81 +376,63 @@ def _hyper():
         a, b, c = d["a"], d["b"], d["c"]
         return beta(a, b).value * (c - 2.0 * a * c + 2.0 * a * a) / (2.0 * a)
 
-    checks.append(CheckSpec(
-        id="hyper-2", kind="monotone", direction=1,
+    yield _REDUCED(
+        id="hyper-2", direction=1,
         claim="For c in (0,1], a in (0,c), b=c-a: ((B/2)^2 - (r'K)^2)/(E-r'^2 K) "
               "is strictly increasing on (0,1) onto (B(c-2ac+2a^2)/(2a), "
               "B^2 (c-a)/2), B=B(a,b).",
-        param_grid=PG_AC, param_map=_map_reduced,
-        arg_grid=R33, tolerance=1e-9, fn=quad_ratio,
-        lo_limit=quad_lo,
+        fn=quad_ratio, lo_limit=quad_lo,
         hi_limit=lambda d: beta(d["a"], d["b"]).value ** 2 * (d["c"] - d["a"]) / 2.0,
-        lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-9,
-        lo_attain=1e-3, hi_attain=2e-3))
+        lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-9, hi_attain=2e-3)
 
-    def zc_kme_over_ze(d, r):
-        p, m = _ep(d), Modulus.from_r(r)
-        return _q(ell_k_minus_e(p, m), ell_e(p, m), m.z_comp / m.z)
-
-    checks.append(CheckSpec(
-        id="hyper-3", kind="monotone", direction=-1,
+    yield _REDUCED(
+        id="hyper-3", direction=-1,
         claim="For c in (0,1], a in (0,c), b=c-a: r'^2 (K-E)/(r^2 E) is "
               "strictly decreasing on (0,1) onto (0, (c-a)/c).",
-        param_grid=PG_AC, param_map=_map_reduced,
-        arg_grid=R33, tolerance=1e-9, fn=zc_kme_over_ze,
+        fn=_at_r(lambda p, m, d: _q(ell_k_minus_e(p, m), ell_e(p, m), m.z_comp / m.z)),
         lo_limit=lambda d: (d["c"] - d["a"]) / d["c"], hi_limit=lambda d: 0.0,
-        lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-9,
-        lo_attain=1e-3, hi_attain=1e-3))
-    return checks
+        lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-9)
 
 
 def _sqrtk():
-    checks = []
     fracs = ((0.25, 0.9), (0.25, 1.0), (0.5, 0.9), (0.5, 1.0), (0.75, 1.0))
-    abc = _cases(tuple((f * c, c - f * c, c) for f, c in fracs), ("a", "b", "c"))
+    near0 = functools.partial(
+        CheckSpec, kind="monotone",
+        **_cases(tuple((f * c, c - f * c, c) for f, c in fracs), ("a", "b", "c")),
+        arg_grid=GridSpec((GridDim("r", 0.02, 0.3, 17, "linear"),)))
 
-    def pow_k(p_exp_fn):
-        def fn(d, r):
-            p, m = _ep(d), Modulus.from_r(r)
-            k = ell_k(p, m)
-            w = m.z_comp ** (0.5 * p_exp_fn(d))
-            return w * k.value, w * k.abs_err_est + 1e-15 * w * abs(k.value)
+    def rc_power(exponent, of_e=False):
+        """r'^exponent(d) times K (or E, `of_e`)."""
+        @_at_r
+        def fn(p, m, d):
+            e = (ell_e if of_e else ell_k)(p, m)
+            w = m.z_comp ** (0.5 * exponent(d))
+            return w * e.value, w * e.abs_err_est + 1e-15 * w * abs(e.value)
         return fn
 
     def p_star(d):
         return 2.0 * (d["a"] / d["c"]) * (d["c"] - d["a"])
 
-    checks.append(CheckSpec(
-        id="sqrtk-1", kind="monotone", direction=-1,
+    yield near0(
+        id="sqrtk-1", direction=-1,
         claim="For 0<a<c<=1, b=c-a: r'^p K is decreasing on (0,1) exactly "
               "when p >= p* = 2(a/c)(c-a); at p=p* it maps onto (0, B(a,b)/2). "
               "Checked at the threshold exponent.",
-        **abc, arg_grid=R33, tolerance=1e-9, fn=pow_k(p_star),
-        lo_limit=lambda d: 0.5 * beta(d["a"], d["b"]).value, hi_limit=lambda d: 0.0,
-        lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-12,
-        lo_attain=1e-3, hi_attain=1e-3, decay_factor=0.55))
+        arg_grid=R33, fn=rc_power(p_star), lo_limit=_half_b, hi_limit=lambda d: 0.0,
+        lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-12, decay_factor=0.55)
 
-    checks.append(CheckSpec(
-        id="sqrtk-1-sharp", kind="monotone", direction=1,
+    yield near0(
+        id="sqrtk-1-sharp", direction=1,
         claim="Sharpness of the r'^p K threshold: for p = p* - 0.3 the "
               "function r'^p K is strictly increasing near 0 (its log-slope "
               "at 0 equals ab/c - p/2 = +0.15), checked on r in (0.02, 0.3).",
-        **abc, arg_grid=GridSpec((GridDim("r", 0.02, 0.3, 17, "linear"),)),
-        tolerance=1e-9, fn=pow_k(lambda d: p_star(d) - 0.3)))
+        fn=rc_power(lambda d: p_star(d) - 0.3))
 
     def q_star(d):
         return -(2.0 / d["c"]) * (1.0 - d["a"]) * (d["c"] - d["a"])
 
-    def pow_e(q_exp_fn):
-        def fn(d, r):
-            p, m = _ep(d), Modulus.from_r(r)
-            e = ell_e(p, m)
-            w = m.z_comp ** (0.5 * q_exp_fn(d))
-            return w * e.value, w * e.abs_err_est + 1e-15 * w * abs(e.value)
-        return fn
-
-    checks.append(CheckSpec(
-        id="sqrtk-2", kind="monotone", direction=1,
+    yield _REDUCED(
+        id="sqrtk-2", direction=1,
         claim="For 0<a<c<=1, b=c-a: r'^q E is increasing on (0,1) exactly "
               "when q <= q* = -(2/c)(1-a)(c-a); at q=q* it maps onto "
               "(B(a,b)/2, infinity). Checked at the threshold exponent. No "
@@ -451,70 +440,59 @@ def _sqrtk():
               "r'^q* grows too slowly to certify within double precision; "
               "the blow-up is carried entirely by that explicit factor "
               "against E -> E(1) > 0.",
-        param_grid=PG_AC, param_map=_map_reduced,
-        arg_grid=R33, tolerance=1e-9, fn=pow_e(q_star),
-        lo_limit=lambda d: 0.5 * beta(d["a"], d["b"]).value, hi_limit=lambda d: INF,
-        lo_probe=lambda d: 1e-6, hi_probe=None,
-        lo_attain=1e-3))
+        fn=rc_power(q_star, of_e=True), lo_limit=_half_b, hi_limit=lambda d: INF,
+        lo_probe=lambda d: 1e-6)
 
-    checks.append(CheckSpec(
-        id="sqrtk-2-sharp", kind="monotone", direction=-1,
+    yield near0(
+        id="sqrtk-2-sharp", direction=-1,
         claim="Sharpness of the r'^q E threshold: for q = q* + 0.3 the "
               "function r'^q E is strictly decreasing near 0 (log-slope at 0 "
               "is (a-1)b/c - q/2 = -0.15), checked on r in (0.02, 0.3).",
-        **abc, arg_grid=GridSpec((GridDim("r", 0.02, 0.3, 17, "linear"),)),
-        tolerance=1e-9, fn=pow_e(lambda d: q_star(d) + 0.3)))
-    return checks
+        fn=rc_power(lambda d: q_star(d) + 0.3, of_e=True))
 
 
 def _logconvexke():
-    checks = []
-
     def map_lck(d):
         out = _map_shifted(d)
         if out is None or not d["s"] < out["a"] - 0.02:
             return None
         return out
 
-    def log_pow_k(d, r):
-        p, m = _ep(d), Modulus.from_r(r)
+    log_convex = functools.partial(
+        CheckSpec, kind="convex_concave", direction=1, param_grid=_pg_shifted(0.1, 0.2, 0.3),
+        param_map=map_lck, arg_grid=R33, lo_limit=lambda d: math.log(_half_b(d)),
+        lo_probe=lambda d: 1e-5)
+
+    @_at_r
+    def log_pow_k(p, m, d):
         k = ell_k(p, m)
         s = d["a"] + d["b"] - d["c"]
         return s * math.log(m.z_comp) + math.log(k.value), _rel(k) + 1e-14
 
-    checks.append(CheckSpec(
-        id="logconvexke-1", kind="convex_concave", direction=1,
+    yield log_convex(
+        id="logconvexke-1",
         claim="For 0<a,b<min(c,1) with a+b>=c: r'^(2(a+b-c)) K has positive "
               "Maclaurin coefficients, is log-convex in r on [0,1), and maps "
               "onto (B(a,b)/2, B(c,a+b-c)/2). Checked as convexity of the "
               "log on r with range endpoints on the log scale; the r->1 rate "
               "is r'^(2(a+b-c)), relaxed attainment 0.1 with gap decay.",
-        param_grid=_pg_shifted(0.1, 0.2, 0.3), param_map=map_lck,
-        arg_grid=R33, tolerance=1e-9, fn=log_pow_k,
-        lo_limit=lambda d: math.log(0.5 * beta(d["a"], d["b"]).value),
+        fn=log_pow_k,
         hi_limit=lambda d: math.log(0.5 * beta(d["c"], d["a"] + d["b"] - d["c"]).value),
-        lo_probe=lambda d: 1e-5, hi_probe=lambda d: 1.0 - 1e-13,
-        lo_attain=1e-3, hi_attain=0.1))
+        hi_probe=lambda d: 1.0 - 1e-13, hi_attain=0.1)
 
-    def log_pow_e(d, r):
-        p, m = _ep(d), Modulus.from_r(r)
+    @_at_r
+    def log_pow_e(p, m, d):
         e = ell_e(p, m)
         s = d["a"] + d["b"] - d["c"] - 1.0
         return s * math.log(m.z_comp) + math.log(e.value), _rel(e) + 1e-14
 
-    checks.append(CheckSpec(
-        id="logconvexke-2", kind="convex_concave", direction=1,
+    yield log_convex(
+        id="logconvexke-2",
         claim="For 0<a,b<min(c,1) with a+b>=c: r'^(2(a+b-c-1)) E has positive "
               "Maclaurin coefficients, is log-convex in r on [0,1), and maps "
               "onto (B(a,b)/2, infinity). Checked as convexity of the log "
               "with range endpoints on the log scale.",
-        param_grid=_pg_shifted(0.1, 0.2, 0.3), param_map=map_lck,
-        arg_grid=R33, tolerance=1e-9, fn=log_pow_e,
-        lo_limit=lambda d: math.log(0.5 * beta(d["a"], d["b"]).value),
-        hi_limit=lambda d: INF,
-        lo_probe=lambda d: 1e-5, hi_probe=lambda d: 1.0 - 1e-9,
-        lo_attain=1e-3))
-    return checks
+        fn=log_pow_e, hi_limit=lambda d: INF, hi_probe=lambda d: 1.0 - 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -525,98 +503,81 @@ def _mp(d) -> ModulusParams:
 
 
 def _mutheorem():
-    checks = []
-
     def mu_plus_logr(d, r):
         m = Modulus.from_r(r)
         v = mu_m(_mp(d), m)
         return v.value + _log_r(m), v.abs_err_est + 1e-15
 
-    checks.append(CheckSpec(
-        id="mutheorem-1", kind="monotone", direction=-1,
+    yield _REDUCED(
+        id="mutheorem-1", direction=-1,
         claim="For 0<a<c<=1: mu(r) + log r is strictly decreasing on (0,1] "
               "onto [0, R(a,c-a)/2).",
-        param_grid=PG_AC, param_map=_map_reduced,
-        arg_grid=R33, tolerance=1e-9, fn=mu_plus_logr,
+        fn=mu_plus_logr,
         lo_limit=lambda d: 0.5 * ramanujan_r(d["a"], d["c"] - d["a"]).value,
         hi_limit=lambda d: 0.0,
         lo_probe=lambda d: 1e-7, hi_probe=lambda d: 1.0 - 1e-13,
-        lo_attain=1e-3, hi_attain=0.2, decay_factor=0.75))
+        hi_attain=0.2, decay_factor=0.75)
 
-    def weighted_loglog(d, r):
-        m = Modulus.from_r(r)
-        v = mu_m(_mp(d), m)
+    def mu_times(weight, rel):
+        """w mu(r) for the weight w = weight(m) at the modulus m = r, with
+        error |w| err(mu) + rel |w mu|."""
+        def fn(d, r):
+            m = Modulus.from_r(r)
+            v = mu_m(_mp(d), m)
+            w = weight(m)
+            return w * v.value, abs(w) * v.abs_err_est + rel * abs(w * v.value)
+        return fn
+
+    def loglog(m):
         # each log factor from the exact complement, else log(z_comp)
         # underflows to 0 at the r -> 0 probe and the weight is garbage
         lz = math.log(m.z) if m.z <= 0.5 else math.log1p(-m.z_comp)
         lzc = math.log(m.z_comp) if m.z_comp <= 0.5 else math.log1p(-m.z)
-        w = (m.z_comp * lzc) / (m.z * lz)
-        return w * v.value, abs(w) * v.abs_err_est + 1e-14 * abs(w * v.value)
+        return (m.z_comp * lzc) / (m.z * lz)
 
-    checks.append(CheckSpec(
-        id="mutheorem-2", kind="monotone", direction=1,
+    # the upper limit (B(a,c-a)/2)^2 of mutheorem-3, -5 and -6
+    quarter_b2 = lambda d: (0.5 * beta(d["a"], d["c"] - d["a"]).value) ** 2
+
+    yield _REDUCED(
+        id="mutheorem-2", direction=1,
         claim="For 0<a<c<=1: (r'^2 log r')/(r^2 log r) * mu(r) is strictly "
               "increasing on (0,1) onto (1/2, B(a,c-a)^2/2). Both endpoints "
               "are 1/log-slow; attainment 0.15 with decay factor 0.75.",
-        param_grid=PG_AC, param_map=_map_reduced,
-        arg_grid=R33, tolerance=1e-9, fn=weighted_loglog,
+        fn=mu_times(loglog, 1e-14),
         lo_limit=lambda d: 0.5, hi_limit=lambda d: 0.5 * beta(d["a"], d["c"] - d["a"]).value ** 2,
         lo_probe=lambda d: 1e-13, hi_probe=lambda d: 1.0 - 1e-13,
-        lo_attain=0.15, hi_attain=0.15, decay_factor=0.75))
+        lo_attain=0.15, hi_attain=0.15, decay_factor=0.75)
 
-    def weighted_arth(d, r):
-        m = Modulus.from_r(r)
-        v = mu_m(_mp(d), m)
-        w = (m.r_comp * arth(m.r, m.r_comp)) / (m.r * arth(m.r_comp, m.r))
-        return w * v.value, abs(w) * v.abs_err_est + 1e-14 * abs(w * v.value)
-
-    checks.append(CheckSpec(
-        id="mutheorem-3", kind="monotone", direction=1,
+    yield _REDUCED(
+        id="mutheorem-3", direction=1,
         claim="For 0<a<c<=1: (r' arth r)/(r arth r') * mu(r) is strictly "
               "increasing on (0,1) onto (1, (B(a,c-a)/2)^2]. 1/log endpoints; "
               "attainment 0.15 with decay factor 0.75.",
-        param_grid=PG_AC, param_map=_map_reduced,
-        arg_grid=R33, tolerance=1e-9, fn=weighted_arth,
-        lo_limit=lambda d: 1.0,
-        hi_limit=lambda d: (0.5 * beta(d["a"], d["c"] - d["a"]).value) ** 2,
+        fn=mu_times(lambda m: (m.r_comp * arth(m.r, m.r_comp)) / (m.r * arth(m.r_comp, m.r)),
+                    1e-14),
+        lo_limit=lambda d: 1.0, hi_limit=quarter_b2,
         lo_probe=lambda d: 1e-13, hi_probe=lambda d: 1.0 - 1e-13,
-        lo_attain=0.15, hi_attain=0.15, decay_factor=0.75))
+        lo_attain=0.15, hi_attain=0.15, decay_factor=0.75)
 
-    def rc_mu_over_log(d, r):
-        m = Modulus.from_r(r)
-        v = mu_m(_mp(d), m)
-        den = -_log_r(m)
-        w = m.r_comp / den
-        return w * v.value, abs(w) * v.abs_err_est + 1e-13 * abs(w * v.value)
-
-    checks.append(CheckSpec(
-        id="mutheorem-4", kind="monotone", direction=1,
+    yield _REDUCED(
+        id="mutheorem-4", direction=1,
         claim="For 0<a<c<=1: r' mu(r)/log(1/r) is strictly increasing on "
               "(0,1) onto (1, infinity); the same holds without the r' "
               "factor. 1/log lower endpoint, attainment 0.15 with decay 0.75.",
-        param_grid=PG_AC, param_map=_map_reduced,
-        arg_grid=R33, tolerance=1e-9, fn=rc_mu_over_log,
+        fn=mu_times(lambda m: m.r_comp / -_log_r(m), 1e-13),
         lo_limit=lambda d: 1.0, hi_limit=lambda d: INF,
         lo_probe=lambda d: 1e-13, hi_probe=lambda d: 1.0 - 1e-9,
-        lo_attain=0.15, decay_factor=0.75))
+        lo_attain=0.15, decay_factor=0.75)
 
-    def mu_times_arth(d, r):
-        m = Modulus.from_r(r)
-        v = mu_m(_mp(d), m)
-        w = arth(m.r, m.r_comp)
-        return w * v.value, w * v.abs_err_est + 1e-14 * abs(w * v.value)
-
-    checks.append(CheckSpec(
-        id="mutheorem-5", kind="monotone", direction=1,
+    yield _REDUCED(
+        id="mutheorem-5", direction=1,
         claim="For 0<a<c<=1: mu(r) arth(r) is strictly increasing on (0,1) "
               "onto (0, (B(a,c-a)/2)^2). Upper endpoint 1/log-slow; "
               "attainment 0.15 with decay 0.75.",
-        param_grid=PG_AC, param_map=_map_reduced,
-        arg_grid=R33, tolerance=1e-9, fn=mu_times_arth,
-        lo_limit=lambda d: 0.0,
-        hi_limit=lambda d: (0.5 * beta(d["a"], d["c"] - d["a"]).value) ** 2,
+        fn=mu_times(lambda m: arth(m.r, m.r_comp), 1e-14),
+        lo_limit=lambda d: 0.0, hi_limit=quarter_b2,
         lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-13,
-        lo_attain=1e-3, hi_attain=0.15, decay_factor=0.75))
+        hi_attain=0.15, decay_factor=0.75)
 
     def mu_log_ratio(d, r):
         m = Modulus.from_r(r)
@@ -624,26 +585,39 @@ def _mutheorem():
         w = 0.5 * (math.log(m.z) - math.log(m.z_comp))
         return w * v.value, abs(w) * v.abs_err_est + 1e-14 * (1.0 + abs(w * v.value))
 
-    checks.append(CheckSpec(
-        id="mutheorem-6", kind="monotone", direction=1,
+    yield _REDUCED(
+        id="mutheorem-6", direction=1,
         claim="For 0<a<c<=1: mu(r) log(r/r') is strictly increasing on "
               "[1/sqrt(2), 1) onto [0, (B(a,c-a)/2)^2). Upper endpoint "
               "1/log-slow; attainment 0.15 with decay 0.75.",
-        param_grid=PG_AC, param_map=_map_reduced,
         arg_grid=GridSpec((GridDim("r", 0.7071067811865476, 0.999, 17, "linear"),)),
-        tolerance=1e-9, fn=mu_log_ratio,
-        lo_limit=lambda d: 0.0,
-        hi_limit=lambda d: (0.5 * beta(d["a"], d["c"] - d["a"]).value) ** 2,
+        fn=mu_log_ratio, lo_limit=lambda d: 0.0, hi_limit=quarter_b2,
         lo_probe=lambda d: 0.7071067811865476, hi_probe=lambda d: 1.0 - 1e-13,
-        lo_attain=1e-9, hi_attain=0.15, decay_factor=0.75))
-    return checks
+        lo_attain=1e-9, hi_attain=0.15, decay_factor=0.75)
 
 
 # ---------------------------------------------------------------------------
 # section: hypergeometric quotients with shifted parameters
 
 def _hyp_quotients():
-    checks = []
+    # F(num; z)/F(a,b;c; z) increasing from 1 at z = 0
+    from_one = functools.partial(
+        CheckSpec, kind="monotone", direction=1, arg_grid=Z33,
+        lo_limit=lambda d: 1.0, lo_probe=lambda d: 1e-12, lo_attain=1e-6, hi_attain=2e-3)
+
+    def abc(d):
+        return HypParams(d["a"], d["b"], d["c"])
+
+    def f_ratio(num, den=abc):
+        """F(num(d); z)/F(den(d); z)."""
+        def fn(d, z):
+            zc = 1.0 - z
+            return _q(hyp2f1_pair(num(d), z, zc), hyp2f1_pair(den(d), z, zc))
+        return fn
+
+    def shifted(da, db, dc):
+        return lambda d: HypParams(d["a"] + da, d["b"] + db, d["c"] + dc)
+
     dp_cases = (
         (0.1, 0.15, 1.0, 0.15, 0.2, 0.9),
         (0.2, 0.3, 1.2, 0.25, 0.35, 1.0),
@@ -652,12 +626,6 @@ def _hyp_quotients():
     )
     keys = ("a", "b", "c", "a2", "b2", "c2")
 
-    def f_ratio(d, z):
-        zc = 1.0 - z
-        num = hyp2f1_pair(HypParams(d["a2"], d["b2"], d["c2"]), z, zc)
-        den = hyp2f1_pair(HypParams(d["a"], d["b"], d["c"]), z, zc)
-        return _q(num, den)
-
     def dp_hi(d):
         a, b, c, a2, b2, c2 = (d[k] for k in keys)
         if a2 + b2 >= c2:
@@ -665,30 +633,19 @@ def _hyp_quotients():
         return math.exp(beta_ln(c2, c2 - a2 - b2) + beta_ln(c - a, c - b)
                         - beta_ln(c, c - a - b) - beta_ln(c2 - a2, c2 - b2))
 
-    checks.append(CheckSpec(
-        id="differentparams1", kind="monotone", direction=1,
+    yield from_one(
+        id="differentparams1",
         claim="For a2>=a, b2>=b, c2<=c (at least one strict) with "
               "max(a2,b2)<c2: F(a2,b2;c2;z)/F(a,b;c;z) is strictly increasing "
               "on [0,1) from 1 onto [1, L), with L = B(c2,c2-a2-b2) B(c-a,c-b) "
               "/ (B(c,c-a-b) B(c2-a2,c2-b2)) when a2+b2<c2 and L=infinity "
               "otherwise. Four representative parameter bumps are exercised.",
-        **_cases(dp_cases, keys), arg_grid=Z33, tolerance=1e-9, fn=f_ratio,
-        lo_limit=lambda d: 1.0, hi_limit=dp_hi,
-        lo_probe=lambda d: 1e-12, hi_probe=lambda d: 1.0 - 1e-12,
-        lo_attain=1e-6, hi_attain=2e-3))
-
-    def shifted_ratio(da, db, dc):
-        def fn(d, z):
-            zc = 1.0 - z
-            num = hyp2f1_pair(HypParams(d["a"] + da, d["b"] + db, d["c"] + dc), z, zc)
-            den = hyp2f1_pair(HypParams(d["a"], d["b"], d["c"]), z, zc)
-            return _q(num, den)
-        return fn
+        **_cases(dp_cases, keys), fn=f_ratio(lambda d: HypParams(d["a2"], d["b2"], d["c2"])),
+        hi_limit=dp_hi, hi_probe=lambda d: 1.0 - 1e-12)
 
     f_cases = ((0.3, 0.4, 2.2), (0.5, 0.5, 1.0), (0.2, 0.9, 1.5))
     g_cases = ((0.3, 0.4, 2.2), (0.5, 0.5, 1.0), (0.7, 0.2, 1.1))
     h_cases = ((0.3, 0.4, 1.4), (0.5, 0.5, 1.0), (0.6, 0.7, 1.2))
-    abc = ("a", "b", "c")
 
     def cor_f_hi(d):
         a, b, c = d["a"], d["b"], d["c"]
@@ -702,43 +659,30 @@ def _hyp_quotients():
         a, b, c = d["a"], d["b"], d["c"]
         return (c - a) * (c - b) / (c * (c - a - b)) if a + b < c else INF
 
-    checks.append(CheckSpec(
-        id="diffparamscor-f", kind="monotone", direction=1,
+    yield from_one(
+        id="diffparamscor-f",
         claim="F(a+1,b;c;z)/F(a,b;c;z) is increasing on [0,1) from 1, with "
               "limit (c-a-1)/(c-a-b-1) at 1 when a+b+1<c and infinity "
               "otherwise.",
-        **_cases(f_cases, abc),
-        arg_grid=Z33, tolerance=1e-9, fn=shifted_ratio(1.0, 0.0, 0.0),
-        lo_limit=lambda d: 1.0, hi_limit=cor_f_hi,
-        lo_probe=lambda d: 1e-12, hi_probe=lambda d: 1.0 - 1e-10,
-        lo_attain=1e-6, hi_attain=2e-3))
+        **_cases(f_cases, ("a", "b", "c")), fn=f_ratio(shifted(1.0, 0.0, 0.0)),
+        hi_limit=cor_f_hi, hi_probe=lambda d: 1.0 - 1e-10)
 
-    checks.append(CheckSpec(
-        id="diffparamscor-g", kind="monotone", direction=1,
+    yield from_one(
+        id="diffparamscor-g",
         claim="F(a,b+1;c;z)/F(a,b;c;z) is increasing on [0,1) from 1, with "
               "limit (c-b-1)/(c-a-b-1) at 1 when a+b+1<c and infinity "
               "otherwise.",
-        **_cases(g_cases, abc),
-        arg_grid=Z33, tolerance=1e-9, fn=shifted_ratio(0.0, 1.0, 0.0),
-        lo_limit=lambda d: 1.0, hi_limit=cor_g_hi,
-        lo_probe=lambda d: 1e-12, hi_probe=lambda d: 1.0 - 1e-10,
-        lo_attain=1e-6, hi_attain=2e-3))
+        **_cases(g_cases, ("a", "b", "c")), fn=f_ratio(shifted(0.0, 1.0, 0.0)),
+        hi_limit=cor_g_hi, hi_probe=lambda d: 1.0 - 1e-10)
 
-    def h_ratio(d, z):
-        zc = 1.0 - z
-        num = hyp2f1_pair(HypParams(d["a"], d["b"], d["c"]), z, zc)
-        den = hyp2f1_pair(HypParams(d["a"], d["b"], d["c"] + 1.0), z, zc)
-        return _q(num, den)
-
-    checks.append(CheckSpec(
-        id="diffparamscor-h", kind="monotone", direction=1,
+    yield from_one(
+        id="diffparamscor-h",
         claim="F(a,b;c;z)/F(a,b;c+1;z) is increasing on [0,1) from 1, with "
               "limit (c-a)(c-b)/(c(c-a-b)) at 1 when a+b<c and infinity "
               "otherwise (log-rate divergence when a+b=c).",
-        **_cases(h_cases, abc), arg_grid=Z33, tolerance=1e-9, fn=h_ratio,
-        lo_limit=lambda d: 1.0, hi_limit=cor_h_hi,
-        lo_probe=lambda d: 1e-12, hi_probe=lambda d: 1.0 - 1e-12,
-        lo_attain=1e-6, hi_attain=2e-3))
+        **_cases(h_cases, ("a", "b", "c")),
+        fn=f_ratio(abc, lambda d: HypParams(d["a"], d["b"], d["c"] + 1.0)),
+        hi_limit=cor_h_hi, hi_probe=lambda d: 1.0 - 1e-12)
 
     def quotf(d, c):
         a, x, y = d["a"], d["x"], d["y"]
@@ -749,7 +693,7 @@ def _hyp_quotients():
         return v, e + 1e-15 * abs(v)
 
     q_cases = ((0.3, 0.2, 0.7), (0.6, 0.2, 0.7), (0.3, 0.1, 0.5), (0.6, 0.4, 0.9))
-    checks.append(CheckSpec(
+    yield CheckSpec(
         id="quotfdepc", kind="monotone", direction=-1,
         claim="For a>0 and fixed 0<x<y<1 (here orderings both ways): "
               "c -> B(a,c-a) F(a,c-a;c;x)/F(a,c-a;c;y) is strictly "
@@ -757,103 +701,90 @@ def _hyp_quotients():
               "decay is c^(-a); the far probe at c=45 (parameter cap) uses "
               "decay factor 0.75; the c->a+ divergence is probed at a+1e-5.",
         **_cases(q_cases, ("a", "x", "y")),
-        arg_grid=GridSpec((GridDim("c", 0.7, 10.0, 33, "log"),)),
-        tolerance=1e-9, fn=quotf,
+        arg_grid=GridSpec((GridDim("c", 0.7, 10.0, 33, "log"),)), fn=quotf,
         lo_limit=lambda d: INF, hi_limit=lambda d: 0.0,
-        lo_probe=lambda d: d["a"] + 1e-5, hi_probe=lambda d: 45.0,
-        hi_attain=1e-3, decay_factor=0.75))
-    return checks
+        lo_probe=lambda d: d["a"] + 1e-5, hi_probe=lambda d: 45.0, decay_factor=0.75)
 
 
 # ---------------------------------------------------------------------------
 # section: the M function
 
-def _m_res(d, z) -> EvalResult:
-    return m_value(MPoint(d["a"], d["b"], d["c"], z))
+def _m_of(d, z):
+    """M(a,b,c; z) of a combo as (value, error)."""
+    return _pair(m_value(MPoint(d["a"], d["b"], d["c"], z)))
 
 
 def _mprop():
-    checks = []
+    abc = ("a", "b", "c")
     sym_cases = ((0.5, 0.5, 1.0), (0.4, 0.7, 1.0), (0.3, 0.6, 0.9),
                  (0.8, 1.2, 1.5), (2.0, 3.0, 4.0))
-    checks.append(CheckSpec(
+    yield CheckSpec(
         id="mprop-1", kind="identity",
         claim="M(z) = M(1-z) > 0 for all positive a,b,c and z in (0,1).",
-        **_cases(sym_cases, ("a", "b", "c")), arg_grid=Z33, tolerance=1e-11,
-        fn=lambda d, z: (lambda e: (e.value, e.abs_err_est))(_m_res(d, z)),
-        rhs=lambda d, z: (lambda e: (e.value, e.abs_err_est))(_m_res(d, 1.0 - z))))
+        **_cases(sym_cases, abc), arg_grid=Z33, tolerance=1e-11,
+        fn=_m_of, rhs=lambda d, z: _m_of(d, 1.0 - z))
 
-    pg_a = GridSpec((GridDim("a", 0.1, 0.9, 9, "linear"),))
-    checks.append(CheckSpec(
+    yield CheckSpec(
         id="mprop-2", kind="identity",
         claim="When a+b=c=1, M is the constant sin(pi a)/pi.",
-        param_grid=pg_a, param_map=lambda d: {"a": d["a"], "b": 1.0 - d["a"], "c": 1.0},
-        arg_grid=Z33, tolerance=1e-9,
-        fn=lambda d, z: (lambda e: (e.value, e.abs_err_est))(_m_res(d, z)),
-        rhs=lambda d, z: (math.sin(math.pi * d["a"]) / math.pi, 0.0)))
+        param_grid=GridSpec((GridDim("a", 0.1, 0.9, 9, "linear"),)),
+        param_map=lambda d: {"a": d["a"], "b": 1.0 - d["a"], "c": 1.0},
+        arg_grid=Z33, fn=_m_of, rhs=lambda d, z: (math.sin(math.pi * d["a"]) / math.pi, 0.0))
 
     div_cases = ((0.4, 0.7, 1.0), (0.6, 0.6, 1.1), (0.5, 0.9, 1.2))
-    checks.append(CheckSpec(
+    yield CheckSpec(
         id="mprop-3", kind="range_endpoints",
         claim="When a+b>c, M(0+) = M(1-) = infinity; divergence probed at "
               "z=1e-9 and z=1-1e-9 against the grid edges.",
-        **_cases(div_cases, ("a", "b", "c")),
-        arg_grid=GridSpec((GridDim("z", 0.001, 0.999, 9, "logit"),)),
-        tolerance=1e-9,
-        fn=lambda d, z: (lambda e: (e.value, e.abs_err_est))(_m_res(d, z)),
+        **_cases(div_cases, abc),
+        arg_grid=GridSpec((GridDim("z", 0.001, 0.999, 9, "logit"),)), fn=_m_of,
         lo_limit=lambda d: INF, hi_limit=lambda d: INF,
-        lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-9))
+        lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-9)
 
     cvx_cases = ((0.8, 0.7, 1.0), (1.2, 0.9, 1.3), (0.6, 0.8, 1.1))
-    checks.append(CheckSpec(
+    yield CheckSpec(
         id="mprop-4", kind="convex_concave", direction=1,
         claim="If (a+b-1)(c-b)>0, a+b>=c>=a and ab/(a+b+1)<c, then M is "
               "strictly convex on (0,1) (hence decreasing then increasing "
               "about 1/2 by symmetry).",
-        **_cases(cvx_cases, ("a", "b", "c")), arg_grid=Z33, tolerance=1e-9,
-        fn=lambda d, z: (lambda e: (e.value, e.abs_err_est))(_m_res(d, z))))
+        **_cases(cvx_cases, abc), arg_grid=Z33, fn=_m_of)
 
     ccv_cases = ((0.3, 0.5, 0.9), (0.4, 0.5, 1.0), (0.2, 0.6, 0.8))
-    checks.append(CheckSpec(
+    yield CheckSpec(
         id="mprop-5", kind="convex_concave", direction=-1,
         claim="If (a+b-1)(c-b)<0, a+b<=c and ab/(a+b+1)<c, then M is "
               "strictly concave on (0,1) (increasing then decreasing about "
               "1/2 by symmetry).",
-        **_cases(ccv_cases, ("a", "b", "c")), arg_grid=Z33, tolerance=1e-9,
-        fn=lambda d, z: (lambda e: (e.value, e.abs_err_est))(_m_res(d, z))))
+        **_cases(ccv_cases, abc), arg_grid=Z33, fn=_m_of)
 
     low_cases = ((0.5, 0.5, 1.0), (0.4, 0.7, 1.0), (0.3, 0.6, 0.9), (0.8, 1.2, 1.5))
 
     def m_minus_floor(d, z):
-        e = _m_res(d, z)
-        return e.value - d["a"] * d["b"] / d["c"], e.abs_err_est
+        v, err = _m_of(d, z)
+        return v - d["a"] * d["b"] / d["c"], err
 
-    checks.append(CheckSpec(
+    yield CheckSpec(
         id="mprop-6", kind="inequality",
         claim="If a+b>=c then M(z) > ab/c on (0,1).",
-        **_cases(low_cases, ("a", "b", "c")),
-        arg_grid=Z33, tolerance=1e-9, fn=m_minus_floor))
-    return checks
+        **_cases(low_cases, abc), arg_grid=Z33, fn=m_minus_floor)
 
 
 def _mextra():
-    checks = []
-    lim_cases = ((0.6, 0.7, 1.0), (0.9, 0.6, 1.0), (0.8, 1.2, 1.5))
+    abc = ("a", "b", "c")
 
     def f_scaled(d, z):
-        e = m_scaled(MPoint(d["a"], d["b"], d["c"], z))
-        return e.value, e.abs_err_est
+        return _pair(m_scaled(MPoint(d["a"], d["b"], d["c"], z)))
 
-    checks.append(CheckSpec(
+    lim_cases = ((0.6, 0.7, 1.0), (0.9, 0.6, 1.0), (0.8, 1.2, 1.5))
+    yield CheckSpec(
         id="mextra-1", kind="limit",
         claim="For a,b<=c<a+b, (z(1-z))^(a+b-c) M(z) is bounded with limit "
               "(a+b-c) B(c,a+b-c)/B(a,b) at both ends; probed at "
               "z in {1e-13, 1e-12, 1e-11} where the z^(a+b-c) correction is "
               "below 5e-3.",
-        **_cases(lim_cases, ("a", "b", "c")),
-        arg_grid=GridSpec((_dim("z", 1e-13, 1e-12, 1e-11),)),
+        **_cases(lim_cases, abc), arg_grid=GridSpec((_dim("z", 1e-13, 1e-12, 1e-11),)),
         tolerance=5e-3, fn=f_scaled,
-        rhs=lambda d, z: (m_scaled_limit(d["a"], d["b"], d["c"]), 0.0)))
+        rhs=lambda d, z: (m_scaled_limit(d["a"], d["b"], d["c"]), 0.0))
 
     eq_cases = ((1.0, 0.4, 1.0), (0.7, 0.3, 0.7), (0.5, 1.0, 1.0), (0.4, 0.9, 0.9))
 
@@ -862,12 +793,12 @@ def _mextra():
             return d["b"], 0.0
         return d["a"], 0.0
 
-    checks.append(CheckSpec(
+    yield CheckSpec(
         id="mextra-2", kind="identity",
         claim="If a=c then (z(1-z))^b M(z) is identically b; if b=c it is "
               "identically a.",
-        **_cases(eq_cases, ("a", "b", "c")),
-        arg_grid=Z33, tolerance=1e-10, fn=f_scaled, rhs=scaled_const))
+        **_cases(eq_cases, abc), arg_grid=Z33, tolerance=1e-10, fn=f_scaled,
+        rhs=scaled_const)
 
     pw_cases = ((0.5, 0.5, 1.0), (0.3, 0.9, 1.1), (0.7, 0.9, 1.3), (0.25, 0.75, 1.0))
 
@@ -875,56 +806,43 @@ def _mextra():
         lg = 2.0 * gamma_ln(d["c"]).value - gamma_ln(d["a"]).value - gamma_ln(d["b"]).value
         return math.exp(lg), 0.0
 
-    checks.append(CheckSpec(
+    yield CheckSpec(
         id="mextra-3", kind="identity",
         claim="If a+b+1=2c then M(z) = d (z(1-z))^(1-c) with "
               "d = Gamma(c)^2/(Gamma(a)Gamma(b)); equivalently the scaled "
               "function is the constant d. In particular M itself is "
               "constant within this family exactly when c=1.",
-        **_cases(pw_cases, ("a", "b", "c")),
-        arg_grid=Z33, tolerance=1e-8, fn=f_scaled, rhs=power_const))
-    return checks
+        **_cases(pw_cases, abc), arg_grid=Z33, tolerance=1e-8, fn=f_scaled,
+        rhs=power_const)
 
 
 def _mcorollary():
-    checks = []
     cases = ((0.5, 0.5, 1.0), (0.3, 0.9, 1.1), (0.25, 0.75, 1.0))
-    grid_r = GridSpec((GridDim("r", 0.08, 0.92, 9, "linear"),))
+    corollary = functools.partial(
+        CheckSpec, kind="derivative_match", **_cases(cases, ("a", "b", "c")),
+        arg_grid=GridSpec((GridDim("r", 0.08, 0.92, 9, "linear"),)), tolerance=1e-6)
 
-    def mu_val(d, r):
-        e = mu(ModulusParams(d["a"], d["b"], d["c"]), r)
-        return e.value, e.abs_err_est
-
-    checks.append(CheckSpec(
-        id="mcorollary-mu", kind="derivative_match",
+    yield corollary(
+        id="mcorollary-mu",
         claim="In the a+b+1=2c family the modulus derivative has the closed "
               "form d(mu)/dr = -(1/4) D / (r^(2c-1) r'^(2c) K(r)^2) with "
               "D = exp(2(lnG(a)+lnG(b)+lnG(c)) - 3 lnG(a+b)) * ... ; checked "
               "against Richardson central differences at 1e-6 relative.",
-        **_cases(cases, ("a", "b", "c")),
-        arg_grid=grid_r, tolerance=1e-6, fn=mu_val, fd_h=1e-5,
-        rhs=lambda d, r: (lambda e: (e.value, e.abs_err_est))(
-            mu_deriv_closed(ModulusParams(d["a"], d["b"], d["c"]), r))))
+        fn=lambda d, r: _pair(mu(ModulusParams(d["a"], d["b"], d["c"]), r)),
+        rhs=lambda d, r: _pair(mu_deriv_closed(ModulusParams(d["a"], d["b"], d["c"]), r)))
 
-    def phi_val(d, r):
-        return phi_k(ModulusParams(d["a"], d["b"], d["c"]), 2.0, r), 5e-13
-
-    checks.append(CheckSpec(
-        id="mcorollary-phi", kind="derivative_match",
+    yield corollary(
+        id="mcorollary-phi",
         claim="In the a+b+1=2c family the modular function derivative has "
               "the closed form phi_K'(r) = (s/r)^(2c-1) (s'/r')^(2c) "
               "F(s^2)^2/(K F(r^2)^2); checked for K=2 against Richardson "
               "differences at 1e-6 relative.",
-        **_cases(cases, ("a", "b", "c")),
-        arg_grid=grid_r, tolerance=1e-6, fn=phi_val, fd_h=1e-4,
-        rhs=lambda d, r: (lambda e: (e.value, e.abs_err_est))(
-            phi_deriv_closed(ModulusParams(d["a"], d["b"], d["c"]), 2.0, r))))
-    return checks
+        fn=lambda d, r: (phi_k(ModulusParams(d["a"], d["b"], d["c"]), 2.0, r), 5e-13),
+        fd_h=1e-4,
+        rhs=lambda d, r: _pair(phi_deriv_closed(ModulusParams(d["a"], d["b"], d["c"]), 2.0, r)))
 
 
 def _mfunctions():
-    checks = []
-
     def slope_margin(d, r):
         z = r * r
         pt = MPoint(d["a"], d["b"], d["c"], z)
@@ -933,30 +851,25 @@ def _mfunctions():
         v = mv.value - 2.0 * z * md.value - (d["c"] - d["a"]) * d["a"]
         return v, mv.abs_err_est + 2.0 * z * md.abs_err_est
 
-    checks.append(CheckSpec(
+    yield _REDUCED(
         id="mfunctions-1", kind="inequality", strict=False,
         claim="For 0<a<c<=1, b=c-a: M(r^2) - 2 r^2 M'(r^2) >= (c-a)a on "
               "[0,1].",
-        param_grid=PG_AC, param_map=_map_reduced,
-        arg_grid=R33, tolerance=1e-9, fn=slope_margin))
+        fn=slope_margin)
 
     def f_inv(d, r):
         mv = _m_sym(d["a"], d["b"], d["c"], Modulus.from_r(r))
         v = r / mv.value - d["a"] * (d["c"] - d["a"]) * r
         return v, abs(r / mv.value) * (_rel(mv) + 1e-15)
 
-    checks.append(CheckSpec(
-        id="mfunctions-2", kind="monotone", direction=1,
+    yield _REDUCED(
+        id="mfunctions-2", direction=1,
         claim="For 0<a<c<=1, b=c-a: r/M(r^2) - a(c-a) r is increasing on "
               "[0,1] onto [0, B(a,b) - a(c-a)]. The r->1 deviation scales as "
               "(1-r^2)^c; attainment 0.05 with gap decay.",
-        param_grid=PG_AC, param_map=_map_reduced,
-        arg_grid=R33, tolerance=1e-9, fn=f_inv,
-        lo_limit=lambda d: 0.0,
+        fn=f_inv, lo_limit=lambda d: 0.0,
         hi_limit=lambda d: beta(d["a"], d["b"]).value - d["a"] * (d["c"] - d["a"]),
-        lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-7,
-        lo_attain=1e-3, hi_attain=0.05))
-    return checks
+        lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-7, hi_attain=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -972,171 +885,136 @@ def _ktheo():
     to far below the attainment tolerances but the solver stays clear of
     saturation for K up to 10.
     """
-    checks = []
-    pgrid = GridSpec((_FRAC_SMALL, _CVALS_SMALL, _KDIM))
-
-    def make(expr, degree=_k):
-        def fn(d, x):
-            m = q_modulus(x)
-            pm = modulus_params_ac(d["a"], d["c"])
-            pe = EllipticParams(d["a"], d["c"] - d["a"], d["c"])
-            return expr(pe, m, phi_k_m(pm, degree(d), m), d)
-        return fn
-
-    lo55 = lambda d: -55.0
-    hi55 = lambda d: 55.0
-
-    def ratio_r(pe, m, s, d):
-        v = s.r / m.r
-        return v, abs(v) * 1e-11
-
-    checks.append(CheckSpec(
-        id="ktheo-1", kind="monotone", direction=-1,
-        claim="For 0<a<c<=1, K>1, s=phi_K(r): s/r is strictly decreasing in "
-              "r on (0,1) onto (1, infinity). Argument is x=log(r^2/r'^2).",
-        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
-        fn=make(ratio_r), lo_limit=lambda d: INF, hi_limit=lambda d: 1.0,
-        lo_probe=lo55, hi_probe=hi55, hi_attain=2e-3))
-
-    def ratio_rc(pe, m, s, d):
-        v = s.r_comp / m.r_comp
-        return v, abs(v) * 1e-11
-
+    ktheo = functools.partial(
+        CheckSpec, kind="monotone", param_grid=GridSpec((_FRAC_SMALL, _CVALS_SMALL, _KDIM)),
+        param_map=_map_reduced, arg_grid=X17K,
+        lo_probe=lambda d: -55.0, hi_probe=lambda d: 55.0)
     # the slow ends of ktheo-2/5/7/12 deviate like e^(R(1-1/K)) r^(2/K),
     # ~1e-3 only once x = K log(r^2) reaches -160; the solver tolerates
     # that easily (the solution modulus sits at moderate logit there).
     lo160 = lambda d: -160.0
     hi160 = lambda d: 160.0
 
-    checks.append(CheckSpec(
-        id="ktheo-2", kind="monotone", direction=-1,
+    def ratio_r(pe, m, s, d):
+        v = s.r / m.r
+        return v, abs(v) * 1e-11
+
+    yield ktheo(
+        id="ktheo-1", direction=-1,
+        claim="For 0<a<c<=1, K>1, s=phi_K(r): s/r is strictly decreasing in "
+              "r on (0,1) onto (1, infinity). Argument is x=log(r^2/r'^2).",
+        fn=_phi_at(ratio_r), lo_limit=lambda d: INF, hi_limit=lambda d: 1.0,
+        hi_attain=2e-3)
+
+    def ratio_rc(pe, m, s, d):
+        v = s.r_comp / m.r_comp
+        return v, abs(v) * 1e-11
+
+    yield ktheo(
+        id="ktheo-2", direction=-1,
         claim="s'/r' is strictly decreasing on (0,1) onto (0,1); the r->1 "
               "end decays like r'^(K-1) and is judged by gap decay, while "
               "the r->0 deviation ~ e^(R(1-1/K)) r^(2/K) needs the probe at "
               "x=-160.",
-        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
-        fn=make(ratio_rc), lo_limit=lambda d: 1.0, hi_limit=lambda d: 0.0,
-        lo_probe=lo160, hi_probe=hi55, lo_attain=2e-3, hi_attain=1e-3))
+        fn=_phi_at(ratio_rc), lo_limit=lambda d: 1.0, hi_limit=lambda d: 0.0,
+        lo_probe=lo160, lo_attain=2e-3)
 
     def ratio_k(pe, m, s, d):
         return _q(ell_k(pe, s), ell_k(pe, m))
 
-    checks.append(CheckSpec(
-        id="ktheo-3", kind="monotone", direction=1,
+    yield ktheo(
+        id="ktheo-3", direction=1,
         claim="K(s)/K(r) is strictly increasing on (0,1) onto (1, K); the "
               "K endpoint is 1/log-slow on float grids but exact in the "
               "deep-asymptotic probe at x=55 (attainment 0.02).",
-        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
-        fn=make(ratio_k), lo_limit=lambda d: 1.0, hi_limit=lambda d: d["K"],
-        lo_probe=lo55, hi_probe=hi55, lo_attain=2e-3, hi_attain=0.02))
+        fn=_phi_at(ratio_k), lo_limit=lambda d: 1.0, hi_limit=lambda d: d["K"],
+        lo_attain=2e-3, hi_attain=0.02)
 
     def ratio_kc(pe, m, s, d):
         return _q(ell_k_comp(pe, s), ell_k_comp(pe, m))
 
-    checks.append(CheckSpec(
-        id="ktheo-4", kind="monotone", direction=1,
+    yield ktheo(
+        id="ktheo-4", direction=1,
         claim="K'(s)/K'(r) is strictly increasing on (0,1) onto (1/K, 1).",
-        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
-        fn=make(ratio_kc), lo_limit=lambda d: 1.0 / d["K"], hi_limit=lambda d: 1.0,
-        lo_probe=lo55, hi_probe=hi55, lo_attain=0.02, hi_attain=2e-3))
+        fn=_phi_at(ratio_kc), lo_limit=lambda d: 1.0 / d["K"], hi_limit=lambda d: 1.0,
+        lo_attain=0.02, hi_attain=2e-3)
 
     def weighted_k2(pe, m, s, d):
         ks, km = ell_k(pe, s), ell_k(pe, m)
         v = (s.r_comp * ks.value ** 2) / (m.r_comp * km.value ** 2)
         return v, abs(v) * (2.0 * _rel(ks) + 2.0 * _rel(km) + 1e-11)
 
-    checks.append(CheckSpec(
-        id="ktheo-5", kind="monotone", direction=-1,
+    yield ktheo(
+        id="ktheo-5", direction=-1,
         claim="s' K(s)^2 / (r' K(r)^2) is strictly decreasing on (0,1) onto "
               "(0,1); r->0 probed at x=-160 (deviation ~ r^(2/K)).",
-        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
-        fn=make(weighted_k2), lo_limit=lambda d: 1.0, hi_limit=lambda d: 0.0,
-        lo_probe=lo160, hi_probe=hi55, lo_attain=2e-3, hi_attain=1e-3))
+        fn=_phi_at(weighted_k2), lo_limit=lambda d: 1.0, hi_limit=lambda d: 0.0,
+        lo_probe=lo160, lo_attain=2e-3)
 
     def weighted_kc2(pe, m, s, d):
         ks, km = ell_k_comp(pe, s), ell_k_comp(pe, m)
         v = (s.r * ks.value ** 2) / (m.r * km.value ** 2)
         return v, abs(v) * (2.0 * _rel(ks) + 2.0 * _rel(km) + 1e-11)
 
-    checks.append(CheckSpec(
-        id="ktheo-6", kind="monotone", direction=-1,
+    yield ktheo(
+        id="ktheo-6", direction=-1,
         claim="s K'(s)^2 / (r K'(r)^2) is strictly decreasing on (0,1) onto "
               "(1, infinity).",
-        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
-        fn=make(weighted_kc2), lo_limit=lambda d: INF, hi_limit=lambda d: 1.0,
-        lo_probe=lo55, hi_probe=hi55, hi_attain=2e-3))
+        fn=_phi_at(weighted_kc2), lo_limit=lambda d: INF, hi_limit=lambda d: 1.0,
+        hi_attain=2e-3)
 
-    checks.append(CheckSpec(
-        id="ktheo-7", kind="monotone", direction=1,
+    yield ktheo(
+        id="ktheo-7", direction=1,
         claim="For t=phi_{1/K}(r): t/r is strictly increasing on (0,1) onto "
               "(0,1); the r->0 end decays like r^(K-1), judged by gap decay, "
               "and the r->1 deviation ~ r'^(2/K) needs the probe at x=160.",
-        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
-        fn=make(ratio_r, _inv_k), lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0,
-        lo_probe=lo55, hi_probe=hi160, lo_attain=1e-3, hi_attain=2e-3))
+        fn=_phi_at(ratio_r, _inv_k), lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0,
+        hi_probe=hi160, hi_attain=2e-3)
 
-    checks.append(CheckSpec(
-        id="ktheo-8", kind="monotone", direction=1,
+    yield ktheo(
+        id="ktheo-8", direction=1,
         claim="t'/r' is strictly increasing on (0,1) onto (1, infinity).",
-        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
-        fn=make(ratio_rc, _inv_k), lo_limit=lambda d: 1.0, hi_limit=lambda d: INF,
-        lo_probe=lo55, hi_probe=hi55, lo_attain=2e-3))
+        fn=_phi_at(ratio_rc, _inv_k), lo_limit=lambda d: 1.0, hi_limit=lambda d: INF,
+        lo_attain=2e-3)
 
-    checks.append(CheckSpec(
-        id="ktheo-9", kind="monotone", direction=-1,
+    yield ktheo(
+        id="ktheo-9", direction=-1,
         claim="K(t)/K(r) is strictly decreasing on (0,1) onto (1/K, 1).",
-        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
-        fn=make(ratio_k, _inv_k), lo_limit=lambda d: 1.0, hi_limit=lambda d: 1.0 / d["K"],
-        lo_probe=lo55, hi_probe=hi55, lo_attain=2e-3, hi_attain=0.02))
+        fn=_phi_at(ratio_k, _inv_k), lo_limit=lambda d: 1.0, hi_limit=lambda d: 1.0 / d["K"],
+        lo_attain=2e-3, hi_attain=0.02)
 
-    checks.append(CheckSpec(
-        id="ktheo-10", kind="monotone", direction=-1,
+    yield ktheo(
+        id="ktheo-10", direction=-1,
         claim="K'(t)/K'(r) is strictly decreasing on (0,1) onto (1, K).",
-        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
-        fn=make(ratio_kc, _inv_k), lo_limit=lambda d: d["K"], hi_limit=lambda d: 1.0,
-        lo_probe=lo55, hi_probe=hi55, lo_attain=0.02, hi_attain=2e-3))
+        fn=_phi_at(ratio_kc, _inv_k), lo_limit=lambda d: d["K"], hi_limit=lambda d: 1.0,
+        lo_attain=0.02, hi_attain=2e-3)
 
-    checks.append(CheckSpec(
-        id="ktheo-11", kind="monotone", direction=1,
+    yield ktheo(
+        id="ktheo-11", direction=1,
         claim="t' K(t)^2 / (r' K(r)^2) is strictly increasing on (0,1) onto "
               "(1, infinity).",
-        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
-        fn=make(weighted_k2, _inv_k), lo_limit=lambda d: 1.0, hi_limit=lambda d: INF,
-        lo_probe=lo55, hi_probe=hi55, lo_attain=2e-3))
+        fn=_phi_at(weighted_k2, _inv_k), lo_limit=lambda d: 1.0, hi_limit=lambda d: INF,
+        lo_attain=2e-3)
 
-    checks.append(CheckSpec(
-        id="ktheo-12", kind="monotone", direction=1,
+    yield ktheo(
+        id="ktheo-12", direction=1,
         claim="t K'(t)^2 / (r K'(r)^2) is strictly increasing on (0,1) onto "
               "(0,1); the r->0 end is judged by gap decay, the r->1 end "
               "probed at x=160 (deviation ~ r'^(2/K)).",
-        param_grid=pgrid, param_map=_map_reduced, arg_grid=X17K, tolerance=1e-9,
-        fn=make(weighted_kc2, _inv_k), lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0,
-        lo_probe=lo55, hi_probe=hi160, lo_attain=1e-3, hi_attain=2e-3))
-    return checks
+        fn=_phi_at(weighted_kc2, _inv_k), lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0,
+        hi_probe=hi160, hi_attain=2e-3)
 
 
 def _mufunc():
-    checks = []
-
-    def g1(d, r):
-        e = mu_deriv(_mp(d), r)
-        return (1.0 - r) * e.value, (1.0 - r) * e.abs_err_est
-
-    checks.append(CheckSpec(
-        id="mufunc-1", kind="monotone", direction=1,
+    yield _REDUCED(
+        id="mufunc-1", direction=1,
         claim="For 0<a<c<=1: (1-r) mu'(r) is increasing on (0,1).",
-        param_grid=PG_AC, param_map=_map_reduced,
-        arg_grid=R33, tolerance=1e-9, fn=g1))
+        fn=lambda d, r: _times(1.0 - r, mu_deriv(_mp(d), r)))
 
-    def g2(d, r):
-        e = mu_deriv(_mp(d), r)
-        return r * e.value, r * e.abs_err_est
-
-    checks.append(CheckSpec(
-        id="mufunc-2", kind="monotone", direction=-1,
+    yield _REDUCED(
+        id="mufunc-2", direction=-1,
         claim="For 0<a<c<=1: r mu'(r) is decreasing on (0,1).",
-        param_grid=PG_AC, param_map=_map_reduced,
-        arg_grid=R33, tolerance=1e-9, fn=g2))
+        fn=lambda d, r: _times(r, mu_deriv(_mp(d), r)))
 
     mid_cases = ((0.3, 0.8), (0.5, 1.0), (0.2, 0.4))
 
@@ -1151,21 +1029,20 @@ def _mufunc():
         margin = min(mean - left, right - mean)
         return margin, 1e-12 * (1.0 + abs(mean))
 
-    checks.append(CheckSpec(
+    yield CheckSpec(
         id="mufunc-3", kind="inequality",
         claim="For 0<a<c<=1 and u,t in (0,1): mu(1-sqrt((1-u)(1-t))) <= "
               "(mu(u)+mu(t))/2 <= mu(sqrt(ut)), strictly unless u=t; checked "
               "at 200 seeded pairs with |u-t| > 1e-3.",
         **_cases(mid_cases, ("a", "c")),
-        arg_grid=GridSpec((GridDim("i", 0.0, 199.0, 200, "linear"),)),
-        tolerance=1e-9, fn=midpoint_margin))
-    return checks
+        arg_grid=GridSpec((GridDim("i", 0.0, 199.0, 200, "linear"),)), fn=midpoint_margin)
 
 
 def _phiperr():
-    checks = []
     ac_cases = ((0.3, 0.8), (0.5, 1.0), (0.7, 0.9))
-    ac_k = _cases(ac_cases, ("a", "c"), _KDIM)
+    power_ratio = functools.partial(
+        CheckSpec, kind="monotone", **_cases(ac_cases, ("a", "c"), _KDIM), arg_grid=X17,
+        hi_limit=lambda d: 1.0, lo_attain=0.05)
 
     def f_over_power(d, x):
         m = q_modulus(x)
@@ -1173,18 +1050,16 @@ def _phiperr():
         v = math.exp(_log_r(s) - _log_r(m) / d["K"])
         return v, abs(v) * 1e-10
 
-    checks.append(CheckSpec(
-        id="phiperr-1", kind="monotone", direction=-1,
+    yield power_ratio(
+        id="phiperr-1", direction=-1,
         claim="For 0<a<c<=1, K>1: phi_K(r)/r^(1/K) is strictly decreasing on "
               "(0,1] onto [1, exp((1-1/K) R(a,c-a)/2)); hence r^(1/K) < "
               "phi_K(r) < e^((1-1/K)R/2) r^(1/K). Argument x=log(r^2/r'^2); "
               "the r->0 limit is probed at x=-200 (corrections O(r^(2/K))).",
-        **ac_k, arg_grid=X17, tolerance=1e-9, fn=f_over_power,
+        fn=f_over_power,
         lo_limit=lambda d: math.exp((1.0 - 1.0 / d["K"]) * 0.5
                                     * ramanujan_r(d["a"], d["c"] - d["a"]).value),
-        hi_limit=lambda d: 1.0,
-        lo_probe=lambda d: -200.0, hi_probe=lambda d: 58.0,
-        lo_attain=0.05, hi_attain=1e-3))
+        lo_probe=lambda d: -200.0, hi_probe=lambda d: 58.0)
 
     def g_over_power(d, x):
         m = q_modulus(x)
@@ -1192,26 +1067,24 @@ def _phiperr():
         v = math.exp(_log_r(t) - d["K"] * _log_r(m))
         return v, abs(v) * 1e-10
 
-    checks.append(CheckSpec(
-        id="phiperr-2", kind="monotone", direction=1,
+    yield power_ratio(
+        id="phiperr-2", direction=1,
         claim="For 0<a<c<=1, K>1: phi_{1/K}(r)/r^K is strictly increasing on "
               "(0,1] onto (exp((1-K) R(a,c-a)/2), 1]. The r->0 probe sits at "
               "x=-58 (solver saturation bound for K=10); corrections there "
               "are O(exp(-29 K)).",
-        **ac_k, arg_grid=X17, tolerance=1e-9, fn=g_over_power,
+        fn=g_over_power,
         lo_limit=lambda d: math.exp((1.0 - d["K"]) * 0.5
                                     * ramanujan_r(d["a"], d["c"] - d["a"]).value),
-        hi_limit=lambda d: 1.0,
-        lo_probe=lambda d: -58.0, hi_probe=lambda d: 200.0,
-        lo_attain=0.05, hi_attain=1e-3))
-    return checks
+        lo_probe=lambda d: -58.0, hi_probe=lambda d: 200.0)
 
 
 def _funcineq():
-    checks = []
     ac_cases = ((0.3, 0.8), (0.5, 1.0), (0.7, 0.9))
-    ac_k = _cases(ac_cases, ("a", "c"), _KDIM3)
-    r_grid = GridSpec((GridDim("r", 0.05, 0.95, 21, "linear"),))
+    on_ac_k = functools.partial(CheckSpec, **_cases(ac_cases, ("a", "c"), _KDIM3))
+    on_r = functools.partial(on_ac_k, arg_grid=GridSpec((GridDim("r", 0.05, 0.95, 21, "linear"),)))
+    on_x = functools.partial(on_ac_k, arg_grid=GridSpec((GridDim("x", 0.01, 20.0, 25, "log"),)))
+    on_pairs = functools.partial(on_ac_k, kind="inequality", arg_grid=I80)
 
     def log_phi(d, m):
         s = phi_k_m(modulus_params_ac(d["a"], d["c"]), d["K"], m)
@@ -1224,251 +1097,204 @@ def _funcineq():
     # to |log r| at both ends.
     _LOGPHI_REL = 1e-9
 
-    def f1(d, r):
-        m = Modulus.from_r_comp(r)
-        v = log_phi(d, m)
-        return v, abs(v) * _LOGPHI_REL + 1e-300
+    def log_phi_at(modulus):
+        """log phi_K at the modulus `modulus(x)`, with its error."""
+        def fn(d, x):
+            v = log_phi(d, modulus(x))
+            return v, abs(v) * _LOGPHI_REL + 1e-300
+        return fn
 
-    checks.append(CheckSpec(
+    def gap(d, mid, u, t):
+        """The log-concavity gap 2 log phi_K(mid) - log phi_K(u) - log phi_K(t)
+        at three moduli, with its error."""
+        la, lb, lc = log_phi(d, mid), log_phi(d, u), log_phi(d, t)
+        return 2.0 * la - lb - lc, _LOGPHI_REL * (2.0 * abs(la) + abs(lb) + abs(lc)) + 1e-300
+
+    def smaller(g1, g2):
+        return g1 if g1[0] <= g2[0] else g2
+
+    f1 = log_phi_at(Modulus.from_r_comp)
+
+    yield on_r(
         id="funcineq1-1-mono", kind="monotone", direction=-1,
         claim="For 0<a<c<=1, K>1: f1(r)=log phi_K(r') is decreasing on (0,1).",
-        **ac_k, arg_grid=r_grid,
-        tolerance=1e-9, fn=f1))
+        fn=f1)
 
-    checks.append(CheckSpec(
+    yield on_r(
         id="funcineq1-1-concave", kind="convex_concave", direction=-1,
         claim="f1(r)=log phi_K(r') is concave on (0,1).",
-        **ac_k, arg_grid=r_grid,
-        tolerance=1e-9, fn=f1))
+        fn=f1)
 
     def f1_products(d, i):
         u, t = _seeded_pairs(11, 80, 0.05, 0.95, 1e-3)[int(round(i))]
         # display 1: phi_K(u')phi_K(t') <= phi_K(sqrt(1-((u+t)/2)^2))^2
-        la = log_phi(d, Modulus.from_r_comp(0.5 * (u + t)))
-        lb = log_phi(d, Modulus.from_r_comp(u))
-        lc = log_phi(d, Modulus.from_r_comp(t))
-        m1 = 2.0 * la - lb - lc
-        e1 = _LOGPHI_REL * (2.0 * abs(la) + abs(lb) + abs(lc))
+        g1 = gap(d, Modulus.from_r_comp(0.5 * (u + t)),
+                 Modulus.from_r_comp(u), Modulus.from_r_comp(t))
         # display 2: phi_K(u)phi_K(t) <= phi_K(sqrt(1-sqrt((1-u^2)(1-t^2))))^2
         g = math.sqrt((1.0 - u * u) * (1.0 - t * t))
-        mid = Modulus(math.sqrt(1.0 - g), math.sqrt(g))
-        ld = log_phi(d, mid)
-        le = log_phi(d, Modulus.from_r(u))
-        lf = log_phi(d, Modulus.from_r(t))
-        m2 = 2.0 * ld - le - lf
-        e2 = _LOGPHI_REL * (2.0 * abs(ld) + abs(le) + abs(lf))
-        return (m1, e1 + 1e-300) if m1 <= m2 else (m2, e2 + 1e-300)
+        g2 = gap(d, Modulus(math.sqrt(1.0 - g), math.sqrt(g)),
+                 Modulus.from_r(u), Modulus.from_r(t))
+        return smaller(g1, g2)
 
-    checks.append(CheckSpec(
-        id="funcineq1-1-products", kind="inequality",
+    yield on_pairs(
+        id="funcineq1-1-products",
         claim="Consequences of the concavity of log phi_K(r'): "
               "phi_K(u')phi_K(t') <= phi_K(sqrt(1-((u+t)/2)^2))^2 and "
               "phi_K(u)phi_K(t) <= phi_K(sqrt(1-sqrt((1-u^2)(1-t^2))))^2, "
               "with equality iff u=t; 80 seeded pairs, margins in log scale.",
-        **ac_k, arg_grid=GridSpec((GridDim("i", 0.0, 79.0, 80, "linear"),)),
-        tolerance=1e-9, fn=f1_products))
+        fn=f1_products)
 
-    def f2(d, r):
-        m = Modulus.from_r(1.0 - r * r)
-        v = log_phi(d, m)
-        return v, abs(v) * _LOGPHI_REL + 1e-300
+    f2 = log_phi_at(lambda r: Modulus.from_r(1.0 - r * r))
 
-    checks.append(CheckSpec(
+    yield on_r(
         id="funcineq1-2-mono", kind="monotone", direction=-1,
         claim="f2(r)=log phi_K(r'^2) is decreasing on (0,1) (argument here "
               "is the modulus value 1-r^2 itself, not its square root).",
-        **ac_k, arg_grid=r_grid,
-        tolerance=1e-9, fn=f2))
+        fn=f2)
 
-    checks.append(CheckSpec(
+    yield on_r(
         id="funcineq1-2-concave", kind="convex_concave", direction=-1,
         claim="f2(r)=log phi_K(r'^2) is concave on (0,1).",
-        **ac_k, arg_grid=r_grid,
-        tolerance=1e-9, fn=f2))
+        fn=f2)
 
     def f2_product(d, i):
         u, t = _seeded_pairs(13, 80, 0.05, 0.95, 1e-3)[int(round(i))]
         mean = 0.5 * (u + t)
-        la = log_phi(d, Modulus.from_r(1.0 - mean * mean))
-        lb = log_phi(d, Modulus.from_r(1.0 - u * u))
-        lc = log_phi(d, Modulus.from_r(1.0 - t * t))
-        m1 = 2.0 * la - lb - lc
-        e1 = _LOGPHI_REL * (2.0 * abs(la) + abs(lb) + abs(lc))
-        return m1, e1 + 1e-300
+        return gap(d, Modulus.from_r(1.0 - mean * mean),
+                   Modulus.from_r(1.0 - u * u), Modulus.from_r(1.0 - t * t))
 
-    checks.append(CheckSpec(
-        id="funcineq1-2-product-first", kind="inequality",
+    yield on_pairs(
+        id="funcineq1-2-product-first",
         claim="Consequence of the concavity of log phi_K(r'^2): "
               "phi_K(u'^2)phi_K(t'^2) <= phi_K(1-((u+t)/2)^2)^2, equality "
               "iff u=t; 80 seeded pairs, log-scale margins.",
-        **ac_k, arg_grid=GridSpec((GridDim("i", 0.0, 79.0, 80, "linear"),)),
-        tolerance=1e-9, fn=f2_product))
+        fn=f2_product)
 
     def f2_printed(d, i):
         u, t = _seeded_pairs(13, 80, 0.05, 0.95, 1e-3)[int(round(i))]
         g = math.sqrt((1.0 - u * u) * (1.0 - t * t))
-        la = log_phi(d, Modulus.from_r(1.0 - g))
-        lb = log_phi(d, Modulus.from_r(u))
-        lc = log_phi(d, Modulus.from_r(t))
-        m2 = 2.0 * la - lb - lc
-        e2 = _LOGPHI_REL * (2.0 * abs(la) + abs(lb) + abs(lc))
-        return m2, e2 + 1e-300
+        return gap(d, Modulus.from_r(1.0 - g), Modulus.from_r(u), Modulus.from_r(t))
 
-    checks.append(CheckSpec(
-        id="funcineq1-2-printed", kind="inequality", gating=False,
+    yield on_pairs(
+        id="funcineq1-2-printed", gating=False,
         claim="Erratum record (non-gating, expected to fail): the companion "
               "display phi_K(u)phi_K(t) <= phi_K(1-sqrt((1-u^2)(1-t^2)))^2 "
               "is false as printed; e.g. u=0.3, t=0.35 in the classical "
               "case K=2 violates it. The true consequence of the concavity "
               "of log phi_K(r'^2) is the 'product-first' form checked "
               "separately.",
-        **ac_k, arg_grid=GridSpec((GridDim("i", 0.0, 79.0, 80, "linear"),)),
-        tolerance=1e-9, fn=f2_printed))
+        fn=f2_printed)
 
-    x_grid = GridSpec((GridDim("x", 0.01, 20.0, 25, "log"),))
+    f3 = log_phi_at(lambda x: Modulus.from_r(-math.expm1(-x)))
 
-    def f3(d, x):
-        m = Modulus.from_r(-math.expm1(-x))
-        v = log_phi(d, m)
-        return v, abs(v) * _LOGPHI_REL + 1e-300
-
-    checks.append(CheckSpec(
+    yield on_x(
         id="funcineq1-3-mono", kind="monotone", direction=1,
         claim="f3(x)=log phi_K(1-e^(-x)) is increasing on (0, infinity).",
-        **ac_k, arg_grid=x_grid,
-        tolerance=1e-9, fn=f3))
+        fn=f3)
 
-    checks.append(CheckSpec(
+    yield on_x(
         id="funcineq1-3-concave", kind="convex_concave", direction=-1,
         claim="f3(x)=log phi_K(1-e^(-x)) is concave on (0, infinity).",
-        **ac_k, arg_grid=x_grid,
-        tolerance=1e-9, fn=f3))
+        fn=f3)
 
     def f3_products(d, i):
         u, t = _seeded_pairs(17, 80, 0.05, 0.95, 1e-3)[int(round(i))]
-        la = log_phi(d, Modulus.from_r(1.0 - math.sqrt(u * t)))
-        lb = log_phi(d, Modulus.from_r(1.0 - u))
-        lc = log_phi(d, Modulus.from_r(1.0 - t))
-        m1 = 2.0 * la - lb - lc
-        e1 = _LOGPHI_REL * (2.0 * abs(la) + abs(lb) + abs(lc))
-        ld = log_phi(d, Modulus.from_r(1.0 - math.sqrt((1.0 - u) * (1.0 - t))))
-        le = log_phi(d, Modulus.from_r(u))
-        lf = log_phi(d, Modulus.from_r(t))
-        m2 = 2.0 * ld - le - lf
-        e2 = _LOGPHI_REL * (2.0 * abs(ld) + abs(le) + abs(lf))
-        return (m1, e1 + 1e-300) if m1 <= m2 else (m2, e2 + 1e-300)
+        g1 = gap(d, Modulus.from_r(1.0 - math.sqrt(u * t)),
+                 Modulus.from_r(1.0 - u), Modulus.from_r(1.0 - t))
+        g2 = gap(d, Modulus.from_r(1.0 - math.sqrt((1.0 - u) * (1.0 - t))),
+                 Modulus.from_r(u), Modulus.from_r(t))
+        return smaller(g1, g2)
 
-    checks.append(CheckSpec(
-        id="funcineq1-3-products", kind="inequality",
+    yield on_pairs(
+        id="funcineq1-3-products",
         claim="Consequences of the concavity of log phi_K(1-e^(-x)): "
               "phi_K(1-u)phi_K(1-t) <= phi_K(1-sqrt(ut))^2 and "
               "phi_K(u)phi_K(t) <= phi_K(1-sqrt((1-u)(1-t)))^2, equality iff "
               "u=t; 80 seeded pairs, log-scale margins.",
-        **ac_k, arg_grid=GridSpec((GridDim("i", 0.0, 79.0, 80, "linear"),)),
-        tolerance=1e-9, fn=f3_products))
-    return checks
+        fn=f3_products)
 
 
 def _linconj():
-    checks = []
     ac_cases = ((0.3, 0.8), (0.5, 1.0), (0.7, 0.9))
-    ac_k = _cases(ac_cases, ("a", "c"), _KDIM3)
-    x_grid = GridSpec((GridDim("x", -20.0, 20.0, 41, "linear"),))
+    linear_bound = functools.partial(
+        CheckSpec, kind="inequality", **_cases(ac_cases, ("a", "c"), _KDIM3),
+        arg_grid=GridSpec((GridDim("x", -20.0, 20.0, 41, "linear"),)))
 
     def g_margin(d, x):
         val = phi_logodds(modulus_params_ac(d["a"], d["c"]), d["K"], x)
         bound = d["K"] * x if x >= 0.0 else x / d["K"]
         return val - bound, 1e-9
 
-    checks.append(CheckSpec(
-        id="linconj-g", kind="inequality",
+    yield linear_bound(
+        id="linconj-g",
         claim="With p(x)=2 log(x/x'), q(x)=sqrt(e^x/(e^x+1)): the map "
               "g(x)=p(phi_K(q(x))) satisfies g(x) >= Kx for x >= 0 and "
               "g(x) >= x/K for x < 0.",
-        **ac_k, arg_grid=x_grid,
-        tolerance=1e-9, fn=g_margin))
+        fn=g_margin)
 
     def h_margin(d, x):
         val = phi_logodds(modulus_params_ac(d["a"], d["c"]), _inv_k(d), x)
         bound = x / d["K"] if x >= 0.0 else d["K"] * x
         return bound - val, 1e-9
 
-    checks.append(CheckSpec(
-        id="linconj-h", kind="inequality",
+    yield linear_bound(
+        id="linconj-h",
         claim="The map h(x)=p(phi_{1/K}(q(x))) satisfies h(x) <= x/K for "
               "x >= 0 and h(x) <= Kx for x < 0.",
-        **ac_k, arg_grid=x_grid,
-        tolerance=1e-9, fn=h_margin))
-    return checks
+        fn=h_margin)
 
 
 # ---------------------------------------------------------------------------
 # section: dependence on the c parameter
 
 def _cdependence():
-    checks = []
     ab_cases = ((0.3, 0.8), (0.5, 1.0), (0.2, 0.4), (0.7, 2.5), (1.5, 4.0))
 
     def b_of_t(d, t):
         p = pab(d["a"], d["c"], t)
         return p.B_t, 4e-15 * (1.0 + abs(p.P))
 
-    checks.append(CheckSpec(
+    yield CheckSpec(
         id="ambm-1", kind="monotone", direction=1,
         claim="For 0<a<c: B(t) = P(a,c,t) - P(a,c,0) with "
               "P = psi(c-a+t) - psi(c+t) is strictly increasing in t >= 0, "
               "zero exactly at t=0, with limit psi(c)-psi(c-a) as t->inf "
               "(probed at t=1e5).",
         **_cases(ab_cases, ("a", "c")),
-        arg_grid=GridSpec((GridDim("t", 0.0, 6.0, 25, "linear"),)),
-        tolerance=1e-9, fn=b_of_t,
+        arg_grid=GridSpec((GridDim("t", 0.0, 6.0, 25, "linear"),)), fn=b_of_t,
         lo_limit=lambda d: 0.0,
         hi_limit=lambda d: digamma(d["c"]).value - digamma(d["c"] - d["a"]).value,
-        lo_probe=lambda d: 0.0, hi_probe=lambda d: 1e5,
-        lo_attain=1e-12, hi_attain=1e-3))
+        lo_probe=lambda d: 0.0, hi_probe=lambda d: 1e5, lo_attain=1e-12)
 
     at_cases = ((0.3, 0.5), (0.3, 2.0), (0.5, 1.0), (0.5, 10.0), (0.8, 4.0))
-
-    def a_of_c(d, c):
-        return pab(d["a"], c, d["t"]).A, 1e-13
-
-    checks.append(CheckSpec(
+    yield CheckSpec(
         id="ambm-2", kind="derivative_match",
         claim="For the Pochhammer ratio A(c) = (c-a,t)/(c,t): "
               "dA/dc = A(c) B(t), checked against Richardson differences at "
               "1e-6 relative.",
         **_cases(at_cases, ("a", "t")),
-        arg_grid=GridSpec((GridDim("c", 1.0, 5.0, 9, "log"),)),
-        tolerance=1e-6, fn=a_of_c, fd_h=1e-5,
-        rhs=lambda d, c: (lambda p: (p.A * p.B_t, 0.0))(pab(d["a"], c, d["t"]))))
+        arg_grid=GridSpec((GridDim("c", 1.0, 5.0, 9, "log"),)), tolerance=1e-6,
+        fn=lambda d, c: (pab(d["a"], c, d["t"]).A, 1e-13),
+        rhs=lambda d, c: (lambda p: (p.A * p.B_t, 0.0))(pab(d["a"], c, d["t"])))
 
+    # c -> F(c) over c in (a, infinity)
+    in_c = functools.partial(CheckSpec, kind="monotone",
+                             arg_grid=GridSpec((GridDim("c", 0.7, 10.0, 33, "log"),)))
     mu_cases = ((0.3, 0.2), (0.3, 0.5), (0.3, 0.8), (0.6, 0.2), (0.6, 0.5), (0.6, 0.8))
-
-    def mu_of_c(d, c):
-        e = mu(modulus_params_ac(d["a"], c), d["r"])
-        return e.value, e.abs_err_est
-
-    checks.append(CheckSpec(
-        id="mudepc", kind="monotone", direction=-1,
+    yield in_c(
+        id="mudepc", direction=-1,
         claim="For a>0 and r in (0,1): c -> mu_{a,c}(r) is strictly "
               "decreasing on (a, infinity) onto (0, infinity). The c->inf "
               "decay is c^(-a) (slow); far probe at the c=45 parameter cap "
               "with decay factor 0.75; c->a+ divergence probed at a+1e-5.",
         **_cases(mu_cases, ("a", "r")),
-        arg_grid=GridSpec((GridDim("c", 0.7, 10.0, 33, "log"),)),
-        tolerance=1e-9, fn=mu_of_c,
+        fn=lambda d, c: _pair(mu(modulus_params_ac(d["a"], c), d["r"])),
         lo_limit=lambda d: INF, hi_limit=lambda d: 0.0,
-        lo_probe=lambda d: d["a"] + 1e-5, hi_probe=lambda d: 45.0,
-        hi_attain=1e-3, decay_factor=0.75))
+        lo_probe=lambda d: d["a"] + 1e-5, hi_probe=lambda d: 45.0, decay_factor=0.75)
 
     inv_cases = ((0.3, 0.5), (0.3, 2.0), (0.6, 0.5), (0.6, 2.0))
-
-    def inv_logit(d, c):
-        m = mu_inv_m(modulus_params_ac(d["a"], c), d["y"])
-        return p_logit(m), 1e-9
-
-    checks.append(CheckSpec(
-        id="imudpec", kind="monotone", direction=-1,
+    yield in_c(
+        id="imudpec", direction=-1,
         claim="For a,y>0: c -> inverse modulus mu_{a,c}^{-1}(y) is strictly "
               "decreasing on (a, infinity) onto (0,1); checked in log-odds "
               "of the squared modulus. The c->a+ end (value -> 1) is probed "
@@ -1477,15 +1303,17 @@ def _cdependence():
               "log-odds and cannot be certified below the c<=50 parameter "
               "cap; monotonicity on the grid still covers it.",
         **_cases(inv_cases, ("a", "y")),
-        arg_grid=GridSpec((GridDim("c", 0.7, 10.0, 33, "log"),)),
-        tolerance=1e-9, fn=inv_logit,
-        lo_limit=lambda d: INF, lo_probe=lambda d: d["a"] + 0.05))
+        fn=lambda d, c: (p_logit(mu_inv_m(modulus_params_ac(d["a"], c), d["y"])), 1e-9),
+        lo_limit=lambda d: INF, lo_probe=lambda d: d["a"] + 0.05)
 
     ph_cases = ((0.3, 0.3), (0.3, 0.7), (0.5, 0.5))
     # K capped at 5 here: the c -> a+ probe needs log(1/phi) ~ K (B/2)^2
     # worth of logit range and K=10 would push the solver past saturation
     # at the probe's b = 0.01.
-    ar_k = _cases(ph_cases, ("a", "r"), _dim("K", 2.0, 5.0))
+    phidepc = functools.partial(
+        CheckSpec, kind="monotone", **_cases(ph_cases, ("a", "r"), _dim("K", 2.0, 5.0)),
+        arg_grid=GridSpec((GridDim("c", 0.52, 1.0, 17, "linear"),)),
+        lo_probe=lambda d: d["a"] + 0.01)
 
     def phi_logit_c(degree):
         def fn(d, c):
@@ -1493,28 +1321,28 @@ def _cdependence():
             return p_logit(phi_k_m(modulus_params_ac(d["a"], c), degree(d), m)), 1e-9
         return fn
 
-    checks.append(CheckSpec(
-        id="phidepc-k", kind="monotone", direction=-1,
+    yield phidepc(
+        id="phidepc-k", direction=-1,
         claim="For a,r in (0,1), K>1: c -> phi_K^{a,c}(r) is strictly "
               "decreasing on (a,1] onto [phi_K^{a,1}(r), 1); checked in "
               "log-odds for K in {2,5}. The c->a+ divergence is probed at "
               "c=a+0.01 (K=10 would saturate the solver there); the closed "
               "end c=1 lies on the grid.",
-        **ar_k, arg_grid=GridSpec((GridDim("c", 0.52, 1.0, 17, "linear"),)),
-        tolerance=1e-9, fn=phi_logit_c(_k),
-        lo_limit=lambda d: INF, lo_probe=lambda d: d["a"] + 0.01))
+        fn=phi_logit_c(_k), lo_limit=lambda d: INF)
 
-    checks.append(CheckSpec(
-        id="phidepc-invk", kind="monotone", direction=1,
+    yield phidepc(
+        id="phidepc-invk", direction=1,
         claim="For a,r in (0,1), K>1: c -> phi_{1/K}^{a,c}(r) is strictly "
               "increasing on (a,1] onto (0, phi_{1/K}^{a,1}(r)]; checked in "
               "log-odds for K in {2,5} with the c->a+ end (value -> 0) "
               "probed at c=a+0.01.",
-        **ar_k, arg_grid=GridSpec((GridDim("c", 0.52, 1.0, 17, "linear"),)),
-        tolerance=1e-9, fn=phi_logit_c(_inv_k),
-        lo_limit=lambda d: -INF, lo_probe=lambda d: d["a"] + 0.01))
+        fn=phi_logit_c(_inv_k), lo_limit=lambda d: -INF)
 
     keb_cases = ((0.3, 0.4), (0.5, 0.7), (0.7, 0.2))
+    thkeb = functools.partial(
+        in_c, direction=-1, **_cases(keb_cases, ("a", "r")),
+        arg_grid=GridSpec((GridDim("c", 0.75, 10.0, 33, "log"),)), hi_limit=lambda d: 0.0,
+        lo_probe=lambda d: d["a"] + 1e-4, hi_probe=lambda d: 45.0, decay_factor=0.75)
 
     def k_minus_halfb(d, c):
         a = d["a"]
@@ -1523,19 +1351,13 @@ def _cdependence():
         hb = 0.5 * math.exp(beta_ln(a, c - a))
         return k.value - hb, k.abs_err_est + 1e-14 * hb
 
-    checks.append(CheckSpec(
-        id="thkeb-f", kind="monotone", direction=-1,
+    yield thkeb(
+        id="thkeb-f",
         claim="For a, r in (0,1): c -> K_{a,c-a,c}(r) - B(a,c-a)/2 is "
               "strictly decreasing on (a, infinity), with limit log(1/r') "
               "as c->a+ (probed at c=a+1e-4, tolerance 1e-3) and 0 as "
               "c->inf (c^(-a) rate; far probe at c=45 with decay 0.75).",
-        **_cases(keb_cases, ("a", "r")),
-        arg_grid=GridSpec((GridDim("c", 0.75, 10.0, 33, "log"),)),
-        tolerance=1e-9, fn=k_minus_halfb,
-        lo_limit=lambda d: -math.log(math.sqrt(1.0 - d["r"] * d["r"])),
-        hi_limit=lambda d: 0.0,
-        lo_probe=lambda d: d["a"] + 1e-4, hi_probe=lambda d: 45.0,
-        lo_attain=1e-3, hi_attain=1e-3, decay_factor=0.75))
+        fn=k_minus_halfb, lo_limit=lambda d: -math.log(math.sqrt(1.0 - d["r"] * d["r"])))
 
     def halfb_minus_e(d, c):
         a = d["a"]
@@ -1554,29 +1376,26 @@ def _cdependence():
             term *= z
         return 0.5 * total + math.log(math.sqrt(1.0 - z))
 
-    checks.append(CheckSpec(
-        id="thkeb-g", kind="monotone", direction=-1,
+    yield thkeb(
+        id="thkeb-g",
         claim="For a, r in (0,1): c -> B(a,c-a)/2 - E_{a,c-a,c}(r) is "
               "strictly decreasing on (a, infinity), with limit "
               "(1/2) sum_{n>=1} r^(2n)/(a+n-1) - log(1/r') as c->a+ "
               "(500-term partial sum; truncation < 1e-150 for r <= 0.7) and "
               "0 as c->inf.",
-        **_cases(keb_cases, ("a", "r")),
-        arg_grid=GridSpec((GridDim("c", 0.75, 10.0, 33, "log"),)),
-        tolerance=1e-9, fn=halfb_minus_e,
-        lo_limit=keb_g_limit, hi_limit=lambda d: 0.0,
-        lo_probe=lambda d: d["a"] + 1e-4, hi_probe=lambda d: 45.0,
-        lo_attain=1e-3, hi_attain=1e-3, decay_factor=0.75))
-    return checks
+        fn=halfb_minus_e, lo_limit=keb_g_limit)
 
 
 # ---------------------------------------------------------------------------
 # section: conjectures (non-gating)
 
 def _conjectures():
-    checks = []
     ac_cases = ((0.3, 0.8), (0.5, 0.9), (0.7, 0.95))
-    red = _cases(tuple((a, c, c - a) for a, c in ac_cases), ("a", "c", "b"))
+    conj = functools.partial(CheckSpec, kind="monotone", gating=False, arg_grid=R33,
+                             lo_probe=lambda d: 1e-9)
+    conj1 = functools.partial(
+        conj, **_cases(tuple((a, c, c - a) for a, c in ac_cases), ("a", "c", "b")),
+        hi_probe=lambda d: 1.0 - 1e-7)
 
     def sqrt_r_over_m(d, r):
         m = Modulus.from_r(r)
@@ -1584,14 +1403,13 @@ def _conjectures():
         v = math.exp(0.5 * _log_r(m)) / mv.value
         return v, abs(v) * (_rel(mv) + 1e-15)
 
-    checks.append(CheckSpec(
-        id="conj-1a", kind="monotone", direction=1, gating=False,
+    yield conj1(
+        id="conj-1a", direction=1,
         claim="Conjecture: for 0<a<c<1, b=c-a, sqrt(r)/M(r^2) is strictly "
               "increasing on (0,1) onto (0, B(a,b)).",
-        **red, arg_grid=R33, tolerance=1e-9, fn=sqrt_r_over_m,
+        fn=sqrt_r_over_m,
         lo_limit=lambda d: 0.0, hi_limit=lambda d: beta(d["a"], d["b"]).value,
-        lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-7,
-        lo_attain=1e-3, hi_attain=5e-3))
+        hi_attain=5e-3)
 
     def sqrt_rc_over_m(d, r):
         m = Modulus.from_r(r)
@@ -1599,85 +1417,70 @@ def _conjectures():
         v = math.exp(0.25 * math.log(m.z_comp)) / mv.value
         return v, abs(v) * (_rel(mv) + 1e-15)
 
-    checks.append(CheckSpec(
-        id="conj-1b", kind="monotone", direction=-1, gating=False,
+    yield conj1(
+        id="conj-1b", direction=-1,
         claim="Conjecture: for 0<a<c<1, b=c-a, sqrt(r')/M(r^2) is strictly "
               "decreasing on (0,1) onto (0, B(a,b)).",
-        **red, arg_grid=R33, tolerance=1e-9, fn=sqrt_rc_over_m,
+        fn=sqrt_rc_over_m,
         lo_limit=lambda d: beta(d["a"], d["b"]).value, hi_limit=lambda d: 0.0,
-        lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-7,
-        lo_attain=5e-3, hi_attain=1e-3))
+        lo_attain=5e-3)
 
-    ac_k = _cases(ac_cases, ("a", "c"), _KDIM3)
+    conj2 = functools.partial(conj, direction=-1, **_cases(ac_cases, ("a", "c"), _KDIM3),
+                              hi_probe=lambda d: 1.0 - 1e-9)
 
-    def make_conj(expr, **kw):
-        def fn(d, r):
-            m = Modulus.from_r(r)
-            pm = modulus_params_ac(d["a"], d["c"])
-            pe = EllipticParams(d["a"], d["c"] - d["a"], d["c"])
-            s = phi_k_m(pm, d["K"], m)
-            mv_r = _m_sym(d["a"], d["c"] - d["a"], d["c"], m)
-            mv_s = _m_sym(d["a"], d["c"] - d["a"], d["c"], s)
-            return expr(pe, m, s, mv_r, mv_s, d)
-        return fn
+    def with_m(expr):
+        """expr(pe, m, s, M(r^2), M(s^2)) with s = phi_K(r)."""
+        def of_phi(pe, m, s, d):
+            b = d["c"] - d["a"]
+            return expr(pe, m, s, _m_sym(d["a"], b, d["c"], m), _m_sym(d["a"], b, d["c"], s))
+        return _phi_at(of_phi, at_r=True)
 
-    def c2i(pe, m, s, mv_r, mv_s, d):
+    def c2i(pe, m, s, mv_r, mv_s):
         v = (s.r * mv_r.value) / (m.r * mv_s.value)
         return v, abs(v) * (_rel(mv_r) + _rel(mv_s) + 1e-10)
 
-    checks.append(CheckSpec(
-        id="conj-2-i", kind="monotone", direction=-1, gating=False,
+    yield conj2(
+        id="conj-2-i",
         claim="Conjecture: s M(r^2)/(r M(s^2)) with s=phi_K(r) is strictly "
               "decreasing on (0,1) onto (1, infinity).",
-        **ac_k, arg_grid=R33, tolerance=1e-9, fn=make_conj(c2i),
-        lo_limit=lambda d: INF, hi_limit=lambda d: 1.0,
-        lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-9,
-        hi_attain=5e-3))
+        fn=with_m(c2i), lo_limit=lambda d: INF, hi_limit=lambda d: 1.0, hi_attain=5e-3)
 
-    def c2ii(pe, m, s, mv_r, mv_s, d):
+    def c2ii(pe, m, s, mv_r, mv_s):
         v = (s.r_comp * mv_r.value) / (m.r_comp * mv_s.value)
         return v, abs(v) * (_rel(mv_r) + _rel(mv_s) + 1e-10)
 
-    checks.append(CheckSpec(
-        id="conj-2-ii", kind="monotone", direction=-1, gating=False,
+    yield conj2(
+        id="conj-2-ii",
         claim="Conjecture: s' M(r^2)/(r' M(s^2)) is strictly decreasing on "
               "(0,1) onto (0,1); the r->1 end decays like r'^(K-1), judged "
               "by gap decay.",
-        **ac_k, arg_grid=R33, tolerance=1e-9, fn=make_conj(c2ii),
-        lo_limit=lambda d: 1.0, hi_limit=lambda d: 0.0,
-        lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-9,
-        lo_attain=5e-3, hi_attain=1e-3))
+        fn=with_m(c2ii), lo_limit=lambda d: 1.0, hi_limit=lambda d: 0.0, lo_attain=5e-3)
 
-    def c2iii(pe, m, s, mv_r, mv_s, d):
+    def c2iii(pe, m, s, mv_r, mv_s):
         kr, ks = ell_k(pe, m), ell_k(pe, s)
         v = (kr.value * mv_r.value) / (ks.value * mv_s.value)
         return v, abs(v) * (_rel(kr) + _rel(ks) + _rel(mv_r) + _rel(mv_s) + 1e-10)
 
-    checks.append(CheckSpec(
-        id="conj-2-iii", kind="monotone", direction=-1, gating=False,
+    yield conj2(
+        id="conj-2-iii",
         claim="Conjecture: K(r) M(r^2)/(K(s) M(s^2)) is strictly decreasing "
               "on (0,1) onto (1/K, 1); 1/log upper endpoint, attainment "
               "0.05 with decay 0.6.",
-        **ac_k, arg_grid=R33, tolerance=1e-9, fn=make_conj(c2iii),
-        lo_limit=lambda d: 1.0, hi_limit=lambda d: 1.0 / d["K"],
-        lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-9,
-        lo_attain=5e-3, hi_attain=0.05, decay_factor=0.6))
+        fn=with_m(c2iii), lo_limit=lambda d: 1.0, hi_limit=lambda d: 1.0 / d["K"],
+        lo_attain=5e-3, hi_attain=0.05, decay_factor=0.6)
 
-    def c2iv(pe, m, s, mv_r, mv_s, d):
+    def c2iv(pe, m, s, mv_r, mv_s):
         kr, ks = ell_k_comp(pe, m), ell_k_comp(pe, s)
         v = (kr.value * mv_r.value) / (ks.value * mv_s.value)
         return v, abs(v) * (_rel(kr) + _rel(ks) + _rel(mv_r) + _rel(mv_s) + 1e-10)
 
-    checks.append(CheckSpec(
-        id="conj-2-iv", kind="monotone", direction=-1, gating=False,
+    yield conj2(
+        id="conj-2-iv",
         claim="Conjecture: K'(r) M(r^2)/(K'(s) M(s^2)) is strictly "
               "decreasing on (0,1) onto (1, K); 1/log lower endpoint, "
               "attainment 0.12 with decay 0.6.",
-        **ac_k, arg_grid=R33, tolerance=1e-9, fn=make_conj(c2iv),
-        lo_limit=lambda d: d["K"], hi_limit=lambda d: 1.0,
-        lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-9,
-        lo_attain=0.12, hi_attain=5e-3, decay_factor=0.6))
-    return checks
+        fn=with_m(c2iv), lo_limit=lambda d: d["K"], hi_limit=lambda d: 1.0,
+        lo_attain=0.12, hi_attain=5e-3, decay_factor=0.6)
 
 
 # ---------------------------------------------------------------------------

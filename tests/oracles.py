@@ -8,13 +8,19 @@ well past double precision.
 
 Run ``python3 tests/oracles.py`` to print the table of frozen constants
 used by the test modules; the tests compare against pasted decimal
-literals so nothing here executes during a normal pytest run.
+literals so none of these oracles executes during a normal pytest run.
+
+``DECLARATIONS`` is the one table read at test time: a digest of each
+verify check's declaration, which ``declaration_digests`` computes and
+``PYTHONPATH=src python3 tests/oracles.py --declarations`` prints.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import sys
 
 import mpmath as mp
 
@@ -292,6 +298,134 @@ def _print_near_balanced() -> None:
 
 
 # --------------------------------------------------------------------------
+# verify check declarations
+
+def declaration_digests() -> dict:
+    """Check id -> digest of what the check declares, in registry order.
+
+    Each digest covers the id, kind, direction, gating, strict, tolerance,
+    lo/hi_attain, decay_factor, fd_h and claim; which callables are set; the
+    points of the argument grid; and, at each combo of the parameter grid,
+    the combo, its ``param_map`` output and the two probes' values there.
+    Limits and ``fn`` are left out: they read the gamma and 2F1 kernels.
+    """
+    from genellip.verify import registry
+
+    out = {}
+    for spec in registry().values():
+        parts = [spec.id, spec.kind, spec.direction, spec.gating, spec.strict,
+                 spec.tolerance, spec.lo_attain, spec.hi_attain, spec.decay_factor,
+                 spec.fd_h, spec.claim,
+                 [name for name in ("fn", "rhs", "param_map", "lo_limit", "hi_limit",
+                                    "lo_probe", "hi_probe") if getattr(spec, name)],
+                 [[float(x) for x in dim.points()] for dim in spec.arg_grid.dims]]
+        for raw in spec.param_grid.combos():
+            d = spec.param_map(raw) if spec.param_map else raw
+            parts.append((raw, d))
+            if d is not None:
+                parts.append([probe(d) if probe else None
+                              for probe in (spec.lo_probe, spec.hi_probe)])
+        out[spec.id] = hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+    return out
+
+
+DECLARATIONS = {
+    "ekmonot-1": "9078bfa32cb3ab07",
+    "ekmonot-2": "ae37eac74abc5181",
+    "ekmonot-3": "669dabc3c33fd9fa",
+    "ekmonot-4": "0aea40c661158f7f",
+    "ekmonot-5": "294ead8725ecdf76",
+    "ekmonot-6": "0fac35a1af7addd1",
+    "ekmonot-7": "6fb12603d4fe4758",
+    "ekmonot2-1": "a03677e4fea1d220",
+    "ekmonot2-2": "8e891bf62066cc08",
+    "hyper-1": "e2242976ae1f8696",
+    "hyper-2": "89c59132490cedc9",
+    "hyper-3": "eb2151485e5d038e",
+    "sqrtk-1": "ef837f301bd5b427",
+    "sqrtk-1-sharp": "be7c3f81a37e0e19",
+    "sqrtk-2": "60ed6cb3f662d16c",
+    "sqrtk-2-sharp": "7c23cf35ef864013",
+    "logconvexke-1": "4d4dc9eb4bec1e76",
+    "logconvexke-2": "9aa2cbddc74088bf",
+    "mutheorem-1": "f8945e833d9fc498",
+    "mutheorem-2": "d57e2b2cd08b98e1",
+    "mutheorem-3": "0c1f6276926d11df",
+    "mutheorem-4": "728cd51fdddf1e67",
+    "mutheorem-5": "5f1444669beab35e",
+    "mutheorem-6": "754e8b7a7f947ef2",
+    "differentparams1": "1bff06e8e2926d89",
+    "diffparamscor-f": "f5f8533d3c1b0ca8",
+    "diffparamscor-g": "ef2bf4e0c354fdef",
+    "diffparamscor-h": "a3f078bf3d44d2b0",
+    "quotfdepc": "cc7284adb21e1eb6",
+    "mprop-1": "f124f00eee6a2656",
+    "mprop-2": "30464b4e094587df",
+    "mprop-3": "c4e668a1655b6ae4",
+    "mprop-4": "5640e18090b14d71",
+    "mprop-5": "32d4b6490600af88",
+    "mprop-6": "ee69e9296b56a3dc",
+    "mextra-1": "47074e3b77449ebf",
+    "mextra-2": "9f9d98c3d1b8ae01",
+    "mextra-3": "a67f1e34ee29fb58",
+    "mcorollary-mu": "16b5eb8758a0f6db",
+    "mcorollary-phi": "030503f41b178dfa",
+    "mfunctions-1": "23f13816b0cb269e",
+    "mfunctions-2": "9621ee5b646ee712",
+    "ktheo-1": "a0afa3c16ff44d2a",
+    "ktheo-2": "e7333aae15692049",
+    "ktheo-3": "a386dc0b47f65b7e",
+    "ktheo-4": "613d8d4e1ed62632",
+    "ktheo-5": "38fbd7fc2057007d",
+    "ktheo-6": "281c32eaf3919365",
+    "ktheo-7": "6a79d2f8e79a66e1",
+    "ktheo-8": "c53c00da8fd95ea9",
+    "ktheo-9": "8af01a400f6ba767",
+    "ktheo-10": "fe1d84eb03868e94",
+    "ktheo-11": "9904d44451519e86",
+    "ktheo-12": "fbccc325a9932100",
+    "mufunc-1": "7241cc3cb3f1b4e9",
+    "mufunc-2": "db5c0996cfc31990",
+    "mufunc-3": "8a09cf7f2800230a",
+    "phiperr-1": "da01cb5696d5da95",
+    "phiperr-2": "6b884f492ae8388f",
+    "funcineq1-1-mono": "049997dc61672840",
+    "funcineq1-1-concave": "c36bc87022387032",
+    "funcineq1-1-products": "94a1603af3e02fe7",
+    "funcineq1-2-mono": "3391b12d4888cde6",
+    "funcineq1-2-concave": "6a22552604bbc32a",
+    "funcineq1-2-product-first": "8115f4f5f47307ef",
+    "funcineq1-2-printed": "7b3297accad18390",
+    "funcineq1-3-mono": "b82605d1cca145a3",
+    "funcineq1-3-concave": "0b5ed6e4fee2cb21",
+    "funcineq1-3-products": "9097dac46fd5c8ad",
+    "linconj-g": "a91c2b84e015dc67",
+    "linconj-h": "d067839645ccce8c",
+    "ambm-1": "0b87abce04154494",
+    "ambm-2": "9e82ad88e7ac417a",
+    "mudepc": "e7151a693810c738",
+    "imudpec": "2e9129d0d7d829eb",
+    "phidepc-k": "7a92034108944e2b",
+    "phidepc-invk": "497622968f838a65",
+    "thkeb-f": "006e4bcd998aaca9",
+    "thkeb-g": "da6e6f093e2ddd7b",
+    "conj-1a": "d54cc69d5b3ace1e",
+    "conj-1b": "3d6968352101c7be",
+    "conj-2-i": "8c4cbcec6d3df741",
+    "conj-2-ii": "696ced0da4c8bcb0",
+    "conj-2-iii": "49ea5b958f5ca380",
+    "conj-2-iv": "01dcb34ba9f9d5ba",
+}
+
+
+def _print_declarations() -> None:
+    print("DECLARATIONS = {")
+    for cid, digest in declaration_digests().items():
+        print(f'    "{cid}": "{digest}",')
+    print("}")
+
+
+# --------------------------------------------------------------------------
 
 def _print(label: str, value) -> None:
     print(f"{label:34s} {mp.nstr(value, 25)}")
@@ -345,4 +479,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    if sys.argv[1:] == ["--declarations"]:
+        _print_declarations()
+    else:
+        main()

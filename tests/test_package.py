@@ -218,6 +218,22 @@ def test_calls_that_crashed_raise_package_errors():
         genellip.m_scaled_limit(1e300, 1e300, 0.5)
     # x - floor(x) rounds to 1.0 here, so sin(pi x) came out 0
     assert gamma(-1e-17).value == pytest.approx(-1e17, rel=1e-14)
+    # parameters near 0 inside (0, 50]: an intermediate left the float range
+    # (a NaN error estimate, or an OverflowError) or cancelled to 0
+    g = genellip
+    for call, error in (
+            (lambda: mu_inv(ModulusParams(0.5, 0.5, 1e-300), 1e-300), SaturationError),
+            (lambda: g.mu_deriv(ModulusParams(1.0, 1.0, 1e-300), 0.5), SaturationError),
+            (lambda: g.phi_deriv(ModulusParams(0.5, 1.0, 1e-300), 2.0, 0.5), SaturationError),
+            (lambda: g.m_deriv(MPoint(0.5, 0.5, 1e-300, 1e-300)), SaturationError),
+            (lambda: g.m_value_elliptic(EllipticParams(0.5, 0.5, 1.0), Modulus(1e-300, 1.0)),
+             DomainError),
+            (lambda: g.mu_deriv(ModulusParams(1.0, 1e-300, 0.5), 0.5), DomainError),
+            (lambda: g.m_value(MPoint(1.0, 1.0, 0.5, 1e-300)), SaturationError),
+            (lambda: g.m_deriv(MPoint(50.0, 50.0, 1e-300, 1e-300)), SaturationError),
+            (lambda: g.mu_deriv_closed(ModulusParams(1e-300, 1.0, 1.0), 0.5), DomainError)):
+        with pytest.raises(error):
+            call()
 
 
 @pytest.mark.parametrize("fn", _PUBLIC, ids=lambda fn: fn.__name__)

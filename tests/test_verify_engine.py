@@ -22,6 +22,7 @@ from genellip.verify import (
     run_check,
     select,
 )
+from oracles import DECLARATIONS, declaration_digests
 
 P_CL = modulus_params_ac(0.5, 1.0)
 
@@ -209,6 +210,16 @@ def test_registry_size_and_ids():
                              "inequality", "identity", "derivative_match",
                              "limit")
         assert spec.claim
+
+
+
+def test_registry_declarations_are_frozen():
+    # ids, kinds, tolerances, claims, grids, parameter maps and probes of
+    # every check, in order; tests/oracles.py prints the table anew
+    got = declaration_digests()
+    assert list(got) == list(DECLARATIONS)
+    moved = [cid for cid, digest in got.items() if digest != DECLARATIONS[cid]]
+    assert not moved, f"declarations moved: {moved}"
 
 
 def test_conjectures_not_gating():
