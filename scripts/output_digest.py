@@ -11,7 +11,9 @@ call order (an exception counts by its type and message); under each
 eval-sweep digest it prints one digest per bench ``(kind, regime)`` group,
 so a change that moves one regime shows as one changed line.  Then it
 prints one digest of the `verify all` report: every check's id, verdict,
-sample count, ``worst_margin``, witness and claim.  The pass runs through
+sample count, ``worst_margin`` (as a Python float, so the digest is the
+same whether the engine hands it back as a float or as a numpy float64 of
+equal value), witness and claim.  The pass runs through
 the benchmark's instrumented copies of the checks (``golden.instrument``),
 so under that line it prints one digest per check of every call the engine
 made to the check's callables (``fn``, ``rhs``, ``param_map``, the limits
@@ -198,7 +200,7 @@ def main(argv=None) -> int:
     specs = P.verify_specs()
     trackers = [golden.Tracker(record=True) for _ in specs]
     reports = P.verify_pass(specs, trackers).outputs
-    rows = [(r.id, r.verdict, r.samples, r.worst_margin, r.witness, s.claim)
+    rows = [(r.id, r.verdict, r.samples, float(r.worst_margin), r.witness, s.claim)
             for r, s in zip(reports, specs)]
     print(f"verify-all checks={len(rows)} samples={sum(r[2] for r in rows)} "
           f"{_digest(rows)} {_work()}")

@@ -280,9 +280,6 @@ def _cmd_verify(args) -> int:
     except KeyError as exc:
         sys.stderr.write(f"unknown check id: {exc.args[0]}\n")
         return 4
-    if not specs:
-        sys.stderr.write("selection matched no checks\n")
-        return 4
     grid_dim = _parse_grid(args.grid) if args.grid else None
     entries = []
     for spec in specs:

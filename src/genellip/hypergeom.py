@@ -27,8 +27,8 @@ the first chunk of each Maclaurin series, the zero-balanced step factors
 and running h_n, the near-balanced P, D_0 and Phi_0, B(a,b)/2 for the
 modulus, and the route: which kernel evaluates F at z >= z_switch.  The
 route depends on (a, b, c) alone ('closed' for a = c or b = c, 'series' for
-a non-positive integer a or b, or in the near-balanced band for a pole of
-Gamma between x and x + c-a-b with x = a or b, and otherwise
+a non-positive integer a or b, or where the kernel of the band of c-a-b
+would meet a pole of Gamma that (a, b, c) does not have, and otherwise
 'zero_balanced', 'near_balanced', 'integer_d' or 'connection' by c-a-b), so
 _eval_pair dispatches on it and the modulus solver reads it to know which
 asymptote of mu applies.  The route is set when the triple is made, since
@@ -145,8 +145,6 @@ def _direct_series(a: float, b: float, c: float, z: float, q0: np.ndarray,
         first index k) has terms of one sign, so the sum of their absolute
         values is |sum| exactly and is not reduced a second time.
     """
-    if z == 0.0:
-        return 1.0, 0.0, 1
     min_k = max(_TABLED, int(max(abs(a), abs(b), abs(c))) + 2)
     if (min_k == _TABLED and c > 0.0
             and z * max(abs(a), 1.0) * max(abs(b) / c, 1.0) <= _ROUNDS_TO_ONE):
@@ -222,16 +220,24 @@ def _route(a: float, b: float, c: float) -> str:
         return "closed"
     if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
         return "series"
+    # The Maclaurin series also takes the rare triples where the kernel of
+    # their band meets a pole of Gamma that (a, b, c) does not have.
     d = c - a - b
     if abs(d) <= _ZERO_BALANCED_TOL:
-        return "zero_balanced"
+        # the expansion's Gamma(a+b)
+        return "series" if _is_nonpositive_integer(a + b) else "zero_balanced"
     m = round(d)
     if m == 0 and abs(d) < _EULER_BAND:
-        # the near-balanced logs fail across a pole of Gamma from a to a+d or
-        # from b to b+d; the Maclaurin series takes those rare triples
-        pole = any(math.ceil(min(x, x + d)) <= min(0.0, max(x, x + d)) for x in (a, b))
+        # the near-balanced logs, across a pole from a to a+d or b to b+d,
+        # or past the float range within |d| 2^-500 of the pole at 0
+        pole = any(math.ceil(min(x, x + d)) <= min(0.0, max(x, x + d))
+                   or abs(x) <= abs(d) * 2.0 ** -500 for x in (a, b))
         return "series" if pole else "near_balanced"
-    return "integer_d" if m != 0 and abs(d - m) <= _INTEGER_SNAP else "connection"
+    if m == 0 or abs(d - m) > _INTEGER_SNAP:
+        return "connection"
+    # the shift a+m or b+m, rounded onto a pole from a non-integer a or b
+    pole = any(_is_nonpositive_integer(x + m) and x != math.floor(x) for x in (a, b))
+    return "series" if pole else "integer_d"
 
 
 class _Ref(weakref.ref):
@@ -291,22 +297,18 @@ class _Triple:
                 _first_ratios(a, b, 1.0 - d), _first_ratios(c - a, c - b, 1.0 + d))
 
     @functools.cached_property
-    def integer_d(self) -> tuple[float, float, tuple[float, float, float, float]]:
-        """The log-part and finite-part prefactors of _integer_d for the
-        integer m nearest c-a-b, and the four psi values of its log series."""
+    def integer_d(self) -> tuple[float, float, tuple, tuple, tuple]:
+        """For the integer m nearest c-a-b, k = |m|: the log-part and
+        finite-part prefactors of _integer_d, the shifted parameters (sa, sb)
+        of its log series and (fa, fb) of its finite part, and the four psi
+        values of the log series."""
         a, b, c = self.abc
         m = round(c - a - b)
         k = abs(m)
-        if m > 0:
-            sa, sb = a + k, b + k
-            log_pref = _gamma_ratio((c,), (a, b))
-        else:
-            sa, sb = a, b
-            log_pref = _gamma_ratio((c,), (a - k, b - k))
-        fin_pref = _gamma_ratio((float(k), c), (sa, sb))
-        psi = (digamma(1.0).value, digamma(float(k + 1)).value,
-               _digamma_any(sa), _digamma_any(sb))
-        return log_pref, fin_pref, psi
+        sa, sb, fa, fb = (a + k, b + k, a, b) if m > 0 else (a, b, a - k, b - k)
+        return (_gamma_ratio((c,), (fa, fb)), _gamma_ratio((float(k), c), (sa, sb)),
+                (sa, sb), (fa, fb), (digamma(1.0).value, digamma(float(k + 1)).value,
+                                     _digamma_any(sa), _digamma_any(sb)))
 
     @functools.cached_property
     def series_q(self) -> np.ndarray:
@@ -421,19 +423,14 @@ def _near_zero_balanced(key: _Triple, u: float) -> tuple[float, float]:
 def _integer_d(key: _Triple, u: float, m: int) -> tuple[float, float]:
     """Logarithmic expansion for c-a-b an exact nonzero integer m
     (Abramowitz & Stegun 15.3.11 for m > 0, 15.3.12 for m < 0)."""
-    a, b, _ = key.abc
-    log_pref, fin_pref, (psi_1, psi_k1, psi_sa, psi_sb) = key.integer_d
+    log_pref, fin_pref, (sa, sb), (fa, fb), (psi_1, psi_k1, psi_sa, psi_sb) = key.integer_d
     lnu = math.log(u)
     k = abs(m)
     if m > 0:
-        sa, sb = a + k, b + k  # shifted parameters entering the log series
         u_log_power = u ** k
-        fa, fb = a, b
         fin_power = 1.0
     else:
-        sa, sb = a, b
         u_log_power = 1.0
-        fa, fb = a - k, b - k
         if k * lnu < -700.0:
             raise _overflow(key, u, fin_pref)
         fin_power = u ** (-k)
@@ -528,16 +525,14 @@ def _eval_pair(key: _Triple, z: float, zc: float) -> EvalResult:
     d = c - a - b
     if route == "connection":
         value, err = _connection(key, zc, d)
-    elif route == "integer_d":
-        m = round(d)
-        value, err = _integer_d(key, zc, m)
-        err += abs(d - m) * (abs(math.log(zc)) + 5.0) * abs(value)
     elif route == "near_balanced":
         value, err = _near_zero_balanced(key, zc)
     else:
-        # zero-balanced: the expansion at c = a+b, charged |c-a-b| <= 1e-12
-        value, err = _zero_balanced(key, zc)
-        err += abs(d) * (abs(math.log(zc)) + 5.0) * abs(value)
+        # integer_d or zero_balanced: the expansion at the integer m nearest
+        # c-a-b, charged |c-a-b - m| (at most 1e-8, or 1e-12 for m = 0)
+        m = round(d)
+        value, err = _integer_d(key, zc, m) if m else _zero_balanced(key, zc)
+        err += abs(d - m) * (abs(math.log(zc)) + 5.0) * abs(value)
     return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .elliptic import EllipticParams, Modulus, _interior, ell_e, ell_e_comp, ell_k, \
     ell_k_comp
-from .errors import ParameterError, SaturationError, _Params, checked
+from .errors import DomainError, ParameterError, SaturationError, _Params, checked
 from .hypergeom import _eval_pair, _Triple
 from .result import EvalResult, Method
 from .scalar_special import _exp, beta
@@ -40,6 +40,18 @@ class MPoint(_Params):
         self.__dict__["z"] = checked("z", z, "(0, 1)")
 
 
+def _finite(value: float, err: float, method: Method, what: str, a, b, c) -> EvalResult:
+    """The result `what` at (a, b, c) of an M-family or modulus function:
+    SaturationError if its value overflowed, DomainError if its value or
+    its error bound is NaN or its bound is infinite."""
+    if math.isinf(value):
+        raise SaturationError(f"{what} exceeds the float range at (a,b,c)=({a!r},{b!r},{c!r})",
+                              endpoint=value)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise DomainError(f"{what} is not representable at (a,b,c)=({a!r},{b!r},{c!r})")
+    return EvalResult(value, err, method)
+
+
 def _four_f(a: float, b: float, c: float, z: float, zc: float):
     """u, v at z and at its complement; the complement is passed exactly."""
     kv, ku = _Triple(a, b, c), _Triple(a - 1.0, b, c)
@@ -55,9 +67,6 @@ def _m_from_parts(a, b, c, u, v, u1, v1) -> EvalResult:
     t2 = u1.value * v.value
     t3 = v.value * v1.value
     value = (c - a) * (t1 + t2) + (2.0 * (a - c) + b) * t3
-    if not math.isfinite(value):  # M > 0, so it overflowed upward
-        raise SaturationError(f"M exceeds the float range at (a,b,c)=({a!r},{b!r},{c!r})",
-                              endpoint=math.inf)
     err = (abs(c - a) * (abs(t1) + abs(t2)) + abs(2.0 * (a - c) + b) * abs(t3)) * 3e-15
     err += abs(c - a) * (u.abs_err_est * abs(v1.value) + abs(u.value) * v1.abs_err_est
                          + u1.abs_err_est * abs(v.value) + abs(u1.value) * v.abs_err_est)
@@ -65,7 +74,7 @@ def _m_from_parts(a, b, c, u, v, u1, v1) -> EvalResult:
                                      + abs(v.value) * v1.abs_err_est)
     method = Method.TRANSFORM_NEAR_ONE if Method.TRANSFORM_NEAR_ONE in (
         u.method, v.method, u1.method, v1.method) else Method.SERIES
-    return EvalResult(value, err, method)
+    return _finite(value, err, method, "M", a, b, c)
 
 
 def m_value(pt: MPoint) -> EvalResult:
@@ -77,7 +86,7 @@ def m_value(pt: MPoint) -> EvalResult:
     if d > _CLOSED_TOL and min(z, zc) < _ENDPOINT_SWITCH:
         scaled = _m_scaled_pair(a, b, c, z, zc)
         w = _exp(-d * (math.log(z) + math.log(zc)), 1, "M", a, b, c, z)
-        return EvalResult(w * scaled.value, w * scaled.abs_err_est, scaled.method)
+        return _finite(w * scaled.value, w * scaled.abs_err_est, scaled.method, "M", a, b, c)
     u, v, u1, v1 = _four_f(a, b, c, z, zc)
     return _m_from_parts(a, b, c, u, v, u1, v1)
 
@@ -104,7 +113,7 @@ def m_value_elliptic(p: EllipticParams, m: Modulus) -> EvalResult:
         K.abs_err_est * abs(Kp.value) + abs(K.value) * Kp.abs_err_est
         + K.abs_err_est * abs(Ep.value) + abs(Kp.value) * E.abs_err_est
         + abs(K.value) * Ep.abs_err_est + Kp.abs_err_est * abs(E.value)) / (hb * hb)
-    return EvalResult(value, err, K.method)
+    return _finite(value, err, K.method, "M", a, b, c)
 
 
 def _m_scaled_pair(a: float, b: float, c: float, z: float, zc: float) -> EvalResult:
@@ -136,7 +145,7 @@ def _m_scaled_pair(a: float, b: float, c: float, z: float, zc: float) -> EvalRes
                                       + abs(v.value) * U.abs_err_est))
                + abs(2.0 * (a - c) + b) * (v.abs_err_est * abs(V.value)
                                            + abs(v.value) * V.abs_err_est))
-    return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
+    return _finite(value, err, Method.TRANSFORM_NEAR_ONE, "(z(1-z))^(a+b-c) M", a, b, c)
 
 
 def m_scaled(pt: MPoint) -> EvalResult:
@@ -164,7 +173,7 @@ def m_deriv(pt: MPoint) -> EvalResult:
                            + abs(c - a - b + s * z) * (u1.abs_err_est * abs(v.value)
                                                        + abs(u1.value) * v.abs_err_est))
            ) / (z * zc)
-    return EvalResult(value, err, Method.SERIES)
+    return _finite(value, err, Method.SERIES, "dM/dz", a, b, c)
 
 
 def m_scaled_limit(a: float, b: float, c: float) -> float:

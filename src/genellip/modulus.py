@@ -31,7 +31,7 @@ from .elliptic import Modulus, _interior
 from .errors import (ConvergenceError, DomainError, ParameterError, SaturationError,
                      _Params, checked)
 from .hypergeom import _eval_pair, _Triple
-from .legendre_m import MPoint, m_value
+from .legendre_m import MPoint, _finite, m_value
 from .result import EvalResult, Method
 from .scalar_special import _half_beta, _lngamma_signed
 
@@ -261,7 +261,7 @@ def mu_m(p: ModulusParams, m: Modulus) -> EvalResult:
     den = _eval_pair(key, m.z, m.z_comp)
     value = hb * num.value / den.value
     rel = (num.abs_err_est / abs(num.value) + den.abs_err_est / abs(den.value) + 4e-15)
-    return EvalResult(value, abs(value) * rel, num.method)
+    return _finite(value, abs(value) * rel, num.method, "mu", p.a, p.b, p.c)
 
 
 def mu(p: ModulusParams, r: float) -> EvalResult:
@@ -325,7 +325,19 @@ def mu_deriv(p: ModulusParams, r: float) -> EvalResult:
     B = 2.0 * p.half_beta
     value = -B * M.value / (m.r * m.z_comp * v.value * v.value)
     rel = (M.abs_err_est / abs(M.value) + 2.0 * v.abs_err_est / abs(v.value) + 5e-15)
-    return EvalResult(value, abs(value) * rel, M.method)
+    return _finite(value, abs(value) * rel, M.method, "d mu/dr", p.a, p.b, p.c)
+
+
+def _phi_at(p: ModulusParams, K, r: float):
+    """What both derivatives of phi_K start from: the degree k, the moduli
+    r and s = phi_K(r) as exact pairs, and F(a,b;c;.) at r^2 and at s^2."""
+    k = _as_degree(K)
+    m = Modulus.from_r(r)
+    s = phi_k_m(p, k, m)
+    if not 0.0 < s.z < 1.0:
+        raise DomainError(f"phi_K(r) saturated to {s.r!r}; derivative not representable")
+    key = _Triple(p.a, p.b, p.c)
+    return k, m, s, _eval_pair(key, m.z, m.z_comp), _eval_pair(key, s.z, s.z_comp)
 
 
 def phi_deriv(p: ModulusParams, K, r: float) -> EvalResult:
@@ -333,14 +345,7 @@ def phi_deriv(p: ModulusParams, K, r: float) -> EvalResult:
 
     ds/dr = (1/K) (M(r^2)/M(s^2)) (s s'^2 F(s^2)^2) / (r r'^2 F(r^2)^2)
     """
-    k = _as_degree(K)
-    m = Modulus.from_r(r)
-    s = phi_k_m(p, k, m)
-    if not 0.0 < s.z < 1.0:
-        raise DomainError(f"phi_K(r) saturated to {s.r!r}; derivative not representable")
-    key = _Triple(p.a, p.b, p.c)
-    vr = _eval_pair(key, m.z, m.z_comp)
-    vs = _eval_pair(key, s.z, s.z_comp)
+    k, m, s, vr, vs = _phi_at(p, K, r)
     Mr = _m_divisor(p, m.z, "phi_deriv")
     Ms = _m_divisor(p, s.z, "phi_deriv")
     value = (Mr.value / Ms.value) * (s.r * s.z_comp * vs.value * vs.value) \
@@ -348,7 +353,7 @@ def phi_deriv(p: ModulusParams, K, r: float) -> EvalResult:
     rel = (Mr.abs_err_est / abs(Mr.value) + Ms.abs_err_est / abs(Ms.value)
            + 2.0 * vs.abs_err_est / abs(vs.value) + 2.0 * vr.abs_err_est / abs(vr.value)
            + 1e-12)
-    return EvalResult(value, abs(value) * rel, Mr.method)
+    return _finite(value, abs(value) * rel, Mr.method, "d phi_K/dr", p.a, p.b, p.c)
 
 
 def _require_power_case(p: ModulusParams) -> None:
@@ -373,23 +378,16 @@ def mu_deriv_closed(p: ModulusParams, r: float) -> EvalResult:
                           f"range at (a,b,c)=({p.a!r},{p.b!r},{p.c!r})") from None
     Kr = p.half_beta * _eval_pair(_Triple(p.a, p.b, p.c), m.z, m.z_comp).value
     value = -D / (m.r ** (2.0 * p.c - 1.0) * m.z_comp ** p.c * Kr * Kr)
-    return EvalResult(value, abs(value) * 1e-12, Method.CLOSED_FORM)
+    return _finite(value, abs(value) * 1e-12, Method.CLOSED_FORM, "d mu/dr", p.a, p.b, p.c)
 
 
 def phi_deriv_closed(p: ModulusParams, K, r: float) -> EvalResult:
     """For a+b+1 = 2c:  ds/dr = (1/K)(s/r)^(2c-1)(s'/r')^(2c)(K(s)/K(r))^2."""
     _require_power_case(p)
-    k = _as_degree(K)
-    m = Modulus.from_r(r)
-    s = phi_k_m(p, k, m)
-    if not 0.0 < s.z < 1.0:
-        raise DomainError(f"phi_K(r) saturated to {s.r!r}; derivative not representable")
-    key = _Triple(p.a, p.b, p.c)
-    Fr = _eval_pair(key, m.z, m.z_comp).value
-    Fs = _eval_pair(key, s.z, s.z_comp).value
+    k, m, s, Fr, Fs = _phi_at(p, K, r)
     value = (s.r / m.r) ** (2.0 * p.c - 1.0) * (s.z_comp / m.z_comp) ** p.c \
-        * (Fs / Fr) ** 2 / k
-    return EvalResult(value, abs(value) * 1e-12, Method.CLOSED_FORM)
+        * (Fs.value / Fr.value) ** 2 / k
+    return _finite(value, abs(value) * 1e-12, Method.CLOSED_FORM, "d phi_K/dr", p.a, p.b, p.c)
 
 
 def q_modulus(x: float) -> Modulus:

@@ -84,6 +84,9 @@ class GridDim:
             raise ParameterError(f"grid dim {self.name!r}: log scale needs lo > 0")
         if self.scale == "logit" and not (0.0 < self.lo and self.hi < 1.0):
             raise ParameterError(f"grid dim {self.name!r}: logit scale needs (0,1)")
+        if self.values is None and not (np.diff(self.points()) > 0.0).all():
+            raise ParameterError(f"grid dim {self.name!r}: its {self.count} points are "
+                                 "not distinct in floating point")
 
     def points(self) -> np.ndarray:
         if self.values is not None:
@@ -211,23 +214,10 @@ def finite_diff(f: Callable[[float], float], x: float, h: float) -> FiniteDiff:
     return FiniteDiff(first, abs(d1b - d1a) / 3.0 + 4e-16 * scale / h)
 
 
-def _witness(params, extra):
-    w = {}
-    for src in (params, extra):
-        for k, v in src.items():
-            if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-                w[k] = int(v)
-            elif isinstance(v, (float, np.floating)):
-                w[k] = float(v)
-            else:
-                w[k] = v
-    return w
-
-
 class _Outcome:
     """The state of one run: the samples evaluated so far and the verdict
     they add up to; the witness of a sample (its params and fields) is built
-    only if it is kept."""
+    only if it is kept.  Samples, arguments and margins are Python floats."""
 
     def __init__(self):
         self.samples = 0
@@ -245,13 +235,13 @@ class _Outcome:
         if margin < self.worst:
             self.worst = margin
             if self.verdict == "pass":
-                self.witness = _witness(params, fields)
+                self.witness = {**params, **fields}
 
     def fail(self, margin, params, /, **fields):
         # Every runner stops at its first fail, so the failing point is the
         # witness, over any earlier note or downgrade.
         self.verdict = "fail"
-        self.witness = _witness(params, fields)
+        self.witness = {**params, **fields}
         self.worst = min(self.worst, margin)
 
     def inconclusive(self, params, /, **fields):
@@ -259,7 +249,7 @@ class _Outcome:
         # visible; pass-time worst-margin notes never overwrite it.
         if self.verdict == "pass":
             self.verdict = "inconclusive"
-            self.witness = _witness(params, fields)
+            self.witness = {**params, **fields}
 
     def report(self, check_id):
         worst = self.worst if math.isfinite(self.worst) else 0.0
@@ -321,10 +311,10 @@ def _check_containment(spec, params, xs, ys, errs, out):
     lo_b, hi_b = min(ends), max(ends)
     for x, y, e in zip(xs, ys, errs):
         if math.isfinite(lo_b) and y < lo_b - e - 1e-12 * max(1.0, abs(lo_b)):
-            out.fail(y - lo_b, params, arg=float(x), value=float(y), bound=lo_b)
+            out.fail(y - lo_b, params, arg=x, value=y, bound=lo_b)
             return
         if math.isfinite(hi_b) and y > hi_b + e + 1e-12 * max(1.0, abs(hi_b)):
-            out.fail(hi_b - y, params, arg=float(x), value=float(y), bound=hi_b)
+            out.fail(hi_b - y, params, arg=x, value=y, bound=hi_b)
             return
 
 
@@ -360,19 +350,19 @@ def _check_endpoint(spec, params, side, edge_value, out):
 def _run_shape(spec, params, out, checker):
     """Sample the whole grid, then judge the shape (if any), the range and
     the endpoints."""
-    xs = spec.arg_grid.dims[0].points()
-    ys = np.empty_like(xs)
-    errs = np.empty_like(xs)
-    for i, x in enumerate(xs):
+    xs = spec.arg_grid.dims[0].points().tolist()
+    ys, errs = [], []
+    for x in xs:
         try:
-            ys[i], errs[i] = out.eval(spec, params, float(x))
+            y, err = out.eval(spec, params, x)
         except GenellipError as exc:
-            out.inconclusive(params, arg=float(x), note=f"evaluation failed: {exc}")
+            out.inconclusive(params, arg=x, note=f"evaluation failed: {exc}")
             return
-        if not math.isfinite(ys[i]):
-            out.inconclusive(params, arg=float(x), value=float(ys[i]),
-                             note="non-finite sample")
+        if not math.isfinite(y):
+            out.inconclusive(params, arg=x, value=y, note="non-finite sample")
             return
+        ys.append(y)
+        errs.append(err)
     if checker is not None:
         checker(spec, params, xs, ys, errs, out)
         if out.verdict == "fail":
@@ -380,8 +370,8 @@ def _run_shape(spec, params, out, checker):
     _check_containment(spec, params, xs, ys, errs, out)
     if out.verdict == "fail":
         return
-    _check_endpoint(spec, params, "lo", float(ys[0]), out)
-    _check_endpoint(spec, params, "hi", float(ys[-1]), out)
+    _check_endpoint(spec, params, "lo", ys[0], out)
+    _check_endpoint(spec, params, "hi", ys[-1], out)
 
 
 def _judge_inequality(spec, params, out):
@@ -439,10 +429,9 @@ def _judge_limit(spec, params, out):
 def _run_points(spec, params, out, make_judge):
     """Judge each grid point on its own and stop at the first bad one."""
     judge = make_judge(spec, params, out)
-    xs = spec.arg_grid.dims[0].points()
+    xs = spec.arg_grid.dims[0].points().tolist()
     strict_hits = 0
     for x in xs:
-        x = float(x)
         try:
             margin, fields, verdict, note = judge(x)
         except GenellipError as exc:

@@ -179,6 +179,10 @@ def test_tabulate_bad_grid_exit_2(capsys):
     code, _, err = run_cli(capsys, "tabulate", "mu", "--a", "0.5", "--c", "1",
                            "--grid", "0.1:0.9:banana")
     assert code == 2
+    for grid in ([], ["--grid", "0:0.9:5:log"], ["--grid", "0.1:1.5:5:logit"],
+                 ["--grid", "0.5:0.5000000000000001:5:linear"]):
+        code, _, err = run_cli(capsys, "tabulate", "mu", "--a", "0.5", "--c", "1", *grid)
+        assert code == 2 and "grid" in err, grid
 
 
 def test_tabulate_out_file(tmp_path, capsys):
@@ -289,12 +293,16 @@ def test_verify_tol_override_applies(capsys, monkeypatch):
     real = cli.run_check
 
     def spy(spec):
-        seen["tol"] = spec.tolerance
+        seen["tol"], seen["arg_grid"] = spec.tolerance, spec.arg_grid
         return real(spec)
 
     monkeypatch.setattr(cli, "run_check", spy)
     run_cli(capsys, "verify", "hyper-1", "--tol", "1e-6")
     assert seen["tol"] == 1e-6
+    # --grid replaces the argument grid and keeps its dimension's name
+    name = registry()["hyper-1"].arg_grid.dims[0].name
+    run_cli(capsys, "verify", "hyper-1", "--grid", "0.01:0.99:9:logit")
+    assert seen["arg_grid"] == GridSpec((GridDim(name, 0.01, 0.99, 9, "logit"),))
 
 
 # --------------------------------------------------------------------------

@@ -206,6 +206,8 @@ def test_domain_rejections():
         HypParams(-0.5, 0.5, 1.0)
     with pytest.raises(ParameterError):
         HypParams(0.5, 0.5, 51.0)
+    with pytest.raises(DomainError, match="complement"):
+        hyp2f1_pair(HypParams(0.5, 0.5, 1.0), 0.5, 0.25)
 
 
 # --------------------------------------------------------------------------
@@ -307,6 +309,15 @@ def test_band_across_a_gamma_pole_takes_the_series():
     assert _Triple(a, b, c).route == "series"
     r = hyp2f1(HypParams(a, b, c), 0.9)
     assert abs(r.value - 1.000000002302585117175118578) <= r.abs_err_est
+    # Triples whose kernel meets a pole that (a, b, c) does not have: a-1
+    # rounds onto -1 on the integer-d route (its log part's prefactor came
+    # out 0), and the near-balanced logs overflow beside the pole at 0.
+    # Values from mpmath.hyp2f1 at 40 digits.
+    for a, b, c, z, want in ((1e-300, 1.0, 1e-9, 0.81, 1.0),
+                             (1e-300, 1e-300, 1e-9, 0.9, 1.0)):
+        assert _Triple(a, b, c).route == "series"
+        r = hyp2f1(HypParams(a, b, c), z)
+        assert abs(r.value - want) <= r.abs_err_est <= 1e-14
 
 
 # --------------------------------------------------------------------------

@@ -112,6 +112,11 @@ def test_phi_identity_degree():
     p = modulus_params_ac(0.3, 0.8)
     for r in (0.1, 0.5, 0.9):
         assert phi_k(p, 1.0, r) == pytest.approx(r, rel=1e-12)
+    # past [1e-3, 1e3] the degree saturates phi_K to the endpoint it tends to
+    for K, endpoint in ((1e3 * 1.01, 1.0), (1e-3 / 1.01, 0.0)):
+        with pytest.raises(SaturationError) as exc:
+            phi_k_m(p, K, Modulus.from_r(0.5))
+        assert exc.value.endpoint == endpoint
 
 
 def test_phi_inverse_pair():
@@ -225,6 +230,10 @@ def test_closed_derivative_forms_power_case():
         phi_deriv(p, 2.0, r).value, rel=1e-9)
     with pytest.raises(ParameterError):
         mu_deriv_closed(ModulusParams(0.3, 0.4, 0.6), r)
+    # K = 100 puts s = phi_K(0.5) at s'^2 ~ 4e-106, so s^2 rounds to 1
+    for deriv in (phi_deriv, phi_deriv_closed):
+        with pytest.raises(DomainError, match="saturated"):
+            deriv(p, 100.0, 0.5)
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ check, one result type, one version string."""
 import ast
 import dataclasses
 import inspect
+import itertools
 import math
 import pathlib
 import pickle
@@ -231,9 +232,43 @@ def test_calls_that_crashed_raise_package_errors():
             (lambda: g.mu_deriv(ModulusParams(1.0, 1e-300, 0.5), 0.5), DomainError),
             (lambda: g.m_value(MPoint(1.0, 1.0, 0.5, 1e-300)), SaturationError),
             (lambda: g.m_deriv(MPoint(50.0, 50.0, 1e-300, 1e-300)), SaturationError),
-            (lambda: g.mu_deriv_closed(ModulusParams(1e-300, 1.0, 1.0), 0.5), DomainError)):
+            (lambda: g.mu_deriv_closed(ModulusParams(1e-300, 1.0, 1.0), 0.5), DomainError),
+            # the triple (a-1, b, c) = (-0.5, 0.5, 1e-300) once named Gamma's pole at 0
+            (lambda: g.m_value(MPoint(0.5, 0.5, 1e-300, 0.8)), SaturationError)):
         with pytest.raises(error):
             call()
+
+
+_TINY = (1e-300, 1e-9, 0.5, 1.0, 50.0)  # each of a, b and c
+_TINY_ARGS = (1e-300, 0.3, 0.9, 1.0 - 1e-12)  # r or z
+_TINY_CALLS = {
+    "mu": lambda a, b, c, x: genellip.mu(ModulusParams(a, b, c), x),
+    "mu_deriv": lambda a, b, c, x: genellip.mu_deriv(ModulusParams(a, b, c), x),
+    "phi_deriv": lambda a, b, c, x: genellip.phi_deriv(ModulusParams(a, b, c), 3.0, x),
+    "m_value": lambda a, b, c, x: genellip.m_value(MPoint(a, b, c, x)),
+    "m_deriv": lambda a, b, c, x: genellip.m_deriv(MPoint(a, b, c, x)),
+    "m_scaled": lambda a, b, c, x: genellip.m_scaled(MPoint(a, b, c, x)),
+    "hyp2f1": lambda a, b, c, x: hyp2f1(HypParams(a, b, c), x),
+}
+
+
+def test_tiny_parameters_give_a_finite_result_or_a_package_error():
+    # Parameters at the bottom of (0, 50] push M, mu and their derivatives
+    # past the float range, or cancel them to NaN; each such call must say
+    # so with a package error, not return inf or NaN or raise a bare one.
+    bad = []
+    for (a, b, c), x in itertools.product(itertools.product(_TINY, repeat=3), _TINY_ARGS):
+        for name, call in _TINY_CALLS.items():
+            try:
+                r = call(a, b, c, x)
+            except genellip.GenellipError:
+                continue
+            except Exception as exc:  # a bare exception is the failure
+                bad.append((name, a, b, c, x, type(exc).__name__))
+                continue
+            if not (math.isfinite(r.value) and math.isfinite(r.abs_err_est)):
+                bad.append((name, a, b, c, x, r.value, r.abs_err_est))
+    assert not bad, bad
 
 
 @pytest.mark.parametrize("fn", _PUBLIC, ids=lambda fn: fn.__name__)

@@ -290,6 +290,9 @@ _PATH_SPECS = {
     "range-outside": _spec("range_endpoints", lambda d, x: (x + 0.5, 1e-15),
                            lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0,
                            lo_probe=lambda d: 1e-9, hi_probe=lambda d: 0.99),
+    "range-below": _spec("range_endpoints", lambda d, x: (x - 0.5, 1e-15),
+                         lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0,
+                         lo_probe=lambda d: 1e-9, hi_probe=lambda d: 0.99),
     "range-nonfinite": _spec("range_endpoints", lambda d, x: (x if x < 0.5 else _INF, 0.0),
                              lo_limit=lambda d: 0.0, hi_limit=lambda d: _INF,
                              lo_probe=lambda d: 1e-9, hi_probe=lambda d: 0.99),
@@ -355,6 +358,8 @@ _PATH_REPORTS = {
     # finite limits fails and an inf downgrades, before the endpoint probes
     "range-outside": ("fail", -0.10000000000000009, 9,
         {"p": 1.0, "arg": 0.6, "value": 1.1, "bound": 1.0}),
+    "range-below": ("fail", -0.4, 9,
+        {"p": 1.0, "arg": 0.1, "value": -0.4, "bound": 0.0}),
     "range-nonfinite": ("inconclusive", 0.0, 10,
         {"p": 1.0, "arg": 0.5, "value": _INF, "note": "non-finite sample"}),
     "range-raise-grid": ("inconclusive", 0.0, 12,
@@ -398,5 +403,7 @@ _PATH_REPORTS = {
 def test_every_kind_and_path_gives_its_frozen_report(name):
     verdict, worst, samples, witness = _PATH_REPORTS[name]
     spec = _PATH_SPECS[name]
-    assert run_check(spec) == CheckReport(spec.id, verdict, worst, witness, samples)
+    report = run_check(spec)
+    assert report == CheckReport(spec.id, verdict, worst, witness, samples)
+    assert type(report.worst_margin) is float
 
