@@ -51,7 +51,7 @@ from .errors import ConvergenceError, DomainError, SaturationError, _Params, che
 from .result import EvalResult, Method
 from .scalar_special import (
     EULER_GAMMA,
-    _half_beta,
+    _exp,
     _is_nonpositive_integer,
     _lngamma_signed,
     digamma,
@@ -76,18 +76,19 @@ class HypParams(_Params):
     """Positive real parameters (a, b, c), each bounded by 50."""
 
 
-def _gamma_ratio(nums, dens) -> float:
-    """Product of Gamma(nums) / product of Gamma(dens); 0 on a denominator pole."""
+def _gamma_ratio(key: "_Triple", nums, dens) -> float:
+    """Product of Gamma(nums) / product of Gamma(dens); 0 on a denominator
+    pole.  The ln Gamma values come from the triple's memo."""
     ln = 0.0
     sign = 1
     for x in dens:
         if _is_nonpositive_integer(x):
             return 0.0
-        l, s = _lngamma_signed(x)
+        l, s = key.lngamma(x)
         ln -= l
         sign *= s
     for x in nums:
-        l, s = _lngamma_signed(x)
+        l, s = key.lngamma(x)
         ln += l
         sign *= s
     try:
@@ -104,12 +105,13 @@ def _digamma_any(x: float) -> float:
     return digamma(1.0 - x).value - math.pi / math.tan(math.pi * f)
 
 
-def _lgamma_slope(x: float, e: float) -> tuple[float, float]:
+def _lgamma_slope(x: float, e: float, pole: tuple = (-1, 0.0, 0.0)) -> tuple[float, float]:
     """(ln Gamma(x+e) - ln Gamma(x))/e for 0 < |e| <= 1e-6 and an error bound:
     shift x to x+k >= 10, each step subtracting log1p(e/(x+j))/e, then take
-    psi + e psi'/2 + e^2 psi''/6 at x+k (psi' to x^-9, psi'' to x^-3)."""
+    psi + e psi'/2 + e^2 psi''/6 at x+k (psi' to x^-9, psi'' to x^-3).  The
+    step j = n of pole = _pole_step(...) is its log(w/(x+n))/e instead."""
     k = max(0, math.ceil(10.0 - x))
-    steps = [math.log1p(e / (x + j)) / e for j in range(k)]
+    steps = [math.log1p(e / (x + j)) / e if j != pole[0] else pole[2] for j in range(k)]
     psi = digamma(x + k)
     inv = 1.0 / (x + k)
     inv2 = inv * inv
@@ -119,62 +121,72 @@ def _lgamma_slope(x: float, e: float) -> tuple[float, float]:
     return value, 5.0 * _UNIT * (math.fsum(map(abs, steps)) + abs(psi.value)) + psi.abs_err_est
 
 
-def _first_ratios(a: float, b: float, c: float) -> np.ndarray:
-    """q_k = (a+k)(b+k)/((c+k)(1+k)) for k < 64: the first chunk of the
-    Maclaurin term ratios of F(a,b;c;z), before the factor z."""
+def _pole_step(x: float, y: float, c: float, e: float) -> tuple[int, float, float]:
+    """The step of the near-balanced logs that comes close to a pole: for
+    {x, y} = {a, b} and e the rounded c-a-b, (n, w, log(w/(x+n))/e) where
+    w = c-y+n, correctly rounded, is the exact x+n+(c-a-b) and lies between
+    0 and half of x+n; there x+n+e and log1p(e/(x+n)) would have lost the
+    digits that cancel.  (-1, 0.0, 0.0) where no n >= 0 comes that close."""
+    n = max(0, round(-x))
+    w = math.fsum((c, -y, float(n)))
+    ratio = w / (x + n)
+    if 0.0 < ratio < 0.5:
+        return n, w, math.log(ratio) / e
+    return -1, 0.0, 0.0
+
+
+def _first_ratios(a: float, b: float, c: float) -> tuple[np.ndarray, int, float, float]:
+    """The head of the Maclaurin series of F(a,b;c;z): what _direct_series
+    reads that does not depend on z.  It holds q_k = (a+k)(b+k)/((c+k)(1+k))
+    for k < 64, the first chunk of the term ratios before the factor z;
+    min_k, the terms the sum takes at least (past the largest parameter);
+    Q, a bound on every |q_k| for the exit of chunks that round to 1 (inf
+    where that exit does not apply); and min(a, b, c)."""
     q = (a + _K0) * (b + _K0) / ((c + _K0) * _K1)
     q.flags.writeable = False
-    return q
+    min_k = max(_TABLED, int(max(abs(a), abs(b), abs(c))) + 2)
+    # For c > 0, |a+k| <= max(|a|,1)(1+k) and |b+k|/(c+k) <= max(|b|/c,1).
+    bound = max(abs(a), 1.0) * max(abs(b) / c, 1.0) if min_k == _TABLED and c > 0.0 \
+        else math.inf
+    return q, min_k, bound, min(a, b, c)
 
 
-def _direct_series(a: float, b: float, c: float, z: float, q0: np.ndarray,
+def _direct_series(a: float, b: float, c: float, z: float, head: tuple,
                    max_terms: int = _MAX_TERMS) -> tuple[float, float, int]:
     """Sum the Maclaurin series; returns (value, err_bound, terms_used).
 
-    q0 is _first_ratios(a, b, c); max_terms is at least its length.
+    head is _first_ratios(a, b, c); max_terms is at least 64.
     Stops once three consecutive terms fall below eps*|sum| and the
     geometric tail bound q*|term|/(1-q) with q = max(|last ratio|, z) is
     below eps*|sum|.  The tail bound is only trusted after the coefficient
     ratio has become monotone, i.e. past the largest parameter.
 
-    Two shortcuts return exactly what the full loop would:
-      * When z times a bound on the first chunk's ratios is at most 2^-56,
-        the whole first chunk rounds away against the leading 1, and the
-        result (1.0, 4e-16 + eps, 65) is returned without summing it.
+    Two shortcuts return exactly what summing every chunk alike would:
+      * When z Q <= 2^-56, the whole first chunk rounds away against the
+        leading 1, and the result (1.0, 4e-16 + eps, 65) is returned
+        without summing it.
       * A chunk whose ratios are all positive (min(a, b, c) + k > 0 at its
         first index k) has terms of one sign, so the sum of their absolute
         values is |sum| exactly and is not reduced a second time.
+    The first chunk is summed from the head's ratios with the leading term 1
+    and no carried compensation; later chunks compute their own ratios.
     """
-    min_k = max(_TABLED, int(max(abs(a), abs(b), abs(c))) + 2)
-    if (min_k == _TABLED and c > 0.0
-            and z * max(abs(a), 1.0) * max(abs(b) / c, 1.0) <= _ROUNDS_TO_ONE):
-        # For c > 0 every first-chunk ratio obeys |q_k| <= Q = max(|a|,1)
-        # max(|b|/c,1), since |a+k| <= max(|a|,1)(1+k) and |b+k|/(c+k) <=
-        # max(|b|/c,1); so each ratio q_k z is at most 2^-56 up to a few
-        # ulps, and the chunk's sum s and its absolute sum are both below
-        # 2^-55.  1 + s then rounds to 1.0 for either sign of s (below 1.0
-        # the half-ulp is 2^-54, above it 2^-53), as does 1 + sum|T|; the
-        # 64th term underflows to 0, so the tail is 0, and with min_k = 64
-        # every stopping test holds at k = 64: the loop would return
-        # (1.0, 4e-16*1.0 + 0.0 + eps*1.0, 65), which is this.
+    q0, min_k, bound_q, lowest = head
+    if z * bound_q <= _ROUNDS_TO_ONE:
+        # Each ratio q_k z is at most 2^-56 up to a few ulps, and the
+        # chunk's sum s and its absolute sum are both below 2^-55.  1 + s
+        # then rounds to 1.0 for either sign of s (below 1.0 the half-ulp is
+        # 2^-54, above it 2^-53), as does 1 + sum|T|; the 64th term
+        # underflows to 0, so the tail is 0, and with min_k = 64 (the only
+        # case with a finite Q) every stopping test holds at k = 64: summing
+        # would return (1.0, 4e-16*1.0 + 0.0 + eps*1.0, 65), which is this.
         return 1.0, 4e-16 + _EPS, _TABLED + 1
-    total = 1.0
-    comp = 0.0
-    abs_total = 1.0
-    term = 1.0
+    ratios = q0 * z
+    terms = np.multiply.accumulate(ratios)
+    total, comp, abs_total = 1.0, 0.0, 1.0
     k = 0
-    lowest = min(a, b, c)
-    chunk = _TABLED
-    while k < max_terms:
-        m = min(chunk, max_terms - k)
-        if k == 0:
-            ratios = q0 * z
-        else:
-            ks = np.arange(k, k + m, dtype=np.float64)
-            ratios = (a + ks) * (b + ks) / ((c + ks) * (1.0 + ks)) * z
-        terms = np.multiply.accumulate(ratios)
-        if term != 1.0:
-            terms *= term
+    m = chunk = _TABLED
+    while True:
         s = float(np.add.reduce(terms))
         y = s - comp
         t = total + y
@@ -208,10 +220,16 @@ def _direct_series(a: float, b: float, c: float, z: float, q0: np.ndarray,
                     if tail <= bound:
                         err = 4e-16 * abs_total + tail + _EPS * abs(total)
                         return total, err, k + 1
+        if k >= max_terms:
+            raise ConvergenceError(
+                f"hypergeometric series needed more than {max_terms} terms at z={z!r} "
+                f"with (a,b,c)=({a!r},{b!r},{c!r})")
         chunk = min(2 * chunk, 8192)
-    raise ConvergenceError(
-        f"hypergeometric series needed more than {max_terms} terms at z={z!r} "
-        f"with (a,b,c)=({a!r},{b!r},{c!r})")
+        m = min(chunk, max_terms - k)
+        ks = np.arange(k, k + m, dtype=np.float64)
+        ratios = (a + ks) * (b + ks) / ((c + ks) * (1.0 + ks)) * z
+        terms = np.multiply.accumulate(ratios)
+        terms *= term  # exact where term is 1.0
 
 
 def _route(a: float, b: float, c: float) -> str:
@@ -257,11 +275,31 @@ def _forget(ref: _Ref) -> None:
         del _LIVE[ref.abc]
 
 
+class _entry:
+    """A coefficient-table entry of _Triple: the first read calls fill(triple)
+    and stores the value in the triple's dict, where every later read finds
+    it before this (non-data) descriptor.  There is no lock: threads that
+    race on a first read each fill the same values from the same (a, b, c),
+    so whichever write lands last, every reader gets equal numbers."""
+
+    def __init__(self, fill):
+        self.fill = fill
+        self.name = fill.__name__
+        self.__doc__ = fill.__doc__
+
+    def __get__(self, key, owner=None):
+        if key is None:
+            return self
+        value = key.__dict__[self.name] = self.fill(key)
+        return value
+
+
 class _Triple:
     """The parameters (a, b, c) as the key of _eval_pair, interned: while a
     triple lives, _LIVE finds it and _Triple(a, b, c) returns it.  Its
-    attribute dict is the coefficient table of (a, b, c): abc and the route
-    are set when it is made, each cached property below on first use.
+    attribute dict is the coefficient table of (a, b, c): abc, the route and
+    an empty ln Gamma memo are set when it is made, each entry below on
+    first use.
     """
 
     def __new__(cls, a: float, b: float, c: float):
@@ -272,11 +310,19 @@ class _Triple:
             self = object.__new__(cls)
             self.abc = abc
             self.route = _route(a, b, c)
+            self.lngammas = {}
             ref = _LIVE[abc] = _Ref(self, _forget)
             ref.abc = abc
         return self
 
-    @functools.cached_property
+    def lngamma(self, x: float) -> tuple[float, int]:
+        """_lngamma_signed(x), computed once per distinct x of this triple."""
+        got = self.lngammas.get(x)
+        if got is None:
+            got = self.lngammas[x] = _lngamma_signed(x)
+        return got
+
+    @_entry
     def zero_balanced(self) -> tuple[float, float, list, list]:
         """R(a,b) = -psi(a) - psi(b) - 2 gamma, Gamma(a+b)/(Gamma(a)Gamma(b)),
         and the steps of _zero_balanced: slot n < 64 of the two lists holds
@@ -285,18 +331,18 @@ class _Triple:
         writes the same value, s_n before h_{n+1}, so h_{n+1} implies s_n."""
         a, b, _ = self.abc
         return (-_digamma_any(a) - _digamma_any(b) - 2.0 * EULER_GAMMA,
-                _gamma_ratio((a + b,), (a, b)), [None] * _TABLED, [None] * _TABLED)
+                _gamma_ratio(self, (a + b,), (a, b)), [None] * _TABLED, [None] * _TABLED)
 
-    @functools.cached_property
-    def connection(self) -> tuple[float, float, np.ndarray, np.ndarray]:
+    @_entry
+    def connection(self) -> tuple[float, float, tuple, tuple]:
         """The coefficients of the two series of A&S 15.3.6, d = c-a-b, and
-        the _first_ratios of each series."""
+        the series head (_first_ratios) of each series."""
         a, b, c = self.abc
         d = c - a - b
-        return (_gamma_ratio((c, d), (c - a, c - b)), _gamma_ratio((c, -d), (a, b)),
+        return (_gamma_ratio(self, (c, d), (c - a, c - b)), _gamma_ratio(self, (c, -d), (a, b)),
                 _first_ratios(a, b, 1.0 - d), _first_ratios(c - a, c - b, 1.0 + d))
 
-    @functools.cached_property
+    @_entry
     def integer_d(self) -> tuple[float, float, tuple, tuple, tuple]:
         """For the integer m nearest c-a-b, k = |m|: the log-part and
         finite-part prefactors of _integer_d, the shifted parameters (sa, sb)
@@ -306,36 +352,40 @@ class _Triple:
         m = round(c - a - b)
         k = abs(m)
         sa, sb, fa, fb = (a + k, b + k, a, b) if m > 0 else (a, b, a - k, b - k)
-        return (_gamma_ratio((c,), (fa, fb)), _gamma_ratio((float(k), c), (sa, sb)),
+        return (_gamma_ratio(self, (c,), (fa, fb)), _gamma_ratio(self, (float(k), c), (sa, sb)),
                 (sa, sb), (fa, fb), (digamma(1.0).value, digamma(float(k + 1)).value,
                                      _digamma_any(sa), _digamma_any(sb)))
 
-    @functools.cached_property
-    def series_q(self) -> np.ndarray:
-        """_first_ratios of the Maclaurin series of F(a,b;c;z)."""
+    @_entry
+    def series_head(self) -> tuple:
+        """The head (_first_ratios) of the Maclaurin series of F(a,b;c;z)."""
         return _first_ratios(*self.abc)
 
-    @functools.cached_property
-    def near_balanced(self) -> tuple[float, float, float, float, float, float]:
+    @_entry
+    def near_balanced(self) -> tuple:
         """eps = c-a-b, correctly rounded, and P, D_0 + ln u and Phi_0 - ln u of
-        _near_zero_balanced, with bounds on the error of the first two."""
+        _near_zero_balanced, with bounds on the error of the first two, and
+        the _pole_step of a and of b."""
         a, b, c = self.abc
         eps = math.fsum((c, -a, -b))
         pref = math.gamma(c) / (math.gamma(c - a) * math.gamma(c - b)) \
             * (1.0 + (math.pi * eps) ** 2 / 6.0)
-        (la, ea), (lb, eb) = _lgamma_slope(a, eps), _lgamma_slope(b, eps)
+        pole_a, pole_b = _pole_step(a, b, c, eps), _pole_step(b, a, c, eps)
+        (la, ea), (lb, eb) = _lgamma_slope(a, eps, pole_a), _lgamma_slope(b, eps, pole_b)
         # math.gamma is within 10 ulps (CPython's test_math), 20 units each;
         # psi(c-a) ~ lb and psi(c-b) ~ la scale the rounding of c-a and c-b
         pref_err = _UNIT * (64.0 + 2.0 * abs((c - a) * lb) + 2.0 * abs((c - b) * la))
         d0 = -2.0 * EULER_GAMMA - (2.0 / 3.0) * _ZETA3 * eps * eps - la - lb
         phi0 = la + lb + EULER_GAMMA - eps * (math.pi ** 2 / 12.0 - eps * _ZETA3 / 3.0)
         d0_err = ea + eb + 3.0 * _UNIT * (abs(la) + abs(lb) + 2.0 * EULER_GAMMA)
-        return eps, pref, pref_err, d0, d0_err, phi0
+        return eps, pref, pref_err, d0, d0_err, phi0, pole_a, pole_b
 
-    @functools.cached_property
+    @_entry
     def half_beta(self) -> float:
-        """B(a,b)/2, the factor of mu."""
-        return _half_beta(*self.abc[:2])
+        """B(a,b)/2 for a, b > 0, the factor of mu."""
+        a, b, _ = self.abc
+        (la, _), (lb, _), (lab, _) = self.lngamma(a), self.lngamma(b), self.lngamma(a + b)
+        return 0.5 * _exp(la + lb - lab, 1, "B", a, b)
 
 
 def _overflow(key: _Triple, u: float, sign: float) -> SaturationError:
@@ -391,7 +441,7 @@ def _near_zero_balanced(key: _Triple, u: float) -> tuple[float, float]:
     G_n = g_n e^(eps Phi_n) as one product.  It stops as _zero_balanced does;
     its error bound runs with the sum (G_n e^(eps D_n) = G_n + eps t_n)."""
     a, b, _ = key.abc
-    eps, pref, pref_err, d0, d0_err, phi0 = key.near_balanced
+    eps, pref, pref_err, d0, d0_err, phi0, (na, wa, la_n), (nb, wb, lb_n) = key.near_balanced
     lnu = math.log(u)
     D = d0 - lnu
     G = math.exp(eps * (lnu + phi0))
@@ -409,11 +459,13 @@ def _near_zero_balanced(key: _Triple, u: float) -> tuple[float, float]:
             err += 2.0 * at * u / (1.0 - u)  # the tail
             break
         y = n + 1.0
-        la, lb = math.log1p(eps / (a + n)) / eps, math.log1p(eps / (b + n)) / eps
+        la = math.log1p(eps / (a + n)) / eps if n != na else la_n
+        lb = math.log1p(eps / (b + n)) / eps if n != nb else lb_n
         # L(-eps,y) + L(eps,y) = 2 artanh(eps/y)/eps = (2/y)(1 + (eps/y)^2/3) + O(eps^4)
         D += 2.0 / y * (1.0 + (eps / y) ** 2 / 3.0) - la - lb
         d_err += 5.0 * _UNIT * (abs(la) + abs(lb) + abs(D))
-        G *= (a + n + eps) * (b + n + eps) / (y * (y + eps)) * u
+        G *= ((a + n + eps) if n != na else wa) * ((b + n + eps) if n != nb else wb) \
+            / (y * (y + eps)) * u
     else:
         raise ConvergenceError(f"near-balanced expansion stalled at u={u!r}")
     value = pref * total
@@ -478,10 +530,10 @@ def _integer_d(key: _Triple, u: float, m: int) -> tuple[float, float]:
 def _connection(key: _Triple, u: float, d: float) -> tuple[float, float]:
     """A&S 15.3.6: two series in u = 1-z, valid for non-integer d = c-a-b."""
     a, b, c = key.abc
-    c1, c2, q1, q2 = key.connection
+    c1, c2, h1, h2 = key.connection
     t1 = e1 = 0.0
     if c1 != 0.0:
-        s1, se1, _ = _direct_series(a, b, 1.0 - d, u, q1, max_terms=20_000)
+        s1, se1, _ = _direct_series(a, b, 1.0 - d, u, h1, max_terms=20_000)
         t1 = c1 * s1
         e1 = abs(c1) * se1
     t2 = e2 = 0.0
@@ -490,7 +542,7 @@ def _connection(key: _Triple, u: float, d: float) -> tuple[float, float]:
             ud = math.exp(d * math.log(u))
         except OverflowError:
             raise _overflow(key, u, c2) from None
-        s2, se2, _ = _direct_series(c - a, c - b, 1.0 + d, u, q2, max_terms=20_000)
+        s2, se2, _ = _direct_series(c - a, c - b, 1.0 + d, u, h2, max_terms=20_000)
         t2 = c2 * ud * s2
         e2 = abs(c2) * ud * se2
     value = t1 + t2
@@ -520,7 +572,7 @@ def _eval_pair(key: _Triple, z: float, zc: float) -> EvalResult:
         return EvalResult(value, abs(value) * (abs(expo * math.log(zc)) + 1.0) * 2e-16,
                           Method.CLOSED_FORM)
     if z < Z_SWITCH or route == "series":
-        value, err, _ = _direct_series(a, b, c, z, key.series_q)
+        value, err, _ = _direct_series(a, b, c, z, key.series_head)
         return EvalResult(value, err, Method.SERIES)
     d = c - a - b
     if route == "connection":

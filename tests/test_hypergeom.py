@@ -318,6 +318,19 @@ def test_band_across_a_gamma_pole_takes_the_series():
         assert _Triple(a, b, c).route == "series"
         r = hyp2f1(HypParams(a, b, c), z)
         assert abs(r.value - want) <= r.abs_err_est <= 1e-14
+    # c-a or c-b a few ulps above the pole at 0, with no pole crossed: the
+    # near-balanced kernel keeps them and takes that step from the exact
+    # c-b or c-a, where the rounded c-a-b had lost its digits (the Maclaurin
+    # series would need millions of terms at 1-z = 1e-12).  Values from
+    # mpmath.hyp2f1 at 50 digits.
+    for a, b, c, z, want in (
+            (2e-9, 1e-9, 2.0000000000000005e-09, 0.9, 1.000000002302585095644995),
+            (2e-9, 1e-9, 2.0000000000000005e-09, 1 - 1e-12, 1.000000027631043619630633),
+            (1.0000000001e-07, 0.5, 0.5000000000000001, 0.9, 1.000000230258535831922961),
+            (1.0000000001e-07, 0.5, 0.5000000000000001, 1 - 1e-10, 1.00000230258773590133553)):
+        assert _Triple(a, b, c).route == "near_balanced"
+        r = hyp2f1(HypParams(a, b, c), z)
+        assert abs(r.value - want) <= r.abs_err_est <= 1e-14
 
 
 # --------------------------------------------------------------------------
@@ -386,21 +399,22 @@ def test_tabled_series_is_bit_identical_to_untabled():
     for a, b, c in _seeded_triples(7):
         key = _Triple(a, b, c)
         for z in (0.05, 0.4, 0.74):
-            got = _direct_series(a, b, c, z, key.series_q)
+            got = _direct_series(a, b, c, z, key.series_head)
             assert got == _untabled_series(a, b, c, z), (a, b, c, z)
             terms.append(got[2])
         d = c - a - b
-        _, _, q1, q2 = key.connection
+        _, _, h1, h2 = key.connection
         for u in (1e-4, 0.01, 0.24):
-            for args, q in (((a, b, 1.0 - d), q1), ((c - a, c - b, 1.0 + d), q2)):
-                got = _direct_series(*args, u, q, max_terms=20_000)
+            for args, head in (((a, b, 1.0 - d), h1), ((c - a, c - b, 1.0 + d), h2)):
+                got = _direct_series(*args, u, head, max_terms=20_000)
                 assert got == _untabled_series(*args, u, max_terms=20_000), (args, u)
     assert max(terms) > 128  # chunks beyond the tabled first one
 
 
 def _summing_series(a, b, c, z, q0, max_terms=400_000):
     """The Maclaurin series kernel before its exact exit for chunks that
-    round to 1 and its single reduce for chunks of one sign."""
+    round to 1, its single reduce for chunks of one sign and its series
+    head: every chunk in one loop, with the first chunk's ratios q0."""
     if z == 0.0:
         return 1.0, 0.0, 1
     total, comp, abs_total, term, k = 1.0, 0.0, 1.0, 1.0, 0
@@ -461,23 +475,32 @@ def _series_cases(seed):
                     (1.2, 0.9, 0.5), (3.0, 3.0, 4.95), (2.0, 1.7, 1.1)]:
         d = c - a - b  # d > 1 gives 1-d < 0, d < -1 gives 1+d < 0
         triples += [(a, b, 1.0 - d), (c - a, c - b, 1.0 + d)]
+    # both a and b negative: the first chunk's ratios change sign twice
+    triples += [(-2.5, -0.5, 0.7), (-1.3, -4.6, 2.2)]
+    triples += [(80.0, 0.5, 1.5), (0.3, 70.5, 71.0)]  # min_k > 64
     cases = []
     for a, b, c in triples:
         zs = [rng.uniform(0.0, 0.99) for _ in range(2)] + [0.99, 1e-3, 1e-12, 1e-17, 1e-30]
         for z in zs + _exit_edges(a, b, c):
             cases.append((a, b, c, z, 20_000 if z > 0.9 else 400_000))
+    # many chunks at z >= 0.9, up to the last one that max_terms cuts short
+    cases += [(0.5, 0.5, 1.0, 0.9, 20_000), (0.5, 0.5, 1.0, 0.995, 400_000),
+              (1.5, 2.5, 3.5, 0.999, 400_000), (-0.5, 1.5, 0.25, 0.97, 20_000)]
     return cases
 
 
 def test_series_shortcuts_are_bit_identical_to_summing():
-    exits = same_sign = 0
+    exits = same_sign = mixed = long_head = many_chunks = 0
     for a, b, c, z, max_terms in _series_cases(13):
-        q0 = _first_ratios(a, b, c)
-        got = _direct_series(a, b, c, z, q0, max_terms=max_terms)
-        assert got == _summing_series(a, b, c, z, q0, max_terms), (a, b, c, z)
+        head = _first_ratios(a, b, c)
+        got = _direct_series(a, b, c, z, head, max_terms=max_terms)
+        assert got == _summing_series(a, b, c, z, head[0], max_terms), (a, b, c, z)
         exits += got == (1.0, 4e-16 + 1e-15, 65)
         same_sign += min(a, b, c) > 0.0 and got[2] > 65
-    assert exits > 50 and same_sign > 50
+        mixed += bool((head[0] < 0.0).any() and (head[0] > 0.0).any())
+        long_head += head[1] > 64
+        many_chunks += z >= 0.9 and got[2] > 64 + 128 + 256
+    assert exits > 50 and same_sign > 50 and mixed > 20 and long_head > 20 and many_chunks > 20
 
 
 def test_series_that_rounds_to_one_sums_nothing(monkeypatch):
@@ -486,11 +509,11 @@ def test_series_that_rounds_to_one_sums_nothing(monkeypatch):
             raise AssertionError("the chunk was summed")
 
     a, b, c = 0.5, 0.5, 1.0
-    q0 = _first_ratios(a, b, c)
+    head = _first_ratios(a, b, c)
     z = 2.0 ** -60
-    want = _summing_series(a, b, c, z, q0)
+    want = _summing_series(a, b, c, z, head[0])
     monkeypatch.setattr(np, "multiply", NoMultiply())
-    assert _direct_series(a, b, c, z, q0) == want == (1.0, 4e-16 + 1e-15, 65)
+    assert _direct_series(a, b, c, z, head) == want == (1.0, 4e-16 + 1e-15, 65)
 
 
 def test_tabled_zero_balanced_is_bit_identical_to_untabled():
@@ -541,10 +564,10 @@ def _frozen_dispatch(key, z, zc):
         return EvalResult(value, abs(value) * (abs(expo * math.log(zc)) + 1.0) * 2e-16,
                           Method.CLOSED_FORM)
     if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
-        value, err, _ = _direct_series(a, b, c, z, key.series_q)
+        value, err, _ = _direct_series(a, b, c, z, key.series_head)
         return EvalResult(value, err, Method.SERIES)
     if z < 0.75:
-        value, err, _ = _direct_series(a, b, c, z, key.series_q)
+        value, err, _ = _direct_series(a, b, c, z, key.series_head)
         return EvalResult(value, err, Method.SERIES)
     d = c - a - b
     m = round(d)

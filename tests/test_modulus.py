@@ -369,17 +369,23 @@ def _count_calls(monkeypatch, targets) -> dict:
 def test_cold_phi_k_computes_the_triple_constants_once_per_key(monkeypatch):
     # mu_m(r) and the solve share the coefficient table of the zero-balanced
     # triple: R(a,b) (two psi values), Gamma(a+b)/(Gamma(a)Gamma(b)) and
-    # B(a,b)/2 are computed once per triple, not per key or per evaluation
-    from genellip import hypergeom, modulus
+    # B(a,b)/2 are computed once per triple, not per key or per evaluation,
+    # and the last two share ln Gamma at a, b and a+b (here a+b = c)
+    from genellip import hypergeom, modulus, scalar_special
     calls = _count_calls(monkeypatch, (
-        (hypergeom, "_gamma_ratio"), (hypergeom, "digamma"), (hypergeom, "_half_beta"),
-        (modulus, "_half_beta"), (modulus, "_eval_pair")))
+        (hypergeom, "_gamma_ratio"), (hypergeom, "digamma"), (modulus, "_eval_pair")))
+    lngammas = {}
+
+    def counted(x, _f=scalar_special._lngamma_raw):
+        lngammas[x] = lngammas.get(x, 0) + 1
+        return _f(x)
+    monkeypatch.setattr(scalar_special, "_lngamma_raw", counted)
     _cold()
     phi_k(ModulusParams(0.3, 0.7, 1.0), 3.0, 0.6)
     assert calls["_eval_pair"] >= 12  # mu_m(r), then five or more evaluations
     assert calls["_gamma_ratio"] == 1
     assert calls["digamma"] == 2
-    assert calls["_half_beta"] == 1  # both modules' names count into one entry
+    assert lngammas == {0.3: 1, 0.7: 1, 1.0: 1}
 
 
 def test_equal_triples_share_one_table_until_the_caches_clear(monkeypatch):
