@@ -1,6 +1,6 @@
 """Alternating A/B runs of the benchmark on two checkouts.
 
-    python3 scripts/ab_bench.py PARENT CHANGE --workload modular-solve \\
+    python3 scripts/ab_bench.py PARENT CHANGE --workload modular-solve eval-sweep \\
         --seeds 1 2 3 4 5 6 7 8 9 10 [--pairs 10] [--seconds 40]
 
 PARENT and CHANGE are the roots of two checkouts (say, one made with
@@ -8,10 +8,12 @@ PARENT and CHANGE are the roots of two checkouts (say, one made with
 first, so neither run pays for byte-compiling.  Pair i runs
 `python3 bench/run.py --workload W --seed S --seconds T --trace 0` in each
 checkout, with S = seeds[i % len(seeds)]; the parent runs first in even
-pairs and the change first in odd ones.  Each run's result is the last
-JSON line it prints.  For every end-to-end metric of BENCHMARK.json the
-script prints each side's median and quartiles, how many pairs the change
-won (ties count for neither side), and two verdicts: `gain` when the
+pairs and the change first in odd ones.  With several workloads, pair i of
+each runs before pair i+1 of any, so every workload sees the same phases of
+a host whose speed drifts.  Each run's result is the last JSON line it
+prints.  For each workload and every end-to-end metric of BENCHMARK.json
+the script prints each side's median and quartiles, how many pairs the
+change won (ties count for neither side), and two verdicts: `gain` when the
 change won at least 9 of every 10 pairs and the medians differ by more than
 the parent's interquartile range, and `worse` when the change's median is
 worse than the parent's by more than the metric's bound.  It only reads
@@ -88,7 +90,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", nargs="+", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--pairs", type=int, default=None,
                     help="number of pairs (default: one per seed)")
@@ -101,18 +103,20 @@ def main(argv=None) -> int:
     pairs = args.pairs or len(args.seeds)
     for root in roots.values():
         _compile(root)
-    runs = []
+    runs = {w: [] for w in args.workload}
     for i in range(pairs):
         seed = args.seeds[i % len(args.seeds)]
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {s: _run(roots[s], args.workload, seed, seconds) for s in order}
-        runs.append(pair)
-        print(f"pair {i + 1} seed {seed} ({order[0]} first): " + "; ".join(
-            f"{s} " + " ".join(f"{k}={v['value']:.6g}" for k, v in pair[s]["metrics"].items())
-            for s in SIDES), flush=True)
-    print(f"# {args.workload}, {pairs} pairs of {seconds} s runs")
-    for line in summarize(runs, bench["end_to_end"]):
-        print(line)
+        for w in args.workload:
+            pair = {s: _run(roots[s], w, seed, seconds) for s in order}
+            runs[w].append(pair)
+            print(f"pair {i + 1} {w} seed {seed} ({order[0]} first): " + "; ".join(
+                f"{s} " + " ".join(f"{k}={v['value']:.6g}" for k, v in pair[s]["metrics"].items())
+                for s in SIDES), flush=True)
+    for w in args.workload:
+        print(f"# {w}, {pairs} pairs of {seconds} s runs")
+        for line in summarize(runs[w], bench["end_to_end"]):
+            print(line)
     return 0
 
 

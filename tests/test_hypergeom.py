@@ -529,6 +529,66 @@ def test_tabled_zero_balanced_is_bit_identical_to_untabled():
     assert max(terms) > 64  # steps beyond the table
 
 
+# One cold triple of each kind that fills its table on first use, and the
+# points each is evaluated at: u = 1e-3 and 1e-6 reach more zero-balanced
+# steps than u = 0.1, so later evaluations read slots that others filled.
+_THREADED = [((0.3, 0.7, 1.0), (0.9, 0.999, 0.999999, 0.5)),  # zero-balanced
+             ((1.2, 0.9, 0.5), (0.9, 0.999, 0.3)),  # connection
+             ((0.5, 0.25, 2.75), (0.95, 0.99999)),  # integer-d
+             ((0.5, 0.5, 1.0 + 1e-9), (0.2, 0.6, 0.74)),  # near-balanced; series below 0.75
+             ((-1.5, 0.7, 1.3), (0.5, 0.9))]  # series
+
+
+def _threaded_pass(barrier=None):
+    """Every (triple, z) of _THREADED through the uncached engine, and B(a,b)/2
+    of each triple with a, b > 0, on triples shared by every caller."""
+    keys = [_Triple(*abc) for abc, _ in _THREADED]
+    if barrier is not None:
+        barrier.wait()
+    out = []
+    for key, (_, zs) in zip(keys, _THREADED):
+        for z in zs:
+            out.append(_eval_pair.__wrapped__(key, z, 1.0 - z))
+        if min(key.abc) > 0.0:
+            out.append(key.half_beta)
+    return out
+
+
+def test_cold_tables_filled_by_racing_threads_give_single_threaded_results():
+    import gc
+    import sys
+    import threading
+
+    def cold():
+        _eval_pair.cache_clear()
+        gc.collect()
+        assert not any(abc in hypergeom._LIVE for abc, _ in _THREADED)
+
+    from genellip import hypergeom
+    cold()
+    want = _threaded_pass()
+    n = 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the first reads
+    try:
+        for _ in range(10):
+            cold()
+            barrier = threading.Barrier(n)
+            got = [None] * n
+
+            def work(i, barrier=barrier, got=got):
+                got[i] = _threaded_pass(barrier)
+            threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [want] * n
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_equal_triples_are_one_object_until_the_cache_clears():
     import gc
 
