@@ -76,7 +76,7 @@ class HypParams(_Params):
     """Positive real parameters (a, b, c), each bounded by 50."""
 
 
-def _gamma_ratio(key: "_Triple", nums, dens) -> float:
+def _gamma_ratio(key: _Triple, nums, dens) -> float:
     """Product of Gamma(nums) / product of Gamma(dens); 0 on a denominator
     pole.  The ln Gamma values come from the triple's memo."""
     ln = 0.0
@@ -105,11 +105,11 @@ def _digamma_any(x: float) -> float:
     return digamma(1.0 - x).value - math.pi / math.tan(math.pi * f)
 
 
-def _lgamma_slope(x: float, e: float, pole: tuple = (-1, 0.0, 0.0)) -> tuple[float, float]:
+def _lgamma_slope(x: float, e: float, pole: tuple) -> tuple[float, float]:
     """(ln Gamma(x+e) - ln Gamma(x))/e for 0 < |e| <= 1e-6 and an error bound:
     shift x to x+k >= 10, each step subtracting log1p(e/(x+j))/e, then take
     psi + e psi'/2 + e^2 psi''/6 at x+k (psi' to x^-9, psi'' to x^-3).  The
-    step j = n of pole = _pole_step(...) is its log(w/(x+n))/e instead."""
+    step j = n of pole = (n, w, L), the _pole_step of x, is L instead."""
     k = max(0, math.ceil(10.0 - x))
     steps = [math.log1p(e / (x + j)) / e if j != pole[0] else pole[2] for j in range(k)]
     psi = digamma(x + k)
