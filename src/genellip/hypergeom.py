@@ -18,25 +18,40 @@ Lambda(1,eps); each step adds L(-eps,n+1) + L(eps,n+1) - L(eps,a+n) -
 L(eps,b+n) to D and L(eps,a+n) + L(eps,b+n) - L(eps,n+1) to Phi.  As
 eps -> 0, D_n -> h_n - ln u and P tends to the zero-balanced prefactor.
 
+Near a pole of Gamma the expansion takes one step from exact inputs: where
+x+n+eps (x = a or b, n >= 0) lies within half of x+n of 0, the rounded eps
+has lost the digits that cancel there, so that step reads x+n+(c-a-b) as
+c-y+n (y the other of a, b), correctly rounded, and its log as
+log((c-y+n)/(x+n)).
+
 The engine _eval_pair is LRU-cached and keyed on a _Triple: the parameters
 (a, b, c), interned, so that the cache hashes and compares keys by
 identity.  A triple's attribute dict is the coefficient table of its
 (a, b, c), which holds what the kernels need that does not depend on z: the
-Gamma and psi constants of the z -> 1 regimes, the z-free ratio factors of
-the first chunk of each Maclaurin series, the zero-balanced step factors
-and running h_n, the near-balanced P, D_0 and Phi_0, B(a,b)/2 for the
-modulus, and the route: which kernel evaluates F at z >= z_switch.  The
-route depends on (a, b, c) alone ('closed' for a = c or b = c, 'series' for
+Gamma and psi constants of the z -> 1 regimes, the head of each Maclaurin
+series (the ratio factors of its first chunk of 64 terms, the least number
+of terms, the bound that lets a first chunk that rounds to 1 go unsummed,
+and min(a, b, c)), the zero-balanced step factors and running h_n, the
+near-balanced P, D_0 and Phi_0, B(a,b)/2 for the modulus, and the route:
+which kernel evaluates F at z >= z_switch.  Each distinct argument's
+ln Gamma is computed once per triple, so B(a,b)/2 and the zero-balanced
+Gamma(a+b)/(Gamma(a)Gamma(b)) share ln Gamma at a, b and a+b, and the two
+connection or integer-d coefficients share ln Gamma(c).  The route depends
+on (a, b, c) alone ('closed' for a = c or b = c, 'series' for
 a non-positive integer a or b, or where the kernel of the band of c-a-b
 would meet a pole of Gamma that (a, b, c) does not have, and otherwise
 'zero_balanced', 'near_balanced', 'integer_d' or 'connection' by c-a-b), so
 _eval_pair dispatches on it and the modulus solver reads it to know which
 asymptote of mu applies.  The route is set when the triple is made, since
 every evaluation reads it; every other entry is computed on first use, and
-the zero-balanced steps as the evaluations reach them.  Each caller builds
-one triple per public call (the modulus solver one per solve) and the cache
-entries keep theirs, so _eval_pair.cache_clear() frees every triple and its
-table.
+the zero-balanced steps as the evaluations reach them.  The entries are
+filled without a lock (functools.cached_property takes one on every first
+read before Python 3.12): two threads that race on a first read compute the
+same values from the same (a, b, c), and whichever stores last, each reader
+gets equal numbers.  Each caller builds one triple per public call (the
+modulus solver one per solve, which then makes about 16 evaluations on it)
+and the cache entries keep theirs, so _eval_pair.cache_clear() frees every
+triple and its table.
 """
 
 from __future__ import annotations
