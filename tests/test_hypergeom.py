@@ -530,8 +530,8 @@ def test_tabled_zero_balanced_is_bit_identical_to_untabled():
 
 
 # One cold triple of each kind that fills its table on first use, and the
-# points each is evaluated at: u = 1e-3 and 1e-6 reach more zero-balanced
-# steps than u = 0.1, so later evaluations read slots that others filled.
+# points each is evaluated at: u = 0.1 fills more zero-balanced steps than
+# u = 1e-3 and 1e-6, which then read slots that any thread may have filled.
 _THREADED = [((0.3, 0.7, 1.0), (0.9, 0.999, 0.999999, 0.5)),  # zero-balanced
              ((1.2, 0.9, 0.5), (0.9, 0.999, 0.3)),  # connection
              ((0.5, 0.25, 2.75), (0.95, 0.99999)),  # integer-d
@@ -559,12 +559,13 @@ def test_cold_tables_filled_by_racing_threads_give_single_threaded_results():
     import sys
     import threading
 
+    from genellip import hypergeom
+
     def cold():
         _eval_pair.cache_clear()
         gc.collect()
         assert not any(abc in hypergeom._LIVE for abc, _ in _THREADED)
 
-    from genellip import hypergeom
     cold()
     want = _threaded_pass()
     n = 8
