@@ -22,7 +22,8 @@ that moves one sample's value or error estimate in one check shows as one
 changed line.  Beside each workload digest it
 prints the work of that pass: the cache misses of the 2F1 engine
 ``_eval_pair`` (the kernel evaluations made) and the calls of the modulus
-solver ``_solve_log_mu``.  Run it on two
+solver ``_solve_log_mu``, and beside the `verify all` digest also the
+evaluations of ln Gamma (``scalar_special._lngamma_raw``).  Run it on two
 checkouts and diff the output: equal digests mean equal bits, and the counts
 show the work each side did.  Both LRU caches are cleared before each pass,
 as in the benchmark.  The modular-solve points pass through the benchmark's
@@ -53,6 +54,7 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -61,7 +63,7 @@ import golden  # noqa: E402
 import passes as P  # noqa: E402  (imports genellip from src/)
 import reference  # noqa: E402
 import workloads as wl  # noqa: E402
-from genellip import cli, hypergeom, modulus  # noqa: E402
+from genellip import cli, hypergeom, modulus, scalar_special  # noqa: E402
 
 _ELL = "--a 0.3 --b 0.6 --c 0.7"
 _GRID = "--grid 0.1:0.9:5:linear"
@@ -199,11 +201,13 @@ def main(argv=None) -> int:
         print(f"modular-solve seed={seed} n={len(outs)} {_digest(outs)} {_work()}")
     specs = P.verify_specs()
     trackers = [golden.Tracker(record=True) for _ in specs]
-    reports = P.verify_pass(specs, trackers).outputs
+    with mock.patch.object(scalar_special, "_lngamma_raw",
+                           wraps=scalar_special._lngamma_raw) as lngamma:
+        reports = P.verify_pass(specs, trackers).outputs
     rows = [(r.id, r.verdict, r.samples, float(r.worst_margin), r.witness, s.claim)
             for r, s in zip(reports, specs)]
     print(f"verify-all checks={len(rows)} samples={sum(r[2] for r in rows)} "
-          f"{_digest(rows)} {_work()}")
+          f"{_digest(rows)} {_work()} lngamma={lngamma.call_count}")
     for spec, tracker in zip(specs, trackers):
         print(f"  {spec.id} calls={len(tracker.calls)} {_digest(tracker.calls)}")
     return 0

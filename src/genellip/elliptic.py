@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .errors import DomainError, ParameterError, _Params, checked
 from .hypergeom import _eval_pair, _Triple
 from .result import EvalResult, Method
-from .scalar_special import _half_beta, beta
+from .scalar_special import beta
 
 
 class EllipticParams(_Params):
@@ -40,8 +40,9 @@ class EllipticParams(_Params):
 
     @functools.cached_property
     def half_beta(self) -> float:
-        """B(a,b)/2, the common value K(0) = E(0)."""
-        return _half_beta(self.a, self.b)
+        """B(a,b)/2, the common value K(0) = E(0), as the 2F1 table of
+        (a, b, c) holds it."""
+        return _Triple(self.a, self.b, self.c).half_beta
 
 
 @dataclass(frozen=True, init=False)
@@ -126,7 +127,8 @@ def ell_k(p: EllipticParams, m: Modulus) -> EvalResult:
     """
     if m.z_comp == 0.0:
         return EvalResult(math.inf, 0.0, Method.CLOSED_FORM)
-    return _scaled(p.half_beta, _Triple(p.a, p.b, p.c), m)
+    key = _Triple(p.a, p.b, p.c)  # first, so that half_beta reads its table
+    return _scaled(p.half_beta, key, m)
 
 
 def ell_e(p: EllipticParams, m: Modulus) -> EvalResult:

@@ -33,7 +33,6 @@ from .errors import (ConvergenceError, DomainError, ParameterError, SaturationEr
 from .hypergeom import _eval_pair, _Triple
 from .legendre_m import MPoint, _finite, m_value
 from .result import EvalResult, Method
-from .scalar_special import _half_beta, _lngamma_signed
 
 _T_MAX = 700.0
 _T_RANGE = f"[{-_T_MAX:g}, {_T_MAX:g}]"
@@ -51,7 +50,8 @@ class ModulusParams(_Params):
 
     @functools.cached_property
     def half_beta(self) -> float:
-        return _half_beta(self.a, self.b)
+        """B(a,b)/2, mu at r' = r, as the 2F1 table of (a, b, c) holds it."""
+        return _Triple(self.a, self.b, self.c).half_beta
 
 
 def modulus_params_ac(a: float, c: float) -> ModulusParams:
@@ -74,7 +74,7 @@ class DegreeK:
 
 
 def _as_degree(K) -> float:
-    return K.K if isinstance(K, DegreeK) else DegreeK(K).K
+    return K.K if isinstance(K, DegreeK) else checked("K", K, "(0, inf)", ParameterError)
 
 
 def _sigmoid(t: float) -> float:
@@ -85,14 +85,15 @@ def _sigmoid(t: float) -> float:
 
 
 def _modulus_from_t(t: float) -> Modulus:
+    """The modulus at t = log(r^2/r'^2), a valid pair by construction."""
     z = _sigmoid(t)
     zc = _sigmoid(-t)
     r = math.sqrt(z) if z > 0.0 else math.exp(0.5 * t)
     rc = math.sqrt(zc) if zc > 0.0 else math.exp(-0.5 * t)
-    return Modulus(r, rc)
+    return Modulus._pair(r, rc)
 
 
-def _guess_t(key: _Triple, log_half_beta: float, log_target: float) -> float:
+def _guess_t(key: _Triple, log_hb: float, log_target: float) -> float:
     """Where g(t) = log mu(t) - log_target has its root, by the asymptotes
     of mu; 0.0 (no guess) where they are not used.
 
@@ -108,10 +109,10 @@ def _guess_t(key: _Triple, log_half_beta: float, log_target: float) -> float:
     there is no guess.  Every exp is clamped, so the guess never raises.
     """
     a, b, c = key.abc
-    x = log_target - log_half_beta
+    x = log_target - log_hb
     s = abs(x)
     if key.route == "zero_balanced":
-        tau = 2.0 * math.exp(min(log_half_beta + s, 700.0)) - key.zero_balanced[0]
+        tau = 2.0 * math.exp(min(log_hb + s, 700.0)) - key.zero_balanced[0]
     elif key.route == "connection":
         c1, c2, _, _ = key.connection
         w = c1 * math.exp(-s)
@@ -144,7 +145,7 @@ def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
     log(B/2) are built once, so every evaluation shares them.
     """
     key = _Triple(a, b, c)
-    log_half_beta = math.log(key.half_beta)
+    log_hb = math.log(key.half_beta)
 
     def g(t: float) -> float:
         # F(r'^2) or F(r^2) past the float range puts mu at +inf or 0: an
@@ -159,7 +160,7 @@ def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
             den = _eval_pair(key, z, zc)
         except SaturationError:
             return -math.inf
-        return log_half_beta + math.log(num.value) - math.log(den.value) - log_target
+        return log_hb + math.log(num.value) - math.log(den.value) - log_target
 
     evals = 0
     bracket = None
@@ -176,7 +177,7 @@ def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
     # of the plain walk.  The budget counts the evaluations actually made
     # (fewer after a kept jump, one more after a dropped one), so only a
     # solve that ends on the budget can end differently.
-    rungs = _rungs(_guess_t(key, log_half_beta, log_target))
+    rungs = _rungs(_guess_t(key, log_hb, log_target))
     if rungs is not None:
         inner, outer = rungs
         g_in = g(inner)
@@ -320,9 +321,10 @@ def _m_divisor(p: ModulusParams, z: float, what: str) -> EvalResult:
 def mu_deriv(p: ModulusParams, r: float) -> EvalResult:
     """d mu/dr = -B(a,b) M(r^2) / (r r'^2 F(a,b;c;r^2)^2); negative throughout."""
     m = _interior(Modulus.from_r(r), "mu_deriv")
-    v = _eval_pair(_Triple(p.a, p.b, p.c), m.z, m.z_comp)
+    key = _Triple(p.a, p.b, p.c)
+    v = _eval_pair(key, m.z, m.z_comp)
     M = _m_divisor(p, m.z, "mu_deriv")
-    B = 2.0 * p.half_beta
+    B = 2.0 * key.half_beta
     value = -B * M.value / (m.r * m.z_comp * v.value * v.value)
     rel = (M.abs_err_est / abs(M.value) + 2.0 * v.abs_err_est / abs(v.value) + 5e-15)
     return _finite(value, abs(value) * rel, M.method, "d mu/dr", p.a, p.b, p.c)
@@ -367,16 +369,14 @@ def mu_deriv_closed(p: ModulusParams, r: float) -> EvalResult:
     with D = (Gamma(a)Gamma(b)Gamma(c))^2 / (4 Gamma(a+b)^3)."""
     _require_power_case(p)
     m = _interior(Modulus.from_r(r), "mu_deriv_closed")
-    la, _ = _lngamma_signed(p.a)
-    lb, _ = _lngamma_signed(p.b)
-    lc, _ = _lngamma_signed(p.c)
-    lab, _ = _lngamma_signed(p.a + p.b)
+    key = _Triple(p.a, p.b, p.c)
+    (la, _), (lb, _), (lc, _), (lab, _) = map(key.lngamma, (p.a, p.b, p.c, p.a + p.b))
     try:
         D = math.exp(2.0 * (la + lb + lc) - 3.0 * lab) / 4.0
     except OverflowError:
         raise DomainError(f"the closed form is not representable: D exceeds the float "
                           f"range at (a,b,c)=({p.a!r},{p.b!r},{p.c!r})") from None
-    Kr = p.half_beta * _eval_pair(_Triple(p.a, p.b, p.c), m.z, m.z_comp).value
+    Kr = key.half_beta * _eval_pair(key, m.z, m.z_comp).value
     value = -D / (m.r ** (2.0 * p.c - 1.0) * m.z_comp ** p.c * Kr * Kr)
     return _finite(value, abs(value) * 1e-12, Method.CLOSED_FORM, "d mu/dr", p.a, p.b, p.c)
 

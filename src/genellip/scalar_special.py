@@ -1,6 +1,5 @@
-"""Gamma-family scalar functions: ln Gamma, Gamma, psi, Beta (and the
-factor B(a,b)/2 of K, E and mu), and the Ramanujan constant
-R(a,b) = -psi(a) - psi(b) - 2*gamma.
+"""Gamma-family scalar functions: ln Gamma, Gamma, psi, Beta, and the
+Ramanujan constant R(a,b) = -psi(a) - psi(b) - 2*gamma.
 
 Evaluation uses argument-shift recurrences into the asymptotic regime
 followed by Stirling-type series with Bernoulli-number coefficients; the
@@ -162,11 +161,6 @@ def beta_ln(x: float, y: float) -> float:
     x = checked("x", x, "(0, inf)")
     y = checked("y", y, "(0, inf)")
     return _lngamma_raw(x) + _lngamma_raw(y) - _lngamma_raw(x + y)
-
-
-def _half_beta(a: float, b: float) -> float:
-    """B(a,b)/2, the common value K(0) = E(0) and the factor of mu."""
-    return 0.5 * _exp(beta_ln(a, b), 1, "B", a, b)
 
 
 def ramanujan_r(a: float, b: float) -> EvalResult:

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from genellip import (
     DegreeK,
+    EllipticParams,
     Modulus,
     ModulusParams,
     beta,
@@ -428,12 +429,72 @@ def test_triple_keys_hit_across_callers_and_die_with_the_cache():
 
 
 def test_half_beta_is_computed_once_per_params(monkeypatch):
-    from genellip import modulus
-    calls = _count_calls(monkeypatch, ((modulus, "_half_beta"),))
+    # on these routes only B(a,b)/2 reads ln Gamma at a+b
+    from genellip import scalar_special
+    calls = []
+
+    def counted(x, _f=scalar_special._lngamma_raw):
+        calls.append(x)
+        return _f(x)
+    monkeypatch.setattr(scalar_special, "_lngamma_raw", counted)
+    _cold()
     P = ModulusParams(0.3, 0.6, 0.7)
     for r in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
         mu_deriv(P, r)
-    assert calls == {"_half_beta": 1}
+    assert calls.count(P.a + P.b) == 1
+
+
+def _draw_abc(rng):
+    """A seeded (a, b, c): a and b log-uniform down to 1e-300 or uniform up
+    to 49; c up to a+b, or, half the time, a <= min(b, 0.99) and c in
+    (b, a+b], which is mostly the domain of EllipticParams."""
+    def draw():
+        if rng.random() < 0.5:
+            return 10.0 ** rng.uniform(-300.0, math.log10(49.0))
+        return rng.uniform(1e-3, 49.0)
+    a, b = draw(), draw()
+    if rng.random() < 0.5:
+        return a, b, min((a + b) * rng.random(), 50.0)
+    a = min(a, b, 0.99)
+    return a, b, b + a * rng.random()
+
+
+def _half_beta_readers(a, b, c):
+    """Every way to read B(a,b)/2 that the domain of (a, b, c) admits; the
+    last is the verify registry's _half_b."""
+    readers = [lambda: ModulusParams(a, b, c).half_beta,
+               lambda: _Triple(a, b, c).half_beta,
+               lambda: 0.5 * beta(a, b).value]
+    try:
+        E = EllipticParams(a, b, c)
+    except ParameterError:
+        return readers
+    return [lambda: E.half_beta, *readers]
+
+
+def test_half_beta_is_one_value_wherever_it_is_read():
+    import random
+    rng = random.Random(16)
+    both = 0
+    for _ in range(3000):
+        a, b, c = _draw_abc(rng)
+        readers = _half_beta_readers(a, b, c)
+        both += len(readers) == 4
+        values = [read() for read in readers]
+        assert values == [values[0]] * len(values), (a, b, c)
+    assert both > 500
+
+
+@pytest.mark.parametrize("a, b, c", [(1e-310, 1e-310, 1.5e-310),
+                                     (1e-309, 3e-309, 3.5e-309),
+                                     (5e-309, 49.0, 49.0)])
+def test_half_beta_past_the_float_range_raises_one_error(a, b, c):
+    errors = []
+    for read in _half_beta_readers(a, b, c):
+        with pytest.raises(SaturationError) as info:
+            read()
+        errors.append((str(info.value), info.value.endpoint))
+    assert errors == [errors[0]] * len(errors)
 
 
 # --------------------------------------------------------------------------

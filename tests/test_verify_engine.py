@@ -197,6 +197,27 @@ def test_report_shape():
     assert rep.samples > 0
 
 
+def test_ekmonot_4_reads_half_beta_once_per_triple_not_per_sample(monkeypatch):
+    # ekmonot-4 makes one ell_k per sample on a fresh EllipticParams, so
+    # B(a,b)/2 must come from the triple's table, not three ln Gamma values
+    # at each of its 2345 samples
+    import gc
+
+    from genellip import hypergeom, modulus, scalar_special
+    calls = [0]
+
+    def counted(x, _f=scalar_special._lngamma_raw):
+        calls[0] += 1
+        return _f(x)
+    monkeypatch.setattr(scalar_special, "_lngamma_raw", counted)
+    hypergeom._eval_pair.cache_clear()
+    modulus._solve_log_mu.cache_clear()
+    gc.collect()
+    rep = run_check(select("ekmonot-4")[0])
+    assert (rep.verdict, rep.samples) == ("pass", 2345)
+    assert calls[0] < 1000
+
+
 # --------------------------------------------------------------------------
 # registry catalog properties
 
