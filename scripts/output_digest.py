@@ -21,9 +21,12 @@ and the probes), each as ``(name, args, output)`` in call order: a change
 that moves one sample's value or error estimate in one check shows as one
 changed line.  Beside each workload digest it
 prints the work of that pass: the cache misses of the 2F1 engine
-``_eval_pair`` (the kernel evaluations made) and the calls of the modulus
-solver ``_solve_log_mu``, and beside the `verify all` digest also the
-evaluations of ln Gamma (``scalar_special._lngamma_raw``).  Run it on two
+``_eval_pair`` (the kernel evaluations made), the same misses split by the
+kernel that made them (``routes=``, the triple's route, or ``series`` below
+``Z_SWITCH`` for every route but ``closed``; they sum to ``pair_misses``),
+and the calls of the modulus solver ``_solve_log_mu``, and beside the
+`verify all` digest also the evaluations of ln Gamma
+(``scalar_special._lngamma_raw``).  Run it on two
 checkouts and diff the output: equal digests mean equal bits, and the counts
 show the work each side did.  Both LRU caches are cleared before each pass,
 as in the benchmark.  The modular-solve points pass through the benchmark's
@@ -47,6 +50,7 @@ checkout, copy this script into it.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -122,22 +126,50 @@ def _digest(items) -> str:
     return h.hexdigest()
 
 
-def _work() -> str:
-    """Kernel evaluations and solver calls since the last reset of the caches."""
+def _work(routes: collections.Counter) -> str:
+    """Kernel evaluations, also by route, and solver calls since the last
+    reset of the caches."""
     solves = modulus._solve_log_mu.cache_info()
-    return (f"pair_misses={hypergeom._eval_pair.cache_info().misses} "
+    by_route = ",".join(f"{r}:{n}" for r, n in sorted(routes.items()))
+    return (f"pair_misses={hypergeom._eval_pair.cache_info().misses} routes={by_route} "
             f"solves={solves.hits + solves.misses}")
 
 
-def _outputs(calls) -> list:
+@contextlib.contextmanager
+def _routes_counted():
+    """A Counter of the misses of _eval_pair by the kernel that made each,
+    kept by replacing the module globals the package calls it through (as
+    bench's passes.CallCounter does)."""
+    pair = hypergeom._eval_pair
+    routes = collections.Counter()
+
+    def counted(key, z, zc):
+        misses = pair.cache_info().misses
+        out = pair(key, z, zc)
+        if pair.cache_info().misses != misses:
+            route = key.route
+            routes["series" if route != "closed" and z < hypergeom.Z_SWITCH else route] += 1
+        return out
+
+    for mod in P._PAIR_CALLERS:
+        mod._eval_pair = counted
+    try:
+        yield routes
+    finally:
+        for mod in P._PAIR_CALLERS:
+            mod._eval_pair = pair
+
+
+def _outputs(calls) -> tuple[list, collections.Counter]:
     P.reset()
     outs = []
-    for f, args in calls:
-        try:
-            outs.append(f(*args))
-        except Exception as exc:  # an exception is an output like any other
-            outs.append((type(exc).__name__, str(exc)))
-    return outs
+    with _routes_counted() as routes:
+        for f, args in calls:
+            try:
+                outs.append(f(*args))
+            except Exception as exc:  # an exception is an output like any other
+                outs.append((type(exc).__name__, str(exc)))
+    return outs, routes
 
 
 def _mask(text, path: str):
@@ -190,24 +222,25 @@ def main(argv=None) -> int:
         return 0
     for seed in args.seeds:
         pts = wl.eval_sweep_points(seed)
-        outs = _outputs(P.eval_calls(pts))
-        print(f"eval-sweep seed={seed} n={len(outs)} {_digest(outs)} {_work()}")
+        outs, routes = _outputs(P.eval_calls(pts))
+        print(f"eval-sweep seed={seed} n={len(outs)} {_digest(outs)} {_work(routes)}")
         groups = {}
         for p, out in zip(pts, outs):
             groups.setdefault((p.kind, p.regime), []).append(out)
         for (kind, regime), group in sorted(groups.items()):
             print(f"  {kind}/{regime or '-'} n={len(group)} {_digest(group)}")
-        outs = _outputs(P.solve_calls(reference.solve_points(ROOT, seed)))
-        print(f"modular-solve seed={seed} n={len(outs)} {_digest(outs)} {_work()}")
+        outs, routes = _outputs(P.solve_calls(reference.solve_points(ROOT, seed)))
+        print(f"modular-solve seed={seed} n={len(outs)} {_digest(outs)} {_work(routes)}")
     specs = P.verify_specs()
     trackers = [golden.Tracker(record=True) for _ in specs]
     with mock.patch.object(scalar_special, "_lngamma_raw",
-                           wraps=scalar_special._lngamma_raw) as lngamma:
+                           wraps=scalar_special._lngamma_raw) as lngamma, \
+            _routes_counted() as routes:
         reports = P.verify_pass(specs, trackers).outputs
     rows = [(r.id, r.verdict, r.samples, float(r.worst_margin), r.witness, s.claim)
             for r, s in zip(reports, specs)]
     print(f"verify-all checks={len(rows)} samples={sum(r[2] for r in rows)} "
-          f"{_digest(rows)} {_work()} lngamma={lngamma.call_count}")
+          f"{_digest(rows)} {_work(routes)} lngamma={lngamma.call_count}")
     for spec, tracker in zip(specs, trackers):
         print(f"  {spec.id} calls={len(tracker.calls)} {_digest(tracker.calls)}")
     return 0

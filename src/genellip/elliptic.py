@@ -134,7 +134,7 @@ def ell_k(p: EllipticParams, m: Modulus) -> EvalResult:
 def ell_e(p: EllipticParams, m: Modulus) -> EvalResult:
     """E(r) = (B(a,b)/2) F(a-1,b;c;r^2); finite on all of [0, 1]."""
     if m.z_comp == 0.0:
-        num = beta(p.a, p.b).value * beta(p.c, p.c + 1.0 - p.a - p.b).value
+        num = 2.0 * p.half_beta * beta(p.c, p.c + 1.0 - p.a - p.b).value
         den = beta(p.c + 1.0 - p.a, p.c - p.b).value
         value = 0.5 * num / den
         return EvalResult(value, 1e-13 * abs(value), Method.CLOSED_FORM)

@@ -37,10 +37,11 @@ which kernel evaluates F at z >= z_switch.  Each distinct argument's
 ln Gamma is computed once per triple, so B(a,b)/2 and the zero-balanced
 Gamma(a+b)/(Gamma(a)Gamma(b)) share ln Gamma at a, b and a+b, and the two
 connection or integer-d coefficients share ln Gamma(c).  The route depends
-on (a, b, c) alone ('closed' for a = c or b = c, 'series' for
-a non-positive integer a or b, or where the kernel of the band of c-a-b
-would meet a pole of Gamma that (a, b, c) does not have, and otherwise
-'zero_balanced', 'near_balanced', 'integer_d' or 'connection' by c-a-b), so
+on (a, b, c) alone: 'closed' for a = c or b = c, 'series' for a non-positive
+integer a or b or where the kernel of the band of c-a-b would meet a pole of
+Gamma that (a, b, c) does not have, 'terminating' in the near-balanced band
+where c-a or c-b is exactly -n (u^(c-a-b) times a polynomial), and otherwise
+'zero_balanced', 'near_balanced', 'integer_d' or 'connection' by c-a-b, so
 _eval_pair dispatches on it and the modulus solver reads it to know which
 asymptote of mu applies.  The route is set when the triple is made, since
 every evaluation reads it; every other entry is computed on first use, and
@@ -261,6 +262,8 @@ def _route(a: float, b: float, c: float) -> str:
         return "series" if _is_nonpositive_integer(a + b) else "zero_balanced"
     m = round(d)
     if m == 0 and abs(d) < _EULER_BAND:
+        if any(y > c and math.fsum((c, -y, round(y - c))) == 0.0 for y in (a, b)):
+            return "terminating"  # c-a or c-b is exactly -n, a pole of Gamma
         # the near-balanced logs, across a pole from a to a+d or b to b+d,
         # or past the float range within |d| 2^-500 of the pole at 0
         pole = any(math.ceil(min(x, x + d)) <= min(0.0, max(x, x + d))
@@ -396,6 +399,12 @@ class _Triple:
         return eps, pref, pref_err, d0, d0_err, phi0, pole_a, pole_b
 
     @_entry
+    def terminating(self) -> tuple[float, tuple]:
+        """c-a-b, correctly rounded, and the head of F(c-a,c-b;c;z) (_terminating)."""
+        a, b, c = self.abc
+        return math.fsum((c, -a, -b)), _first_ratios(c - a, c - b, c)
+
+    @_entry
     def half_beta(self) -> float:
         """B(a,b)/2 for a, b > 0, the factor of mu."""
         a, b, _ = self.abc
@@ -485,6 +494,15 @@ def _near_zero_balanced(key: _Triple, u: float) -> tuple[float, float]:
         raise ConvergenceError(f"near-balanced expansion stalled at u={u!r}")
     value = pref * total
     return value, abs(pref) * err + (pref_err + _UNIT) * abs(value)
+
+
+def _terminating(key: _Triple, z: float, u: float) -> tuple[float, float]:
+    """u^(c-a-b) F(c-a,c-b;c;z) (DLMF 15.8.1), a polynomial where c-a or c-b is -n."""
+    a, b, c = key.abc
+    eps, head = key.terminating
+    s, err, _ = _direct_series(c - a, c - b, c, z, head)
+    w = math.exp(eps * math.log(u))
+    return w * s, w * err + _UNIT * (2.0 + abs(math.log(w))) * abs(w * s)
 
 
 def _integer_d(key: _Triple, u: float, m: int) -> tuple[float, float]:
@@ -594,6 +612,8 @@ def _eval_pair(key: _Triple, z: float, zc: float) -> EvalResult:
         value, err = _connection(key, zc, d)
     elif route == "near_balanced":
         value, err = _near_zero_balanced(key, zc)
+    elif route == "terminating":
+        value, err = _terminating(key, z, zc)
     else:
         # integer_d or zero_balanced: the expansion at the integer m nearest
         # c-a-b, charged |c-a-b - m| (at most 1e-8, or 1e-12 for m = 0)

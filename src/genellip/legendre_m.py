@@ -185,4 +185,4 @@ def m_scaled_limit(a: float, b: float, c: float) -> float:
     d = p.a + p.b - p.c
     if d <= 0.0:
         raise ParameterError(f"limit formula needs a+b > c, got {d!r}")
-    return d * beta(p.c, d).value / beta(p.a, p.b).value
+    return d * beta(p.c, d).value / (2.0 * _Triple(p.a, p.b, p.c).half_beta)

@@ -94,8 +94,8 @@ def _at_rc(expr):
 
 
 def _half_b(d) -> float:
-    """B(a,b)/2 of a combo."""
-    return 0.5 * beta(d["a"], d["b"]).value
+    """B(a,b)/2 of a combo, from the 2F1 table of its (a, b, c)."""
+    return _ep(d).half_beta
 
 
 def _dim(name, *vals):
@@ -267,7 +267,7 @@ def _ekmonot():
               "increasing on (0,1) onto (B(a,b)(c-b)/(2c), "
               "B(a,b)B(c,c+1-a-b)/(2 B(c+1-a,c-b))).",
         fn=emk_over_z,
-        lo_limit=lambda d: beta(d["a"], d["b"]).value * (d["c"] - d["b"]) / (2.0 * d["c"]),
+        lo_limit=lambda d: 2.0 * _half_b(d) * (d["c"] - d["b"]) / (2.0 * d["c"]),
         hi_limit=emk_hi, hi_attain=2e-3)
 
     @_at_r
@@ -332,7 +332,7 @@ def _ekmonot():
               "endpoints approach at 1/log rates; attainment relaxed to 0.1 "
               "with gap decay.",
         fn=zk_over_log,
-        lo_limit=lambda d: beta(d["a"], d["b"]).value, hi_limit=lambda d: 1.0,
+        lo_limit=lambda d: 2.0 * _half_b(d), hi_limit=lambda d: 1.0,
         lo_probe=lambda d: 1e-4, hi_probe=lambda d: 1.0 - 1e-13,
         lo_attain=0.1, hi_attain=0.1)
 
@@ -365,7 +365,7 @@ def _hyper():
     def quad_ratio(p, m, d):
         k = ell_k(p, m)
         den = ell_e_minus_rc2k(p, m)
-        hb = _half_b(d)
+        hb = p.half_beta
         num = hb * hb - m.z_comp * k.value * k.value
         num_err = 2.0 * m.z_comp * abs(k.value) * k.abs_err_est + 2e-15 * hb * hb
         v = num / den.value
@@ -374,7 +374,7 @@ def _hyper():
 
     def quad_lo(d):
         a, b, c = d["a"], d["b"], d["c"]
-        return beta(a, b).value * (c - 2.0 * a * c + 2.0 * a * a) / (2.0 * a)
+        return 2.0 * _half_b(d) * (c - 2.0 * a * c + 2.0 * a * a) / (2.0 * a)
 
     yield _REDUCED(
         id="hyper-2", direction=1,
@@ -382,7 +382,7 @@ def _hyper():
               "is strictly increasing on (0,1) onto (B(c-2ac+2a^2)/(2a), "
               "B^2 (c-a)/2), B=B(a,b).",
         fn=quad_ratio, lo_limit=quad_lo,
-        hi_limit=lambda d: beta(d["a"], d["b"]).value ** 2 * (d["c"] - d["a"]) / 2.0,
+        hi_limit=lambda d: (2.0 * _half_b(d)) ** 2 * (d["c"] - d["a"]) / 2.0,
         lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-9, hi_attain=2e-3)
 
     yield _REDUCED(
@@ -535,8 +535,8 @@ def _mutheorem():
         lzc = math.log(m.z_comp) if m.z_comp <= 0.5 else math.log1p(-m.z)
         return (m.z_comp * lzc) / (m.z * lz)
 
-    # the upper limit (B(a,c-a)/2)^2 of mutheorem-3, -5 and -6
-    quarter_b2 = lambda d: (0.5 * beta(d["a"], d["c"] - d["a"]).value) ** 2
+    # (B(a,c-a)/2)^2, the upper limit of mutheorem-3, -5 and -6 (mutheorem-2: twice it)
+    quarter_b2 = lambda d: _mp(d).half_beta ** 2
 
     yield _REDUCED(
         id="mutheorem-2", direction=1,
@@ -544,7 +544,7 @@ def _mutheorem():
               "increasing on (0,1) onto (1/2, B(a,c-a)^2/2). Both endpoints "
               "are 1/log-slow; attainment 0.15 with decay factor 0.75.",
         fn=mu_times(loglog, 1e-14),
-        lo_limit=lambda d: 0.5, hi_limit=lambda d: 0.5 * beta(d["a"], d["c"] - d["a"]).value ** 2,
+        lo_limit=lambda d: 0.5, hi_limit=lambda d: 2.0 * quarter_b2(d),
         lo_probe=lambda d: 1e-13, hi_probe=lambda d: 1.0 - 1e-13,
         lo_attain=0.15, hi_attain=0.15, decay_factor=0.75)
 
@@ -689,7 +689,7 @@ def _hyp_quotients():
         p = HypParams(a, c - a, c)
         num = hyp2f1_pair(p, x, 1.0 - x)
         den = hyp2f1_pair(p, y, 1.0 - y)
-        v, e = _q(num, den, math.exp(beta_ln(a, c - a)))
+        v, e = _q(num, den, 2.0 * modulus_params_ac(a, c).half_beta)
         return v, e + 1e-15 * abs(v)
 
     q_cases = ((0.3, 0.2, 0.7), (0.6, 0.2, 0.7), (0.3, 0.1, 0.5), (0.6, 0.4, 0.9))
@@ -868,7 +868,7 @@ def _mfunctions():
               "[0,1] onto [0, B(a,b) - a(c-a)]. The r->1 deviation scales as "
               "(1-r^2)^c; attainment 0.05 with gap decay.",
         fn=f_inv, lo_limit=lambda d: 0.0,
-        hi_limit=lambda d: beta(d["a"], d["b"]).value - d["a"] * (d["c"] - d["a"]),
+        hi_limit=lambda d: 2.0 * _half_b(d) - d["a"] * (d["c"] - d["a"]),
         lo_probe=lambda d: 1e-9, hi_probe=lambda d: 1.0 - 1e-7, hi_attain=0.05)
 
 
@@ -1347,8 +1347,9 @@ def _cdependence():
     def k_minus_halfb(d, c):
         a = d["a"]
         m = Modulus.from_r(d["r"])
-        k = ell_k(EllipticParams(a, c - a, c), m)
-        hb = 0.5 * math.exp(beta_ln(a, c - a))
+        p = EllipticParams(a, c - a, c)
+        k = ell_k(p, m)
+        hb = p.half_beta
         return k.value - hb, k.abs_err_est + 1e-14 * hb
 
     yield thkeb(
@@ -1362,8 +1363,9 @@ def _cdependence():
     def halfb_minus_e(d, c):
         a = d["a"]
         m = Modulus.from_r(d["r"])
-        e = ell_e(EllipticParams(a, c - a, c), m)
-        hb = 0.5 * math.exp(beta_ln(a, c - a))
+        p = EllipticParams(a, c - a, c)
+        e = ell_e(p, m)
+        hb = p.half_beta
         return hb - e.value, e.abs_err_est + 1e-14 * hb
 
     def keb_g_limit(d):
@@ -1408,7 +1410,7 @@ def _conjectures():
         claim="Conjecture: for 0<a<c<1, b=c-a, sqrt(r)/M(r^2) is strictly "
               "increasing on (0,1) onto (0, B(a,b)).",
         fn=sqrt_r_over_m,
-        lo_limit=lambda d: 0.0, hi_limit=lambda d: beta(d["a"], d["b"]).value,
+        lo_limit=lambda d: 0.0, hi_limit=lambda d: 2.0 * _mp(d).half_beta,
         hi_attain=5e-3)
 
     def sqrt_rc_over_m(d, r):
@@ -1422,7 +1424,7 @@ def _conjectures():
         claim="Conjecture: for 0<a<c<1, b=c-a, sqrt(r')/M(r^2) is strictly "
               "decreasing on (0,1) onto (0, B(a,b)).",
         fn=sqrt_rc_over_m,
-        lo_limit=lambda d: beta(d["a"], d["b"]).value, hi_limit=lambda d: 0.0,
+        lo_limit=lambda d: 2.0 * _mp(d).half_beta, hi_limit=lambda d: 0.0,
         lo_attain=5e-3)
 
     conj2 = functools.partial(conj, direction=-1, **_cases(ac_cases, ("a", "c"), _KDIM3),

@@ -43,6 +43,14 @@ def test_eval_m_classical(capsys):
     assert "method = " in out
 
 
+def test_eval_m_beside_a_gamma_pole_exits_0(capsys):
+    # M's contiguous triple (a-1, b, c) has c-b = -1 exactly
+    code, out, err = run_cli(capsys, "eval", "M", "--a", "1e-8", "--b", "7.3",
+                             "--c", "6.3", "--z", "0.9")
+    assert (code, err) == (0, "")
+    assert math.isfinite(float(out.splitlines()[0]))
+
+
 def test_eval_mu_truncated_input_matches_agm_oracle(capsys):
     # 17-digit json output; the text channel carries only 12 digits
     code, out, _ = run_cli(capsys, "eval", "mu", "--a", "0.5", "--c", "1",

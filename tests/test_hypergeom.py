@@ -333,6 +333,37 @@ def test_band_across_a_gamma_pole_takes_the_series():
         assert abs(r.value - want) <= r.abs_err_est <= 1e-14
 
 
+# (a, b, c, z, F(a-1, b; c; z)) for b = c + 1 exactly and a tiny: the contiguous
+# triple (a-1, b, c) of M lies in the near-balanced band with c-b = -1, a pole
+# of Gamma(c-b).  Values from mpmath.hyp2f1 at 40 digits.
+TERMINATING = (
+    (1e-8, 7.3, 6.3, 0.8, 0.07301587546085941526745826435522461480946),
+    (1e-8, 7.3, 6.3, 0.9, -0.04285714241539361728761456708865584669635),
+    (1e-8, 7.3, 6.3, 1 - 1e-6, -0.1587290203419231223976845898591336386438),
+    (1e-8, 3.5, 2.5, 0.8, -0.119999998731325514758355404743630904392),
+    (1e-8, 3.5, 2.5, 0.9, -0.2600000023867212708950758922517663264412),
+    (1e-8, 3.5, 2.5, 1 - 1e-6, -0.3999986512618562966483767716132990344516),
+    (1e-9, 1.7, 0.7, 0.8, -0.9428571432317559151508957440252019867436),
+    (1e-9, 1.7, 0.7, 0.9, -1.185714287158779562229478569403034109796),
+    (1e-9, 1.7, 0.7, 1 - 1e-6, -1.428569018307839721851343020442745847203),
+    # c-b = -1 decides before the rule for a pole crossed between a-1 and
+    # a-1+(c-a-b), which would send these to a series of over 400,000 terms
+    (1e-9, 7.3, 6.3, 0.9, -0.04285714281296796334790939386856420321542),
+    (1e-9, 7.3, 6.3, 1 - 1e-6, -0.1587290020341921019304135271998558312214),
+    (1e-7, 7.3, 6.3, 1 - 1e-6, -0.1587292034193469515311718278210386252161),
+)
+
+
+@pytest.mark.parametrize("a, b, c, z, want", TERMINATING)
+def test_band_beside_a_gamma_pole_takes_the_terminating_form(a, b, c, z, want):
+    # Gamma(c-b) meets its pole in the near-balanced prefactor, but F is
+    # (1-z)^(c-a-b) times the polynomial F(c-a, -1; c; z)
+    key = _Triple(a - 1.0, b, c)
+    assert key.route == "terminating"
+    r = _eval_pair(key, z, 1.0 - z)
+    assert abs(r.value - want) <= r.abs_err_est <= 1e-14
+
+
 # --------------------------------------------------------------------------
 # the tabled kernels against frozen copies of the untabled loops
 

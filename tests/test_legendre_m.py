@@ -160,6 +160,16 @@ def test_scaled_endpoint_limit():
         m_scaled_limit(0.2, 0.3, 0.9)
 
 
+def test_tiny_a_with_b_exactly_c_plus_one():
+    # the contiguous triple (a-1, b, c) has c-b = -1 exactly, a pole of the
+    # near-balanced prefactor's Gamma(c-b); M and dM/dz from mpmath at 40 digits
+    pt = MPoint(1e-8, 7.3, 6.3, 0.9)
+    for got, want in ((m_value(pt), 2.446208186744128280589851e-8),
+                      (m_deriv(pt), 1.567705346579592452186457e-7)):
+        assert math.isfinite(got.abs_err_est)
+        assert abs(got.value - want) <= got.abs_err_est
+
+
 # --------------------------------------------------------------------------
 # properties
 

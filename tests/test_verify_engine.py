@@ -197,10 +197,9 @@ def test_report_shape():
     assert rep.samples > 0
 
 
-def test_ekmonot_4_reads_half_beta_once_per_triple_not_per_sample(monkeypatch):
-    # ekmonot-4 makes one ell_k per sample on a fresh EllipticParams, so
-    # B(a,b)/2 must come from the triple's table, not three ln Gamma values
-    # at each of its 2345 samples
+def _cold_lngammas(monkeypatch, check_id):
+    """The report of one check run on cold caches, and the ln Gamma
+    evaluations it made."""
     import gc
 
     from genellip import hypergeom, modulus, scalar_special
@@ -213,9 +212,25 @@ def test_ekmonot_4_reads_half_beta_once_per_triple_not_per_sample(monkeypatch):
     hypergeom._eval_pair.cache_clear()
     modulus._solve_log_mu.cache_clear()
     gc.collect()
-    rep = run_check(select("ekmonot-4")[0])
+    return run_check(select(check_id)[0]), calls[0]
+
+
+def test_ekmonot_4_reads_half_beta_once_per_triple_not_per_sample(monkeypatch):
+    # ekmonot-4 makes one ell_k per sample on a fresh EllipticParams, so
+    # B(a,b)/2 must come from the triple's table, not three ln Gamma values
+    # at each of its 2345 samples
+    rep, lngammas = _cold_lngammas(monkeypatch, "ekmonot-4")
     assert (rep.verdict, rep.samples) == ("pass", 2345)
-    assert calls[0] < 1000
+    assert lngammas < 1000
+
+
+def test_hyper_2_reads_b_from_the_triples_table(monkeypatch):
+    # hyper-2 reads B(a,b)/2 at every sample and B(a,b) in both limits; each
+    # comes from the table of the combo's triple (3135 ln Gamma values when
+    # each was built from ln Gamma, 210 from the table)
+    rep, lngammas = _cold_lngammas(monkeypatch, "hyper-2")
+    assert rep.verdict == "pass"
+    assert lngammas < 500
 
 
 # --------------------------------------------------------------------------
