@@ -20,8 +20,10 @@ made to the check's callables (``fn``, ``rhs``, ``param_map``, the limits
 and the probes), each as ``(name, args, output)`` in call order: a change
 that moves one sample's value or error estimate in one check shows as one
 changed line.  Beside each workload digest it
-prints the work of that pass: the cache misses of the 2F1 engine
-``_eval_pair`` (the kernel evaluations made), the same misses split by the
+prints the work of that pass: the calls of the 2F1 engine ``_eval_pair``
+(``pair_calls=``, cache hits and misses, so it counts the evaluations a
+caller asked for even where the cache answered them), its cache misses
+(``pair_misses=``, the kernel evaluations made), the same misses split by the
 kernel that made them (``routes=``, the triple's route, or ``series`` below
 ``Z_SWITCH`` for every route but ``closed``; they sum to ``pair_misses``),
 and the calls of the modulus solver ``_solve_log_mu``, and beside the
@@ -127,12 +129,13 @@ def _digest(items) -> str:
 
 
 def _work(routes: collections.Counter) -> str:
-    """Kernel evaluations, also by route, and solver calls since the last
-    reset of the caches."""
+    """Calls of the 2F1 engine, its kernel evaluations, also by route, and
+    solver calls since the last reset of the caches."""
     solves = modulus._solve_log_mu.cache_info()
     by_route = ",".join(f"{r}:{n}" for r, n in sorted(routes.items()))
-    return (f"pair_misses={hypergeom._eval_pair.cache_info().misses} routes={by_route} "
-            f"solves={solves.hits + solves.misses}")
+    pairs = hypergeom._eval_pair.cache_info()
+    return (f"pair_calls={pairs.hits + pairs.misses} pair_misses={pairs.misses} "
+            f"routes={by_route} solves={solves.hits + solves.misses}")
 
 
 @contextlib.contextmanager

@@ -10,12 +10,11 @@ distortion function.
 
 The inverse is found by a bracketed secant/bisection hybrid driven in the
 variables t = log(r^2/r'^2) (so that both endpoints stretch to infinity)
-and log(mu) (uniform conditioning across decades).  The bracket comes from
-a doubling ladder t = +-2, 4, 8, ..., 512, 700.  Instead of walking it from
-+-2, the solver first jumps to the pair of rungs that the asymptotes of mu
-at r -> 0 and r -> 1 place the root between, and keeps the jump only if
-its inner rung shows the sign the walk would have seen there; so the
-bracket, the iterates and the result are those of the walk.  Near the
+and log(mu) (uniform conditioning across decades).  The bracket is a pair
+of neighbouring rungs of the ladder t = +-2, 4, 8, ..., 512, 700, found by
+walking it from the rung next to where the asymptotes of mu at r -> 0 and
+r -> 1 place the root.  Computed log mu is monotone along the ladder, so
+every start gives the same bracket, iterates and result.  The
 solution is kept as the exact pair (r^2, r'^2): the float r alone would
 round to 0 or 1 long before mu exhausts its range, so the pair-returning
 variants are the precise API and the float-returning ones are projections.
@@ -23,6 +22,7 @@ variants are the precise API and the float-returning ones are projections.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -38,6 +38,8 @@ _T_MAX = 700.0
 _T_RANGE = f"[{-_T_MAX:g}, {_T_MAX:g}]"
 _K_LO, _K_HI = 1e-3, 1e3
 _MAX_EVALS = 200  # log-mu evaluations per solve
+# The rungs the solver brackets its root between: -700, -512, ..., -2, 2, ..., 512, 700.
+_LADDER = tuple(sorted(s * min(2.0 ** k, _T_MAX) for s in (-1.0, 1.0) for k in range(1, 11)))
 
 
 class ModulusParams(_Params):
@@ -103,10 +105,11 @@ def _guess_t(key: _Triple, log_hb: float, log_target: float) -> float:
     F(a,b;c;1-u) = e^s with u = r^2 ~ e^-tau, and to leading order
         c = a+b:  F(1-u) ~ (R(a,b) - log u) / B(a,b)   (A&S 15.3.10),
         c < a+b:  F(1-u) ~ C1 + C2 u^(c-a-b)            (A&S 15.3.6).
-    The constants are those _eval_pair reads on the same route, which g(-2)
-    already needs; where key.route is neither the zero-balanced nor the
-    connection route (the Gamma factors have poles near an integer c-a-b),
-    there is no guess.  Every exp is clamped, so the guess never raises.
+    The constants are those _eval_pair reads on the same route, so the
+    triple's table computes them once for the guess and the evaluations;
+    where key.route is neither the zero-balanced nor the connection route
+    (the Gamma factors have poles near an integer c-a-b), there is no
+    guess.  Every exp is clamped, so the guess never raises.
     """
     a, b, c = key.abc
     x = log_target - log_hb
@@ -124,25 +127,14 @@ def _guess_t(key: _Triple, log_hb: float, log_target: float) -> float:
     return -tau if x > 0.0 else tau
 
 
-def _rungs(t: float) -> tuple[float, float] | None:
-    """The rungs (inner, outer) of the doubling ladder +-2, 4, ..., 512, 700
-    that hold t between them, or None if |t| <= 2 (or t is NaN)."""
-    inner, outer = 0.0, 2.0
-    while outer < abs(t) and outer < _T_MAX:
-        inner, outer = outer, min(2.0 * outer, _T_MAX)
-    if inner == 0.0:
-        return None
-    return (-inner, -outer) if t < 0.0 else (inner, outer)
-
-
 @functools.lru_cache(maxsize=1 << 16)
 def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
     """Return t = log(s^2/s'^2) with log mu(s) = log_target.
 
-    g(t) = log mu - log_target is strictly decreasing; bracket it on the
-    doubling ladder t = +-2, 4, ..., 512, 700, starting at the rungs
-    _guess_t points to, then a secant/bisection hybrid.  The triple and
-    log(B/2) are built once, so every evaluation shares them.
+    g(t) = log mu - log_target is strictly decreasing; bracket it between
+    two neighbouring rungs of _LADDER, walking from the rung next to
+    _guess_t's value toward the root, then a secant/bisection hybrid.  The
+    triple and log(B/2) are built once, so every evaluation shares them.
     """
     key = _Triple(a, b, c)
     log_hb = math.log(key.half_beta)
@@ -162,52 +154,33 @@ def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
             return -math.inf
         return log_hb + math.log(num.value) - math.log(den.value) - log_target
 
-    evals = 0
-    bracket = None
-    # Doubling from (-2, 2) stops at the first rung where g changes sign.
-    # A jump to the rungs (inner, outer) of the guess is kept only if g at
-    # the inner rung has the sign the walk needs to pass it (g < 0 on the
-    # negative side, g > 0 on the positive side; g == 0 or NaN does not
-    # count).  Computed g is monotone across a factor-2 gap in t, so the
-    # walk would then have passed every rung up to the inner one and
-    # evaluated the outer one next: (lo, glo, hi, ghi) is the state the walk
-    # reaches, and it goes on from there as it would have.  Otherwise the
-    # walk starts from (-2, 2) as without a guess.  So the bracket, the
-    # secant iterates, the returned t and every SaturationError are those
-    # of the plain walk.  The budget counts the evaluations actually made
-    # (fewer after a kept jump, one more after a dropped one), so only a
-    # solve that ends on the budget can end differently.
-    rungs = _rungs(_guess_t(key, log_hb, log_target))
-    if rungs is not None:
-        inner, outer = rungs
-        g_in = g(inner)
-        evals += 1
-        if (g_in < 0.0 if inner < 0.0 else g_in > 0.0):
-            g_out = g(outer)
-            evals += 1
-            bracket = (outer, g_out, inner, g_in) if inner < 0.0 else (inner, g_in, outer, g_out)
-    if bracket is None:
-        bracket = (-2.0, g(-2.0), 2.0, g(2.0))
-        evals += 2
-    lo, glo, hi, ghi = bracket
-    while glo < 0.0:  # mu(lo) already below target: push lo toward r=0
-        if lo <= -_T_MAX:
+    # Walk the ladder from the rung next to the guess on the side of t = 0
+    # (-2 without a guess) toward the root until g changes sign; _MAX_EVALS
+    # counts these evaluations too.
+    guess = _guess_t(key, log_hb, log_target)
+    mid = len(_LADDER) // 2
+    i = (max(bisect.bisect_right(_LADDER, guess) - 1, mid) if guess > 0.0
+         else min(bisect.bisect_left(_LADDER, guess), mid - 1))
+    t1 = _LADDER[i]
+    g1 = g(t1)
+    evals = 1
+    step = 1 if g1 > 0.0 else -1
+    t0, g0 = t1, g1
+    while g1 * step > 0.0:
+        i += step
+        if i < 0:
             raise SaturationError(
                 f"target mu={math.exp(log_target)!r} exceeds the value "
                 f"attainable at the smallest representable modulus", endpoint=0.0)
-        hi, ghi = lo, glo
-        lo = max(2.0 * lo, -_T_MAX)
-        glo = g(lo)
-        evals += 1
-    while ghi > 0.0:
-        if hi >= _T_MAX:
+        if i == len(_LADDER):
             raise SaturationError(
                 f"target mu={math.exp(log_target)!r} is below the value "
                 f"attainable at the largest representable modulus", endpoint=1.0)
-        lo, glo = hi, ghi
-        hi = min(2.0 * hi, _T_MAX)
-        ghi = g(hi)
+        t0, g0 = t1, g1
+        t1 = _LADDER[i]
+        g1 = g(t1)
         evals += 1
+    lo, glo, hi, ghi = (t0, g0, t1, g1) if step > 0 else (t1, g1, t0, g0)
     if glo == 0.0:
         return lo
     if ghi == 0.0:

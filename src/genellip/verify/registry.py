@@ -256,11 +256,6 @@ def _ekmonot():
         e = ell_e_minus_rc2k(p, m)
         return e.value / m.z, e.abs_err_est / m.z + 1e-16 * abs(e.value) / m.z
 
-    def emk_hi(d):
-        a, b, c = d["a"], d["b"], d["c"]
-        return 0.5 * math.exp(beta_ln(a, b) + beta_ln(c, c + 1.0 - a - b)
-                              - beta_ln(c + 1.0 - a, c - b))
-
     yield in_r(
         id="ekmonot-2", direction=1,
         claim="For 0<a,b<min(c,1) and c<=a+b, (E-r'^2 K)/r^2 is strictly "
@@ -268,7 +263,7 @@ def _ekmonot():
               "B(a,b)B(c,c+1-a-b)/(2 B(c+1-a,c-b))).",
         fn=emk_over_z,
         lo_limit=lambda d: 2.0 * _half_b(d) * (d["c"] - d["b"]) / (2.0 * d["c"]),
-        hi_limit=emk_hi, hi_attain=2e-3)
+        hi_limit=lambda d: ell_e(_ep(d), Modulus.from_r(1.0)).value, hi_attain=2e-3)
 
     @_at_r
     def e_over_zc(p, m, d):

@@ -126,6 +126,27 @@ def test_e_at_one_balanced_frozen():
         1.25, rel=1e-13)
 
 
+def test_e_at_one_within_its_estimate_of_the_log_beta_sum():
+    # E(1) = B(a,b) B(c,c+1-a-b) / (2 B(c+1-a,c-b)), summed as logs
+    import random
+
+    from genellip.scalar_special import beta_ln
+    rng = random.Random("e-at-one")
+    n = 0
+    while n < 2000:
+        a, b = rng.uniform(1e-3, 0.999), rng.uniform(1e-3, 49.0)
+        c = rng.uniform(b, min(a + b, 50.0))
+        try:
+            p = EllipticParams(a, b, c)
+        except ParameterError:
+            continue
+        want = 0.5 * math.exp(beta_ln(a, b) + beta_ln(c, c + 1.0 - a - b)
+                              - beta_ln(c + 1.0 - a, c - b))
+        got = ell_e(p, Modulus.from_r(1.0))
+        assert abs(got.value - want) <= got.abs_err_est, (a, b, c)
+        n += 1
+
+
 # --------------------------------------------------------------------------
 # complementary integrals
 

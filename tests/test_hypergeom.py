@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from genellip import (
     HypParams,
+    Modulus,
     hyp2f1,
     hyp2f1_pair,
     beta,
@@ -208,6 +209,18 @@ def test_domain_rejections():
         HypParams(0.5, 0.5, 51.0)
     with pytest.raises(DomainError, match="complement"):
         hyp2f1_pair(HypParams(0.5, 0.5, 1.0), 0.5, 0.25)
+
+
+def test_pair_complement_must_be_one_minus_z_to_rounding():
+    p = HypParams(0.5, 0.5, 1.0)
+    # a gap of 1e-13 near z = 1 is the whole complement: F there is
+    # 10.4106062245013 (mpmath), F at z = 1 - 1e-15 is 11.88
+    with pytest.raises(DomainError, match="complement"):
+        hyp2f1_pair(p, 1.0 - 1e-13, 1e-15)
+    # the complement of a modulus pair at the 1e-15 edge of Modulus
+    m = Modulus(0.6, math.nextafter(0.8, 1.0))
+    assert hyp2f1_pair(p, m.z, m.z_comp).value == pytest.approx(
+        hyp2f1(p, 0.36).value, rel=1e-14)
 
 
 # --------------------------------------------------------------------------
@@ -437,8 +450,8 @@ def test_tabled_series_is_bit_identical_to_untabled():
         _, _, h1, h2 = key.connection
         for u in (1e-4, 0.01, 0.24):
             for args, head in (((a, b, 1.0 - d), h1), ((c - a, c - b, 1.0 + d), h2)):
-                got = _direct_series(*args, u, head, max_terms=20_000)
-                assert got == _untabled_series(*args, u, max_terms=20_000), (args, u)
+                got = _direct_series(*args, u, head)
+                assert got == _untabled_series(*args, u), (args, u)
     assert max(terms) > 128  # chunks beyond the tabled first one
 
 
@@ -491,7 +504,7 @@ def _exit_edges(a, b, c):
 
 
 def _series_cases(seed):
-    """(a, b, c, z, max_terms) covering both shortcuts of _direct_series and
+    """(a, b, c, z) covering both shortcuts of _direct_series and
     the paths around them."""
     rng = random.Random(seed)
     triples = [(rng.uniform(-1.0, 0.0), rng.uniform(0.05, 4.0), rng.uniform(0.1, 6.0))
@@ -513,19 +526,19 @@ def _series_cases(seed):
     for a, b, c in triples:
         zs = [rng.uniform(0.0, 0.99) for _ in range(2)] + [0.99, 1e-3, 1e-12, 1e-17, 1e-30]
         for z in zs + _exit_edges(a, b, c):
-            cases.append((a, b, c, z, 20_000 if z > 0.9 else 400_000))
-    # many chunks at z >= 0.9, up to the last one that max_terms cuts short
-    cases += [(0.5, 0.5, 1.0, 0.9, 20_000), (0.5, 0.5, 1.0, 0.995, 400_000),
-              (1.5, 2.5, 3.5, 0.999, 400_000), (-0.5, 1.5, 0.25, 0.97, 20_000)]
+            cases.append((a, b, c, z))
+    # many chunks at z >= 0.9, up to more than 8192 terms
+    cases += [(0.5, 0.5, 1.0, 0.9), (0.5, 0.5, 1.0, 0.995),
+              (1.5, 2.5, 3.5, 0.999), (-0.5, 1.5, 0.25, 0.97)]
     return cases
 
 
 def test_series_shortcuts_are_bit_identical_to_summing():
     exits = same_sign = mixed = long_head = many_chunks = 0
-    for a, b, c, z, max_terms in _series_cases(13):
+    for a, b, c, z in _series_cases(13):
         head = _first_ratios(a, b, c)
-        got = _direct_series(a, b, c, z, head, max_terms=max_terms)
-        assert got == _summing_series(a, b, c, z, head[0], max_terms), (a, b, c, z)
+        got = _direct_series(a, b, c, z, head)
+        assert got == _summing_series(a, b, c, z, head[0]), (a, b, c, z)
         exits += got == (1.0, 4e-16 + 1e-15, 65)
         same_sign += min(a, b, c) > 0.0 and got[2] > 65
         mixed += bool((head[0] < 0.0).any() and (head[0] > 0.0).any())

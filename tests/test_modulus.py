@@ -498,12 +498,12 @@ def test_half_beta_past_the_float_range_raises_one_error(a, b, c):
 
 
 # --------------------------------------------------------------------------
-# the solver's rung jump
+# the solver's ladder search
 
 def _walk_only(a, b, c, log_target):
-    """The solver as it was before the rung jump: the bracket is found by
-    doubling from (-2, 2).  Frozen here to check that the jump changes no
-    bracket, iterate, result or error."""
+    """The solver as it was before it searched from a guess: the bracket is
+    found by doubling from (-2, 2).  Frozen here to check that the ladder
+    search changes no bracket, iterate, result or error."""
     from genellip.errors import ConvergenceError, SaturationError
     from genellip.hypergeom import _eval_pair, _Triple
     from genellip import modulus
@@ -618,7 +618,7 @@ def _jump_targets(abc, rng) -> list:
     return out + [708.0, -708.0]
 
 
-def _assert_jump_matches_walk():
+def _assert_search_matches_walk():
     import random
 
     from genellip.modulus import _solve_log_mu
@@ -633,23 +633,23 @@ def _assert_jump_matches_walk():
     assert n > 400
 
 
-def test_rung_jump_keeps_the_walk_bracket_result_and_errors():
-    _assert_jump_matches_walk()
+def test_ladder_search_keeps_the_walk_bracket_result_and_errors():
+    _assert_search_matches_walk()
 
 
 @pytest.mark.parametrize("factor", [0.25, 0.5, 2.0, 4.0])
-def test_rung_jump_falls_back_on_a_wrong_guess(monkeypatch, factor):
+def test_ladder_search_gives_the_walk_on_a_wrong_guess(monkeypatch, factor):
     # a guess one or two rungs too shallow or too deep still gives the walk's
-    # result: too shallow, the walk goes on outward; too deep, the inner
-    # rung has the wrong sign and the walk restarts from (-2, 2)
+    # result: too shallow, the search goes on outward; too deep, g at its
+    # first rung has the other sign and the search steps back inward
     from genellip import modulus
     guess = modulus._guess_t
     monkeypatch.setattr(modulus, "_guess_t",
                         lambda key, lhb, lt: factor * guess(key, lhb, lt))
-    _assert_jump_matches_walk()
+    _assert_search_matches_walk()
 
 
-def test_rung_jump_cuts_the_evaluations_of_a_solve():
+def test_ladder_search_cuts_the_evaluations_of_a_solve():
     from genellip import hypergeom
     from genellip.errors import SaturationError
     _cold()
@@ -659,3 +659,22 @@ def test_rung_jump_cuts_the_evaluations_of_a_solve():
     with pytest.raises(SaturationError):
         mu_inv_m(ModulusParams(0.3, 0.7, 1.0), math.exp(20.0))
     assert hypergeom._eval_pair.cache_info().misses <= 4  # 20 walking from (-2, 2)
+
+
+def test_ladder_search_from_any_rung_gives_the_walk(monkeypatch):
+    # g is monotone along the ladder, so a search started anywhere on it
+    # (or past either end) ends on the pair of rungs the walk brackets
+    import random
+
+    from genellip import modulus
+    rungs = modulus._LADDER
+    starts = [*rungs, *(0.5 * (s + t) for s, t in zip(rungs, rungs[1:])), 0.0, -1e3, 1e3]
+    rng = random.Random("ladder-search")
+    # zero-balanced, connection, and integer c-a-b (no guess)
+    for abc in (_JUMP_TRIPLES[0], _JUMP_TRIPLES[5], _JUMP_TRIPLES[6]):
+        targets = _jump_targets(abc, rng)
+        want = [_outcome(_walk_only, abc, lt) for lt in targets]
+        for start in starts:
+            monkeypatch.setattr(modulus, "_guess_t", lambda key, lhb, lt: start)
+            got = [_outcome(modulus._solve_log_mu.__wrapped__, abc, lt) for lt in targets]
+            assert got == want, (abc, start)
