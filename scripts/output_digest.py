@@ -20,13 +20,15 @@ made to the check's callables (``fn``, ``rhs``, ``param_map``, the limits
 and the probes), each as ``(name, args, output)`` in call order: a change
 that moves one sample's value or error estimate in one check shows as one
 changed line.  Beside each workload digest it
-prints the work of that pass: the calls of the 2F1 engine ``_eval_pair``
-(``pair_calls=``, cache hits and misses, so it counts the evaluations a
-caller asked for even where the cache answered them), its cache misses
-(``pair_misses=``, the kernel evaluations made), the same misses split by the
-kernel that made them (``routes=``, the triple's route, or ``series`` below
-``Z_SWITCH`` for every route but ``closed``; they sum to ``pair_misses``),
-and the calls of the modulus solver ``_solve_log_mu``, and beside the
+prints the work of that pass: the calls of the cached 2F1 engine
+``_eval_pair`` (``pair_calls=``, cache hits and misses, so it counts the
+evaluations a caller asked for even where the cache answered them), its
+cache misses (``pair_misses=``), the uncached kernel calls of the modulus
+solver (``solver_evals=``, two per log-mu evaluation), every kernel
+evaluation of the two split by the kernel that made it (``routes=``, the
+triple's route, or ``series`` below ``Z_SWITCH`` for every route but
+``closed``; they sum to ``pair_misses`` plus ``solver_evals``), and the calls
+of the modulus solver ``_solve_log_mu`` (``solves=``), and beside the
 `verify all` digest also the evaluations of ln Gamma
 (``scalar_special._lngamma_raw``).  Run it on two
 checkouts and diff the output: equal digests mean equal bits, and the counts
@@ -128,51 +130,67 @@ def _digest(items) -> str:
     return h.hexdigest()
 
 
-def _work(routes: collections.Counter) -> str:
-    """Calls of the 2F1 engine, its kernel evaluations, also by route, and
-    solver calls since the last reset of the caches."""
+def _work(routes: collections.Counter, solver: collections.Counter) -> str:
+    """Calls of the 2F1 engine, its misses, the solver's kernel calls, every
+    kernel evaluation by route, and solver calls since the last reset of
+    the caches."""
     solves = modulus._solve_log_mu.cache_info()
-    by_route = ",".join(f"{r}:{n}" for r, n in sorted(routes.items()))
+    by_route = ",".join(f"{r}:{n}" for r, n in sorted((routes + solver).items()))
     pairs = hypergeom._eval_pair.cache_info()
     return (f"pair_calls={pairs.hits + pairs.misses} pair_misses={pairs.misses} "
-            f"routes={by_route} solves={solves.hits + solves.misses}")
+            f"solver_evals={solver.total()} routes={by_route} "
+            f"solves={solves.hits + solves.misses}")
 
 
 @contextlib.contextmanager
 def _routes_counted():
-    """A Counter of the misses of _eval_pair by the kernel that made each,
-    kept by replacing the module globals the package calls it through (as
-    bench's passes.CallCounter does)."""
-    pair = hypergeom._eval_pair
-    routes = collections.Counter()
+    """Two Counters of kernel evaluations by the kernel that made each: the
+    misses of _eval_pair, and the modulus solver's calls of _kernel; kept by
+    replacing the module globals the package calls them through (as bench's
+    passes.CallCounter does).  An older checkout whose solver goes through
+    _eval_pair has no modulus._kernel, and its solver_evals read 0."""
+    pair, kernel = hypergeom._eval_pair, getattr(modulus, "_kernel", None)
+    routes, solver = collections.Counter(), collections.Counter()
 
-    def counted(key, z, zc):
+    def route(key, z):
+        r = key.route
+        return "series" if r != "closed" and z < hypergeom.Z_SWITCH else r
+
+    def counted_pair(key, z, zc):
         misses = pair.cache_info().misses
         out = pair(key, z, zc)
         if pair.cache_info().misses != misses:
-            route = key.route
-            routes["series" if route != "closed" and z < hypergeom.Z_SWITCH else route] += 1
+            routes[route(key, z)] += 1
         return out
 
+    def counted_kernel(key, z, zc):
+        solver[route(key, z)] += 1
+        return kernel(key, z, zc)
+
     for mod in P._PAIR_CALLERS:
-        mod._eval_pair = counted
+        mod._eval_pair = counted_pair
+    if kernel:
+        modulus._kernel = counted_kernel
     try:
-        yield routes
+        yield routes, solver
     finally:
         for mod in P._PAIR_CALLERS:
             mod._eval_pair = pair
+        if kernel:
+            modulus._kernel = kernel
 
 
-def _outputs(calls) -> tuple[list, collections.Counter]:
+def _outputs(calls) -> tuple[list, str]:
+    """The output of each call, from cold caches, and the work they did."""
     P.reset()
     outs = []
-    with _routes_counted() as routes:
+    with _routes_counted() as counts:
         for f, args in calls:
             try:
                 outs.append(f(*args))
             except Exception as exc:  # an exception is an output like any other
                 outs.append((type(exc).__name__, str(exc)))
-    return outs, routes
+    return outs, _work(*counts)
 
 
 def _mask(text, path: str):
@@ -225,25 +243,25 @@ def main(argv=None) -> int:
         return 0
     for seed in args.seeds:
         pts = wl.eval_sweep_points(seed)
-        outs, routes = _outputs(P.eval_calls(pts))
-        print(f"eval-sweep seed={seed} n={len(outs)} {_digest(outs)} {_work(routes)}")
+        outs, work = _outputs(P.eval_calls(pts))
+        print(f"eval-sweep seed={seed} n={len(outs)} {_digest(outs)} {work}")
         groups = {}
         for p, out in zip(pts, outs):
             groups.setdefault((p.kind, p.regime), []).append(out)
         for (kind, regime), group in sorted(groups.items()):
             print(f"  {kind}/{regime or '-'} n={len(group)} {_digest(group)}")
-        outs, routes = _outputs(P.solve_calls(reference.solve_points(ROOT, seed)))
-        print(f"modular-solve seed={seed} n={len(outs)} {_digest(outs)} {_work(routes)}")
+        outs, work = _outputs(P.solve_calls(reference.solve_points(ROOT, seed)))
+        print(f"modular-solve seed={seed} n={len(outs)} {_digest(outs)} {work}")
     specs = P.verify_specs()
     trackers = [golden.Tracker(record=True) for _ in specs]
     with mock.patch.object(scalar_special, "_lngamma_raw",
                            wraps=scalar_special._lngamma_raw) as lngamma, \
-            _routes_counted() as routes:
+            _routes_counted() as counts:
         reports = P.verify_pass(specs, trackers).outputs
     rows = [(r.id, r.verdict, r.samples, float(r.worst_margin), r.witness, s.claim)
             for r, s in zip(reports, specs)]
     print(f"verify-all checks={len(rows)} samples={sum(r[2] for r in rows)} "
-          f"{_digest(rows)} {_work(routes)} lngamma={lngamma.call_count}")
+          f"{_digest(rows)} {_work(*counts)} lngamma={lngamma.call_count}")
     for spec, tracker in zip(specs, trackers):
         print(f"  {spec.id} calls={len(tracker.calls)} {_digest(tracker.calls)}")
     return 0

@@ -24,9 +24,9 @@ has lost the digits that cancel there, so that step reads x+n+(c-a-b) as
 c-y+n (y the other of a, b), correctly rounded, and its log as
 log((c-y+n)/(x+n)).
 
-The engine _eval_pair is LRU-cached and keyed on a _Triple: the parameters
-(a, b, c), interned, so that the cache hashes and compares keys by
-identity.  A triple's attribute dict is the coefficient table of its
+The engine _kernel is keyed on a _Triple: the parameters (a, b, c),
+interned, so that _eval_pair, its LRU-cached form, hashes and compares keys
+by identity.  A triple's attribute dict is the coefficient table of its
 (a, b, c), which holds what the kernels need that does not depend on z: the
 Gamma and psi constants of the z -> 1 regimes, the head of each Maclaurin
 series (the ratio factors of its first chunk of 64 terms, the least number
@@ -42,17 +42,18 @@ integer a or b or where the kernel of the band of c-a-b would meet a pole of
 Gamma that (a, b, c) does not have, 'terminating' in the near-balanced band
 where c-a or c-b is exactly -n (u^(c-a-b) times a polynomial), and otherwise
 'zero_balanced', 'near_balanced', 'integer_d' or 'connection' by c-a-b, so
-_eval_pair dispatches on it and the modulus solver reads it to know which
+_kernel dispatches on it and the modulus solver reads it to know which
 asymptote of mu applies.  The route is set when the triple is made, since
 every evaluation reads it; every other entry is computed on first use, and
 the zero-balanced steps as the evaluations reach them.  The entries are
 filled without a lock (functools.cached_property takes one on every first
 read before Python 3.12): two threads that race on a first read compute the
 same values from the same (a, b, c), and whichever stores last, each reader
-gets equal numbers.  Each caller builds one triple per public call (the
-modulus solver one per solve, which then makes about 16 evaluations on it)
-and the cache entries keep theirs, so _eval_pair.cache_clear() frees every
-triple and its table.
+gets equal numbers.  Each caller builds one triple per public call and
+the cache entries keep theirs, so _eval_pair.cache_clear() frees every
+triple and its table.  The modulus solver alone calls _kernel: it makes
+about 14 evaluations on its triple and reads only their values, so it
+holds the triple for the solve and fills no cache entry.
 """
 
 from __future__ import annotations
@@ -249,7 +250,7 @@ def _direct_series(a: float, b: float, c: float, z: float,
 
 
 def _route(a: float, b: float, c: float) -> str:
-    """The kernel of _eval_pair at z >= Z_SWITCH (see the module docstring)."""
+    """The route: which kernel evaluates F at z >= Z_SWITCH (see the module docstring)."""
     if a == c or b == c:
         return "closed"
     if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
@@ -585,16 +586,16 @@ def _connection(key: _Triple, u: float, d: float) -> tuple[float, float]:
     return value, err
 
 
-@functools.lru_cache(maxsize=1 << 18)
-def _eval_pair(key: _Triple, z: float, zc: float) -> EvalResult:
-    """Unvalidated engine: key = _Triple(a, b, c) with a, b any real and
-    c > 0; zc = 1-z supplied exactly.
+def _kernel(key: _Triple, z: float, zc: float) -> tuple[float, float, Method]:
+    """Unvalidated engine, uncached: (value, abs_err_est, method) of F at
+    key = _Triple(a, b, c) with a, b any real and c > 0; zc = 1-z supplied
+    exactly.
 
     Trusted internal callers only; the public entry points validate.
     """
     a, b, c = key.abc
     if z == 0.0:
-        return EvalResult(1.0, 0.0, Method.SERIES)
+        return 1.0, 0.0, Method.SERIES
     route = key.route
     if route == "closed":
         expo = b if a == c else a
@@ -602,11 +603,10 @@ def _eval_pair(key: _Triple, z: float, zc: float) -> EvalResult:
             value = zc ** (-expo)
         except OverflowError:
             raise _overflow(key, zc, 1.0) from None
-        return EvalResult(value, abs(value) * (abs(expo * math.log(zc)) + 1.0) * 2e-16,
-                          Method.CLOSED_FORM)
+        return value, abs(value) * (abs(expo * math.log(zc)) + 1.0) * 2e-16, Method.CLOSED_FORM
     if z < Z_SWITCH or route == "series":
         value, err, _ = _direct_series(a, b, c, z, key.series_head)
-        return EvalResult(value, err, Method.SERIES)
+        return value, err, Method.SERIES
     d = c - a - b
     if route == "connection":
         value, err = _connection(key, zc, d)
@@ -620,7 +620,13 @@ def _eval_pair(key: _Triple, z: float, zc: float) -> EvalResult:
         m = round(d)
         value, err = _integer_d(key, zc, m) if m else _zero_balanced(key, zc)
         err += abs(d - m) * (abs(math.log(zc)) + 5.0) * abs(value)
-    return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
+    return value, err, Method.TRANSFORM_NEAR_ONE
+
+
+@functools.lru_cache(maxsize=1 << 18)
+def _eval_pair(key: _Triple, z: float, zc: float) -> EvalResult:
+    """_kernel, cached, as an EvalResult."""
+    return EvalResult(*_kernel(key, z, zc))
 
 
 def hyp2f1(p: HypParams, z: float) -> EvalResult:

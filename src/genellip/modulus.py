@@ -14,10 +14,12 @@ and log(mu) (uniform conditioning across decades).  The bracket is a pair
 of neighbouring rungs of the ladder t = +-2, 4, 8, ..., 512, 700, found by
 walking it from the rung next to where the asymptotes of mu at r -> 0 and
 r -> 1 place the root.  Computed log mu is monotone along the ladder, so
-every start gives the same bracket, iterates and result.  The
-solution is kept as the exact pair (r^2, r'^2): the float r alone would
-round to 0 or 1 long before mu exhausts its range, so the pair-returning
-variants are the precise API and the float-returning ones are projections.
+every start gives the same bracket, iterates and result.  Each step reads
+its two F values from the uncached 2F1 kernel: a solve fills no cache
+entry.  The solution is kept as the exact pair (r^2, r'^2): the float r
+alone would round to 0 or 1 long before mu exhausts its range, so the
+pair-returning variants are the precise API and the float-returning ones
+are projections.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from .elliptic import Modulus, _interior
 from .errors import (ConvergenceError, DomainError, ParameterError, SaturationError,
                      _Params, checked)
-from .hypergeom import _eval_pair, _Triple
+from .hypergeom import _eval_pair, _kernel, _Triple
 from .legendre_m import MPoint, _finite, m_value
 from .result import EvalResult, Method
 
@@ -134,7 +136,8 @@ def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
     g(t) = log mu - log_target is strictly decreasing; bracket it between
     two neighbouring rungs of _LADDER, walking from the rung next to
     _guess_t's value toward the root, then a secant/bisection hybrid.  The
-    triple and log(B/2) are built once, so every evaluation shares them.
+    triple and log(B/2) are built once, so every evaluation shares them,
+    and g reads F from _kernel, which neither caches nor wraps its values.
     """
     key = _Triple(a, b, c)
     log_hb = math.log(key.half_beta)
@@ -145,14 +148,14 @@ def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
         # falls back to bisection.
         z, zc = _sigmoid(t), _sigmoid(-t)
         try:
-            num = _eval_pair(key, zc, z)
+            num = _kernel(key, zc, z)[0]
         except SaturationError:
             return math.inf
         try:
-            den = _eval_pair(key, z, zc)
+            den = _kernel(key, z, zc)[0]
         except SaturationError:
             return -math.inf
-        return log_hb + math.log(num.value) - math.log(den.value) - log_target
+        return log_hb + math.log(num) - math.log(den) - log_target
 
     # Walk the ladder from the rung next to the guess on the side of t = 0
     # (-2 without a guess) toward the root until g changes sign; _MAX_EVALS

@@ -374,7 +374,8 @@ def test_cold_phi_k_computes_the_triple_constants_once_per_key(monkeypatch):
     # and the last two share ln Gamma at a, b and a+b (here a+b = c)
     from genellip import hypergeom, modulus, scalar_special
     calls = _count_calls(monkeypatch, (
-        (hypergeom, "_gamma_ratio"), (hypergeom, "digamma"), (modulus, "_eval_pair")))
+        (hypergeom, "_gamma_ratio"), (hypergeom, "digamma"),
+        (modulus, "_eval_pair"), (modulus, "_kernel")))
     lngammas = {}
 
     def counted(x, _f=scalar_special._lngamma_raw):
@@ -383,7 +384,8 @@ def test_cold_phi_k_computes_the_triple_constants_once_per_key(monkeypatch):
     monkeypatch.setattr(scalar_special, "_lngamma_raw", counted)
     _cold()
     phi_k(ModulusParams(0.3, 0.7, 1.0), 3.0, 0.6)
-    assert calls["_eval_pair"] >= 12  # mu_m(r), then five or more evaluations
+    assert calls["_eval_pair"] == 2  # mu_m(r); the solve reads the uncached kernel
+    assert calls["_kernel"] >= 10  # five or more log-mu evaluations
     assert calls["_gamma_ratio"] == 1
     assert calls["digamma"] == 2
     assert lngammas == {0.3: 1, 0.7: 1, 1.0: 1}
@@ -649,16 +651,40 @@ def test_ladder_search_gives_the_walk_on_a_wrong_guess(monkeypatch, factor):
     _assert_search_matches_walk()
 
 
-def test_ladder_search_cuts_the_evaluations_of_a_solve():
-    from genellip import hypergeom
+def test_ladder_search_cuts_the_evaluations_of_a_solve(monkeypatch):
+    from genellip import modulus
     from genellip.errors import SaturationError
+    calls = _count_calls(monkeypatch, ((modulus, "_kernel"),))
     _cold()
     mu_inv_m(ModulusParams(1.2, 0.9, 1.5), math.exp(25.0))
-    assert hypergeom._eval_pair.cache_info().misses <= 8  # 16 walking from (-2, 2)
+    assert calls["_kernel"] <= 8  # 16 walking from (-2, 2)
+    calls["_kernel"] = 0
     _cold()
     with pytest.raises(SaturationError):
         mu_inv_m(ModulusParams(0.3, 0.7, 1.0), math.exp(20.0))
-    assert hypergeom._eval_pair.cache_info().misses <= 4  # 20 walking from (-2, 2)
+    assert calls["_kernel"] <= 4  # 20 walking from (-2, 2)
+
+
+@pytest.mark.parametrize("abc", [(0.3, 0.7, 1.0), (1.2, 0.9, 1.5)])
+def test_a_solve_leaves_the_2f1_cache_untouched(abc):
+    # the solver reads F from the uncached kernel: a cold mu_inv fills no
+    # entry of _eval_pair's cache, phi_K only the two of mu(r), and both
+    # return the frozen solver's result, which reads F through the cache
+    from genellip import hypergeom
+    from genellip.modulus import _modulus_from_t
+    P = ModulusParams(*abc)
+    _cold()
+    before = hypergeom._eval_pair.cache_info()
+    s = mu_inv_m(P, math.exp(1.5))
+    assert hypergeom._eval_pair.cache_info() == before
+    assert s == _modulus_from_t(_walk_only(*abc, math.log(math.exp(1.5))))
+    _cold()
+    r = Modulus.from_r(0.6)
+    s = phi_k_m(P, 3.0, r)
+    info = hypergeom._eval_pair.cache_info()
+    assert (info.hits, info.misses) == (0, 2)
+    log_target = math.log(mu_m(P, r).value) - math.log(3.0)
+    assert s == _modulus_from_t(_walk_only(*abc, log_target))
 
 
 def test_ladder_search_from_any_rung_gives_the_walk(monkeypatch):
