@@ -19,17 +19,16 @@ to noise, and they go through the same 2F1 regimes as K and E near r=1.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ParameterError, _Params, checked
-from .hypergeom import _eval_pair, _Triple
+from .errors import DomainError, ParameterError, checked
+from .hypergeom import HypParams, _eval_pair, _Triple
 from .result import EvalResult, Method
 from .scalar_special import beta
 
 
-class EllipticParams(_Params):
+class EllipticParams(HypParams):
     """Parameter triple with 0 < a < min(c,1) and 0 < b < c <= a+b, c <= 50."""
 
     def _relate(self):
@@ -37,12 +36,6 @@ class EllipticParams(_Params):
         if not (a < min(c, 1.0) and b < c <= a + b):
             raise ParameterError(
                 f"need a < min(c, 1) and b < c <= a+b, got a={a!r}, b={b!r}, c={c!r}")
-
-    @functools.cached_property
-    def half_beta(self) -> float:
-        """B(a,b)/2, the common value K(0) = E(0), as the 2F1 table of
-        (a, b, c) holds it."""
-        return _Triple(self.a, self.b, self.c).half_beta
 
 
 @dataclass(frozen=True, init=False)

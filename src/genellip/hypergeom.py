@@ -46,14 +46,16 @@ _kernel dispatches on it and the modulus solver reads it to know which
 asymptote of mu applies.  The route is set when the triple is made, since
 every evaluation reads it; every other entry is computed on first use, and
 the zero-balanced steps as the evaluations reach them.  The entries are
-filled without a lock (functools.cached_property takes one on every first
-read before Python 3.12): two threads that race on a first read compute the
-same values from the same (a, b, c), and whichever stores last, each reader
-gets equal numbers.  Each caller builds one triple per public call and
-the cache entries keep theirs, so _eval_pair.cache_clear() frees every
-triple and its table.  The modulus solver alone calls _kernel: it makes
-about 14 evaluations on its triple and reads only their values, so it
-holds the triple for the solve and fills no cache entry.
+filled without a lock, by the _entry descriptor: two threads that race on a
+first read compute the same values from the same (a, b, c), and whichever
+stores last, each reader gets equal numbers.  The one half_beta of the
+parameter types, on HypParams (and so on EllipticParams and ModulusParams),
+is an _entry too, read from the triple's table.  Each caller builds one
+triple per public call and the cache entries keep theirs, so
+_eval_pair.cache_clear() frees every triple and its table.  The modulus
+solver alone calls _kernel: it makes about 14 evaluations on its triple
+and reads only their values, so it holds the triple for the solve and
+fills no cache entry.
 """
 
 from __future__ import annotations
@@ -66,13 +68,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, SaturationError, _Params, checked
 from .result import EvalResult, Method
-from .scalar_special import (
-    EULER_GAMMA,
-    _exp,
-    _is_nonpositive_integer,
-    _lngamma_signed,
-    digamma,
-)
+from .scalar_special import EULER_GAMMA, _digamma, _exp, _is_nonpositive_integer, _lngamma_signed
 
 Z_SWITCH = 0.75
 _EPS = 1e-15
@@ -87,10 +83,6 @@ _K0 = np.arange(_TABLED, dtype=np.float64)
 _K1 = 1.0 + _K0
 # A first chunk whose ratios are all at most this sums to nothing against 1.0.
 _ROUNDS_TO_ONE = 2.0 ** -56
-
-
-class HypParams(_Params):
-    """Positive real parameters (a, b, c), each bounded by 50."""
 
 
 def _gamma_ratio(key: _Triple, nums, dens) -> float:
@@ -117,9 +109,9 @@ def _gamma_ratio(key: _Triple, nums, dens) -> float:
 
 def _digamma_any(x: float) -> float:
     if x > 0:
-        return digamma(x).value
+        return _digamma(x).value
     f = x - math.floor(x)
-    return digamma(1.0 - x).value - math.pi / math.tan(math.pi * f)
+    return _digamma(1.0 - x).value - math.pi / math.tan(math.pi * f)
 
 
 def _lgamma_slope(x: float, e: float, pole: tuple) -> tuple[float, float]:
@@ -129,7 +121,7 @@ def _lgamma_slope(x: float, e: float, pole: tuple) -> tuple[float, float]:
     step j = n of pole = (n, w, L), the _pole_step of x, is L instead."""
     k = max(0, math.ceil(10.0 - x))
     steps = [math.log1p(e / (x + j)) / e if j != pole[0] else pole[2] for j in range(k)]
-    psi = digamma(x + k)
+    psi = _digamma(x + k)
     inv = 1.0 / (x + k)
     inv2 = inv * inv
     d1 = inv * (1.0 + inv * (0.5 + inv * (1.0 / 6.0 + inv2 * (
@@ -295,21 +287,22 @@ def _forget(ref: _Ref) -> None:
 
 
 class _entry:
-    """A coefficient-table entry of _Triple: the first read calls fill(triple)
-    and stores the value in the triple's dict, where every later read finds
-    it before this (non-data) descriptor.  There is no lock: threads that
-    race on a first read each fill the same values from the same (a, b, c),
-    so whichever write lands last, every reader gets equal numbers."""
+    """An attribute filled on first read: a coefficient-table entry of
+    _Triple, or the half_beta of HypParams.  The first read calls fill(obj)
+    and stores the value in obj's dict, where every later read finds it
+    before this (non-data) descriptor.  There is no lock: threads that race
+    on a first read each fill the same values from the same (a, b, c), so
+    whichever write lands last, every reader gets equal numbers."""
 
     def __init__(self, fill):
         self.fill = fill
         self.name = fill.__name__
         self.__doc__ = fill.__doc__
 
-    def __get__(self, key, owner=None):
-        if key is None:
+    def __get__(self, obj, owner=None):
+        if obj is None:
             return self
-        value = key.__dict__[self.name] = self.fill(key)
+        value = obj.__dict__[self.name] = self.fill(obj)
         return value
 
 
@@ -372,7 +365,7 @@ class _Triple:
         k = abs(m)
         sa, sb, fa, fb = (a + k, b + k, a, b) if m > 0 else (a, b, a - k, b - k)
         return (_gamma_ratio(self, (c,), (fa, fb)), _gamma_ratio(self, (float(k), c), (sa, sb)),
-                (sa, sb), (fa, fb), (digamma(1.0).value, digamma(float(k + 1)).value,
+                (sa, sb), (fa, fb), (_digamma(1.0).value, _digamma(float(k + 1)).value,
                                      _digamma_any(sa), _digamma_any(sb)))
 
     @_entry
@@ -411,6 +404,17 @@ class _Triple:
         a, b, _ = self.abc
         (la, _), (lb, _), (lab, _) = self.lngamma(a), self.lngamma(b), self.lngamma(a + b)
         return 0.5 * _exp(la + lb - lab, 1, "B", a, b)
+
+
+class HypParams(_Params):
+    """Positive real parameters (a, b, c), each bounded by 50; the base of
+    EllipticParams and ModulusParams."""
+
+    @_entry
+    def half_beta(self) -> float:
+        """B(a,b)/2, as the 2F1 table of (a, b, c) holds it: K(0) = E(0) of
+        EllipticParams, mu at r' = r of ModulusParams."""
+        return _Triple(self.a, self.b, self.c).half_beta
 
 
 def _overflow(key: _Triple, u: float, sign: float) -> SaturationError:

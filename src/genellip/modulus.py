@@ -30,9 +30,8 @@ import math
 from dataclasses import dataclass
 
 from .elliptic import Modulus, _interior
-from .errors import (ConvergenceError, DomainError, ParameterError, SaturationError,
-                     _Params, checked)
-from .hypergeom import _eval_pair, _kernel, _Triple
+from .errors import ConvergenceError, DomainError, ParameterError, SaturationError, checked
+from .hypergeom import HypParams, _eval_pair, _kernel, _Triple
 from .legendre_m import MPoint, _finite, m_value
 from .result import EvalResult, Method
 
@@ -44,18 +43,13 @@ _MAX_EVALS = 200  # log-mu evaluations per solve
 _LADDER = tuple(sorted(s * min(2.0 ** k, _T_MAX) for s in (-1.0, 1.0) for k in range(1, 11)))
 
 
-class ModulusParams(_Params):
+class ModulusParams(HypParams):
     """Parameters (a,b,c) in (0, 50] with a+b >= c (the mu domain)."""
 
     def _relate(self):
         if self.a + self.b < self.c:
             raise ParameterError(
                 f"mu needs a+b >= c, got a+b={self.a + self.b!r}, c={self.c!r}")
-
-    @functools.cached_property
-    def half_beta(self) -> float:
-        """B(a,b)/2, mu at r' = r, as the 2F1 table of (a, b, c) holds it."""
-        return _Triple(self.a, self.b, self.c).half_beta
 
 
 def modulus_params_ac(a: float, c: float) -> ModulusParams:
@@ -183,11 +177,9 @@ def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
         t1 = _LADDER[i]
         g1 = g(t1)
         evals += 1
+    if g1 == 0.0:  # g0 has the sign of step, so only the walk's last value can be 0
+        return t1
     lo, glo, hi, ghi = (t0, g0, t1, g1) if step > 0 else (t1, g1, t0, g0)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
     t0, g0 = lo, glo
     t1, g1 = hi, ghi
     while evals < _MAX_EVALS:

@@ -32,7 +32,9 @@ point and returns (margin, witness fields, verdict, note): the verdict is
 "weak", a point that holds but not beyond its error.  The loop notes every
 margin, stops the combo at the first point that fails or is inconclusive,
 and turns an evaluation error into an inconclusive "evaluation failed".
-Weak points count against the same >= 99% strict rule as the shape kinds.
+Weak points count against the same >= 99% strict rule as the shape kinds:
+the rule lives in one method, `_Outcome.strict`.  Margins are noted
+without witnesses; only a fail or the first downgrade builds one.
 """
 
 from __future__ import annotations
@@ -215,9 +217,11 @@ def finite_diff(f: Callable[[float], float], x: float, h: float) -> FiniteDiff:
 
 
 class _Outcome:
-    """The state of one run: the samples evaluated so far and the verdict
-    they add up to; the witness of a sample (its params and fields) is built
-    only if it is kept.  Samples, arguments and margins are Python floats."""
+    """The state of one run: the samples evaluated so far, the worst margin
+    and the verdict they add up to.  A margin is noted without a witness:
+    only a fail or the first downgrade builds one (its params and fields),
+    and only those reach a report.  Samples, arguments and margins are
+    Python floats."""
 
     def __init__(self):
         self.samples = 0
@@ -231,25 +235,28 @@ class _Outcome:
         value, err = spec.fn(params, x)
         return float(value), float(err)
 
-    def note(self, margin, params, /, **fields):
-        if margin < self.worst:
-            self.worst = margin
-            if self.verdict == "pass":
-                self.witness = {**params, **fields}
+    def note(self, margin):
+        self.worst = min(self.worst, margin)
 
     def fail(self, margin, params, /, **fields):
         # Every runner stops at its first fail, so the failing point is the
-        # witness, over any earlier note or downgrade.
+        # witness, over any earlier downgrade.
         self.verdict = "fail"
         self.witness = {**params, **fields}
         self.worst = min(self.worst, margin)
 
     def inconclusive(self, params, /, **fields):
-        # The first downgrade records its own witness so the cause stays
-        # visible; pass-time worst-margin notes never overwrite it.
+        # The first downgrade keeps its witness, so the cause stays visible.
         if self.verdict == "pass":
             self.verdict = "inconclusive"
             self.witness = {**params, **fields}
+
+    def strict(self, params, hits, total, note):
+        """The >= 99% strict rule of every kind: a combo is inconclusive
+        where fewer than 99% of its `total` pairs or points (`hits` of
+        them) beat their error bounds."""
+        if hits < _STRICT_FRACTION * total:
+            self.inconclusive(params, note=note, strict_pairs=hits, pairs=total)
 
     def report(self, check_id):
         worst = self.worst if math.isfinite(self.worst) else 0.0
@@ -259,30 +266,23 @@ class _Outcome:
 
 def _check_sequence(spec, params, xs, ys, errs, out):
     """Monotone slack rule on consecutive deltas."""
-    n_pairs = len(xs) - 1
     strict_hits = 0
-    for i in range(n_pairs):
+    for i in range(len(xs) - 1):
         delta = spec.direction * (ys[i + 1] - ys[i])
         slack = errs[i] + errs[i + 1] + 1e-300
-        out.note(delta - slack, params, arg=xs[i], value=ys[i],
-                 next_arg=xs[i + 1], next_value=ys[i + 1])
+        out.note(delta - slack)
         if delta < -slack:
             out.fail(delta - slack, params, arg=xs[i], value=ys[i],
                      next_arg=xs[i + 1], next_value=ys[i + 1])
             return
-        if delta > slack:
-            strict_hits += 1
-    if strict_hits < _STRICT_FRACTION * n_pairs:
-        out.inconclusive(params, note="deltas inside error bounds",
-                         strict_pairs=strict_hits, pairs=n_pairs)
+        strict_hits += delta > slack
+    out.strict(params, strict_hits, len(xs) - 1, "deltas inside error bounds")
 
 
 def _check_second_diffs(spec, params, xs, ys, errs, out):
     """Divided second differences with exact-coefficient error slack."""
-    n = len(xs)
     strict_hits = 0
-    total = n - 2
-    for i in range(1, n - 1):
+    for i in range(1, len(xs) - 1):
         h0 = xs[i] - xs[i - 1]
         h1 = xs[i + 1] - xs[i]
         span = xs[i + 1] - xs[i - 1]
@@ -292,15 +292,12 @@ def _check_second_diffs(spec, params, xs, ys, errs, out):
         d2 = c0 * ys[i - 1] - c1 * ys[i] + c2 * ys[i + 1]
         slack = c0 * errs[i - 1] + c1 * errs[i] + c2 * errs[i + 1] + 1e-300
         signed = spec.direction * d2
-        out.note(signed - slack, params, arg=xs[i], value=ys[i])
+        out.note(signed - slack)
         if signed < -slack:
             out.fail(signed - slack, params, arg=xs[i], value=ys[i], second_diff=d2)
             return
-        if signed > slack:
-            strict_hits += 1
-    if strict_hits < _STRICT_FRACTION * total:
-        out.inconclusive(params, note="second differences inside error bounds",
-                         strict_pairs=strict_hits, pairs=total)
+        strict_hits += signed > slack
+    out.strict(params, strict_hits, len(xs) - 2, "second differences inside error bounds")
 
 
 def _check_containment(spec, params, xs, ys, errs, out):
@@ -437,7 +434,7 @@ def _run_points(spec, params, out, make_judge):
         except GenellipError as exc:
             out.inconclusive(params, arg=x, note=f"evaluation failed: {exc}")
             return
-        out.note(margin, params, arg=x, **fields)
+        out.note(margin)
         if verdict == "fail":
             out.fail(margin, params, arg=x, **fields)
             return
@@ -445,9 +442,8 @@ def _run_points(spec, params, out, make_judge):
             out.inconclusive(params, arg=x, **fields, note=note)
             return
         strict_hits += verdict == "pass"
-    if spec.strict and strict_hits < _STRICT_FRACTION * len(xs):
-        out.inconclusive(params, note="margins inside error bounds",
-                         strict_pairs=strict_hits, pairs=len(xs))
+    if spec.strict:
+        out.strict(params, strict_hits, len(xs), "margins inside error bounds")
 
 
 _RUNNERS = {

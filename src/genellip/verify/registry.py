@@ -30,8 +30,10 @@ the kind, the parameter grid with its parameter map, the argument grid,
 and any probe or limit common to the family.  A check then states only its
 id, its claim, its evaluators and the fields that differ from the CheckSpec
 defaults: tolerance 1e-9, attainment 1e-3 at either end, decay factor 0.5.
-The evaluators call the package's functions through this module's own
-names, so each call can be traced by name.
+A primed check (K'(s)/K'(r), s'/r', ...) is its unprimed evaluator at the
+complements r' and s' (`_primed`), as K'(r) = K(r').  The evaluators call
+the package's functions through this module's own names, so each call can
+be traced by name.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ import math
 
 import numpy as np
 
-from ..elliptic import EllipticParams, Modulus, arth, ell_e, ell_e_minus_rc2k, \
-    ell_k, ell_k_comp, ell_k_minus_e
+from ..elliptic import EllipticParams, Modulus, arth, ell_e, ell_e_minus_rc2k, ell_k, \
+    ell_k_minus_e
 from ..hypergeom import HypParams, hyp2f1_pair
 from ..legendre_m import MPoint, m_deriv, m_scaled, m_scaled_limit, m_value
 from ..modulus import DegreeK, ModulusParams, modulus_params_ac, mu, mu_deriv, \
@@ -217,6 +219,12 @@ def _phi_at(expr, degree=_k, at_r=False):
         pe = EllipticParams(d["a"], d["c"] - d["a"], d["c"])
         return expr(pe, m, phi_k_m(pm, degree(d), m), d)
     return fn
+
+
+def _primed(expr):
+    """The primed form of a `_phi_at` expression: expr at the complements
+    r' and s', as K'(r) = K(r'); every other argument passes unchanged."""
+    return lambda pe, m, s, *rest: expr(pe, m.complement, s.complement, *rest)
 
 
 # ---------------------------------------------------------------------------
@@ -901,17 +909,13 @@ def _ktheo():
         fn=_phi_at(ratio_r), lo_limit=lambda d: INF, hi_limit=lambda d: 1.0,
         hi_attain=2e-3)
 
-    def ratio_rc(pe, m, s, d):
-        v = s.r_comp / m.r_comp
-        return v, abs(v) * 1e-11
-
     yield ktheo(
         id="ktheo-2", direction=-1,
         claim="s'/r' is strictly decreasing on (0,1) onto (0,1); the r->1 "
               "end decays like r'^(K-1) and is judged by gap decay, while "
               "the r->0 deviation ~ e^(R(1-1/K)) r^(2/K) needs the probe at "
               "x=-160.",
-        fn=_phi_at(ratio_rc), lo_limit=lambda d: 1.0, hi_limit=lambda d: 0.0,
+        fn=_phi_at(_primed(ratio_r)), lo_limit=lambda d: 1.0, hi_limit=lambda d: 0.0,
         lo_probe=lo160, lo_attain=2e-3)
 
     def ratio_k(pe, m, s, d):
@@ -925,13 +929,10 @@ def _ktheo():
         fn=_phi_at(ratio_k), lo_limit=lambda d: 1.0, hi_limit=lambda d: d["K"],
         lo_attain=2e-3, hi_attain=0.02)
 
-    def ratio_kc(pe, m, s, d):
-        return _q(ell_k_comp(pe, s), ell_k_comp(pe, m))
-
     yield ktheo(
         id="ktheo-4", direction=1,
         claim="K'(s)/K'(r) is strictly increasing on (0,1) onto (1/K, 1).",
-        fn=_phi_at(ratio_kc), lo_limit=lambda d: 1.0 / d["K"], hi_limit=lambda d: 1.0,
+        fn=_phi_at(_primed(ratio_k)), lo_limit=lambda d: 1.0 / d["K"], hi_limit=lambda d: 1.0,
         lo_attain=0.02, hi_attain=2e-3)
 
     def weighted_k2(pe, m, s, d):
@@ -946,16 +947,11 @@ def _ktheo():
         fn=_phi_at(weighted_k2), lo_limit=lambda d: 1.0, hi_limit=lambda d: 0.0,
         lo_probe=lo160, lo_attain=2e-3)
 
-    def weighted_kc2(pe, m, s, d):
-        ks, km = ell_k_comp(pe, s), ell_k_comp(pe, m)
-        v = (s.r * ks.value ** 2) / (m.r * km.value ** 2)
-        return v, abs(v) * (2.0 * _rel(ks) + 2.0 * _rel(km) + 1e-11)
-
     yield ktheo(
         id="ktheo-6", direction=-1,
         claim="s K'(s)^2 / (r K'(r)^2) is strictly decreasing on (0,1) onto "
               "(1, infinity).",
-        fn=_phi_at(weighted_kc2), lo_limit=lambda d: INF, hi_limit=lambda d: 1.0,
+        fn=_phi_at(_primed(weighted_k2)), lo_limit=lambda d: INF, hi_limit=lambda d: 1.0,
         hi_attain=2e-3)
 
     yield ktheo(
@@ -969,7 +965,7 @@ def _ktheo():
     yield ktheo(
         id="ktheo-8", direction=1,
         claim="t'/r' is strictly increasing on (0,1) onto (1, infinity).",
-        fn=_phi_at(ratio_rc, _inv_k), lo_limit=lambda d: 1.0, hi_limit=lambda d: INF,
+        fn=_phi_at(_primed(ratio_r), _inv_k), lo_limit=lambda d: 1.0, hi_limit=lambda d: INF,
         lo_attain=2e-3)
 
     yield ktheo(
@@ -981,7 +977,7 @@ def _ktheo():
     yield ktheo(
         id="ktheo-10", direction=-1,
         claim="K'(t)/K'(r) is strictly decreasing on (0,1) onto (1, K).",
-        fn=_phi_at(ratio_kc, _inv_k), lo_limit=lambda d: d["K"], hi_limit=lambda d: 1.0,
+        fn=_phi_at(_primed(ratio_k), _inv_k), lo_limit=lambda d: d["K"], hi_limit=lambda d: 1.0,
         lo_attain=0.02, hi_attain=2e-3)
 
     yield ktheo(
@@ -996,7 +992,7 @@ def _ktheo():
         claim="t K'(t)^2 / (r K'(r)^2) is strictly increasing on (0,1) onto "
               "(0,1); the r->0 end is judged by gap decay, the r->1 end "
               "probed at x=160 (deviation ~ r'^(2/K)).",
-        fn=_phi_at(weighted_kc2, _inv_k), lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0,
+        fn=_phi_at(_primed(weighted_k2), _inv_k), lo_limit=lambda d: 0.0, hi_limit=lambda d: 1.0,
         hi_probe=hi160, hi_attain=2e-3)
 
 
@@ -1442,16 +1438,12 @@ def _conjectures():
               "decreasing on (0,1) onto (1, infinity).",
         fn=with_m(c2i), lo_limit=lambda d: INF, hi_limit=lambda d: 1.0, hi_attain=5e-3)
 
-    def c2ii(pe, m, s, mv_r, mv_s):
-        v = (s.r_comp * mv_r.value) / (m.r_comp * mv_s.value)
-        return v, abs(v) * (_rel(mv_r) + _rel(mv_s) + 1e-10)
-
     yield conj2(
         id="conj-2-ii",
         claim="Conjecture: s' M(r^2)/(r' M(s^2)) is strictly decreasing on "
               "(0,1) onto (0,1); the r->1 end decays like r'^(K-1), judged "
               "by gap decay.",
-        fn=with_m(c2ii), lo_limit=lambda d: 1.0, hi_limit=lambda d: 0.0, lo_attain=5e-3)
+        fn=with_m(_primed(c2i)), lo_limit=lambda d: 1.0, hi_limit=lambda d: 0.0, lo_attain=5e-3)
 
     def c2iii(pe, m, s, mv_r, mv_s):
         kr, ks = ell_k(pe, m), ell_k(pe, s)
@@ -1466,17 +1458,12 @@ def _conjectures():
         fn=with_m(c2iii), lo_limit=lambda d: 1.0, hi_limit=lambda d: 1.0 / d["K"],
         lo_attain=5e-3, hi_attain=0.05, decay_factor=0.6)
 
-    def c2iv(pe, m, s, mv_r, mv_s):
-        kr, ks = ell_k_comp(pe, m), ell_k_comp(pe, s)
-        v = (kr.value * mv_r.value) / (ks.value * mv_s.value)
-        return v, abs(v) * (_rel(kr) + _rel(ks) + _rel(mv_r) + _rel(mv_s) + 1e-10)
-
     yield conj2(
         id="conj-2-iv",
         claim="Conjecture: K'(r) M(r^2)/(K'(s) M(s^2)) is strictly "
               "decreasing on (0,1) onto (1, K); 1/log lower endpoint, "
               "attainment 0.12 with decay 0.6.",
-        fn=with_m(c2iv), lo_limit=lambda d: d["K"], hi_limit=lambda d: 1.0,
+        fn=with_m(_primed(c2iii)), lo_limit=lambda d: d["K"], hi_limit=lambda d: 1.0,
         lo_attain=0.12, hi_attain=5e-3, decay_factor=0.6)
 
 

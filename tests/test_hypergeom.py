@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genellip import (
+    EllipticParams,
     HypParams,
     Modulus,
+    ModulusParams,
     hyp2f1,
     hyp2f1_pair,
     beta,
@@ -583,13 +585,29 @@ _THREADED = [((0.3, 0.7, 1.0), (0.9, 0.999, 0.999999, 0.5)),  # zero-balanced
              ((-1.5, 0.7, 1.3), (0.5, 0.9))]  # series
 
 
-def _threaded_pass(barrier=None):
-    """Every (triple, z) of _THREADED through the uncached engine, and B(a,b)/2
-    of each triple with a, b > 0, on triples shared by every caller."""
+def _fresh_params():
+    """A new EllipticParams and ModulusParams of each triple of _THREADED that
+    admits one, its half_beta not yet read."""
+    out = []
+    for abc, _ in _THREADED:
+        for cls in (EllipticParams, ModulusParams):
+            try:
+                out.append(cls(*abc))
+            except ParameterError:
+                pass
+    return out
+
+
+def _threaded_pass(barrier=None, params=None):
+    """The half_beta of each of `params` (by default this caller's own fresh
+    ones), then every (triple, z) of _THREADED through the uncached engine,
+    and B(a,b)/2 of each triple with a, b > 0, on triples shared by every
+    caller."""
+    params = _fresh_params() if params is None else params
     keys = [_Triple(*abc) for abc, _ in _THREADED]
     if barrier is not None:
         barrier.wait()
-    out = []
+    out = [p.half_beta for p in params]
     for key, (_, zs) in zip(keys, _THREADED):
         for z in zs:
             out.append(_eval_pair.__wrapped__(key, z, 1.0 - z))
@@ -612,6 +630,7 @@ def test_cold_tables_filled_by_racing_threads_give_single_threaded_results():
 
     cold()
     want = _threaded_pass()
+    assert [type(p) for p in _fresh_params()] == [EllipticParams, ModulusParams, ModulusParams]
     n = 8
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads inside the first reads
@@ -620,9 +639,10 @@ def test_cold_tables_filled_by_racing_threads_give_single_threaded_results():
             cold()
             barrier = threading.Barrier(n)
             got = [None] * n
+            params = _fresh_params()  # shared, so their first reads race too
 
-            def work(i, barrier=barrier, got=got):
-                got[i] = _threaded_pass(barrier)
+            def work(i, barrier=barrier, got=got, params=params):
+                got[i] = _threaded_pass(barrier, params)
             threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(n)]
             for t in threads:
                 t.start()
@@ -630,8 +650,13 @@ def test_cold_tables_filled_by_racing_threads_give_single_threaded_results():
                 t.join(timeout=30.0)
             assert not any(t.is_alive() for t in threads)
             assert got == [want] * n
+            assert all("half_beta" in vars(p) for p in params)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_every_parameter_type_reads_the_one_lock_free_half_beta():
+    assert HypParams.half_beta is EllipticParams.half_beta is ModulusParams.half_beta
 
 
 def test_equal_triples_are_one_object_until_the_cache_clears():

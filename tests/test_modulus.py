@@ -374,7 +374,7 @@ def test_cold_phi_k_computes_the_triple_constants_once_per_key(monkeypatch):
     # and the last two share ln Gamma at a, b and a+b (here a+b = c)
     from genellip import hypergeom, modulus, scalar_special
     calls = _count_calls(monkeypatch, (
-        (hypergeom, "_gamma_ratio"), (hypergeom, "digamma"),
+        (hypergeom, "_gamma_ratio"), (hypergeom, "_digamma"),
         (modulus, "_eval_pair"), (modulus, "_kernel")))
     lngammas = {}
 
@@ -387,7 +387,7 @@ def test_cold_phi_k_computes_the_triple_constants_once_per_key(monkeypatch):
     assert calls["_eval_pair"] == 2  # mu_m(r); the solve reads the uncached kernel
     assert calls["_kernel"] >= 10  # five or more log-mu evaluations
     assert calls["_gamma_ratio"] == 1
-    assert calls["digamma"] == 2
+    assert calls["_digamma"] == 2
     assert lngammas == {0.3: 1, 0.7: 1, 1.0: 1}
 
 
@@ -395,12 +395,12 @@ def test_equal_triples_share_one_table_until_the_caches_clear(monkeypatch):
     import gc
 
     from genellip import hypergeom
-    calls = _count_calls(monkeypatch, ((hypergeom, "_first_ratios"), (hypergeom, "digamma")))
+    calls = _count_calls(monkeypatch, ((hypergeom, "_first_ratios"), (hypergeom, "_digamma")))
     _cold()
     P = ModulusParams(0.3, 0.7, 1.0)
     mu(P, 0.95)  # r'^2 by the series, r^2 = 0.9025 by the zero-balanced route
     mu(P, 0.97)
-    assert calls == {"_first_ratios": 1, "digamma": 2}
+    assert calls == {"_first_ratios": 1, "_digamma": 2}
     refs = list(hypergeom._LIVE.values())
     assert refs and all(ref() is not None for ref in refs)
     _cold()
