@@ -30,7 +30,9 @@ triple's route, or ``series`` below ``Z_SWITCH`` for every route but
 ``closed``; they sum to ``pair_misses`` plus ``solver_evals``), and the calls
 of the modulus solver ``_solve_log_mu`` (``solves=``), and beside the
 `verify all` digest also the evaluations of ln Gamma
-(``scalar_special._lngamma_raw``).  Run it on two
+(``scalar_special._lngamma_raw``, ``lngamma=``) and the parameter objects
+built (every ``errors._Params``: ``HypParams``, ``EllipticParams``,
+``ModulusParams`` and ``MPoint``, ``params=``).  Run it on two
 checkouts and diff the output: equal digests mean equal bits, and the counts
 show the work each side did.  Both LRU caches are cleared before each pass,
 as in the benchmark.  The modular-solve points pass through the benchmark's
@@ -71,7 +73,7 @@ import golden  # noqa: E402
 import passes as P  # noqa: E402  (imports genellip from src/)
 import reference  # noqa: E402
 import workloads as wl  # noqa: E402
-from genellip import cli, hypergeom, modulus, scalar_special  # noqa: E402
+from genellip import cli, errors, hypergeom, modulus, scalar_special  # noqa: E402
 
 _ELL = "--a 0.3 --b 0.6 --c 0.7"
 _GRID = "--grid 0.1:0.9:5:linear"
@@ -180,6 +182,26 @@ def _routes_counted():
             modulus._kernel = kernel
 
 
+@contextlib.contextmanager
+def _built():
+    """A Counter of the evaluations of ln Gamma (``lngamma``) and of the
+    parameter objects built (``params``) while active."""
+    built = collections.Counter()
+    lngamma, init = scalar_special._lngamma_raw, errors._Params.__init__
+
+    def counted_lngamma(x):
+        built["lngamma"] += 1
+        return lngamma(x)
+
+    def counted_init(self, *args, **kwargs):
+        built["params"] += 1
+        init(self, *args, **kwargs)
+
+    with mock.patch.object(scalar_special, "_lngamma_raw", counted_lngamma), \
+            mock.patch.object(errors._Params, "__init__", counted_init):
+        yield built
+
+
 def _outputs(calls) -> tuple[list, str]:
     """The output of each call, from cold caches, and the work they did."""
     P.reset()
@@ -254,14 +276,13 @@ def main(argv=None) -> int:
         print(f"modular-solve seed={seed} n={len(outs)} {_digest(outs)} {work}")
     specs = P.verify_specs()
     trackers = [golden.Tracker(record=True) for _ in specs]
-    with mock.patch.object(scalar_special, "_lngamma_raw",
-                           wraps=scalar_special._lngamma_raw) as lngamma, \
-            _routes_counted() as counts:
+    with _built() as built, _routes_counted() as counts:
         reports = P.verify_pass(specs, trackers).outputs
     rows = [(r.id, r.verdict, r.samples, float(r.worst_margin), r.witness, s.claim)
             for r, s in zip(reports, specs)]
     print(f"verify-all checks={len(rows)} samples={sum(r[2] for r in rows)} "
-          f"{_digest(rows)} {_work(*counts)} lngamma={lngamma.call_count}")
+          f"{_digest(rows)} {_work(*counts)} lngamma={built['lngamma']} "
+          f"params={built['params']}")
     for spec, tracker in zip(specs, trackers):
         print(f"  {spec.id} calls={len(tracker.calls)} {_digest(tracker.calls)}")
     return 0

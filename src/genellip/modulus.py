@@ -27,6 +27,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from .elliptic import Modulus, _interior
@@ -34,6 +35,7 @@ from .errors import ConvergenceError, DomainError, ParameterError, SaturationErr
 from .hypergeom import HypParams, _eval_pair, _kernel, _Triple
 from .legendre_m import MPoint, _finite, m_value
 from .result import EvalResult, Method
+from .scalar_special import _exp
 
 _T_MAX = 700.0
 _T_RANGE = f"[{-_T_MAX:g}, {_T_MAX:g}]"
@@ -339,13 +341,17 @@ def mu_deriv_closed(p: ModulusParams, r: float) -> EvalResult:
     m = _interior(Modulus.from_r(r), "mu_deriv_closed")
     key = _Triple(p.a, p.b, p.c)
     (la, _), (lb, _), (lc, _), (lab, _) = map(key.lngamma, (p.a, p.b, p.c, p.a + p.b))
+    log_4d = 2.0 * (la + lb + lc) - 3.0 * lab
     try:
-        D = math.exp(2.0 * (la + lb + lc) - 3.0 * lab) / 4.0
+        D = math.exp(log_4d) / 4.0
     except OverflowError:
         raise DomainError(f"the closed form is not representable: D exceeds the float "
                           f"range at (a,b,c)=({p.a!r},{p.b!r},{p.c!r})") from None
     Kr = key.half_beta * _eval_pair(key, m.z, m.z_comp).value
-    value = -D / (m.r ** (2.0 * p.c - 1.0) * m.z_comp ** p.c * Kr * Kr)
+    den = m.r ** (2.0 * p.c - 1.0) * m.z_comp ** p.c * Kr * Kr
+    value = -D / den if den >= sys.float_info.min else _exp(  # den underflows: in logs
+        log_4d - math.log(4.0 * Kr * Kr) - (2.0 * p.c - 1.0) * math.log(m.r)
+        - p.c * math.log(m.z_comp), -1, "d mu/dr", p.a, p.b, p.c)
     return _finite(value, abs(value) * 1e-12, Method.CLOSED_FORM, "d mu/dr", p.a, p.b, p.c)
 
 

@@ -31,9 +31,11 @@ and any probe or limit common to the family.  A check then states only its
 id, its claim, its evaluators and the fields that differ from the CheckSpec
 defaults: tolerance 1e-9, attainment 1e-3 at either end, decay factor 0.5.
 A primed check (K'(s)/K'(r), s'/r', ...) is its unprimed evaluator at the
-complements r' and s' (`_primed`), as K'(r) = K(r').  The evaluators call
-the package's functions through this module's own names, so each call can
-be traced by name.
+complements r' and s' (`_primed`), as K'(r) = K(r').  Evaluators and limits
+read a combo's EllipticParams and ModulusParams through `_ep` and `_mp`, one
+object per combo; only the c-dependence checks, whose argument is c, build
+theirs per point.  The evaluators call the package's functions through
+this module's own names, so each call can be traced by name.
 """
 
 from __future__ import annotations
@@ -80,8 +82,15 @@ def _times(w: float, e: EvalResult):
     return w * e.value, w * e.abs_err_est
 
 
-def _ep(d) -> EllipticParams:
-    return EllipticParams(d["a"], d["b"], d["c"])
+def _per_combo(cls):
+    """The `cls` object of a combo's (a, b, c), b = c - a where it names only a
+    and c; the engine runs a combo's points in a row, so they share one object."""
+    build = functools.lru_cache(maxsize=1)(cls)
+    return lambda d: build(d["a"], d["b"] if "b" in d else d["c"] - d["a"], d["c"])
+
+
+_ep = _per_combo(EllipticParams)
+_mp = _per_combo(ModulusParams)
 
 
 def _at_r(expr):
@@ -195,13 +204,6 @@ def _log_r(m: Modulus) -> float:
     return 0.5 * math.log(m.z)
 
 
-def _log_inv_rc(m: Modulus) -> float:
-    """log(1/r') from the pair."""
-    if m.z < 0.5:
-        return -0.5 * math.log1p(-m.z)
-    return -0.5 * math.log(m.z_comp)
-
-
 def _m_sym(a, b, c, m: Modulus) -> EvalResult:
     """M at the modulus squared, using M(z)=M(1-z) to stay off z=1."""
     z = m.z if m.z <= 0.5 else m.z_comp
@@ -215,9 +217,17 @@ def _phi_at(expr, degree=_k, at_r=False):
     triple's EllipticParams."""
     def fn(d, x):
         m = Modulus.from_r(x) if at_r else q_modulus(x)
-        pm = modulus_params_ac(d["a"], d["c"])
-        pe = EllipticParams(d["a"], d["c"] - d["a"], d["c"])
-        return expr(pe, m, phi_k_m(pm, degree(d), m), d)
+        return expr(_ep(d), m, phi_k_m(_mp(d), degree(d), m), d)
+    return fn
+
+
+def _k_ratio(weight, den):
+    """The evaluator weight(m) K(r) / den(m) at the modulus m = r."""
+    @_at_r
+    def fn(p, m, d):
+        k = ell_k(p, m)
+        v = weight(m) * k.value / den(m)
+        return v, abs(v) * (_rel(k) + 1e-13)
     return fn
 
 
@@ -322,19 +332,13 @@ def _ekmonot():
         fn=_at_rc(lambda p, m, d: _q(ell_k_minus_e(p, m), ell_e_minus_rc2k(p, m))),
         lo_limit=lambda d: INF, hi_limit=lambda d: d["b"] / (d["c"] - d["b"]))
 
-    @_at_r
-    def zk_over_log(p, m, d):
-        k = ell_k(p, m)
-        v = m.z * k.value / _log_inv_rc(m)
-        return v, abs(v) * (_rel(k) + 1e-13)
-
     yield _REDUCED(
         id="ekmonot2-1", direction=-1,
         claim="For 0<a<c<=1 and b=c-a (so a,b in (0,1)), r^2 K / log(1/r') "
               "is strictly decreasing on (0,1) onto (1, B(a,b)). Both "
               "endpoints approach at 1/log rates; attainment relaxed to 0.1 "
               "with gap decay.",
-        fn=zk_over_log,
+        fn=_k_ratio(lambda m: m.z, lambda m: -_log_r(m.complement)),
         lo_limit=lambda d: 2.0 * _half_b(d), hi_limit=lambda d: 1.0,
         lo_probe=lambda d: 1e-4, hi_probe=lambda d: 1.0 - 1e-13,
         lo_attain=0.1, hi_attain=0.1)
@@ -350,18 +354,13 @@ def _ekmonot():
 
 
 def _hyper():
-    @_at_r
-    def rk_over_arth(p, m, d):
-        k = ell_k(p, m)
-        v = m.r * k.value / arth(m.r, m.r_comp)
-        return v, abs(v) * (_rel(k) + 1e-13)
-
     yield _REDUCED(
         id="hyper-1", direction=-1,
         claim="For c in (0,1], a in (0,c), b=c-a: r K / arth(r) is strictly "
               "decreasing on (0,1) onto (1, B(a,b)/2). The r->1 endpoint is "
               "1/log-slow; attainment relaxed to 0.06 with gap decay.",
-        fn=rk_over_arth, lo_limit=_half_b, hi_limit=lambda d: 1.0,
+        fn=_k_ratio(lambda m: m.r, lambda m: arth(m.r, m.r_comp)),
+        lo_limit=_half_b, hi_limit=lambda d: 1.0,
         lo_probe=lambda d: 1e-6, hi_probe=lambda d: 1.0 - 1e-13, hi_attain=0.06)
 
     @_at_r
@@ -466,11 +465,15 @@ def _logconvexke():
         param_map=map_lck, arg_grid=R33, lo_limit=lambda d: math.log(_half_b(d)),
         lo_probe=lambda d: 1e-5)
 
-    @_at_r
-    def log_pow_k(p, m, d):
-        k = ell_k(p, m)
-        s = d["a"] + d["b"] - d["c"]
-        return s * math.log(m.z_comp) + math.log(k.value), _rel(k) + 1e-14
+    def log_pow(of_e):
+        """log(r'^(2s) K) with s = a+b-c, or with `of_e` log(r'^(2s) E) with
+        s = a+b-c-1."""
+        @_at_r
+        def fn(p, m, d):
+            f = (ell_e if of_e else ell_k)(p, m)
+            s = d["a"] + d["b"] - d["c"] - float(of_e)
+            return s * math.log(m.z_comp) + math.log(f.value), _rel(f) + 1e-14
+        return fn
 
     yield log_convex(
         id="logconvexke-1",
@@ -479,15 +482,9 @@ def _logconvexke():
               "onto (B(a,b)/2, B(c,a+b-c)/2). Checked as convexity of the "
               "log on r with range endpoints on the log scale; the r->1 rate "
               "is r'^(2(a+b-c)), relaxed attainment 0.1 with gap decay.",
-        fn=log_pow_k,
+        fn=log_pow(False),
         hi_limit=lambda d: math.log(0.5 * beta(d["c"], d["a"] + d["b"] - d["c"]).value),
         hi_probe=lambda d: 1.0 - 1e-13, hi_attain=0.1)
-
-    @_at_r
-    def log_pow_e(p, m, d):
-        e = ell_e(p, m)
-        s = d["a"] + d["b"] - d["c"] - 1.0
-        return s * math.log(m.z_comp) + math.log(e.value), _rel(e) + 1e-14
 
     yield log_convex(
         id="logconvexke-2",
@@ -495,15 +492,11 @@ def _logconvexke():
               "Maclaurin coefficients, is log-convex in r on [0,1), and maps "
               "onto (B(a,b)/2, infinity). Checked as convexity of the log "
               "with range endpoints on the log scale.",
-        fn=log_pow_e, hi_limit=lambda d: INF, hi_probe=lambda d: 1.0 - 1e-9)
+        fn=log_pow(True), hi_limit=lambda d: INF, hi_probe=lambda d: 1.0 - 1e-9)
 
 
 # ---------------------------------------------------------------------------
 # section: generalized modulus
-
-def _mp(d) -> ModulusParams:
-    return modulus_params_ac(d["a"], d["c"])
-
 
 def _mutheorem():
     def mu_plus_logr(d, r):
@@ -712,9 +705,10 @@ def _hyp_quotients():
 # ---------------------------------------------------------------------------
 # section: the M function
 
-def _m_of(d, z):
-    """M(a,b,c; z) of a combo as (value, error)."""
-    return _pair(m_value(MPoint(d["a"], d["b"], d["c"], z)))
+def _m_of(d, z, scaled=False):
+    """M(a,b,c; z) of a combo, or with `scaled` (z(1-z))^(a+b-c) M, as
+    (value, error)."""
+    return _pair((m_scaled if scaled else m_value)(MPoint(d["a"], d["b"], d["c"], z)))
 
 
 def _mprop():
@@ -774,9 +768,7 @@ def _mprop():
 
 def _mextra():
     abc = ("a", "b", "c")
-
-    def f_scaled(d, z):
-        return _pair(m_scaled(MPoint(d["a"], d["b"], d["c"], z)))
+    f_scaled = functools.partial(_m_of, scaled=True)
 
     lim_cases = ((0.6, 0.7, 1.0), (0.9, 0.6, 1.0), (0.8, 1.2, 1.5))
     yield CheckSpec(
@@ -831,8 +823,8 @@ def _mcorollary():
               "form d(mu)/dr = -(1/4) D / (r^(2c-1) r'^(2c) K(r)^2) with "
               "D = exp(2(lnG(a)+lnG(b)+lnG(c)) - 3 lnG(a+b)) * ... ; checked "
               "against Richardson central differences at 1e-6 relative.",
-        fn=lambda d, r: _pair(mu(ModulusParams(d["a"], d["b"], d["c"]), r)),
-        rhs=lambda d, r: _pair(mu_deriv_closed(ModulusParams(d["a"], d["b"], d["c"]), r)))
+        fn=lambda d, r: _pair(mu(_mp(d), r)),
+        rhs=lambda d, r: _pair(mu_deriv_closed(_mp(d), r)))
 
     yield corollary(
         id="mcorollary-phi",
@@ -840,9 +832,9 @@ def _mcorollary():
               "the closed form phi_K'(r) = (s/r)^(2c-1) (s'/r')^(2c) "
               "F(s^2)^2/(K F(r^2)^2); checked for K=2 against Richardson "
               "differences at 1e-6 relative.",
-        fn=lambda d, r: (phi_k(ModulusParams(d["a"], d["b"], d["c"]), 2.0, r), 5e-13),
+        fn=lambda d, r: (phi_k(_mp(d), 2.0, r), 5e-13),
         fd_h=1e-4,
-        rhs=lambda d, r: _pair(phi_deriv_closed(ModulusParams(d["a"], d["b"], d["c"]), 2.0, r)))
+        rhs=lambda d, r: _pair(phi_deriv_closed(_mp(d), 2.0, r)))
 
 
 def _mfunctions():
@@ -1035,11 +1027,16 @@ def _phiperr():
         CheckSpec, kind="monotone", **_cases(ac_cases, ("a", "c"), _KDIM), arg_grid=X17,
         hi_limit=lambda d: 1.0, lo_attain=0.05)
 
-    def f_over_power(d, x):
-        m = q_modulus(x)
-        s = phi_k_m(modulus_params_ac(d["a"], d["c"]), d["K"], m)
-        v = math.exp(_log_r(s) - _log_r(m) / d["K"])
-        return v, abs(v) * 1e-10
+    def over_power(inverse):
+        """phi_K(r)/r^(1/K), or with `inverse` phi_{1/K}(r)/r^K, at r = q(x)."""
+        def fn(d, x):
+            m = q_modulus(x)
+            k = d["K"]
+            s = phi_k_m(_mp(d), _inv_k(d) if inverse else k, m)
+            log_r = _log_r(m)
+            v = math.exp(_log_r(s) - (k * log_r if inverse else log_r / k))
+            return v, abs(v) * 1e-10
+        return fn
 
     yield power_ratio(
         id="phiperr-1", direction=-1,
@@ -1047,16 +1044,10 @@ def _phiperr():
               "(0,1] onto [1, exp((1-1/K) R(a,c-a)/2)); hence r^(1/K) < "
               "phi_K(r) < e^((1-1/K)R/2) r^(1/K). Argument x=log(r^2/r'^2); "
               "the r->0 limit is probed at x=-200 (corrections O(r^(2/K))).",
-        fn=f_over_power,
+        fn=over_power(False),
         lo_limit=lambda d: math.exp((1.0 - 1.0 / d["K"]) * 0.5
                                     * ramanujan_r(d["a"], d["c"] - d["a"]).value),
         lo_probe=lambda d: -200.0, hi_probe=lambda d: 58.0)
-
-    def g_over_power(d, x):
-        m = q_modulus(x)
-        t = phi_k_m(modulus_params_ac(d["a"], d["c"]), _inv_k(d), m)
-        v = math.exp(_log_r(t) - d["K"] * _log_r(m))
-        return v, abs(v) * 1e-10
 
     yield power_ratio(
         id="phiperr-2", direction=1,
@@ -1064,7 +1055,7 @@ def _phiperr():
               "(0,1] onto (exp((1-K) R(a,c-a)/2), 1]. The r->0 probe sits at "
               "x=-58 (solver saturation bound for K=10); corrections there "
               "are O(exp(-29 K)).",
-        fn=g_over_power,
+        fn=over_power(True),
         lo_limit=lambda d: math.exp((1.0 - d["K"]) * 0.5
                                     * ramanujan_r(d["a"], d["c"] - d["a"]).value),
         lo_probe=lambda d: -58.0, hi_probe=lambda d: 200.0)
@@ -1078,8 +1069,7 @@ def _funcineq():
     on_pairs = functools.partial(on_ac_k, kind="inequality", arg_grid=I80)
 
     def log_phi(d, m):
-        s = phi_k_m(modulus_params_ac(d["a"], d["c"]), d["K"], m)
-        return _log_r(s)
+        return _log_r(phi_k_m(_mp(d), d["K"], m))
 
     # log phi_K spans ~50 orders of magnitude over these grids (it collapses
     # toward 0 like r'^(2K) as r -> 1), so error estimates must be relative:
@@ -1211,28 +1201,28 @@ def _linconj():
         CheckSpec, kind="inequality", **_cases(ac_cases, ("a", "c"), _KDIM3),
         arg_grid=GridSpec((GridDim("x", -20.0, 20.0, 41, "linear"),)))
 
-    def g_margin(d, x):
-        val = phi_logodds(modulus_params_ac(d["a"], d["c"]), d["K"], x)
-        bound = d["K"] * x if x >= 0.0 else x / d["K"]
-        return val - bound, 1e-9
+    def margin(inverse):
+        """g(x) - (Kx for x >= 0, x/K below), or with `inverse`
+        (x/K for x >= 0, Kx below) - h(x)."""
+        def fn(d, x):
+            k = d["K"]
+            val = phi_logodds(_mp(d), _inv_k(d) if inverse else k, x)
+            bound = k * x if (x >= 0.0) != inverse else x / k
+            return (-1.0 if inverse else 1.0) * (val - bound), 1e-9
+        return fn
 
     yield linear_bound(
         id="linconj-g",
         claim="With p(x)=2 log(x/x'), q(x)=sqrt(e^x/(e^x+1)): the map "
               "g(x)=p(phi_K(q(x))) satisfies g(x) >= Kx for x >= 0 and "
               "g(x) >= x/K for x < 0.",
-        fn=g_margin)
-
-    def h_margin(d, x):
-        val = phi_logodds(modulus_params_ac(d["a"], d["c"]), _inv_k(d), x)
-        bound = x / d["K"] if x >= 0.0 else d["K"] * x
-        return bound - val, 1e-9
+        fn=margin(False))
 
     yield linear_bound(
         id="linconj-h",
         claim="The map h(x)=p(phi_{1/K}(q(x))) satisfies h(x) <= x/K for "
               "x >= 0 and h(x) <= Kx for x < 0.",
-        fn=h_margin)
+        fn=margin(True))
 
 
 # ---------------------------------------------------------------------------
@@ -1335,13 +1325,15 @@ def _cdependence():
         arg_grid=GridSpec((GridDim("c", 0.75, 10.0, 33, "log"),)), hi_limit=lambda d: 0.0,
         lo_probe=lambda d: d["a"] + 1e-4, hi_probe=lambda d: 45.0, decay_factor=0.75)
 
-    def k_minus_halfb(d, c):
-        a = d["a"]
-        m = Modulus.from_r(d["r"])
-        p = EllipticParams(a, c - a, c)
-        k = ell_k(p, m)
-        hb = p.half_beta
-        return k.value - hb, k.abs_err_est + 1e-14 * hb
+    def keb(of_e):
+        """c -> K - B/2, or with `of_e` B/2 - E, of (a, c-a, c) at the combo's r."""
+        def fn(d, c):
+            a = d["a"]
+            p = EllipticParams(a, c - a, c)
+            f = (ell_e if of_e else ell_k)(p, Modulus.from_r(d["r"]))
+            hb = p.half_beta
+            return (-1.0 if of_e else 1.0) * (f.value - hb), f.abs_err_est + 1e-14 * hb
+        return fn
 
     yield thkeb(
         id="thkeb-f",
@@ -1349,15 +1341,7 @@ def _cdependence():
               "strictly decreasing on (a, infinity), with limit log(1/r') "
               "as c->a+ (probed at c=a+1e-4, tolerance 1e-3) and 0 as "
               "c->inf (c^(-a) rate; far probe at c=45 with decay 0.75).",
-        fn=k_minus_halfb, lo_limit=lambda d: -math.log(math.sqrt(1.0 - d["r"] * d["r"])))
-
-    def halfb_minus_e(d, c):
-        a = d["a"]
-        m = Modulus.from_r(d["r"])
-        p = EllipticParams(a, c - a, c)
-        e = ell_e(p, m)
-        hb = p.half_beta
-        return hb - e.value, e.abs_err_est + 1e-14 * hb
+        fn=keb(False), lo_limit=lambda d: -math.log(math.sqrt(1.0 - d["r"] * d["r"])))
 
     def keb_g_limit(d):
         a, r = d["a"], d["r"]
@@ -1376,7 +1360,7 @@ def _cdependence():
               "(1/2) sum_{n>=1} r^(2n)/(a+n-1) - log(1/r') as c->a+ "
               "(500-term partial sum; truncation < 1e-150 for r <= 0.7) and "
               "0 as c->inf.",
-        fn=halfb_minus_e, lo_limit=keb_g_limit)
+        fn=keb(True), lo_limit=keb_g_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -1390,31 +1374,28 @@ def _conjectures():
         conj, **_cases(tuple((a, c, c - a) for a, c in ac_cases), ("a", "c", "b")),
         hi_probe=lambda d: 1.0 - 1e-7)
 
-    def sqrt_r_over_m(d, r):
-        m = Modulus.from_r(r)
-        mv = _m_sym(d["a"], d["b"], d["c"], m)
-        v = math.exp(0.5 * _log_r(m)) / mv.value
-        return v, abs(v) * (_rel(mv) + 1e-15)
+    def over_m(root):
+        """root(m)/M(r^2) at the modulus m = r."""
+        def fn(d, r):
+            m = Modulus.from_r(r)
+            mv = _m_sym(d["a"], d["b"], d["c"], m)
+            v = root(m) / mv.value
+            return v, abs(v) * (_rel(mv) + 1e-15)
+        return fn
 
     yield conj1(
         id="conj-1a", direction=1,
         claim="Conjecture: for 0<a<c<1, b=c-a, sqrt(r)/M(r^2) is strictly "
               "increasing on (0,1) onto (0, B(a,b)).",
-        fn=sqrt_r_over_m,
+        fn=over_m(lambda m: math.exp(0.5 * _log_r(m))),
         lo_limit=lambda d: 0.0, hi_limit=lambda d: 2.0 * _mp(d).half_beta,
         hi_attain=5e-3)
-
-    def sqrt_rc_over_m(d, r):
-        m = Modulus.from_r(r)
-        mv = _m_sym(d["a"], d["b"], d["c"], m)
-        v = math.exp(0.25 * math.log(m.z_comp)) / mv.value
-        return v, abs(v) * (_rel(mv) + 1e-15)
 
     yield conj1(
         id="conj-1b", direction=-1,
         claim="Conjecture: for 0<a<c<1, b=c-a, sqrt(r')/M(r^2) is strictly "
               "decreasing on (0,1) onto (0, B(a,b)).",
-        fn=sqrt_rc_over_m,
+        fn=over_m(lambda m: math.exp(0.25 * math.log(m.z_comp))),
         lo_limit=lambda d: 2.0 * _mp(d).half_beta, hi_limit=lambda d: 0.0,
         lo_attain=5e-3)
 

@@ -234,9 +234,18 @@ def test_calls_that_crashed_raise_package_errors():
             (lambda: g.m_deriv(MPoint(50.0, 50.0, 1e-300, 1e-300)), SaturationError),
             (lambda: g.mu_deriv_closed(ModulusParams(1e-300, 1.0, 1.0), 0.5), DomainError),
             # the triple (a-1, b, c) = (-0.5, 0.5, 1e-300) once named Gamma's pole at 0
-            (lambda: g.m_value(MPoint(0.5, 0.5, 1e-300, 0.8)), SaturationError)):
+            (lambda: g.m_value(MPoint(0.5, 0.5, 1e-300, 0.8)), SaturationError),
+            # r^(2c-1) r'^(2c) K(r)^2 underflowed to 0 in the closed form
+            # (ZeroDivisionError); the derivative lies past the float range
+            (lambda: g.mu_deriv(ModulusParams(0.3, 2.7, 2.0), 1e-150), SaturationError),
+            (lambda: g.mu_deriv_closed(ModulusParams(0.3, 2.7, 2.0), 1e-150), SaturationError)):
         with pytest.raises(error):
             call()
+    # a denominator that underflows where the derivative itself fits: the
+    # closed form is then taken in logs (mpmath, 40 digits: -3.92482616096012e+268)
+    p = ModulusParams(49.5, 49.5, 50.0)
+    assert g.mu_deriv(p, 1e-3).value == pytest.approx(-3.92482616096012e+268, rel=1e-12)
+    assert g.mu_deriv_closed(p, 1e-3).value == pytest.approx(-3.92482616096012e+268, rel=1e-12)
 
 
 _TINY = (1e-300, 1e-9, 0.5, 1.0, 50.0)  # each of a, b and c

@@ -25,7 +25,13 @@ def test_output_digest_counts_every_kernel_evaluation():
     P, Q = g.ModulusParams(0.3, 0.7, 1.0), g.ModulusParams(1.2, 0.9, 1.5)
     calls = [(g.phi_k, (P, 3.0, 0.6)), (g.phi_k, (Q, 0.5, 0.3)),
              (g.mu_inv, (P, 2.0)), (g.mu_inv, (Q, 5.0))]
-    outs, work = digest._outputs(calls)
+    # lngamma= and params= of the verify-all line count while _built is active
+    with digest._built() as built:
+        outs, work = digest._outputs(calls)
+        g.mu(g.modulus_params_ac(0.5, 1.0), 0.5)
+    g.ModulusParams(0.5, 0.5, 1.0)
+    assert built["params"] == 1  # P and Q were built before
+    assert built["lngamma"] >= 6  # B(a,b)/2 of each cold triple: a, b and a+b
     fields = dict(field.split("=", 1) for field in work.split())
     routes = sum(map(int, re.findall(r":(\d+)", fields["routes"])))
     assert int(fields["pair_misses"]) == 4  # mu(r) of each phi_k

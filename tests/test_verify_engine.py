@@ -5,6 +5,7 @@ rational 25/48 (Gamma(2.5)Gamma(0.8)/(Gamma(2.8)Gamma(0.5)), where both
 Gamma(0.8) factors cancel through the recurrence).
 """
 
+import collections
 import math
 
 import pytest
@@ -216,9 +217,8 @@ def _cold_lngammas(monkeypatch, check_id):
 
 
 def test_ekmonot_4_reads_half_beta_once_per_triple_not_per_sample(monkeypatch):
-    # ekmonot-4 makes one ell_k per sample on a fresh EllipticParams, so
-    # B(a,b)/2 must come from the triple's table, not three ln Gamma values
-    # at each of its 2345 samples
+    # ekmonot-4 makes one ell_k per sample, so B(a,b)/2 must come from the
+    # triple's table, not three ln Gamma values at each of its 2345 samples
     rep, lngammas = _cold_lngammas(monkeypatch, "ekmonot-4")
     assert (rep.verdict, rep.samples) == ("pass", 2345)
     assert lngammas < 1000
@@ -231,6 +231,26 @@ def test_hyper_2_reads_b_from_the_triples_table(monkeypatch):
     rep, lngammas = _cold_lngammas(monkeypatch, "hyper-2")
     assert rep.verdict == "pass"
     assert lngammas < 500
+
+
+def test_a_cold_check_builds_one_parameter_object_per_combo(monkeypatch):
+    # the points of a combo share one EllipticParams, so B(a,b)/2 is read
+    # once per combo; when each sample built its own, ell_e, which evaluates
+    # (a-1, b, c), kept no (a, b, c) triple alive between samples, and a cold
+    # ekmonot-3 evaluated ln Gamma 7,687 times for its 2,345 samples
+    from genellip import errors
+    spec = select("ekmonot-3")[0]
+    combos = sum(spec.param_map(d) is not None for d in spec.param_grid.combos())
+    built, init = collections.Counter(), errors._Params.__init__
+
+    def counted(self, *args):
+        built[type(self).__name__] += 1
+        init(self, *args)
+    monkeypatch.setattr(errors._Params, "__init__", counted)
+    rep, lngammas = _cold_lngammas(monkeypatch, "ekmonot-3")
+    assert (rep.verdict, rep.samples) == ("pass", 2345)
+    assert set(built) == {"EllipticParams"} and built["EllipticParams"] <= combos
+    assert lngammas <= 700
 
 
 # --------------------------------------------------------------------------
@@ -276,6 +296,7 @@ def test_spot_checks_pass():
     for cid in ("hyper-1", "mprop-1", "mutheorem-1", "linconj-g"):
         rep = run_check(select(cid)[0])
         assert rep.verdict == "pass", (cid, rep.witness)
+
 
 
 # --------------------------------------------------------------------------
