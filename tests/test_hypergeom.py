@@ -21,7 +21,7 @@ from genellip import (
     beta,
     gamma_ln,
 )
-from genellip.errors import DomainError, ParameterError, SaturationError
+from genellip.errors import ConvergenceError, DomainError, ParameterError, SaturationError
 from genellip.hypergeom import (_connection, _direct_series, _eval_pair, _first_ratios,
                                 _integer_d, _near_zero_balanced, _Triple, _zero_balanced)
 from genellip.result import EvalResult, Method
@@ -377,6 +377,21 @@ def test_band_beside_a_gamma_pole_takes_the_terminating_form(a, b, c, z, want):
     assert key.route == "terminating"
     r = _eval_pair(key, z, 1.0 - z)
     assert abs(r.value - want) <= r.abs_err_est <= 1e-14
+
+
+def test_a_polynomial_stops_at_its_first_zero_term_even_at_one():
+    # F(10, -9; 11; 1) = 9! 10!/19! (Chu-Vandermonde); at z = 1 the ratio
+    # test never passes, so only the zero term ends the sum
+    r = _eval_pair(_Triple(10.0, -9.0, 11.0), 1.0, 0.0)
+    want = math.factorial(9) * math.factorial(10) / math.factorial(19)
+    assert abs(r.value - want) <= r.abs_err_est <= 1e-12
+
+
+def test_a_series_that_never_settles_raises_at_the_term_cap():
+    # c < a+b: the terms fall only like k^-0.1 (1-1e-9)^k, so every chunk is
+    # summed, the last one of 6,848 terms too, and none passes the stop test
+    with pytest.raises(ConvergenceError, match="more than 400000 terms"):
+        _direct_series(0.5, 0.5, 0.1, 1 - 1e-9, _first_ratios(0.5, 0.5, 0.1))
 
 
 # --------------------------------------------------------------------------

@@ -170,6 +170,13 @@ def test_tiny_a_with_b_exactly_c_plus_one():
         assert abs(got.value - want) <= got.abs_err_est
 
 
+def test_terminating_triple_at_z_one():
+    # 1-z rounds to 1.0, so the scaled route evaluates the polynomial
+    # F(10, -9; 11; z) at z = 1.0; M from mpmath at 40 digits
+    got = m_value(MPoint(1.0, 20.0, 11.0, 1e-17))
+    assert abs(got.value - 1.0825088224469022760568e+166) <= got.abs_err_est
+
+
 # --------------------------------------------------------------------------
 # properties
 

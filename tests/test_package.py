@@ -238,7 +238,12 @@ def test_calls_that_crashed_raise_package_errors():
             # r^(2c-1) r'^(2c) K(r)^2 underflowed to 0 in the closed form
             # (ZeroDivisionError); the derivative lies past the float range
             (lambda: g.mu_deriv(ModulusParams(0.3, 2.7, 2.0), 1e-150), SaturationError),
-            (lambda: g.mu_deriv_closed(ModulusParams(0.3, 2.7, 2.0), 1e-150), SaturationError)):
+            (lambda: g.mu_deriv_closed(ModulusParams(0.3, 2.7, 2.0), 1e-150), SaturationError),
+            # M's polynomial F(10, -9; 11; 1) and its kin ran to the Maclaurin
+            # term cap (ConvergenceError); the derivative lies past the float range
+            *((lambda f=f, p=p: f(ModulusParams(*p), 1e-50), SaturationError)
+              for f in (g.mu_deriv, g.mu_deriv_closed)
+              for p in ((1.0, 20.0, 11.0), (5.0, 20.0, 13.0), (20.0, 1.0, 11.0), (20.0, 5.0, 13.0)))):
         with pytest.raises(error):
             call()
     # a denominator that underflows where the derivative itself fits: the
