@@ -144,20 +144,27 @@ def _pole_step(x: float, y: float, c: float, e: float) -> tuple[int, float, floa
     return -1, 0.0, 0.0
 
 
-def _first_ratios(a: float, b: float, c: float) -> tuple[np.ndarray, int, float, float]:
+def _first_ratios(a: float, b: float, c: float) -> tuple[np.ndarray, int, float, float, float]:
     """The head of the Maclaurin series of F(a,b;c;z): what _direct_series
     reads that does not depend on z.  It holds q_k = (a+k)(b+k)/((c+k)(1+k))
     for k < 64, the first chunk of the term ratios before the factor z;
     min_k, the terms the sum takes at least (past the largest parameter);
     Q, a bound on every |q_k| for the exit of chunks that round to 1 (inf
-    where that exit does not apply); and min(a, b, c)."""
+    where that exit does not apply); min(a, b, c); and z_safe, up to which
+    no term leaves the float range."""
     q = (a + _K0) * (b + _K0) / ((c + _K0) * _K1)
     q.flags.writeable = False
     min_k = max(_TABLED, int(max(abs(a), abs(b), abs(c))) + 2)
+    if min_k > _TABLED:
+        return q, min_k, math.inf, min(a, b, c), 0.0
     # For c > 0, |a+k| <= max(|a|,1)(1+k) and |b+k|/(c+k) <= max(|b|/c,1).
-    bound = max(abs(a), 1.0) * max(abs(b) / c, 1.0) if min_k == _TABLED and c > 0.0 \
-        else math.inf
-    return q, min_k, bound, min(a, b, c)
+    bound = max(abs(a), 1.0) * max(abs(b) / c, 1.0) if c > 0.0 else math.inf
+    # For j < 64, |a+j|/(1+j) < 63, |b+j| < 126 and |c+j| >= 1/2 but at one j, where it is
+    # delta > 1e-26: for z <= 1 the first chunk's terms stay below (63 126 2)^63 7938e26 < 1e295.
+    # For j >= 64, 0 < q_j <= max((a+64)/65, 1) max((b+64)/(c+64), 1) = 1/z_safe: none grows.
+    delta = c if c > 0.0 else abs(c - round(c))
+    z_64 = 65.0 * (c + 64.0) / (((a if a > 1.0 else 1.0) + 64.0) * ((b if b > c else c) + 64.0))
+    return q, min_k, bound, min(a, b, c), z_64 if delta > 1e-26 else 0.0
 
 
 def _direct_series(a: float, b: float, c: float, z: float,
@@ -181,7 +188,7 @@ def _direct_series(a: float, b: float, c: float, z: float,
     The first chunk is summed from the head's ratios with the leading term 1
     and no carried compensation; later chunks compute their own ratios.
     """
-    q0, min_k, bound_q, lowest = head
+    q0, min_k, bound_q, lowest, z_safe = head
     if z * bound_q <= _ROUNDS_TO_ONE:
         # Each ratio q_k z is at most 2^-56 up to a few ulps, and the
         # chunk's sum s and its absolute sum are both below 2^-55.  1 + s
@@ -191,6 +198,9 @@ def _direct_series(a: float, b: float, c: float, z: float,
         # case with a finite Q) every stopping test holds at k = 64: summing
         # would return (1.0, 4e-16*1.0 + 0.0 + eps*1.0, 65), which is this.
         return 1.0, 4e-16 + _EPS, _TABLED + 1
+    if z > z_safe:  # a term may overflow: the same sum, its numpy warnings kept here
+        with np.errstate(all="ignore"):
+            return _direct_series(a, b, c, z, (*head[:4], math.inf))
     ratios = q0 * z
     terms = np.multiply.accumulate(ratios)
     total, comp, abs_total = 1.0, 0.0, 1.0

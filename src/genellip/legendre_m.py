@@ -10,7 +10,8 @@ are evaluated at 1-z.  M generalizes the Legendre relation
 (the case (1/2,1/2,1), where M is the constant 1/pi).  Provided here:
 the contiguous-form value, the elliptic-product form, the derivative in z,
 and the scaled combination (z(1-z))^(a+b-c) M(z) evaluated without
-endpoint blow-up, with its endpoint limit.
+endpoint blow-up, with its endpoint limit.  M and dM/dz are one bilinear form
+in u, v, u1, v1 with other coefficients; `_legendre_form` evaluates both.
 """
 
 from __future__ import annotations
@@ -52,29 +53,26 @@ def _finite(value: float, err: float, method: Method, what: str, a, b, c) -> Eva
     return EvalResult(value, err, method)
 
 
-def _four_f(a: float, b: float, c: float, z: float, zc: float):
-    """u, v at z and at its complement; the complement is passed exactly."""
+def _legendre_form(a, b, c, z, zc, k1, k2, k3, rounding):
+    """(c-a)(k1 u v1 + k2 u1 v) + k3 v v1, u and v at z, u1 and v1 at 1-z: its value, its error
+    (`rounding` per unit of |term|) and method (TRANSFORM_NEAR_ONE if any F value has it)."""
     kv, ku = _Triple(a, b, c), _Triple(a - 1.0, b, c)
     v = _eval_pair(kv, z, zc)
     u = _eval_pair(ku, z, zc)
     v1 = _eval_pair(kv, zc, z)
     u1 = _eval_pair(ku, zc, z)
-    return u, v, u1, v1
-
-
-def _m_from_parts(a, b, c, u, v, u1, v1) -> EvalResult:
-    t1 = u.value * v1.value
-    t2 = u1.value * v.value
+    t1 = k1 * u.value * v1.value
+    t2 = k2 * u1.value * v.value
     t3 = v.value * v1.value
-    value = (c - a) * (t1 + t2) + (2.0 * (a - c) + b) * t3
-    err = (abs(c - a) * (abs(t1) + abs(t2)) + abs(2.0 * (a - c) + b) * abs(t3)) * 3e-15
-    err += abs(c - a) * (u.abs_err_est * abs(v1.value) + abs(u.value) * v1.abs_err_est
-                         + u1.abs_err_est * abs(v.value) + abs(u1.value) * v.abs_err_est)
-    err += abs(2.0 * (a - c) + b) * (v.abs_err_est * abs(v1.value)
-                                     + abs(v.value) * v1.abs_err_est)
+    value = (c - a) * (t1 + t2) + k3 * t3
+    k1, k2, k3 = abs(k1), abs(k2), abs(k3)
+    err = rounding * (abs(c - a) * (abs(t1) + abs(t2)) + k3 * abs(t3))
+    err += abs(c - a) * (k1 * u.abs_err_est * abs(v1.value) + k1 * abs(u.value) * v1.abs_err_est
+                         + k2 * u1.abs_err_est * abs(v.value) + k2 * abs(u1.value) * v.abs_err_est)
+    err += k3 * (v.abs_err_est * abs(v1.value) + abs(v.value) * v1.abs_err_est)
     method = Method.TRANSFORM_NEAR_ONE if Method.TRANSFORM_NEAR_ONE in (
         u.method, v.method, u1.method, v1.method) else Method.SERIES
-    return _finite(value, err, method, "M", a, b, c)
+    return value, err, method
 
 
 def m_value(pt: MPoint) -> EvalResult:
@@ -87,8 +85,8 @@ def m_value(pt: MPoint) -> EvalResult:
         scaled = _m_scaled_pair(a, b, c, z, zc)
         w = _exp(-d * (math.log(z) + math.log(zc)), 1, "M", a, b, c, z)
         return _finite(w * scaled.value, w * scaled.abs_err_est, scaled.method, "M", a, b, c)
-    u, v, u1, v1 = _four_f(a, b, c, z, zc)
-    return _m_from_parts(a, b, c, u, v, u1, v1)
+    value, err, method = _legendre_form(a, b, c, z, zc, 1.0, 1.0, 2.0 * (a - c) + b, 3e-15)
+    return _finite(value, err, method, "M", a, b, c)
 
 
 def m_value_elliptic(p: EllipticParams, m: Modulus) -> EvalResult:
@@ -161,19 +159,11 @@ def m_deriv(pt: MPoint) -> EvalResult:
     """
     a, b, c, z = pt.a, pt.b, pt.c, pt.z
     zc = 1.0 - z
-    u, v, u1, v1 = _four_f(a, b, c, z, zc)
     s = a + b - 1.0
-    t1 = (1.0 - c + s * z) * u.value * v1.value
-    t2 = (c - a - b + s * z) * u1.value * v.value
-    t3 = (1.0 - 2.0 * z) * ((c - a) * (a + 2.0 * b - 1.0) - b * b) * v.value * v1.value
-    value = ((c - a) * (t1 + t2) + t3) / (z * zc)
-    err = ((abs(c - a) * (abs(t1) + abs(t2)) + abs(t3)) * 5e-15
-           + abs(c - a) * (abs(1.0 - c + s * z) * (u.abs_err_est * abs(v1.value)
-                                                   + abs(u.value) * v1.abs_err_est)
-                           + abs(c - a - b + s * z) * (u1.abs_err_est * abs(v.value)
-                                                       + abs(u1.value) * v.abs_err_est))
-           ) / (z * zc)
-    return _finite(value, err, Method.SERIES, "dM/dz", a, b, c)
+    value, err, method = _legendre_form(
+        a, b, c, z, zc, 1.0 - c + s * z, c - a - b + s * z,
+        (1.0 - 2.0 * z) * ((c - a) * (a + 2.0 * b - 1.0) - b * b), 5e-15)
+    return _finite(value / (z * zc), err / (z * zc), method, "dM/dz", a, b, c)
 
 
 def m_scaled_limit(a: float, b: float, c: float) -> float:

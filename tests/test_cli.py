@@ -94,6 +94,14 @@ def test_eval_json_format(capsys):
     assert body["method"]
 
 
+def test_eval_json_writes_a_non_finite_value_as_a_string(capsys):
+    # K at r = 1 is +inf for a+b = c; JSON has no inf, so it is the string "inf"
+    code, out, _ = run_cli(capsys, "eval", "K", "--a", "0.5", "--b", "0.5", "--c", "1",
+                           "--r", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["value"] == "inf"
+
+
 def test_eval_echoes_the_point_under_the_flag_it_read(capsys):
     # --z is r^2, so --z 0.25 is the modulus r = 0.5, echoed as "z": 0.25
     ell = ("--a", "0.5", "--b", "0.5", "--c", "1", "--format", "json")

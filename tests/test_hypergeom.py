@@ -394,6 +394,26 @@ def test_a_series_that_never_settles_raises_at_the_term_cap():
         _direct_series(0.5, 0.5, 0.1, 1 - 1e-9, _first_ratios(0.5, 0.5, 0.1))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_series_terms_stay_in_range_up_to_z_safe_and_warn_nothing_past_it():
+    # up to the head's z_safe no numpy step may overflow: numpy raises if one does
+    rng = random.Random("z-safe")
+    for _ in range(300):
+        a, b = (rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 62.9) for _ in range(2))
+        c = rng.choice((rng.uniform(1e-3, 62.9), 10.0 ** rng.uniform(-6.0, 0.0),
+                        -rng.uniform(0.0, 62.9), 1e-12 - rng.randrange(63)))
+        head = _first_ratios(a, b, c)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            try:
+                _direct_series(a, b, c, head[4], head)
+            except ConvergenceError:
+                pass
+    # z Q = 5.5e4 keeps the first chunk in range, but the terms still grow
+    # past it: past z_safe the overflow raises a package error, and no warning
+    with pytest.raises(ConvergenceError, match="overflowed"):
+        _direct_series(62.0, 62.0, 0.07, 0.999, _first_ratios(62.0, 62.0, 0.07))
+
+
 # --------------------------------------------------------------------------
 # the tabled kernels against frozen copies of the untabled loops
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from genellip import (
     EllipticParams,
+    Method,
     Modulus,
     MPoint,
     beta,
@@ -106,6 +107,19 @@ def test_deriv_matches_central_difference():
     num = (m_value(MPoint(0.3, 0.5, 0.7, 0.25 + h)).value
            - m_value(MPoint(0.3, 0.5, 0.7, 0.25 - h)).value) / (2.0 * h)
     assert m_deriv(pt).value == pytest.approx(num, rel=1e-7)
+
+
+def test_deriv_charges_the_error_of_its_v_v1_term():
+    # the (1-2z)((c-a)(a+2b-1)-b^2) v v1 term carries most of the error here;
+    # dM/dz from mpmath at 40 digits
+    got = m_deriv(MPoint(0.36801916023657977, 0.9081635347769776,
+                         0.31396470318933883, 0.017856691581123685))
+    assert abs(got.value - -2832.208748514192880290082688838972763054) <= got.abs_err_est
+
+
+def test_deriv_method_follows_its_four_f_values_as_m_does():
+    pt = MPoint(0.3, 0.5, 0.7, 0.9)
+    assert m_deriv(pt).method == m_value(pt).method == Method.TRANSFORM_NEAR_ONE
 
 
 # --------------------------------------------------------------------------

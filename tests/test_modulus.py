@@ -704,3 +704,20 @@ def test_ladder_search_from_any_rung_gives_the_walk(monkeypatch):
             monkeypatch.setattr(modulus, "_guess_t", lambda key, lhb, lt: start)
             got = [_outcome(modulus._solve_log_mu.__wrapped__, abc, lt) for lt in targets]
             assert got == want, (abc, start)
+
+
+@pytest.mark.parametrize("dx", [0.01, -0.01])
+def test_no_guess_where_the_connection_asymptote_has_no_root(dx):
+    # C1 = 1.46 > e^s at s = |log target - log(B/2)| = 0.01, so C1 + C2 u^(c-a-b)
+    # = e^s has no small root u: _guess_t gives no guess, and the solve
+    # starts its walk at -2 and ends where the frozen walk does
+    from genellip import modulus
+    abc = (0.08884557508687871, 2.520533792184557, 0.7137853130901232)
+    key = _Triple(*abc)
+    assert key.route == "connection"
+    assert key.connection[0] == pytest.approx(1.46, abs=1e-3)
+    log_hb = math.log(key.half_beta)
+    log_target = log_hb + dx
+    assert modulus._guess_t(key, log_hb, log_target) == 0.0
+    y = math.exp(log_target)
+    assert mu_inv_m(ModulusParams(*abc), y) == _modulus_from_t(_walk_only(*abc, math.log(y)))

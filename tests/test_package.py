@@ -270,6 +270,7 @@ _TINY_CALLS = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_tiny_parameters_give_a_finite_result_or_a_package_error():
     # Parameters at the bottom of (0, 50] push M, mu and their derivatives
     # past the float range, or cancel them to NaN; each such call must say
@@ -289,6 +290,7 @@ def test_tiny_parameters_give_a_finite_result_or_a_package_error():
     assert not bad, bad
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("fn", _PUBLIC, ids=lambda fn: fn.__name__)
 @settings(max_examples=7, derandomize=True, deadline=None)
 @given(data=st.data())
