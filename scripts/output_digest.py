@@ -10,6 +10,9 @@ workload and seed it prints one digest of the ``repr`` of every output, in
 call order (an exception counts by its type and message); under each
 eval-sweep digest it prints one digest per bench ``(kind, regime)`` group,
 so a change that moves one regime shows as one changed line.  Then it
+prints one digest of seeded calls, eight per seed and function, of the
+public evaluators that no workload and no check reaches (``unreached``,
+see ``_unreached_calls``), with one digest per function under it.  Then it
 prints one digest of the `verify all` report: every check's id, verdict,
 sample count, ``worst_margin`` (as a Python float, so the digest is the
 same whether the engine hands it back as a float or as a numpy float64 of
@@ -60,6 +63,7 @@ import collections
 import contextlib
 import hashlib
 import io
+import random
 import re
 import sys
 import tempfile
@@ -73,6 +77,7 @@ import golden  # noqa: E402
 import passes as P  # noqa: E402  (imports genellip from src/)
 import reference  # noqa: E402
 import workloads as wl  # noqa: E402
+import genellip as g  # noqa: E402
 from genellip import cli, errors, hypergeom, modulus, scalar_special  # noqa: E402
 
 _ELL = "--a 0.3 --b 0.6 --c 0.7"
@@ -215,6 +220,41 @@ def _outputs(calls) -> tuple[list, str]:
     return outs, _work(*counts)
 
 
+def _unreached_calls(seeds) -> list:
+    """(name, (f, args)) of seeded calls of public evaluators that no workload
+    and no verify check makes: phi_deriv, phi_deriv_closed (a+b+1 = 2c),
+    m_value_elliptic and ell_derivatives, hyp2f1 on triples whose near-balanced
+    kernel would meet a pole of Gamma (the Maclaurin series takes them), and
+    m_value where M's (a-1, b, c) is a terminating triple (b = c+1, a tiny;
+    hyp2f1's own parameters are positive, so it never has one)."""
+    out = []
+    for seed in seeds:
+        rng = random.Random(f"unreached-{seed}")
+        for _ in range(8):
+            a, b = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)
+            q = g.ModulusParams(a, b, rng.uniform(0.1, a + b))
+            out.append(("phi_deriv", (g.phi_deriv, (q, rng.uniform(0.2, 5.0),
+                                                    rng.uniform(0.02, 0.98)))))
+            a = rng.uniform(0.1, 1.5)
+            b = rng.uniform(max(0.1, 1.0 - a), 1.5)
+            out.append(("phi_deriv_closed", (g.phi_deriv_closed, (
+                g.ModulusParams(a, b, 0.5 * (a + b + 1.0)), rng.uniform(0.2, 5.0),
+                rng.uniform(0.02, 0.98)))))
+            a = rng.uniform(0.05, 0.95)
+            b = rng.uniform(0.05, 2.0)
+            ep = g.EllipticParams(a, b, rng.uniform(max(a, b) + 1e-3, a + b))
+            m = g.Modulus.from_r(rng.uniform(0.01, 0.99))
+            out.append(("m_value_elliptic", (g.m_value_elliptic, (ep, m))))
+            out.append(("ell_derivatives", (g.ell_derivatives, (ep, m))))
+            a, b = 10.0 ** rng.uniform(-12.0, -7.0), rng.uniform(0.5, 3.0)
+            hp = g.HypParams(a, b, a + b - a * rng.uniform(1.5, 9.0))
+            out.append(("hyp2f1", (g.hyp2f1, (hp, rng.uniform(0.76, 1.0 - 1e-4)))))
+            c = rng.uniform(0.3, 7.0)
+            pt = g.MPoint(10.0 ** rng.uniform(-9.0, -7.0), c + 1.0, c, rng.uniform(0.76, 0.95))
+            out.append(("m_value", (g.m_value, (pt,))))
+    return out
+
+
 def _mask(text, path: str):
     """`text` with its run-varying fields and the --out path masked."""
     if text is None:
@@ -274,6 +314,14 @@ def main(argv=None) -> int:
             print(f"  {kind}/{regime or '-'} n={len(group)} {_digest(group)}")
         outs, work = _outputs(P.solve_calls(reference.solve_points(ROOT, seed)))
         print(f"modular-solve seed={seed} n={len(outs)} {_digest(outs)} {work}")
+    named = _unreached_calls(args.seeds)
+    outs, work = _outputs([call for _, call in named])
+    print(f"unreached seeds={','.join(map(str, args.seeds))} n={len(outs)} {_digest(outs)} {work}")
+    groups = {}
+    for (name, _), out in zip(named, outs):
+        groups.setdefault(name, []).append(out)
+    for name, group in groups.items():
+        print(f"  {name} n={len(group)} {_digest(group)}")
     specs = P.verify_specs()
     trackers = [golden.Tracker(record=True) for _ in specs]
     with _built() as built, _routes_counted() as counts:

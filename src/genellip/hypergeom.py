@@ -22,7 +22,9 @@ Near a pole of Gamma the expansion takes one step from exact inputs: where
 x+n+eps (x = a or b, n >= 0) lies within half of x+n of 0, the rounded eps
 has lost the digits that cancel there, so that step reads x+n+(c-a-b) as
 c-y+n (y the other of a, b), correctly rounded, and its log as
-log((c-y+n)/(x+n)).
+log((c-y+n)/(x+n)).  That step's factor (x+n)/(c-y+n) of e^(eps Phi_0)
+enters P as the quotient itself, not through the exponential, where eps
+times that log (tens) would cost as many ulps.
 
 The engine _kernel is keyed on a _Triple: the parameters (a, b, c),
 interned, so that _eval_pair, its LRU-cached form, hashes and compares keys
@@ -142,6 +144,16 @@ def _pole_step(x: float, y: float, c: float, e: float) -> tuple[int, float, floa
     if 0.0 < ratio < 0.5:
         return n, w, math.log(ratio) / e
     return -1, 0.0, 0.0
+
+
+def _off_pole(x: float, e: float, pole: tuple, slope: float) -> tuple[float, float]:
+    """slope = _lgamma_slope(x, e, pole) less the pole step (n, w, L), and the
+    factor (x+n)/w = e^(-e L) that the step puts in e^(e slope); (slope, 1.0)
+    where x has no pole step."""
+    n, w, _ = pole
+    if n < 0:
+        return slope, 1.0
+    return _lgamma_slope(x, e, (n, w, 0.0))[0], (x + n) / w
 
 
 def _first_ratios(a: float, b: float, c: float) -> tuple[np.ndarray, int, float, float, float]:
@@ -389,11 +401,18 @@ class _Triple:
             * (1.0 + (math.pi * eps) ** 2 / 6.0)
         pole_a, pole_b = _pole_step(a, b, c, eps), _pole_step(b, a, c, eps)
         (la, ea), (lb, eb) = _lgamma_slope(a, eps, pole_a), _lgamma_slope(b, eps, pole_b)
+        # A pole step (n, w, L) of x = a or b puts e^(-eps L) = (x+n)/w in
+        # G_0 = e^(eps (ln u + Phi_0)); eps L runs to tens, and the exponential
+        # would lose that many ulps, so the quotient goes to P and Phi_0 leaves L out.
+        (la_off, fa), (lb_off, fb) = _off_pole(a, eps, pole_a, la), _off_pole(b, eps, pole_b, lb)
+        pref *= fa * fb
         # math.gamma is within 10 ulps (CPython's test_math), 20 units each;
-        # psi(c-a) ~ lb and psi(c-b) ~ la scale the rounding of c-a and c-b
-        pref_err = _UNIT * (64.0 + 2.0 * abs((c - a) * lb) + 2.0 * abs((c - b) * la))
+        # psi(c-a) ~ lb and psi(c-b) ~ la scale the rounding of c-a and c-b;
+        # the pole quotients add four roundings
+        pref_err = _UNIT * (64.0 + 2.0 * abs((c - a) * lb) + 2.0 * abs((c - b) * la)
+                            + (4.0 if fa * fb != 1.0 else 0.0))
         d0 = -2.0 * EULER_GAMMA - (2.0 / 3.0) * _ZETA3 * eps * eps - la - lb
-        phi0 = la + lb + EULER_GAMMA - eps * (math.pi ** 2 / 12.0 - eps * _ZETA3 / 3.0)
+        phi0 = la_off + lb_off + EULER_GAMMA - eps * (math.pi ** 2 / 12.0 - eps * _ZETA3 / 3.0)
         d0_err = ea + eb + 3.0 * _UNIT * (abs(la) + abs(lb) + 2.0 * EULER_GAMMA)
         return eps, pref, pref_err, d0, d0_err, phi0, pole_a, pole_b
 

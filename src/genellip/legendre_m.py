@@ -11,7 +11,8 @@ are evaluated at 1-z.  M generalizes the Legendre relation
 the contiguous-form value, the elliptic-product form, the derivative in z,
 and the scaled combination (z(1-z))^(a+b-c) M(z) evaluated without
 endpoint blow-up, with its endpoint limit.  M and dM/dz are one bilinear form
-in u, v, u1, v1 with other coefficients; `_legendre_form` evaluates both.
+in u, v, u1, v1 (`_f_values`) with other coefficients, and the elliptic-product
+form is M's with E, K, E', K' in their place; `_legendre_form` combines them.
 """
 
 from __future__ import annotations
@@ -53,22 +54,24 @@ def _finite(value: float, err: float, method: Method, what: str, a, b, c) -> Eva
     return EvalResult(value, err, method)
 
 
-def _legendre_form(a, b, c, z, zc, k1, k2, k3, rounding):
-    """(c-a)(k1 u v1 + k2 u1 v) + k3 v v1, u and v at z, u1 and v1 at 1-z: its value, its error
-    (`rounding` per unit of |term|) and method (TRANSFORM_NEAR_ONE if any F value has it)."""
+def _f_values(a, b, c, z, zc):
+    """v, u, v1, u1 of the M-family: F(a,b;c;.) and F(a-1,b;c;.) at z, then both at 1-z."""
     kv, ku = _Triple(a, b, c), _Triple(a - 1.0, b, c)
-    v = _eval_pair(kv, z, zc)
-    u = _eval_pair(ku, z, zc)
-    v1 = _eval_pair(kv, zc, z)
-    u1 = _eval_pair(ku, zc, z)
+    return _eval_pair(kv, z, zc), _eval_pair(ku, z, zc), _eval_pair(kv, zc, z), \
+        _eval_pair(ku, zc, z)
+
+
+def _legendre_form(c_a, k1, k2, k3, rounding, v, u, v1, u1):
+    """c_a (k1 u v1 + k2 u1 v) + k3 v v1 from four EvalResults: its value, its error
+    (`rounding` per unit of |term|) and method (TRANSFORM_NEAR_ONE if any value has it)."""
     t1 = k1 * u.value * v1.value
     t2 = k2 * u1.value * v.value
     t3 = v.value * v1.value
-    value = (c - a) * (t1 + t2) + k3 * t3
-    k1, k2, k3 = abs(k1), abs(k2), abs(k3)
-    err = rounding * (abs(c - a) * (abs(t1) + abs(t2)) + k3 * abs(t3))
-    err += abs(c - a) * (k1 * u.abs_err_est * abs(v1.value) + k1 * abs(u.value) * v1.abs_err_est
-                         + k2 * u1.abs_err_est * abs(v.value) + k2 * abs(u1.value) * v.abs_err_est)
+    value = c_a * (t1 + t2) + k3 * t3
+    c_a, k1, k2, k3 = abs(c_a), abs(k1), abs(k2), abs(k3)
+    err = rounding * (c_a * (abs(t1) + abs(t2)) + k3 * abs(t3))
+    err += c_a * (k1 * u.abs_err_est * abs(v1.value) + k1 * abs(u.value) * v1.abs_err_est
+                  + k2 * u1.abs_err_est * abs(v.value) + k2 * abs(u1.value) * v.abs_err_est)
     err += k3 * (v.abs_err_est * abs(v1.value) + abs(v.value) * v1.abs_err_est)
     method = Method.TRANSFORM_NEAR_ONE if Method.TRANSFORM_NEAR_ONE in (
         u.method, v.method, u1.method, v1.method) else Method.SERIES
@@ -85,33 +88,23 @@ def m_value(pt: MPoint) -> EvalResult:
         scaled = _m_scaled_pair(a, b, c, z, zc)
         w = _exp(-d * (math.log(z) + math.log(zc)), 1, "M", a, b, c, z)
         return _finite(w * scaled.value, w * scaled.abs_err_est, scaled.method, "M", a, b, c)
-    value, err, method = _legendre_form(a, b, c, z, zc, 1.0, 1.0, 2.0 * (a - c) + b, 3e-15)
+    value, err, method = _legendre_form(c - a, 1.0, 1.0, 2.0 * (a - c) + b, 3e-15,
+                                        *_f_values(a, b, c, z, zc))
     return _finite(value, err, method, "M", a, b, c)
 
 
 def m_value_elliptic(p: EllipticParams, m: Modulus) -> EvalResult:
-    """M(r^2) recovered from elliptic-integral products:
+    """M(r^2) from M's form with K, E, K', E' in place of v, u, v1, u1:
 
     (B/2)^2 M(r^2) = (a+b-c) K K' + (c-a)(K E' + K' E - K K')
     """
     checked("r", m.r, "(0, 1)")
     _interior(m, "m_value_elliptic")
     a, b, c = p.a, p.b, p.c
-    K = ell_k(p, m)
-    Kp = ell_k_comp(p, m)
-    E = ell_e(p, m)
-    Ep = ell_e_comp(p, m)
-    kk = K.value * Kp.value
-    cross = K.value * Ep.value + Kp.value * E.value
-    raw = (a + b - c) * kk + (c - a) * (cross - kk)
-    hb = p.half_beta
-    value = raw / (hb * hb)
-    err = (abs(a + b - c) * abs(kk) + abs(c - a) * (abs(cross) + abs(kk))) * 4e-15 / (hb * hb)
-    err += (abs(a + b - c) + abs(c - a)) * (
-        K.abs_err_est * abs(Kp.value) + abs(K.value) * Kp.abs_err_est
-        + K.abs_err_est * abs(Ep.value) + abs(Kp.value) * E.abs_err_est
-        + abs(K.value) * Ep.abs_err_est + Kp.abs_err_est * abs(E.value)) / (hb * hb)
-    return _finite(value, err, K.method, "M", a, b, c)
+    value, err, method = _legendre_form(c - a, 1.0, 1.0, 2.0 * (a - c) + b, 4e-15, ell_k(p, m),
+                                        ell_e(p, m), ell_k_comp(p, m), ell_e_comp(p, m))
+    hb2 = p.half_beta * p.half_beta
+    return _finite(value / hb2, err / hb2, method, "M", a, b, c)
 
 
 def _m_scaled_pair(a: float, b: float, c: float, z: float, zc: float) -> EvalResult:
@@ -161,8 +154,9 @@ def m_deriv(pt: MPoint) -> EvalResult:
     zc = 1.0 - z
     s = a + b - 1.0
     value, err, method = _legendre_form(
-        a, b, c, z, zc, 1.0 - c + s * z, c - a - b + s * z,
-        (1.0 - 2.0 * z) * ((c - a) * (a + 2.0 * b - 1.0) - b * b), 5e-15)
+        c - a, 1.0 - c + s * z, c - a - b + s * z,
+        (1.0 - 2.0 * z) * ((c - a) * (a + 2.0 * b - 1.0) - b * b), 5e-15,
+        *_f_values(a, b, c, z, zc))
     return _finite(value / (z * zc), err / (z * zc), method, "dM/dz", a, b, c)
 
 

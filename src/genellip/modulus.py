@@ -278,54 +278,50 @@ def phi_k(p: ModulusParams, K, r: float) -> float:
     return phi_k_m(p, K, Modulus.from_r(r)).r
 
 
-def _m_divisor(p: ModulusParams, z: float, what: str) -> EvalResult:
-    """M(a,b,c; z) for the derivative `what`, whose error is relative to it:
-    DomainError if it cancels to 0."""
-    M = m_value(MPoint(p.a, p.b, p.c, z))
-    if M.value == 0.0:
-        raise DomainError(f"{what} is not representable: M cancels to 0 at "
-                          f"(a,b,c)=({p.a!r},{p.b!r},{p.c!r}), z={z!r}")
-    return M
-
-
-def mu_deriv(p: ModulusParams, r: float) -> EvalResult:
-    """d mu/dr = -B(a,b) M(r^2) / (r r'^2 F(a,b;c;r^2)^2); negative throughout."""
-    m = _interior(Modulus.from_r(r), "mu_deriv")
+def _mu_deriv_m(p: ModulusParams, m: Modulus) -> EvalResult:
+    """d mu/dr at an exact interior pair m; its error is relative to M, so an M
+    that cancels to 0 is a DomainError."""
     key = _Triple(p.a, p.b, p.c)
     v = _eval_pair(key, m.z, m.z_comp)
-    M = _m_divisor(p, m.z, "mu_deriv")
+    M = m_value(MPoint(p.a, p.b, p.c, m.z))
+    if M.value == 0.0:
+        raise DomainError(f"mu_deriv is not representable: M cancels to 0 at "
+                          f"(a,b,c)=({p.a!r},{p.b!r},{p.c!r}), z={m.z!r}")
     B = 2.0 * key.half_beta
     value = -B * M.value / (m.r * m.z_comp * v.value * v.value)
     rel = (M.abs_err_est / abs(M.value) + 2.0 * v.abs_err_est / abs(v.value) + 5e-15)
     return _finite(value, abs(value) * rel, M.method, "d mu/dr", p.a, p.b, p.c)
 
 
-def _phi_at(p: ModulusParams, K, r: float):
-    """What both derivatives of phi_K start from: the degree k, the moduli
-    r and s = phi_K(r) as exact pairs, and F(a,b;c;.) at r^2 and at s^2."""
+def mu_deriv(p: ModulusParams, r: float) -> EvalResult:
+    """d mu/dr = -B(a,b) M(r^2) / (r r'^2 F(a,b;c;r^2)^2); negative throughout."""
+    return _mu_deriv_m(p, _interior(Modulus.from_r(r), "mu_deriv"))
+
+
+def _phi_deriv(p: ModulusParams, K, r: float, mu_deriv_m) -> EvalResult:
+    """ds/dr for s = phi_K(r): the modular equation mu(s) = mu(r)/K gives
+    ds/dr = mu'(r)/(K mu'(s)), with mu' = mu_deriv_m at the exact pairs r and
+    s.  1e-12 relative is charged for the solver's error in s."""
     k = _as_degree(K)
     m = Modulus.from_r(r)
     s = phi_k_m(p, k, m)
     if not 0.0 < s.z < 1.0:
         raise DomainError(f"phi_K(r) saturated to {s.r!r}; derivative not representable")
-    key = _Triple(p.a, p.b, p.c)
-    return k, m, s, _eval_pair(key, m.z, m.z_comp), _eval_pair(key, s.z, s.z_comp)
+    dr, ds = mu_deriv_m(p, m), mu_deriv_m(p, s)
+    if dr.value == 0.0 or ds.value == 0.0:
+        raise DomainError(f"d phi_K/dr is not representable: mu' underflows at "
+                          f"(a,b,c)=({p.a!r},{p.b!r},{p.c!r}), r={r!r}")
+    value = dr.value / (k * ds.value)
+    rel = dr.abs_err_est / abs(dr.value) + ds.abs_err_est / abs(ds.value) + 1e-12
+    return _finite(value, abs(value) * rel, dr.method, "d phi_K/dr", p.a, p.b, p.c)
 
 
 def phi_deriv(p: ModulusParams, K, r: float) -> EvalResult:
-    """ds/dr for s = phi_K(r):
+    """ds/dr for s = phi_K(r), mu'(r)/(K mu'(s)) by mu_deriv's form:
 
     ds/dr = (1/K) (M(r^2)/M(s^2)) (s s'^2 F(s^2)^2) / (r r'^2 F(r^2)^2)
     """
-    k, m, s, vr, vs = _phi_at(p, K, r)
-    Mr = _m_divisor(p, m.z, "phi_deriv")
-    Ms = _m_divisor(p, s.z, "phi_deriv")
-    value = (Mr.value / Ms.value) * (s.r * s.z_comp * vs.value * vs.value) \
-        / (k * m.r * m.z_comp * vr.value * vr.value)
-    rel = (Mr.abs_err_est / abs(Mr.value) + Ms.abs_err_est / abs(Ms.value)
-           + 2.0 * vs.abs_err_est / abs(vs.value) + 2.0 * vr.abs_err_est / abs(vr.value)
-           + 1e-12)
-    return _finite(value, abs(value) * rel, Mr.method, "d phi_K/dr", p.a, p.b, p.c)
+    return _phi_deriv(p, K, r, _mu_deriv_m)
 
 
 def _require_power_case(p: ModulusParams) -> None:
@@ -334,11 +330,8 @@ def _require_power_case(p: ModulusParams) -> None:
             f"closed form needs a+b+1 = 2c, got a+b+1-2c={p.a + p.b + 1 - 2 * p.c!r}")
 
 
-def mu_deriv_closed(p: ModulusParams, r: float) -> EvalResult:
-    """For a+b+1 = 2c:  d mu/dr = -D / (r^(2c-1) r'^(2c) K(r)^2)
-    with D = (Gamma(a)Gamma(b)Gamma(c))^2 / (4 Gamma(a+b)^3)."""
-    _require_power_case(p)
-    m = _interior(Modulus.from_r(r), "mu_deriv_closed")
+def _mu_deriv_closed_m(p: ModulusParams, m: Modulus) -> EvalResult:
+    """mu_deriv_closed at an exact interior pair m."""
     key = _Triple(p.a, p.b, p.c)
     (la, _), (lb, _), (lc, _), (lab, _) = map(key.lngamma, (p.a, p.b, p.c, p.a + p.b))
     log_4d = 2.0 * (la + lb + lc) - 3.0 * lab
@@ -355,13 +348,18 @@ def mu_deriv_closed(p: ModulusParams, r: float) -> EvalResult:
     return _finite(value, abs(value) * 1e-12, Method.CLOSED_FORM, "d mu/dr", p.a, p.b, p.c)
 
 
-def phi_deriv_closed(p: ModulusParams, K, r: float) -> EvalResult:
-    """For a+b+1 = 2c:  ds/dr = (1/K)(s/r)^(2c-1)(s'/r')^(2c)(K(s)/K(r))^2."""
+def mu_deriv_closed(p: ModulusParams, r: float) -> EvalResult:
+    """For a+b+1 = 2c:  d mu/dr = -D / (r^(2c-1) r'^(2c) K(r)^2)
+    with D = (Gamma(a)Gamma(b)Gamma(c))^2 / (4 Gamma(a+b)^3)."""
     _require_power_case(p)
-    k, m, s, Fr, Fs = _phi_at(p, K, r)
-    value = (s.r / m.r) ** (2.0 * p.c - 1.0) * (s.z_comp / m.z_comp) ** p.c \
-        * (Fs.value / Fr.value) ** 2 / k
-    return _finite(value, abs(value) * 1e-12, Method.CLOSED_FORM, "d phi_K/dr", p.a, p.b, p.c)
+    return _mu_deriv_closed_m(p, _interior(Modulus.from_r(r), "mu_deriv_closed"))
+
+
+def phi_deriv_closed(p: ModulusParams, K, r: float) -> EvalResult:
+    """For a+b+1 = 2c, mu'(r)/(K mu'(s)) by mu_deriv_closed's form:
+    ds/dr = (1/K)(s/r)^(2c-1)(s'/r')^(2c)(K(s)/K(r))^2."""
+    _require_power_case(p)
+    return _phi_deriv(p, K, r, _mu_deriv_closed_m)
 
 
 def q_modulus(x: float) -> Modulus:

@@ -611,6 +611,17 @@ def _hyp_quotients():
             return _q(hyp2f1_pair(num(d), z, zc), hyp2f1_pair(den(d), z, zc))
         return fn
 
+    def limit_at_one(num, den=abc):
+        """F(num(d); 1)/F(den(d); 1) by Gauss's sum F(a,b;c;1) = B(c,c-a-b)/B(c-a,c-b),
+        or infinity where F(num(d); z) diverges at z = 1."""
+        def limit(d):
+            p, q = num(d), den(d)
+            if p.a + p.b >= p.c:
+                return INF
+            return math.exp(beta_ln(p.c, p.c - p.a - p.b) + beta_ln(q.c - q.a, q.c - q.b)
+                            - beta_ln(q.c, q.c - q.a - q.b) - beta_ln(p.c - p.a, p.c - p.b))
+        return limit
+
     def shifted(da, db, dc):
         return lambda d: HypParams(d["a"] + da, d["b"] + db, d["c"] + dc)
 
@@ -622,12 +633,8 @@ def _hyp_quotients():
     )
     keys = ("a", "b", "c", "a2", "b2", "c2")
 
-    def dp_hi(d):
-        a, b, c, a2, b2, c2 = (d[k] for k in keys)
-        if a2 + b2 >= c2:
-            return INF
-        return math.exp(beta_ln(c2, c2 - a2 - b2) + beta_ln(c - a, c - b)
-                        - beta_ln(c, c - a - b) - beta_ln(c2 - a2, c2 - b2))
+    def bumped(d):
+        return HypParams(d["a2"], d["b2"], d["c2"])
 
     yield from_one(
         id="differentparams1",
@@ -636,24 +643,12 @@ def _hyp_quotients():
               "on [0,1) from 1 onto [1, L), with L = B(c2,c2-a2-b2) B(c-a,c-b) "
               "/ (B(c,c-a-b) B(c2-a2,c2-b2)) when a2+b2<c2 and L=infinity "
               "otherwise. Four representative parameter bumps are exercised.",
-        **_cases(dp_cases, keys), fn=f_ratio(lambda d: HypParams(d["a2"], d["b2"], d["c2"])),
-        hi_limit=dp_hi, hi_probe=lambda d: 1.0 - 1e-12)
+        **_cases(dp_cases, keys), fn=f_ratio(bumped), hi_limit=limit_at_one(bumped),
+        hi_probe=lambda d: 1.0 - 1e-12)
 
     f_cases = ((0.3, 0.4, 2.2), (0.5, 0.5, 1.0), (0.2, 0.9, 1.5))
     g_cases = ((0.3, 0.4, 2.2), (0.5, 0.5, 1.0), (0.7, 0.2, 1.1))
     h_cases = ((0.3, 0.4, 1.4), (0.5, 0.5, 1.0), (0.6, 0.7, 1.2))
-
-    def cor_f_hi(d):
-        a, b, c = d["a"], d["b"], d["c"]
-        return (c - a - 1.0) / (c - a - b - 1.0) if a + b + 1.0 < c else INF
-
-    def cor_g_hi(d):
-        a, b, c = d["a"], d["b"], d["c"]
-        return (c - b - 1.0) / (c - a - b - 1.0) if a + b + 1.0 < c else INF
-
-    def cor_h_hi(d):
-        a, b, c = d["a"], d["b"], d["c"]
-        return (c - a) * (c - b) / (c * (c - a - b)) if a + b < c else INF
 
     yield from_one(
         id="diffparamscor-f",
@@ -661,7 +656,7 @@ def _hyp_quotients():
               "limit (c-a-1)/(c-a-b-1) at 1 when a+b+1<c and infinity "
               "otherwise.",
         **_cases(f_cases, ("a", "b", "c")), fn=f_ratio(shifted(1.0, 0.0, 0.0)),
-        hi_limit=cor_f_hi, hi_probe=lambda d: 1.0 - 1e-10)
+        hi_limit=limit_at_one(shifted(1.0, 0.0, 0.0)), hi_probe=lambda d: 1.0 - 1e-10)
 
     yield from_one(
         id="diffparamscor-g",
@@ -669,7 +664,7 @@ def _hyp_quotients():
               "limit (c-b-1)/(c-a-b-1) at 1 when a+b+1<c and infinity "
               "otherwise.",
         **_cases(g_cases, ("a", "b", "c")), fn=f_ratio(shifted(0.0, 1.0, 0.0)),
-        hi_limit=cor_g_hi, hi_probe=lambda d: 1.0 - 1e-10)
+        hi_limit=limit_at_one(shifted(0.0, 1.0, 0.0)), hi_probe=lambda d: 1.0 - 1e-10)
 
     yield from_one(
         id="diffparamscor-h",
@@ -677,8 +672,8 @@ def _hyp_quotients():
               "limit (c-a)(c-b)/(c(c-a-b)) at 1 when a+b<c and infinity "
               "otherwise (log-rate divergence when a+b=c).",
         **_cases(h_cases, ("a", "b", "c")),
-        fn=f_ratio(abc, lambda d: HypParams(d["a"], d["b"], d["c"] + 1.0)),
-        hi_limit=cor_h_hi, hi_probe=lambda d: 1.0 - 1e-12)
+        fn=f_ratio(abc, shifted(0.0, 0.0, 1.0)),
+        hi_limit=limit_at_one(abc, shifted(0.0, 0.0, 1.0)), hi_probe=lambda d: 1.0 - 1e-12)
 
     def quotf(d, c):
         a, x, y = d["a"], d["x"], d["y"]

@@ -13,14 +13,17 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import genellip.cli as cli
+from genellip.errors import GenellipError
 from genellip.verify import CheckSpec, GridDim, GridSpec, registry
 
 
@@ -102,6 +105,11 @@ def test_eval_json_writes_a_non_finite_value_as_a_string(capsys):
     assert json.loads(out)["value"] == "inf"
 
 
+def test_json_writes_empty_containers_and_any_other_value_as_a_string():
+    body = {"empty": {}, "none": [], "pair": (), "path": Path("a/b")}
+    assert json.loads(cli._json_text(body)) == {"empty": {}, "none": [], "pair": [], "path": "a/b"}
+
+
 def test_eval_echoes_the_point_under_the_flag_it_read(capsys):
     # --z is r^2, so --z 0.25 is the modulus r = 0.5, echoed as "z": 0.25
     ell = ("--a", "0.5", "--b", "0.5", "--c", "1", "--format", "json")
@@ -147,6 +155,15 @@ def test_eval_convergence_exit_3(capsys, monkeypatch):
                            "--p", "1.2")
     assert code == 3
     assert "convergence" in err
+
+
+def test_any_other_package_error_exits_2(capsys, monkeypatch):
+    # neither a DomainError (exit 2) nor a ConvergenceError (exit 3)
+    def fail(which):
+        raise GenellipError("no catalog")
+    monkeypatch.setattr(cli, "select", fail)
+    code, out, err = run_cli(capsys, "verify", "hyper-1")
+    assert (code, out, err) == (2, "", "error: no catalog\n")
 
 
 # --------------------------------------------------------------------------
@@ -436,4 +453,15 @@ def test_module_entry_point():
         capture_output=True, text=True, env=env)
     assert r.returncode == 0
     assert float(r.stdout.splitlines()[0]) == pytest.approx(
+        math.log(16.0), rel=1e-12)
+
+
+def test_module_runs_main_in_process(capsys, monkeypatch):
+    # `python -m genellip.cli` exits with main's code
+    monkeypatch.setattr(sys, "argv", ["genellip.cli", "eval", "R", "--a", "0.5", "--b", "0.5"])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+        warnings.simplefilter("ignore", RuntimeWarning)  # genellip.cli is imported already
+        runpy.run_module("genellip.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert float(capsys.readouterr().out.splitlines()[0]) == pytest.approx(
         math.log(16.0), rel=1e-12)

@@ -348,6 +348,19 @@ def test_band_across_a_gamma_pole_takes_the_series():
         assert abs(r.value - want) <= r.abs_err_est <= 1e-14
 
 
+def test_near_balanced_takes_both_pole_steps_out_of_the_exponential():
+    # a and b each one ulp from their pole steps: eps Phi_0 would be near 71,
+    # and the exponential of G_0 lost that many ulps (2.0e-14 off, estimate
+    # 7.9e-15).  Values from mpmath.hyp2f1 at 40 digits.
+    a, b, c = 1.0000000000000003e-09, 1e-09, 1.0000000000000005e-09
+    for z, want in ((0.9999, 1.000000009210340414391477),
+                    (0.999, 1.000000006907755302840677)):
+        for p in (HypParams(a, b, c), HypParams(b, a, c)):
+            assert _Triple(p.a, p.b, p.c).route == "near_balanced"
+            r = hyp2f1(p, z)
+            assert abs(r.value - want) <= r.abs_err_est <= 1e-14
+
+
 # (a, b, c, z, F(a-1, b; c; z)) for b = c + 1 exactly and a tiny: the contiguous
 # triple (a-1, b, c) of M lies in the near-balanced band with c-b = -1, a pole
 # of Gamma(c-b).  Values from mpmath.hyp2f1 at 40 digits.

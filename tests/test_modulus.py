@@ -237,6 +237,12 @@ def test_closed_derivative_forms_power_case():
             deriv(p, 100.0, 0.5)
 
 
+def test_phi_deriv_where_mu_prime_underflows_is_a_domain_error():
+    # F(r^2) and F(s^2) are near 2e279, so mu' = -B M/(r r'^2 F^2) underflows to 0 at both
+    with pytest.raises(DomainError, match="mu' underflows"):
+        phi_deriv(ModulusParams(49.0, 50.0, 50.0), 2.0, 0.999999)
+
+
 # --------------------------------------------------------------------------
 # log-odds coordinates
 
@@ -721,3 +727,46 @@ def test_no_guess_where_the_connection_asymptote_has_no_root(dx):
     assert modulus._guess_t(key, log_hb, log_target) == 0.0
     y = math.exp(log_target)
     assert mu_inv_m(ModulusParams(*abc), y) == _modulus_from_t(_walk_only(*abc, math.log(y)))
+
+
+# --------------------------------------------------------------------------
+# the solver's exits short of its residual tolerance (see mu_inv_m)
+
+def _stepped_solve(monkeypatch, step, budget=None):
+    """y = mu(r) at t = log(r^2/r'^2) = 3, the solver's root t* for it, and
+    _solve_log_mu with g(t) = log mu - log y stepped to g + step sign(t* - t),
+    so that |g| never falls below `step`, under an evaluation budget.  On
+    t > 0, F(r'^2), the numerator of mu, is the kernel call with z < 1/2."""
+    from genellip import modulus
+    p = ModulusParams(0.5, 0.5, 1.0)
+    log_y = math.log(mu_m(p, _modulus_from_t(3.0)).value)
+    solve = modulus._solve_log_mu.__wrapped__
+    t_root = solve(p.a, p.b, p.c, log_y)
+    kernel = modulus._kernel
+
+    def stepped(key, z, zc):
+        value, err, method = kernel(key, z, zc)
+        if z < 0.5:
+            value *= math.exp(math.copysign(step, t_root - math.log(zc / z)))
+        return value, err, method
+    monkeypatch.setattr(modulus, "_kernel", stepped)
+    if budget is not None:
+        monkeypatch.setattr(modulus, "_MAX_EVALS", budget)
+    return p, log_y, t_root, lambda: solve(p.a, p.b, p.c, log_y)
+
+
+def test_a_bracket_that_closes_first_returns_its_root(monkeypatch):
+    _, _, t_root, solve = _stepped_solve(monkeypatch, 1e-10)
+    t = solve()
+    assert abs(t - t_root) <= 4e-16 * max(1.0, abs(t))  # a bracket a few ulps wide
+
+
+def test_a_spent_budget_returns_a_residual_of_at_most_1e_12(monkeypatch):
+    from genellip.errors import ConvergenceError
+    p, log_y, _, solve = _stepped_solve(monkeypatch, 5e-13, budget=8)
+    t = solve()
+    assert abs(math.log(mu_m(p, _modulus_from_t(t)).value) - log_y) <= 1e-12
+    monkeypatch.undo()
+    _, _, _, solve = _stepped_solve(monkeypatch, 2e-12, budget=8)
+    with pytest.raises(ConvergenceError, match="within 8 evaluations"):
+        solve()

@@ -19,7 +19,8 @@ from genellip import (
     gamma_ln,
     ramanujan_r,
 )
-from genellip.errors import DomainError, ParameterError
+from genellip.errors import DomainError, ParameterError, PoleError
+from genellip.scalar_special import _lngamma_signed
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -64,6 +65,13 @@ def test_gamma_rejects_nonpositive_integers():
     for x in (0.0, -1.0, -7.0):
         with pytest.raises(DomainError):
             gamma(x)
+
+
+def test_signed_lngamma_rejects_its_poles():
+    # the 2F1 tables read it directly, past gamma's own pole check
+    for x in (0.0, -1.0, -7.0):
+        with pytest.raises(PoleError):
+            _lngamma_signed(x)
 
 
 @given(st.floats(min_value=0.05, max_value=40.0))

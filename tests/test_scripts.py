@@ -8,6 +8,7 @@ import pathlib
 import re
 
 import genellip as g
+from genellip.hypergeom import _Triple
 
 
 def _load(name):
@@ -39,6 +40,22 @@ def test_output_digest_counts_every_kernel_evaluation():
     assert routes == int(fields["pair_misses"]) + int(fields["solver_evals"])
     assert fields["solves"] == "4"
     assert outs == [f(*args) for f, args in calls]
+
+
+def test_output_digest_reaches_the_evaluators_no_workload_calls():
+    digest = _load("output_digest")
+    named = digest._unreached_calls([1])
+    names = [name for name, _ in named]
+    assert {name: names.count(name) for name in names} == dict.fromkeys(
+        ("phi_deriv", "phi_deriv_closed", "m_value_elliptic", "ell_derivatives", "hyp2f1",
+         "m_value"), 8)
+    outs, work = digest._outputs([call for _, call in named])
+    fields = dict(field.split("=", 1) for field in work.split())
+    assert re.search(r"(^|,)terminating:\d+", fields["routes"])  # M's (a-1, b, c)
+    # the near-balanced kernel of each hyp2f1 triple would meet a pole of Gamma
+    hyp = [args[0] for name, (_, args) in named if name == "hyp2f1"]
+    assert {_Triple(p.a, p.b, p.c).route for p in hyp} == {"series"}
+    assert outs == digest._outputs([call for _, call in named])[0]
 
 
 def _summary(parent, change, better="lower", bound=0.25):

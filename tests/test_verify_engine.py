@@ -198,6 +198,26 @@ def test_report_shape():
     assert rep.samples > 0
 
 
+def test_what_the_engine_cannot_run_is_rejected():
+    with pytest.raises(ParameterError, match="at least one dimension"):
+        GridSpec(())
+    spec = dict(id="t", claim="c", param_grid=A_CASES, arg_grid=R_GRID,
+                fn=lambda d, r: (r, 0.0), rhs=lambda d, r: (r, 0.0))
+    for bad in ({"kind": "sideways"}, {"kind": "identity", "tolerance": 0.0},
+                {"kind": "monotone", "direction": 0}):
+        with pytest.raises(ParameterError):
+            CheckSpec(**spec, **bad)
+    with pytest.raises(ParameterError, match="bad verdict"):
+        CheckReport("t", "maybe", 0.0, None, 1)
+    with pytest.raises(ParameterError, match="requires a witness"):
+        CheckReport("t", "fail", -1.0, None, 1)
+    with pytest.raises(ParameterError, match="positive"):
+        finite_diff(math.exp, 1.0, 0.0)
+    empty = CheckSpec(**spec, kind="identity", param_map=lambda d: None)
+    with pytest.raises(ParameterError, match="empty after mapping"):
+        run_check(empty)
+
+
 def _cold_lngammas(monkeypatch, check_id):
     """The report of one check run on cold caches, and the ln Gamma
     evaluations it made."""
@@ -267,6 +287,18 @@ def test_registry_size_and_ids():
                              "limit")
         assert spec.claim
 
+
+
+def test_registry_rejects_a_duplicate_id(monkeypatch):
+    import sys
+    catalog = sys.modules["genellip.verify.registry"]
+    monkeypatch.setattr(catalog, "_conjectures", catalog._ekmonot)
+    registry.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="duplicate check id 'ekmonot-1'"):
+            registry()
+    finally:
+        registry.cache_clear()
 
 
 def test_registry_declarations_are_frozen():
