@@ -11,8 +11,9 @@ call order (an exception counts by its type and message); under each
 eval-sweep digest it prints one digest per bench ``(kind, regime)`` group,
 so a change that moves one regime shows as one changed line.  Then it
 prints one digest of seeded calls, eight per seed and function, of the
-public evaluators that no workload and no check reaches (``unreached``,
-see ``_unreached_calls``), with one digest per function under it.  Then it
+public evaluators that no workload and no check reaches, or reaches only
+away from the points drawn here (``unreached``, see ``_unreached_calls``),
+with one digest per function under it.  Then it
 prints one digest of the `verify all` report: every check's id, verdict,
 sample count, ``worst_margin`` (as a Python float, so the digest is the
 same whether the engine hands it back as a float or as a numpy float64 of
@@ -41,7 +42,7 @@ show the work each side did.  Both LRU caches are cleared before each pass,
 as in the benchmark.  The modular-solve points pass through the benchmark's
 mpmath reachability screen, cached in ``.bench_cache/`` after the first run.
 
-With ``--cli`` it runs ``genellip.cli.main`` in-process over two fixed
+With ``--cli`` it runs ``genellip.cli.main`` in-process over three fixed
 lists of command lines instead, each line in text, CSV and JSON, and
 prints one digest per list of every stdout, stderr, exit code and
 ``--out`` file, with the verify report's ``timestamp`` and ``seconds``
@@ -49,7 +50,9 @@ and the path of the ``--out`` file masked.  The valid lines (every
 ``eval`` and ``tabulate`` selector, ``invert``, ``phi``, ``solve``,
 ``list-checks``, ``verify`` on two checks, with ``--tol`` and ``--grid``,
 and ``tabulate`` and ``verify`` writing to ``--out``) must print the same
-bits on both sides of a change that keeps values; the error lines (inputs
+bits on both sides of a change that keeps values; the pair lines
+(``cli-pair``: ``eval K`` and ``eval E`` at ``--z`` 1-1e-6 and 1-1e-10)
+move only where the pair (r, r') built from z moves; the error lines (inputs
 outside a domain, an unknown check, 2F1 values past the float range near
 z = 1) may change their messages, so their digest is separate, and each
 error line is printed with its exit codes.  To compare with an older
@@ -112,6 +115,9 @@ CLI_LINES = [
     f"tabulate K {_ELL} {_GRID} --out {{out}}",
     "verify hyper-1 --out {out}",
 ]
+# K and E at z near 1, where --z keeps the complement 1-z; apart from
+# cli-valid, so that a change to that pair leaves cli-valid comparable
+PAIR_LINES = [f"eval {fn} {_ELL} --z {z!r}" for fn in ("K", "E") for z in (1 - 1e-6, 1 - 1e-10)]
 ERROR_LINES = [
     "eval K --a 0.5 --b 0.9 --c 0.7 --r 0.5",
     "eval K --a 0.5 --b 999.6 --c 1000 --r 0.9",
@@ -224,9 +230,11 @@ def _unreached_calls(seeds) -> list:
     """(name, (f, args)) of seeded calls of public evaluators that no workload
     and no verify check makes: phi_deriv, phi_deriv_closed (a+b+1 = 2c),
     m_value_elliptic and ell_derivatives, hyp2f1 on triples whose near-balanced
-    kernel would meet a pole of Gamma (the Maclaurin series takes them), and
+    kernel would meet a pole of Gamma (the Maclaurin series takes them),
     m_value where M's (a-1, b, c) is a terminating triple (b = c+1, a tiny;
-    hyp2f1's own parameters are positive, so it never has one)."""
+    hyp2f1's own parameters are positive, so it never has one), and mu_deriv
+    near r = 1 (r = 1 - 10^U, U in (-12, -2), a+b > c), where M and F blow up;
+    the mu_deriv calls draw from their own generator, after the others."""
     out = []
     for seed in seeds:
         rng = random.Random(f"unreached-{seed}")
@@ -252,6 +260,11 @@ def _unreached_calls(seeds) -> list:
             c = rng.uniform(0.3, 7.0)
             pt = g.MPoint(10.0 ** rng.uniform(-9.0, -7.0), c + 1.0, c, rng.uniform(0.76, 0.95))
             out.append(("m_value", (g.m_value, (pt,))))
+        rng = random.Random(f"unreached-mu-{seed}")
+        for _ in range(8):
+            a, b = rng.uniform(0.1, 1.5), rng.uniform(0.1, 1.5)
+            q = g.ModulusParams(a, b, rng.uniform(0.1, a + b))
+            out.append(("mu_deriv", (g.mu_deriv, (q, 1.0 - 10.0 ** rng.uniform(-12.0, -2.0)))))
     return out
 
 
@@ -295,7 +308,8 @@ def main(argv=None) -> int:
                     help="digest the CLI's output instead of the workloads'")
     args = ap.parse_args(argv)
     if args.cli:
-        for name, lines in (("cli-valid", CLI_LINES), ("cli-error", ERROR_LINES)):
+        for name, lines in (("cli-valid", CLI_LINES), ("cli-pair", PAIR_LINES),
+                            ("cli-error", ERROR_LINES)):
             outs = _cli_outputs(lines)
             codes = sorted({repr(o[-1]) for o in outs})
             print(f"{name} n={len(outs)} {_digest(outs)} exit={','.join(codes)}")

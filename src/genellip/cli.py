@@ -51,43 +51,32 @@ def _f12(x: float) -> str:
 # --------------------------------------------------------------------------
 # deterministic JSON (fixed key order, 17-digit floats)
 
+def _json_scalar(obj) -> str:
+    """A scalar as JSON: a finite float with 17 digits, a value JSON lacks as its str()."""
+    if isinstance(obj, float) and math.isfinite(obj):
+        return _f17(obj)
+    return json.dumps(obj if obj is None or isinstance(obj, (int, str)) else str(obj))
+
+
 def _emit_json(obj, parts: list, indent: int) -> None:
-    pad = "  " * indent
-    if obj is None:
-        parts.append("null")
-    elif isinstance(obj, bool):
-        parts.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        if math.isfinite(obj):
-            parts.append(_f17(obj))
-        else:
-            parts.append(json.dumps(str(obj)))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        parts.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            parts.append(pad + "  " + json.dumps(str(k)) + ": ")
-            _emit_json(v, parts, indent + 1)
-            parts.append(",\n" if i < len(obj) - 1 else "\n")
-        parts.append(pad + "}")
+    """obj as JSON; a dict's items are prefixed with `"key": `, a list's with nothing."""
+    if isinstance(obj, dict):
+        brackets, items = "{}", [(json.dumps(str(k)) + ": ", v) for k, v in obj.items()]
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        parts.append("[\n")
-        for i, v in enumerate(obj):
-            parts.append(pad + "  ")
-            _emit_json(v, parts, indent + 1)
-            parts.append(",\n" if i < len(obj) - 1 else "\n")
-        parts.append(pad + "]")
+        brackets, items = "[]", [("", v) for v in obj]
     else:
-        parts.append(json.dumps(str(obj)))
+        parts.append(_json_scalar(obj))
+        return
+    if not items:
+        parts.append(brackets)
+        return
+    pad = "  " * indent
+    parts.append(brackets[0] + "\n")
+    for i, (prefix, v) in enumerate(items):
+        parts.append(pad + "  " + prefix)
+        _emit_json(v, parts, indent + 1)
+        parts.append(",\n" if i < len(items) - 1 else "\n")
+    parts.append(pad + brackets[1])
 
 
 def _json_text(obj) -> str:
@@ -140,11 +129,14 @@ def _solved(s: Modulus) -> EvalResult:
 
 
 def _ell(op):
-    """An elliptic selector: its point is the modulus r, or z = r^2."""
+    """An elliptic selector: its point is the modulus r, or z = r^2, whose
+    pair (r, r') is built from z and 1-z."""
     def run(args, flag, x):
         p = EllipticParams(args.a, args.b, args.c)
-        r = x if flag == "r" else math.sqrt(checked("z", x, "[0, 1]"))
-        return op(p, Modulus.from_r(r)), _abc(args)
+        if flag == "r":
+            return op(p, Modulus.from_r(x)), _abc(args)
+        z = checked("z", x, "[0, 1]")
+        return op(p, Modulus(math.sqrt(z), math.sqrt(1.0 - z))), _abc(args)
     return run
 
 
@@ -238,7 +230,7 @@ def _cmd_tabulate(args) -> int:
         raise DomainError("tabulate requires --grid lo:hi:count:scale")
     rows = []
     for x in _parse_grid(args.grid).points():
-        _, pt, res, params = _point(args.fn, args, float(x))
+        _, pt, res, params = _point(args.fn, args, x)
         rows.append((pt, res))
     body = {"fn": args.fn, **params, "rows": [
         {"x": pt, "value": r.value, "abs_err_est": r.abs_err_est} for pt, r in rows]}

@@ -81,8 +81,11 @@ def _legendre_form(c_a, k1, k2, k3, rounding, v, u, v1, u1):
 def m_value(pt: MPoint) -> EvalResult:
     """M by the contiguous form; switches to the factored route when the
     argument is near an endpoint and a+b>c would make M blow up there."""
-    a, b, c, z = pt.a, pt.b, pt.c, pt.z
-    zc = 1.0 - z
+    return _m_pair(pt.a, pt.b, pt.c, pt.z, 1.0 - pt.z)
+
+
+def _m_pair(a: float, b: float, c: float, z: float, zc: float) -> EvalResult:
+    """m_value at the exact pair (z, zc = 1-z), both in (0, 1)."""
     d = a + b - c
     if d > _CLOSED_TOL and min(z, zc) < _ENDPOINT_SWITCH:
         scaled = _m_scaled_pair(a, b, c, z, zc)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from .elliptic import Modulus, _interior
 from .errors import ConvergenceError, DomainError, ParameterError, SaturationError, checked
 from .hypergeom import HypParams, _eval_pair, _kernel, _Triple
-from .legendre_m import MPoint, _finite, m_value
+from .legendre_m import _finite, _m_pair
 from .result import EvalResult, Method
 from .scalar_special import _exp
 
@@ -279,17 +279,24 @@ def phi_k(p: ModulusParams, K, r: float) -> float:
 
 
 def _mu_deriv_m(p: ModulusParams, m: Modulus) -> EvalResult:
-    """d mu/dr at an exact interior pair m; its error is relative to M, so an M
-    that cancels to 0 is a DomainError."""
+    """d mu/dr at an exact interior pair m, M read at that pair; its error is relative,
+    so an M that cancels to 0 or a value below the normal floats is a DomainError."""
     key = _Triple(p.a, p.b, p.c)
     v = _eval_pair(key, m.z, m.z_comp)
-    M = m_value(MPoint(p.a, p.b, p.c, m.z))
+    M = _m_pair(p.a, p.b, p.c, m.z, m.z_comp)
     if M.value == 0.0:
         raise DomainError(f"mu_deriv is not representable: M cancels to 0 at "
                           f"(a,b,c)=({p.a!r},{p.b!r},{p.c!r}), z={m.z!r}")
     B = 2.0 * key.half_beta
-    value = -B * M.value / (m.r * m.z_comp * v.value * v.value)
-    rel = (M.abs_err_est / abs(M.value) + 2.0 * v.abs_err_est / abs(v.value) + 5e-15)
+    den = m.r * m.z_comp * v.value * v.value
+    value = -B * M.value / den if den < math.inf else _exp(  # F^2 overflows: in logs
+        math.log(B) + math.log(abs(M.value)) - math.log(m.r * m.z_comp)
+        - 2.0 * math.log(v.value), -1, "d mu/dr", p.a, p.b, p.c)
+    if abs(value) < sys.float_info.min:
+        raise DomainError(f"mu_deriv is not representable: mu' underflows at "
+                          f"(a,b,c)=({p.a!r},{p.b!r},{p.c!r}), r={m.r!r}")
+    rel = (M.abs_err_est / abs(M.value) + 2.0 * v.abs_err_est / abs(v.value)
+           + (5e-15 if den < math.inf else 1e-12))  # 1e-12: the four logs and their sum
     return _finite(value, abs(value) * rel, M.method, "d mu/dr", p.a, p.b, p.c)
 
 
@@ -308,9 +315,6 @@ def _phi_deriv(p: ModulusParams, K, r: float, mu_deriv_m) -> EvalResult:
     if not 0.0 < s.z < 1.0:
         raise DomainError(f"phi_K(r) saturated to {s.r!r}; derivative not representable")
     dr, ds = mu_deriv_m(p, m), mu_deriv_m(p, s)
-    if dr.value == 0.0 or ds.value == 0.0:
-        raise DomainError(f"d phi_K/dr is not representable: mu' underflows at "
-                          f"(a,b,c)=({p.a!r},{p.b!r},{p.c!r}), r={r!r}")
     value = dr.value / (k * ds.value)
     rel = dr.abs_err_est / abs(dr.value) + ds.abs_err_est / abs(ds.value) + 1e-12
     return _finite(value, abs(value) * rel, dr.method, "d phi_K/dr", p.a, p.b, p.c)
@@ -331,7 +335,7 @@ def _require_power_case(p: ModulusParams) -> None:
 
 
 def _mu_deriv_closed_m(p: ModulusParams, m: Modulus) -> EvalResult:
-    """mu_deriv_closed at an exact interior pair m."""
+    """mu_deriv_closed at an exact interior pair m; a DomainError below the normal floats."""
     key = _Triple(p.a, p.b, p.c)
     (la, _), (lb, _), (lc, _), (lab, _) = map(key.lngamma, (p.a, p.b, p.c, p.a + p.b))
     log_4d = 2.0 * (la + lb + lc) - 3.0 * lab
@@ -345,6 +349,9 @@ def _mu_deriv_closed_m(p: ModulusParams, m: Modulus) -> EvalResult:
     value = -D / den if den >= sys.float_info.min else _exp(  # den underflows: in logs
         log_4d - math.log(4.0 * Kr * Kr) - (2.0 * p.c - 1.0) * math.log(m.r)
         - p.c * math.log(m.z_comp), -1, "d mu/dr", p.a, p.b, p.c)
+    if abs(value) < sys.float_info.min:
+        raise DomainError(f"mu_deriv_closed is not representable: mu' underflows at "
+                          f"(a,b,c)=({p.a!r},{p.b!r},{p.c!r}), r={m.r!r}")
     return _finite(value, abs(value) * 1e-12, Method.CLOSED_FORM, "d mu/dr", p.a, p.b, p.c)
 
 

@@ -116,14 +116,10 @@ def gamma_ln(x: float) -> EvalResult:
 def gamma(x: float) -> EvalResult:
     """Gamma(x) for real x off the poles at 0, -1, -2, ..."""
     x = checked("x", x, "(-inf, inf)")
-    if _is_nonpositive_integer(x):
-        raise PoleError(f"gamma pole at {x!r}")
+    val = _exp(*_lngamma_signed(x), "Gamma", x)
     if x > 0:
-        val = _exp(_lngamma_raw(x), 1, "Gamma", x)
         method = Method.ASYMPTOTIC if x >= _GAMMA_SHIFT else Method.RECURRENCE_SHIFT
         return EvalResult(val, abs(val) * 2e-14, method)
-    lnval, sign = _lngamma_signed(x)
-    val = _exp(lnval, sign, "Gamma", x)
     return EvalResult(val, abs(val) * 5e-14, Method.REFLECTION)
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,7 +57,7 @@ _GROWTH_FACTOR = 1.5
 
 @dataclass(frozen=True)
 class GridDim:
-    """One grid dimension; `values` pins an explicit point set."""
+    """One grid dimension, its points built once; `values` pins an explicit point set."""
 
     name: str
     lo: float
@@ -65,6 +65,7 @@ class GridDim:
     count: int
     scale: str = "linear"
     values: Optional[tuple] = None
+    _points: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.values is not None:
@@ -86,20 +87,21 @@ class GridDim:
             raise ParameterError(f"grid dim {self.name!r}: log scale needs lo > 0")
         if self.scale == "logit" and not (0.0 < self.lo and self.hi < 1.0):
             raise ParameterError(f"grid dim {self.name!r}: logit scale needs (0,1)")
-        if self.values is None and not (np.diff(self.points()) > 0.0).all():
-            raise ParameterError(f"grid dim {self.name!r}: its {self.count} points are "
-                                 "not distinct in floating point")
+        pts = self.values
+        if pts is None:
+            logit = self.scale == "logit"
+            ends = [math.log(x / (1.0 - x)) if logit else x for x in (self.lo, self.hi)]
+            pts = (np.geomspace if self.scale == "log" else np.linspace)(*ends, self.count)
+            if logit:
+                pts = 1.0 / (1.0 + np.exp(-pts))
+            if not (np.diff(pts) > 0.0).all():
+                raise ParameterError(f"grid dim {self.name!r}: its {self.count} points are "
+                                     "not distinct in floating point")
+            pts = tuple(pts.tolist())
+        object.__setattr__(self, "_points", pts)
 
-    def points(self) -> np.ndarray:
-        if self.values is not None:
-            return np.asarray(self.values, dtype=float)
-        if self.scale == "linear":
-            return np.linspace(self.lo, self.hi, self.count)
-        if self.scale == "log":
-            return np.geomspace(self.lo, self.hi, self.count)
-        t = np.linspace(math.log(self.lo / (1.0 - self.lo)),
-                        math.log(self.hi / (1.0 - self.hi)), self.count)
-        return 1.0 / (1.0 + np.exp(-t))
+    def points(self) -> tuple:
+        return self._points
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ class GridSpec:
     def combos(self):
         """Iterate dicts over the cartesian product of the dims."""
         names = [d.name for d in self.dims]
-        for row in itertools.product(*(d.points().tolist() for d in self.dims)):
+        for row in itertools.product(*(d.points() for d in self.dims)):
             yield dict(zip(names, row))
 
 
@@ -347,7 +349,7 @@ def _check_endpoint(spec, params, side, edge_value, out):
 def _run_shape(spec, params, out, checker):
     """Sample the whole grid, then judge the shape (if any), the range and
     the endpoints."""
-    xs = spec.arg_grid.dims[0].points().tolist()
+    xs = spec.arg_grid.dims[0].points()
     ys, errs = [], []
     for x in xs:
         try:
@@ -426,7 +428,7 @@ def _judge_limit(spec, params, out):
 def _run_points(spec, params, out, make_judge):
     """Judge each grid point on its own and stop at the first bad one."""
     judge = make_judge(spec, params, out)
-    xs = spec.arg_grid.dims[0].points().tolist()
+    xs = spec.arg_grid.dims[0].points()
     strict_hits = 0
     for x in xs:
         try:

@@ -680,7 +680,7 @@ def _hyp_quotients():
         p = HypParams(a, c - a, c)
         num = hyp2f1_pair(p, x, 1.0 - x)
         den = hyp2f1_pair(p, y, 1.0 - y)
-        v, e = _q(num, den, 2.0 * modulus_params_ac(a, c).half_beta)
+        v, e = _q(num, den, 2.0 * p.half_beta)
         return v, e + 1e-15 * abs(v)
 
     q_cases = ((0.3, 0.2, 0.7), (0.6, 0.2, 0.7), (0.3, 0.1, 0.5), (0.6, 0.4, 0.9))

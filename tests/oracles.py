@@ -298,6 +298,54 @@ def _print_near_balanced() -> None:
 
 
 # --------------------------------------------------------------------------
+# near r = 1 (z = r^2 -> 1), where the raw series above would need about
+# 1/(1-z) terms, by mpmath's own hyp2f1 at 40 digits; each value is taken
+# at the exact binary inputs, so the package sees the same point
+
+def mu_deriv_general(a, b, c, r) -> mp.mpf:
+    """d mu/dr = -B(a,b) M(r^2) / (r r'^2 F(r^2)^2), with M from its four
+    2F1 values at r^2 and at r'^2 = (1-r)(1+r)."""
+    with mp.workdps(40):
+        a, b, c, r = (mp.mpf(v) for v in (a, b, c, r))
+        z, zc = r * r, (1 - r) * (1 + r)
+        v, u = mp.hyp2f1(a, b, c, z), mp.hyp2f1(a - 1, b, c, z)
+        v1, u1 = mp.hyp2f1(a, b, c, zc), mp.hyp2f1(a - 1, b, c, zc)
+        m = (c - a) * (u * v1 + u1 * v) + (2 * (a - c) + b) * v * v1
+        return -mp.beta(a, b) * m / (r * zc * v * v)
+
+
+def mu_deriv_near_one_points() -> list[tuple[float, float, float, float]]:
+    """(a, b, c, r): 20 seeded points with a, b uniform in (0.1, 1.5), c uniform
+    in (0.1, a+b) and r = 1 - 10^U with U uniform in (-12, -2); then the two
+    points at the top of the parameter range where F(r^2)^2 overflows."""
+    rng = random.Random(5)
+    pts = []
+    for _ in range(20):
+        a, b = rng.uniform(0.1, 1.5), rng.uniform(0.1, 1.5)
+        c = rng.uniform(0.1, a + b)
+        pts.append((a, b, c, 1 - 10 ** rng.uniform(-12, -2)))
+    return pts + [(49.5, 49.5, 50.0, 0.999999), (49.0, 50.0, 50.0, 0.999999)]
+
+
+def _print_mu_deriv_near_one() -> None:
+    for a, b, c, r in mu_deriv_near_one_points():
+        print(f"    ({a!r}, {b!r}, {c!r}, {r!r}, {mp.nstr(mu_deriv_general(a, b, c, r), 25)}),")
+
+
+ELL_NEAR_ONE = ((0.3, 0.6, 0.7), (0.5, 0.5, 1.0))
+
+
+def _print_ell_near_one() -> None:
+    """K = (B/2) F(a,b;c;z) and E = (B/2) F(a-1,b;c;z) at z = 1-1e-6 and 1-1e-10."""
+    with mp.workdps(40):
+        for a, b, c in ELL_NEAR_ONE:
+            for z in (1 - 1e-6, 1 - 1e-10):
+                hb = mp.beta(a, b) / 2
+                k, e = (hb * mp.hyp2f1(x, b, c, z) for x in (a, a - 1))
+                print(f"    (({a}, {b}, {c}), {z!r}, {mp.nstr(k, 25)}, {mp.nstr(e, 25)}),")
+
+
+# --------------------------------------------------------------------------
 # verify check declarations
 
 def declaration_digests() -> dict:
@@ -476,6 +524,10 @@ def main() -> None:
     _print_difference_forms()
     print("(a, b, c, u, F(a,b;c;1-u)) with c-a-b near 0:")
     _print_near_balanced()
+    print("(a, b, c, r, d mu/dr) near r = 1:")
+    _print_mu_deriv_near_one()
+    print("((a, b, c), z, K, E) near z = 1:")
+    _print_ell_near_one()
 
 
 if __name__ == "__main__":

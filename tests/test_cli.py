@@ -123,6 +123,27 @@ def test_eval_echoes_the_point_under_the_flag_it_read(capsys):
         assert z["value"] == r["value"], fn
 
 
+# (oracles.ELL_NEAR_ONE): K = (B/2) F(a,b;c;z) and E = (B/2) F(a-1,b;c;z) at the
+# exact binary z, by mpmath's hyp2f1 at 40 digits
+ELL_NEAR_ONE = [
+    ((0.3, 0.6, 0.7), 0.999999, 43.44411643757141167440544, 0.3732290867549087543883311),
+    ((0.3, 0.6, 0.7), 0.9999999999, 278.0767977723523741646221, 0.3731912280875909367866462),
+    ((0.5, 0.5, 1.0), 0.999999, 8.294051463601062201899529, 1.000003897026172166025386),
+    ((0.5, 0.5, 1.0), 0.9999999999, 12.89921978501741577011953, 1.000000000619961040553954),
+]
+
+
+@pytest.mark.parametrize("abc, z, k, e", ELL_NEAR_ONE)
+def test_eval_k_and_e_at_z_near_one_keep_the_complement(capsys, abc, z, k, e):
+    # --z builds the pair (sqrt z, sqrt(1-z)); rebuilt from r = sqrt z, r'^2 loses
+    # about 1e-16/(1-z) relative, which K's abs_err_est does not cover
+    abc = [a for x in zip(("--a", "--b", "--c"), map(repr, abc)) for a in x]
+    for fn, want in (("K", k), ("E", e)):
+        code, out, _ = run_cli(capsys, "eval", fn, *abc, "--z", repr(z), "--format", "json")
+        body = json.loads(out)
+        assert code == 0 and abs(body["value"] - want) <= body["abs_err_est"], fn
+
+
 def test_eval_domain_error_exit_2(capsys):
     code, _, err = run_cli(capsys, "eval", "K", "--a", "0.5", "--b", "0.9",
                            "--c", "0.7", "--r", "0.5")

@@ -237,10 +237,62 @@ def test_closed_derivative_forms_power_case():
             deriv(p, 100.0, 0.5)
 
 
+# (mu_deriv_near_one_points, mu_deriv_general): 20 seeded points with r = 1 - 10^U,
+# U in (-12, -2), and a+b > c, where M and F blow up; then two points at the top of
+# the parameter range where F(r^2) ~ 1.8e279 and F(r^2)^2 overflows
+MU_DERIV_NEAR_ONE = [
+    (0.9720623728455826, 1.1385017849650212, 1.698787681448006, 0.9973423190846624, -4.811529998311021162459332),
+    (1.135858004635903, 1.3912549953315838, 0.17039896663418597, 0.9999999546866111, -5.112915141247166981798691e-11),
+    (1.4206994037976393, 1.0085643743916939, 2.1984348831876837, 0.9999999999864463, -4416046.266312993993546152),
+    (0.7566966668950291, 0.4452019656677624, 0.6991693472332402, 0.9999994512028096, -1287.913409719892715349221),
+    (0.11835986542446308, 0.4034217206493874, 0.21788051561583854, 0.998543019571101, -225.1516530209892373194866),
+    (1.1720156322807984, 0.3234458973012535, 1.2123879599643195, 0.999999999975584, -17771690.32541100085933652),
+    (0.9644335286525633, 0.2773789255703776, 0.10202655976738362, 0.9994823366157337, -0.6103918775993309766830556),
+    (0.393238935493165, 0.4016736369146251, 0.7826967799219372, 0.9994702418407502, -149.4645888370460486625848),
+    (0.5050272348456971, 1.446069184530117, 1.0981546324701634, 0.9999939978786385, -10.53012321511958027173552),
+    (0.3866913203473099, 1.4173664015231986, 1.276893732790864, 0.9953693375636491, -13.18268989119461927213943),
+    (1.3512383486070698, 0.5183044569954148, 0.7391410504440259, 0.9999999999543374, -0.1162774327437499573847537),
+    (0.3039826733569555, 0.19119559872594677, 0.21909056871853338, 0.9999989257633282, -28929.48491223236607324313),
+    (0.10473636712409946, 1.0491079493667677, 0.4560906871866266, 0.9999999987422935, -9176.109269726066134051875),
+    (1.2459253045058991, 0.7730432612820545, 0.7059970434118741, 0.9999999351090904, -0.009289130435644951545384981),
+    (1.086536787797273, 0.1798013013501059, 1.2372957612060913, 0.999999999998307, -9405505383.554602082790007),
+    (1.1497130312077826, 1.2828332451433815, 0.14214336237003336, 0.9999245979697312, -0.0000019576163341124436649279),
+    (0.6126582661786047, 0.9099263606796243, 0.11291477352613354, 0.9999999999970672, -0.00001285833397307040790890486),
+    (0.35328728313146696, 1.437251859427633, 0.43222757636334275, 0.9999639118911093, -0.1311794576644449496678201),
+    (1.4015174474365295, 1.418861361198779, 1.0368489863088204, 0.9999999964687208, -0.000000292233722222503626947476),
+    (0.8345825489703679, 1.1858442205785935, 0.307507622278674, 0.9999695224140396, -0.0006834044516358311132224723),
+    (49.5, 49.5, 50.0, 0.999999, -1.093659551748193541775503e-302),
+    (49.0, 50.0, 50.0, 0.999999, -1.104876256318474046465764e-302),
+]
+
+
+@pytest.mark.parametrize("a, b, c, r, want", MU_DERIV_NEAR_ONE)
+def test_mu_deriv_near_one_is_within_its_estimate(a, b, c, r, want):
+    # M is read at the pair (r^2, r'^2) that mu' holds, not at r^2 and 1 - r^2
+    res = mu_deriv(ModulusParams(a, b, c), r)
+    assert abs(res.value - want) <= res.abs_err_est
+
+
+def test_mu_deriv_where_f_squared_overflows_agrees_with_the_closed_form():
+    # a+b+1 = 2c; the quotient -B M/(r r'^2 F^2) is taken in logs
+    p = ModulusParams(49.5, 49.5, 50.0)
+    res, closed = mu_deriv(p, 0.999999), mu_deriv_closed(p, 0.999999)
+    assert abs(res.value - closed.value) <= res.abs_err_est + closed.abs_err_est
+    assert 0.0 < phi_deriv(ModulusParams(49.0, 50.0, 50.0), 2.0, 0.999999).value < math.inf
+
+
 def test_phi_deriv_where_mu_prime_underflows_is_a_domain_error():
-    # F(r^2) and F(s^2) are near 2e279, so mu' = -B M/(r r'^2 F^2) underflows to 0 at both
-    with pytest.raises(DomainError, match="mu' underflows"):
-        phi_deriv(ModulusParams(49.0, 50.0, 50.0), 2.0, 0.999999)
+    # mu' is about -4.1e-310 at r = 0.9999993 on both triples, below the normal
+    # floats, where abs(value) * rel no longer bounds its error; each form of mu'
+    # raises, so phi_K' does too (mu_deriv_closed returned -8.65e-322 +- 0.0
+    # at r = 0.9999996)
+    for abc, mu_prime, phi_prime in (((49.0, 50.0, 50.0), mu_deriv, phi_deriv),
+                                     ((49.5, 49.5, 50.0), mu_deriv_closed, phi_deriv_closed)):
+        p = ModulusParams(*abc)
+        with pytest.raises(DomainError, match="mu' underflows"):
+            mu_prime(p, 0.9999993)
+        with pytest.raises(DomainError, match="mu' underflows"):
+            phi_prime(p, 2.0, 0.9999993)
 
 
 # --------------------------------------------------------------------------

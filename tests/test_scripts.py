@@ -48,7 +48,10 @@ def test_output_digest_reaches_the_evaluators_no_workload_calls():
     names = [name for name, _ in named]
     assert {name: names.count(name) for name in names} == dict.fromkeys(
         ("phi_deriv", "phi_deriv_closed", "m_value_elliptic", "ell_derivatives", "hyp2f1",
-         "m_value"), 8)
+         "m_value", "mu_deriv"), 8)
+    # mu_deriv near r = 1 with a+b > c, where M and F blow up
+    for q, r in (args for name, (_, args) in named if name == "mu_deriv"):
+        assert q.a + q.b > q.c and 1.0 - 1e-2 <= r <= 1.0 - 1e-12
     outs, work = digest._outputs([call for _, call in named])
     fields = dict(field.split("=", 1) for field in work.split())
     assert re.search(r"(^|,)terminating:\d+", fields["routes"])  # M's (a-1, b, c)
@@ -56,6 +59,18 @@ def test_output_digest_reaches_the_evaluators_no_workload_calls():
     hyp = [args[0] for name, (_, args) in named if name == "hyp2f1"]
     assert {_Triple(p.a, p.b, p.c).route for p in hyp} == {"series"}
     assert outs == digest._outputs([call for _, call in named])[0]
+
+
+def test_output_digest_keeps_the_pair_lines_apart_from_the_valid_lines():
+    # eval K|E --z near 1 get their own cli-pair digest, so that cli-valid
+    # stays comparable across a change to the pair --z builds
+    digest = _load("output_digest")
+    assert not set(digest.PAIR_LINES) & set(digest.CLI_LINES)
+    assert {line.split()[1] for line in digest.PAIR_LINES} == {"K", "E"}
+    outs = digest._cli_outputs(digest.PAIR_LINES)
+    assert len(outs) == 3 * len(digest.PAIR_LINES)
+    for line, fmt, out, err, _, code in outs:
+        assert (code, err) == (0, "") and out, (line, fmt)
 
 
 def _summary(parent, change, better="lower", bound=0.25):

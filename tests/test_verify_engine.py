@@ -6,8 +6,10 @@ Gamma(0.8) factors cancel through the recurrence).
 """
 
 import collections
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from genellip import modulus_params_ac, mu, mu_deriv
@@ -77,6 +79,36 @@ def test_gridspec_combos():
     combos = list(g.combos())
     assert len(combos) == 3
     assert combos[0] == {"a": 0.0, "b": 7.0}
+
+
+def _numpy_points(d):
+    """The points of d as numpy spaces them (or its pinned values), as floats."""
+    if d.values is not None:
+        return list(d.values)
+    if d.scale == "linear":
+        return np.linspace(d.lo, d.hi, d.count).tolist()
+    if d.scale == "log":
+        return np.geomspace(d.lo, d.hi, d.count).tolist()
+    t = np.linspace(math.log(d.lo / (1.0 - d.lo)), math.log(d.hi / (1.0 - d.hi)), d.count)
+    return (1.0 / (1.0 + np.exp(-t))).tolist()
+
+
+def test_grid_points_are_built_once_as_numpys_points():
+    dims = {d for s in registry().values() for g in (s.param_grid, s.arg_grid) for d in g.dims}
+    assert {d.scale for d in dims} == {"linear", "log", "logit"}
+    for d in dims:
+        pts = d.points()
+        assert pts is d.points() and type(pts) is tuple, d
+        assert all(type(x) is float for x in pts), d
+        assert list(pts) == _numpy_points(d), d
+
+
+def test_replacing_a_grid_dim_recomputes_its_points():
+    d = GridDim("x", 0.01, 0.99, 5, "logit")
+    for changed in (dataclasses.replace(d, count=9), dataclasses.replace(d, scale="log"),
+                    dataclasses.replace(d, values=(0.2, 0.4))):
+        assert list(changed.points()) == _numpy_points(changed)
+    assert len(dataclasses.replace(d, count=9).points()) == 9
 
 
 # --------------------------------------------------------------------------
