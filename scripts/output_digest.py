@@ -66,6 +66,7 @@ import collections
 import contextlib
 import hashlib
 import io
+import math
 import random
 import re
 import sys
@@ -233,8 +234,11 @@ def _unreached_calls(seeds) -> list:
     kernel would meet a pole of Gamma (the Maclaurin series takes them),
     m_value where M's (a-1, b, c) is a terminating triple (b = c+1, a tiny;
     hyp2f1's own parameters are positive, so it never has one), and mu_deriv
-    near r = 1 (r = 1 - 10^U, U in (-12, -2), a+b > c), where M and F blow up;
-    the mu_deriv calls draw from their own generator, after the others."""
+    near r = 1 (r = 1 - 10^U, U in (-12, -2), a+b > c), where M and F blow up,
+    and hyp2f1 on the integer-d route at |c-a-b| from 2 to 10, a and b up to
+    30 and 1-z = 10^U, U in (-12, log10 0.25) (``hyp2f1_integer_d``, where
+    verify reaches only |c-a-b| = 1); the mu_deriv and then the integer-d
+    calls each draw from their own generator, after the others."""
     out = []
     for seed in seeds:
         rng = random.Random(f"unreached-{seed}")
@@ -265,6 +269,14 @@ def _unreached_calls(seeds) -> list:
             a, b = rng.uniform(0.1, 1.5), rng.uniform(0.1, 1.5)
             q = g.ModulusParams(a, b, rng.uniform(0.1, a + b))
             out.append(("mu_deriv", (g.mu_deriv, (q, 1.0 - 10.0 ** rng.uniform(-12.0, -2.0)))))
+        rng = random.Random(f"unreached-integer-d-{seed}")
+        for _ in range(8):
+            m = rng.choice((-1, 1)) * rng.randint(2, 10)
+            a = rng.uniform(0.05, 30.0)
+            # 0.05 <= c = a+b+m <= 49.9
+            b = rng.uniform(max(0.05, 0.05 - m - a), min(30.0, 49.9 - m - a))
+            z = 1.0 - 10.0 ** rng.uniform(-12.0, math.log10(0.25))
+            out.append(("hyp2f1_integer_d", (g.hyp2f1, (g.HypParams(a, b, a + b + m), z))))
     return out
 
 

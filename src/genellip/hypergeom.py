@@ -44,8 +44,8 @@ integer a or b or where the kernel of the band of c-a-b would meet a pole of
 Gamma that (a, b, c) does not have, 'terminating' in the near-balanced band
 where c-a or c-b is exactly -n (u^(c-a-b) times a polynomial), and otherwise
 'zero_balanced', 'near_balanced', 'integer_d' or 'connection' by c-a-b, so
-_kernel dispatches on it and the modulus solver reads it to know which
-asymptote of mu applies.  The route is set when the triple is made, since
+_kernel dispatches on it and near_one_tau reads it to know which
+asymptote of F applies.  The route is set when the triple is made, since
 every evaluation reads it; every other entry is computed on first use, and
 the zero-balanced steps as the evaluations reach them.  The entries are
 filled without a lock, by the _entry descriptor: two threads that race on a
@@ -102,11 +102,7 @@ def _gamma_ratio(key: _Triple, nums, dens) -> float:
         l, s = key.lngamma(x)
         ln += l
         sign *= s
-    try:
-        return sign * math.exp(ln)
-    except OverflowError:
-        raise SaturationError(f"the Gamma ratio {nums!r} over {dens!r} exceeds the float range",
-                              endpoint=sign * math.inf) from None
+    return _exp(ln, sign, "Gamma ratio", nums, dens)
 
 
 def _digamma_any(x: float) -> float:
@@ -429,6 +425,23 @@ class _Triple:
         (la, _), (lb, _), (lab, _) = self.lngamma(a), self.lngamma(b), self.lngamma(a + b)
         return 0.5 * _exp(la + lb - lab, 1, "B", a, b)
 
+    def near_one_tau(self, s: float, log_hb: float) -> float | None:
+        """tau = -log u where F(a,b;c;1-u) = e^s (s >= 0, log_hb = log(B(a,b)/2)),
+        by the leading term of F as u -> 0 on the route that evaluates it:
+            c = a+b:  F(1-u) ~ (R(a,b) - log u) / B(a,b)   (A&S 15.3.10),
+            c < a+b:  F(1-u) ~ C1 + C2 u^(c-a-b)            (A&S 15.3.6),
+        with this table's R, C1 and C2.  None on any other route (the Gamma
+        factors have poles near an integer c-a-b) or where C1 >= e^s.  Every
+        exp is clamped, so it never raises."""
+        if self.route == "zero_balanced":
+            return 2.0 * math.exp(min(log_hb + s, 700.0)) - self.zero_balanced[0]
+        if self.route != "connection":
+            return None
+        a, b, c = self.abc
+        c1, c2, _, _ = self.connection
+        w = c1 * math.exp(-s)
+        return (s + math.log1p(-w) - math.log(c2)) / -(c - a - b) if w < 1.0 else None
+
 
 class HypParams(_Params):
     """Positive real parameters (a, b, c), each bounded by 50; the base of
@@ -560,6 +573,7 @@ def _integer_d(key: _Triple, u: float, m: int) -> tuple[float, float]:
     #                                   + psi(sa+n) + psi(sb+n)] u^n
     g = 1.0 / math.factorial(k)
     L = lnu - psi_1 - psi_k1 + psi_sa + psi_sb
+    scale = abs(log_pref) * u_log_power  # takes the log series' terms to F's units, as fin is
     total = 0.0
     abs_total = 0.0
     upow = 1.0
@@ -571,7 +585,7 @@ def _integer_d(key: _Triple, u: float, m: int) -> tuple[float, float]:
         g *= (sa + n) * (sb + n) / ((n + 1.0) * (n + k + 1.0))
         L += -1.0 / (n + 1.0) - 1.0 / (n + k + 1.0) + 1.0 / (sa + n) + 1.0 / (sb + n)
         upow *= u
-        if abs(t) <= _EPS * (abs(total) + abs(fin)):
+        if abs(t) * scale <= _EPS * (abs(total) * scale + abs(fin)):
             quiet += 1
             if quiet >= 3:
                 break
@@ -631,7 +645,11 @@ def _kernel(key: _Triple, z: float, zc: float) -> tuple[float, float, Method]:
             value = zc ** (-expo)
         except OverflowError:
             raise _overflow(key, zc, 1.0) from None
-        return value, abs(value) * (abs(expo * math.log(zc)) + 1.0) * 2e-16, Method.CLOSED_FORM
+        grow = abs(expo * math.log(zc)) + 1.0
+        err = abs(value) * grow * 2e-16
+        if err == math.inf:  # |value| grow overflowed; the same bound, the other order
+            err = abs(value) * 2e-16 * grow
+        return value, err, Method.CLOSED_FORM
     if z < Z_SWITCH or route == "series":
         value, err, _ = _direct_series(a, b, c, z, key.series_head)
         return value, err, Method.SERIES

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 from .elliptic import EllipticParams, Modulus, _interior, ell_e, ell_e_comp, ell_k, \
     ell_k_comp
-from .errors import DomainError, ParameterError, SaturationError, _Params, checked
+from .errors import ParameterError, _Params, checked
 from .hypergeom import _eval_pair, _Triple
-from .result import EvalResult, Method
+from .result import EvalResult, Method, _finite
 from .scalar_special import _exp, beta
 
 _CLOSED_TOL = 1e-12
@@ -40,18 +40,6 @@ class MPoint(_Params):
     def __init__(self, a: float, b: float, c: float, z: float):
         super().__init__(a, b, c)
         self.__dict__["z"] = checked("z", z, "(0, 1)")
-
-
-def _finite(value: float, err: float, method: Method, what: str, a, b, c) -> EvalResult:
-    """The result `what` at (a, b, c) of an M-family or modulus function:
-    SaturationError if its value overflowed, DomainError if its value or
-    its error bound is NaN or its bound is infinite."""
-    if math.isinf(value):
-        raise SaturationError(f"{what} exceeds the float range at (a,b,c)=({a!r},{b!r},{c!r})",
-                              endpoint=value)
-    if not (math.isfinite(value) and math.isfinite(err)):
-        raise DomainError(f"{what} is not representable at (a,b,c)=({a!r},{b!r},{c!r})")
-    return EvalResult(value, err, method)
 
 
 def _f_values(a, b, c, z, zc):

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from .elliptic import Modulus, _interior
 from .errors import ConvergenceError, DomainError, ParameterError, SaturationError, checked
 from .hypergeom import HypParams, _eval_pair, _kernel, _Triple
-from .legendre_m import _finite, _m_pair
-from .result import EvalResult, Method
+from .legendre_m import _m_pair
+from .result import EvalResult, Method, _finite
 from .scalar_special import _exp
 
 _T_MAX = 700.0
@@ -95,34 +95,27 @@ def _modulus_from_t(t: float) -> Modulus:
 
 def _guess_t(key: _Triple, log_hb: float, log_target: float) -> float:
     """Where g(t) = log mu(t) - log_target has its root, by the asymptotes
-    of mu; 0.0 (no guess) where they are not used.
+    of mu; 0.0 (no guess) where the triple's table has none.
 
     mu = B/2 at t = 0 and mu(t) mu(-t) = (B/2)^2, so the root is -tau if
     the target exceeds B/2 and +tau if not, where mu(-tau) = (B/2) e^s,
-    s = |log_target - log(B/2)|.  For tau large, F(r^2) -> 1, so
-    F(a,b;c;1-u) = e^s with u = r^2 ~ e^-tau, and to leading order
-        c = a+b:  F(1-u) ~ (R(a,b) - log u) / B(a,b)   (A&S 15.3.10),
-        c < a+b:  F(1-u) ~ C1 + C2 u^(c-a-b)            (A&S 15.3.6).
-    The constants are those _eval_pair reads on the same route, so the
-    triple's table computes them once for the guess and the evaluations;
-    where key.route is neither the zero-balanced nor the connection route
-    (the Gamma factors have poles near an integer c-a-b), there is no
-    guess.  Every exp is clamped, so the guess never raises.
+    s = |log_target - log(B/2)|.  For tau large, F(r^2) -> 1, so tau is
+    key.near_one_tau(s, log_hb): F(a,b;c;1-u) = e^s with u = r^2 ~ e^-tau.
     """
-    a, b, c = key.abc
     x = log_target - log_hb
-    s = abs(x)
-    if key.route == "zero_balanced":
-        tau = 2.0 * math.exp(min(log_hb + s, 700.0)) - key.zero_balanced[0]
-    elif key.route == "connection":
-        c1, c2, _, _ = key.connection
-        w = c1 * math.exp(-s)
-        if not w < 1.0:
-            return 0.0
-        tau = (s + math.log1p(-w) - math.log(c2)) / -(c - a - b)
-    else:
+    tau = key.near_one_tau(abs(x), log_hb)
+    if tau is None:
         return 0.0
     return -tau if x > 0.0 else tau
+
+
+def _positive(key: _Triple, z: float, value: float) -> float:
+    """value, a kernel's F(a,b;c;z) with a, b, c > 0, if positive (F >= 1 there);
+    else a ConvergenceError: cancellation took every digit and the sign."""
+    if not value > 0.0:
+        raise ConvergenceError(f"F(a,b;c;z) lost its sign to cancellation at z={z!r} "
+                               f"with (a,b,c)={key.abc!r}")
+    return value
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -144,11 +137,11 @@ def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
         # falls back to bisection.
         z, zc = _sigmoid(t), _sigmoid(-t)
         try:
-            num = _kernel(key, zc, z)[0]
+            num = _positive(key, zc, _kernel(key, zc, z)[0])
         except SaturationError:
             return math.inf
         try:
-            den = _kernel(key, z, zc)[0]
+            den = _positive(key, z, _kernel(key, z, zc)[0])
         except SaturationError:
             return -math.inf
         return log_hb + math.log(num) - math.log(den) - log_target
@@ -230,9 +223,12 @@ def mu_m(p: ModulusParams, m: Modulus) -> EvalResult:
     hb = key.half_beta
     num = _eval_pair(key, m.z_comp, m.z)
     den = _eval_pair(key, m.z, m.z_comp)
-    value = hb * num.value / den.value
-    rel = (num.abs_err_est / abs(num.value) + den.abs_err_est / abs(den.value) + 4e-15)
-    return _finite(value, abs(value) * rel, num.method, "mu", p.a, p.b, p.c)
+    value = hb * _positive(key, m.z_comp, num.value) / _positive(key, m.z, den.value)
+    err = abs(value) * (num.abs_err_est / num.value + den.abs_err_est / den.value + 4e-15)
+    if err == 0.0:  # mu -> 0 as r -> 1, and its bound has underflowed
+        raise SaturationError(f"mu underflows at (a,b,c)=({p.a!r},{p.b!r},{p.c!r}), "
+                              f"r={m.r!r}", endpoint=0.0)
+    return _finite(value, err, num.method, "mu", p.a, p.b, p.c)
 
 
 def mu(p: ModulusParams, r: float) -> EvalResult:
@@ -310,11 +306,12 @@ def _phi_deriv(p: ModulusParams, K, r: float, mu_deriv_m) -> EvalResult:
     ds/dr = mu'(r)/(K mu'(s)), with mu' = mu_deriv_m at the exact pairs r and
     s.  1e-12 relative is charged for the solver's error in s."""
     k = _as_degree(K)
-    m = Modulus.from_r(r)
+    m = _interior(Modulus.from_r(r), "phi_deriv")
+    dr = mu_deriv_m(p, m)  # before s: where mu(r) underflows, so does mu'(r)
     s = phi_k_m(p, k, m)
     if not 0.0 < s.z < 1.0:
         raise DomainError(f"phi_K(r) saturated to {s.r!r}; derivative not representable")
-    dr, ds = mu_deriv_m(p, m), mu_deriv_m(p, s)
+    ds = mu_deriv_m(p, s)
     value = dr.value / (k * ds.value)
     rel = dr.abs_err_est / abs(dr.value) + ds.abs_err_est / abs(ds.value) + 1e-12
     return _finite(value, abs(value) * rel, dr.method, "d phi_K/dr", p.a, p.b, p.c)
@@ -339,11 +336,7 @@ def _mu_deriv_closed_m(p: ModulusParams, m: Modulus) -> EvalResult:
     key = _Triple(p.a, p.b, p.c)
     (la, _), (lb, _), (lc, _), (lab, _) = map(key.lngamma, (p.a, p.b, p.c, p.a + p.b))
     log_4d = 2.0 * (la + lb + lc) - 3.0 * lab
-    try:
-        D = math.exp(log_4d) / 4.0
-    except OverflowError:
-        raise DomainError(f"the closed form is not representable: D exceeds the float "
-                          f"range at (a,b,c)=({p.a!r},{p.b!r},{p.c!r})") from None
+    D = _exp(log_4d, 1, "mu_deriv_closed's 4D", p.a, p.b, p.c) / 4.0
     Kr = key.half_beta * _eval_pair(key, m.z, m.z_comp).value
     den = m.r ** (2.0 * p.c - 1.0) * m.z_comp ** p.c * Kr * Kr
     value = -D / den if den >= sys.float_info.min else _exp(  # den underflows: in logs

@@ -6,6 +6,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .errors import DomainError, SaturationError
+
 
 class Method(enum.Enum):
     """How a value was produced; useful when auditing accuracy claims."""
@@ -44,3 +46,15 @@ class EvalResult:
 
     def __float__(self) -> float:
         return self.value
+
+
+def _finite(value: float, err: float, method: Method, what: str, a, b, c) -> EvalResult:
+    """The result `what` at (a, b, c) of an M-family or modulus function:
+    SaturationError if its value overflowed, DomainError if its value or
+    its error bound is NaN or its bound is infinite."""
+    if math.isinf(value):
+        raise SaturationError(f"{what} exceeds the float range at (a,b,c)=({a!r},{b!r},{c!r})",
+                              endpoint=value)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise DomainError(f"{what} is not representable at (a,b,c)=({a!r},{b!r},{c!r})")
+    return EvalResult(value, err, method)

@@ -48,7 +48,7 @@ import numpy as np
 from ..elliptic import EllipticParams, Modulus, arth, ell_e, ell_e_minus_rc2k, ell_k, \
     ell_k_minus_e
 from ..hypergeom import HypParams, hyp2f1_pair
-from ..legendre_m import MPoint, m_deriv, m_scaled, m_scaled_limit, m_value
+from ..legendre_m import MPoint, _m_pair, m_deriv, m_scaled, m_scaled_limit, m_value
 from ..modulus import DegreeK, ModulusParams, modulus_params_ac, mu, mu_deriv, \
     mu_deriv_closed, mu_inv_m, mu_m, p_logit, phi_deriv_closed, phi_k, phi_k_m, \
     phi_logodds, q_modulus
@@ -202,12 +202,6 @@ def _log_r(m: Modulus) -> float:
     if m.z_comp < 0.5:
         return 0.5 * math.log1p(-m.z_comp)
     return 0.5 * math.log(m.z)
-
-
-def _m_sym(a, b, c, m: Modulus) -> EvalResult:
-    """M at the modulus squared, using M(z)=M(1-z) to stay off z=1."""
-    z = m.z if m.z <= 0.5 else m.z_comp
-    return m_value(MPoint(a, b, c, z))
 
 
 def _phi_at(expr, degree=_k, at_r=False):
@@ -848,7 +842,8 @@ def _mfunctions():
         fn=slope_margin)
 
     def f_inv(d, r):
-        mv = _m_sym(d["a"], d["b"], d["c"], Modulus.from_r(r))
+        m = Modulus.from_r(r)
+        mv = _m_pair(d["a"], d["b"], d["c"], m.z, m.z_comp)
         v = r / mv.value - d["a"] * (d["c"] - d["a"]) * r
         return v, abs(r / mv.value) * (_rel(mv) + 1e-15)
 
@@ -1373,7 +1368,7 @@ def _conjectures():
         """root(m)/M(r^2) at the modulus m = r."""
         def fn(d, r):
             m = Modulus.from_r(r)
-            mv = _m_sym(d["a"], d["b"], d["c"], m)
+            mv = _m_pair(d["a"], d["b"], d["c"], m.z, m.z_comp)
             v = root(m) / mv.value
             return v, abs(v) * (_rel(mv) + 1e-15)
         return fn
@@ -1401,7 +1396,7 @@ def _conjectures():
         """expr(pe, m, s, M(r^2), M(s^2)) with s = phi_K(r)."""
         def of_phi(pe, m, s, d):
             b = d["c"] - d["a"]
-            return expr(pe, m, s, _m_sym(d["a"], b, d["c"], m), _m_sym(d["a"], b, d["c"], s))
+            return expr(pe, m, s, *(_m_pair(d["a"], b, d["c"], x.z, x.z_comp) for x in (m, s)))
         return _phi_at(of_phi, at_r=True)
 
     def c2i(pe, m, s, mv_r, mv_s):

@@ -361,6 +361,19 @@ def test_near_balanced_takes_both_pole_steps_out_of_the_exponential():
             assert abs(r.value - want) <= r.abs_err_est <= 1e-14
 
 
+def test_integer_d_log_series_stops_in_the_units_of_f():
+    # c-a-b = -10: the log series' terms take the prefactor Gamma(c)/Gamma(a-10)
+    # Gamma(b-10) = 4.1e28 before they meet the finite part, and compared bare
+    # with it they ended the sum after three terms (-9.51e23 +- 6.7e9 at
+    # z = 0.88, -1.12e23 at 0.95).  Values from mpmath.hyp2f1 at 40 digits.
+    p = HypParams(30.0, 30.0, 50.0)
+    assert _Triple(p.a, p.b, p.c).route == "integer_d"
+    for z, want in ((0.88, 109094198138418.4356536792210432476845385),
+                    (0.95, 4617206793911511280.977019550116776516079)):
+        r = hyp2f1(p, z)
+        assert abs(r.value - want) <= r.abs_err_est <= 1e-2 * want
+
+
 # (a, b, c, z, F(a-1, b; c; z)) for b = c + 1 exactly and a tiny: the contiguous
 # triple (a-1, b, c) of M lies in the near-balanced band with c-b = -1, a pole
 # of Gamma(c-b).  Values from mpmath.hyp2f1 at 40 digits.
@@ -817,3 +830,12 @@ def test_overflow_near_one_is_a_saturation_error():
         with pytest.raises(SaturationError) as err:
             hyp2f1(p, z)
         assert err.value.endpoint == math.inf
+
+
+def test_closed_form_bound_stays_finite_below_the_top_of_the_float_range():
+    # (1-z)^-50 = 5.56e307 fits, but |F| (50 |log(1-z)| + 1) did not, and the
+    # bound came out inf before its factor 2e-16 was applied
+    r = hyp2f1(HypParams(10.0, 50.0, 10.0), 0.9999993)
+    want = (1.0 - 0.9999993) ** -50.0
+    assert r.value == want
+    assert r.abs_err_est == pytest.approx(want * 2e-16 * (50.0 * -math.log(1.0 - 0.9999993) + 1.0))

@@ -232,7 +232,8 @@ def test_calls_that_crashed_raise_package_errors():
             (lambda: g.mu_deriv(ModulusParams(1.0, 1e-300, 0.5), 0.5), DomainError),
             (lambda: g.m_value(MPoint(1.0, 1.0, 0.5, 1e-300)), SaturationError),
             (lambda: g.m_deriv(MPoint(50.0, 50.0, 1e-300, 1e-300)), SaturationError),
-            (lambda: g.mu_deriv_closed(ModulusParams(1e-300, 1.0, 1.0), 0.5), DomainError),
+            # D = (Gamma(a)Gamma(b)Gamma(c))^2/(4 Gamma(a+b)^3) exceeds the float range
+            (lambda: g.mu_deriv_closed(ModulusParams(1e-300, 1.0, 1.0), 0.5), SaturationError),
             # the triple (a-1, b, c) = (-0.5, 0.5, 1e-300) once named Gamma's pole at 0
             (lambda: g.m_value(MPoint(0.5, 0.5, 1e-300, 0.8)), SaturationError),
             # r^(2c-1) r'^(2c) K(r)^2 underflowed to 0 in the closed form
@@ -270,14 +271,35 @@ _TINY_CALLS = {
 }
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_tiny_parameters_give_a_finite_result_or_a_package_error():
-    # Parameters at the bottom of (0, 50] push M, mu and their derivatives
-    # past the float range, or cancel them to NaN; each such call must say
-    # so with a package error, not return inf or NaN or raise a bare one.
+# The top of (0, 50]: A&S 15.3.12 cancels to a value with no correct digit,
+# often of the wrong sign (F(30, 30; 50; z) for z in [0.75, 0.85]); mu
+# underflows below r = 1 on (49, 50, 50) and (49.5, 49.5, 50); and the closed
+# form (1-z)^-50 of (10, 50, 10) nears the top of the float range.  The log
+# of such a value must not escape as a bare ValueError, nor its bound be inf
+# or, for mu, 0.
+_LARGE_ROWS = ((30.0, 30.0, 50.0), (20.0, 20.0, 30.0), (49.0, 50.0, 50.0),
+               (49.5, 49.5, 50.0), (10.0, 50.0, 10.0))
+_LARGE_ARGS = (0.5, 0.9999993, 0.9999995, 0.999999)  # r or z
+_LARGE_CALLS = {
+    "mu": _TINY_CALLS["mu"],
+    "mu_inv": lambda a, b, c, x: mu_inv(ModulusParams(a, b, c), 100.0 * x),
+    "phi_k(2)": lambda a, b, c, x: phi_k(ModulusParams(a, b, c), 2.0, x),
+    "phi_k(1/2)": lambda a, b, c, x: phi_k(ModulusParams(a, b, c), 0.5, x),
+    "phi_deriv": lambda a, b, c, x: genellip.phi_deriv(ModulusParams(a, b, c), 2.0, x),
+    # a ParameterError where a+b+1 != 2c
+    "phi_deriv_closed": lambda a, b, c, x: genellip.phi_deriv_closed(
+        ModulusParams(a, b, c), 2.0, x),
+    "hyp2f1": _TINY_CALLS["hyp2f1"],
+}
+
+
+def _contract_breaches(rows, args, calls) -> list:
+    """Each call that raised a bare exception, returned an infinite or NaN
+    value or bound, or returned mu with a bound of 0 (mu is positive, and a
+    bound that underflowed to 0 bounds nothing)."""
     bad = []
-    for (a, b, c), x in itertools.product(_TINY_ROWS, _TINY_ARGS):
-        for name, call in _TINY_CALLS.items():
+    for (a, b, c), x in itertools.product(rows, args):
+        for name, call in calls.items():
             try:
                 r = call(a, b, c, x)
             except genellip.GenellipError:
@@ -285,8 +307,24 @@ def test_tiny_parameters_give_a_finite_result_or_a_package_error():
             except Exception as exc:  # a bare exception is the failure
                 bad.append((name, a, b, c, x, type(exc).__name__))
                 continue
-            if not (math.isfinite(r.value) and math.isfinite(r.abs_err_est)):
-                bad.append((name, a, b, c, x, r.value, r.abs_err_est))
+            value, err = float(r), getattr(r, "abs_err_est", 0.0)
+            if not (math.isfinite(value) and math.isfinite(err)) or (name == "mu" and err == 0.0):
+                bad.append((name, a, b, c, x, value, err))
+    return bad
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tiny_parameters_give_a_finite_result_or_a_package_error():
+    # Parameters at the bottom of (0, 50] push M, mu and their derivatives
+    # past the float range, or cancel them to NaN; each such call must say
+    # so with a package error, not return inf or NaN or raise a bare one.
+    bad = _contract_breaches(_TINY_ROWS, _TINY_ARGS, _TINY_CALLS)
+    assert not bad, bad
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_parameters_give_a_finite_result_or_a_package_error():
+    bad = _contract_breaches(_LARGE_ROWS, _LARGE_ARGS, _LARGE_CALLS)
     assert not bad, bad
 
 

@@ -48,7 +48,7 @@ def test_output_digest_reaches_the_evaluators_no_workload_calls():
     names = [name for name, _ in named]
     assert {name: names.count(name) for name in names} == dict.fromkeys(
         ("phi_deriv", "phi_deriv_closed", "m_value_elliptic", "ell_derivatives", "hyp2f1",
-         "m_value", "mu_deriv"), 8)
+         "m_value", "mu_deriv", "hyp2f1_integer_d"), 8)
     # mu_deriv near r = 1 with a+b > c, where M and F blow up
     for q, r in (args for name, (_, args) in named if name == "mu_deriv"):
         assert q.a + q.b > q.c and 1.0 - 1e-2 <= r <= 1.0 - 1e-12
@@ -58,6 +58,10 @@ def test_output_digest_reaches_the_evaluators_no_workload_calls():
     # the near-balanced kernel of each hyp2f1 triple would meet a pole of Gamma
     hyp = [args[0] for name, (_, args) in named if name == "hyp2f1"]
     assert {_Triple(p.a, p.b, p.c).route for p in hyp} == {"series"}
+    # integer c-a-b past the |c-a-b| = 1 that verify reaches, a and b up to 30
+    for p, z in (args for name, (_, args) in named if name == "hyp2f1_integer_d"):
+        assert _Triple(p.a, p.b, p.c).route == "integer_d" and max(p.a, p.b) <= 30.0
+        assert 2 <= abs(round(p.c - p.a - p.b)) <= 10 and 0.75 <= z < 1.0
     assert outs == digest._outputs([call for _, call in named])[0]
 
 
