@@ -47,12 +47,15 @@ lists of command lines instead, each line in text, CSV and JSON, and
 prints one digest per list of every stdout, stderr, exit code and
 ``--out`` file, with the verify report's ``timestamp`` and ``seconds``
 and the path of the ``--out`` file masked.  The valid lines (every
-``eval`` and ``tabulate`` selector, ``invert``, ``phi``, ``solve``,
-``list-checks``, ``verify`` on two checks, with ``--tol`` and ``--grid``,
-and ``tabulate`` and ``verify`` writing to ``--out``) must print the same
-bits on both sides of a change that keeps values; the pair lines
-(``cli-pair``: ``eval K`` and ``eval E`` at ``--z`` 1-1e-6 and 1-1e-10)
-move only where the pair (r, r') built from z moves; the error lines (inputs
+``eval`` and ``tabulate`` selector but ``tabulate phi``, ``list-checks``,
+``verify`` on two checks, with ``--tol`` and ``--grid``, and ``tabulate``
+and ``verify`` writing to ``--out``) must print the same bits on both
+sides of a change that keeps values; the pair lines (``cli-pair``:
+``eval K`` and ``eval E`` at ``--z`` 1-1e-6 and 1-1e-10) move only where
+the pair (r, r') built from z moves; the solved lines (``cli-solved``:
+``tabulate phi``, ``invert``, ``phi`` and ``solve``, two of them at a
+root near 0) move only where a solved modulus or the error put on it
+moves; the error lines (inputs
 outside a domain, an unknown check, 2F1 values past the float range near
 z = 1) may change their messages, so their digest is separate, and each
 error line is printed with its exit codes.  To compare with an older
@@ -105,10 +108,6 @@ CLI_LINES = [
     f"tabulate gamma {_GRID}",
     f"tabulate digamma {_GRID}",
     f"tabulate beta --b 0.9 {_GRID}",
-    f"tabulate phi --a 0.5 --c 1 --K 2 {_GRID}",
-    "invert --a 0.5 --c 1 --p 1.2",
-    "phi --a 0.5 --c 1 --K 2 --r 0.5",
-    "solve --a 0.25 --c 1 --p 3 --r 0.6",
     "list-checks",
     "verify mutheorem-1 ktheo-3",
     "verify hyper-1 --tol 1e-6",
@@ -119,6 +118,17 @@ CLI_LINES = [
 # K and E at z near 1, where --z keeps the complement 1-z; apart from
 # cli-valid, so that a change to that pair leaves cli-valid comparable
 PAIR_LINES = [f"eval {fn} {_ELL} --z {z!r}" for fn in ("K", "E") for z in (1 - 1e-6, 1 - 1e-10)]
+# every solved modulus, whose abs_err_est comes from mu and mu' at the
+# solver's pair; apart from cli-valid, so that a change to that rule leaves
+# cli-valid comparable
+SOLVED_LINES = [
+    f"tabulate phi --a 0.5 --c 1 --K 2 {_GRID}",
+    "invert --a 0.5 --c 1 --p 1.2",
+    "invert --a 0.5 --c 1 --p 200",
+    "phi --a 0.5 --c 1 --K 2 --r 0.5",
+    "solve --a 0.25 --c 1 --p 3 --r 0.6",
+    "solve --a 0.5 --c 1 --p 0.5 --r 1e-60",
+]
 ERROR_LINES = [
     "eval K --a 0.5 --b 0.9 --c 0.7 --r 0.5",
     "eval K --a 0.5 --b 999.6 --c 1000 --r 0.9",
@@ -321,7 +331,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.cli:
         for name, lines in (("cli-valid", CLI_LINES), ("cli-pair", PAIR_LINES),
-                            ("cli-error", ERROR_LINES)):
+                            ("cli-solved", SOLVED_LINES), ("cli-error", ERROR_LINES)):
             outs = _cli_outputs(lines)
             codes = sorted({repr(o[-1]) for o in outs})
             print(f"{name} n={len(outs)} {_digest(outs)} exit={','.join(codes)}")

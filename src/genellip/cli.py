@@ -30,8 +30,8 @@ from .elliptic import (EllipticParams, Modulus, ell_e, ell_e_comp, ell_k,
 from .errors import ConvergenceError, DomainError, GenellipError, checked
 from .hypergeom import HypParams, hyp2f1
 from .legendre_m import MPoint, m_value
-from .modulus import (DegreeK, modulus_params_ac, mu, mu_deriv, mu_inv,
-                      mu_m, phi_k_m)
+from .modulus import (DegreeK, ModulusParams, _mu_deriv_m, modulus_params_ac, mu,
+                      mu_inv_m, mu_m, phi_k_m)
 from .result import EvalResult, Method
 from .scalar_special import beta, digamma, gamma, ramanujan_r
 from .verify import GridDim, GridSpec, registry, run_check, select
@@ -122,10 +122,14 @@ def _abc(p) -> dict:
     return {"a": p.a, "b": p.b, "c": p.c}
 
 
-def _solved(s: Modulus) -> EvalResult:
-    """A modular-function solution as an EvalResult; the solver meets a
-    ~1e-13 logit residual, which maps to dr = r r'^2 * tol / 2."""
-    return EvalResult(s.r, 0.5 * s.r * s.z_comp * 1e-12 + 4e-16 * s.r, Method.SOLVER)
+def _solved(p: ModulusParams, s: Modulus, y: float, y_err: float) -> EvalResult:
+    """s, the solver's root of mu(s) = y for a y within y_err, with the error of r:
+    (|mu(s) - y| + err mu(s) + y_err) / (|mu'(s)| - err mu'(s)) + 2^-52 r, mu and
+    mu' read at the pair s (inf where err mu'(s) reaches |mu'(s)|)."""
+    mu_s, d = mu_m(p, s), _mu_deriv_m(p, s)
+    slope = abs(d.value) - d.abs_err_est
+    err = (abs(mu_s.value - y) + mu_s.abs_err_est + y_err) / slope if slope > 0.0 else math.inf
+    return EvalResult(s.r, err + 2.0 ** -52 * s.r, Method.SOLVER)
 
 
 def _ell(op):
@@ -146,9 +150,9 @@ def _mu(args, _, r):
 
 
 def _phi(args, _, r):
-    p = modulus_params_ac(args.a, args.c)
-    res = _solved(phi_k_m(p, DegreeK(args.K), Modulus.from_r(r)))
-    return res, {**_abc(p), "K": args.K}
+    p, m, k = modulus_params_ac(args.a, args.c), Modulus.from_r(r), DegreeK(args.K)
+    s, mu_r = phi_k_m(p, k, m), mu_m(p, m)
+    return _solved(p, s, mu_r.value / k.K, mu_r.abs_err_est / k.K), {**_abc(p), "K": args.K}
 
 
 # selector: (the flags it needs, the flags that may carry its point, of which
@@ -241,11 +245,10 @@ def _cmd_tabulate(args) -> int:
 def _cmd_invert(args) -> int:
     _need(args, "invert", "a", "c", "p")
     p = modulus_params_ac(args.a, args.c)
-    r = mu_inv(p, args.p)
-    residual = abs(mu(p, r).value - args.p) if 0.0 < r < 1.0 else 0.0
-    slope = abs(mu_deriv(p, r).value) if 0.0 < r < 1.0 else math.inf
-    res = EvalResult(r, residual / slope + 1e-16, Method.SOLVER)
-    return _emit_point(args, "mu_inv", _abc(p), "mu", args.p, res, {"mu_residual": residual})
+    s = mu_inv_m(p, args.p)
+    residual = abs(mu_m(p, s).value - args.p)
+    return _emit_point(args, "mu_inv", _abc(p), "mu", args.p, _solved(p, s, args.p, 0.0),
+                       {"mu_residual": residual})
 
 
 def _cmd_solve(args) -> int:
@@ -256,11 +259,12 @@ def _cmd_solve(args) -> int:
     s = phi_k_m(pm, DegreeK(1.0 / checked("p", args.p, "(0, inf)")), m)
     mu_r = mu_m(pm, m)
     mu_s = mu_m(pm, s)
-    residual = abs(mu_s.value - args.p * mu_r.value)
-    extra = {"mu_r": mu_r.value, "mu_s": mu_s.value, "residual": residual,
+    y = args.p * mu_r.value
+    extra = {"mu_r": mu_r.value, "mu_s": mu_s.value, "residual": abs(mu_s.value - y),
              "s_comp": s.r_comp}
     params = {**_abc(pm), "degree": args.p}
-    return _emit_point(args, "solve", params, "r", args.r, _solved(s), extra)
+    res = _solved(pm, s, y, args.p * mu_r.abs_err_est)
+    return _emit_point(args, "solve", params, "r", args.r, res, extra)
 
 
 def _cmd_verify(args) -> int:

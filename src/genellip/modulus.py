@@ -265,7 +265,11 @@ def phi_k_m(p: ModulusParams, K, m: Modulus) -> Modulus:
             endpoint=1.0 if k > 1.0 else 0.0)
     if k == 1.0:
         return _interior(m, "phi_K")
-    log_target = math.log(mu_m(p, m).value) - math.log(k)
+    try:
+        mu_r = mu_m(p, m)
+    except SaturationError as exc:  # phi_K(r) tends to 1 as r -> 1 and to 0 as r -> 0
+        raise SaturationError(str(exc), endpoint=1.0 if m.z > m.z_comp else 0.0) from None
+    log_target = math.log(mu_r.value) - math.log(k)
     return _modulus_from_t(_solve_log_mu(p.a, p.b, p.c, log_target))
 
 

@@ -10,9 +10,11 @@ Run ``python3 tests/oracles.py`` to print the table of frozen constants
 used by the test modules; the tests compare against pasted decimal
 literals so none of these oracles executes during a normal pytest run.
 
-``DECLARATIONS`` is the one table read at test time: a digest of each
+Two tables are read at test time: ``DECLARATIONS``, a digest of each
 verify check's declaration, which ``declaration_digests`` computes and
-``PYTHONPATH=src python3 tests/oracles.py --declarations`` prints.
+``PYTHONPATH=src python3 tests/oracles.py --declarations`` prints; and
+``MODULAR_EQUATIONS``, three exact modular equations whose closed forms
+take a few double-precision operations per point.
 """
 
 from __future__ import annotations
@@ -205,6 +207,41 @@ def mu_inverse_general(a, c, y) -> mp.mpf:
     # mu decreases in r, so invert -mu as an increasing map
     return bisect_increasing(lambda r: -mu_general(a, c, r), -mp.mpf(y),
                              mp.mpf("1e-8"), 1 - mp.mpf("1e-8"))
+
+
+# --------------------------------------------------------------------------
+# exact modular equations: s = phi_K(r) in closed form, in double precision
+#
+# Each returns the pair (s, s') with mu(s) = mu(r)/K from the pair (r, r'),
+# and forms every complement from r', never from 1 - r, which near r = 1
+# has lost the digits of r'.  Landen (DLMF 19.8(ii)), Borwein's cubic and
+# the signature-4 quadratic (Berndt, Bhargava & Garvan, Trans. AMS 347,
+# 1995) in the setting of Anderson, Qiu, Vamanamurthy & Vuorinen (Pacific
+# J. Math. 192, 2000).
+
+def landen(r: float, r_comp: float) -> tuple[float, float]:
+    """(a, b, c) = (1/2, 1/2, 1), K = 2: s = 2 sqrt(r)/(1+r), s' = (1-r)/(1+r)."""
+    return 2.0 * math.sqrt(r) / (1.0 + r), r_comp * r_comp / (1.0 + r) ** 2
+
+
+def borwein_cubic(r: float, r_comp: float) -> tuple[float, float]:
+    """(1/3, 2/3, 1), K = 3: with x = r^(2/3), s^2 = 9x(1+x+x^2)/(1+2x)^3 and
+    s'^2 = ((1-x)/(1+2x))^3, where 1-x = r'^2/(1+x+x^2)."""
+    x = r ** (2.0 / 3.0)
+    q = 1.0 + x + x * x
+    return (math.sqrt(9.0 * x * q / (1.0 + 2.0 * x) ** 3),
+            (r_comp * r_comp / q / (1.0 + 2.0 * x)) ** 1.5)
+
+
+def signature_four(r: float, r_comp: float) -> tuple[float, float]:
+    """(1/4, 3/4, 1), K = 2: s = sqrt(8r(1+r))/(1+3r), s' = (1-r)/(1+3r)."""
+    return (math.sqrt(8.0 * r * (1.0 + r)) / (1.0 + 3.0 * r),
+            r_comp * r_comp / ((1.0 + r) * (1.0 + 3.0 * r)))
+
+
+# ((a, c), K, the closed form) of each exact modular equation
+MODULAR_EQUATIONS = (((0.5, 1.0), 2.0, landen), ((1.0 / 3.0, 1.0), 3.0, borwein_cubic),
+                     ((0.25, 1.0), 2.0, signature_four))
 
 
 # --------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 import genellip.cli as cli
 from genellip.errors import GenellipError
 from genellip.verify import CheckSpec, GridDim, GridSpec, registry
+from oracles import MODULAR_EQUATIONS
 
 
 def run_cli(capsys, *argv):
@@ -172,6 +173,7 @@ def test_eval_missing_flag_exit_2(capsys):
 def test_eval_convergence_exit_3(capsys, monkeypatch):
     from genellip import modulus
     monkeypatch.setattr(modulus, "_MAX_EVALS", 3)
+    modulus._solve_log_mu.cache_clear()  # a solve cached by an earlier test would not run
     code, _, err = run_cli(capsys, "invert", "--a", "0.5", "--c", "1",
                            "--p", "1.2")
     assert code == 3
@@ -278,6 +280,35 @@ def test_solve_reports_residual(capsys):
         0.005052235666512477599151527, rel=1e-9)
     res = [l for l in out.splitlines() if l.startswith("residual = ")]
     assert res and abs(float(res[0].split("=")[1])) < 1e-10
+
+
+def _json_out(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([*argv, "--format", "json"]) == 0, argv
+    return json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("ac, K, closed_form", MODULAR_EQUATIONS,
+                         ids=lambda v: getattr(v, "__name__", None))
+def test_solved_modulus_lies_within_its_estimate(ac, K, closed_form):
+    # phi and solve --p 1/K against an exact modular equation at 20 points,
+    # t = log(r^2/r'^2) from -300 to 29.5; the closed form reads the r' that
+    # the CLI builds from --r, and 8 ulps of s allow for its own rounding
+    a, c = map(repr, ac)
+    for i in range(20):
+        r = 1.0 / math.sqrt(1.0 + math.exp(300.0 - 329.5 * i / 19))
+        s = closed_form(r, math.sqrt((1.0 - r) * (1.0 + r)))[0]
+        for argv in (["phi", "--K", repr(K)], ["solve", "--p", repr(1.0 / K)]):
+            out = _json_out(*argv, "--a", a, "--c", c, "--r", repr(r))
+            assert abs(out["value"] - s) <= out["abs_err_est"] + 8.0 * math.ulp(s), (argv, r)
+
+
+def test_invert_bounds_a_small_root():
+    # mu(r) = log(4/r) + O(r^2 log r) for (1/2, 1/2, 1), so mu(r) = 200 at r = 4 e^-200
+    out = _json_out("invert", "--a", "0.5", "--c", "1", "--p", "200")
+    r = 4.0 * math.exp(-200.0)
+    assert abs(out["value"] - r) <= out["abs_err_est"] <= 1e-10 * r
 
 
 # --------------------------------------------------------------------------

@@ -120,6 +120,19 @@ def test_phi_identity_degree():
         assert exc.value.endpoint == endpoint
 
 
+@pytest.mark.parametrize("K", [2.0, 0.5])
+@pytest.mark.parametrize("abc, r, endpoint", [
+    ((49.0, 50.0, 50.0), 0.9999995, 1.0),  # mu underflows to 0
+    ((30.0, 30.0, 10.0), 0.9999999, 1.0),  # F(r^2) overflows, so mu -> 0
+    ((30.0, 30.0, 10.0), 1e-10, 0.0),  # F(r'^2) overflows, so mu -> inf
+])
+def test_phi_saturates_where_mu_does_to_its_own_end(abc, r, endpoint, K):
+    # phi_K tends to 1 as r -> 1 and to 0 as r -> 0, whatever the degree
+    with pytest.raises(SaturationError) as exc:
+        phi_k(ModulusParams(*abc), K, r)
+    assert exc.value.endpoint == endpoint
+
+
 def test_phi_inverse_pair():
     # scalar round trip where s stays well away from 1...
     p = modulus_params_ac(0.4, 0.9)

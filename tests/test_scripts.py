@@ -77,6 +77,23 @@ def test_output_digest_keeps_the_pair_lines_apart_from_the_valid_lines():
         assert (code, err) == (0, "") and out, (line, fmt)
 
 
+def test_output_digest_keeps_the_solved_lines_apart_from_the_valid_lines():
+    # tabulate phi, invert, phi and solve get their own cli-solved digest, so
+    # that cli-valid stays comparable across a change to a solved modulus or
+    # to the error put on it
+    digest = _load("output_digest")
+    def solved(line):
+        return line.split()[0] in ("invert", "phi", "solve") or line.startswith("tabulate phi ")
+    assert not [line for line in digest.CLI_LINES if solved(line)]
+    assert all(map(solved, digest.SOLVED_LINES))
+    assert {line.split()[0] for line in digest.SOLVED_LINES} == {"tabulate", "invert", "phi",
+                                                                 "solve"}
+    outs = digest._cli_outputs(digest.SOLVED_LINES)
+    assert len(outs) == 3 * len(digest.SOLVED_LINES)
+    for line, fmt, out, err, _, code in outs:
+        assert (code, err) == (0, "") and out, (line, fmt)
+
+
 def _summary(parent, change, better="lower", bound=0.25):
     """ab_bench.summarize of synthetic pairs of one metric "m": its line as
     (wins, ties, gain, worse), and the two failed/attempted lines."""
