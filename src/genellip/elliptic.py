@@ -20,7 +20,7 @@ to noise, and they go through the same 2F1 regimes as K and E near r=1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, ParameterError, checked
 from .hypergeom import HypParams, _eval_pair, _Triple
@@ -40,7 +40,7 @@ class EllipticParams(HypParams):
 
 @dataclass(frozen=True, init=False)
 class Modulus:
-    """A modulus r in [0,1] carried together with r' = sqrt(1-r^2).
+    """A modulus r in [0,1] carried with r' = sqrt(1-r^2) and the squares z and z_comp.
 
     Keeping the complement explicit preserves relative accuracy of 1-r^2
     as r -> 1; build from whichever side is known accurately.
@@ -48,20 +48,22 @@ class Modulus:
 
     r: float
     r_comp: float
+    z: float = field(init=False, repr=False, compare=False)
+    z_comp: float = field(init=False, repr=False, compare=False)
 
     def __init__(self, r: float, r_comp: float):
         r = checked("r", r, "[0, 1]")
         r_comp = checked("r_comp", r_comp, "[0, 1]")
-        if abs(r * r + r_comp * r_comp - 1.0) > 1e-15:
+        self.__dict__.update(r=r, r_comp=r_comp, z=r * r, z_comp=r_comp * r_comp)
+        if abs(self.z + self.z_comp - 1.0) > 1e-15:
             raise DomainError(f"r^2 + r_comp^2 = 1 violated: r={r!r}, r_comp={r_comp!r}")
-        self.__dict__.update(r=r, r_comp=r_comp)
 
     @classmethod
     def _pair(cls, r: float, r_comp: float) -> "Modulus":
         """The modulus (r, r_comp) of two floats in [0, 1] that already
         meet r^2 + r_comp^2 = 1 to rounding, without checking them again."""
         m = object.__new__(cls)
-        m.__dict__.update(r=r, r_comp=r_comp)
+        m.__dict__.update(r=r, r_comp=r_comp, z=r * r, z_comp=r_comp * r_comp)
         return m
 
     @classmethod
@@ -75,12 +77,14 @@ class Modulus:
         return cls._pair(math.sqrt((1.0 - r_comp) * (1.0 + r_comp)), r_comp)
 
     @property
-    def z(self) -> float:
-        return self.r * self.r
+    def log_z(self) -> float:
+        """log r^2, as log1p(-r'^2) where r'^2 < 1/2: it keeps its digits as r -> 1."""
+        return math.log1p(-self.z_comp) if self.z_comp < 0.5 else math.log(self.z)
 
     @property
-    def z_comp(self) -> float:
-        return self.r_comp * self.r_comp
+    def log_z_comp(self) -> float:
+        """log r'^2 by the rule of log_z, from the other side."""
+        return math.log1p(-self.z) if self.z < 0.5 else math.log(self.z_comp)
 
     @property
     def complement(self) -> "Modulus":
@@ -187,12 +191,11 @@ def ell_derivatives(p: EllipticParams, m: Modulus) -> EllDerivatives:
     The K-E form is the difference of the first two; for (1/2,1/2,1) it
     reduces to the classical r E/r'^2.
     """
-    r, rc2 = checked("r", m.r, "(0, 1)"), m.z_comp
+    r, z, rc2 = checked("r", m.r, "(0, 1)"), m.z, m.z_comp
     a, b, c = p.a, p.b, p.c
     K = ell_k(p, m).value
     E = ell_e(p, m).value
     KmE = ell_k_minus_e(p, m).value
-    z = m.z
     dK = (2.0 / (r * rc2)) * ((c - a) * E + (b * z + a - c) * K)
     dE = (2.0 * (a - 1.0) / r) * KmE
     dKmE = (2.0 / (r * rc2)) * (((c - a) - (1.0 - a) * rc2) * E

@@ -45,9 +45,10 @@ Gamma that (a, b, c) does not have, 'terminating' in the near-balanced band
 where c-a or c-b is exactly -n (u^(c-a-b) times a polynomial), and otherwise
 'zero_balanced', 'near_balanced', 'integer_d' or 'connection' by c-a-b, so
 _kernel dispatches on it and near_one_tau reads it to know which
-asymptote of F applies.  The route is set when the triple is made, since
-every evaluation reads it; every other entry is computed on first use, and
-the zero-balanced steps as the evaluations reach them.  The entries are
+asymptote of F applies.  The route and c-a-b, which the route reads, are
+set when the triple is made, since every evaluation reads them; every other
+entry is computed on first use, and the zero-balanced steps as the
+evaluations reach them.  The entries are
 filled without a lock, by the _entry descriptor: two threads that race on a
 first read compute the same values from the same (a, b, c), and whichever
 stores last, each reader gets equal numbers.  The one half_beta of the
@@ -249,15 +250,15 @@ def _direct_series(a: float, b: float, c: float, z: float,
         terms *= term  # exact where term is 1.0
 
 
-def _route(a: float, b: float, c: float) -> str:
+def _route(key: _Triple) -> str:
     """The route: which kernel evaluates F at z >= Z_SWITCH (see the module docstring)."""
+    (a, b, c), d = key.abc, key.d
     if a == c or b == c:
         return "closed"
     if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
         return "series"
     # The Maclaurin series also takes the rare triples where the kernel of
     # their band meets a pole of Gamma that (a, b, c) does not have.
-    d = c - a - b
     if abs(d) <= _ZERO_BALANCED_TOL:
         # the expansion's Gamma(a+b)
         return "series" if _is_nonpositive_integer(a + b) else "zero_balanced"
@@ -320,9 +321,9 @@ class _entry:
 class _Triple:
     """The parameters (a, b, c) as the key of _eval_pair, interned: while a
     triple lives, _LIVE finds it and _Triple(a, b, c) returns it.  Its
-    attribute dict is the coefficient table of (a, b, c): abc, the route and
-    an empty ln Gamma memo are set when it is made, each entry below on
-    first use.
+    attribute dict is the coefficient table of (a, b, c): abc, d = c-a-b,
+    the route and an empty ln Gamma memo are set when it is made, each entry
+    below on first use.
     """
 
     def __new__(cls, a: float, b: float, c: float):
@@ -332,7 +333,8 @@ class _Triple:
         if self is None:
             self = object.__new__(cls)
             self.abc = abc
-            self.route = _route(a, b, c)
+            self.d = c - a - b
+            self.route = _route(self)
             self.lngammas = {}
             ref = _LIVE[abc] = _Ref(self, _forget)
             ref.abc = abc
@@ -362,8 +364,7 @@ class _Triple:
     def connection(self) -> tuple[float, float, tuple, tuple]:
         """The coefficients of the two series of A&S 15.3.6, d = c-a-b, and
         the series head (_first_ratios) of each series."""
-        a, b, c = self.abc
-        d = c - a - b
+        (a, b, c), d = self.abc, self.d
         return (_gamma_ratio(self, (c, d), (c - a, c - b)), _gamma_ratio(self, (c, -d), (a, b)),
                 _first_ratios(a, b, 1.0 - d), _first_ratios(c - a, c - b, 1.0 + d))
 
@@ -374,7 +375,7 @@ class _Triple:
         of its log series and (fa, fb) of its finite part, and the four psi
         values of the log series."""
         a, b, c = self.abc
-        m = round(c - a - b)
+        m = round(self.d)
         k = abs(m)
         sa, sb, fa, fb = (a + k, b + k, a, b) if m > 0 else (a, b, a - k, b - k)
         return (_gamma_ratio(self, (c,), (fa, fb)), _gamma_ratio(self, (float(k), c), (sa, sb)),
@@ -437,10 +438,9 @@ class _Triple:
             return 2.0 * math.exp(min(log_hb + s, 700.0)) - self.zero_balanced[0]
         if self.route != "connection":
             return None
-        a, b, c = self.abc
         c1, c2, _, _ = self.connection
         w = c1 * math.exp(-s)
-        return (s + math.log1p(-w) - math.log(c2)) / -(c - a - b) if w < 1.0 else None
+        return (s + math.log1p(-w) - math.log(c2)) / -self.d if w < 1.0 else None
 
 
 class HypParams(_Params):
@@ -603,9 +603,9 @@ def _integer_d(key: _Triple, u: float, m: int) -> tuple[float, float]:
     return value, err
 
 
-def _connection(key: _Triple, u: float, d: float) -> tuple[float, float]:
+def _connection(key: _Triple, u: float) -> tuple[float, float]:
     """A&S 15.3.6: two series in u = 1-z, valid for non-integer d = c-a-b."""
-    a, b, c = key.abc
+    (a, b, c), d = key.abc, key.d
     c1, c2, h1, h2 = key.connection
     t1 = e1 = 0.0
     if c1 != 0.0:
@@ -653,9 +653,8 @@ def _kernel(key: _Triple, z: float, zc: float) -> tuple[float, float, Method]:
     if z < Z_SWITCH or route == "series":
         value, err, _ = _direct_series(a, b, c, z, key.series_head)
         return value, err, Method.SERIES
-    d = c - a - b
     if route == "connection":
-        value, err = _connection(key, zc, d)
+        value, err = _connection(key, zc)
     elif route == "near_balanced":
         value, err = _near_zero_balanced(key, zc)
     elif route == "terminating":
@@ -663,9 +662,9 @@ def _kernel(key: _Triple, z: float, zc: float) -> tuple[float, float, Method]:
     else:
         # integer_d or zero_balanced: the expansion at the integer m nearest
         # c-a-b, charged |c-a-b - m| (at most 1e-8, or 1e-12 for m = 0)
-        m = round(d)
+        m = round(key.d)
         value, err = _integer_d(key, zc, m) if m else _zero_balanced(key, zc)
-        err += abs(d - m) * (abs(math.log(zc)) + 5.0) * abs(value)
+        err += abs(key.d - m) * (abs(math.log(zc)) + 5.0) * abs(value)
     return value, err, Method.TRANSFORM_NEAR_ONE
 
 

@@ -222,7 +222,10 @@ def mu_m(p: ModulusParams, m: Modulus) -> EvalResult:
     key = _Triple(p.a, p.b, p.c)
     hb = key.half_beta
     num = _eval_pair(key, m.z_comp, m.z)
-    den = _eval_pair(key, m.z, m.z_comp)
+    try:
+        den = _eval_pair(key, m.z, m.z_comp)
+    except SaturationError as exc:  # F(r^2) overflows as r -> 1, where mu -> 0
+        raise SaturationError(str(exc), endpoint=0.0) from None
     value = hb * _positive(key, m.z_comp, num.value) / _positive(key, m.z, den.value)
     err = abs(value) * (num.abs_err_est / num.value + den.abs_err_est / den.value + 4e-15)
     if err == 0.0:  # mu -> 0 as r -> 1, and its bound has underflowed
@@ -278,11 +281,19 @@ def phi_k(p: ModulusParams, K, r: float) -> float:
     return phi_k_m(p, K, Modulus.from_r(r)).r
 
 
+def _f_r2(key: _Triple, m: Modulus, what: str) -> EvalResult:
+    """F(r^2) for mu' at the pair m; past the float range a DomainError (F's end is not mu''s)."""
+    try:
+        return _eval_pair(key, m.z, m.z_comp)
+    except SaturationError as exc:
+        raise DomainError(f"{what} is not representable: {exc}") from None
+
+
 def _mu_deriv_m(p: ModulusParams, m: Modulus) -> EvalResult:
     """d mu/dr at an exact interior pair m, M read at that pair; its error is relative,
     so an M that cancels to 0 or a value below the normal floats is a DomainError."""
     key = _Triple(p.a, p.b, p.c)
-    v = _eval_pair(key, m.z, m.z_comp)
+    v = _f_r2(key, m, "mu_deriv")
     M = _m_pair(p.a, p.b, p.c, m.z, m.z_comp)
     if M.value == 0.0:
         raise DomainError(f"mu_deriv is not representable: M cancels to 0 at "
@@ -312,7 +323,10 @@ def _phi_deriv(p: ModulusParams, K, r: float, mu_deriv_m) -> EvalResult:
     k = _as_degree(K)
     m = _interior(Modulus.from_r(r), "phi_deriv")
     dr = mu_deriv_m(p, m)  # before s: where mu(r) underflows, so does mu'(r)
-    s = phi_k_m(p, k, m)
+    try:
+        s = phi_k_m(p, k, m)
+    except SaturationError as exc:  # phi_K's end, not phi_K''s
+        raise DomainError(f"phi_deriv is not representable: {exc}") from None
     if not 0.0 < s.z < 1.0:
         raise DomainError(f"phi_K(r) saturated to {s.r!r}; derivative not representable")
     ds = mu_deriv_m(p, s)
@@ -341,7 +355,7 @@ def _mu_deriv_closed_m(p: ModulusParams, m: Modulus) -> EvalResult:
     (la, _), (lb, _), (lc, _), (lab, _) = map(key.lngamma, (p.a, p.b, p.c, p.a + p.b))
     log_4d = 2.0 * (la + lb + lc) - 3.0 * lab
     D = _exp(log_4d, 1, "mu_deriv_closed's 4D", p.a, p.b, p.c) / 4.0
-    Kr = key.half_beta * _eval_pair(key, m.z, m.z_comp).value
+    Kr = key.half_beta * _f_r2(key, m, "mu_deriv_closed").value
     den = m.r ** (2.0 * p.c - 1.0) * m.z_comp ** p.c * Kr * Kr
     value = -D / den if den >= sys.float_info.min else _exp(  # den underflows: in logs
         log_4d - math.log(4.0 * Kr * Kr) - (2.0 * p.c - 1.0) * math.log(m.r)
@@ -373,10 +387,7 @@ def q_modulus(x: float) -> Modulus:
 
 def p_logit(m: Modulus) -> float:
     """p(r) = 2 log(r/r') = log(r^2) - log(r'^2), exact on extreme pairs."""
-    _interior(m, "p")
-    if m.z_comp < 0.5:
-        return math.log1p(-m.z_comp) - math.log(m.z_comp)
-    return math.log(m.z) - math.log1p(-m.z)
+    return _interior(m, "p").log_z - m.log_z_comp
 
 
 def phi_logodds(p: ModulusParams, K, x: float) -> float:

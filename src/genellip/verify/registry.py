@@ -197,13 +197,6 @@ def _inv_k(d):
     return DegreeK(1.0 / d["K"])
 
 
-def _log_r(m: Modulus) -> float:
-    """log r from the exact (z, z') pair; stable at both endpoints."""
-    if m.z_comp < 0.5:
-        return 0.5 * math.log1p(-m.z_comp)
-    return 0.5 * math.log(m.z)
-
-
 def _phi_at(expr, degree=_k, at_r=False):
     """The evaluator fn(d, x) = expr(pe, m, s, d) over the combo's reduced
     triple (a, c-a, c): m is the modulus at the log-odds point x (at r = x
@@ -332,7 +325,7 @@ def _ekmonot():
               "is strictly decreasing on (0,1) onto (1, B(a,b)). Both "
               "endpoints approach at 1/log rates; attainment relaxed to 0.1 "
               "with gap decay.",
-        fn=_k_ratio(lambda m: m.z, lambda m: -_log_r(m.complement)),
+        fn=_k_ratio(lambda m: m.z, lambda m: -0.5 * m.log_z_comp),
         lo_limit=lambda d: 2.0 * _half_b(d), hi_limit=lambda d: 1.0,
         lo_probe=lambda d: 1e-4, hi_probe=lambda d: 1.0 - 1e-13,
         lo_attain=0.1, hi_attain=0.1)
@@ -496,7 +489,7 @@ def _mutheorem():
     def mu_plus_logr(d, r):
         m = Modulus.from_r(r)
         v = mu_m(_mp(d), m)
-        return v.value + _log_r(m), v.abs_err_est + 1e-15
+        return v.value + 0.5 * m.log_z, v.abs_err_est + 1e-15
 
     yield _REDUCED(
         id="mutheorem-1", direction=-1,
@@ -518,13 +511,6 @@ def _mutheorem():
             return w * v.value, abs(w) * v.abs_err_est + rel * abs(w * v.value)
         return fn
 
-    def loglog(m):
-        # each log factor from the exact complement, else log(z_comp)
-        # underflows to 0 at the r -> 0 probe and the weight is garbage
-        lz = math.log(m.z) if m.z <= 0.5 else math.log1p(-m.z_comp)
-        lzc = math.log(m.z_comp) if m.z_comp <= 0.5 else math.log1p(-m.z)
-        return (m.z_comp * lzc) / (m.z * lz)
-
     # (B(a,c-a)/2)^2, the upper limit of mutheorem-3, -5 and -6 (mutheorem-2: twice it)
     quarter_b2 = lambda d: _mp(d).half_beta ** 2
 
@@ -533,7 +519,7 @@ def _mutheorem():
         claim="For 0<a<c<=1: (r'^2 log r')/(r^2 log r) * mu(r) is strictly "
               "increasing on (0,1) onto (1/2, B(a,c-a)^2/2). Both endpoints "
               "are 1/log-slow; attainment 0.15 with decay factor 0.75.",
-        fn=mu_times(loglog, 1e-14),
+        fn=mu_times(lambda m: (m.z_comp * m.log_z_comp) / (m.z * m.log_z), 1e-14),
         lo_limit=lambda d: 0.5, hi_limit=lambda d: 2.0 * quarter_b2(d),
         lo_probe=lambda d: 1e-13, hi_probe=lambda d: 1.0 - 1e-13,
         lo_attain=0.15, hi_attain=0.15, decay_factor=0.75)
@@ -554,7 +540,7 @@ def _mutheorem():
         claim="For 0<a<c<=1: r' mu(r)/log(1/r) is strictly increasing on "
               "(0,1) onto (1, infinity); the same holds without the r' "
               "factor. 1/log lower endpoint, attainment 0.15 with decay 0.75.",
-        fn=mu_times(lambda m: m.r_comp / -_log_r(m), 1e-13),
+        fn=mu_times(lambda m: m.r_comp / (-0.5 * m.log_z), 1e-13),
         lo_limit=lambda d: 1.0, hi_limit=lambda d: INF,
         lo_probe=lambda d: 1e-13, hi_probe=lambda d: 1.0 - 1e-9,
         lo_attain=0.15, decay_factor=0.75)
@@ -1023,8 +1009,8 @@ def _phiperr():
             m = q_modulus(x)
             k = d["K"]
             s = phi_k_m(_mp(d), _inv_k(d) if inverse else k, m)
-            log_r = _log_r(m)
-            v = math.exp(_log_r(s) - (k * log_r if inverse else log_r / k))
+            log_r = 0.5 * m.log_z
+            v = math.exp(0.5 * s.log_z - (k * log_r if inverse else log_r / k))
             return v, abs(v) * 1e-10
         return fn
 
@@ -1059,7 +1045,7 @@ def _funcineq():
     on_pairs = functools.partial(on_ac_k, kind="inequality", arg_grid=I80)
 
     def log_phi(d, m):
-        return _log_r(phi_k_m(_mp(d), d["K"], m))
+        return 0.5 * phi_k_m(_mp(d), d["K"], m).log_z
 
     # log phi_K spans ~50 orders of magnitude over these grids (it collapses
     # toward 0 like r'^(2K) as r -> 1), so error estimates must be relative:
@@ -1377,7 +1363,7 @@ def _conjectures():
         id="conj-1a", direction=1,
         claim="Conjecture: for 0<a<c<1, b=c-a, sqrt(r)/M(r^2) is strictly "
               "increasing on (0,1) onto (0, B(a,b)).",
-        fn=over_m(lambda m: math.exp(0.5 * _log_r(m))),
+        fn=over_m(lambda m: math.exp(0.25 * m.log_z)),
         lo_limit=lambda d: 0.0, hi_limit=lambda d: 2.0 * _mp(d).half_beta,
         hi_attain=5e-3)
 

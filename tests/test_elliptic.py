@@ -22,8 +22,11 @@ from genellip import (
     ell_k,
     ell_k_comp,
     ell_k_minus_e,
+    p_logit,
 )
+from genellip.elliptic import _interior
 from genellip.errors import DomainError, ParameterError
+from genellip.verify.registry import R33
 
 CLASSICAL = EllipticParams(0.5, 0.5, 1.0)
 INV_SQRT2 = math.sqrt(0.5)
@@ -76,6 +79,43 @@ def test_modulus_deep_complement_is_exact():
     m = Modulus.from_r_comp(1e-50)
     assert m.z_comp == 1e-100
     assert m.r == 1.0  # r rounds to 1 but the pair stays usable
+
+
+def _outcome(f, m):
+    try:
+        return f(m)
+    except Exception as exc:  # both sides must fail alike
+        return type(exc)
+
+
+# the exact-pair log rules that p_logit, the registry's log r and mutheorem-2's
+# weight each wrote for themselves before Modulus owned log_z and log_z_comp
+_OLD_LOG_RULES = (
+    (p_logit, lambda m: (
+        math.log1p(-m.z_comp) - math.log(m.z_comp) if _interior(m, "p").z_comp < 0.5
+        else math.log(m.z) - math.log1p(-m.z))),
+    (lambda m: 0.5 * m.log_z, lambda m: (
+        0.5 * math.log1p(-m.z_comp) if m.z_comp < 0.5 else 0.5 * math.log(m.z))),
+    (lambda m: m.log_z, lambda m: math.log(m.z) if m.z <= 0.5 else math.log1p(-m.z_comp)),
+    (lambda m: m.log_z_comp, lambda m: (
+        math.log(m.z_comp) if m.z_comp <= 0.5 else math.log1p(-m.z))),
+)
+
+
+def test_modulus_holds_its_squares_and_one_log_rule():
+    ms = [Modulus.from_r(r) for r in (1e-300, 0.5, 1.0 - 2.0 ** -53, *R33.dims[0].points())]
+    ms += [Modulus.from_r_comp(1e-8), Modulus(0.6, 0.8), Modulus._pair(0.28, 0.96)]
+    ms += [m.complement for m in ms]
+    for m in ms:
+        # stored when the pair is built, from each side alone
+        assert vars(m)["z"] == m.r * m.r and vars(m)["z_comp"] == m.r_comp * m.r_comp
+        assert repr(m) == f"Modulus(r={m.r!r}, r_comp={m.r_comp!r})"
+        for new, old in _OLD_LOG_RULES:
+            assert _outcome(new, m) == _outcome(old, m), m
+    # r^2 rounds to 1 - 2^-52 here, whose log is -2.2e-16; log1p of the
+    # complement keeps log r^2 = log(1 - 1e-16)
+    m = Modulus.from_r_comp(1e-8)
+    assert m.log_z == pytest.approx(-1e-16, rel=1e-15) and math.log(m.z) < -2e-16
 
 
 def test_arth():

@@ -133,6 +133,39 @@ def test_phi_saturates_where_mu_does_to_its_own_end(abc, r, endpoint, K):
     assert exc.value.endpoint == endpoint
 
 
+# On (30, 30, 10), mu ~ C r'^40 underflows by r = 0.999999 and F(r^2) ~ u^-50
+# overflows by r = 0.9999999.  Those are the ends of mu and of F, not of mu' or
+# phi_K' (phi_K' tends to K^(-1/(a+b-c)) = 0.98623 as r -> 1), so neither
+# derivative names one: each raises a DomainError without an endpoint.
+_PAST_THE_RANGE = ModulusParams(30.0, 30.0, 10.0)
+
+
+def test_derivatives_keep_their_values_short_of_the_float_range():
+    assert phi_deriv(_PAST_THE_RANGE, 2.0, 0.999995).value == 0.986233169704612
+    assert mu_deriv(_PAST_THE_RANGE, 0.999995).value == -9.99109872187782e-269
+
+
+@pytest.mark.parametrize("call, p, r", [
+    (lambda p, r: phi_deriv(p, 2.0, r), _PAST_THE_RANGE, 0.999999),  # mu(r) underflows
+    (lambda p, r: phi_deriv(p, 2.0, r), _PAST_THE_RANGE, 0.9999999),  # F(r^2) overflows
+    (mu_deriv, _PAST_THE_RANGE, 0.9999999),
+    # the closed forms, on a triple with a+b+1 = 2c
+    (lambda p, r: phi_deriv_closed(p, 2.0, r), ModulusParams(49.5, 49.5, 50.0), 0.9999999),
+    (mu_deriv_closed, ModulusParams(49.5, 49.5, 50.0), 0.9999999),
+], ids=["phi_deriv-mu-underflows", "phi_deriv-F-overflows", "mu_deriv-F-overflows",
+        "phi_deriv_closed-F-overflows", "mu_deriv_closed-F-overflows"])
+def test_a_derivative_names_no_end_of_mu_or_f(call, p, r):
+    with pytest.raises(DomainError) as exc:
+        call(p, r)
+    assert not isinstance(exc.value, SaturationError)
+
+
+def test_mu_names_its_own_end_where_f_overflows():
+    with pytest.raises(SaturationError) as exc:
+        mu(_PAST_THE_RANGE, 0.9999999)
+    assert exc.value.endpoint == 0.0  # mu -> 0 as r -> 1, while F(r^2) -> inf
+
+
 def test_phi_inverse_pair():
     # scalar round trip where s stays well away from 1...
     p = modulus_params_ac(0.4, 0.9)

