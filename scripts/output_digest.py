@@ -1,7 +1,7 @@
 """SHA-256 digests of every output of the benchmark workloads and of
 `genellip verify all`, for checking that a change is bit-identical.
 
-    python3 scripts/output_digest.py [--seeds 1 2 3]
+    python3 scripts/output_digest.py [--seeds 1 2 3] [--dump DIR]
     python3 scripts/output_digest.py --cli
 
 Run from the root of a checkout; the package is imported from its ``src/``
@@ -60,6 +60,16 @@ outside a domain, an unknown check, 2F1 values past the float range near
 z = 1) may change their messages, so their digest is separate, and each
 error line is printed with its exit codes.  To compare with an older
 checkout, copy this script into it.
+
+With ``--dump DIR`` (not with ``--cli``) it also writes each group under a
+digest line as a file of JSON lines in DIR, one line per call in call
+order: ``{"call": ..., "out": [[value, abs_err_est], ...]}`` with every
+number of the output (the estimate null where the output carries none), or
+``{"call": ..., "raised": [type, message]}``.  The groups are each
+eval-sweep regime and modular-solve pass per seed, each unreached function,
+each verify check's calls, and ``verify-all``, whose lines carry each
+check's ``verdict``, ``samples`` and worst margin.  `scripts/value_diff.py`
+compares two such directories.
 """
 
 from __future__ import annotations
@@ -67,8 +77,11 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import dataclasses
 import hashlib
 import io
+import itertools
+import json
 import math
 import random
 import re
@@ -224,6 +237,11 @@ def _built():
         yield built
 
 
+class _Raised(tuple):
+    """(type name, message) of the exception a call raised; its repr is a plain
+    tuple's, so the digests read it as they always have."""
+
+
 def _outputs(calls) -> tuple[list, str]:
     """The output of each call, from cold caches, and the work they did."""
     P.reset()
@@ -233,8 +251,49 @@ def _outputs(calls) -> tuple[list, str]:
             try:
                 outs.append(f(*args))
             except Exception as exc:  # an exception is an output like any other
-                outs.append((type(exc).__name__, str(exc)))
+                outs.append(_Raised((type(exc).__name__, str(exc))))
     return outs, _work(*counts)
+
+
+def _numbers(out) -> list:
+    """Every number of an output as [value, abs_err_est], the estimate None where
+    the output carries none: an EvalResult, a (value, err) pair of numbers as a
+    verify check's callables return it, and the fields of any other output."""
+    if isinstance(out, g.EvalResult):
+        return [[out.value, out.abs_err_est]]
+    if isinstance(out, (int, float)):  # a numpy float64 too
+        return [[float(out), None]]
+    if isinstance(out, tuple) and len(out) == 2 and all(isinstance(x, (int, float)) for x in out):
+        return [[float(out[0]), float(out[1])]]
+    if isinstance(out, dict):
+        items = out.values()
+    elif dataclasses.is_dataclass(out):
+        items = [getattr(out, f.name) for f in dataclasses.fields(out)]
+    elif isinstance(out, (tuple, list)):
+        items = out
+    else:  # None, or text
+        return []
+    return [n for item in items for n in _numbers(item)]
+
+
+def _call(f, args) -> str:
+    return f"{getattr(f, '__name__', f)}{args!r}"
+
+
+def _dump(root, group: str, calls, outs, extra=()) -> None:
+    """Write `group`'s (call, output) stream to root/<group>.jsonl (see the
+    module docstring); `extra` holds further fields per line, if any."""
+    if root is None:
+        return
+    lines = []
+    for call, out, more in itertools.zip_longest(calls, outs, extra, fillvalue={}):
+        rec = {"call": call, **more}
+        if isinstance(out, _Raised):
+            rec["raised"] = list(out)
+        else:
+            rec["out"] = _numbers(out)
+        lines.append(json.dumps(rec) + "\n")
+    (root / (re.sub(r"[^\w.-]", "_", group) + ".jsonl")).write_text("".join(lines))
 
 
 def _unreached_calls(seeds) -> list:
@@ -328,7 +387,14 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--cli", action="store_true",
                     help="digest the CLI's output instead of the workloads'")
+    ap.add_argument("--dump", type=Path, metavar="DIR",
+                    help="also write each group's values and estimates to DIR as JSON lines")
     args = ap.parse_args(argv)
+    if args.cli and args.dump:
+        ap.error("--dump writes the workload groups; the CLI lists have digests only")
+    dump = args.dump
+    if dump:
+        dump.mkdir(parents=True, exist_ok=True)
     if args.cli:
         for name, lines in (("cli-valid", CLI_LINES), ("cli-pair", PAIR_LINES),
                             ("cli-solved", SOLVED_LINES), ("cli-error", ERROR_LINES)):
@@ -341,23 +407,28 @@ def main(argv=None) -> int:
         return 0
     for seed in args.seeds:
         pts = wl.eval_sweep_points(seed)
-        outs, work = _outputs(P.eval_calls(pts))
+        calls = P.eval_calls(pts)
+        outs, work = _outputs(calls)
         print(f"eval-sweep seed={seed} n={len(outs)} {_digest(outs)} {work}")
         groups = {}
-        for p, out in zip(pts, outs):
-            groups.setdefault((p.kind, p.regime), []).append(out)
+        for p, call, out in zip(pts, calls, outs):
+            groups.setdefault((p.kind, p.regime), []).append((_call(*call), out))
         for (kind, regime), group in sorted(groups.items()):
-            print(f"  {kind}/{regime or '-'} n={len(group)} {_digest(group)}")
-        outs, work = _outputs(P.solve_calls(reference.solve_points(ROOT, seed)))
+            print(f"  {kind}/{regime or '-'} n={len(group)} {_digest(o for _, o in group)}")
+            _dump(dump, f"eval-sweep.seed{seed}.{kind}.{regime or '-'}", *zip(*group))
+        calls = P.solve_calls(reference.solve_points(ROOT, seed))
+        outs, work = _outputs(calls)
         print(f"modular-solve seed={seed} n={len(outs)} {_digest(outs)} {work}")
+        _dump(dump, f"modular-solve.seed{seed}", [_call(*c) for c in calls], outs)
     named = _unreached_calls(args.seeds)
     outs, work = _outputs([call for _, call in named])
     print(f"unreached seeds={','.join(map(str, args.seeds))} n={len(outs)} {_digest(outs)} {work}")
     groups = {}
-    for (name, _), out in zip(named, outs):
-        groups.setdefault(name, []).append(out)
+    for (name, call), out in zip(named, outs):
+        groups.setdefault(name, []).append((_call(*call), out))
     for name, group in groups.items():
-        print(f"  {name} n={len(group)} {_digest(group)}")
+        print(f"  {name} n={len(group)} {_digest(o for _, o in group)}")
+        _dump(dump, f"unreached.{name}", *zip(*group))
     specs = P.verify_specs()
     trackers = [golden.Tracker(record=True) for _ in specs]
     with _built() as built, _routes_counted() as counts:
@@ -367,8 +438,12 @@ def main(argv=None) -> int:
     print(f"verify-all checks={len(rows)} samples={sum(r[2] for r in rows)} "
           f"{_digest(rows)} {_work(*counts)} lngamma={built['lngamma']} "
           f"params={built['params']}")
+    _dump(dump, "verify-all", [r[0] for r in rows], [r[3] for r in rows],
+          [{"verdict": r[1], "samples": r[2]} for r in rows])
     for spec, tracker in zip(specs, trackers):
         print(f"  {spec.id} calls={len(tracker.calls)} {_digest(tracker.calls)}")
+        _dump(dump, f"verify.{spec.id}", [_call(name, args) for name, args, _ in tracker.calls],
+              [out for _, _, out in tracker.calls])
     return 0
 
 

@@ -79,12 +79,14 @@ class Modulus:
     @property
     def log_z(self) -> float:
         """log r^2, as log1p(-r'^2) where r'^2 < 1/2: it keeps its digits as r -> 1."""
-        return math.log1p(-self.z_comp) if self.z_comp < 0.5 else math.log(self.z)
+        return (math.log1p(-self.z_comp) if self.z_comp < 0.5
+                else math.log(_interior(self, "log r^2").z))
 
     @property
     def log_z_comp(self) -> float:
         """log r'^2 by the rule of log_z, from the other side."""
-        return math.log1p(-self.z) if self.z < 0.5 else math.log(self.z_comp)
+        return (math.log1p(-self.z) if self.z < 0.5
+                else math.log(_interior(self, "log r'^2").z_comp))
 
     @property
     def complement(self) -> "Modulus":

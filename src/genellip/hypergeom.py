@@ -487,14 +487,9 @@ def _zero_balanced(key: _Triple, u: float) -> tuple[float, float]:
             s = steps[n]
         g *= s * u
         h = h_next
-        if at <= _EPS * abs(total):
-            quiet += 1
-            if quiet >= 3:
-                tail = 2.0 * at * u / (1.0 - u)
-                if tail <= _EPS * abs(total):
-                    break
-        else:
-            quiet = 0
+        quiet = quiet + 1 if at <= _EPS * abs(total) else 0
+        if quiet >= 3 and 2.0 * at * u / (1.0 - u) <= _EPS * abs(total):
+            break
     else:
         raise ConvergenceError(f"zero-balanced expansion stalled at u={u!r}")
     value = pref * total
@@ -585,12 +580,9 @@ def _integer_d(key: _Triple, u: float, m: int) -> tuple[float, float]:
         g *= (sa + n) * (sb + n) / ((n + 1.0) * (n + k + 1.0))
         L += -1.0 / (n + 1.0) - 1.0 / (n + k + 1.0) + 1.0 / (sa + n) + 1.0 / (sb + n)
         upow *= u
-        if abs(t) * scale <= _EPS * (abs(total) * scale + abs(fin)):
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
+        quiet = quiet + 1 if abs(t) * scale <= _EPS * (abs(total) * scale + abs(fin)) else 0
+        if quiet >= 3:
+            break
     else:
         raise ConvergenceError(f"integer-d expansion stalled at u={u!r}")
     sign = -1.0 if k % 2 == 0 else 1.0  # -(-1)^k

@@ -24,7 +24,7 @@ from .elliptic import EllipticParams, Modulus, _interior, ell_e, ell_e_comp, ell
     ell_k_comp
 from .errors import ParameterError, _Params, checked
 from .hypergeom import _eval_pair, _Triple
-from .result import EvalResult, Method, _finite
+from .result import EvalResult, Method, _finite, _part
 from .scalar_special import _exp, beta
 
 _CLOSED_TOL = 1e-12
@@ -147,7 +147,7 @@ def m_deriv(pt: MPoint) -> EvalResult:
     value, err, method = _legendre_form(
         c - a, 1.0 - c + s * z, c - a - b + s * z,
         (1.0 - 2.0 * z) * ((c - a) * (a + 2.0 * b - 1.0) - b * b), 5e-15,
-        *_f_values(a, b, c, z, zc))
+        *_part("m_deriv", _f_values, a, b, c, z, zc))  # an F's end is not dM/dz's
     return _finite(value / (z * zc), err / (z * zc), method, "dM/dz", a, b, c)
 
 

@@ -34,13 +34,14 @@ from .elliptic import Modulus, _interior
 from .errors import ConvergenceError, DomainError, ParameterError, SaturationError, checked
 from .hypergeom import HypParams, _eval_pair, _kernel, _Triple
 from .legendre_m import _m_pair
-from .result import EvalResult, Method, _finite
+from .result import EvalResult, Method, _finite, _part
 from .scalar_special import _exp
 
 _T_MAX = 700.0
 _T_RANGE = f"[{-_T_MAX:g}, {_T_MAX:g}]"
 _K_LO, _K_HI = 1e-3, 1e3
 _MAX_EVALS = 200  # log-mu evaluations per solve
+_LOG_MAX = math.log(sys.float_info.max)  # the largest x whose math.exp(x) is finite
 # The rungs the solver brackets its root between: -700, -512, ..., -2, 2, ..., 512, 700.
 _LADDER = tuple(sorted(s * min(2.0 ** k, _T_MAX) for s in (-1.0, 1.0) for k in range(1, 11)))
 
@@ -222,10 +223,8 @@ def mu_m(p: ModulusParams, m: Modulus) -> EvalResult:
     key = _Triple(p.a, p.b, p.c)
     hb = key.half_beta
     num = _eval_pair(key, m.z_comp, m.z)
-    try:
-        den = _eval_pair(key, m.z, m.z_comp)
-    except SaturationError as exc:  # F(r^2) overflows as r -> 1, where mu -> 0
-        raise SaturationError(str(exc), endpoint=0.0) from None
+    # F(r^2) overflows as r -> 1, where mu -> 0
+    den = _part("mu", _eval_pair, key, m.z, m.z_comp, endpoint=0.0)
     value = hb * _positive(key, m.z_comp, num.value) / _positive(key, m.z, den.value)
     err = abs(value) * (num.abs_err_est / num.value + den.abs_err_est / den.value + 4e-15)
     if err == 0.0:  # mu -> 0 as r -> 1, and its bound has underflowed
@@ -268,10 +267,8 @@ def phi_k_m(p: ModulusParams, K, m: Modulus) -> Modulus:
             endpoint=1.0 if k > 1.0 else 0.0)
     if k == 1.0:
         return _interior(m, "phi_K")
-    try:
-        mu_r = mu_m(p, m)
-    except SaturationError as exc:  # phi_K(r) tends to 1 as r -> 1 and to 0 as r -> 0
-        raise SaturationError(str(exc), endpoint=1.0 if m.z > m.z_comp else 0.0) from None
+    # phi_K(r) tends to 1 as r -> 1 and to 0 as r -> 0
+    mu_r = _part("phi_K", mu_m, p, m, endpoint=1.0 if m.z > m.z_comp else 0.0)
     log_target = math.log(mu_r.value) - math.log(k)
     return _modulus_from_t(_solve_log_mu(p.a, p.b, p.c, log_target))
 
@@ -281,34 +278,33 @@ def phi_k(p: ModulusParams, K, r: float) -> float:
     return phi_k_m(p, K, Modulus.from_r(r)).r
 
 
-def _f_r2(key: _Triple, m: Modulus, what: str) -> EvalResult:
-    """F(r^2) for mu' at the pair m; past the float range a DomainError (F's end is not mu''s)."""
-    try:
-        return _eval_pair(key, m.z, m.z_comp)
-    except SaturationError as exc:
-        raise DomainError(f"{what} is not representable: {exc}") from None
+def _mu_prime(p: ModulusParams, m: Modulus, what: str, value: float, rel: float,
+              method: Method) -> EvalResult:
+    """mu' = `value` < 0 at the pair m, as `what` computed it, with relative error `rel`;
+    a DomainError below the normal floats, where a relative error says nothing."""
+    if abs(value) < sys.float_info.min:
+        raise DomainError(f"{what} is not representable: mu' underflows at "
+                          f"(a,b,c)=({p.a!r},{p.b!r},{p.c!r}), r={m.r!r}")
+    return _finite(value, abs(value) * rel, method, "d mu/dr", p.a, p.b, p.c)
 
 
 def _mu_deriv_m(p: ModulusParams, m: Modulus) -> EvalResult:
-    """d mu/dr at an exact interior pair m, M read at that pair; its error is relative,
-    so an M that cancels to 0 or a value below the normal floats is a DomainError."""
+    """d mu/dr at an exact interior pair m, M read at that pair; an M that
+    cancels to 0, or an F, M or B past the float range, is a DomainError."""
     key = _Triple(p.a, p.b, p.c)
-    v = _f_r2(key, m, "mu_deriv")
-    M = _m_pair(p.a, p.b, p.c, m.z, m.z_comp)
+    v = _part("mu_deriv", _eval_pair, key, m.z, m.z_comp)
+    M = _part("mu_deriv", _m_pair, p.a, p.b, p.c, m.z, m.z_comp)
     if M.value == 0.0:
         raise DomainError(f"mu_deriv is not representable: M cancels to 0 at "
                           f"(a,b,c)=({p.a!r},{p.b!r},{p.c!r}), z={m.z!r}")
-    B = 2.0 * key.half_beta
+    B = 2.0 * _part("mu_deriv", getattr, key, "half_beta")
     den = m.r * m.z_comp * v.value * v.value
     value = -B * M.value / den if den < math.inf else _exp(  # F^2 overflows: in logs
         math.log(B) + math.log(abs(M.value)) - math.log(m.r * m.z_comp)
         - 2.0 * math.log(v.value), -1, "d mu/dr", p.a, p.b, p.c)
-    if abs(value) < sys.float_info.min:
-        raise DomainError(f"mu_deriv is not representable: mu' underflows at "
-                          f"(a,b,c)=({p.a!r},{p.b!r},{p.c!r}), r={m.r!r}")
     rel = (M.abs_err_est / abs(M.value) + 2.0 * v.abs_err_est / abs(v.value)
            + (5e-15 if den < math.inf else 1e-12))  # 1e-12: the four logs and their sum
-    return _finite(value, abs(value) * rel, M.method, "d mu/dr", p.a, p.b, p.c)
+    return _mu_prime(p, m, "mu_deriv", value, rel, M.method)
 
 
 def mu_deriv(p: ModulusParams, r: float) -> EvalResult:
@@ -323,10 +319,7 @@ def _phi_deriv(p: ModulusParams, K, r: float, mu_deriv_m) -> EvalResult:
     k = _as_degree(K)
     m = _interior(Modulus.from_r(r), "phi_deriv")
     dr = mu_deriv_m(p, m)  # before s: where mu(r) underflows, so does mu'(r)
-    try:
-        s = phi_k_m(p, k, m)
-    except SaturationError as exc:  # phi_K's end, not phi_K''s
-        raise DomainError(f"phi_deriv is not representable: {exc}") from None
+    s = _part("phi_deriv", phi_k_m, p, k, m)  # phi_K's end, not phi_K''s
     if not 0.0 < s.z < 1.0:
         raise DomainError(f"phi_K(r) saturated to {s.r!r}; derivative not representable")
     ds = mu_deriv_m(p, s)
@@ -350,20 +343,22 @@ def _require_power_case(p: ModulusParams) -> None:
 
 
 def _mu_deriv_closed_m(p: ModulusParams, m: Modulus) -> EvalResult:
-    """mu_deriv_closed at an exact interior pair m; a DomainError below the normal floats."""
+    """mu_deriv_closed at an exact interior pair m, in logs wherever 4D or the
+    denominator leaves the normal floats; a B/2 or F past them is a DomainError."""
     key = _Triple(p.a, p.b, p.c)
     (la, _), (lb, _), (lc, _), (lab, _) = map(key.lngamma, (p.a, p.b, p.c, p.a + p.b))
     log_4d = 2.0 * (la + lb + lc) - 3.0 * lab
-    D = _exp(log_4d, 1, "mu_deriv_closed's 4D", p.a, p.b, p.c) / 4.0
-    Kr = key.half_beta * _f_r2(key, m, "mu_deriv_closed").value
+    Kr = _part("mu_deriv_closed", getattr, key, "half_beta") \
+        * _part("mu_deriv_closed", _eval_pair, key, m.z, m.z_comp).value
     den = m.r ** (2.0 * p.c - 1.0) * m.z_comp ** p.c * Kr * Kr
-    value = -D / den if den >= sys.float_info.min else _exp(  # den underflows: in logs
-        log_4d - math.log(4.0 * Kr * Kr) - (2.0 * p.c - 1.0) * math.log(m.r)
-        - p.c * math.log(m.z_comp), -1, "d mu/dr", p.a, p.b, p.c)
-    if abs(value) < sys.float_info.min:
-        raise DomainError(f"mu_deriv_closed is not representable: mu' underflows at "
-                          f"(a,b,c)=({p.a!r},{p.b!r},{p.c!r}), r={m.r!r}")
-    return _finite(value, abs(value) * 1e-12, Method.CLOSED_FORM, "d mu/dr", p.a, p.b, p.c)
+    if log_4d <= _LOG_MAX and sys.float_info.min <= den < math.inf:
+        value = -(math.exp(log_4d) / 4.0) / den
+    else:  # in logs, where 4 K(r)^2 too overflows for K(r) past 6.7e153
+        kk = 4.0 * Kr * Kr
+        log_kk = math.log(kk) if kk < math.inf else 2.0 * math.log(2.0 * Kr)
+        value = _exp(log_4d - log_kk - (2.0 * p.c - 1.0) * math.log(m.r)
+                     - p.c * math.log(m.z_comp), -1, "d mu/dr", p.a, p.b, p.c)
+    return _mu_prime(p, m, "mu_deriv_closed", value, 1e-12, Method.CLOSED_FORM)
 
 
 def mu_deriv_closed(p: ModulusParams, r: float) -> EvalResult:

@@ -58,3 +58,14 @@ def _finite(value: float, err: float, method: Method, what: str, a, b, c) -> Eva
     if not (math.isfinite(value) and math.isfinite(err)):
         raise DomainError(f"{what} is not representable at (a,b,c)=({a!r},{b!r},{c!r})")
     return EvalResult(value, err, method)
+
+
+def _part(what: str, fn, *args, endpoint: float | None = None):
+    """fn(*args), a part of `what`.  A SaturationError of the part names the part's
+    end: it becomes `what`'s own at `endpoint`, or a DomainError where `what` has none."""
+    try:
+        return fn(*args)
+    except SaturationError as exc:
+        if endpoint is None:
+            raise DomainError(f"{what} is not representable: {exc}") from None
+        raise SaturationError(str(exc), endpoint=endpoint) from None

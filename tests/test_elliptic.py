@@ -111,11 +111,21 @@ def test_modulus_holds_its_squares_and_one_log_rule():
         assert vars(m)["z"] == m.r * m.r and vars(m)["z_comp"] == m.r_comp * m.r_comp
         assert repr(m) == f"Modulus(r={m.r!r}, r_comp={m.r_comp!r})"
         for new, old in _OLD_LOG_RULES:
-            assert _outcome(new, m) == _outcome(old, m), m
+            # where an old rule took the log of 0 (a bare ValueError), the
+            # new one raises a DomainError that names r
+            want = _outcome(old, m)
+            assert _outcome(new, m) == (DomainError if want is ValueError else want), m
     # r^2 rounds to 1 - 2^-52 here, whose log is -2.2e-16; log1p of the
     # complement keeps log r^2 = log(1 - 1e-16)
     m = Modulus.from_r_comp(1e-8)
     assert m.log_z == pytest.approx(-1e-16, rel=1e-15) and math.log(m.z) < -2e-16
+
+
+def test_log_of_a_square_that_is_zero_names_r():
+    for m, log in ((Modulus.from_r(1e-300), "log_z"), (Modulus.from_r_comp(1e-300), "log_z_comp")):
+        with pytest.raises(DomainError, match=f"r={m.r!r}, r'={m.r_comp!r}"):
+            getattr(m, log)
+        assert getattr(m.complement, log) == -0.0  # log1p of the other, tiny square
 
 
 def test_arth():

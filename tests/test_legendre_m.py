@@ -23,7 +23,7 @@ from genellip import (
     m_value,
     m_value_elliptic,
 )
-from genellip.errors import ParameterError
+from genellip.errors import DomainError, ParameterError, SaturationError
 
 INV_PI = 1.0 / math.pi
 
@@ -115,6 +115,14 @@ def test_deriv_charges_the_error_of_its_v_v1_term():
     got = m_deriv(MPoint(0.36801916023657977, 0.9081635347769776,
                          0.31396470318933883, 0.017856691581123685))
     assert abs(got.value - -2832.208748514192880290082688838972763054) <= got.abs_err_est
+
+
+def test_deriv_names_no_end_of_an_f():
+    # F(1, 20; 11; 1 - 1e-100) overflows; dM/dz tends to -inf as z -> 0 when
+    # a+b > c, so F's +inf is not dM/dz's end, and no end is named
+    with pytest.raises(DomainError) as exc:
+        m_deriv(MPoint(1.0, 20.0, 11.0, 1e-100))
+    assert not isinstance(exc.value, SaturationError)
 
 
 def test_deriv_method_follows_its_four_f_values_as_m_does():

@@ -138,6 +138,9 @@ def test_phi_saturates_where_mu_does_to_its_own_end(abc, r, endpoint, K):
 # phi_K' (phi_K' tends to K^(-1/(a+b-c)) = 0.98623 as r -> 1), so neither
 # derivative names one: each raises a DomainError without an endpoint.
 _PAST_THE_RANGE = ModulusParams(30.0, 30.0, 10.0)
+# a in the power case (a, 2, 1.5), where 4D = (Gamma(a)Gamma(b)Gamma(c))^2 /
+# Gamma(a+b)^3 exceeds the float range
+_TINY_A = (1e-200, 1e-300, 1e-308)
 
 
 def test_derivatives_keep_their_values_short_of_the_float_range():
@@ -152,12 +155,29 @@ def test_derivatives_keep_their_values_short_of_the_float_range():
     # the closed forms, on a triple with a+b+1 = 2c
     (lambda p, r: phi_deriv_closed(p, 2.0, r), ModulusParams(49.5, 49.5, 50.0), 0.9999999),
     (mu_deriv_closed, ModulusParams(49.5, 49.5, 50.0), 0.9999999),
+    # M past the float range, at tiny c or at r^2 = 1e-100, where mu' tends to -inf
+    (mu_deriv, ModulusParams(1.0, 1.0, 1e-300), 0.5),
+    (mu_deriv, ModulusParams(1.0, 20.0, 11.0), 1e-50),
+    (lambda p, r: phi_deriv(p, 2.0, r), ModulusParams(0.5, 1.0, 1e-300), 0.5),
+    # mu(r) ~ B/2 exceeds every mu the solver reaches, so phi_K saturates to 1
+    *((lambda p, r: phi_deriv_closed(p, 2.0, r), ModulusParams(a, 2.0, 1.5), 0.5)
+      for a in _TINY_A),
 ], ids=["phi_deriv-mu-underflows", "phi_deriv-F-overflows", "mu_deriv-F-overflows",
-        "phi_deriv_closed-F-overflows", "mu_deriv_closed-F-overflows"])
+        "phi_deriv_closed-F-overflows", "mu_deriv_closed-F-overflows",
+        "mu_deriv-M-overflows-tiny-c", "mu_deriv-M-overflows-tiny-r",
+        "phi_deriv-M-overflows", *(f"phi_deriv_closed-phi-saturates-{a:g}" for a in _TINY_A)])
 def test_a_derivative_names_no_end_of_mu_or_f(call, p, r):
     with pytest.raises(DomainError) as exc:
         call(p, r)
     assert not isinstance(exc.value, SaturationError)
+
+
+@pytest.mark.parametrize("a", _TINY_A)
+def test_closed_form_takes_4d_in_logs_past_the_float_range(a):
+    # 4D = (Gamma(a)Gamma(b)Gamma(c))^2 / Gamma(a+b)^3 ~ a^-2 and K(r)^2 exceed
+    # the float range, but mu' stays finite as a -> 0 (mpmath, 250 digits)
+    got = mu_deriv_closed(ModulusParams(a, 2.0, 1.5), 0.5)
+    assert abs(got.value - -4.8367983046245809) <= got.abs_err_est
 
 
 def test_mu_names_its_own_end_where_f_overflows():

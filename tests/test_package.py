@@ -224,16 +224,15 @@ def test_calls_that_crashed_raise_package_errors():
     g = genellip
     for call, error in (
             (lambda: mu_inv(ModulusParams(0.5, 0.5, 1e-300), 1e-300), SaturationError),
-            (lambda: g.mu_deriv(ModulusParams(1.0, 1.0, 1e-300), 0.5), SaturationError),
-            (lambda: g.phi_deriv(ModulusParams(0.5, 1.0, 1e-300), 2.0, 0.5), SaturationError),
-            (lambda: g.m_deriv(MPoint(0.5, 0.5, 1e-300, 1e-300)), SaturationError),
+            # M or an F past the float range: its end is not the derivative's
+            (lambda: g.mu_deriv(ModulusParams(1.0, 1.0, 1e-300), 0.5), DomainError),
+            (lambda: g.phi_deriv(ModulusParams(0.5, 1.0, 1e-300), 2.0, 0.5), DomainError),
+            (lambda: g.m_deriv(MPoint(0.5, 0.5, 1e-300, 1e-300)), DomainError),
             (lambda: g.m_value_elliptic(EllipticParams(0.5, 0.5, 1.0), Modulus(1e-300, 1.0)),
              DomainError),
             (lambda: g.mu_deriv(ModulusParams(1.0, 1e-300, 0.5), 0.5), DomainError),
             (lambda: g.m_value(MPoint(1.0, 1.0, 0.5, 1e-300)), SaturationError),
-            (lambda: g.m_deriv(MPoint(50.0, 50.0, 1e-300, 1e-300)), SaturationError),
-            # D = (Gamma(a)Gamma(b)Gamma(c))^2/(4 Gamma(a+b)^3) exceeds the float range
-            (lambda: g.mu_deriv_closed(ModulusParams(1e-300, 1.0, 1.0), 0.5), SaturationError),
+            (lambda: g.m_deriv(MPoint(50.0, 50.0, 1e-300, 1e-300)), DomainError),
             # the triple (a-1, b, c) = (-0.5, 0.5, 1e-300) once named Gamma's pole at 0
             (lambda: g.m_value(MPoint(0.5, 0.5, 1e-300, 0.8)), SaturationError),
             # r^(2c-1) r'^(2c) K(r)^2 underflowed to 0 in the closed form
@@ -241,12 +240,20 @@ def test_calls_that_crashed_raise_package_errors():
             (lambda: g.mu_deriv(ModulusParams(0.3, 2.7, 2.0), 1e-150), SaturationError),
             (lambda: g.mu_deriv_closed(ModulusParams(0.3, 2.7, 2.0), 1e-150), SaturationError),
             # M's polynomial F(10, -9; 11; 1) and its kin ran to the Maclaurin
-            # term cap (ConvergenceError); the derivative lies past the float range
-            *((lambda f=f, p=p: f(ModulusParams(*p), 1e-50), SaturationError)
-              for f in (g.mu_deriv, g.mu_deriv_closed)
+            # term cap (ConvergenceError); the derivative lies past the float
+            # range, where the closed form names its end and M, past it too,
+            # names none
+            *((lambda f=f, p=p: f(ModulusParams(*p), 1e-50), error)
+              for f, error in ((g.mu_deriv, DomainError), (g.mu_deriv_closed, SaturationError))
               for p in ((1.0, 20.0, 11.0), (5.0, 20.0, 13.0), (20.0, 1.0, 11.0), (20.0, 5.0, 13.0)))):
-        with pytest.raises(error):
+        with pytest.raises(error) as exc:
             call()
+        assert type(exc.value) is error
+    # D = (Gamma(a)Gamma(b)Gamma(c))^2/(4 Gamma(a+b)^3) exceeds the float range
+    # (a SaturationError before the closed form took 4D in logs); mu' is
+    # -1/(r r'^2) as a -> 0 (mpmath, 250 digits: -2.6666666666666666667)
+    got = g.mu_deriv_closed(ModulusParams(1e-300, 1.0, 1.0), 0.5)
+    assert abs(got.value + 8.0 / 3.0) <= got.abs_err_est
     # a denominator that underflows where the derivative itself fits: the
     # closed form is then taken in logs (mpmath, 40 digits: -3.92482616096012e+268)
     p = ModulusParams(49.5, 49.5, 50.0)

@@ -3,6 +3,7 @@ they measure, and ab_bench reads its pairs by the rules its docstring
 states."""
 
 import importlib.util
+import json
 import math
 import pathlib
 import re
@@ -136,3 +137,70 @@ def test_ab_bench_prints_failed_of_attempted_per_run():
     _, failed = _summary([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
     assert failed == ["parent: failed [0, 1, 2] of [1600, 1600, 1600] per run; all correct=True",
                       "change: failed [0, 2, 4] of [1600, 1600, 1600] per run; all correct=True"]
+
+
+def _write_dump(root, groups):
+    root.mkdir()
+    for name, records in groups.items():
+        (root / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    return root
+
+
+def _value_diff(capsys, parent, change):
+    code = _load("value_diff").main([str(parent), str(change)])
+    return code, capsys.readouterr().out.splitlines()
+
+
+_GROUP = [{"call": "mu(0.5)", "out": [[1.5, 1e-15]]},
+          {"call": "phi_k(0.5)", "out": [[0.25, None]]},
+          {"call": "mu(1e-300)", "raised": ["SaturationError", "mu overflows"]}]
+
+
+def test_value_diff_reports_no_move_between_equal_dumps(tmp_path, capsys):
+    parent = _write_dump(tmp_path / "parent", {"g": _GROUP, "verify-all": [
+        {"call": "c-1", "verdict": "pass", "samples": 9, "out": [[0.1, None]]}]})
+    change = _write_dump(tmp_path / "change", {"g": _GROUP, "verify-all": [
+        {"call": "c-1", "verdict": "pass", "samples": 9, "out": [[0.1, None]]}]})
+    code, lines = _value_diff(capsys, parent, change)
+    assert code == 0
+    assert lines == ["g n=3 moved=0 no_est=0 est_moved=0 max_parent=- max_change=-",
+                     "verify-all n=1 moved=0 no_est=0 est_moved=0 max_parent=- max_change=-",
+                     "groups=2 moved=0 no_est=0 est_moved=0 past=0 findings=0"]
+
+
+def test_value_diff_flags_a_move_past_both_estimates(tmp_path, capsys):
+    parent = _write_dump(tmp_path / "parent", {"g": _GROUP, "verify-all": [
+        {"call": "c-1", "verdict": "pass", "samples": 9, "out": [[0.1, None]]}]})
+    change = _write_dump(tmp_path / "change", {"g": [
+        # 1.5 +- 1e-15 moves by 4e-15 with an estimate of 2e-15: past the sum
+        {"call": "mu(0.5)", "out": [[1.5 + 4e-15, 2e-15]]},
+        {"call": "phi_k(0.5)", "out": [[0.25 + 1e-16, None]]},  # no estimate: counted only
+        {"call": "mu(1e-300)", "raised": ["DomainError", "mu is not representable"]}],
+        "verify-all": [{"call": "c-1", "verdict": "inconclusive", "samples": 8,
+                        "out": [[0.1, None]]}]})
+    code, lines = _value_diff(capsys, parent, change)
+    assert code == 1
+    head, *findings = lines[:4]
+    assert head == "g n=3 moved=2 no_est=1 est_moved=1 max_parent=4 max_change=2"
+    assert findings[0].startswith("  past mu(0.5): 1.5 +- 1e-15 -> 1.500000000000004 +- 2e-15")
+    assert findings[1] == ("  raised mu(1e-300): ['SaturationError', 'mu overflows'] -> "
+                           "['DomainError', 'mu is not representable']")
+    assert "  verdict c-1: 'pass' -> 'inconclusive'" in lines
+    assert "  samples c-1: 9 -> 8" in lines
+    assert lines[-1] == "groups=2 moved=2 no_est=1 est_moved=1 past=1 findings=4"
+
+
+def test_output_digest_dumps_what_value_diff_reads(tmp_path, capsys):
+    digest = _load("output_digest")
+    P = g.ModulusParams(0.3, 0.7, 1.0)
+    calls = [(g.mu, (P, 0.5)), (g.phi_k, (P, 2.0, 0.5)), (g.mu, (P, 1e-320))]
+    for side in ("parent", "change"):
+        outs, _ = digest._outputs(calls)
+        (tmp_path / side).mkdir()
+        digest._dump(tmp_path / side, "mu/phi", [digest._call(*c) for c in calls], outs)
+    records = [json.loads(line) for line in (tmp_path / "parent" / "mu_phi.jsonl").open()]
+    mu = g.mu(P, 0.5)
+    assert records[0] == {"call": f"mu{(P, 0.5)!r}", "out": [[mu.value, mu.abs_err_est]]}
+    assert records[1]["out"] == [[g.phi_k(P, 2.0, 0.5), None]]
+    assert records[2]["raised"][0] == "DomainError"  # r^2 underflows to 0
+    assert _value_diff(capsys, tmp_path / "parent", tmp_path / "change")[0] == 0
