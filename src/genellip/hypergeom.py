@@ -45,8 +45,9 @@ Gamma that (a, b, c) does not have, 'terminating' in the near-balanced band
 where c-a or c-b is exactly -n (u^(c-a-b) times a polynomial), and otherwise
 'zero_balanced', 'near_balanced', 'integer_d' or 'connection' by c-a-b, so
 _kernel dispatches on it and near_one_tau reads it to know which
-asymptote of F applies.  The route and c-a-b, which the route reads, are
-set when the triple is made, since every evaluation reads them; every other
+asymptote of F applies.  The route, c-a-b and its nearest integer m, which
+the route reads, are set when the triple is made, since every evaluation
+reads them; every other
 entry is computed on first use, and the zero-balanced steps as the
 evaluations reach them.  The entries are
 filled without a lock, by the _entry descriptor: two threads that race on a
@@ -113,44 +114,40 @@ def _digamma_any(x: float) -> float:
     return _digamma(1.0 - x).value - math.pi / math.tan(math.pi * f)
 
 
-def _lgamma_slope(x: float, e: float, pole: tuple) -> tuple[float, float]:
-    """(ln Gamma(x+e) - ln Gamma(x))/e for 0 < |e| <= 1e-6 and an error bound:
-    shift x to x+k >= 10, each step subtracting log1p(e/(x+j))/e, then take
-    psi + e psi'/2 + e^2 psi''/6 at x+k (psi' to x^-9, psi'' to x^-3).  The
-    step j = n of pole = (n, w, L), the _pole_step of x, is L instead."""
+def _band_terms(x: float, y: float, c: float, e: float) -> tuple:
+    """The terms of the near-balanced logs that x = a or b (y the other, e
+    the rounded c-a-b, 0 < |e| <= 1e-6) contributes, in one pass:
+    - the pole step (n, w): where x+n (n >= 0) comes within half of itself
+      of 0, w = c-y+n, correctly rounded, is the exact x+n+(c-a-b), and
+      x+n+e and log1p(e/(x+n)) would have lost the digits that cancel there;
+      n = -1 and w = 0.0 where no n comes that close;
+    - the log steps log1p(e/(x+j))/e for j < k = max(0, ceil(10-x)), with
+      L = log(w/(x+n))/e at j = n;
+    - the slope (ln Gamma(x+e) - ln Gamma(x))/e and an error bound: shift x
+      to x+k >= 10, each step subtracting its log, then take psi + e psi'/2
+      + e^2 psi''/6 at x+k (psi' to x^-9, psi'' to x^-3);
+    - the slope less the step L and the factor (x+n)/w = e^(-e L) that the
+      step puts in e^(e slope); the slope itself and 1.0 without a pole step.
+    """
+    n = max(0, round(-x))
+    w = math.fsum((c, -y, float(n)))
+    ratio = w / (x + n)
+    if not 0.0 < ratio < 0.5:
+        n, w = -1, 0.0
     k = max(0, math.ceil(10.0 - x))
-    steps = [math.log1p(e / (x + j)) / e if j != pole[0] else pole[2] for j in range(k)]
+    steps = [math.log1p(e / (x + j)) / e if j != n else math.log(ratio) / e for j in range(k)]
     psi = _digamma(x + k)
     inv = 1.0 / (x + k)
     inv2 = inv * inv
     d1 = inv * (1.0 + inv * (0.5 + inv * (1.0 / 6.0 + inv2 * (
         -1.0 / 30.0 + inv2 * (1.0 / 42.0 - inv2 / 30.0)))))
-    value = psi.value + e * (0.5 * d1 - e * inv2 * (1.0 + inv) / 6.0) - math.fsum(steps)
-    return value, 5.0 * _UNIT * (math.fsum(map(abs, steps)) + abs(psi.value)) + psi.abs_err_est
-
-
-def _pole_step(x: float, y: float, c: float, e: float) -> tuple[int, float, float]:
-    """The step of the near-balanced logs that comes close to a pole: for
-    {x, y} = {a, b} and e the rounded c-a-b, (n, w, log(w/(x+n))/e) where
-    w = c-y+n, correctly rounded, is the exact x+n+(c-a-b) and lies between
-    0 and half of x+n; there x+n+e and log1p(e/(x+n)) would have lost the
-    digits that cancel.  (-1, 0.0, 0.0) where no n >= 0 comes that close."""
-    n = max(0, round(-x))
-    w = math.fsum((c, -y, float(n)))
-    ratio = w / (x + n)
-    if 0.0 < ratio < 0.5:
-        return n, w, math.log(ratio) / e
-    return -1, 0.0, 0.0
-
-
-def _off_pole(x: float, e: float, pole: tuple, slope: float) -> tuple[float, float]:
-    """slope = _lgamma_slope(x, e, pole) less the pole step (n, w, L), and the
-    factor (x+n)/w = e^(-e L) that the step puts in e^(e slope); (slope, 1.0)
-    where x has no pole step."""
-    n, w, _ = pole
+    head = psi.value + e * (0.5 * d1 - e * inv2 * (1.0 + inv) / 6.0)
+    slope = head - math.fsum(steps)
+    err = 5.0 * _UNIT * (math.fsum(map(abs, steps)) + abs(psi.value)) + psi.abs_err_est
     if n < 0:
-        return slope, 1.0
-    return _lgamma_slope(x, e, (n, w, 0.0))[0], (x + n) / w
+        return n, w, steps, slope, err, slope, 1.0
+    off = head - math.fsum(steps[:n] + steps[n + 1:])
+    return n, w, steps, slope, err, off, (x + n) / w
 
 
 def _first_ratios(a: float, b: float, c: float) -> tuple[np.ndarray, int, float, float, float]:
@@ -252,7 +249,7 @@ def _direct_series(a: float, b: float, c: float, z: float,
 
 def _route(key: _Triple) -> str:
     """The route: which kernel evaluates F at z >= Z_SWITCH (see the module docstring)."""
-    (a, b, c), d = key.abc, key.d
+    (a, b, c), d, m = key.abc, key.d, key.m
     if a == c or b == c:
         return "closed"
     if _is_nonpositive_integer(a) or _is_nonpositive_integer(b):
@@ -262,7 +259,6 @@ def _route(key: _Triple) -> str:
     if abs(d) <= _ZERO_BALANCED_TOL:
         # the expansion's Gamma(a+b)
         return "series" if _is_nonpositive_integer(a + b) else "zero_balanced"
-    m = round(d)
     if m == 0 and abs(d) < _EULER_BAND:
         if any(y > c and math.fsum((c, -y, round(y - c))) == 0.0 for y in (a, b)):
             return "terminating"  # c-a or c-b is exactly -n, a pole of Gamma
@@ -322,8 +318,8 @@ class _Triple:
     """The parameters (a, b, c) as the key of _eval_pair, interned: while a
     triple lives, _LIVE finds it and _Triple(a, b, c) returns it.  Its
     attribute dict is the coefficient table of (a, b, c): abc, d = c-a-b,
-    the route and an empty ln Gamma memo are set when it is made, each entry
-    below on first use.
+    m = round(d), the route and an empty ln Gamma memo are set when it is
+    made, each entry below on first use.
     """
 
     def __new__(cls, a: float, b: float, c: float):
@@ -334,6 +330,7 @@ class _Triple:
             self = object.__new__(cls)
             self.abc = abc
             self.d = c - a - b
+            self.m = round(self.d)
             self.route = _route(self)
             self.lngammas = {}
             ref = _LIVE[abc] = _Ref(self, _forget)
@@ -369,18 +366,17 @@ class _Triple:
                 _first_ratios(a, b, 1.0 - d), _first_ratios(c - a, c - b, 1.0 + d))
 
     @_entry
-    def integer_d(self) -> tuple[float, float, tuple, tuple, tuple]:
+    def integer_d(self) -> tuple:
         """For the integer m nearest c-a-b, k = |m|: the log-part and
         finite-part prefactors of _integer_d, the shifted parameters (sa, sb)
-        of its log series and (fa, fb) of its finite part, and the four psi
-        values of the log series."""
-        a, b, c = self.abc
-        m = round(self.d)
-        k = abs(m)
-        sa, sb, fa, fb = (a + k, b + k, a, b) if m > 0 else (a, b, a - k, b - k)
+        of its log series and (fa, fb) of its finite part, the four psi
+        values of the log series, k, 1/k! and the log part's sign -(-1)^k."""
+        (a, b, c), k = self.abc, abs(self.m)
+        sa, sb, fa, fb = (a + k, b + k, a, b) if self.m > 0 else (a, b, a - k, b - k)
         return (_gamma_ratio(self, (c,), (fa, fb)), _gamma_ratio(self, (float(k), c), (sa, sb)),
                 (sa, sb), (fa, fb), (_digamma(1.0).value, _digamma(float(k + 1)).value,
-                                     _digamma_any(sa), _digamma_any(sb)))
+                                     _digamma_any(sa), _digamma_any(sb)),
+                k, 1.0 / math.factorial(k), -1.0 if k % 2 == 0 else 1.0)
 
     @_entry
     def series_head(self) -> tuple:
@@ -391,17 +387,16 @@ class _Triple:
     def near_balanced(self) -> tuple:
         """eps = c-a-b, correctly rounded, and P, D_0 + ln u and Phi_0 - ln u of
         _near_zero_balanced, with bounds on the error of the first two, and
-        the _pole_step of a and of b."""
+        for x = a and b the pole step (n, w) and the log steps of _band_terms."""
         a, b, c = self.abc
         eps = math.fsum((c, -a, -b))
         pref = math.gamma(c) / (math.gamma(c - a) * math.gamma(c - b)) \
             * (1.0 + (math.pi * eps) ** 2 / 6.0)
-        pole_a, pole_b = _pole_step(a, b, c, eps), _pole_step(b, a, c, eps)
-        (la, ea), (lb, eb) = _lgamma_slope(a, eps, pole_a), _lgamma_slope(b, eps, pole_b)
-        # A pole step (n, w, L) of x = a or b puts e^(-eps L) = (x+n)/w in
+        na, wa, steps_a, la, ea, la_off, fa = _band_terms(a, b, c, eps)
+        nb, wb, steps_b, lb, eb, lb_off, fb = _band_terms(b, a, c, eps)
+        # A pole step (n, w) of x = a or b puts e^(-eps L) = (x+n)/w in
         # G_0 = e^(eps (ln u + Phi_0)); eps L runs to tens, and the exponential
         # would lose that many ulps, so the quotient goes to P and Phi_0 leaves L out.
-        (la_off, fa), (lb_off, fb) = _off_pole(a, eps, pole_a, la), _off_pole(b, eps, pole_b, lb)
         pref *= fa * fb
         # math.gamma is within 10 ulps (CPython's test_math), 20 units each;
         # psi(c-a) ~ lb and psi(c-b) ~ la scale the rounding of c-a and c-b;
@@ -411,7 +406,7 @@ class _Triple:
         d0 = -2.0 * EULER_GAMMA - (2.0 / 3.0) * _ZETA3 * eps * eps - la - lb
         phi0 = la_off + lb_off + EULER_GAMMA - eps * (math.pi ** 2 / 12.0 - eps * _ZETA3 / 3.0)
         d0_err = ea + eb + 3.0 * _UNIT * (abs(la) + abs(lb) + 2.0 * EULER_GAMMA)
-        return eps, pref, pref_err, d0, d0_err, phi0, pole_a, pole_b
+        return eps, pref, pref_err, d0, d0_err, phi0, na, wa, steps_a, nb, wb, steps_b
 
     @_entry
     def terminating(self) -> tuple[float, tuple]:
@@ -502,7 +497,7 @@ def _near_zero_balanced(key: _Triple, u: float) -> tuple[float, float]:
     G_n = g_n e^(eps Phi_n) as one product.  It stops as _zero_balanced does;
     its error bound runs with the sum (G_n e^(eps D_n) = G_n + eps t_n)."""
     a, b, _ = key.abc
-    eps, pref, pref_err, d0, d0_err, phi0, (na, wa, la_n), (nb, wb, lb_n) = key.near_balanced
+    eps, pref, pref_err, d0, d0_err, phi0, na, wa, steps_a, nb, wb, steps_b = key.near_balanced
     lnu = math.log(u)
     D = d0 - lnu
     G = math.exp(eps * (lnu + phi0))
@@ -520,12 +515,12 @@ def _near_zero_balanced(key: _Triple, u: float) -> tuple[float, float]:
             err += 2.0 * at * u / (1.0 - u)  # the tail
             break
         y = n + 1.0
-        la = math.log1p(eps / (a + n)) / eps if n != na else la_n
-        lb = math.log1p(eps / (b + n)) / eps if n != nb else lb_n
+        la = steps_a[n] if n < len(steps_a) else math.log1p(eps / (a + n)) / eps
+        lb = steps_b[n] if n < len(steps_b) else math.log1p(eps / (b + n)) / eps
         # L(-eps,y) + L(eps,y) = 2 artanh(eps/y)/eps = (2/y)(1 + (eps/y)^2/3) + O(eps^4)
         D += 2.0 / y * (1.0 + (eps / y) ** 2 / 3.0) - la - lb
         d_err += 5.0 * _UNIT * (abs(la) + abs(lb) + abs(D))
-        G *= ((a + n + eps) if n != na else wa) * ((b + n + eps) if n != nb else wb) \
+        G *= (wa if n == na else a + n + eps) * (wb if n == nb else b + n + eps) \
             / (y * (y + eps)) * u
     else:
         raise ConvergenceError(f"near-balanced expansion stalled at u={u!r}")
@@ -542,13 +537,13 @@ def _terminating(key: _Triple, z: float, u: float) -> tuple[float, float]:
     return w * s, w * err + _UNIT * (2.0 + abs(math.log(w))) * abs(w * s)
 
 
-def _integer_d(key: _Triple, u: float, m: int) -> tuple[float, float]:
-    """Logarithmic expansion for c-a-b an exact nonzero integer m
+def _integer_d(key: _Triple, u: float) -> tuple[float, float]:
+    """Logarithmic expansion for c-a-b an exact nonzero integer m = key.m
     (Abramowitz & Stegun 15.3.11 for m > 0, 15.3.12 for m < 0)."""
-    log_pref, fin_pref, (sa, sb), (fa, fb), (psi_1, psi_k1, psi_sa, psi_sb) = key.integer_d
+    log_pref, fin_pref, (sa, sb), (fa, fb), (psi_1, psi_k1, psi_sa, psi_sb), k, g, sign \
+        = key.integer_d
     lnu = math.log(u)
-    k = abs(m)
-    if m > 0:
+    if key.m > 0:
         u_log_power = u ** k
         fin_power = 1.0
     else:
@@ -566,7 +561,6 @@ def _integer_d(key: _Triple, u: float, m: int) -> tuple[float, float]:
     fin *= fin_pref * fin_power
     # logarithmic part: sum_{n>=0} g_n [ln u - psi(n+1) - psi(n+k+1)
     #                                   + psi(sa+n) + psi(sb+n)] u^n
-    g = 1.0 / math.factorial(k)
     L = lnu - psi_1 - psi_k1 + psi_sa + psi_sb
     scale = abs(log_pref) * u_log_power  # takes the log series' terms to F's units, as fin is
     total = 0.0
@@ -585,7 +579,6 @@ def _integer_d(key: _Triple, u: float, m: int) -> tuple[float, float]:
             break
     else:
         raise ConvergenceError(f"integer-d expansion stalled at u={u!r}")
-    sign = -1.0 if k % 2 == 0 else 1.0  # -(-1)^k
     logpart = sign * log_pref * u_log_power * total
     value = fin + logpart
     if not math.isfinite(value):
@@ -654,9 +647,8 @@ def _kernel(key: _Triple, z: float, zc: float) -> tuple[float, float, Method]:
     else:
         # integer_d or zero_balanced: the expansion at the integer m nearest
         # c-a-b, charged |c-a-b - m| (at most 1e-8, or 1e-12 for m = 0)
-        m = round(key.d)
-        value, err = _integer_d(key, zc, m) if m else _zero_balanced(key, zc)
-        err += abs(key.d - m) * (abs(math.log(zc)) + 5.0) * abs(value)
+        value, err = _integer_d(key, zc) if key.m else _zero_balanced(key, zc)
+        err += abs(key.d - key.m) * (abs(math.log(zc)) + 5.0) * abs(value)
     return value, err, Method.TRANSFORM_NEAR_ONE
 
 

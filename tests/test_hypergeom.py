@@ -769,7 +769,7 @@ def _frozen_dispatch(key, z, zc):
         value, err = _near_zero_balanced(key, zc)
         return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
     if m != 0 and abs(d - m) <= 1e-8:
-        value, err = _integer_d(key, zc, m)
+        value, err = _integer_d(key, zc)
         err += abs(d - m) * (abs(math.log(zc)) + 5.0) * abs(value)
         return EvalResult(value, err, Method.TRANSFORM_NEAR_ONE)
     value, err = _connection(key, zc)
