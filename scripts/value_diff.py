@@ -9,9 +9,13 @@ For each group (one ``.jsonl`` file of the dump) it prints one line: the
 number of values whose bits moved (``moved=``), of those that carry no
 estimate on either side (``no_est=``: solved roots, verify limits and worst
 margins; counted, not judged), of estimates that moved (``est_moved=``),
-and the largest move in units of the parent's ``abs_err_est`` and of the
+the largest move in units of the parent's ``abs_err_est`` and of the
 change's (``max_parent=``, ``max_change=``; ``-`` where no moved value
-carries one).  Under it, one line per finding:
+carries one), and the median and 90th percentile (nearest rank) of the
+change's estimate over the parent's (``est_ratio_p50=``,
+``est_ratio_p90=``), over the values whose value or estimate moved and
+whose two estimates are positive (``-`` where there is none), which shows
+whether a change loosened its estimates.  Under it, one line per finding:
 
 - ``past``: a value moved by more than the sum of its two estimates, so
   one of them is not a bound (an estimate missing on one side counts as 0);
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import statistics
 import sys
 from pathlib import Path
 
@@ -53,8 +58,9 @@ def _units(move: float, est) -> float | None:
 def compare(parent: list, change: list) -> tuple[dict, list]:
     """The counts of one group's two streams and its findings, each a line."""
     counts = {"n": len(change), "moved": 0, "no_est": 0, "est_moved": 0, "max_parent": None,
-              "max_change": None}
+              "max_change": None, "est_ratio_p50": None, "est_ratio_p90": None}
     findings = []
+    ratios = []
     for i, (p, c) in enumerate(zip(parent, change)):
         if p["call"] != c["call"]:
             findings.append(f"call {i}: {p['call']} | {c['call']}")
@@ -68,9 +74,14 @@ def compare(parent: list, change: list) -> tuple[dict, list]:
                                 f"{c.get('raised', c.get('out'))}")
             continue
         for (pv, pe), (cv, ce) in zip(p["out"], c["out"]):
+            value_moved = _bits(pv) != _bits(cv)
             if _bits(pe) != _bits(ce):
                 counts["est_moved"] += 1
-            if _bits(pv) == _bits(cv):
+            elif not value_moved:
+                continue
+            if (pe or 0.0) > 0.0 and (ce or 0.0) > 0.0:
+                ratios.append(ce / pe)
+            if not value_moved:
                 continue
             counts["moved"] += 1
             move = abs(cv - pv)
@@ -84,6 +95,10 @@ def compare(parent: list, change: list) -> tuple[dict, list]:
                 findings.append(f"past {c['call']}: {pv!r} +- {pe!r} -> {cv!r} +- {ce!r}")
     if len(parent) != len(change):
         findings.append(f"call count: {len(parent)} -> {len(change)}")
+    if ratios:
+        ratios.sort()
+        counts["est_ratio_p50"] = statistics.median(ratios)
+        counts["est_ratio_p90"] = ratios[math.ceil(0.9 * len(ratios)) - 1]
     return counts, findings
 
 
@@ -103,7 +118,9 @@ def main(argv=None) -> int:
         counts, findings = compare(_read(args.parent / name), _read(args.change / name))
         print(f"{name[:-len('.jsonl')]} n={counts['n']} moved={counts['moved']} "
               f"no_est={counts['no_est']} est_moved={counts['est_moved']} "
-              f"max_parent={_fmt(counts['max_parent'])} max_change={_fmt(counts['max_change'])}")
+              f"max_parent={_fmt(counts['max_parent'])} max_change={_fmt(counts['max_change'])} "
+              f"est_ratio_p50={_fmt(counts['est_ratio_p50'])} "
+              f"est_ratio_p90={_fmt(counts['est_ratio_p90'])}")
         for line in findings:
             print(f"  {line}")
         total["groups"] += 1

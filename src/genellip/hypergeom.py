@@ -127,7 +127,10 @@ def _band_terms(x: float, y: float, c: float, e: float) -> tuple:
       to x+k >= 10, each step subtracting its log, then take psi + e psi'/2
       + e^2 psi''/6 at x+k (psi' to x^-9, psi'' to x^-3);
     - the slope less the step L and the factor (x+n)/w = e^(-e L) that the
-      step puts in e^(e slope); the slope itself and 1.0 without a pole step.
+      step puts in e^(e slope); the slope itself and 1.0 without a pole step;
+    - Gamma(c-y) = Gamma(w-n): for n >= 1, c-y rounded lies beside the pole
+      -n and has lost the digits of w, so it is (-1)^n pi/(sin(pi w)
+      Gamma(1+n-w)) by reflection; math.gamma(c-y) where n <= 0.
     """
     n = max(0, round(-x))
     w = math.fsum((c, -y, float(n)))
@@ -145,9 +148,11 @@ def _band_terms(x: float, y: float, c: float, e: float) -> tuple:
     slope = head - math.fsum(steps)
     err = 5.0 * _UNIT * (math.fsum(map(abs, steps)) + abs(psi.value)) + psi.abs_err_est
     if n < 0:
-        return n, w, steps, slope, err, slope, 1.0
+        return n, w, steps, slope, err, slope, 1.0, math.gamma(c - y)
     off = head - math.fsum(steps[:n] + steps[n + 1:])
-    return n, w, steps, slope, err, off, (x + n) / w
+    gamma = math.gamma(c - y) if n == 0 else \
+        (-1.0) ** n * math.pi / (math.sin(math.pi * w) * math.gamma(1.0 + n - w))
+    return n, w, steps, slope, err, off, (x + n) / w, gamma
 
 
 def _first_ratios(a: float, b: float, c: float) -> tuple[np.ndarray, int, float, float, float]:
@@ -373,7 +378,13 @@ class _Triple:
         values of the log series, k, 1/k! and the log part's sign -(-1)^k."""
         (a, b, c), k = self.abc, abs(self.m)
         sa, sb, fa, fb = (a + k, b + k, a, b) if self.m > 0 else (a, b, a - k, b - k)
-        return (_gamma_ratio(self, (c,), (fa, fb)), _gamma_ratio(self, (float(k), c), (sa, sb)),
+        if self.m < 0 and any(math.fsum((x, -k, -(x - k))) for x in (a, b)):
+            # a-k or b-k rounded, maybe beside a pole of Gamma: Gamma(x-k) Prod (x-j) = Gamma(x)
+            log_pref = _gamma_ratio(self, (c,), (a, b)) \
+                * math.prod((a - j) * (b - j) for j in range(1, k + 1))
+        else:
+            log_pref = _gamma_ratio(self, (c,), (fa, fb))
+        return (log_pref, _gamma_ratio(self, (float(k), c), (sa, sb)),
                 (sa, sb), (fa, fb), (_digamma(1.0).value, _digamma(float(k + 1)).value,
                                      _digamma_any(sa), _digamma_any(sb)),
                 k, 1.0 / math.factorial(k), -1.0 if k % 2 == 0 else 1.0)
@@ -390,10 +401,9 @@ class _Triple:
         for x = a and b the pole step (n, w) and the log steps of _band_terms."""
         a, b, c = self.abc
         eps = math.fsum((c, -a, -b))
-        pref = math.gamma(c) / (math.gamma(c - a) * math.gamma(c - b)) \
-            * (1.0 + (math.pi * eps) ** 2 / 6.0)
-        na, wa, steps_a, la, ea, la_off, fa = _band_terms(a, b, c, eps)
-        nb, wb, steps_b, lb, eb, lb_off, fb = _band_terms(b, a, c, eps)
+        na, wa, steps_a, la, ea, la_off, fa, gamma_cb = _band_terms(a, b, c, eps)
+        nb, wb, steps_b, lb, eb, lb_off, fb, gamma_ca = _band_terms(b, a, c, eps)
+        pref = math.gamma(c) / (gamma_ca * gamma_cb) * (1.0 + (math.pi * eps) ** 2 / 6.0)
         # A pole step (n, w) of x = a or b puts e^(-eps L) = (x+n)/w in
         # G_0 = e^(eps (ln u + Phi_0)); eps L runs to tens, and the exponential
         # would lose that many ulps, so the quotient goes to P and Phi_0 leaves L out.

@@ -383,6 +383,73 @@ def _print_ell_near_one() -> None:
 
 
 # --------------------------------------------------------------------------
+# the error-bound census of tests/test_census.py: 2F1 beside a pole of Gamma
+
+def census_points() -> list[tuple[str, float, float, float, float]]:
+    """(route, a, b, c, z), drawn from random.Random(1997), with z = 1-u for
+    u = 10^U(-12, log10 0.25).
+
+    - 60 integer-d rows: m = c-a-b rounded in {-1, -2, -3}, k = -m; one of a,
+      b is x = 10^U(-12, -3), or j +- that for an integer j in [1, k], so
+      that x-k or x-j lies beside a pole of Gamma; the other is
+      k - x + 10^U(-1.3, 0.5), and c = a+b-k.
+    - 36 near-balanced rows with a pole step: x = a or b lies at -n + t for
+      n in {0, 1, 2} and |t| in (1.05, 1.95) |eps|, eps = c-a-b = +-10^U(-11,
+      -6.5) of the other sign than t, so that x+n+(c-a-b) lies between 0
+      and half of x+n; the other parameter is n + U(0.1, 3).
+    - First, five near-balanced rows: a and b each one ulp from its pole
+      step, at z = 0.9999 and 0.999, and c-a rounded half an ulp off beside
+      the pole -1.
+    _print_census keeps the drawn rows whose triple takes their route."""
+    rng = random.Random(1997)
+
+    def z_near_one():
+        return 1.0 - 10.0 ** rng.uniform(-12.0, math.log10(0.25))
+
+    a, b, c = 1.0000000000000003e-09, 1e-09, 1.0000000000000005e-09
+    rows = [("near_balanced", x, y, c, z) for z in (0.9999, 0.999) for x, y in ((a, b), (b, a))]
+    rows.append(("near_balanced", 2.0, -1.0000005000000003, 0.9999999999999997, 0.9))
+    for _ in range(200):
+        k = rng.choice((1, 2, 3))
+        delta = 10.0 ** rng.uniform(-12.0, -3.0)
+        j = rng.randint(0, k)
+        x = delta if j == 0 else j + rng.choice((-1.0, 1.0)) * delta
+        y = k - x + 10.0 ** rng.uniform(-1.3, 0.5)
+        a, b = (x, y) if rng.random() < 0.5 else (y, x)
+        rows.append(("integer_d", a, b, a + b - k, z_near_one()))
+    for _ in range(200):
+        n = rng.choice((0, 1, 2))
+        eps = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-11.0, -6.5)
+        x = -n - math.copysign(rng.uniform(1.05, 1.95) * abs(eps), eps)
+        y = n + rng.uniform(0.1, 3.0)
+        a, b = (x, y) if rng.random() < 0.5 else (y, x)
+        rows.append(("near_balanced", a, b, a + b + eps, z_near_one()))
+    return rows
+
+
+def _print_census() -> None:
+    """The census rows: the five fixed ones, then the first 60 and 35 drawn
+    rows of each route that keep it,
+    with F by mpmath.hyp2f1 at 40 digits (agreeing with 60 to 1e-30)."""
+    from genellip.hypergeom import _Triple  # PYTHONPATH=src
+
+    kept = {"integer_d": 60, "near_balanced": 40}
+    for route, a, b, c, z in census_points():
+        key = _Triple(a, b, c)
+        if c <= 0.0 or key.route != route or kept.get(route) == 0:
+            continue
+        if route == "near_balanced" and key.near_balanced[6] < 0 and key.near_balanced[9] < 0:
+            continue  # no pole step
+        if route in kept:
+            kept[route] -= 1
+        with mp.workdps(60):
+            f = mp.hyp2f1(a, b, c, z)
+        with mp.workdps(40):
+            assert abs(mp.hyp2f1(a, b, c, z) / f - 1) < mp.mpf("1e-30")
+        print(f"    ({route!r}, {a!r}, {b!r}, {c!r}, {z!r}, {mp.nstr(f, 40)}),")
+
+
+# --------------------------------------------------------------------------
 # verify check declarations
 
 def declaration_digests() -> dict:
@@ -570,5 +637,7 @@ def main() -> None:
 if __name__ == "__main__":
     if sys.argv[1:] == ["--declarations"]:
         _print_declarations()
+    elif sys.argv[1:] == ["--census"]:
+        _print_census()
     else:
         main()

@@ -374,6 +374,30 @@ def test_integer_d_log_series_stops_in_the_units_of_f():
         assert abs(r.value - want) <= r.abs_err_est <= 1e-2 * want
 
 
+def test_integer_d_below_zero_takes_gamma_beside_a_pole_from_its_product():
+    # c-a-b = -k with a or b tiny: a-k or b-k rounded beside a pole of Gamma
+    # lost the digits of the tiny parameter, and Gamma(c)/Gamma(a-k) Gamma(b-k)
+    # with them (1.0000003280505958 +- 7.0e-15 at the first row, a miss of
+    # 7e5 times the estimate).  Values from mpmath.hyp2f1 at 40 digits.
+    for a, b, c, z, want in (
+            (1e-08, 1.3, 0.30000001, 0.9, 1.000000323025841152997711313966100555687),
+            (2.6297112119726225, 1.956803065118514e-12, 0.6297112119745791, 0.9997469530869505,
+             1.000029787325508471364004235579825411627)):
+        assert _Triple(a, b, c).route == "integer_d"
+        r = hyp2f1(HypParams(a, b, c), z)
+        assert abs(r.value - want) <= r.abs_err_est <= 1e-14
+
+
+def test_near_balanced_takes_gamma_beside_a_pole_by_reflection():
+    # c-a = -1 - 3 2^-53 rounds to -1.0000000000000004, half an ulp off beside
+    # the pole -1 of Gamma(c-a), which gave -1.0666660386213007; the pole step
+    # of b holds the exact c-a+1.  Value from mpmath.hyp2f1 at 40 digits.
+    key = _Triple(2.0, -1.0000005000000003, 0.9999999999999997)
+    assert key.route == "near_balanced"
+    r = _eval_pair(key, 0.9, 0.1)
+    assert abs(r.value - -0.7999995289659752795489409931383437666371) <= r.abs_err_est <= 1e-8
+
+
 # (a, b, c, z, F(a-1, b; c; z)) for b = c + 1 exactly and a tiny: the contiguous
 # triple (a-1, b, c) of M lies in the near-balanced band with c-b = -1, a pole
 # of Gamma(c-b).  Values from mpmath.hyp2f1 at 40 digits.

@@ -192,6 +192,18 @@ def test_tiny_a_with_b_exactly_c_plus_one():
         assert abs(got.value - want) <= got.abs_err_est
 
 
+def test_tiny_a_with_b_near_c_plus_one():
+    # (a, b, c) itself is on the integer-d route with c-a-b near -1, where a-1
+    # rounded beside the pole -1 of Gamma lost the digits of a: M was
+    # -8.4e-9 +- 6.1e-9 and 3.180752380371743e-07 +- 1.8e-14.  M from mpmath
+    # at 80 digits.
+    for pt, want in ((MPoint(1e-9, 1.7, 0.7, 0.9), 1.401587306671998633736741105367035893897e-8),
+                     (MPoint(1e-8, 1.3, 0.30000001, 0.9),
+                      3.137036973924803191301075051735385051668e-7)):
+        got = m_value(pt)
+        assert abs(got.value - want) <= got.abs_err_est
+
+
 def test_terminating_triple_at_z_one():
     # 1-z rounds to 1.0, so the scaled route evaluates the polynomial
     # F(10, -9; 11; z) at z = 1.0; M from mpmath at 40 digits

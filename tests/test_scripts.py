@@ -163,8 +163,10 @@ def test_value_diff_reports_no_move_between_equal_dumps(tmp_path, capsys):
         {"call": "c-1", "verdict": "pass", "samples": 9, "out": [[0.1, None]]}]})
     code, lines = _value_diff(capsys, parent, change)
     assert code == 0
-    assert lines == ["g n=3 moved=0 no_est=0 est_moved=0 max_parent=- max_change=-",
-                     "verify-all n=1 moved=0 no_est=0 est_moved=0 max_parent=- max_change=-",
+    assert lines == ["g n=3 moved=0 no_est=0 est_moved=0 max_parent=- max_change=- "
+                     "est_ratio_p50=- est_ratio_p90=-",
+                     "verify-all n=1 moved=0 no_est=0 est_moved=0 max_parent=- max_change=- "
+                     "est_ratio_p50=- est_ratio_p90=-",
                      "groups=2 moved=0 no_est=0 est_moved=0 past=0 findings=0"]
 
 
@@ -181,13 +183,32 @@ def test_value_diff_flags_a_move_past_both_estimates(tmp_path, capsys):
     code, lines = _value_diff(capsys, parent, change)
     assert code == 1
     head, *findings = lines[:4]
-    assert head == "g n=3 moved=2 no_est=1 est_moved=1 max_parent=4 max_change=2"
+    assert head == ("g n=3 moved=2 no_est=1 est_moved=1 max_parent=4 max_change=2 "
+                    "est_ratio_p50=2 est_ratio_p90=2")
     assert findings[0].startswith("  past mu(0.5): 1.5 +- 1e-15 -> 1.500000000000004 +- 2e-15")
     assert findings[1] == ("  raised mu(1e-300): ['SaturationError', 'mu overflows'] -> "
                            "['DomainError', 'mu is not representable']")
     assert "  verdict c-1: 'pass' -> 'inconclusive'" in lines
     assert "  samples c-1: 9 -> 8" in lines
     assert lines[-1] == "groups=2 moved=2 no_est=1 est_moved=1 past=1 findings=4"
+
+
+def test_value_diff_reports_how_far_estimates_moved(tmp_path, capsys):
+    # nine estimates that grow 1.1 ... 1.9 times (f(0)'s stays), a value that
+    # moves by one ulp inside its estimate, two estimates that move but are
+    # not both positive (not counted) and one value where nothing moves
+    parent = [{"call": f"f({i})", "out": [[1.0, 1e-15]]} for i in range(10)]
+    change = [{"call": f"f({i})", "out": [[1.0, (1.0 + i / 10) * 1e-15]]} for i in range(10)]
+    parent.append({"call": "g", "out": [[2.0, 2e-15], [3.0, 0.0], [4.0, None], [5.0, 1e-15]]})
+    change.append({"call": "g", "out": [[2.0 + 2.0 ** -51, 2e-15], [3.0, 1e-15], [4.0, 1e-15],
+                                        [5.0, 1e-15]]})
+    code, lines = _value_diff(capsys, _write_dump(tmp_path / "parent", {"g": parent}),
+                              _write_dump(tmp_path / "change", {"g": change}))
+    assert code == 0
+    # ten ratios, 1.0 (the value that moved) and 1.1 ... 1.9: median 1.45,
+    # 90th percentile (nearest rank) the ninth, 1.8
+    assert lines[0] == ("g n=11 moved=1 no_est=0 est_moved=11 max_parent=0.222 "
+                        "max_change=0.222 est_ratio_p50=1.45 est_ratio_p90=1.8")
 
 
 def test_output_digest_dumps_what_value_diff_reads(tmp_path, capsys):
