@@ -24,7 +24,9 @@ has lost the digits that cancel there, so that step reads x+n+(c-a-b) as
 c-y+n (y the other of a, b), correctly rounded, and its log as
 log((c-y+n)/(x+n)).  That step's factor (x+n)/(c-y+n) of e^(eps Phi_0)
 enters P as the quotient itself, not through the exponential, where eps
-times that log (tens) would cost as many ulps.
+times that log (tens) would cost as many ulps.  For n >= 1 the rounded c-y
+lies beside the pole -n, so P's Gamma(c-y) comes by reflection from the
+exact c-y+n.
 
 The engine _kernel is keyed on a _Triple: the parameters (a, b, c),
 interned, so that _eval_pair, its LRU-cached form, hashes and compares keys
@@ -379,7 +381,7 @@ class _Triple:
         (a, b, c), k = self.abc, abs(self.m)
         sa, sb, fa, fb = (a + k, b + k, a, b) if self.m > 0 else (a, b, a - k, b - k)
         if self.m < 0 and any(math.fsum((x, -k, -(x - k))) for x in (a, b)):
-            # a-k or b-k rounded, maybe beside a pole of Gamma: Gamma(x-k) Prod (x-j) = Gamma(x)
+            # a-k or b-k rounded, maybe beside a pole: Gamma(x) = Gamma(x-k) Prod_{j<=k} (x-j)
             log_pref = _gamma_ratio(self, (c,), (a, b)) \
                 * math.prod((a - j) * (b - j) for j in range(1, k + 1))
         else:
@@ -404,7 +406,7 @@ class _Triple:
         na, wa, steps_a, la, ea, la_off, fa, gamma_cb = _band_terms(a, b, c, eps)
         nb, wb, steps_b, lb, eb, lb_off, fb, gamma_ca = _band_terms(b, a, c, eps)
         pref = math.gamma(c) / (gamma_ca * gamma_cb) * (1.0 + (math.pi * eps) ** 2 / 6.0)
-        # A pole step (n, w) of x = a or b puts e^(-eps L) = (x+n)/w in
+        # The step L = log(w/(x+n))/eps of a pole step (n, w) puts e^(-eps L) = (x+n)/w in
         # G_0 = e^(eps (ln u + Phi_0)); eps L runs to tens, and the exponential
         # would lose that many ulps, so the quotient goes to P and Phi_0 leaves L out.
         pref *= fa * fb
@@ -550,8 +552,8 @@ def _terminating(key: _Triple, z: float, u: float) -> tuple[float, float]:
 def _integer_d(key: _Triple, u: float) -> tuple[float, float]:
     """Logarithmic expansion for c-a-b an exact nonzero integer m = key.m
     (Abramowitz & Stegun 15.3.11 for m > 0, 15.3.12 for m < 0)."""
-    log_pref, fin_pref, (sa, sb), (fa, fb), (psi_1, psi_k1, psi_sa, psi_sb), k, g, sign \
-        = key.integer_d
+    (log_pref, fin_pref, (sa, sb), (fa, fb), (psi_1, psi_k1, psi_sa, psi_sb), k, g,
+     sign) = key.integer_d
     lnu = math.log(u)
     if key.m > 0:
         u_log_power = u ** k

@@ -386,21 +386,20 @@ def _print_ell_near_one() -> None:
 # the error-bound census of tests/test_census.py: 2F1 beside a pole of Gamma
 
 def census_points() -> list[tuple[str, float, float, float, float]]:
-    """(route, a, b, c, z), drawn from random.Random(1997), with z = 1-u for
-    u = 10^U(-12, log10 0.25).
+    """(route, a, b, c, z): five fixed near-balanced rows, then 200 integer-d
+    and 200 near-balanced draws from random.Random(1997), each with z = 1-u
+    for u = 10^U(-12, log10 0.25); _print_census keeps the first 60 and 35
+    draws whose triple takes their route.
 
-    - 60 integer-d rows: m = c-a-b rounded in {-1, -2, -3}, k = -m; one of a,
-      b is x = 10^U(-12, -3), or j +- that for an integer j in [1, k], so
-      that x-k or x-j lies beside a pole of Gamma; the other is
-      k - x + 10^U(-1.3, 0.5), and c = a+b-k.
-    - 36 near-balanced rows with a pole step: x = a or b lies at -n + t for
-      n in {0, 1, 2} and |t| in (1.05, 1.95) |eps|, eps = c-a-b = +-10^U(-11,
+    - The fixed rows: a and b each one ulp from its pole step, at z = 0.9999
+      and 0.999, and c-a rounded half an ulp off beside the pole -1.
+    - Integer-d: k in {1, 2, 3}; one of a, b is x = 10^U(-12, -3), or j +-
+      that for an integer j in [1, k], so that x-k lies beside a pole of
+      Gamma; the other is k - x + 10^U(-1.3, 0.5), and c = a+b-k.
+    - Near-balanced with a pole step: x = a or b lies at -n + t for n in
+      {0, 1, 2} and |t| in (1.05, 1.95) |eps|, eps = c-a-b = +-10^U(-11,
       -6.5) of the other sign than t, so that x+n+(c-a-b) lies between 0
-      and half of x+n; the other parameter is n + U(0.1, 3).
-    - First, five near-balanced rows: a and b each one ulp from its pole
-      step, at z = 0.9999 and 0.999, and c-a rounded half an ulp off beside
-      the pole -1.
-    _print_census keeps the drawn rows whose triple takes their route."""
+      and half of x+n; the other parameter is n + U(0.1, 3)."""
     rng = random.Random(1997)
 
     def z_near_one():
@@ -428,9 +427,9 @@ def census_points() -> list[tuple[str, float, float, float, float]]:
 
 
 def _print_census() -> None:
-    """The census rows: the five fixed ones, then the first 60 and 35 drawn
-    rows of each route that keep it,
-    with F by mpmath.hyp2f1 at 40 digits (agreeing with 60 to 1e-30)."""
+    """The census rows of census_points, with F by mpmath.hyp2f1 at 60
+    digits, printed to 40 (it agrees with 40-digit mpmath to 1e-30).  A
+    near-balanced draw is kept only where a or b takes a pole step."""
     from genellip.hypergeom import _Triple  # PYTHONPATH=src
 
     kept = {"integer_d": 60, "near_balanced": 40}
@@ -438,8 +437,10 @@ def _print_census() -> None:
         key = _Triple(a, b, c)
         if c <= 0.0 or key.route != route or kept.get(route) == 0:
             continue
-        if route == "near_balanced" and key.near_balanced[6] < 0 and key.near_balanced[9] < 0:
-            continue  # no pole step
+        if route == "near_balanced":
+            na, nb = key.near_balanced[6], key.near_balanced[9]  # the pole steps' n
+            if na < 0 and nb < 0:
+                continue
         if route in kept:
             kept[route] -= 1
         with mp.workdps(60):
