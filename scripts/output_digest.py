@@ -31,12 +31,13 @@ cache misses (``pair_misses=``), the uncached kernel calls of the modulus
 solver (``solver_evals=``, two per log-mu evaluation), every kernel
 evaluation of the two split by the kernel that made it (``routes=``, the
 triple's route, or ``series`` below ``Z_SWITCH`` for every route but
-``closed``; they sum to ``pair_misses`` plus ``solver_evals``), and the calls
-of the modulus solver ``_solve_log_mu`` (``solves=``), and beside the
-`verify all` digest also the evaluations of ln Gamma
-(``scalar_special._lngamma_raw``, ``lngamma=``) and the parameter objects
-built (every ``errors._Params``: ``HypParams``, ``EllipticParams``,
-``ModulusParams`` and ``MPoint``, ``params=``).  Run it on two
+``closed``; they sum to ``pair_misses`` plus ``solver_evals``), the calls
+of the modulus solver ``_solve_log_mu`` (``solves=``), the evaluations of
+ln Gamma (``scalar_special._lngamma_raw``, ``lngamma=``) and the parameter
+objects built (every ``errors._Params``: ``HypParams``, ``EllipticParams``,
+``ModulusParams`` and ``MPoint``, ``params=``; the workloads build their
+calls' objects before the pass, so these count only those built within the
+calls).  Run it on two
 checkouts and diff the output: equal digests mean equal bits, and the counts
 show the work each side did.  Both LRU caches are cleared before each pass,
 as in the benchmark.  The modular-solve points pass through the benchmark's
@@ -167,16 +168,19 @@ def _digest(items) -> str:
     return h.hexdigest()
 
 
-def _work(routes: collections.Counter, solver: collections.Counter) -> str:
+def _work(routes: collections.Counter, solver: collections.Counter,
+          built: collections.Counter) -> str:
     """Calls of the 2F1 engine, its misses, the solver's kernel calls, every
     kernel evaluation by route, and solver calls since the last reset of
-    the caches."""
+    the caches; then the ln Gamma evaluations and parameter objects that
+    _built counted."""
     solves = modulus._solve_log_mu.cache_info()
     by_route = ",".join(f"{r}:{n}" for r, n in sorted((routes + solver).items()))
     pairs = hypergeom._eval_pair.cache_info()
     return (f"pair_calls={pairs.hits + pairs.misses} pair_misses={pairs.misses} "
             f"solver_evals={solver.total()} routes={by_route} "
-            f"solves={solves.hits + solves.misses}")
+            f"solves={solves.hits + solves.misses} "
+            f"lngamma={built['lngamma']} params={built['params']}")
 
 
 @contextlib.contextmanager
@@ -246,13 +250,13 @@ def _outputs(calls) -> tuple[list, str]:
     """The output of each call, from cold caches, and the work they did."""
     P.reset()
     outs = []
-    with _routes_counted() as counts:
+    with _built() as built, _routes_counted() as counts:
         for f, args in calls:
             try:
                 outs.append(f(*args))
             except Exception as exc:  # an exception is an output like any other
                 outs.append(_Raised((type(exc).__name__, str(exc))))
-    return outs, _work(*counts)
+    return outs, _work(*counts, built)
 
 
 def _numbers(out) -> list:
@@ -436,8 +440,7 @@ def main(argv=None) -> int:
     rows = [(r.id, r.verdict, r.samples, float(r.worst_margin), r.witness, s.claim)
             for r, s in zip(reports, specs)]
     print(f"verify-all checks={len(rows)} samples={sum(r[2] for r in rows)} "
-          f"{_digest(rows)} {_work(*counts)} lngamma={built['lngamma']} "
-          f"params={built['params']}")
+          f"{_digest(rows)} {_work(*counts, built)}")
     _dump(dump, "verify-all", [r[0] for r in rows], [r[3] for r in rows],
           [{"verdict": r[1], "samples": r[2]} for r in rows])
     for spec, tracker in zip(specs, trackers):

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from .errors import DomainError, ParameterError, checked
 from .hypergeom import HypParams, _eval_pair, _Triple
 from .result import EvalResult, Method
-from .scalar_special import beta
 
 
 class EllipticParams(HypParams):
@@ -131,11 +130,9 @@ def ell_k(p: EllipticParams, m: Modulus) -> EvalResult:
 
 
 def ell_e(p: EllipticParams, m: Modulus) -> EvalResult:
-    """E(r) = (B(a,b)/2) F(a-1,b;c;r^2); finite on all of [0, 1]."""
+    """E(r) = (B(a,b)/2) F(a-1,b;c;r^2); finite on all of [0, 1], E(1) by Gauss's sum."""
     if m.z_comp == 0.0:
-        num = 2.0 * p.half_beta * beta(p.c, p.c + 1.0 - p.a - p.b).value
-        den = beta(p.c + 1.0 - p.a, p.c - p.b).value
-        value = 0.5 * num / den
+        value = p.half_beta * _Triple(p.a - 1.0, p.b, p.c).gauss_sum
         return EvalResult(value, 1e-13 * abs(value), Method.CLOSED_FORM)
     return _scaled(p.half_beta, _Triple(p.a - 1.0, p.b, p.c), m)
 

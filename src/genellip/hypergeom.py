@@ -36,8 +36,9 @@ Gamma and psi constants of the z -> 1 regimes, the head of each Maclaurin
 series (the ratio factors of its first chunk of 64 terms, the least number
 of terms, the bound that lets a first chunk that rounds to 1 go unsummed,
 and min(a, b, c)), the zero-balanced step factors and running h_n, the
-near-balanced P, D_0 and Phi_0, B(a,b)/2 for the modulus, and the route:
-which kernel evaluates F at z >= z_switch.  Each distinct argument's
+near-balanced P, D_0 and Phi_0, B(a,b)/2 for the modulus, Gauss's sum
+F(a,b;c;1), and the route: which kernel evaluates F at z >= z_switch.  Each
+distinct argument's
 ln Gamma is computed once per triple, so B(a,b)/2 and the zero-balanced
 Gamma(a+b)/(Gamma(a)Gamma(b)) share ln Gamma at a, b and a+b, and the two
 connection or integer-d coefficients share ln Gamma(c).  The route depends
@@ -365,11 +366,18 @@ class _Triple:
                 _gamma_ratio(self, (a + b,), (a, b)), [None] * _TABLED, [None] * _TABLED)
 
     @_entry
+    def gauss_sum(self) -> float:
+        """Gamma(c) Gamma(d)/(Gamma(c-a) Gamma(c-b)), d = c-a-b: F(a,b;c;1) for d > 0
+        (DLMF 15.4.20), and for any non-integer d the first coefficient of A&S 15.3.6."""
+        a, b, c = self.abc
+        return _gamma_ratio(self, (c, self.d), (c - a, c - b))
+
+    @_entry
     def connection(self) -> tuple[float, float, tuple, tuple]:
-        """The coefficients of the two series of A&S 15.3.6, d = c-a-b, and
-        the series head (_first_ratios) of each series."""
+        """The coefficients of the two series of A&S 15.3.6 (the first is
+        gauss_sum) and the series head (_first_ratios) of each series."""
         (a, b, c), d = self.abc, self.d
-        return (_gamma_ratio(self, (c, d), (c - a, c - b)), _gamma_ratio(self, (c, -d), (a, b)),
+        return (self.gauss_sum, _gamma_ratio(self, (c, -d), (a, b)),
                 _first_ratios(a, b, 1.0 - d), _first_ratios(c - a, c - b, 1.0 + d))
 
     @_entry

@@ -152,9 +152,9 @@ def m_deriv(pt: MPoint) -> EvalResult:
 
 
 def m_scaled_limit(a: float, b: float, c: float) -> float:
-    """Endpoint limit of (z(1-z))^(a+b-c) M(z) as z -> 0 when a+b > c:
-
-    (a+b-c) B(c, a+b-c) / B(a, b)
+    """Endpoint limit of (z(1-z))^(a+b-c) M(z) as z -> 0 when a+b > c, (a+b-c) B(c,
+    a+b-c)/B(a, b): (a+b-c) times C2 of hypergeom's table of A&S 15.3.6, kept in
+    this form as the limit of mextra-1, whose margin the benchmark replays bit for bit.
     """
     p = _Params(a, b, c)
     d = p.a + p.b - p.c

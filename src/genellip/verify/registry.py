@@ -47,13 +47,13 @@ import numpy as np
 
 from ..elliptic import EllipticParams, Modulus, arth, ell_e, ell_e_minus_rc2k, ell_k, \
     ell_k_minus_e
-from ..hypergeom import HypParams, hyp2f1_pair
+from ..hypergeom import HypParams, _Triple, hyp2f1_pair
 from ..legendre_m import MPoint, _m_pair, m_deriv, m_scaled, m_scaled_limit, m_value
 from ..modulus import DegreeK, ModulusParams, modulus_params_ac, mu, mu_deriv, \
     mu_deriv_closed, mu_inv_m, mu_m, p_logit, phi_deriv_closed, phi_k, phi_k_m, \
     phi_logodds, q_modulus
 from ..result import EvalResult
-from ..scalar_special import beta, beta_ln, digamma, gamma_ln, ramanujan_r
+from ..scalar_special import beta, digamma, gamma_ln, ramanujan_r
 from .engine import CheckSpec, GridDim, GridSpec, pab
 
 INF = math.inf
@@ -592,14 +592,11 @@ def _hyp_quotients():
         return fn
 
     def limit_at_one(num, den=abc):
-        """F(num(d); 1)/F(den(d); 1) by Gauss's sum F(a,b;c;1) = B(c,c-a-b)/B(c-a,c-b),
+        """F(num(d); 1)/F(den(d); 1), the quotient of the two triples' Gauss sums,
         or infinity where F(num(d); z) diverges at z = 1."""
         def limit(d):
-            p, q = num(d), den(d)
-            if p.a + p.b >= p.c:
-                return INF
-            return math.exp(beta_ln(p.c, p.c - p.a - p.b) + beta_ln(q.c - q.a, q.c - q.b)
-                            - beta_ln(q.c, q.c - q.a - q.b) - beta_ln(p.c - p.a, p.c - p.b))
+            p, q = (_Triple(x.a, x.b, x.c) for x in (num(d), den(d)))
+            return INF if p.d <= 0.0 else p.gauss_sum / q.gauss_sum
         return limit
 
     def shifted(da, db, dc):
@@ -1320,14 +1317,10 @@ def _cdependence():
         fn=keb(False), lo_limit=lambda d: -math.log(math.sqrt(1.0 - d["r"] * d["r"])))
 
     def keb_g_limit(d):
-        a, r = d["a"], d["r"]
-        z = r * r
-        total = 0.0
-        term = z
-        for n in range(1, 501):
-            total += term / (a + n - 1.0)
-            term *= z
-        return 0.5 * total + math.log(math.sqrt(1.0 - z))
+        """(1/2) sum_{n>=1} z^n/(a+n-1) + log r' = (z/(2a)) F(1,a;a+1;z) + log r', z = r^2."""
+        a, m = d["a"], Modulus.from_r(d["r"])
+        f = hyp2f1_pair(HypParams(1.0, a, a + 1.0), m.z, m.z_comp).value
+        return 0.5 * m.z / a * f + math.log(m.r_comp)
 
     yield thkeb(
         id="thkeb-g",

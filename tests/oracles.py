@@ -335,6 +335,48 @@ def _print_near_balanced() -> None:
 
 
 # --------------------------------------------------------------------------
+# Gauss's sum F(a,b;c;1), and thkeb-g's limit by its own series
+
+def gauss_sum_points() -> list[tuple[float, float, float]]:
+    """(a, b, c): 30 seeded triples with a, b log-uniform in [0.05, 3] and
+    c-a-b log-uniform in (0.01, 3)."""
+    rng = random.Random("gauss-sum")
+
+    def loguni(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    return [(a, b, a + b + loguni(0.01, 3.0))
+            for a, b in ((loguni(0.05, 3.0), loguni(0.05, 3.0)) for _ in range(30))]
+
+
+def _print_gauss_sums() -> None:
+    for a, b, c in gauss_sum_points():
+        a, b, c = (mp.mpf(x) for x in (a, b, c))  # exact binary inputs
+        f = gamma(c) * gamma(c - a - b) / (gamma(c - a) * gamma(c - b))
+        with mp.workdps(40):
+            assert abs(mp.hyp2f1(a, b, c, 1) / f - 1) < mp.mpf("1e-30")
+        print(f"    ({float(a)!r}, {float(b)!r}, {float(c)!r}, {mp.nstr(f, 40)}),")
+
+
+def keb_g_limit(a, r) -> mp.mpf:
+    """(1/2) sum_{n>=1} r^(2n)/(a+n-1) + log r', summed until a term is below
+    1e-45 of the sum (r <= 0.9)."""
+    with mp.workdps(50):
+        a, z = mp.mpf(a), mp.mpf(r) ** 2
+        total, term, n = mp.mpf(0), z, 1
+        while term > mp.mpf("1e-45") * total:
+            total += term / (a + n - 1)
+            term *= z
+            n += 1
+        return total / 2 + mp.log(mp.sqrt(1 - z))
+
+
+def _print_keb_g_limits() -> None:
+    for a, r in ((0.3, 0.4), (0.5, 0.7), (0.7, 0.2), (0.05, 0.9), (0.95, 0.01)):
+        print(f"    ({a!r}, {r!r}, {mp.nstr(keb_g_limit(a, r), 40)}),")
+
+
+# --------------------------------------------------------------------------
 # near r = 1 (z = r^2 -> 1), where the raw series above would need about
 # 1/(1-z) terms, by mpmath's own hyp2f1 at 40 digits; each value is taken
 # at the exact binary inputs, so the package sees the same point
@@ -426,10 +468,32 @@ def census_points() -> list[tuple[str, float, float, float, float]]:
     return rows
 
 
+def cancel_band_points() -> list[tuple[float, float, float, float]]:
+    """(a, b, c, z): 60 draws from random.Random("census-cancel-band") in the
+    band where the two terms of A&S 15.3.6 cancel: a, b log-uniform in
+    [0.05, 3], c = a+b+-10^U(-6, -4) and z = 1-10^U(-8, -1.5)."""
+    rng = random.Random("census-cancel-band")
+    rows = []
+    for _ in range(60):
+        a, b = (math.exp(rng.uniform(math.log(0.05), math.log(3.0))) for _ in range(2))
+        c = a + b + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, -4.0)
+        rows.append((a, b, c, 1.0 - 10.0 ** rng.uniform(-8.0, -1.5)))
+    return rows
+
+
+def _hyp2f1_40(a, b, c, z) -> mp.mpf:
+    """mpmath.hyp2f1 at 60 digits, checked against 40 digits to 1e-30."""
+    with mp.workdps(60):
+        f = mp.hyp2f1(a, b, c, z)
+    with mp.workdps(40):
+        assert abs(mp.hyp2f1(a, b, c, z) / f - 1) < mp.mpf("1e-30")
+    return f
+
+
 def _print_census() -> None:
-    """The census rows of census_points, with F by mpmath.hyp2f1 at 60
-    digits, printed to 40 (it agrees with 40-digit mpmath to 1e-30).  A
-    near-balanced draw is kept only where a or b takes a pole step."""
+    """The census rows of census_points, then after a comment line the rows
+    of cancel_band_points, each with F by _hyp2f1_40 printed to 40 digits.
+    A near-balanced draw is kept only where a or b takes a pole step."""
     from genellip.hypergeom import _Triple  # PYTHONPATH=src
 
     kept = {"integer_d": 60, "near_balanced": 40}
@@ -443,11 +507,11 @@ def _print_census() -> None:
                 continue
         if route in kept:
             kept[route] -= 1
-        with mp.workdps(60):
-            f = mp.hyp2f1(a, b, c, z)
-        with mp.workdps(40):
-            assert abs(mp.hyp2f1(a, b, c, z) / f - 1) < mp.mpf("1e-30")
+        f = _hyp2f1_40(a, b, c, z)
         print(f"    ({route!r}, {a!r}, {b!r}, {c!r}, {z!r}, {mp.nstr(f, 40)}),")
+    print("# CANCEL_BAND")
+    for a, b, c, z in cancel_band_points():
+        print(f"    ({a!r}, {b!r}, {c!r}, {z!r}, {mp.nstr(_hyp2f1_40(a, b, c, z), 40)}),")
 
 
 # --------------------------------------------------------------------------
@@ -629,6 +693,10 @@ def main() -> None:
     _print_difference_forms()
     print("(a, b, c, u, F(a,b;c;1-u)) with c-a-b near 0:")
     _print_near_balanced()
+    print("(a, b, c, F(a,b;c;1)):")
+    _print_gauss_sums()
+    print("(a, r, thkeb-g's limit):")
+    _print_keb_g_limits()
     print("(a, b, c, r, d mu/dr) near r = 1:")
     _print_mu_deriv_near_one()
     print("((a, b, c), z, K, E) near z = 1:")

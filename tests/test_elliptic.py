@@ -26,6 +26,7 @@ from genellip import (
 )
 from genellip.elliptic import _interior
 from genellip.errors import DomainError, ParameterError
+from genellip.hypergeom import _Triple
 from genellip.verify.registry import R33
 
 CLASSICAL = EllipticParams(0.5, 0.5, 1.0)
@@ -177,7 +178,8 @@ def test_e_at_one_balanced_frozen():
 
 
 def test_e_at_one_within_its_estimate_of_the_log_beta_sum():
-    # E(1) = B(a,b) B(c,c+1-a-b) / (2 B(c+1-a,c-b)), summed as logs
+    # E(1) = B(a,b) B(c,c+1-a-b) / (2 B(c+1-a,c-b)), summed as logs; it is
+    # (B(a,b)/2) F(a-1,b;c;1), with F(a-1,b;c;1) the Gauss sum of the (a-1, b, c) table
     import random
 
     from genellip.scalar_special import beta_ln
@@ -194,6 +196,7 @@ def test_e_at_one_within_its_estimate_of_the_log_beta_sum():
                               - beta_ln(c + 1.0 - a, c - b))
         got = ell_e(p, Modulus.from_r(1.0))
         assert abs(got.value - want) <= got.abs_err_est, (a, b, c)
+        assert got.value == p.half_beta * _Triple(a - 1.0, b, c).gauss_sum, (a, b, c)
         n += 1
 
 

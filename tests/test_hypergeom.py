@@ -57,6 +57,70 @@ def test_gauss_limit_c_greater_ab():
     assert abs(got - want) <= 5.0 * eps ** (c - a - b) * want
 
 
+# (a, b, c, F(a,b;c;1)): tests/oracles.py gauss_sum_points, by its own
+# Stirling Gamma at 60 digits, printed to 40
+GAUSS_SUMS = [
+    (0.2414310618887044, 1.9747015647427795, 3.361145257836007, 1.344185960657411818067041841220054618929),
+    (1.3373189078675414, 0.18185120805974933, 1.6097926562862137, 3.214598829779232737456744716647593414857),
+    (0.0737977218643278, 1.3193112222330712, 4.148224312714431, 1.033776625691245452794191176859406098717),
+    (0.34418767711820714, 0.11349461841266391, 0.9452472682790478, 1.118679072561273100298246420823956474103),
+    (0.29765863410649074, 0.12244592783503602, 0.5465632368514108, 1.589885145291989195210620519177268281654),
+    (0.7774774847031081, 0.06318834592061667, 0.8771971872229526, 2.662512689255977292043906912388274960363),
+    (0.11879771250193075, 2.2545822348635003, 3.5946916228817365, 1.16793227617700070825621867294790822074),
+    (1.3280866519637757, 0.29341693026400595, 4.25803593961666, 1.142583520791428902484698863821985501416),
+    (2.1978649320527626, 1.706221314639021, 3.9520644402997345, 110.3766059677010165729961685964137129818),
+    (0.32223890655555215, 0.055336414954459005, 0.6820311027000494, 1.104363844990853297430309593451938023928),
+    (1.4974800657626783, 0.5622365060027675, 2.312505049494181, 3.993041358073743813492521315250435573023),
+    (1.0334307980225719, 0.5801580753081681, 2.6970950558153204, 1.551051943291001080958878999757388209474),
+    (0.36534792942390165, 0.823639534695151, 1.293759827135554, 4.128785984779070405784586731090264763862),
+    (0.259065648158366, 1.3611370002924086, 1.9806601524742051, 1.855650615914416242312356901340888641695),
+    (2.455591100079141, 2.2837833020065355, 4.750524399173716, 979.0548633302853307240433785652916252188),
+    (0.37329848089000295, 1.6903674305030074, 2.4204177637462734, 2.456996181283051064046040318164771528776),
+    (0.050737858974599113, 0.17410406095594372, 0.8585812260965565, 1.02314705367889241953110910710886620734),
+    (1.2223323770010566, 0.0526229263156773, 1.4509052874166146, 1.316266646445071544106549841906624415945),
+    (0.14381856413654717, 0.05282930252447635, 0.21661832779304568, 2.785895034491799635816395699133324205518),
+    (0.23785804843438468, 0.7604954931469723, 1.0708990588634277, 3.925567671388623143432695657869639634318),
+    (0.7404958042967303, 0.803252498570685, 1.6471751883956096, 6.949457461180250345081380580718956535578),
+    (1.0393340269158675, 2.070024916605552, 4.972562496837847, 2.163135051322956053783060272014905923199),
+    (1.7711999990491911, 0.6190240403050281, 2.403818366546064, 69.07787531450206747338823602663772542436),
+    (0.1792503425238226, 0.26263274451640223, 0.5342748792311849, 2.060286513241492244663837518691430779144),
+    (0.7403573469955032, 1.002610646067632, 1.7865364285816558, 18.02964131463219795578927881649025087867),
+    (0.6689751007308994, 0.05168416976127485, 0.8757879741848938, 1.296328525044956880435171072098908863059),
+    (0.42839981398914456, 0.6998272290120727, 1.1656271456457314, 10.2888741134605569411673624313135144672),
+    (2.2343347250671304, 1.088422850041124, 4.087517283858947, 4.275426593123158608439413952692321736348),
+    (0.1470060108253744, 1.0844700084934158, 1.3635429740082294, 2.144937357100263143187684758519762788816),
+    (0.27104777273051067, 1.2882958809670662, 1.6281013356293284, 5.382690528425577495623839160353383000512),
+]
+
+
+def test_gauss_sum_of_the_triple_table():
+    # one ln Gamma each of c, c-a-b, c-a and c-b (the Stirling series errs by
+    # up to about 1e-14 in a Beta-like ratio), so 4e-14 relative
+    for a, b, c, want in GAUSS_SUMS:
+        key = _Triple(a, b, c)
+        assert abs(key.gauss_sum - want) <= 4e-14 * want, (a, b, c)
+        assert key.connection[0] == key.gauss_sum  # A&S 15.3.6's first coefficient
+
+
+# (a, r, 1/2 sum_{n>=1} r^(2n)/(a+n-1) + log r'): tests/oracles.py keb_g_limit
+KEB_G_LIMITS = [
+    (0.3, 0.4, 0.1903398814856121481155431635720502930729),
+    (0.5, 0.7, 0.2704380927539543993875191514267308674458),
+    (0.7, 0.2, 0.008643228609976242486956151067591088518075),
+    (0.05, 0.9, 7.920948793631569588966803474342586017654),
+    (0.95, 0.01, 0.00000263164305275754318169935163312722388638),
+]
+
+
+def test_thkeb_g_limit_is_the_series_of_f_1_a_a_plus_1():
+    # sum_{n>=1} z^n/(a+n-1) = (z/a) F(1,a;a+1;z): thkeb-g's c -> a+ limit
+    # through the 2F1 engine, at the check's three (a, r) and two far ones
+    from genellip.verify import registry
+    limit = registry()["thkeb-g"].lo_limit
+    for a, r, want in KEB_G_LIMITS:
+        assert abs(limit({"a": a, "r": r}) - want) <= 1e-14, (a, r)
+
+
 def test_frozen_near_one_zero_balanced():
     # (0.3, 0.7, 1.0) is zero balanced; z=0.99 exercises the connection route
     r = hyp2f1(HypParams(0.3, 0.7, 1.0), 0.99)

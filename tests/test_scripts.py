@@ -26,15 +26,12 @@ def test_output_digest_counts_every_kernel_evaluation():
     digest = _load("output_digest")
     P, Q = g.ModulusParams(0.3, 0.7, 1.0), g.ModulusParams(1.2, 0.9, 1.5)
     calls = [(g.phi_k, (P, 3.0, 0.6)), (g.phi_k, (Q, 0.5, 0.3)),
-             (g.mu_inv, (P, 2.0)), (g.mu_inv, (Q, 5.0))]
-    # lngamma= and params= of the verify-all line count while _built is active
-    with digest._built() as built:
-        outs, work = digest._outputs(calls)
-        g.mu(g.modulus_params_ac(0.5, 1.0), 0.5)
-    g.ModulusParams(0.5, 0.5, 1.0)
-    assert built["params"] == 1  # P and Q were built before
-    assert built["lngamma"] >= 6  # B(a,b)/2 of each cold triple: a, b and a+b
+             (g.mu_inv, (P, 2.0)), (g.mu_inv, (Q, 5.0)), (g.modulus_params_ac, (0.5, 1.0))]
+    outs, work = digest._outputs(calls)
     fields = dict(field.split("=", 1) for field in work.split())
+    # lngamma= and params= count within the calls, as beside every digest
+    assert fields["params"] == "1"  # P and Q were built before
+    assert int(fields["lngamma"]) >= 6  # B(a,b)/2 of each cold triple: a, b and a+b
     routes = sum(map(int, re.findall(r":(\d+)", fields["routes"])))
     assert int(fields["pair_misses"]) == 4  # mu(r) of each phi_k
     assert int(fields["solver_evals"]) >= 4 * 2 * 5
@@ -56,6 +53,8 @@ def test_output_digest_reaches_the_evaluators_no_workload_calls():
     outs, work = digest._outputs([call for _, call in named])
     fields = dict(field.split("=", 1) for field in work.split())
     assert re.search(r"(^|,)terminating:\d+", fields["routes"])  # M's (a-1, b, c)
+    # every call's parameter object was built before the pass; its triples' ln Gamma was not
+    assert fields["params"] == "0" and int(fields["lngamma"]) > 0
     # the near-balanced kernel of each hyp2f1 triple would meet a pole of Gamma
     hyp = [args[0] for name, (_, args) in named if name == "hyp2f1"]
     assert {_Triple(p.a, p.b, p.c).route for p in hyp} == {"series"}
