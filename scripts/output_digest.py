@@ -186,39 +186,26 @@ def _work(routes: collections.Counter, solver: collections.Counter,
 @contextlib.contextmanager
 def _routes_counted():
     """Two Counters of kernel evaluations by the kernel that made each: the
-    misses of _eval_pair, and the modulus solver's calls of _kernel; kept by
-    replacing the module globals the package calls them through (as bench's
-    passes.CallCounter does).  An older checkout whose solver goes through
-    _eval_pair has no modulus._kernel, and its solver_evals read 0."""
-    pair, kernel = hypergeom._eval_pair, getattr(modulus, "_kernel", None)
+    calls of hypergeom._kernel, which every miss of _eval_pair makes, and the
+    modulus solver's calls of modulus._kernel; kept by replacing the two
+    module globals, so that no caller of _eval_pair can be missed.  An older
+    checkout whose solver goes through _eval_pair has no modulus._kernel, and
+    its solver_evals read 0."""
     routes, solver = collections.Counter(), collections.Counter()
 
-    def route(key, z):
-        r = key.route
-        return "series" if r != "closed" and z < hypergeom.Z_SWITCH else r
+    def counted(kernel, counts):
+        def call(key, z, zc):
+            out = kernel(key, z, zc)
+            r = key.route
+            counts["series" if r != "closed" and z < hypergeom.Z_SWITCH else r] += 1
+            return out
+        return call
 
-    def counted_pair(key, z, zc):
-        misses = pair.cache_info().misses
-        out = pair(key, z, zc)
-        if pair.cache_info().misses != misses:
-            routes[route(key, z)] += 1
-        return out
-
-    def counted_kernel(key, z, zc):
-        solver[route(key, z)] += 1
-        return kernel(key, z, zc)
-
-    for mod in P._PAIR_CALLERS:
-        mod._eval_pair = counted_pair
-    if kernel:
-        modulus._kernel = counted_kernel
-    try:
+    with contextlib.ExitStack() as stack:
+        for mod, counts in ((hypergeom, routes), (modulus, solver)):
+            if hasattr(mod, "_kernel"):
+                stack.enter_context(mock.patch.object(mod, "_kernel", counted(mod._kernel, counts)))
         yield routes, solver
-    finally:
-        for mod in P._PAIR_CALLERS:
-            mod._eval_pair = pair
-        if kernel:
-            modulus._kernel = kernel
 
 
 @contextlib.contextmanager

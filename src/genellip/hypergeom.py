@@ -110,13 +110,6 @@ def _gamma_ratio(key: _Triple, nums, dens) -> float:
     return _exp(ln, sign, "Gamma ratio", nums, dens)
 
 
-def _digamma_any(x: float) -> float:
-    if x > 0:
-        return _digamma(x).value
-    f = x - math.floor(x)
-    return _digamma(1.0 - x).value - math.pi / math.tan(math.pi * f)
-
-
 def _band_terms(x: float, y: float, c: float, e: float) -> tuple:
     """The terms of the near-balanced logs that x = a or b (y the other, e
     the rounded c-a-b, 0 < |e| <= 1e-6) contributes, in one pass:
@@ -362,7 +355,7 @@ class _Triple:
         Without the lists `verify all` took 23% more CPU time; filling all 64
         at once made a cold evaluation cost about 20 us more (41 against 21)."""
         a, b, _ = self.abc
-        return (-_digamma_any(a) - _digamma_any(b) - 2.0 * EULER_GAMMA,
+        return (-_digamma(a).value - _digamma(b).value - 2.0 * EULER_GAMMA,
                 _gamma_ratio(self, (a + b,), (a, b)), [None] * _TABLED, [None] * _TABLED)
 
     @_entry
@@ -395,8 +388,7 @@ class _Triple:
         else:
             log_pref = _gamma_ratio(self, (c,), (fa, fb))
         return (log_pref, _gamma_ratio(self, (float(k), c), (sa, sb)),
-                (sa, sb), (fa, fb), (_digamma(1.0).value, _digamma(float(k + 1)).value,
-                                     _digamma_any(sa), _digamma_any(sb)),
+                (sa, sb), (fa, fb), tuple(_digamma(x).value for x in (1.0, float(k + 1), sa, sb)),
                 k, 1.0 / math.factorial(k), -1.0 if k % 2 == 0 else 1.0)
 
     @_entry

@@ -2,10 +2,10 @@
 Ramanujan constant R(a,b) = -psi(a) - psi(b) - 2*gamma.
 
 Evaluation uses argument-shift recurrences into the asymptotic regime
-followed by Stirling-type series with Bernoulli-number coefficients; the
-reflection formula Gamma(x)Gamma(1-x) = pi/sin(pi x) covers negative
-arguments.  The standard identities are in DLMF chapter 5 and Abramowitz &
-Stegun chapter 6.
+followed by Stirling-type series with Bernoulli-number coefficients.  The
+shift alone covers psi at x <= 0; ln Gamma there takes the reflection
+Gamma(x)Gamma(1-x) = pi/sin(pi x) through _sinpi.  The standard identities
+are in DLMF chapter 5 and Abramowitz & Stegun chapter 6.
 """
 
 from __future__ import annotations
@@ -129,6 +129,7 @@ def digamma(x: float) -> EvalResult:
 
 
 def _digamma(x: float) -> EvalResult:
+    """psi(x), real x off the poles 0, -1, ...: psi(x+n) - sum_{k<n} 1/(x+k) (DLMF 5.5.2)."""
     shifted = x < _PSI_SHIFT
     acc = 0.0
     while x < _PSI_SHIFT:

@@ -114,6 +114,10 @@ def trigamma(x, n_terms: int = 20000) -> mp.mpf:
     return s + tail
 
 
+# beside the poles of psi at 0 and -1 and between later ones
+DIGAMMA_NEGATIVE = (-2.0 ** -53, -1e-12, -1e-8, -0.3, -0.999999999999, -2.5, -30.5)
+
+
 def ramanujan_r(a, b) -> mp.mpf:
     return -digamma(a) - digamma(b) - 2 * mp.euler
 
@@ -393,6 +397,24 @@ def mu_deriv_general(a, b, c, r) -> mp.mpf:
         return -mp.beta(a, b) * m / (r * zc * v * v)
 
 
+def phi_deriv_general(a, b, c, K, r) -> mp.mpf:
+    """ds/dr = mu'(r)/(K mu'(s)) for s = phi_K(r), with s from 200 bisection
+    steps on log mu(s) = log mu(r) - log K over [r, 1 - 1e-40] (mu decreases);
+    log mu = log(B(a,b)/2) + log F(r'^2) - log F(r^2), so it stays in range
+    where mu underflows a double."""
+    with mp.workdps(50):
+        def log_mu(t):
+            z, zc = t * t, (1 - t) * (1 + t)
+            return mp.log(mp.beta(a, b) / 2) + mp.log(mp.hyp2f1(a, b, c, zc)) \
+                - mp.log(mp.hyp2f1(a, b, c, z))
+        target = log_mu(mp.mpf(r)) - mp.log(K)
+        lo, hi = mp.mpf(r), 1 - mp.mpf(10) ** -40
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if log_mu(mid) > target else (lo, mid)
+        return mu_deriv_general(a, b, c, r) / (K * mu_deriv_general(a, b, c, (lo + hi) / 2))
+
+
 def mu_deriv_near_one_points() -> list[tuple[float, float, float, float]]:
     """(a, b, c, r): 20 seeded points with a, b uniform in (0.1, 1.5), c uniform
     in (0.1, a+b) and r = 1 - 10^U with U uniform in (-12, -2); then the two
@@ -481,6 +503,40 @@ def cancel_band_points() -> list[tuple[float, float, float, float]]:
     return rows
 
 
+def m_near_one_points() -> list[tuple[float, float, float, float]]:
+    """(a, b, c, z): 240 draws from random.Random(35) of M beside a = 1, where
+    F(a-1,b;c;.) has its a-1 beside the pole of psi at 0: a = 1-10^U(-16, -2),
+    b = U(0.05, 3), c = a+b-1-k for k drawn from {0, 0, 0, 1, 2} (a draw with
+    c outside (0, 50] is dropped and drawn again), and z, one of U(0.75,
+    0.999) and U(0.001, 0.25) with equal odds."""
+    rng = random.Random(35)
+    rows = []
+    while len(rows) < 240:
+        a = 1.0 - 10.0 ** rng.uniform(-16.0, -2.0)
+        b = rng.uniform(0.05, 3.0)
+        k = rng.choice((0, 0, 0, 1, 2))
+        z = rng.choice((rng.uniform(0.75, 0.999), rng.uniform(0.001, 0.25)))
+        c = a + b - 1 - k
+        if 0.0 < c <= 50.0:
+            rows.append((a, b, c, z))
+    return rows
+
+
+def m_legendre(a, b, c, z) -> mp.mpf:
+    """M = (c-a)(u v1 + u1 v) + (2(a-c)+b) v v1 from mpmath.hyp2f1 at the exact
+    z and 1-z, at 60 digits, checked against 40 digits to 1e-30."""
+    def m(dps):
+        with mp.workdps(dps):
+            a_, b_, c_, z_ = (mp.mpf(x) for x in (a, b, c, z))
+            v, u = mp.hyp2f1(a_, b_, c_, z_), mp.hyp2f1(a_ - 1, b_, c_, z_)
+            v1, u1 = mp.hyp2f1(a_, b_, c_, 1 - z_), mp.hyp2f1(a_ - 1, b_, c_, 1 - z_)
+            return (c_ - a_) * (u * v1 + u1 * v) + (2 * (a_ - c_) + b_) * v * v1
+    f = m(60)
+    with mp.workdps(40):
+        assert abs(m(40) / f - 1) < mp.mpf("1e-30")
+    return f
+
+
 def _hyp2f1_40(a, b, c, z) -> mp.mpf:
     """mpmath.hyp2f1 at 60 digits, checked against 40 digits to 1e-30."""
     with mp.workdps(60):
@@ -512,6 +568,17 @@ def _print_census() -> None:
     print("# CANCEL_BAND")
     for a, b, c, z in cancel_band_points():
         print(f"    ({a!r}, {b!r}, {c!r}, {z!r}, {mp.nstr(_hyp2f1_40(a, b, c, z), 40)}),")
+    _print_m_near_one()
+
+
+def _print_m_near_one() -> None:
+    """The rows of m_near_one_points with M by m_legendre, then mu' at one point
+    beside a = 1 by mu_deriv_general."""
+    print("# M_NEAR_ONE")
+    for a, b, c, z in m_near_one_points():
+        print(f"    ({a!r}, {b!r}, {c!r}, {z!r}, {mp.nstr(m_legendre(a, b, c, z), 40)}),")
+    a, b, c, r = 0.9999999999999999, 0.5, 0.4999999999999999, 0.95
+    print(f"# mu'({a!r}, {b!r}, {c!r}; {r!r}) = {mp.nstr(mu_deriv_general(a, b, c, r), 25)}")
 
 
 # --------------------------------------------------------------------------
@@ -701,6 +768,12 @@ def main() -> None:
     _print_mu_deriv_near_one()
     print("((a, b, c), z, K, E) near z = 1:")
     _print_ell_near_one()
+    print("phi_2'(0.999995) and mu'(0.999995) on (30, 30, 10), where mu underflows:")
+    _print("phi_deriv", phi_deriv_general(30.0, 30.0, 10.0, 2.0, 0.999995))
+    _print("mu_deriv", mu_deriv_general(30.0, 30.0, 10.0, 0.999995))
+    print("(x, psi(x)) at x < 0, by the defining series:")
+    for x in DIGAMMA_NEGATIVE:
+        print(f"    ({x!r}, {mp.nstr(digamma(x), 25)}),")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from genellip import (
     ramanujan_r,
 )
 from genellip.errors import DomainError, ParameterError, PoleError
-from genellip.scalar_special import _lngamma_signed
+from genellip.scalar_special import _digamma, _lngamma_signed
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -106,6 +106,22 @@ def test_digamma_oracle_3_7():
 def test_digamma_recurrence(x):
     assert digamma(x + 1.0).value == pytest.approx(
         digamma(x).value + 1.0 / x, rel=1e-11, abs=1e-12)
+
+
+@pytest.mark.parametrize("x, want", [
+    # oracle: defining series with Euler-Maclaurin tail (tests/oracles.py)
+    (-2.0 ** -53, 9007199254740991.422784335),
+    (-1e-12, 999999999999.4228044484492),
+    (-1e-08, 99999999.42278431655687027),
+    (-0.3, 2.113309779635398873407106),
+    (-0.999999999999, -1000022122209.080046796241),
+    (-2.5, 1.10315664064524318722569),
+    (-30.5, 3.434030554207562723779206),
+])
+def test_private_digamma_covers_negative_x_beside_the_poles(x, want):
+    """The shift recurrence holds off the poles, so beside 0 and -1 psi keeps
+    its digits (a reflection through pi/tan(pi x) lost 38% at -2^-53)."""
+    assert abs(_digamma(x).value - want) <= 1e-15 * abs(want)
 
 
 # --------------------------------------------------------------------------

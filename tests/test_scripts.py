@@ -9,7 +9,7 @@ import pathlib
 import re
 
 import genellip as g
-from genellip.hypergeom import _Triple
+from genellip.hypergeom import _eval_pair, _Triple
 
 
 def _load(name):
@@ -22,18 +22,20 @@ def _load(name):
 
 def test_output_digest_counts_every_kernel_evaluation():
     # routes= splits every kernel evaluation: the misses of _eval_pair and
-    # the modulus solver's uncached calls of _kernel
+    # the modulus solver's uncached calls of _kernel, whoever calls them (the
+    # last call reaches _eval_pair through this module's own name for it)
     digest = _load("output_digest")
     P, Q = g.ModulusParams(0.3, 0.7, 1.0), g.ModulusParams(1.2, 0.9, 1.5)
     calls = [(g.phi_k, (P, 3.0, 0.6)), (g.phi_k, (Q, 0.5, 0.3)),
-             (g.mu_inv, (P, 2.0)), (g.mu_inv, (Q, 5.0)), (g.modulus_params_ac, (0.5, 1.0))]
+             (g.mu_inv, (P, 2.0)), (g.mu_inv, (Q, 5.0)), (g.modulus_params_ac, (0.5, 1.0)),
+             (_eval_pair, (_Triple(0.3, 0.5, 0.9), 0.4, 0.6))]
     outs, work = digest._outputs(calls)
     fields = dict(field.split("=", 1) for field in work.split())
     # lngamma= and params= count within the calls, as beside every digest
     assert fields["params"] == "1"  # P and Q were built before
     assert int(fields["lngamma"]) >= 6  # B(a,b)/2 of each cold triple: a, b and a+b
     routes = sum(map(int, re.findall(r":(\d+)", fields["routes"])))
-    assert int(fields["pair_misses"]) == 4  # mu(r) of each phi_k
+    assert int(fields["pair_misses"]) == 5  # mu(r) of each phi_k, and _eval_pair
     assert int(fields["solver_evals"]) >= 4 * 2 * 5
     assert routes == int(fields["pair_misses"]) + int(fields["solver_evals"])
     assert fields["solves"] == "4"
