@@ -1326,9 +1326,9 @@ def _cdependence():
         id="thkeb-g",
         claim="For a, r in (0,1): c -> B(a,c-a)/2 - E_{a,c-a,c}(r) is "
               "strictly decreasing on (a, infinity), with limit "
-              "(1/2) sum_{n>=1} r^(2n)/(a+n-1) - log(1/r') as c->a+ "
-              "(500-term partial sum; truncation < 1e-150 for r <= 0.7) and "
-              "0 as c->inf.",
+              "(1/2) sum_{n>=1} r^(2n)/(a+n-1) - log(1/r') = "
+              "(r^2/(2a)) F(1,a;a+1;r^2) - log(1/r') as c->a+ "
+              "(F summed by the 2F1 engine) and 0 as c->inf.",
         fn=keb(True), lo_limit=keb_g_limit)
 
 

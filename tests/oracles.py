@@ -692,7 +692,7 @@ DECLARATIONS = {
     "phidepc-k": "7a92034108944e2b",
     "phidepc-invk": "497622968f838a65",
     "thkeb-f": "006e4bcd998aaca9",
-    "thkeb-g": "da6e6f093e2ddd7b",
+    "thkeb-g": "f08d98a12788d2f3",
     "conj-1a": "d54cc69d5b3ace1e",
     "conj-1b": "3d6968352101c7be",
     "conj-2-i": "8c4cbcec6d3df741",
