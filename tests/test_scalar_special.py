@@ -120,7 +120,7 @@ def test_digamma_recurrence(x):
 ])
 def test_private_digamma_covers_negative_x_beside_the_poles(x, want):
     """The shift recurrence holds off the poles, so beside 0 and -1 psi keeps
-    its digits (a reflection through pi/tan(pi x) lost 38% at -2^-53)."""
+    its digits."""
     assert abs(_digamma(x).value - want) <= 1e-15 * abs(want)
 
 
