@@ -190,7 +190,7 @@ def ell_derivatives(p: EllipticParams, m: Modulus) -> EllDerivatives:
     The K-E form is the difference of the first two; for (1/2,1/2,1) it
     reduces to the classical r E/r'^2.
     """
-    r, z, rc2 = checked("r", m.r, "(0, 1)"), m.z, m.z_comp
+    r, z, rc2 = _interior(m, "ell_derivatives").r, m.z, m.z_comp
     a, b, c = p.a, p.b, p.c
     K = ell_k(p, m).value
     E = ell_e(p, m).value

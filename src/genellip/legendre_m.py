@@ -89,7 +89,6 @@ def m_value_elliptic(p: EllipticParams, m: Modulus) -> EvalResult:
 
     (B/2)^2 M(r^2) = (a+b-c) K K' + (c-a)(K E' + K' E - K K')
     """
-    checked("r", m.r, "(0, 1)")
     _interior(m, "m_value_elliptic")
     a, b, c = p.a, p.b, p.c
     value, err, method = _legendre_form(c - a, 1.0, 1.0, 2.0 * (a - c) + b, 4e-15, ell_k(p, m),
@@ -141,8 +140,11 @@ def m_deriv(pt: MPoint) -> EvalResult:
     M'(z) = (1/(z(1-z))) ( (c-a)[(1-c+(a+b-1)z) u v1
             + (c-a-b+(a+b-1)z) u1 v] + (1-2z)[(c-a)(a+2b-1)-b^2] v v1 ).
     """
-    a, b, c, z = pt.a, pt.b, pt.c, pt.z
-    zc = 1.0 - z
+    return _m_deriv_pair(pt.a, pt.b, pt.c, pt.z, 1.0 - pt.z)
+
+
+def _m_deriv_pair(a: float, b: float, c: float, z: float, zc: float) -> EvalResult:
+    """m_deriv at the exact pair (z, zc = 1-z), both in (0, 1)."""
     s = a + b - 1.0
     value, err, method = _legendre_form(
         c - a, 1.0 - c + s * z, c - a - b + s * z,

@@ -158,7 +158,6 @@ def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
     g1 = g(t1)
     evals = 1
     step = 1 if g1 > 0.0 else -1
-    t0, g0 = t1, g1
     while g1 * step > 0.0:
         i += step
         if i < 0:
@@ -175,20 +174,16 @@ def _solve_log_mu(a: float, b: float, c: float, log_target: float) -> float:
         evals += 1
     if g1 == 0.0:  # g0 has the sign of step, so only the walk's last value can be 0
         return t1
-    lo, glo, hi, ghi = (t0, g0, t1, g1) if step > 0 else (t1, g1, t0, g0)
-    t0, g0 = lo, glo
-    t1, g1 = hi, ghi
+    if step < 0:
+        t0, g0, t1, g1 = t1, g1, t0, g0
+    lo, glo, hi, ghi = t0, g0, t1, g1
     while evals < _MAX_EVALS:
-        if g0 != g1:
-            t2 = t1 - g1 * (t1 - t0) / (g1 - g0)
-        else:
-            t2 = 0.5 * (lo + hi)
+        # equal g leave the secant undefined; lo then takes the midpoint below
+        t2 = t1 - g1 * (t1 - t0) / (g1 - g0) if g0 != g1 else lo
         if not lo < t2 < hi:
             t2 = 0.5 * (lo + hi)
         g2 = g(t2)
         evals += 1
-        if g2 == 0.0:
-            return t2
         if g2 > 0.0:
             lo, glo = t2, g2
         else:

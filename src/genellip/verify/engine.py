@@ -155,6 +155,8 @@ class CheckSpec:
             raise ParameterError("tolerance must be positive")
         if self.kind in ("monotone", "convex_concave") and self.direction not in (-1, 1):
             raise ParameterError(f"{self.kind} check needs direction +1 or -1")
+        if len(self.arg_grid.dims) != 1:
+            raise ParameterError("the argument grid must have one dimension")
 
 
 @dataclass(frozen=True)

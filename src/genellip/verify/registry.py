@@ -33,7 +33,9 @@ defaults: tolerance 1e-9, attainment 1e-3 at either end, decay factor 0.5.
 A primed check (K'(s)/K'(r), s'/r', ...) is its unprimed evaluator at the
 complements r' and s' (`_primed`), as K'(r) = K(r').  Evaluators and limits
 read a combo's EllipticParams and ModulusParams through `_ep` and `_mp`, one
-object per combo; only the c-dependence checks, whose argument is c, build
+object per combo, and M and F at an (a, b, c) tuple through the pair
+functions (`_m_pair`, `_eval_pair`), which build none; only the
+c-dependence checks of K, E and the modulus, whose argument is c, build
 theirs per point.  The evaluators call the package's functions through
 this module's own names, so each call can be traced by name.
 """
@@ -47,8 +49,8 @@ import numpy as np
 
 from ..elliptic import EllipticParams, Modulus, arth, ell_e, ell_e_minus_rc2k, ell_k, \
     ell_k_minus_e
-from ..hypergeom import HypParams, _Triple, hyp2f1_pair
-from ..legendre_m import MPoint, _m_pair, m_deriv, m_scaled, m_scaled_limit, m_value
+from ..hypergeom import HypParams, _eval_pair, _Triple, hyp2f1_pair
+from ..legendre_m import _m_deriv_pair, _m_pair, _m_scaled_pair, m_scaled_limit
 from ..modulus import DegreeK, ModulusParams, modulus_params_ac, mu, mu_deriv, \
     mu_deriv_closed, mu_inv_m, mu_m, p_logit, phi_deriv_closed, phi_k, phi_k_m, \
     phi_logodds, q_modulus
@@ -582,25 +584,25 @@ def _hyp_quotients():
         lo_limit=lambda d: 1.0, lo_probe=lambda d: 1e-12, lo_attain=1e-6, hi_attain=2e-3)
 
     def abc(d):
-        return HypParams(d["a"], d["b"], d["c"])
+        return d["a"], d["b"], d["c"]
 
     def f_ratio(num, den=abc):
         """F(num(d); z)/F(den(d); z)."""
         def fn(d, z):
             zc = 1.0 - z
-            return _q(hyp2f1_pair(num(d), z, zc), hyp2f1_pair(den(d), z, zc))
+            return _q(_eval_pair(_Triple(*num(d)), z, zc), _eval_pair(_Triple(*den(d)), z, zc))
         return fn
 
     def limit_at_one(num, den=abc):
         """F(num(d); 1)/F(den(d); 1), the quotient of the two triples' Gauss sums,
         or infinity where F(num(d); z) diverges at z = 1."""
         def limit(d):
-            p, q = (_Triple(x.a, x.b, x.c) for x in (num(d), den(d)))
+            p, q = _Triple(*num(d)), _Triple(*den(d))
             return INF if p.d <= 0.0 else p.gauss_sum / q.gauss_sum
         return limit
 
     def shifted(da, db, dc):
-        return lambda d: HypParams(d["a"] + da, d["b"] + db, d["c"] + dc)
+        return lambda d: (d["a"] + da, d["b"] + db, d["c"] + dc)
 
     dp_cases = (
         (0.1, 0.15, 1.0, 0.15, 0.2, 0.9),
@@ -611,7 +613,7 @@ def _hyp_quotients():
     keys = ("a", "b", "c", "a2", "b2", "c2")
 
     def bumped(d):
-        return HypParams(d["a2"], d["b2"], d["c2"])
+        return d["a2"], d["b2"], d["c2"]
 
     yield from_one(
         id="differentparams1",
@@ -654,10 +656,8 @@ def _hyp_quotients():
 
     def quotf(d, c):
         a, x, y = d["a"], d["x"], d["y"]
-        p = HypParams(a, c - a, c)
-        num = hyp2f1_pair(p, x, 1.0 - x)
-        den = hyp2f1_pair(p, y, 1.0 - y)
-        v, e = _q(num, den, 2.0 * p.half_beta)
+        p = _Triple(a, c - a, c)
+        v, e = _q(_eval_pair(p, x, 1.0 - x), _eval_pair(p, y, 1.0 - y), 2.0 * p.half_beta)
         return v, e + 1e-15 * abs(v)
 
     q_cases = ((0.3, 0.2, 0.7), (0.6, 0.2, 0.7), (0.3, 0.1, 0.5), (0.6, 0.4, 0.9))
@@ -680,7 +680,7 @@ def _hyp_quotients():
 def _m_of(d, z, scaled=False):
     """M(a,b,c; z) of a combo, or with `scaled` (z(1-z))^(a+b-c) M, as
     (value, error)."""
-    return _pair((m_scaled if scaled else m_value)(MPoint(d["a"], d["b"], d["c"], z)))
+    return _pair((_m_scaled_pair if scaled else _m_pair)(d["a"], d["b"], d["c"], z, 1.0 - z))
 
 
 def _mprop():
@@ -811,11 +811,10 @@ def _mcorollary():
 
 def _mfunctions():
     def slope_margin(d, r):
-        z = r * r
-        pt = MPoint(d["a"], d["b"], d["c"], z)
-        mv = m_value(pt)
-        md = m_deriv(pt)
-        v = mv.value - 2.0 * z * md.value - (d["c"] - d["a"]) * d["a"]
+        a, b, c, z = d["a"], d["b"], d["c"], r * r
+        mv = _m_pair(a, b, c, z, 1.0 - z)
+        md = _m_deriv_pair(a, b, c, z, 1.0 - z)
+        v = mv.value - 2.0 * z * md.value - (c - a) * a
         return v, mv.abs_err_est + 2.0 * z * md.abs_err_est
 
     yield _REDUCED(

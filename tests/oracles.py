@@ -228,6 +228,11 @@ def landen(r: float, r_comp: float) -> tuple[float, float]:
     return 2.0 * math.sqrt(r) / (1.0 + r), r_comp * r_comp / (1.0 + r) ** 2
 
 
+def landen_deriv(r: float, r_comp: float) -> float:
+    """ds/dr of landen's s, r'^2/(sqrt(r)(1+r)^3), in double precision from r'^2."""
+    return r_comp * r_comp / (math.sqrt(r) * (1.0 + r) ** 3)
+
+
 def borwein_cubic(r: float, r_comp: float) -> tuple[float, float]:
     """(1/3, 2/3, 1), K = 3: with x = r^(2/3), s^2 = 9x(1+x+x^2)/(1+2x)^3 and
     s'^2 = ((1-x)/(1+2x))^3, where 1-x = r'^2/(1+x+x^2)."""
@@ -241,6 +246,13 @@ def signature_four(r: float, r_comp: float) -> tuple[float, float]:
     """(1/4, 3/4, 1), K = 2: s = sqrt(8r(1+r))/(1+3r), s' = (1-r)/(1+3r)."""
     return (math.sqrt(8.0 * r * (1.0 + r)) / (1.0 + 3.0 * r),
             r_comp * r_comp / ((1.0 + r) * (1.0 + 3.0 * r)))
+
+
+def signature_four_deriv(r: float, r_comp: float) -> float:
+    """ds/dr of signature_four's s, sqrt(2) r'^2/(sqrt(r)(1+r)^1.5 (1+3r)^2), in
+    double precision from r'^2."""
+    return (math.sqrt(2.0) * r_comp * r_comp
+            / (math.sqrt(r) * (1.0 + r) ** 1.5 * (1.0 + 3.0 * r) ** 2))
 
 
 # ((a, c), K, the closed form) of each exact modular equation

@@ -6,6 +6,7 @@ The generic-parameter reference value M(0.3,0.4,0.6; z=0.37) =
 contiguous-combination evaluation used by the package.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from genellip import (
     Modulus,
     MPoint,
     beta,
+    ell_derivatives,
     m_deriv,
     m_scaled,
     m_scaled_limit,
@@ -24,6 +26,7 @@ from genellip import (
     m_value_elliptic,
 )
 from genellip.errors import DomainError, ParameterError, SaturationError
+from genellip.legendre_m import _m_pair
 
 INV_PI = 1.0 / math.pi
 
@@ -79,6 +82,18 @@ def test_routes_agree_generic():
     lhs = m_value_elliptic(p, Modulus.from_r(0.3)).value
     rhs = m_value(MPoint(0.4, 0.4, 0.7, 0.09)).value
     assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+def test_elliptic_route_reads_an_interior_pair_whose_r_rounds_to_one():
+    # r'^2 = 1e-18 > 0 makes the pair interior by the rule mu_m and _m_pair
+    # read, though r rounds to 1.0: a check of r in (0, 1) refused it
+    p, m = EllipticParams(0.5, 0.5, 1.0), Modulus.from_r_comp(1e-9)
+    assert m.r == 1.0
+    got = m_value_elliptic(p, m)
+    assert abs(got.value - INV_PI) <= got.abs_err_est
+    pair = _m_pair(0.5, 0.5, 1.0, m.z, m.z_comp)
+    assert abs(got.value - pair.value) <= got.abs_err_est + pair.abs_err_est
+    assert all(map(math.isfinite, dataclasses.astuple(ell_derivatives(p, m))))
 
 
 # --------------------------------------------------------------------------

@@ -239,6 +239,8 @@ def test_what_the_engine_cannot_run_is_rejected():
                 {"kind": "monotone", "direction": 0}):
         with pytest.raises(ParameterError):
             CheckSpec(**spec, **bad)
+    with pytest.raises(ParameterError, match="argument grid must have one dimension"):
+        CheckSpec(**{**spec, "arg_grid": GridSpec(R_GRID.dims * 2)}, kind="identity")
     with pytest.raises(ParameterError, match="bad verdict"):
         CheckReport("t", "maybe", 0.0, None, 1)
     with pytest.raises(ParameterError, match="requires a witness"):
@@ -285,24 +287,48 @@ def test_hyper_2_reads_b_from_the_triples_table(monkeypatch):
     assert lngammas < 500
 
 
-def test_a_cold_check_builds_one_parameter_object_per_combo(monkeypatch):
-    # the points of a combo share one EllipticParams, so B(a,b)/2 is read
-    # once per combo; when each sample built its own, ell_e, which evaluates
-    # (a-1, b, c), kept no (a, b, c) triple alive between samples, and a cold
-    # ekmonot-3 evaluated ln Gamma 7,687 times for its 2,345 samples
+def _count_params(monkeypatch):
+    """A Counter, by type, of the errors._Params objects built from now on."""
     from genellip import errors
-    spec = select("ekmonot-3")[0]
-    combos = sum(spec.param_map(d) is not None for d in spec.param_grid.combos())
     built, init = collections.Counter(), errors._Params.__init__
 
     def counted(self, *args):
         built[type(self).__name__] += 1
         init(self, *args)
     monkeypatch.setattr(errors._Params, "__init__", counted)
+    return built
+
+
+def test_a_cold_check_builds_one_parameter_object_per_combo(monkeypatch):
+    # the points of a combo share one EllipticParams, so B(a,b)/2 is read
+    # once per combo; when each sample built its own, ell_e, which evaluates
+    # (a-1, b, c), kept no (a, b, c) triple alive between samples, and a cold
+    # ekmonot-3 evaluated ln Gamma 7,687 times for its 2,345 samples
+    spec = select("ekmonot-3")[0]
+    combos = sum(spec.param_map(d) is not None for d in spec.param_grid.combos())
+    built = _count_params(monkeypatch)
     rep, lngammas = _cold_lngammas(monkeypatch, "ekmonot-3")
     assert (rep.verdict, rep.samples) == ("pass", 2345)
     assert set(built) == {"EllipticParams"} and built["EllipticParams"] <= combos
     assert lngammas <= 700
+
+
+def test_m_and_2f1_checks_build_no_parameter_object(monkeypatch):
+    # the registry reads M, dM/dz and F at (a, b, c) through the pair
+    # functions; when each sample went through the public wrappers, these
+    # cold checks built 330, 132 and 825 MPoints and 296, 222 and 140
+    # HypParams
+    import importlib
+    built = _count_params(monkeypatch)
+    for cid in ("mprop-1", "mextra-2", "mfunctions-1", "differentparams1",
+                "diffparamscor-f", "quotfdepc"):
+        rep, _ = _cold_lngammas(monkeypatch, cid)
+        assert (cid, rep.verdict, dict(built)) == (cid, "pass", {})
+    # c is mudepc's argument, so it builds a ModulusParams at each point
+    _cold_lngammas(monkeypatch, "mudepc")
+    assert dict(built) == {"ModulusParams": 210}
+    names = vars(importlib.import_module("genellip.verify.registry"))
+    assert not {"MPoint", "m_value", "m_scaled", "m_deriv"} & set(names)
 
 
 # --------------------------------------------------------------------------
